@@ -29,6 +29,7 @@ from __future__ import annotations
 import pickle
 import random
 import time
+from concurrent.futures import Future
 from dataclasses import dataclass
 from typing import Any, Dict, List, Optional, Sequence, Tuple
 
@@ -210,12 +211,21 @@ class PoolExecutor:
     def _submit(self, pool, flight: _Flight) -> None:
         self._measure_submit(flight)
         flight.started = time.perf_counter()
-        flight.future = pool.submit(
-            execute_batch_payloads,
-            flight.batch.kernel,
-            flight.compiled,
-            [job.payload for job in flight.batch.jobs],
-        )
+        try:
+            flight.future = pool.submit(
+                execute_batch_payloads,
+                flight.batch.kernel,
+                flight.compiled,
+                [job.payload for job in flight.batch.jobs],
+            )
+        except RuntimeError as error:
+            # A worker died under an earlier flight of this drain and
+            # broke the pool before this one got in (a crash in the
+            # first microseconds of a batch wins that race).  That is
+            # this batch failing on the pool like the ones already in
+            # it: _collect fails it over with the rest.
+            flight.future = Future()
+            flight.future.set_exception(error)
 
     def _failover(
         self, flights: List[_Flight], index: int, retry_self: bool

@@ -1,14 +1,26 @@
 """Per-kernel functional execution of compiled cell programs.
 
-Each runner sweeps a job's DP table cell by cell, executing the
-DPMap-emitted VLIW program through the same
+Each runner sweeps a job's DP table cell by cell through one cell
+function, with the boundary conditions of the corresponding systolic
+spec (:mod:`repro.mapping.kernels2d`).  This is the functional model
+of the compute thread -- bit-identical to the reference kernels
+(approximate only for PairHMM's fixed-point log domain, like the
+hardware), but orders of magnitude faster than the cycle-level
+simulator, which is what a throughput-oriented serving layer needs.
+
+There is one cell-execution path.  :func:`run_job` streams cells
+through the program's specialized function
+(:mod:`repro.engine.specialize`: the DPMap-emitted VLIW bundles
+compiled once into straight-line Python, memoized per process), on
+every backend -- inline, pool workers, shm workers and the shm
+degraded floor.  The interpreter (:func:`_cell_executor`, the same
 :func:`repro.dpmap.codegen.execute_way` semantics the PE simulator
-uses, with the boundary conditions of the corresponding systolic spec
-(:mod:`repro.mapping.kernels2d`).  This is the functional model of the
-compute thread -- bit-identical to the reference kernels (approximate
-only for PairHMM's fixed-point log domain, like the hardware), but
-orders of magnitude faster than the cycle-level simulator, which is
-what a throughput-oriented serving layer needs.
+uses) is the oracle that path is differentially tested against; it
+runs a job only when the payload arms sentinels (it alone carries the
+per-ALU observe hook), when specialization failed, or when a caller
+passes it explicitly.  Both implement one calling convention: inputs
+positional in ``input_regs`` order, outputs a tuple in ``output_regs``
+order.
 
 Runners are module-level functions on plain payload dicts so batches
 pickle cleanly into worker processes.
@@ -30,7 +42,7 @@ import math
 import multiprocessing
 import os
 import time
-from typing import Any, Callable, Dict, List, Optional
+from typing import Any, Callable, Dict, List, Optional, Tuple
 
 from repro.dfg.graph import DataFlowGraph
 from repro.dfg.kernels import (
@@ -43,7 +55,8 @@ from repro.dfg.kernels import (
 from repro.dpmap.codegen import execute_way
 from repro.engine.cache import CompiledProgram
 from repro.engine.jobs import JobValidationError
-from repro.guard.sentinels import Sentinel, make_sentinel
+from repro.engine.specialize import CELLS, CellFunction, MatchTable
+from repro.guard.sentinels import make_sentinel
 from repro.kernels.chain import DEFAULT_AVG_SEED_WEIGHT, Anchor
 from repro.obs.trace import monotonic_epoch_clock, worker_span
 
@@ -81,13 +94,19 @@ CONSUMED_OUTPUTS: Dict[str, frozenset] = {
     "chain": frozenset({"f", "parent"}),
 }
 
-#: The active numerical sentinel for the job being executed, if any.
-#: Per-process (workers each see their own), set by :func:`run_job`
-#: around the runner call when the payload carries ``_sentinels``, and
-#: read by :func:`_cell_executor` so every intermediate ALU value of
-#: the sweep is observed.  The counts travel back to the parent inside
-#: the result dict (workers are separate processes).
-_SENTINEL: Optional[Sentinel] = None
+#: The positional signature each sweep below calls its cell with: the
+#: input order the kernel's DFG declares, which is the program's
+#: ``input_regs`` order (checked per job by :func:`_output_slots`).
+CELL_INPUTS: Dict[str, Tuple[str, ...]] = {
+    "bsw": ("q", "t", "h_diag", "h_up", "e_up", "h_left", "f_left"),
+    "pairhmm": (
+        "a_mm", "m_diag", "a_im", "i_diag", "d_diag", "q", "t",
+        "a_gap", "m_up", "a_ext", "i_up", "m_left", "d_left",
+    ),
+    "lcs": ("c_diag", "c_up", "c_left", "x", "y"),
+    "dtw": ("a", "b", "d_up", "d_left", "d_diag"),
+    "chain": ("x_i", "x_j", "y_i", "y_j", "w", "f_j", "f_i", "j_idx", "parent"),
+}
 
 
 def build_dfg(kernel: str) -> DataFlowGraph:
@@ -166,18 +185,21 @@ def payload_cells(kernel: str, payload: Dict[str, Any]) -> int:
 
 def _cell_executor(
     compiled: CompiledProgram,
-    match_table: Optional[Callable[[int, int], int]],
-) -> Callable[[Dict[str, int]], Dict[str, int]]:
-    """A closure executing one cell update on a fresh RF image."""
-    instructions = compiled.instructions
-    input_regs = compiled.input_regs
-    output_regs = compiled.output_regs
-    observe = _SENTINEL.observe if _SENTINEL is not None else None
+    match_table: Optional[MatchTable],
+    observe: Optional[Callable[[int], None]] = None,
+) -> CellFunction:
+    """The interpreter: one cell update on a fresh RF image per call.
 
-    def run_cell(inputs: Dict[str, int]) -> Dict[str, int]:
-        rf: Dict[int, int] = {}
-        for name, index in input_regs.items():
-            rf[index] = inputs[name]
+    The oracle for the specialized cell, with the same calling
+    convention.  *observe* sees every intermediate ALU value of the
+    sweep -- the numerical sentinels' hook, which only this path has.
+    """
+    instructions = compiled.instructions
+    input_indexes = tuple(compiled.input_regs.values())
+    output_indexes = tuple(compiled.output_regs.values())
+
+    def run_cell(*inputs: int) -> Tuple[int, ...]:
+        rf: Dict[int, int] = dict(zip(input_indexes, inputs))
         for bundle in instructions:
             results = [
                 (way.dest.index, execute_way(way, rf, match_table, observe=observe))
@@ -185,9 +207,28 @@ def _cell_executor(
             ]
             for dest, value in results:
                 rf[dest] = value
-        return {name: rf[index] for name, index in output_regs.items()}
+        return tuple(rf[index] for index in output_indexes)
 
+    run_cell.path = "interpreted"  # what run_job's span reports
     return run_cell
+
+
+def _output_slots(
+    kernel: str, compiled: CompiledProgram, *names: str
+) -> Tuple[int, ...]:
+    """Where *names* sit in the cell's output tuple.
+
+    Also the per-job check that *compiled* takes its inputs in the
+    order the kernel's sweep passes them: positional arguments in any
+    other order would compute garbage silently.
+    """
+    inputs, outputs = tuple(compiled.input_regs), tuple(compiled.output_regs)
+    if inputs != CELL_INPUTS[kernel] or not set(names) <= set(outputs):
+        raise JobValidationError(
+            f"{kernel} program signature {inputs} -> {outputs} does not fit "
+            f"the {kernel} sweep ({CELL_INPUTS[kernel]} -> {names})"
+        )
+    return tuple(outputs.index(name) for name in names)
 
 
 # ----------------------------------------------------------------------
@@ -195,52 +236,49 @@ def _cell_executor(
 
 
 def _run_bsw(
-    compiled: CompiledProgram,
-    payload: Dict[str, Any],
-    cell: Optional[Callable[[Dict[str, int]], Dict[str, int]]] = None,
+    compiled: CompiledProgram, payload: Dict[str, Any], cell: CellFunction
 ) -> Dict[str, Any]:
     """Local affine alignment; reports the best cell score."""
     query = encode(payload["query"])
     target = encode(payload["target"])
-    cell = cell or _cell_executor(compiled, match_table_for("bsw"))
+    h_slot, e_slot, f_slot = _output_slots("bsw", compiled, "h", "e", "f")
     cols = len(target) + 1
     h_prev = [0] * cols
     e_prev = [NEG] * cols
     best = 0
-    for i in range(1, len(query) + 1):
+    for q in query:
         h_curr = [0] * cols  # column 0: H = 0 (local alignment)
         e_curr = [NEG] * cols
         f_left = NEG
         for j in range(1, cols):
             out = cell(
-                {
-                    "q": query[i - 1],
-                    "t": target[j - 1],
-                    "h_diag": h_prev[j - 1],
-                    "h_up": h_prev[j],
-                    "e_up": e_prev[j],
-                    "h_left": h_curr[j - 1],
-                    "f_left": f_left,
-                }
+                q,
+                target[j - 1],
+                h_prev[j - 1],
+                h_prev[j],
+                e_prev[j],
+                h_curr[j - 1],
+                f_left,
             )
-            h_curr[j], e_curr[j], f_left = out["h"], out["e"], out["f"]
-            if out["h"] > best:
-                best = out["h"]
+            h = h_curr[j] = out[h_slot]
+            e_curr[j] = out[e_slot]
+            f_left = out[f_slot]
+            if h > best:
+                best = h
         h_prev, e_prev = h_curr, e_curr
     return {"score": best, "cells": len(query) * len(target)}
 
 
 def _run_pairhmm(
-    compiled: CompiledProgram,
-    payload: Dict[str, Any],
-    cell: Optional[Callable[[Dict[str, int]], Dict[str, int]]] = None,
+    compiled: CompiledProgram, payload: Dict[str, Any], cell: CellFunction
 ) -> Dict[str, Any]:
     """Log2 fixed-point forward pass; reports log10 likelihood."""
     read = encode(payload["read"])
     haplotype = encode(payload["haplotype"])
     fixed = _pairhmm_fixed()
-    params = {k: fixed[k] for k in ("a_mm", "a_im", "a_gap", "a_ext")}
-    cell = cell or _cell_executor(compiled, match_table_for("pairhmm"))
+    a_mm, a_im = fixed["a_mm"], fixed["a_im"]
+    a_gap, a_ext = fixed["a_gap"], fixed["a_ext"]
+    m_slot, i_slot, d_slot = _output_slots("pairhmm", compiled, "m", "i", "d")
     cols = len(haplotype) + 1
     scale = 1 << LOG_FRACTION_BITS
     init_d = int(round(math.log2(1.0 / len(haplotype)) * scale))
@@ -249,26 +287,27 @@ def _run_pairhmm(
     m_prev = [NEG] * cols
     i_prev = [NEG] * cols
     d_prev = [NEG] + [init_d] * (len(haplotype))
-    for i in range(1, len(read) + 1):
+    for q in read:
         m_curr = [NEG] * cols
         i_curr = [NEG] * cols
         d_curr = [NEG] * cols
         for j in range(1, cols):
             out = cell(
-                {
-                    "q": read[i - 1],
-                    "t": haplotype[j - 1],
-                    "m_diag": m_prev[j - 1],
-                    "i_diag": i_prev[j - 1],
-                    "d_diag": d_prev[j - 1],
-                    "m_up": m_prev[j],
-                    "i_up": i_prev[j],
-                    "m_left": m_curr[j - 1],
-                    "d_left": d_curr[j - 1],
-                    **params,
-                }
+                a_mm,
+                m_prev[j - 1],
+                a_im,
+                i_prev[j - 1],
+                d_prev[j - 1],
+                q,
+                haplotype[j - 1],
+                a_gap,
+                m_prev[j],
+                a_ext,
+                i_prev[j],
+                m_curr[j - 1],
+                d_curr[j - 1],
             )
-            m_curr[j], i_curr[j], d_curr[j] = out["m"], out["i"], out["d"]
+            m_curr[j], i_curr[j], d_curr[j] = out[m_slot], out[i_slot], out[d_slot]
         m_prev, i_prev, d_prev = m_curr, i_curr, d_curr
     total = NEG
     for j in range(1, cols):
@@ -280,63 +319,43 @@ def _run_pairhmm(
 
 
 def _run_lcs(
-    compiled: CompiledProgram,
-    payload: Dict[str, Any],
-    cell: Optional[Callable[[Dict[str, int]], Dict[str, int]]] = None,
+    compiled: CompiledProgram, payload: Dict[str, Any], cell: CellFunction
 ) -> Dict[str, Any]:
     x = encode(payload["x"])
     y = encode(payload["y"])
-    cell = cell or _cell_executor(compiled, None)
+    (c_slot,) = _output_slots("lcs", compiled, "c")
     cols = len(y) + 1
     c_prev = [0] * cols
-    for i in range(1, len(x) + 1):
+    for x_i in x:
         c_curr = [0] * cols
         for j in range(1, cols):
-            out = cell(
-                {
-                    "x": x[i - 1],
-                    "y": y[j - 1],
-                    "c_diag": c_prev[j - 1],
-                    "c_up": c_prev[j],
-                    "c_left": c_curr[j - 1],
-                }
-            )
-            c_curr[j] = out["c"]
+            c_curr[j] = cell(
+                c_prev[j - 1], c_prev[j], c_curr[j - 1], x_i, y[j - 1]
+            )[c_slot]
         c_prev = c_curr
     return {"length": c_prev[-1], "cells": len(x) * len(y)}
 
 
 def _run_dtw(
-    compiled: CompiledProgram,
-    payload: Dict[str, Any],
-    cell: Optional[Callable[[Dict[str, int]], Dict[str, int]]] = None,
+    compiled: CompiledProgram, payload: Dict[str, Any], cell: CellFunction
 ) -> Dict[str, Any]:
     a = [int(v) for v in payload["a"]]
     b = [int(v) for v in payload["b"]]
-    cell = cell or _cell_executor(compiled, None)
+    (d_slot,) = _output_slots("dtw", compiled, "d")
     cols = len(b) + 1
     d_prev = [0] + [INF] * len(b)  # row 0: only the corner is reachable
-    for i in range(1, len(a) + 1):
+    for a_i in a:
         d_curr = [INF] * cols
         for j in range(1, cols):
-            out = cell(
-                {
-                    "a": a[i - 1],
-                    "b": b[j - 1],
-                    "d_diag": d_prev[j - 1],
-                    "d_up": d_prev[j],
-                    "d_left": d_curr[j - 1],
-                }
-            )
-            d_curr[j] = out["d"]
+            d_curr[j] = cell(
+                a_i, b[j - 1], d_prev[j], d_curr[j - 1], d_prev[j - 1]
+            )[d_slot]
         d_prev = d_curr
     return {"distance": d_prev[-1], "cells": len(a) * len(b)}
 
 
 def _run_chain(
-    compiled: CompiledProgram,
-    payload: Dict[str, Any],
-    cell: Optional[Callable[[Dict[str, int]], Dict[str, int]]] = None,
+    compiled: CompiledProgram, payload: Dict[str, Any], cell: CellFunction
 ) -> Dict[str, Any]:
     """Reordered fixed-point chaining (anchor j pushes to anchor i).
 
@@ -357,29 +376,22 @@ def _run_chain(
                 f"weight {anchor.w} would diverge from the reference"
             )
     n = int(payload.get("n", DEFAULT_CHAIN_WINDOW))
-    cell = cell or _cell_executor(compiled, None)
+    f_slot, parent_slot = _output_slots("chain", compiled, "f", "parent")
     count = len(anchors)
     scores: List[int] = [anchor.w * SCALE for anchor in anchors]
     parents = [-1] * count
     cells = 0
     for j in range(count):
         hi = min(count, j + 1 + n)
+        x_j, y_j = anchors[j].x, anchors[j].y
         for i in range(j + 1, hi):
             cells += 1
+            anchor = anchors[i]
             out = cell(
-                {
-                    "x_i": anchors[i].x,
-                    "y_i": anchors[i].y,
-                    "x_j": anchors[j].x,
-                    "y_j": anchors[j].y,
-                    "w": anchors[i].w,
-                    "f_j": scores[j],
-                    "f_i": scores[i],
-                    "j_idx": j,
-                    "parent": parents[i],
-                }
+                anchor.x, x_j, anchor.y, y_j, anchor.w,
+                scores[j], scores[i], j, parents[i],
             )
-            scores[i], parents[i] = out["f"], out["parent"]
+            scores[i], parents[i] = out[f_slot], out[parent_slot]
     best = max(range(count), key=lambda k: scores[k]) if count else 0
     return {
         "scores": scores,
@@ -431,19 +443,26 @@ def corrupt_value(value: Dict[str, Any]) -> Dict[str, Any]:
     return corrupted
 
 
+def specialized_cell(compiled: CompiledProgram) -> Optional[CellFunction]:
+    """*compiled*'s memoized specialized cell (``None``: it has none)."""
+    return CELLS.get(compiled, match_table_for)
+
+
 def run_job(
     kernel: str,
     compiled: CompiledProgram,
     payload: Dict[str, Any],
-    cell: Optional[Callable[[Dict[str, int]], Dict[str, int]]] = None,
+    cell: Optional[CellFunction] = None,
 ) -> Dict[str, Any]:
     """Execute one job with *compiled* and return its output dict.
 
-    *cell* lets warm serve workers substitute a specialized cell
-    function (:func:`repro.serve.warm.specialize_cell`) for the
-    interpreted one; it is ignored -- the interpreter runs -- whenever
-    the payload arms sentinels, because only the interpreted path
-    carries the per-ALU observe hook.
+    *cell* is the cell function the sweep streams through; ``None``
+    (every executor's call) means the program's specialized cell from
+    the per-process memo.  The interpreter runs instead when the
+    payload arms sentinels -- only it carries the per-ALU observe
+    hook, so a passed *cell* is set aside too -- when specialization
+    failed, or when the caller passes :func:`_cell_executor`'s closure
+    as the oracle.
     """
     if kernel not in _RUNNERS:
         raise JobValidationError(f"unknown kernel {kernel!r}")
@@ -455,21 +474,24 @@ def run_job(
             os._exit(3)
     if payload.get("_inject_fail"):
         raise RuntimeError("injected job failure")
-    global _SENTINEL
-    sentinel = make_sentinel(kernel) if payload.get("_sentinels") else None
-    if sentinel is not None:
-        cell = None  # sentinels need the interpreter's observe hook
     # ``_trace`` carries the engine's correlation ids (see
     # Engine.submit); the span travels back inside the result dict the
     # same way sentinel counts do, because workers are separate
     # processes and cannot share the recorder.
     trace = payload.get("_trace")
     run_started = _SPAN_CLOCK() if trace is not None else 0.0
-    try:
-        _SENTINEL = sentinel
-        value = _RUNNERS[kernel](compiled, payload, cell)
-    finally:
-        _SENTINEL = None
+    sentinel = make_sentinel(kernel) if payload.get("_sentinels") else None
+    if sentinel is not None:
+        cell = None
+    elif cell is None:
+        cell = specialized_cell(compiled)
+    if cell is None:
+        cell = _cell_executor(
+            compiled,
+            match_table_for(kernel),
+            sentinel.observe if sentinel is not None else None,
+        )
+    value = _RUNNERS[kernel](compiled, payload, cell)
     if payload.get("_inject_corrupt"):
         value = corrupt_value(value)
     if sentinel is not None and isinstance(value, dict):
@@ -485,6 +507,7 @@ def run_job(
                 job_id=trace.get("job_id") if isinstance(trace, dict) else None,
                 tenant=trace.get("tenant") if isinstance(trace, dict) else None,
                 in_pool=_in_pool_worker(),
+                path=getattr(cell, "path", "specialized"),
             )
         ]
     return value

@@ -8,7 +8,9 @@ workload, run both, and compare.  Six kernels are covered -- BSW,
 PairHMM, Chain and DTW through the engine's runners, POA and
 Bellman-Ford through functional sweeps of their scratchpad-mapping
 cell programs (:mod:`repro.mapping.longrange` semantics, without the
-cycle-level simulator cost).
+cycle-level simulator cost).  The engine-backed four are checked twice
+per case: the interpreted program against the reference kernel, and
+the specialized cell every executor runs against the interpreter.
 
 Case generation is a pure function of ``(seed, kernel, index)`` via
 :func:`repro.faults.seeded_rng`, so campaigns are resumable and two
@@ -40,6 +42,7 @@ from repro.engine.cache import CompiledProgram, compile_program
 from repro.engine.runners import (
     DEFAULT_CHAIN_WINDOW,
     PAIRHMM_LOG10_TOLERANCE,
+    _cell_executor,
     build_dfg,
     match_table_for,
     reference_result,
@@ -284,17 +287,18 @@ def compiled_result(
     programs: KernelPrograms,
     sentinel: Optional[Sentinel] = None,
 ) -> Dict[str, Any]:
-    """Run *payload* through the compiled path; optionally sentineled."""
-    if kernel in _ENGINE_BACKED:
-        job_payload = dict(payload)
-        if sentinel is not None:
-            job_payload["_sentinels"] = True
-        value = run_job(kernel, programs.compiled, job_payload)
-        counts = value.pop("_sentinels", None)
-        if sentinel is not None and counts:
-            sentinel.merge(counts)
-        return value
+    """Run *payload* through the compiled path; optionally sentineled.
+
+    Engine-backed kernels run on the interpreter closure here -- the
+    oracle, and the only path with an observe hook for *sentinel*;
+    :func:`run_case` cross-checks the specialized cell against it.
+    """
     observe = sentinel.observe if sentinel is not None else None
+    if kernel in _ENGINE_BACKED:
+        oracle = _cell_executor(
+            programs.compiled, match_table_for(kernel), observe
+        )
+        return run_job(kernel, programs.compiled, payload, oracle)
     if kernel == "poa":
         return _run_poa_compiled(programs, payload, observe)
     if kernel == "bellman_ford":
@@ -357,15 +361,28 @@ def run_case(
     programs: KernelPrograms,
     sentinel: Optional[Sentinel] = None,
 ) -> DiffOutcome:
-    """Execute one differential comparison."""
+    """Execute one differential comparison.
+
+    Two oracles for engine-backed kernels: the interpreted program
+    against the reference kernel, then the engine's default path (the
+    specialized cell ``run_job`` resolves by itself) bit-for-bit
+    against the interpreter.  A divergence of the second kind is
+    reported like a reference mismatch, with the interpreter's answer
+    as ``expected`` and the specialized one as ``actual``.
+    """
     actual = compiled_result(kernel, payload, programs, sentinel)
     expected = reference_answer(kernel, payload)
+    ok = results_match(kernel, actual, expected)
+    if ok and kernel in _ENGINE_BACKED:
+        specialized = run_job(kernel, programs.compiled, payload)
+        if specialized != actual:
+            expected, actual, ok = actual, specialized, False
     return DiffOutcome(
         kernel=kernel,
         payload=payload,
         expected=expected,
         actual=actual,
-        ok=results_match(kernel, actual, expected),
+        ok=ok,
     )
 
 

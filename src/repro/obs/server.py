@@ -22,7 +22,6 @@ end is ``gendp-metrics serve``.
 from __future__ import annotations
 
 import threading
-from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 from typing import Any, Callable, Dict, Optional
 
 from repro.obs.export import prometheus_text, snapshot_json
@@ -48,7 +47,7 @@ class MetricsServer:
         #: Optional :class:`repro.slo.burnrate.SLOEngine`.
         self.slo = slo
         self._requested_port = port
-        self._server: Optional[ThreadingHTTPServer] = None
+        self._server: Optional[Any] = None  # a ThreadingHTTPServer
         self._thread: Optional[threading.Thread] = None
 
     def _snapshot(self) -> Dict[str, Any]:
@@ -63,6 +62,8 @@ class MetricsServer:
     # ------------------------------------------------------------------
 
     def _handler_class(self):
+        from http.server import BaseHTTPRequestHandler  # see start()
+
         server = self
 
         class Handler(BaseHTTPRequestHandler):
@@ -124,6 +125,13 @@ class MetricsServer:
     def start(self) -> "MetricsServer":
         if self._server is not None:
             return self
+        # http.server (and the email/urllib/html stack behind it) is
+        # imported only by a process that serves metrics: ``repro.obs``
+        # is imported by every engine, few of them start a scrape
+        # endpoint, and the stack costs ~2.7 MB resident and most of
+        # the package's import time.
+        from http.server import ThreadingHTTPServer
+
         self._server = ThreadingHTTPServer(
             (self.host, self._requested_port), self._handler_class()
         )

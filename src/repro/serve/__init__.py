@@ -4,9 +4,11 @@ Two layers (``docs/serving.md``):
 
 - the **transport** (:mod:`repro.serve.transport`,
   :mod:`repro.serve.ring`, :mod:`repro.serve.layout`,
-  :mod:`repro.serve.workers`, :mod:`repro.serve.warm`): shared-memory
-  job/result rings with persistent warm workers, selected through the
-  engine's :class:`~repro.serve.transport.TransportConfig` seam;
+  :mod:`repro.serve.workers`): shared-memory job/result rings with
+  persistent warm workers, selected through the engine's
+  :class:`~repro.serve.transport.TransportConfig` seam
+  (:mod:`repro.serve.warm` only re-exports the cell specializer, which
+  lives in :mod:`repro.engine.specialize`);
 - the **front-end** (:mod:`repro.serve.server`,
   :mod:`repro.serve.admission`, :mod:`repro.serve.quota`,
   :mod:`repro.serve.client`): the asyncio ``gendp-serve`` service with

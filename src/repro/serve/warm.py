@@ -1,175 +1,15 @@
-"""Warm-worker program specialization.
+"""Former home of cell specialization; now a plain re-export.
 
-A persistent serve worker sees the same compiled program for thousands
-of jobs, so it can afford a one-time *specialization* step when a
-program is broadcast: the VLIW bundles are translated into one
-straight-line Python function (register-file slots become local
-variables, each CU way becomes one expression with the exact
-:func:`repro.dfg.graph._apply` semantics), compiled once with
-``compile``/``exec`` and cached next to the unpickled program.  Per
-cell this removes the bundle/way/slot interpretation loop, the operand
-list building and the chained opcode dispatch of
-:func:`repro.dpmap.codegen.execute_way` -- a 15-40x cell-update
-speedup at identical integer semantics.
-
-The inline floor and the cycle simulator deliberately keep the
-interpreted path: it is the reference the differential tests compare
-against, and it carries the sentinel observe hook.  Accordingly a
-specialized cell is only used when sentinels are off; the byte-equal
-contract between both executors is enforced by
-``tests/serve/test_warm.py``'s seeded sweep over every engine kernel.
+Specialization moved to the engine's compile seam
+(:mod:`repro.engine.specialize`) so that every executor, not only shm
+serve workers, runs the codegen'd cell.  The names stay importable
+from here because the repo benchmark (``bench/``) imports them.
 """
 
-from __future__ import annotations
+from repro.engine.specialize import (
+    SpecializationError,
+    specialize_cell,
+    specialize_source,
+)
 
-from typing import Any, Callable, Dict, List, Optional
-
-from repro.dfg.graph import OPCODE_ARITY, Opcode
-from repro.engine.cache import CompiledProgram
-from repro.isa.compute import Imm, SlotOp
-
-#: Opcode -> expression template with ``{0}``/``{1}``... operand holes.
-#: Semantics mirror :func:`repro.dfg.graph._apply` exactly; any new
-#: opcode must be added here *and* covered by the differential test.
-_EXPRESSIONS: Dict[Opcode, str] = {
-    Opcode.ADD: "({0} + {1})",
-    Opcode.SUB: "({0} - {1})",
-    Opcode.MUL: "({0} * {1})",
-    Opcode.CARRY: "(1 if {0} + {1} >= 4294967296 else 0)",
-    Opcode.BORROW: "(1 if {0} < {1} else 0)",
-    Opcode.MAX: "max({0}, {1})",
-    Opcode.MIN: "min({0}, {1})",
-    Opcode.SHL16: "({0} << 16)",
-    Opcode.SHR16: "({0} >> 16)",
-    Opcode.COPY: "{0}",
-    Opcode.MATCH_SCORE: "_match({0}, {1})",
-    Opcode.LOG2_LUT: "(0 if {0} <= 0 else int(_log2({0}) * 2.0))",
-    Opcode.LOG_SUM_LUT: "_log_sum({0}, {1})",
-    Opcode.CMP_GT: "({2} if {0} > {1} else {3})",
-    Opcode.CMP_EQ: "({2} if {0} == {1} else {3})",
-    Opcode.NOP: "0",
-    Opcode.HALT: "0",
-}
-
-#: MATCH_SCORE fallback when no match table is bound (mirrors _apply).
-_DEFAULT_MATCH = "(1 if {0} == {1} else -1)"
-
-
-class SpecializationError(ValueError):
-    """The program uses a construct the specializer cannot express."""
-
-
-def _expression(
-    opcode: Opcode, operands: List[str], has_match_table: bool
-) -> str:
-    if opcode is Opcode.MATCH_SCORE and not has_match_table:
-        template = _DEFAULT_MATCH
-    else:
-        template = _EXPRESSIONS.get(opcode)
-    if template is None:
-        raise SpecializationError(f"no expression template for opcode {opcode}")
-    return template.format(*operands)
-
-
-def _slot_expression(
-    slot: SlotOp, registers: set, has_match_table: bool
-) -> str:
-    operands = []
-    for operand in slot.operands:
-        if isinstance(operand, Imm):
-            operands.append(repr(operand.value))
-        else:
-            registers.add(operand.index)
-            operands.append(f"r{operand.index}")
-    return _expression(slot.opcode, operands, has_match_table)
-
-
-def specialize_source(
-    compiled: CompiledProgram, has_match_table: bool
-) -> str:
-    """The straight-line Python source of one cell update.
-
-    Bundles commit register writes only after every way of the bundle
-    has read its operands, exactly like the interpreter: each way's
-    value lands in a temporary first, destinations are assigned at the
-    bundle boundary.
-    """
-    registers: set = set(compiled.input_regs.values())
-    lines: List[str] = []
-    temp = 0
-    for bundle in compiled.instructions:
-        assigns = []
-        for way in bundle.ways:
-            if way.kind == "mul":
-                expr = _slot_expression(way.mul, registers, has_match_table)
-            else:
-                left = (
-                    _slot_expression(way.left, registers, has_match_table)
-                    if way.left is not None
-                    else None
-                )
-                right = (
-                    _slot_expression(way.right, registers, has_match_table)
-                    if way.right is not None
-                    else None
-                )
-                if way.root is None:
-                    expr = left if left is not None else right
-                elif OPCODE_ARITY[way.root] == 1:
-                    expr = _expression(way.root, [left], has_match_table)
-                else:
-                    inputs = [left, right]
-                    if way.root_swapped:
-                        inputs.reverse()
-                    expr = _expression(way.root, inputs, has_match_table)
-            if expr is None:
-                raise SpecializationError("tree way with no populated leaf")
-            lines.append(f"    t{temp} = {expr}")
-            registers.add(way.dest.index)
-            assigns.append((way.dest.index, temp))
-            temp += 1
-        for dest, t in assigns:
-            lines.append(f"    r{dest} = t{t}")
-
-    prologue = [
-        f"    r{index} = 0"
-        for index in sorted(registers - set(compiled.input_regs.values()))
-    ]
-    prologue += [
-        f"    r{index} = inputs[{name!r}]"
-        for name, index in compiled.input_regs.items()
-    ]
-    returns = ", ".join(
-        f"{name!r}: r{index}" for name, index in compiled.output_regs.items()
-    )
-    return (
-        "def _cell(inputs):\n"
-        + "\n".join(prologue + lines)
-        + "\n    return {"
-        + returns
-        + "}\n"
-    )
-
-
-def specialize_cell(
-    compiled: CompiledProgram,
-    match_table: Optional[Callable[[int, int], int]] = None,
-) -> Callable[[Dict[str, int]], Dict[str, int]]:
-    """Compile *compiled* into one specialized cell-update function.
-
-    Drop-in for the closure :func:`repro.engine.runners._cell_executor`
-    builds, minus the sentinel observe hook (callers must keep the
-    interpreted path when sentinels are armed).
-    """
-    import math
-
-    from repro.kernels.pairhmm import log_sum_lookup
-
-    source = specialize_source(compiled, match_table is not None)
-    namespace: Dict[str, Any] = {
-        "_match": match_table,
-        "_log2": math.log2,
-        "_log_sum": log_sum_lookup,
-    }
-    exec(compile(source, "<gendp-specialized>", "exec"), namespace)
-    return namespace["_cell"]
+__all__ = ["SpecializationError", "specialize_cell", "specialize_source"]

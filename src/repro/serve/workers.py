@@ -11,10 +11,14 @@ Warm means two things here:
 
 - the worker keeps a program cache: each compiled program broadcast
   through the :class:`repro.serve.ring.ProgramTable` is unpickled
-  **once**, specialized once (:func:`repro.serve.warm.specialize_cell`)
-  and reused for every subsequent job that names its program id;
+  **once** and reused for every subsequent job that names its program
+  id.  Cell functions are not this module's business: a worker runs
+  :func:`repro.engine.runners.run_job` like every other executor, and
+  that resolves the program's specialized cell through the engine's
+  per-process memo (:mod:`repro.engine.specialize`);
 - the parent pre-seeds that table with the engine's warm kernels
-  before the first job is published, so the first request pays no
+  before the first job is published, and a worker resolves each
+  program's cell as it absorbs it, so the first request pays no
   compile, no unpickle and no specialization.
 
 Fault-injection markers decoded from the job header behave exactly as
@@ -29,12 +33,10 @@ from __future__ import annotations
 
 import os
 import time
-from typing import Any, Callable, Dict, Optional, Tuple
+from typing import Any, Dict, Optional, Tuple
 
 from repro.serve.layout import (
     DONE,
-    FLAG_SENTINELS,
-    J_FLAGS,
     J_GEN,
     J_JOB_ID,
     J_KERNEL,
@@ -55,30 +57,24 @@ from repro.serve.ring import RingGeometry, SegmentNames, ServeSegments
 
 
 class _ProgramCache:
-    """Worker-side memo of unpickled + specialized programs."""
+    """Worker-side memo of unpickled programs."""
 
     def __init__(self, segments: ServeSegments):
         self._segments = segments
-        self._entries: Dict[int, Tuple[Any, Optional[Callable]]] = {}
+        self._entries: Dict[int, Any] = {}
 
-    def get(self, program_id: int) -> Optional[Tuple[Any, Optional[Callable]]]:
-        """(compiled, specialized cell or None), or None when unseen."""
-        entry = self._entries.get(program_id)
-        if entry is not None:
-            return entry
-        compiled = self._segments.programs.load(program_id)
+    def get(self, program_id: int) -> Optional[Any]:
+        """The compiled program, or None when not broadcast yet."""
+        compiled = self._entries.get(program_id)
         if compiled is None:
-            return None
-        from repro.engine.runners import match_table_for
-        from repro.serve.warm import specialize_cell
+            compiled = self._segments.programs.load(program_id)
+            if compiled is None:
+                return None
+            from repro.engine.runners import specialized_cell
 
-        try:
-            cell = specialize_cell(compiled, match_table_for(compiled.kernel))
-        except Exception:
-            cell = None  # interpreted path still gives correct results
-        entry = (compiled, cell)
-        self._entries[program_id] = entry
-        return entry
+            specialized_cell(compiled)  # warm the memo ahead of traffic
+            self._entries[program_id] = compiled
+        return compiled
 
     def sync(self) -> int:
         """Eagerly absorb newly broadcast programs (idle-tick warmup)."""
@@ -122,18 +118,14 @@ def _execute(
     kernel = KERNEL_NAMES.get(int(header[J_KERNEL]))
     try:
         payload = decode_payload(header, segments.jobs.data[index])
-        entry = cache.get(int(header[J_PROGRAM]))
-        if entry is None:
+        compiled = cache.get(int(header[J_PROGRAM]))
+        if compiled is None:
             return False, None, f"program {int(header[J_PROGRAM])} not broadcast"
-        compiled, cell = entry
         if kernel is None:
             kernel = compiled.kernel
-        if int(header[J_FLAGS]) & FLAG_SENTINELS:
-            cell = None  # interpreted path carries the observe hook
         from repro.engine.runners import run_job
 
-        value = run_job(kernel, compiled, payload, cell)
-        return True, value, None
+        return True, run_job(kernel, compiled, payload), None
     except Exception as error:  # job-level isolation, like the pool
         return False, None, f"{type(error).__name__}: {error}"
 

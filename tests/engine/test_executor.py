@@ -71,6 +71,40 @@ class TestPool:
         assert outcome.results[0]["ok"]
         assert outcome.results[0]["value"]["length"] == 5
 
+    def test_pool_breaking_during_submission_fails_over(self, lcs_compiled):
+        """A crash that breaks the pool while later batches of the drain
+        are still being submitted must not escape ``run_batches``."""
+        from concurrent.futures.process import BrokenProcessPool
+
+        class BreaksAfterFirstSubmit:
+            def __init__(self, pool):
+                self.pool, self.submits = pool, 0
+
+            def submit(self, *args):
+                self.submits += 1
+                if self.submits > 1:
+                    raise BrokenProcessPool("a child process terminated")
+                return self.pool.submit(*args)
+
+            def shutdown(self, **kwargs):
+                self.pool.shutdown(**kwargs)
+
+        batches = [
+            (_lcs_batch([GOOD]), lcs_compiled),
+            (_lcs_batch([{"x": "AAAA", "y": "AAAA"}]), lcs_compiled),
+        ]
+        executor = PoolExecutor(workers=1, job_timeout_s=30.0, max_retries=1)
+        try:
+            executor._pool = BreaksAfterFirstSubmit(executor._ensure_pool())
+            outcomes = executor.run_batches(batches)
+        finally:
+            executor.close()
+        # The first batch's result survived; the second rode the
+        # failover onto a fresh pool, charged one retry.
+        assert [o.backend for o in outcomes] == ["pool", "pool"]
+        assert [o.attempts for o in outcomes] == [1, 2]
+        assert outcomes[1].results[0]["value"]["length"] == 4
+
     def test_timeout_falls_back_inline(self, lcs_compiled):
         batch = _lcs_batch([{**GOOD, "_inject_delay_s": 1.0}])
         executor = PoolExecutor(workers=1, job_timeout_s=0.05, max_retries=0)

@@ -118,6 +118,34 @@ class TestCorruptedCodegen:
         assert record["kernel"] == "dtw"
         assert record["expected"] != record["actual"]
 
+    def test_specialized_cell_diverging_from_interpreter_is_a_finding(
+        self, monkeypatch
+    ):
+        """A codegen bug: the interpreter (and so the reference) is
+        right, the cell every executor runs is not."""
+        from repro.engine import runners
+
+        real = runners.specialized_cell
+
+        def off_by_one(compiled):
+            cell = real(compiled)
+            return lambda *inputs: tuple(value + 1 for value in cell(*inputs))
+
+        programs = compile_kernel_programs("dtw")
+        payload = generate_payload("dtw", 7, 0)
+        assert run_case("dtw", payload, programs).ok
+        monkeypatch.setattr(runners, "specialized_cell", off_by_one)
+        outcome = run_case("dtw", payload, programs, make_sentinel("dtw"))
+        assert not outcome.ok
+        # expected is the oracle's answer, actual the specialized one.
+        assert outcome.expected["distance"] == diff.reference_answer(
+            "dtw", payload
+        )["distance"]
+        assert outcome.actual["distance"] != outcome.expected["distance"]
+        reproducer = shrink_mismatch("dtw", 7, 0, payload, programs)
+        assert payload_size("dtw", reproducer.payload) <= payload_size("dtw", payload)
+        assert reproducer.expected != reproducer.actual
+
     def test_cell_probe_shrinks_to_minimal_dfg(self, monkeypatch):
         clean_cell = compile_kernel_programs("dtw").cells["cell"]
 

@@ -1,11 +1,13 @@
-"""Warm-worker specialization: codegen'd cells match the interpreter.
+"""Cell specialization: codegen'd cells match the interpreter.
 
-:func:`repro.serve.warm.specialize_cell` turns a compiled VLIW cell
-program into straight-line Python.  The contract is *exact* semantic
-equality with the interpreted executor -- same outputs for the same
-register-file inputs, across every engine kernel -- because serve
-workers substitute the specialized cell silently and the transport
-promises byte-identical results.
+:func:`repro.engine.specialize.specialize_cell` (still importable from
+``repro.serve.warm``, which the repo benchmark uses) turns a compiled
+VLIW cell program into straight-line Python.  The contract is *exact*
+semantic equality with the interpreted executor -- same outputs for
+the same register-file inputs, across every engine kernel -- because
+``run_job`` runs the specialized cell on every backend by default and
+every backend promises byte-identical results.  The interpreter is
+requested explicitly, by passing ``_cell_executor``'s closure.
 """
 
 import random
@@ -77,13 +79,20 @@ def _payloads(kernel, count, seed):
 
 @pytest.mark.parametrize("kernel", ENGINE_KERNELS)
 def test_specialized_cell_matches_interpreter_on_real_workloads(kernel):
-    """The end-to-end contract serve workers rely on, per kernel."""
+    """The end-to-end contract every executor relies on, per kernel."""
     compiled = _compiled(kernel)
-    cell = specialize_cell(compiled, match_table_for(kernel))
+    table = match_table_for(kernel)
+    cell = specialize_cell(compiled, table)
+    oracle = _cell_executor(compiled, table)
     for seed, payload in enumerate(_payloads(kernel, 4, seed=23)):
-        specialized = run_job(kernel, compiled, dict(payload), cell)
-        interpreted = run_job(kernel, compiled, dict(payload), None)
-        assert specialized == interpreted, (kernel, seed)
+        interpreted = run_job(kernel, compiled, dict(payload), oracle)
+        assert run_job(kernel, compiled, dict(payload), cell) == interpreted, (
+            kernel, seed,
+        )
+        # cell=None is the same specialized function, from the memo.
+        assert run_job(kernel, compiled, dict(payload)) == interpreted, (
+            kernel, seed,
+        )
 
 
 @pytest.mark.parametrize("kernel", ("bsw", "lcs", "dtw", "chain"))
@@ -98,16 +107,24 @@ def test_specialized_cell_matches_interpreter_on_random_register_images(kernel):
     interpreted = _cell_executor(compiled, table)
     specialized = specialize_cell(compiled, table)
     rng = random.Random(0xDA7A)
-    names = sorted(compiled.input_regs)
     for _ in range(50):
-        inputs = {name: rng.randrange(-1000, 1000) for name in names}
-        assert specialized(dict(inputs)) == interpreted(dict(inputs)), inputs
+        inputs = [rng.randrange(-1000, 1000) for _ in compiled.input_regs]
+        outputs = specialized(*inputs)
+        assert outputs == interpreted(*inputs), inputs
+        assert len(outputs) == len(compiled.output_regs)
 
 
 def test_specialize_source_is_straight_line_python():
-    source = specialize_source(_compiled("bsw"), has_match_table=True)
-    assert "def _cell(inputs):" in source
-    assert "return {" in source
+    compiled = _compiled("bsw")
+    source = specialize_source(compiled, has_match_table=True)
+    # Positional convention: input_regs order in, output_regs order out.
+    parameters = ", ".join(f"r{index}" for index in compiled.input_regs.values())
+    assert f"def _cell({parameters}):" in source
+    outputs = "".join(f"r{index}, " for index in compiled.output_regs.values())
+    assert f"return ({outputs})" in source
+    # A verified program writes every register before reading it, so
+    # nothing is zero-initialised.
+    assert " = 0\n" not in source
     # No loops, no interpreter dispatch: that is the whole point.
     for banned in ("for ", "while ", "Opcode"):
         assert banned not in source, banned

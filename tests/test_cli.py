@@ -286,7 +286,7 @@ class TestGracefulShutdown:
         script.write_text(
             "import sys\n"
             "from repro.cli import batch_main\n"
-            "sys.exit(batch_main(['--jobs', '4000', '--kernels', 'lcs',\n"
+            "sys.exit(batch_main(['--jobs', '20000', '--kernels', 'lcs',\n"
             "                     '--workers', '0', '--chunk', '8',\n"
             "                     '--no-validate']))\n"
         )
