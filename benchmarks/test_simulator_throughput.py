@@ -4,9 +4,23 @@ The artifact-appendix experiment (Table 15 row 9's inputs): run each
 kernel's full ISA-level simulation on a small workload slice, measure
 cycles per cell, and project single-tile MCUPS at 2 GHz.  These are
 the measurements behind DEFAULT_CYCLES_PER_CELL.
+
+Two more tables ride along (ROADMAP item 3):
+
+- what the simulation costs the *host*: microseconds per simulated
+  cycle and simulated cycles per host-second, per kernel, with the
+  cycle profiler off and on (median and quartiles of ``HOST_REPEATS``
+  runs) -- also written to ``results/BENCH_simulator.json`` so
+  ``gendp-bench`` tracks it;
+- why Chain's measured cycles/cell leave the model's 39.0 as the chain
+  grows (:func:`repro.perfmodel.throughput.chain_slot_cycles`;
+  docs/architecture.md, "Chain slot time").
 """
 
+import json
 import random
+import statistics
+import time
 
 import pytest
 
@@ -25,50 +39,109 @@ from repro.mapping.wavefront2d import run_wavefront
 from repro.perfmodel.throughput import (
     DEFAULT_CYCLES_PER_CELL,
     INTEGER_PES_PER_TILE,
+    chain_slot_cycles,
     default_kernel_throughputs,
 )
 from repro.seq.alphabet import encode, random_sequence
 from repro.seq.mutate import MutationProfile, Mutator
 
+#: Timed runs per kernel and profiler setting (after one warm-up).
+HOST_REPEATS = 7
 
-def simulate_all_kernels():
+
+def chain_anchors(count, rng):
+    anchors, x, y = [], 0, 0
+    for _ in range(count):
+        x += rng.randint(5, 60)
+        y += rng.randint(5, 60)
+        anchors.append(Anchor(x, y))
+    return anchors
+
+
+def kernel_runs():
+    """kernel -> (run(profile) -> result, PEs the run occupies)."""
     rng = random.Random(99)
-    measured = {}
 
     template = random_sequence(16, rng)
     query = Mutator(MutationProfile.illumina(), rng).mutate(
         template + random_sequence(10, rng)
     )
-    run = run_wavefront(
-        bsw_wavefront_spec(), target=encode(template), stream=encode(query)
-    )
-    measured["bsw"] = run.cycles * 4 / run.cells
-
     haplotype = random_sequence(16, rng)
     read = random_sequence(20, rng)
     spec = pairhmm_boundary_for_length(pairhmm_wavefront_spec(), len(haplotype))
-    run = run_wavefront(spec, target=encode(haplotype), stream=encode(read))
-    measured["pairhmm"] = run.cycles * 4 / run.cells
-
-    anchors, x, y = [], 0, 0
-    for _ in range(40):
-        x += rng.randint(5, 60)
-        y += rng.randint(5, 60)
-        anchors.append(Anchor(x, y))
-    chain_run = run_chain(anchors, total_pes=8)
-    measured["chain"] = chain_run.cycles * 8 / chain_run.cells
-
+    anchors = chain_anchors(40, rng)
     base = random_sequence(16, rng)
     mutator = Mutator(MutationProfile.nanopore(), rng)
     graph = PartialOrderGraph(base)
     graph.add_sequence(mutator.mutate(base))
-    poa_run = run_poa_row_dp(graph, mutator.mutate(base))
-    measured["poa"] = poa_run.cycles / poa_run.cells
+    poa_query = mutator.mutate(base)
 
+    return {
+        "bsw": (
+            lambda profile=False: run_wavefront(
+                bsw_wavefront_spec(), target=encode(template),
+                stream=encode(query), profile=profile,
+            ),
+            4,
+        ),
+        "pairhmm": (
+            lambda profile=False: run_wavefront(
+                spec, target=encode(haplotype), stream=encode(read), profile=profile
+            ),
+            4,
+        ),
+        "chain": (
+            lambda profile=False: run_chain(anchors, total_pes=8, profile=profile),
+            8,
+        ),
+        "poa": (
+            lambda profile=False: run_poa_row_dp(graph, poa_query, profile=profile),
+            1,
+        ),
+    }
+
+
+def simulate_all_kernels():
+    measured = {}
+    for kernel, (run, pes) in kernel_runs().items():
+        result = run()
+        measured[kernel] = result.cycles * pes / result.cells
     return measured
 
 
-def test_simulator_throughput(benchmark, publish):
+def host_seconds(run, profile):
+    run(profile)  # decode memos, allocator and caches warm
+    samples = []
+    for _ in range(HOST_REPEATS):
+        started = time.perf_counter()
+        run(profile)
+        samples.append(time.perf_counter() - started)
+    return samples
+
+
+def chain_slot_rows():
+    """Per-PE cycles/cell of Chain at 4/8/16 PEs, short and long."""
+    rows = []
+    for total_pes in (4, 8, 16):
+        per_cell = {}
+        for count in (40, 480, 960):
+            anchors = chain_anchors(count, random.Random(99))
+            per_cell[count] = run_chain(anchors, total_pes=total_pes).cycles / count
+        marginal = (960 * per_cell[960] - 480 * per_cell[480]) / 480
+        rows.append(
+            [
+                total_pes,
+                per_cell[40],
+                per_cell[480],
+                marginal,
+                chain_slot_cycles(total_pes),
+                DEFAULT_CYCLES_PER_CELL["chain"],
+            ]
+        )
+    return rows
+
+
+def test_simulator_throughput(benchmark, publish, results_dir):
     measured = benchmark(simulate_all_kernels)
 
     throughputs = default_kernel_throughputs()
@@ -85,8 +158,7 @@ def test_simulator_throughput(benchmark, publish):
                 mcups,
             ]
         )
-    publish(
-        "simulator_throughput",
+    tables = [
         render_table(
             "Cycle-level simulator throughput (single tile, 2 GHz)",
             [
@@ -95,7 +167,78 @@ def test_simulator_throughput(benchmark, publish):
             ],
             rows,
             note="cells validated exactly against reference kernels in tests/",
-        ),
+        )
+    ]
+
+    host_rows, bench_kernels = [], []
+    for kernel, (run, _) in kernel_runs().items():
+        cycles = run().cycles
+        entry = {"kernel": kernel, "sim_cycles": cycles}
+        row = [kernel, cycles]
+        for suffix, profile in (("", False), ("_profiled", True)):
+            q1, median, q3 = (
+                seconds * 1e6 / cycles
+                for seconds in statistics.quantiles(host_seconds(run, profile), n=4)
+            )
+            entry[f"host_us_per_cycle{suffix}"] = round(median, 3)
+            # A scalar list: shown, but not a metric gendp-bench gates.
+            entry[f"host_us_per_cycle{suffix}_quartiles"] = [round(q1, 3), round(q3, 3)]
+            entry[f"sim_cycles_per_s{suffix}"] = round(1e6 / median)
+            row += [f"{median:.2f} [{q1:.2f}-{q3:.2f}]", round(1e6 / median)]
+        off, on = entry["host_us_per_cycle"], entry["host_us_per_cycle_profiled"]
+        row.append(f"{(on - off) / off:+.1%}")
+        host_rows.append(row)
+        bench_kernels.append(entry)
+    tables.append(
+        render_table(
+            "Host cost of the simulation (one core, whole run incl. program build)",
+            [
+                "kernel", "sim cycles",
+                "host us/cycle", "sim cycles/host-s",
+                "profiled: us/cycle", "profiled: cycles/host-s",
+                "profiler on vs off",
+            ],
+            host_rows,
+            note=(
+                f"median [q1-q3] of {HOST_REPEATS} runs after a warm-up.  The per-cycle "
+                "interpreter this replaced (PR 13's parent, same inputs, same "
+                "session, pinned core) cost 16.8 / 18.4 / 45.8 / 5.8 us per cycle "
+                "unprofiled and 20.0 / 21.8 / 51.4 / 7.9 profiled (bsw / pairhmm / "
+                "chain / poa): the profiler's absolute cost per cycle is unchanged, "
+                "so its share grew"
+            ),
+        )
+    )
+
+    slot_rows = chain_slot_rows()
+    tables.append(
+        render_table(
+            "Chain slot time: per-PE cycles/cell vs chain length",
+            [
+                "PEs", "40 anchors", "480 anchors", "marginal (480->960)",
+                "slot model", "perf-model default",
+            ],
+            slot_rows,
+            note=(
+                "slot model = max(35, 4(P-1) + 20) [+6 on a single array]: 35 = "
+                "23 control instructions + 12 cycles behind the RF fence; "
+                "4(P-1) + 20 = broadcast ripple + the tail's mint (the f[n-1] -> "
+                "f[n] recurrence); +6 = one array thread pumping, then draining. "
+                "39.0 was calibrated on one 4-PE array with 40 anchors"
+            ),
+        )
+    )
+    publish("simulator_throughput", "\n\n".join(tables))
+    (results_dir / "BENCH_simulator.json").write_text(
+        json.dumps(
+            {
+                "benchmark": "simulator",
+                "host_repeats": HOST_REPEATS,
+                "kernels": bench_kernels,
+            },
+            indent=2,
+        )
+        + "\n"
     )
 
     # Calibration drift guard: the model's defaults track measurements.
@@ -105,3 +248,5 @@ def test_simulator_throughput(benchmark, publish):
         )
     # POA pays the long-range price (Section 7.2's bottleneck claim).
     assert measured["poa"] > measured["bsw"]
+    for row in slot_rows:
+        assert row[3] == row[4]  # the slot-time model is exact

@@ -4,6 +4,9 @@ Models the architecture of Section 4 at instruction granularity:
 
 - :mod:`repro.dpax.storage` -- register file, scratchpad, FIFO, data
   buffers and port queues, all with access counters.
+- :mod:`repro.dpax.decode` -- decode-at-load: control instructions
+  and VLIW bundles compiled to functions once, when a program is
+  loaded, shared by every PE and run.
 - :mod:`repro.dpax.pe` -- a processing element running a decoupled
   control thread (Table 3 instructions) and a 2-way VLIW compute thread
   (Table 4 operations) against its own RF/SPM.

@@ -71,8 +71,12 @@ class DPAxMachine:
         """Attach cycle profiling to every array; returns a TileProfile.
 
         Opt-in by design: an unprofiled machine pays one ``is not
-        None`` check per array per cycle (the <5% throughput budget of
-        ``benchmarks/test_simulator_throughput.py``).
+        None`` check per PE and per array per cycle.  Profiling itself
+        is not cheap next to a decoded cycle: it adds roughly 0.5-0.9
+        host microseconds per PE-cycle, which
+        ``benchmarks/test_simulator_throughput.py`` measures as +45%
+        (Chain) to +76% (POA) host time per simulated cycle
+        (``results/simulator_throughput.txt``).
         """
         if self._tile_profile is None:
             from repro.obs.profile import TileProfile
@@ -137,11 +141,18 @@ class DPAxMachine:
         if not active:
             raise ValueError("no array has a program loaded")
         start = self.cycles
-        while self.cycles - start < max_cycles:
-            self.step()
-            if all(array.done for array in active):
-                break
-        finished = all(array.done for array in active)
+        if len(self.arrays) == 1:
+            # Nothing to keep in lockstep: the array's own driver loop.
+            cycles, finished = active[0].run(max_cycles)
+            self.cycles += cycles
+        else:
+            # Every array steps every cycle, loaded or not (an idle
+            # array's profiler still samples its empty FIFO).
+            while self.cycles - start < max_cycles:
+                self.step()
+                if all(array.done for array in active):
+                    break
+            finished = all(array.done for array in active)
         stats = PEStats()
         for array in active:
             stats = stats.merge(array.merged_pe_stats())

@@ -14,23 +14,37 @@ individual registers; the conservative fence keeps programs obviously
 correct at a small cycle cost, which the perf model notes).  Port moves
 (``in``/``out``/``fifo``) proceed concurrently with compute -- the
 decoupled-access-execute overlap the paper borrows from [65].
+
+How a cycle executes.  :meth:`PE.load` is the decode step
+(:mod:`repro.dpax.decode`): every control instruction becomes a
+handler and every bundle one straight-line function, so
+:meth:`PE.step` only calls them -- the decoded bundle at
+``compute_pc`` if the compute thread is busy, then the decoded control
+op at ``pc``.  Resolved at load: opcodes, ``Loc`` spaces and literal
+indices, which accesses the fence guards, stall reasons, register
+bounds of bundles, and from :class:`PEConfig` the datapath width, the
+SIMD lane split, the RF size and *whether* a match table is bound.
+Read at run time, because the array, ``DPAxMachine.concatenate`` and
+the mappings rewire them after construction: ``out_target``,
+``fifo_read``/``fifo_write``, queue capacities, the match table
+itself, and of course address registers behind indirect indices.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Callable, Dict, List, Optional
+from dataclasses import dataclass
+from typing import Callable, List, Optional
 
-from repro.dfg.graph import OPCODE_ARITY, Opcode, _apply
-from repro.dpax.storage import Fifo, PortQueue, RegisterFile, Scratchpad, StorageError
-from repro.isa.compute import CUInstruction, Imm, Reg, SlotOp, VLIWInstruction
-from repro.isa.control import (
-    BRANCH_OPS,
-    ControlInstruction,
-    ControlOp,
-    Loc,
-    Space,
+from repro.dpax.decode import (
+    ControlHandler,
+    DecodedBundle,
+    decode_bundle,
+    decode_program,
+    wrap32,
 )
+from repro.dpax.storage import Fifo, PortQueue, RegisterFile, Scratchpad
+from repro.isa.compute import VLIWInstruction
+from repro.isa.control import ControlInstruction
 
 
 #: Integer datapath rails (32-bit two's complement) and the 4-lane
@@ -45,12 +59,6 @@ LANE8_MAX = (1 << 7) - 1
 #: Register-file entries per PE (Table 4); the default bound programs
 #: are checked against when no explicit :class:`PEConfig` is in play.
 DEFAULT_RF_SIZE = 64
-
-
-def wrap32(value: int) -> int:
-    """Wrap to 32-bit two's complement (integer datapath width)."""
-    value &= 0xFFFFFFFF
-    return value - (1 << 32) if value >= (1 << 31) else value
 
 
 def sat_lane(value: int, bits: int) -> int:
@@ -177,6 +185,10 @@ class PE:
 
         self.control: List[ControlInstruction] = []
         self.compute: List[VLIWInstruction] = []
+        #: The decoded streams ``step`` runs: one handler per control
+        #: PC (plus the end-of-program halt), one entry per bundle.
+        self._ops: List[ControlHandler] = decode_program([], "pe")
+        self._bundles: List[DecodedBundle] = []
         self.pc = 0
         self.compute_pc = 0
         self.compute_remaining = 0
@@ -192,13 +204,31 @@ class PE:
     # program loading
 
     def load(self, control: List[ControlInstruction], compute: List[VLIWInstruction]) -> None:
-        """Preload both instruction streams (Section 4.4's model)."""
-        for instruction in control:
-            instruction.validate()
-        for bundle in compute:
-            bundle.validate()
+        """Preload and decode both instruction streams (Section 4.4).
+
+        Decoding validates every instruction (``ValueError`` on a
+        malformed one, before any state changes) and resolves what the
+        configuration fixes -- datapath width, SIMD lane split, RF
+        size, whether a match table is bound; see
+        :mod:`repro.dpax.decode`.
+        """
+        config = self.config
+        wraps = config.datapath == "int"
+        ops = decode_program(control, "pe", wraps)
+        bundles = [
+            decode_bundle(
+                bundle,
+                config.rf_size,
+                wraps,
+                config.simd_lanes,
+                config.match_table is not None,
+            )
+            for bundle in compute
+        ]
         self.control = list(control)
         self.compute = list(compute)
+        self._ops = ops
+        self._bundles = bundles
         self.pc = 0
         self.compute_pc = 0
         self.compute_remaining = 0
@@ -219,249 +249,26 @@ class PE:
         """Advance one cycle: compute thread first, then control."""
         if not self.started:
             return
-        self.stats.cycles += 1
-        self._step_compute()
-        if not self.halted:
-            self._step_control()
-
-    def _step_compute(self) -> None:
-        if not self.compute_busy:
-            self.stats.compute_idle += 1
+        stats = self.stats
+        stats.cycles += 1
+        if self.compute_remaining > 0:
+            run, ways, alu_ops = self._bundles[self.compute_pc]
+            run(self.rf, self.config.match_table)
+            stats.alu_ops += alu_ops
+            self.compute_pc += 1
+            self.compute_remaining -= 1
+            stats.compute_bundles += 1
             if self.profiler is not None:
-                self.profiler.idle(self.stats.cycles)
-            return
-        bundle = self.compute[self.compute_pc]
-        bundle_alu_ops = 0
-        for way in bundle.ways:
-            value = self._execute_way(way)
-            self.rf.write(way.dest.index, self._clamp(value))
-            bundle_alu_ops += way.alu_ops
-        self.stats.alu_ops += bundle_alu_ops
-        self.compute_pc += 1
-        self.compute_remaining -= 1
-        self.stats.compute_bundles += 1
-        if self.profiler is not None:
-            self.profiler.bundle(
-                self.stats.cycles, len(bundle.ways), bundle_alu_ops
-            )
-
-    def _execute_way(self, way: CUInstruction):
-        lane_count = self.config.simd_lanes
-        simd = lane_count in (2, 4)
-        lane_bits = 32 // lane_count if simd else 32
-
-        def apply_op(opcode, args):
-            if not simd:
-                return _apply(opcode, args, self.config.match_table, None)
-            # Lane-wise execution with saturating lane arithmetic:
-            # operand words are unpacked, the op runs per lane,
-            # results repack.
-            lane_args = [
-                unpack_lanes_n(arg & 0xFFFFFFFF, lane_count) for arg in args
-            ]
-            lanes = [
-                sat_lane(
-                    _apply(
-                        opcode,
-                        [lane_args[k][lane] for k in range(len(args))],
-                        self.config.match_table,
-                        None,
-                    ),
-                    lane_bits,
-                )
-                for lane in range(lane_count)
-            ]
-            return pack_lanes_n(lanes, lane_count)
-
-        def run_slot(slot: SlotOp):
-            args = []
-            for operand in slot.operands:
-                if isinstance(operand, Imm):
-                    value = operand.value
-                    if simd:
-                        value = pack_lanes_n(
-                            [sat_lane(value, lane_bits)] * lane_count, lane_count
-                        )
-                    args.append(value)
-                else:
-                    args.append(self.rf.read(operand.index))
-            return apply_op(slot.opcode, args)
-
-        if way.kind == "mul":
-            return run_slot(way.mul)
-        left_out = run_slot(way.left) if way.left is not None else None
-        right_out = run_slot(way.right) if way.right is not None else None
-        if way.root is None:
-            return left_out if left_out is not None else right_out
-        if OPCODE_ARITY[way.root] == 1:
-            return apply_op(way.root, [left_out])
-        inputs = [left_out, right_out]
-        if way.root_swapped:
-            inputs.reverse()
-        return apply_op(way.root, inputs)
-
-    def _clamp(self, value):
-        if self.config.datapath == "int":
-            return wrap32(int(value))
-        return value
-
-    # ------------------------------------------------------------------
-    # control thread
+                self.profiler.bundle(stats.cycles, ways, alu_ops)
+        else:
+            stats.compute_idle += 1
+            if self.profiler is not None:
+                self.profiler.idle(stats.cycles)
+        if not self.halted:
+            self._ops[self.pc](self)
 
     def _stall(self, reason: str) -> None:
+        """A decoded control op could not complete this cycle."""
         self.stats.control_stalls += 1
         if self.profiler is not None:
             self.profiler.stall(reason)
-
-    @staticmethod
-    def _empty_reason(loc: Loc) -> str:
-        return "fifo_empty" if loc.space is Space.FIFO else "in_empty"
-
-    @staticmethod
-    def _full_reason(loc: Loc) -> str:
-        if loc.space is Space.FIFO:
-            return "fifo_full"
-        if loc.space is Space.OUT:
-            return "out_full"
-        return "dest_full"
-
-    def _step_control(self) -> None:
-        if self.pc >= len(self.control):
-            self.halted = True
-            return
-        instruction = self.control[self.pc]
-        op = instruction.op
-
-        if op is ControlOp.HALT:
-            self.halted = True
-            self.stats.control_executed += 1
-            return
-        if op is ControlOp.NOOP:
-            self.pc += 1
-            self.stats.control_executed += 1
-            return
-        if op is ControlOp.ADD:
-            self.aregs[instruction.rd] = (
-                self.aregs[instruction.rs1] + self.aregs[instruction.rs2]
-            )
-            self.pc += 1
-            self.stats.control_executed += 1
-            return
-        if op is ControlOp.ADDI:
-            self.aregs[instruction.rd] = self.aregs[instruction.rs1] + instruction.imm
-            self.pc += 1
-            self.stats.control_executed += 1
-            return
-        if op in BRANCH_OPS:
-            lhs = self.aregs[instruction.rs1]
-            rhs = self.aregs[instruction.rs2]
-            taken = {
-                ControlOp.BEQ: lhs == rhs,
-                ControlOp.BNE: lhs != rhs,
-                ControlOp.BGE: lhs >= rhs,
-                ControlOp.BLT: lhs < rhs,
-            }[op]
-            self.pc += instruction.offset if taken else 1
-            if not 0 <= self.pc <= len(self.control):
-                raise StorageError(f"branch left the program: pc={self.pc}")
-            self.stats.control_executed += 1
-            return
-        if op is ControlOp.SET:
-            if self.compute_busy:
-                self._stall("compute_busy")
-                return
-            if not 0 <= instruction.target <= len(self.compute):
-                raise StorageError(f"set target out of range: {instruction.target}")
-            if instruction.target + instruction.count > len(self.compute):
-                raise StorageError("set count runs past the compute program")
-            self.compute_pc = instruction.target
-            self.compute_remaining = instruction.count
-            self.pc += 1
-            self.stats.control_executed += 1
-            return
-        if op is ControlOp.LI:
-            if self._blocked_on_compute(instruction.dest):
-                self._stall("compute_fence")
-                return
-            if not self._write_loc(instruction.dest, instruction.imm):
-                self._stall(self._full_reason(instruction.dest))
-                return
-            self.pc += 1
-            self.stats.control_executed += 1
-            return
-        if op is ControlOp.MV:
-            if self._blocked_on_compute(instruction.dest) or self._blocked_on_compute(
-                instruction.src
-            ):
-                self._stall("compute_fence")
-                return
-            value = self._read_loc(instruction.src)
-            if value is None:
-                self._stall(self._empty_reason(instruction.src))
-                return
-            if not self._write_loc(instruction.dest, value):
-                # Destination full: the popped value must not be lost.
-                # Ports are only full transiently; re-push is safe
-                # because this thread is the only producer this cycle.
-                self._unread_loc(instruction.src, value)
-                self._stall(self._full_reason(instruction.dest))
-                return
-            self.pc += 1
-            self.stats.control_executed += 1
-            return
-        raise StorageError(f"unhandled control op {op}")
-
-    def _blocked_on_compute(self, loc: Loc) -> bool:
-        return self.compute_busy and loc.space in (Space.REG, Space.SPM)
-
-    def _resolve_index(self, loc: Loc) -> int:
-        if loc.indirect:
-            return self.aregs[loc.index]
-        return loc.index
-
-    def _read_loc(self, loc: Loc) -> Optional[int]:
-        space = loc.space
-        if space is Space.REG:
-            return self.rf.read(self._resolve_index(loc))
-        if space is Space.SPM:
-            return self.spm.read(self._resolve_index(loc))
-        if space is Space.ADDR:
-            return self.aregs[loc.index]
-        if space is Space.IN:
-            return self.in_queue.pop()
-        if space is Space.FIFO:
-            if self.fifo_read is None:
-                raise StorageError(f"PE {self.pe_index} has no FIFO read port")
-            return self.fifo_read.pop()
-        raise StorageError(f"PE cannot read space {space.value}")
-
-    def _unread_loc(self, loc: Loc, value: int) -> None:
-        """Undo a destructive read after a failed write (stall replay)."""
-        if loc.space is Space.IN:
-            self.in_queue._queue.appendleft(value)
-            self.in_queue.pops -= 1
-        elif loc.space is Space.FIFO and self.fifo_read is not None:
-            self.fifo_read._queue.appendleft(value)
-            self.fifo_read.pops -= 1
-
-    def _write_loc(self, loc: Loc, value: int) -> bool:
-        space = loc.space
-        clamped = self._clamp(value)
-        if space is Space.REG:
-            self.rf.write(self._resolve_index(loc), clamped)
-            return True
-        if space is Space.SPM:
-            self.spm.write(self._resolve_index(loc), clamped)
-            return True
-        if space is Space.ADDR:
-            self.aregs[loc.index] = int(value)
-            return True
-        if space is Space.OUT:
-            if self.out_target is None:
-                raise StorageError(f"PE {self.pe_index} has no out port wired")
-            return self.out_target.push(clamped)
-        if space is Space.FIFO:
-            if self.fifo_write is None:
-                raise StorageError(f"PE {self.pe_index} has no FIFO write port")
-            return self.fifo_write.push(clamped)
-        raise StorageError(f"PE cannot write space {space.value}")

@@ -11,22 +11,24 @@ one thread of execution, controlling the data movement between data
 buffers and PEs, as well as the start of the execution for each PE").
 From the array thread's viewpoint, ``out`` pushes into the first PE and
 ``in`` pops the last PE's output.
+
+The array thread runs on the same decoder as the PE thread
+(:func:`repro.dpax.decode.decode_program` with the ``"array"`` address
+map): :meth:`PEArray.load_array_control` decodes, and a cycle
+(:meth:`PEArray.step`) calls the handler at ``pc``, then steps every
+PE in chain order -- every started PE, every cycle -- then samples the
+FIFO depth for the profiler.  :meth:`PEArray.run` is the one driver
+loop the mappings and ``DPAxMachine.run`` share.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import List, Optional
+from typing import List, Optional, Tuple
 
+from repro.dpax.decode import ControlHandler, decode_program
 from repro.dpax.pe import PE, PEConfig, PEStats
-from repro.dpax.storage import DataBuffer, Fifo, PortQueue, StorageError
-from repro.isa.control import (
-    BRANCH_OPS,
-    ControlInstruction,
-    ControlOp,
-    Loc,
-    Space,
-)
+from repro.dpax.storage import DataBuffer, Fifo, PortQueue
+from repro.isa.control import ControlInstruction
 
 #: PEs per array (Figure 4).
 PES_PER_ARRAY = 4
@@ -62,6 +64,8 @@ class PEArray:
         self.pes[-1].fifo_write = self.fifo
 
         self.control: List[ControlInstruction] = []
+        #: Decoded handlers, one per control PC plus the final halt.
+        self._ops: List[ControlHandler] = decode_program([], "array")
         self.aregs = [0] * 16
         self.pc = 0
         self.halted = False
@@ -74,8 +78,8 @@ class PEArray:
     # ------------------------------------------------------------------
 
     def load_array_control(self, control: List[ControlInstruction]) -> None:
-        for instruction in control:
-            instruction.validate()
+        """Preload and decode the array control stream (validates it)."""
+        self._ops = decode_program(control, "array")
         self.control = list(control)
         self.pc = 0
         self.halted = False
@@ -90,11 +94,25 @@ class PEArray:
     def step(self) -> None:
         """One cycle: array control first, then each PE in chain order."""
         if not self.halted:
-            self._step_control()
+            self._ops[self.pc](self)
         for pe in self.pes:
             pe.step()
         if self.profiler is not None:
             self.profiler.sample(len(self.fifo))
+
+    def run(self, max_cycles: int) -> Tuple[int, bool]:
+        """Step until :attr:`done` or *max_cycles*: ``(cycles, finished)``.
+
+        The cap guards against deadlocked programs; hitting it is
+        reported, not raised, so callers can assert on it.
+        """
+        cycles = 0
+        while cycles < max_cycles:
+            self.step()
+            cycles += 1
+            if self.done:
+                break
+        return cycles, self.done
 
     def enable_profiling(self, timeline: bool = True, max_timeline: int = 200_000):
         """Attach per-PE cycle profiling; returns the ArrayProfile.
@@ -122,124 +140,8 @@ class PEArray:
             stats = stats.merge(pe.stats)
         return stats
 
-    # ------------------------------------------------------------------
-    # array control thread
-
     def _stall(self, reason: str) -> None:
+        """A decoded array control op could not complete this cycle."""
         self.control_stalls += 1
         if self.profiler is not None:
             self.profiler.control_stall(reason)
-
-    @staticmethod
-    def _empty_reason(loc: Loc) -> str:
-        return "fifo_empty" if loc.space is Space.FIFO else "in_empty"
-
-    @staticmethod
-    def _full_reason(loc: Loc) -> str:
-        if loc.space is Space.FIFO:
-            return "fifo_full"
-        if loc.space is Space.OUT:
-            return "out_full"
-        return "dest_full"
-
-    def _step_control(self) -> None:
-        if self.pc >= len(self.control):
-            self.halted = True
-            return
-        instruction = self.control[self.pc]
-        op = instruction.op
-
-        if op is ControlOp.HALT:
-            self.halted = True
-            self.control_executed += 1
-            return
-        if op is ControlOp.NOOP:
-            self._advance()
-            return
-        if op is ControlOp.ADD:
-            self.aregs[instruction.rd] = (
-                self.aregs[instruction.rs1] + self.aregs[instruction.rs2]
-            )
-            self._advance()
-            return
-        if op is ControlOp.ADDI:
-            self.aregs[instruction.rd] = self.aregs[instruction.rs1] + instruction.imm
-            self._advance()
-            return
-        if op in BRANCH_OPS:
-            lhs = self.aregs[instruction.rs1]
-            rhs = self.aregs[instruction.rs2]
-            taken = {
-                ControlOp.BEQ: lhs == rhs,
-                ControlOp.BNE: lhs != rhs,
-                ControlOp.BGE: lhs >= rhs,
-                ControlOp.BLT: lhs < rhs,
-            }[op]
-            self.pc += instruction.offset if taken else 1
-            if not 0 <= self.pc <= len(self.control):
-                raise StorageError(f"array branch left the program: pc={self.pc}")
-            self.control_executed += 1
-            return
-        if op is ControlOp.SET:
-            self.pes[instruction.target].started = True
-            self._advance()
-            return
-        if op is ControlOp.LI:
-            if not self._write_loc(instruction.dest, instruction.imm):
-                self._stall(self._full_reason(instruction.dest))
-                return
-            self._advance()
-            return
-        if op is ControlOp.MV:
-            value = self._read_loc(instruction.src)
-            if value is None:
-                self._stall(self._empty_reason(instruction.src))
-                return
-            if not self._write_loc(instruction.dest, value):
-                self._unread_loc(instruction.src, value)
-                self._stall(self._full_reason(instruction.dest))
-                return
-            self._advance()
-            return
-        raise StorageError(f"unhandled array control op {op}")
-
-    def _advance(self) -> None:
-        self.pc += 1
-        self.control_executed += 1
-
-    def _resolve_index(self, loc: Loc) -> int:
-        return self.aregs[loc.index] if loc.indirect else loc.index
-
-    def _read_loc(self, loc: Loc) -> Optional[int]:
-        space = loc.space
-        if space is Space.IBUF:
-            return self.ibuf.read(self._resolve_index(loc))
-        if space is Space.ADDR:
-            return self.aregs[loc.index]
-        if space is Space.IN:
-            return self.tail_queue.pop()
-        if space is Space.FIFO:
-            return self.fifo.pop()
-        raise StorageError(f"array control cannot read space {space.value}")
-
-    def _unread_loc(self, loc: Loc, value: int) -> None:
-        if loc.space is Space.IN:
-            self.tail_queue._queue.appendleft(value)
-            self.tail_queue.pops -= 1
-        elif loc.space is Space.FIFO:
-            self.fifo._queue.appendleft(value)
-            self.fifo.pops -= 1
-
-    def _write_loc(self, loc: Loc, value: int) -> bool:
-        space = loc.space
-        if space is Space.OBUF:
-            self.obuf.write(self._resolve_index(loc), value)
-            return True
-        if space is Space.ADDR:
-            self.aregs[loc.index] = int(value)
-            return True
-        if space is Space.OUT:
-            return self.pes[0].in_queue.push(value)
-        if space is Space.FIFO:
-            return self.fifo.push(value)
-        raise StorageError(f"array control cannot write space {space.value}")

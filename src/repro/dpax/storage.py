@@ -18,13 +18,19 @@ class StorageError(RuntimeError):
 
 
 class RegisterFile:
-    """A PE's register file: word-addressed, bounded, counted."""
+    """A PE's register file: word-addressed, bounded, counted.
+
+    The words are a preallocated list: decoded VLIW bundles
+    (:mod:`repro.dpax.decode`) index it directly, with register bounds
+    checked once at decode time and the bundle's static access counts
+    added in one step; everything else goes through ``read``/``write``.
+    """
 
     def __init__(self, size: int = 64):
         if size <= 0:
             raise StorageError("register file size must be positive")
         self.size = size
-        self._words: Dict[int, int] = {}
+        self._words: List[int] = [0] * size
         self.reads = 0
         self.writes = 0
 
@@ -32,7 +38,7 @@ class RegisterFile:
         if not 0 <= index < self.size:
             raise StorageError(f"RF read out of range: {index}")
         self.reads += 1
-        return self._words.get(index, 0)
+        return self._words[index]
 
     def write(self, index: int, value: int) -> None:
         if not 0 <= index < self.size:
@@ -97,7 +103,7 @@ class PortQueue:
         return len(self._queue) < self.capacity
 
     def push(self, value: int) -> bool:
-        if not self.can_push():
+        if len(self._queue) >= self.capacity:
             return False
         self._queue.append(value)
         self.pushes += 1
@@ -111,6 +117,17 @@ class PortQueue:
             return None
         self.pops += 1
         return self._queue.popleft()
+
+    def unpop(self, value: int) -> None:
+        """Undo a ``pop`` whose word could not be delivered.
+
+        A ``mv`` between two ports pops its source before it learns
+        that the destination is full; the word goes back to the head
+        (the popping thread is the queue's only consumer) and the move
+        replays next cycle.
+        """
+        self._queue.appendleft(value)
+        self.pops -= 1
 
     def __len__(self) -> int:
         return len(self._queue)

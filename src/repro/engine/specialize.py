@@ -3,8 +3,9 @@
 DPMap emits one VLIW cell program per objective function and every PE
 runs that same program.  The software analogue: the bundles are
 translated once into one straight-line Python function (register-file
-slots become local variables, each CU way becomes one expression with
-the exact :func:`repro.dfg.graph._apply` semantics), compiled with
+slots become local variables, each CU way becomes one expression from
+the opcode templates of :mod:`repro.dfg.expressions`, which mirror
+:func:`repro.dfg.graph._apply` exactly), compiled with
 ``compile``/``exec``, and every executor -- inline, pool workers, shm
 workers, the shm degraded floor, the guard fuzzer -- streams cells
 through that function.  Per cell this removes the bundle/way/slot
@@ -31,12 +32,11 @@ every batch, must not pay ``compile()`` again.
 
 from __future__ import annotations
 
-import math
-from typing import Any, Callable, Dict, List, Optional, Set, Tuple
+from typing import Callable, Dict, List, Optional, Set, Tuple
 
-from repro.dfg.graph import OPCODE_ARITY, Opcode
+from repro.dfg.expressions import expression_namespace, way_expression
 from repro.engine.cache import CompiledProgram
-from repro.isa.compute import Imm, SlotOp
+from repro.isa.compute import Imm
 from repro.obs.logs import get_logger
 
 _LOG = get_logger("repro.engine.specialize")
@@ -45,87 +45,9 @@ _LOG = get_logger("repro.engine.specialize")
 CellFunction = Callable[..., Tuple[int, ...]]
 MatchTable = Callable[[int, int], int]
 
-#: Opcode -> expression template with ``{0}``/``{1}``... operand holes.
-#: Semantics mirror :func:`repro.dfg.graph._apply` exactly; any new
-#: opcode must be added here *and* covered by the differential test.
-_EXPRESSIONS: Dict[Opcode, str] = {
-    Opcode.ADD: "({0} + {1})",
-    Opcode.SUB: "({0} - {1})",
-    Opcode.MUL: "({0} * {1})",
-    Opcode.CARRY: "(1 if {0} + {1} >= 4294967296 else 0)",
-    Opcode.BORROW: "(1 if {0} < {1} else 0)",
-    Opcode.MAX: "max({0}, {1})",
-    Opcode.MIN: "min({0}, {1})",
-    Opcode.SHL16: "({0} << 16)",
-    Opcode.SHR16: "({0} >> 16)",
-    Opcode.COPY: "{0}",
-    Opcode.MATCH_SCORE: "_match({0}, {1})",
-    Opcode.LOG2_LUT: "(0 if {0} <= 0 else int(_log2({0}) * 2.0))",
-    Opcode.LOG_SUM_LUT: "_log_sum({0}, {1})",
-    Opcode.CMP_GT: "({2} if {0} > {1} else {3})",
-    Opcode.CMP_EQ: "({2} if {0} == {1} else {3})",
-    Opcode.NOP: "0",
-    Opcode.HALT: "0",
-}
-
-#: MATCH_SCORE fallback when no match table is bound (mirrors _apply).
-_DEFAULT_MATCH = "(1 if {0} == {1} else -1)"
-
 
 class SpecializationError(ValueError):
     """The program uses a construct the specializer cannot express."""
-
-
-def _expression(
-    opcode: Opcode, operands: List[str], has_match_table: bool
-) -> str:
-    if opcode is Opcode.MATCH_SCORE and not has_match_table:
-        template = _DEFAULT_MATCH
-    else:
-        template = _EXPRESSIONS.get(opcode)
-    if template is None:
-        raise SpecializationError(f"no expression template for opcode {opcode}")
-    return template.format(*operands)
-
-
-def _slot_expression(
-    slot: SlotOp, reads: Set[int], has_match_table: bool
-) -> str:
-    operands = []
-    for operand in slot.operands:
-        if isinstance(operand, Imm):
-            operands.append(repr(operand.value))
-        else:
-            reads.add(operand.index)
-            operands.append(f"r{operand.index}")
-    return _expression(slot.opcode, operands, has_match_table)
-
-
-def _way_expression(way, reads: Set[int], has_match_table: bool) -> str:
-    if way.kind == "mul":
-        return _slot_expression(way.mul, reads, has_match_table)
-    left = (
-        _slot_expression(way.left, reads, has_match_table)
-        if way.left is not None
-        else None
-    )
-    right = (
-        _slot_expression(way.right, reads, has_match_table)
-        if way.right is not None
-        else None
-    )
-    if way.root is None:
-        expr = left if left is not None else right
-    elif OPCODE_ARITY[way.root] == 1:
-        expr = _expression(way.root, [left], has_match_table)
-    else:
-        inputs = [left, right]
-        if way.root_swapped:
-            inputs.reverse()
-        expr = _expression(way.root, inputs, has_match_table)
-    if expr is None:
-        raise SpecializationError("tree way with no populated leaf")
-    return expr
 
 
 def specialize_source(
@@ -153,7 +75,14 @@ def specialize_source(
         hazard = False
         for way in bundle.ways:
             reads: Set[int] = set()
-            expressions.append(_way_expression(way, reads, has_match_table))
+
+            def operand(item) -> str:
+                if isinstance(item, Imm):
+                    return repr(item.value)
+                reads.add(item.index)
+                return f"r{item.index}"
+
+            expressions.append(way_expression(way, operand, has_match_table))
             undefined |= reads - written
             hazard = hazard or not reads.isdisjoint(dests)
             dests.append(way.dest.index)
@@ -186,14 +115,8 @@ def specialize_cell(
     builds, minus the sentinel observe hook (callers must keep the
     interpreted path when sentinels are armed).
     """
-    from repro.kernels.pairhmm import log_sum_lookup
-
     source = specialize_source(compiled, match_table is not None)
-    namespace: Dict[str, Any] = {
-        "_match": match_table,
-        "_log2": math.log2,
-        "_log_sum": log_sum_lookup,
-    }
+    namespace = expression_namespace(match_table)
     exec(compile(source, "<gendp-specialized>", "exec"), namespace)
     return namespace["_cell"]
 

@@ -81,6 +81,8 @@ class POARun:
     cells: int
     finished: bool
     spm_accesses: int
+    #: :class:`repro.obs.profile.ProfileReport` when run with profiling.
+    profile: Optional[object] = None
 
     @property
     def cycles_per_cell(self) -> float:
@@ -92,11 +94,13 @@ def run_poa_row_dp(
     sequence: str,
     scheme: Optional[ScoringScheme] = None,
     max_cycles: int = 30_000_000,
+    profile: bool = False,
 ) -> POARun:
     """Align *sequence* to *graph* on a single scratchpad-backed PE.
 
     Returns the full H table for cell-exact comparison against
-    :func:`repro.kernels.poa.graph_dp_tables`.
+    :func:`repro.kernels.poa.graph_dp_tables`.  ``profile=True``
+    attaches cycle accounting, as in ``run_wavefront``/``run_chain``.
     """
     if scheme is None:
         scheme = ScoringScheme()
@@ -157,16 +161,12 @@ def run_poa_row_dp(
         pe_count=1,
     )
     array.tail_queue.capacity = 2 * rows * cols + 8
+    array_profile = array.enable_profiling() if profile else None
     array.ibuf.preload(words, base=0)
     array.load_pe(0, control, compute)
     array.load_array_control(_stream_and_drain_program(len(words), 2 * rows * cols))
 
-    cycles = 0
-    while cycles < max_cycles:
-        array.step()
-        cycles += 1
-        if array.done:
-            break
+    cycles, finished = array.run(max_cycles)
 
     raw = array.obuf.dump(0, 2 * rows * cols)
     # Rows arrive in topological order; re-index by node index so the
@@ -185,8 +185,9 @@ def run_poa_row_dp(
         directions=directions,
         cycles=cycles,
         cells=rows * cols,
-        finished=array.done,
+        finished=finished,
         spm_accesses=pe.spm.accesses,
+        profile=array_profile.report() if array_profile is not None else None,
     )
 
 
@@ -364,12 +365,7 @@ def run_bellman_ford(
         _bf_array_program(len(edges), rounds, 2 * vertex_count)
     )
 
-    cycles = 0
-    while cycles < max_cycles:
-        array.step()
-        cycles += 1
-        if array.done:
-            break
+    cycles, finished = array.run(max_cycles)
 
     raw = array.obuf.dump(0, 2 * vertex_count)
     pe = array.pes[0]
@@ -378,7 +374,7 @@ def run_bellman_ford(
         predecessors=raw[vertex_count:],
         cycles=cycles,
         relaxations=rounds * len(edges),
-        finished=array.done,
+        finished=finished,
         spm_accesses=pe.spm.accesses,
     )
 

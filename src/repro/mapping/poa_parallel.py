@@ -170,12 +170,7 @@ def run_poa_parallel(
         _tile_array_program(graph, order, cols, tile)
     )
 
-    cycles = 0
-    while cycles < max_cycles:
-        array.step()
-        cycles += 1
-        if array.done:
-            break
+    cycles, finished = array.run(max_cycles)
 
     # Decode: per row, tiles arrive tail-first (tile3, tile2, tile1,
     # tile0), each as (H, dir) word pairs over its columns.
@@ -196,7 +191,7 @@ def run_poa_parallel(
         directions=directions,
         cycles=cycles,
         cells=rows * cols,
-        finished=array.done,
+        finished=finished,
     )
 
 

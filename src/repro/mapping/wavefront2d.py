@@ -415,12 +415,7 @@ def run_wavefront(
             pe_index, programs.pe_control[pe_index], programs.pe_compute[pe_index]
         )
 
-    cycles = 0
-    while cycles < max_cycles:
-        array.step()
-        cycles += 1
-        if array.done:
-            break
+    cycles, finished = array.run(max_cycles)
 
     width = programs.epilogue_width
     epilogue_values: List[List[Dict[str, int]]] = []
@@ -441,7 +436,7 @@ def run_wavefront(
         cycles=cycles,
         cells=len(target) * len(stream),
         epilogue_values=epilogue_values,
-        finished=array.done,
+        finished=finished,
         stats=array.merged_pe_stats(),
         profile=array_profile.report() if array_profile is not None else None,
     )

@@ -44,6 +44,32 @@ DEFAULT_CYCLES_PER_CELL: Dict[str, float] = {
     "lcs": 12.7,
 }
 
+
+def chain_slot_cycles(total_pes: int) -> int:
+    """Steady-state cycles per anchor slot of the Chain mapping on a
+    *total_pes*-deep chain: what the simulator measures per PE per
+    cell once the pipeline is full, exactly.
+
+    ``DEFAULT_CYCLES_PER_CELL["chain"]`` was calibrated on one 4-PE
+    array; this is why longer chains measure more (54.0 on 8 PEs, 87.5
+    on 16 with 40 anchors).  A PE needs 35 cycles per slot: 23 control
+    instructions plus the 12 cycles they wait behind the 13-bundle
+    compute window (the conservative RF fence).  But a slot cannot be
+    shorter than the serial ``f[n-1] -> f[n]`` recurrence: the tail
+    mints a broadcast 20 cycles after it has its inputs (``set``, 13
+    bundles, 2 result pushes, 4 FIFO pushes), and its four words then
+    ripple through the other P-1 PEs at one ``mv`` per word -- 4 cycles
+    a hop -- to meet the next anchor at the tail.  A single array adds
+    6 cycles per anchor on top: its one control thread plays head and
+    tail and drains the results (2 x (``mv`` + ``addi``) + loop) only
+    after it has pumped every anchor in, where a concatenated chain's
+    last array drains concurrently.
+    """
+    pe_bound, tail_mint, ripple_per_hop, serial_drain = 35, 20, 4, 6
+    slot = max(pe_bound, tail_mint + ripple_per_hop * (total_pes - 1))
+    return slot + (serial_drain if total_pes <= 4 else 0)
+
+
 #: Host-CPU GCUPS used for the non-accelerated fractions (the Xeon
 #: 8380 rates of Table 15).
 HOST_GCUPS: Dict[str, float] = {

@@ -85,6 +85,43 @@ class TestComputeFailures:
         with pytest.raises(StorageError):
             pe.step()
 
+    def test_rf_operand_out_of_range_raises_when_the_bundle_runs(self):
+        # Register bounds are decided at decode time, but a bundle that
+        # never issues must not fail the load: the fault surfaces on the
+        # cycle the bundle runs, after the reads that precede it.
+        pe = start(PE(0, PEConfig(rf_size=8)))
+        bundle = VLIWInstruction(
+            cu0=CUInstruction(
+                kind="tree", dest=Reg(1), right=SlotOp(Opcode.ADD, (Reg(0), Reg(2)))
+            ),
+            cu1=CUInstruction(
+                kind="tree", dest=Reg(3), right=SlotOp(Opcode.ADD, (Reg(0), Reg(9)))
+            ),
+        )
+        pe.load([set_unit(0, 1), halt()], [bundle])
+        pe.step()  # the set itself is fine
+        with pytest.raises(StorageError, match="RF read out of range: 9"):
+            pe.step()
+        assert pe.stats.cycles == 2 and pe.stats.compute_bundles == 0
+        assert (pe.rf.reads, pe.rf.writes) == (3, 0)
+
+    def test_rf_destination_out_of_range_raises_when_the_bundle_runs(self):
+        pe = start(PE(0, PEConfig(rf_size=8)))
+        bundle = VLIWInstruction(
+            cu0=CUInstruction(
+                kind="tree", dest=Reg(1), right=SlotOp(Opcode.ADD, (Reg(0), Imm(5)))
+            ),
+            cu1=CUInstruction(
+                kind="tree", dest=Reg(8), right=SlotOp(Opcode.ADD, (Reg(0), Imm(1)))
+            ),
+        )
+        pe.load([set_unit(0, 1), halt()], [bundle])
+        pe.step()
+        with pytest.raises(StorageError, match="RF write out of range: 8"):
+            pe.step()
+        assert (pe.rf.reads, pe.rf.writes) == (2, 1)
+        assert pe.rf.read(1) == 5  # the way before the fault committed
+
     def test_invalid_bundle_rejected_at_load(self):
         pe = PE(0)
         with pytest.raises(ValueError):

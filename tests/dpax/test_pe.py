@@ -140,6 +140,29 @@ class TestComputeThread:
         run_pe(pe)
         assert pe.rf.read(2) == 11 and pe.rf.read(3) == 9
 
+    def test_bundle_reads_see_the_pre_bundle_register_file(self):
+        # {cu0: r1 = r0+1 | cu1: r2 = r1+1}: both CUs issue together, so
+        # cu1 reads the r1 from before the bundle -- no forwarding, as
+        # the verifier, the optimizer and the engine's cell all assume.
+        from repro.dpmap.codegen import execute_way
+
+        bundle = VLIWInstruction(
+            cu0=CUInstruction(
+                kind="tree", dest=Reg(1), right=SlotOp(Opcode.ADD, (Reg(0), Imm(1)))
+            ),
+            cu1=CUInstruction(
+                kind="tree", dest=Reg(2), right=SlotOp(Opcode.ADD, (Reg(1), Imm(1)))
+            ),
+        )
+        pe = PE(0)
+        pe.load(
+            [li(reg(0), 10), li(reg(1), 100), set_unit(0, 1), halt()], [bundle]
+        )
+        run_pe(pe)
+        before = {0: 10, 1: 100}
+        expected = [execute_way(way, before) for way in bundle.ways]
+        assert [pe.rf.read(1), pe.rf.read(2)] == expected == [11, 101]
+
     def test_control_fences_on_rf_while_compute_busy(self):
         pe = PE(0)
         pe.load(

@@ -23,10 +23,7 @@ from repro.mapping.builder import ControlBuilder
 
 
 def run_array(array, cycles=5000):
-    for _ in range(cycles):
-        array.step()
-        if array.done:
-            break
+    array.run(cycles)
     return array
 
 
@@ -41,6 +38,22 @@ class TestWiring:
     def test_single_pe_array(self):
         array = PEArray(pe_count=1)
         assert array.pes[0].out_target is array.tail_queue
+
+
+class TestRun:
+    def test_reports_cycles_and_completion(self):
+        array = PEArray()
+        array.load_pe(0, [li(reg(0), 1), halt()], [])
+        array.load_array_control([set_unit(0, 1), halt()])
+        cycles, finished = array.run(100)
+        assert finished and array.done
+        assert cycles == 2 == array.pes[0].stats.cycles  # set, then li | halt
+
+    def test_cycle_cap_is_reported_not_raised(self):
+        array = PEArray()
+        array.load_pe(0, [mv(reg(0), IN_PORT), halt()], [])  # starves
+        array.load_array_control([set_unit(0, 1), halt()])
+        assert array.run(50) == (50, False)
 
 
 class TestArrayControl:

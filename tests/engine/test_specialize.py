@@ -12,6 +12,7 @@ import pickle
 
 import pytest
 
+from repro.dfg.expressions import _EXPRESSIONS
 from repro.dfg.graph import OPCODE_ARITY, Opcode, _apply
 from repro.engine import Engine, EngineConfig, make_job
 from repro.engine.cache import compile_program
@@ -24,7 +25,6 @@ from repro.engine.runners import (
     specialized_cell,
 )
 from repro.engine.specialize import (
-    _EXPRESSIONS,
     CELLS,
     CellMemo,
     specialize_cell,

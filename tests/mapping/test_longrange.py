@@ -37,6 +37,15 @@ class TestPOAOnSimulator:
         run = run_poa_row_dp(graph, mutator.mutate(template))
         assert run.spm_accesses > run.cells  # every cell reads pred rows
 
+    def test_profile_option_reports_without_changing_the_run(self, rng):
+        graph, template, mutator = noisy_graph(rng, length=8, reads=1)
+        query = mutator.mutate(template)
+        plain = run_poa_row_dp(graph, query)
+        profiled = run_poa_row_dp(graph, query, profile=True)
+        assert plain.profile is None
+        assert (profiled.cycles, profiled.h) == (plain.cycles, plain.h)
+        assert 0 < profiled.profile.bundles < profiled.cycles
+
     def test_chain_graph_works(self, rng):
         # Degenerate case: a pure chain (every node one predecessor).
         graph = PartialOrderGraph(random_sequence(10, rng))
