@@ -2,21 +2,23 @@
 
 Not a paper table -- this measures the serving stack added on top of
 the reproduction: jobs/sec through ``repro.engine`` with a cold vs
-warm program cache, and across the three transport backends (inline,
-pickling process pool, shared-memory rings with warm workers).  The
-interesting shape claims:
+warm program cache, and across the two executors (inline, and
+shared-memory rings with warm workers -- reached through the bare
+``workers=N`` knob on default rings, and through a tuned
+``TransportConfig`` with the kernel preloaded).  The interesting
+shape claims:
 
 - caching must win (DPMap runs once, not per job);
-- the pool must not collapse under small jobs (process dispatch has
-  real overhead; parity is acceptable, an order-of-magnitude cliff is
-  not);
+- worker processes must not collapse under small jobs (process
+  dispatch has real overhead; parity is acceptable, an
+  order-of-magnitude cliff is not);
 - every backend runs the same specialized (codegen'd) cell program, so
   the inline engine must reach the bar ROADMAP item 1 set for it: the
   shm-4-worker figure committed while inline was still interpreted
   (:data:`SHM4_JOBS_PER_SEC_BEFORE`);
 - the shared-memory transport must run undegraded, with its kernel
   preloaded, moving SoA bytes rather than pickles;
-- ``transport_bytes`` makes the serialization tax visible per backend.
+- ``transport_bytes`` makes the bytes moved visible per configuration.
 
 Besides the human-readable ``results/engine_throughput.txt`` table,
 the run emits machine-readable ``results/BENCH_serving.json`` for
@@ -122,7 +124,7 @@ def _backend_of(config_kwargs: dict) -> str:
     transport = config_kwargs.get("transport")
     if transport is not None:
         return transport.backend
-    return "inline" if config_kwargs.get("workers", 0) == 0 else "pickle"
+    return "inline" if config_kwargs.get("workers", 0) == 0 else "shm"
 
 
 def _workers_of(config_kwargs: dict) -> int:
@@ -221,7 +223,7 @@ def test_engine_throughput(benchmark, publish, results_dir):
     )
 
     warm = measured["inline, warm cache"][0]
-    pooled = measured["4 workers, warm cache"][0]
+    four_workers = measured["4 workers, warm cache"][0]
 
     # The cache is the point: a hit skips DPMap entirely.
     assert amortization > 10
@@ -229,11 +231,11 @@ def test_engine_throughput(benchmark, publish, results_dir):
     for _, snapshot in measured.values():
         assert snapshot["cache"]["compiles"] == 1
         assert snapshot["cache"]["hit_rate"] >= 0.9
-    # The pool actually parallelized, and didn't fall off a cliff on
-    # jobs this small (process dispatch overhead is real; parity is
-    # fine, an order-of-magnitude collapse is not).
+    # workers=4 really ran on worker processes, and didn't fall off a
+    # cliff on jobs this small (process dispatch overhead is real;
+    # parity is fine, an order-of-magnitude collapse is not).
     assert measured["4 workers, warm cache"][1]["counters"]["parallel_batches"] > 0
-    assert pooled > warm / 10
+    assert four_workers > warm / 10
     # The serving transport ran as designed: nothing degraded, SoA
     # bytes moved, the kernel was broadcast before the first job.
     shm_counters = measured["shm 2 warm workers"][1]["counters"]
@@ -242,5 +244,5 @@ def test_engine_throughput(benchmark, publish, results_dir):
     assert shm_counters.get("warm_kernels_preloaded", 0) == 1
     # One cell-execution path: single-core inline is at least where
     # four specialized shm workers were while inline interpreted (same
-    # order-of-magnitude slack as the pool check: hosts differ).
+    # order-of-magnitude slack as the workers check: hosts differ).
     assert warm > SHM4_JOBS_PER_SEC_BEFORE / 10, (warm, SHM4_JOBS_PER_SEC_BEFORE)

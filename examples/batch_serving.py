@@ -77,7 +77,7 @@ def main() -> None:
           f"(one per distinct objective function)")
     print(f"cache hit rate      : {cache['hit_rate']:.1%}")
     print(f"batches             : {counters['batches_total']} "
-          f"({counters.get('parallel_batches', 0)} on the worker pool)")
+          f"({counters.get('parallel_batches', 0)} on the 2 warm shm workers)")
     print(f"mean batch occupancy: "
           f"{snapshot['derived']['mean_batch_occupancy']:.1%} of the tile")
 

@@ -709,7 +709,7 @@ def chaos_main(argv: Optional[List[str]] = None) -> int:
         "--workers",
         type=int,
         default=1,
-        help="worker processes (0 disables the pool-only fault classes)",
+        help="worker processes (0 disables the worker-only fault classes)",
     )
     parser.add_argument("--chunk", type=int, default=48, help="jobs per drain")
     parser.add_argument("--timeout", type=float, default=0.15)
@@ -1702,12 +1702,12 @@ def serve_main(argv: Optional[List[str]] = None) -> int:
     )
     parser.add_argument(
         "--transport",
-        choices=("inline", "pickle", "shm"),
+        choices=("inline", "shm"),
         default="shm",
         help="engine execution backend (default: shared-memory rings)",
     )
     parser.add_argument(
-        "--workers", type=int, default=2, help="warm workers (shm/pickle)"
+        "--workers", type=int, default=2, help="warm workers (shm)"
     )
     parser.add_argument(
         "--shards",

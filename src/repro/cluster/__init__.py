@@ -1,11 +1,11 @@
 """repro.cluster -- sharded multi-engine cluster with failover.
 
 One :class:`~repro.engine.Engine` is a single failure domain: one
-queue, one pool, one program cache.  This package scales the serving
-tier sideways -- the replicated-systolic-array argument of the paper's
-Table 12, reproduced as software shards -- without giving up the
-reliability contract the engine already guarantees (exactly one
-envelope per accepted job):
+queue, one set of workers, one program cache.  This package scales
+the serving tier sideways -- the replicated-systolic-array argument
+of the paper's Table 12, reproduced as software shards -- without
+giving up the reliability contract the engine already guarantees
+(exactly one envelope per accepted job):
 
 - :mod:`repro.cluster.hashring` -- consistent hashing with virtual
   nodes; jobs route by DFG content hash for compiled-cache affinity,

@@ -1,7 +1,7 @@
 """The cluster front door: health-aware consistent-hash routing.
 
 A :class:`ClusterRouter` runs N independent :class:`~repro.engine.Engine`
-shards (each with its own transport, pool, program cache, breaker set
+shards (each with its own transport, workers, program cache, breaker set
 and DLQ) behind the same ``submit()`` / ``drain()`` surface the single
 engine exposes, so every existing caller -- ``gendp-batch`` streams,
 chaos campaigns, the ``gendp-serve`` dispatcher -- can point at a
@@ -93,7 +93,7 @@ class ClusterConfig:
     shard_prefix: str = "shard"
     #: Virtual nodes per shard on the consistent-hash ring.
     replicas: int = 64
-    #: Engine template each shard instantiates (its own transport/pool).
+    #: Engine template each shard instantiates (its own transport/workers).
     engine: EngineConfig = field(default_factory=EngineConfig)
     #: Rolling health-window length (drain rounds).
     health_window: int = 16

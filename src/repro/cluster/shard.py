@@ -1,7 +1,7 @@
 """One engine shard: lifecycle, pending-job ledger, fault flags.
 
 An :class:`EngineShard` pairs one :class:`repro.engine.Engine` (its
-own transport, pool, program cache, DLQ) with the cluster-side state
+own transport, workers, program cache, DLQ) with the cluster-side state
 the router needs:
 
 - a **lifecycle state machine** -- ``active`` -> ``draining`` (graceful

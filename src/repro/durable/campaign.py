@@ -262,7 +262,6 @@ def _run(config: RecoveryChaosConfig, workdir: str) -> RecoveryCampaignReport:
                 workers=config.workers,
                 job_timeout_s=config.job_timeout_s,
                 max_retries=config.max_retries,
-                retry_backoff_s=0.0,
                 batch_capacity=config.batch_capacity,
                 validate_fraction=0.0,
                 dlq_capacity=config.dlq_capacity,

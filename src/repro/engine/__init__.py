@@ -14,7 +14,9 @@ Module map (one concern each):
 - :mod:`repro.engine.cache`    -- LRU compiled-program cache
 - :mod:`repro.engine.batcher`  -- kernel/size-bin batch packing
 - :mod:`repro.engine.runners`  -- per-kernel functional execution
-- :mod:`repro.engine.executor` -- process-pool / inline batch backends
+- :mod:`repro.engine.executor` -- inline backend, executor factory and
+  the failure contract it shares with the shm workers
+  (:mod:`repro.serve.transport`)
 - :mod:`repro.engine.breaker`  -- per-kernel circuit breaker
 - :mod:`repro.engine.dlq`     -- dead-letter queue for failed jobs
 - :mod:`repro.engine.metrics`  -- counters and latency histograms

@@ -1,9 +1,9 @@
-"""Per-kernel circuit breaker for the pool execution path.
+"""Per-kernel circuit breaker for the worker execution path.
 
-A kernel whose batches keep dying in the pool (crashing workers, hangs
-past timeout) makes every drain pay the full retry-and-recreate cost
+A kernel whose batches keep killing workers (crashes, hangs past
+timeout) makes every drain pay the full retry-and-respawn cost
 before landing on the inline floor anyway.  The breaker shortcuts
-that: after ``failure_threshold`` consecutive pool failures it *opens*
+that: after ``failure_threshold`` consecutive worker failures it *opens*
 and the engine routes that kernel's batches straight to inline
 execution for ``cooldown_batches`` batches, then lets one probe batch
 through (*half-open*); a probe success closes the breaker, a probe
@@ -44,7 +44,7 @@ class CircuitBreaker:
         self._cooldown_remaining = 0
 
     def allow(self) -> bool:
-        """May the next batch use the pool?  Open-state calls count
+        """May the next batch use the workers?  Open-state calls count
         down the cooldown; the call that exhausts it becomes the
         half-open probe and is allowed through."""
         if self.state == STATE_OPEN:
@@ -59,7 +59,7 @@ class CircuitBreaker:
         self.state = STATE_CLOSED
 
     def record_failure(self) -> bool:
-        """Note a pool failure; True when this call opened the breaker."""
+        """Note a worker failure; True when this call opened the breaker."""
         self._consecutive_failures += 1
         if (
             self.state == STATE_HALF_OPEN

@@ -89,7 +89,8 @@ class JobResult:
     cache_hit: bool = False
     #: Executor attempts (1 = first try; >1 means retries happened).
     attempts: int = 1
-    #: "pool" or "inline" -- which backend finally ran the batch.
+    #: "shm" (worker processes), "inline" or "reference" -- which
+    #: backend finally ran the batch.
     backend: str = "inline"
     #: Per-stage seconds: queue_wait, compile, execute.
     timings: Dict[str, float] = field(default_factory=dict)

@@ -34,7 +34,7 @@ OCCUPANCY_BOUNDS: Tuple[float, ...] = (0.25, 0.5, 0.75, 1.0)
 #: Exported as one block by :meth:`MetricsRegistry.reliability` so the
 #: CLI report and chaos campaigns read a stable schema.
 RELIABILITY_COUNTERS: Tuple[str, ...] = (
-    "batch_retries",  # pool resubmissions after worker death/timeout
+    "batch_retries",  # worker resubmissions after worker death/timeout
     "degraded_batches",  # batches that fell to the inline floor
     "breaker_opened",  # circuit-breaker open transitions
     "breaker_short_circuits",  # batches routed inline by an open breaker

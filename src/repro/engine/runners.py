@@ -12,8 +12,8 @@ There is one cell-execution path.  :func:`run_job` streams cells
 through the program's specialized function
 (:mod:`repro.engine.specialize`: the DPMap-emitted VLIW bundles
 compiled once into straight-line Python, memoized per process), on
-every backend -- inline, pool workers, shm workers and the shm
-degraded floor.  The interpreter (:func:`_cell_executor`, the same
+every backend -- inline, shm workers and the shm degraded floor.  The
+interpreter (:func:`_cell_executor`, the same
 :func:`repro.dpmap.codegen.execute_way` semantics the PE simulator
 uses) is the oracle that path is differentially tested against; it
 runs a job only when the payload arms sentinels (it alone carries the
@@ -22,12 +22,12 @@ passes it explicitly.  Both implement one calling convention: inputs
 positional in ``input_regs`` order, outputs a tuple in ``output_regs``
 order.
 
-Runners are module-level functions on plain payload dicts so batches
-pickle cleanly into worker processes.
+Runners are module-level functions on plain payload dicts, so a job
+the SoA slot layout cannot carry still pickles into a worker.
 
 Fault-injection hooks (used by the executor tests and
 :mod:`repro.faults` chaos drills): payload keys ``_inject_delay_s``
-and ``_inject_exit`` apply **only inside pool worker processes**, so
+and ``_inject_exit`` apply **only inside worker processes**, so
 the inline fallback path stays healthy by construction.
 ``_inject_fail`` raises on every backend, and ``_inject_corrupt``
 bit-flips the result on every backend -- modelling the accelerator
@@ -411,7 +411,7 @@ _RUNNERS: Dict[str, Callable[..., Dict[str, Any]]] = {
 }
 
 
-def _in_pool_worker() -> bool:
+def _in_worker() -> bool:
     return multiprocessing.parent_process() is not None
 
 
@@ -466,7 +466,7 @@ def run_job(
     """
     if kernel not in _RUNNERS:
         raise JobValidationError(f"unknown kernel {kernel!r}")
-    if _in_pool_worker():
+    if _in_worker():
         delay = payload.get("_inject_delay_s")
         if delay:
             time.sleep(float(delay))
@@ -506,7 +506,7 @@ def run_job(
                 trace_id=trace.get("trace_id") if isinstance(trace, dict) else None,
                 job_id=trace.get("job_id") if isinstance(trace, dict) else None,
                 tenant=trace.get("tenant") if isinstance(trace, dict) else None,
-                in_pool=_in_pool_worker(),
+                in_pool=_in_worker(),
                 path=getattr(cell, "path", "specialized"),
             )
         ]

@@ -8,9 +8,9 @@ Lifecycle of a job (see ``docs/engine.md`` and ``docs/reliability.md``):
    kernels to the reference (software-baseline) path, packs the rest
    into tile-shaped batches (:mod:`repro.engine.batcher`), resolves
    each batch's compiled program through the LRU cache (one DPMap run
-   per distinct objective function), executes batches through the pool
+   per distinct objective function), executes batches on the worker
    or inline backend -- consulting a per-kernel circuit breaker before
-   paying the pool's retry cost -- and folds everything into
+   paying the workers' retry cost -- and folds everything into
    :class:`JobResult` envelopes plus metrics, re-checking a sampled
    fraction of results against the reference kernels on the way out.
 
@@ -79,20 +79,18 @@ class EngineConfig:
     max_queue: int = 256
     #: LRU capacity of the compiled-program cache.
     cache_capacity: int = 32
-    #: Worker processes; 0 = in-process execution only.
+    #: Warm shm worker processes; 0 = in-process execution only.
     workers: int = 0
-    #: Per-job execution timeout (scaled by batch size for pool waits).
+    #: Per-job execution timeout: a worker that holds one job longer
+    #: is killed and the job retried.
     job_timeout_s: float = 30.0
-    #: Batch retries after worker failure before inline fallback.
+    #: Retries of a job whose worker died before inline fallback.
     max_retries: int = 1
-    #: Base delay for exponential retry backoff (0 = retry immediately);
-    #: jitter is deterministic from ``reliability_seed``.
-    retry_backoff_s: float = 0.0
     #: Jobs per batch (one tile launch; 16 = the DPAx integer arrays).
     batch_capacity: int = INTEGER_ARRAYS
     #: Reduction-tree depth compiled for (2 = the hardware).
     levels: int = 2
-    #: Consecutive pool failures before a kernel's circuit breaker
+    #: Consecutive degraded batches before a kernel's circuit breaker
     #: opens and its batches short-circuit to the inline floor
     #: (0 disables the breaker).
     breaker_threshold: int = 3
@@ -105,7 +103,7 @@ class EngineConfig:
     validate_fraction: float = 0.0
     #: Dead-letter queue capacity (0 disables dead-lettering).
     dlq_capacity: int = 64
-    #: Seeds validation sampling and retry jitter (reproducible runs).
+    #: Seeds validation sampling (reproducible runs).
     reliability_seed: int = 0
     #: Optional :class:`repro.faults.FaultPlan`; when set, its
     #: ``maybe_fail_compile`` hook runs inside the compile seam.
@@ -135,10 +133,9 @@ class EngineConfig:
     #: metrics counters.
     optimize_programs: bool = False
     #: Transport seam (:class:`repro.serve.transport.TransportConfig`):
-    #: selects how batches cross the process boundary -- inline, the
-    #: pickling pool, or shared-memory rings with warm workers.  When
-    #: None the classic ``workers`` knob rules, so existing configs are
-    #: untouched.
+    #: selects how batches cross the process boundary -- inline, or
+    #: shared-memory rings with warm workers -- and sizes the rings.
+    #: When None the ``workers`` knob rules, on default ring geometry.
     transport: Optional[object] = None
     #: Durability seam (:class:`repro.durable.journal.DurabilityConfig`):
     #: when set, the engine write-ahead journals job acceptance,
@@ -156,8 +153,10 @@ class EngineConfig:
             raise ValueError("max_queue must be positive")
         if self.workers < 0:
             raise ValueError("workers must be non-negative")
-        if self.retry_backoff_s < 0:
-            raise ValueError("retry_backoff_s must be non-negative")
+        if self.job_timeout_s <= 0:
+            raise ValueError("job_timeout_s must be positive")
+        if self.max_retries < 0:
+            raise ValueError("max_retries must be non-negative")
         if self.breaker_threshold < 0:
             raise ValueError("breaker_threshold must be non-negative")
         if self.breaker_cooldown <= 0:
@@ -213,8 +212,6 @@ class Engine:
             self.config.workers,
             job_timeout_s=self.config.job_timeout_s,
             max_retries=self.config.max_retries,
-            retry_backoff_s=self.config.retry_backoff_s,
-            jitter_seed=self.config.reliability_seed,
             transport=self.config.transport,
         )
         self.metrics = MetricsRegistry()
@@ -570,34 +567,34 @@ class Engine:
                         self.metrics.incr("static_sentinel_elisions")
             executable.append((batch, compiled, meta))
 
-        # Circuit breaker: kernels whose pool batches keep dying are
-        # short-circuited straight to the inline floor.
+        # Circuit breaker: kernels whose batches keep killing workers
+        # are short-circuited straight to the inline floor.
         use_breaker = (
-            getattr(self.executor, "backend", "inline") in ("pool", "shm")
+            getattr(self.executor, "backend", "inline") == "shm"
             and self.config.breaker_threshold > 0
         )
-        pool_entries, floor_entries = [], []
+        worker_entries, floor_entries = [], []
         for entry in executable:
             if use_breaker and not self._breaker_for(entry[0].kernel).allow():
                 self.metrics.incr("breaker_short_circuits")
                 floor_entries.append(entry)
             else:
-                pool_entries.append(entry)
+                worker_entries.append(entry)
 
         dispatch_time = time.monotonic()
         paired: List[Tuple[Tuple[Batch, CompiledProgram, Dict], BatchOutcome]] = []
-        if pool_entries:
+        if worker_entries:
             outcomes = self.executor.run_batches(
-                [(batch, compiled) for batch, compiled, _ in pool_entries]
+                [(batch, compiled) for batch, compiled, _ in worker_entries]
             )
-            paired.extend(zip(pool_entries, outcomes))
+            paired.extend(zip(worker_entries, outcomes))
         if floor_entries:
             outcomes = self._floor.run_batches(
                 [(batch, compiled) for batch, compiled, _ in floor_entries]
             )
             paired.extend(zip(floor_entries, outcomes))
 
-        breaker_fed = {id(entry) for entry in pool_entries}
+        breaker_fed = {id(entry) for entry in worker_entries}
         for entry, outcome in paired:
             batch, _, meta = entry
             if use_breaker and id(entry) in breaker_fed:
@@ -711,7 +708,7 @@ class Engine:
         dispatch_time: float,
         results: Dict[int, JobResult],
     ) -> None:
-        if outcome.backend in ("pool", "shm"):
+        if outcome.backend == "shm":
             self.metrics.incr("parallel_batches")
         else:
             self.metrics.incr("inline_batches")

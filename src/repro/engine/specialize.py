@@ -6,9 +6,9 @@ translated once into one straight-line Python function (register-file
 slots become local variables, each CU way becomes one expression from
 the opcode templates of :mod:`repro.dfg.expressions`, which mirror
 :func:`repro.dfg.graph._apply` exactly), compiled with
-``compile``/``exec``, and every executor -- inline, pool workers, shm
-workers, the shm degraded floor, the guard fuzzer -- streams cells
-through that function.  Per cell this removes the bundle/way/slot
+``compile``/``exec``, and every executor -- inline, shm workers, the
+shm degraded floor, the guard fuzzer -- streams cells through that
+function.  Per cell this removes the bundle/way/slot
 interpretation loop, the operand list building and the chained opcode
 dispatch of :func:`repro.dpmap.codegen.execute_way` at identical
 integer semantics.
@@ -26,8 +26,8 @@ payload arms sentinels or when specialization fails.
 :data:`CELLS` is the one per-process memo of specialized functions.
 It is keyed by content (``(kernel, program_hash)``), not hung off each
 :class:`~repro.engine.cache.CompiledProgram`: a fresh engine that
-recompiles a program, or a pool worker that unpickles it again for
-every batch, must not pay ``compile()`` again.
+recompiles a program, or a respawned worker that unpickles it again,
+must not pay ``compile()`` again.
 """
 
 from __future__ import annotations

@@ -1,6 +1,6 @@
 """repro.faults -- deterministic fault injection and chaos campaigns.
 
-The serving engine (:mod:`repro.engine`) has failure seams -- pool
+The serving engine (:mod:`repro.engine`) has failure seams -- worker
 retry, inline degradation, deadlines, the compile path -- but seams
 that are never exercised rot.  This package drives them on purpose:
 

@@ -50,7 +50,6 @@ class ChaosConfig:
     batch_capacity: int = 8
     job_timeout_s: float = 0.15
     max_retries: int = 1
-    retry_backoff_s: float = 0.0
     validate_fraction: float = 1.0
     #: Dead-letter replay rounds after the main stream.
     replay_rounds: int = 2
@@ -76,8 +75,8 @@ class ChaosConfig:
 
     def plan(self) -> FaultPlan:
         """The fault plan this config implies."""
-        # A hung worker must out-sleep the executor's whole batch
-        # timeout window or the "hang" degenerates to a slow success.
+        # A hung job must out-sleep the executor's timeout (with slack
+        # to spare) or the "hang" degenerates to a slow success.
         window = self.job_timeout_s * self.batch_capacity
         return FaultPlan(
             seed=self.seed,
@@ -278,7 +277,6 @@ def run_campaign(
         workers=config.workers,
         job_timeout_s=config.job_timeout_s,
         max_retries=config.max_retries,
-        retry_backoff_s=config.retry_backoff_s,
         batch_capacity=config.batch_capacity,
         validate_fraction=config.validate_fraction,
         dlq_capacity=config.jobs * max(1, config.burst_factor),

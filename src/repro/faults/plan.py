@@ -12,8 +12,8 @@ Fault classes map onto the engine's existing seams:
 =============  ====================  =================================
 kind           payload marker        what it exercises
 =============  ====================  =================================
-``crash``      ``_inject_exit``      worker death -> pool retry,
-                                     recreation, inline degradation
+``crash``      ``_inject_exit``      worker death -> retry, respawn,
+                                     inline degradation
 ``hang``       ``_inject_delay_s``   timeout -> same retry path
 ``corrupt``    ``_inject_corrupt``   silent result bit-flip -> the
                                      sampling validation guard
@@ -23,7 +23,7 @@ kind           payload marker        what it exercises
                                      inside the program-cache seam
 =============  ====================  =================================
 
-``crash`` and ``hang`` markers act only inside pool worker processes
+``crash`` and ``hang`` markers act only inside worker processes
 (see :mod:`repro.engine.runners`), so the inline floor stays healthy by
 construction; ``corrupt`` acts on every backend, modelling the
 accelerator soft error that degradation cannot dodge and only
@@ -92,8 +92,8 @@ class FaultPlan:
     fail_rate: float = 0.0
     #: Probability that one *compile attempt* raises.
     compile_fail_rate: float = 0.0
-    #: How long a hung job sleeps; must exceed the executor's batch
-    #: timeout window for the hang to register as a timeout.
+    #: How long a hung job sleeps; must exceed the executor's job
+    #: timeout for the hang to register as a timeout.
     hang_delay_s: float = 2.0
     #: Queue-pressure bursts: every Nth chunk of a campaign multiplies
     #: its submissions by ``burst_factor`` (0 = no bursts).

@@ -1,28 +1,33 @@
-"""The transport seam: selectable inline/pickle/shared-memory backends.
+"""The transport seam: in-process, or shared-memory rings to warm workers.
 
 :class:`TransportConfig` is the engine-facing knob.  ``backend``
 picks how batches cross the process boundary:
 
 - ``"inline"`` -- no boundary, the serial floor;
-- ``"pickle"`` -- the original ``concurrent.futures`` pool, every
-  batch pickled both ways (kept as the comparison baseline);
 - ``"shm"`` -- :class:`ShmExecutor` below: persistent warm workers
   attached to shared-memory job/result rings, zero pickling on the
   hot path, compiled programs broadcast once through the program
-  table.
+  table.  (A payload or result the SoA slot layout cannot carry --
+  POA graphs, trace spans, sentinel counts -- rides its slot pickled,
+  ``FMT_PICKLE``, so every job the inline executor runs crosses.)
 
-All three produce byte-identical results (pinned by
+Both produce byte-identical results (pinned by
 ``tests/serve/test_backends.py``); they differ only in throughput and
-in how much they serialize, which :attr:`BatchOutcome.transport_bytes`
+in how much they move, which :attr:`BatchOutcome.transport_bytes`
 quantifies per batch.
 
-Failure semantics mirror :class:`repro.engine.executor.PoolExecutor`:
-a worker death revokes its RUNNING slots, requeues them with a bumped
-generation while retry budget remains (charging one attempt, exactly
-the resubmission contract the repro.faults chaos drills assert), and
-degrades the leftovers to inline execution -- the always-correct
-floor.  A transport that cannot even set up its segments or workers
-degrades whole-hog to inline rather than failing the drain.
+Failure semantics are the one contract of
+:mod:`repro.engine.executor`.  A job's ``job_timeout_s`` window opens
+when a worker claims its slot (the parent sees the slot RUNNING on a
+collect tick); a worker that holds a job past its window is killed.
+A dead worker -- crashed or killed -- has the slot it held revoked
+with a bumped generation and requeued while retry budget remains
+(charging that job one attempt, the resubmission contract the
+repro.faults chaos drills assert), then is respawned; a job out of
+budget runs inline, the always-correct floor.  Jobs still READY in
+the ring were nobody's failure and are never charged.  A transport
+that cannot even set up its segments or workers degrades whole-hog to
+inline rather than failing the drain.
 """
 
 from __future__ import annotations
@@ -35,7 +40,7 @@ import multiprocessing as mp
 
 from repro.engine.batcher import Batch
 from repro.engine.cache import CompiledProgram
-from repro.engine.executor import BatchOutcome, InlineExecutor
+from repro.engine.executor import BatchOutcome, InlineExecutor, isolated_job
 from repro.obs.logs import get_logger
 from repro.serve.layout import (
     DONE,
@@ -72,7 +77,7 @@ from repro.serve.ring import RingCapacityError, RingGeometry, ServeSegments
 _LOG = get_logger("repro.serve.transport")
 
 #: Transport backends the engine seam accepts.
-BACKENDS = ("inline", "pickle", "shm")
+BACKENDS = ("inline", "shm")
 
 
 @dataclass(frozen=True)
@@ -80,7 +85,7 @@ class TransportConfig:
     """How engine batches reach their execution processes."""
 
     backend: str = "shm"
-    #: Worker processes for the pickle/shm backends (>= 1).
+    #: Worker processes for the shm backend (>= 1).
     workers: int = 2
     #: Job/result ring capacity in slots (shared by both rings).
     ring_slots: int = 32
@@ -156,6 +161,10 @@ class _PendingJob:
     slot: int = -1
     generation: int = -1
     job_id: int = -1
+    #: ``perf_counter()`` of the collect tick that first saw a worker
+    #: holding this job; its timeout window runs from here, so time
+    #: spent READY behind a busy or hung worker costs it nothing.
+    claimed_at: Optional[float] = None
 
 
 @dataclass
@@ -166,7 +175,6 @@ class _BatchState:
     compiled: CompiledProgram
     results: List[Optional[Dict[str, Any]]]
     remaining: int
-    deadline: float
     started: float
     finished: float = 0.0
     transport_bytes: int = 0
@@ -185,6 +193,10 @@ class ShmExecutor:
         job_timeout_s: float = 30.0,
         max_retries: int = 1,
     ):
+        if job_timeout_s <= 0:
+            raise ValueError("job timeout must be positive")
+        if max_retries < 0:
+            raise ValueError("max_retries must be non-negative")
         self.config = config
         self.job_timeout_s = job_timeout_s
         self.max_retries = max_retries
@@ -285,7 +297,6 @@ class ShmExecutor:
                     compiled=compiled,
                     results=[None] * len(batch.jobs),
                     remaining=len(batch.jobs),
-                    deadline=now + self.job_timeout_s * max(1, len(batch.jobs)),
                     started=now,
                 )
             )
@@ -311,8 +322,8 @@ class ShmExecutor:
             self._publish(queue, outstanding, states)
             self._result_sem.acquire(timeout=self.config.poll_interval_s)
             self._collect(outstanding, states)
+            self._kill_overdue_workers(outstanding)
             self._reap_dead_workers(queue, outstanding, states)
-            self._expire(queue, outstanding, states)
 
         return [self._outcome(state) for state in states]
 
@@ -354,6 +365,7 @@ class ShmExecutor:
             self._job_counter += 1
             record.job_id = self._job_counter
             record.slot = slot
+            record.claimed_at = None
             record.generation = int(jobs.header[slot, J_GEN])
             words[J_GEN] = record.generation
             words[J_JOB_ID] = record.job_id
@@ -406,12 +418,54 @@ class ShmExecutor:
             # rehomed already.  Either way the result slot frees up.
             header[R_STATE] = FREE
 
+    def _kill_overdue_workers(self, outstanding: Dict[int, _PendingJob]) -> None:
+        """Kill each worker that has held one job past ``job_timeout_s``.
+
+        Only stamps claim times when nothing is overdue: one header
+        read per still-unclaimed job, no locks, no syscalls.  The dead
+        worker's slot is revoked by :meth:`_reap_dead_workers`, the
+        same path a crash takes.
+        """
+        now = time.perf_counter()
+        header = self._segments.jobs.header
+        overdue = []
+        for record in outstanding.values():
+            if record.claimed_at is None:
+                if int(header[record.slot, J_STATE]) == RUNNING:
+                    record.claimed_at = now
+            elif now - record.claimed_at > self.job_timeout_s:
+                overdue.append(record)
+        for record in overdue:
+            row = header[record.slot]
+            # Under the claim lock the worker cannot be stamping DONE,
+            # and joining before release means it cannot die holding
+            # the lock either.
+            with self._job_lock:
+                if (
+                    int(row[J_GEN]) != record.generation
+                    or int(row[J_STATE]) != RUNNING
+                ):
+                    continue  # finished at the last moment: let it report
+                worker_id = int(row[J_WORKER])
+                process = self._workers[worker_id]
+                process.kill()
+                process.join()
+            _LOG.warning(
+                "job timed out on shm transport; killed its worker",
+                extra={
+                    "worker": worker_id,
+                    "kernel": record.kernel,
+                    "attempts": record.attempts,
+                },
+            )
+
     def _reap_dead_workers(
         self,
         queue: List[_PendingJob],
         outstanding: Dict[int, _PendingJob],
         states: List[_BatchState],
     ) -> None:
+        """Revoke what each dead worker was holding, then respawn it."""
         for worker_id, process in enumerate(self._workers):
             if process is None or process.is_alive():
                 continue
@@ -420,16 +474,16 @@ class ShmExecutor:
                 "serve worker died; requeueing its slots",
                 extra={"worker": worker_id, "exitcode": process.exitcode},
             )
+            # Results it published before dying are good: take them
+            # first, so only the job it never reported is charged.
+            self._collect(outstanding, states)
+            header = self._segments.jobs.header
             victims = [
                 record
                 for record in outstanding.values()
-                if record.slot >= 0
-                and int(self._segments.jobs.header[record.slot, J_WORKER])
-                == worker_id
-                and int(self._segments.jobs.header[record.slot, J_STATE])
-                in (RUNNING, DONE)
-                and int(self._segments.jobs.header[record.slot, J_GEN])
-                == record.generation
+                if int(header[record.slot, J_WORKER]) == worker_id
+                and int(header[record.slot, J_STATE]) in (RUNNING, DONE)
+                and int(header[record.slot, J_GEN]) == record.generation
             ]
             for record in victims:
                 self._revoke(record, outstanding, queue, states)
@@ -439,44 +493,6 @@ class ShmExecutor:
             for _ in self._segments.jobs.find_state(READY):
                 self._job_sem.release()
 
-    def _expire(
-        self,
-        queue: List[_PendingJob],
-        outstanding: Dict[int, _PendingJob],
-        states: List[_BatchState],
-    ) -> None:
-        """Revoke every outstanding job of batches past their deadline."""
-        now = time.perf_counter()
-        expired = [
-            index
-            for index, state in enumerate(states)
-            if state.remaining and now > state.deadline
-        ]
-        if not expired:
-            return
-        for batch_index in expired:
-            state = states[batch_index]
-            victims = [
-                record
-                for record in outstanding.values()
-                if record.batch_index == batch_index
-            ]
-            _LOG.warning(
-                "batch timed out on shm transport",
-                extra={
-                    "batch_id": state.batch.batch_id,
-                    "kernel": state.batch.kernel,
-                    "jobs": len(victims),
-                },
-            )
-            for record in victims:
-                self._revoke(record, outstanding, queue, states)
-            # A retried batch gets a fresh attempt window, like the
-            # pool's per-attempt future timeout.
-            state.deadline = now + self.job_timeout_s * max(
-                1, len(state.batch.jobs)
-            )
-
     def _revoke(
         self,
         record: _PendingJob,
@@ -484,18 +500,16 @@ class ShmExecutor:
         queue: List[_PendingJob],
         states: List[_BatchState],
     ) -> None:
-        """Take a job off the ring; requeue it or degrade it to inline.
+        """Take a dead worker's job off the ring; requeue it or degrade
+        it to inline.
 
-        The generation bump under the claim lock is what guarantees a
-        slow or half-dead worker can neither mark the slot DONE nor get
-        a stale result accepted afterwards.
+        The generation bump makes any result the worker half-published
+        for this slot stale, so it can never be accepted afterwards.
         """
         state = states[record.batch_index]
-        with self._job_lock:
-            header = self._segments.jobs.header[record.slot]
-            if int(header[J_GEN]) == record.generation:
-                header[J_GEN] = record.generation + 1
-                header[J_STATE] = FREE
+        header = self._segments.jobs.header[record.slot]
+        header[J_GEN] = record.generation + 1
+        header[J_STATE] = FREE
         outstanding.pop(record.job_id, None)
         record.slot = -1
         record.generation = -1
@@ -511,12 +525,11 @@ class ShmExecutor:
 
         record.attempts += 1
         state.max_attempts = max(state.max_attempts, record.attempts)
-        try:
-            value = run_job(record.kernel, state.compiled, record.payload)
-            result: Dict[str, Any] = {"ok": True, "value": value}
-        except Exception as error:
-            result = {"ok": False, "error": f"{type(error).__name__}: {error}"}
-        self._finish(record, state, result)
+        self._finish(
+            record,
+            state,
+            isolated_job(run_job, record.kernel, state.compiled, record.payload),
+        )
 
     def _finish(
         self,

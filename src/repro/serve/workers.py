@@ -13,7 +13,7 @@ Warm means two things here:
   through the :class:`repro.serve.ring.ProgramTable` is unpickled
   **once** and reused for every subsequent job that names its program
   id.  Cell functions are not this module's business: a worker runs
-  :func:`repro.engine.runners.run_job` like every other executor, and
+  :func:`repro.engine.runners.run_job` like the inline executor, and
   that resolves the program's specialized cell through the engine's
   per-process memo (:mod:`repro.engine.specialize`);
 - the parent pre-seeds that table with the engine's warm kernels
@@ -21,11 +21,12 @@ Warm means two things here:
   program's cell as it absorbs it, so the first request pays no
   compile, no unpickle and no specialization.
 
-Fault-injection markers decoded from the job header behave exactly as
-on the pool backend (:mod:`repro.engine.runners` applies delay/exit
-only inside worker processes, which a forked serve worker is).  A
-worker that dies mid-job leaves its slot RUNNING with its worker id
-stamped -- the parent notices the dead process, requeues the slot with
+Fault-injection markers decoded from the job header act here and not
+in the parent (:mod:`repro.engine.runners` applies delay/exit only
+inside worker processes, which a forked serve worker is).  A worker
+that dies mid-job -- crashed, or killed by the parent for holding the
+job past its timeout -- leaves its slot RUNNING with its worker id
+stamped; the parent notices the dead process, requeues the slot with
 a bumped generation, and respawns the worker.
 """
 
@@ -33,8 +34,9 @@ from __future__ import annotations
 
 import os
 import time
-from typing import Any, Dict, Optional, Tuple
+from typing import Any, Dict, Optional
 
+from repro.engine.executor import isolated_job
 from repro.serve.layout import (
     DONE,
     J_GEN,
@@ -110,24 +112,19 @@ def _claim_result_slot(segments: ServeSegments, lock) -> Optional[int]:
     return None
 
 
-def _execute(
+def _run_slot(
     segments: ServeSegments, index: int, cache: _ProgramCache
-) -> Tuple[bool, Optional[Dict[str, Any]], Optional[str]]:
-    """Run the job in slot *index*; never raises."""
-    header = segments.jobs.header[index]
-    kernel = KERNEL_NAMES.get(int(header[J_KERNEL]))
-    try:
-        payload = decode_payload(header, segments.jobs.data[index])
-        compiled = cache.get(int(header[J_PROGRAM]))
-        if compiled is None:
-            return False, None, f"program {int(header[J_PROGRAM])} not broadcast"
-        if kernel is None:
-            kernel = compiled.kernel
-        from repro.engine.runners import run_job
+) -> Dict[str, Any]:
+    """Decode and run the job in slot *index* (may raise)."""
+    from repro.engine.runners import run_job
 
-        return True, run_job(kernel, compiled, payload), None
-    except Exception as error:  # job-level isolation, like the pool
-        return False, None, f"{type(error).__name__}: {error}"
+    header = segments.jobs.header[index]
+    payload = decode_payload(header, segments.jobs.data[index])
+    compiled = cache.get(int(header[J_PROGRAM]))
+    if compiled is None:
+        raise LookupError(f"program {int(header[J_PROGRAM])} not broadcast")
+    kernel = KERNEL_NAMES.get(int(header[J_KERNEL]), compiled.kernel)
+    return run_job(kernel, compiled, payload)
 
 
 def worker_main(
@@ -157,20 +154,13 @@ def worker_main(
             job_id = int(job_header[J_JOB_ID])
             generation = int(job_header[J_GEN])
             kernel_id = int(job_header[J_KERNEL])
-            ok, value, error = _execute(segments, index, cache)
+            result = isolated_job(_run_slot, segments, index, cache)
 
-            # Stamp DONE under the lock *iff* the parent has not revoked
-            # the slot meanwhile (timeout requeue bumps the generation);
-            # a revoked job's result must never enter the ring.
+            # Stamp DONE under the lock: the parent kills a worker for
+            # a timed-out job only while holding it and seeing RUNNING,
+            # so a worker past this point always gets to report.
             with job_lock:
-                revoked = (
-                    int(job_header[J_GEN]) != generation
-                    or int(job_header[J_STATE]) != RUNNING
-                )
-                if not revoked:
-                    job_header[J_STATE] = DONE
-            if revoked:
-                continue
+                job_header[J_STATE] = DONE
 
             result_index = None
             while result_index is None and not shutdown.is_set():
@@ -183,7 +173,11 @@ def worker_main(
             result_header = segments.results.header[result_index]
             try:
                 words = encode_result(
-                    kernel, ok, value, error, segments.results.data[result_index]
+                    kernel,
+                    result["ok"],
+                    result.get("value"),
+                    result.get("error"),
+                    segments.results.data[result_index],
                 )
             except Exception as encode_error:  # oversized result, etc.
                 words = encode_result(

@@ -70,9 +70,11 @@ def test_mixed_stream_parallel_end_to_end():
     assert snapshot["cache"]["compiles"] == len(KERNELS)
     assert snapshot["derived"]["cache_hit_rate"] >= 0.9
 
-    # The stream actually exercised the parallel backend.
+    # The stream actually exercised the parallel backend: workers=2
+    # is two shm workers, and every result crossed the result ring.
     assert snapshot["counters"]["parallel_batches"] > 0
     assert snapshot["counters"].get("degraded_batches", 0) == 0
+    assert {result.backend for result in results} == {"shm"}
 
     # Every result matches the reference software kernel.
     by_id = {job.job_id: job for job in jobs}

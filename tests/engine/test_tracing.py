@@ -143,6 +143,10 @@ class TestWorkerPropagation:
         runs = [span for span in tracer.spans() if span.name == "job:run"]
         assert len(runs) == 4
         assert all(span.args["trace_id"] == tracer.trace_id for span in runs)
+        # They ran in shm workers: the spans crossed the result ring
+        # in pickle-format slots.
+        assert all(span.args["in_pool"] is True for span in runs)
+        assert {result.backend for result in results} == {"shm"}
         # Result envelopes come back clean: the shipped spans are popped.
         for result in results:
             assert "_trace_spans" not in result.value

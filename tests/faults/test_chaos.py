@@ -80,7 +80,7 @@ class TestReport:
 
 class TestCampaign:
     def test_inline_campaign_survives(self):
-        # workers=0: crash/hang markers are inert (pool-only), so this
+        # workers=0: crash/hang markers are inert (worker-only), so this
         # exercises corruption catching + compile faults + dead letters
         # on the always-available floor.
         config = ChaosConfig(jobs=24, seed=9, workers=0)
@@ -115,6 +115,24 @@ class TestCampaign:
         # Dead letters were parked and replayed, none left behind.
         assert first.dead_letters > 0
         assert first.dead_letter_backlog == 0
+
+    def test_hang_only_campaign_charges_only_the_hung_jobs(self):
+        # Nothing but hangs, one worker: every batch queued behind a
+        # hung job waits out its timeout window in the ring.  Only the
+        # three batches that hold one of the three hung jobs may degrade (1 try + 1
+        # retry + inline each) -- the same figures whichever batches
+        # happened to be waiting, so the report is run-to-run identical.
+        config = ChaosConfig(
+            jobs=96, seed=4, hang_rate=0.04, crash_rate=0.0, corrupt_rate=0.0,
+            fail_rate=0.0, compile_fail_rate=0.0, validate_fraction=0.0,
+        )
+        first = run_campaign(config)
+        second = run_campaign(config)
+        assert first.to_dict() == second.to_dict()
+        assert first.survived
+        assert first.injected == {"hang": 3}
+        assert first.degraded_batches == 3
+        assert first.batch_retries == 6
 
     def test_burst_campaign_sheds_by_backpressure(self):
         config = ChaosConfig(jobs=96, seed=9, burst_every=2)
