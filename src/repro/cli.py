@@ -74,7 +74,7 @@ import argparse
 import random
 import signal
 import sys
-from typing import List, Optional
+from typing import List, Optional, Tuple
 
 from repro.dfg.kernels import KERNEL_DFGS
 
@@ -109,6 +109,33 @@ def _pipe_safe(main):
             os._exit(0)
 
     return wrapped
+
+
+def _kernel_list(text: str) -> Tuple[str, ...]:
+    """``--kernels a,b,c`` -> ``("a", "b", "c")`` (argparse ``type=``)."""
+    return tuple(k.strip() for k in text.split(",") if k.strip())
+
+
+def _reject_unknown_kernels(parser, kernels, known) -> None:
+    unknown = [k for k in kernels or () if k not in known]
+    if unknown:
+        parser.error(f"unknown kernels {unknown}; choose from {list(known)}")
+
+
+def _emit_report(report, args, label: str, ok: bool) -> int:
+    """The shared tail of the campaign front-ends: write ``--report-out``
+    (where the command has it), print canonical JSON or the rendered
+    summary, and turn the verdict into the exit code."""
+    report_out = getattr(args, "report_out", None)
+    if report_out:
+        with open(report_out, "w", encoding="utf-8") as handle:
+            handle.write(report.to_json())
+        print(f"wrote {label} report to {report_out}")
+    if args.json:
+        sys.stdout.write(report.to_json())
+    else:
+        print(report.render())
+    return 0 if ok else 1
 
 
 # ----------------------------------------------------------------------
@@ -448,6 +475,7 @@ def batch_main(argv: Optional[List[str]] = None) -> int:
     )
     parser.add_argument(
         "--kernels",
+        type=_kernel_list,
         default="bsw,chain,pairhmm",
         help="comma-separated engine kernels for the synthetic stream",
     )
@@ -533,10 +561,9 @@ def batch_main(argv: Optional[List[str]] = None) -> int:
     if args.spec:
         jobs = _load_spec_jobs(args.spec)
     else:
-        kernels = [k.strip() for k in args.kernels.split(",") if k.strip()]
-        if not kernels:
+        if not args.kernels:
             raise SystemExit("--kernels must name at least one kernel")
-        jobs = _synthesize_jobs(kernels, args.jobs, args.seed)
+        jobs = _synthesize_jobs(args.kernels, args.jobs, args.seed)
     by_id = {job.job_id: job for job in jobs}
 
     durability = None
@@ -702,6 +729,7 @@ def chaos_main(argv: Optional[List[str]] = None) -> int:
     parser.add_argument("--seed", type=int, default=0)
     parser.add_argument(
         "--kernels",
+        type=_kernel_list,
         default="bsw,lcs,dtw,chain",
         help="comma-separated engine kernels for the stream",
     )
@@ -742,12 +770,11 @@ def chaos_main(argv: Optional[List[str]] = None) -> int:
 
     from repro.faults import ChaosConfig, run_campaign
 
-    kernels = tuple(k.strip() for k in args.kernels.split(",") if k.strip())
     try:
         config = ChaosConfig(
             jobs=args.jobs,
             seed=args.seed,
-            kernels=kernels,
+            kernels=args.kernels,
             workers=args.workers,
             chunk_jobs=args.chunk,
             job_timeout_s=args.timeout,
@@ -764,13 +791,7 @@ def chaos_main(argv: Optional[List[str]] = None) -> int:
         parser.error(str(error))
 
     report = run_campaign(config)
-    if args.json:
-        import json
-
-        print(json.dumps(report.to_dict(), indent=2))
-    else:
-        print(report.render())
-    return 0 if report.survived else 1
+    return _emit_report(report, args, "chaos", report.survived)
 
 
 # ----------------------------------------------------------------------
@@ -866,6 +887,7 @@ def recover_main(argv: Optional[List[str]] = None) -> int:
     chaos.add_argument("--seed", type=int, default=0)
     chaos.add_argument(
         "--kernels",
+        type=_kernel_list,
         default="bsw,lcs,dtw,chain",
         help="comma-separated engine kernels for the stream",
     )
@@ -904,12 +926,11 @@ def recover_main(argv: Optional[List[str]] = None) -> int:
     if args.command == "chaos":
         from repro.durable import RecoveryChaosConfig, run_recovery_campaign
 
-        kernels = tuple(k.strip() for k in args.kernels.split(",") if k.strip())
         try:
             config = RecoveryChaosConfig(
                 jobs=args.jobs,
                 seed=args.seed,
-                kernels=kernels,
+                kernels=args.kernels,
                 chunk_jobs=args.chunk,
                 crash_rate=args.crash_rate,
                 torn_rate=args.torn_rate,
@@ -923,18 +944,7 @@ def recover_main(argv: Optional[List[str]] = None) -> int:
         except ValueError as error:
             parser.error(str(error))
         report = run_recovery_campaign(config)
-        if args.report_out:
-            with open(args.report_out, "w", encoding="utf-8") as handle:
-                handle.write(
-                    _json.dumps(report.to_dict(), indent=2, sort_keys=True)
-                )
-                handle.write("\n")
-            print(f"wrote recovery report to {args.report_out}")
-        if args.json:
-            print(_json.dumps(report.to_dict(), indent=2, sort_keys=True))
-        else:
-            print(report.render())
-        return 0 if report.survived else 1
+        return _emit_report(report, args, "recovery", report.survived)
 
     if not _os.path.isdir(args.journal):
         parser.error(f"{args.journal!r} is not a journal directory")
@@ -1053,6 +1063,7 @@ def guard_main(argv: Optional[List[str]] = None) -> int:
     )
     parser.add_argument(
         "--kernels",
+        type=_kernel_list,
         default=None,
         help="comma-separated kernel subset (default: all six)",
     )
@@ -1089,15 +1100,8 @@ def guard_main(argv: Optional[List[str]] = None) -> int:
 
     from repro.guard import DIFF_KERNELS, GuardConfig, run_guard_campaign
 
-    if args.kernels:
-        kernels = tuple(k.strip() for k in args.kernels.split(",") if k.strip())
-        unknown = [k for k in kernels if k not in DIFF_KERNELS]
-        if unknown:
-            parser.error(
-                f"unknown kernels {unknown}; choose from {list(DIFF_KERNELS)}"
-            )
-    else:
-        kernels = DIFF_KERNELS
+    kernels = args.kernels or DIFF_KERNELS
+    _reject_unknown_kernels(parser, kernels, DIFF_KERNELS)
     if args.jobs_per_kernel <= 0:
         parser.error("--jobs-per-kernel must be positive")
 
@@ -1111,17 +1115,11 @@ def guard_main(argv: Optional[List[str]] = None) -> int:
     report = run_guard_campaign(
         config, checkpoint_path=args.checkpoint, max_cases=args.max_cases
     )
-    if args.json:
-        import json
-
-        print(json.dumps(report.to_dict(), indent=2, sort_keys=True))
-    else:
-        print(report.render())
-    if args.max_cases is not None and report.total_cases < (
+    # A partial run by request passes; the verdict comes from the finish.
+    partial = args.max_cases is not None and report.total_cases < (
         len(kernels) * args.jobs_per_kernel
-    ):
-        return 0  # partial run by request; verdict comes from the finish
-    return 0 if report.clean else 1
+    )
+    return _emit_report(report, args, "guard", partial or report.clean)
 
 
 # ----------------------------------------------------------------------
@@ -1140,6 +1138,7 @@ def lint_main(argv: Optional[List[str]] = None) -> int:
     )
     parser.add_argument(
         "--kernels",
+        type=_kernel_list,
         default=None,
         help="comma-separated kernel subset (default: all six)",
     )
@@ -1166,15 +1165,8 @@ def lint_main(argv: Optional[List[str]] = None) -> int:
     from repro.guard.diff import DIFF_KERNELS
     from repro.opt import run_lint
 
-    if args.kernels:
-        kernels = tuple(k.strip() for k in args.kernels.split(",") if k.strip())
-        unknown = [k for k in kernels if k not in DIFF_KERNELS]
-        if unknown:
-            parser.error(
-                f"unknown kernels {unknown}; choose from {list(DIFF_KERNELS)}"
-            )
-    else:
-        kernels = None
+    kernels = args.kernels or None
+    _reject_unknown_kernels(parser, kernels, DIFF_KERNELS)
 
     report = run_lint(kernels)
     if args.json or args.format == "json":
@@ -1204,6 +1196,7 @@ def analyze_main(argv: Optional[List[str]] = None) -> int:
     )
     parser.add_argument(
         "--kernels",
+        type=_kernel_list,
         default=None,
         help="comma-separated kernel subset (default: all six)",
     )
@@ -1230,15 +1223,8 @@ def analyze_main(argv: Optional[List[str]] = None) -> int:
     from repro.guard.diff import DIFF_KERNELS
     from repro.static import run_analysis
 
-    if args.kernels:
-        kernels = tuple(k.strip() for k in args.kernels.split(",") if k.strip())
-        unknown = [k for k in kernels if k not in DIFF_KERNELS]
-        if unknown:
-            parser.error(
-                f"unknown kernels {unknown}; choose from {list(DIFF_KERNELS)}"
-            )
-    else:
-        kernels = None
+    kernels = args.kernels or None
+    _reject_unknown_kernels(parser, kernels, DIFF_KERNELS)
 
     report = run_analysis(kernels, include_wavefront=not args.no_wavefront)
     if args.format == "json":
@@ -1312,6 +1298,7 @@ def trace_main(argv: Optional[List[str]] = None) -> int:
     )
     parser.add_argument(
         "--kernels",
+        type=_kernel_list,
         default="bsw",
         help="comma-separated engine kernels for the synthetic stream",
     )
@@ -1363,10 +1350,9 @@ def trace_main(argv: Optional[List[str]] = None) -> int:
     if args.log_json:
         configure_json_logging()
 
-    kernels = [k.strip() for k in args.kernels.split(",") if k.strip()]
-    if not kernels:
+    if not args.kernels:
         raise SystemExit("--kernels must name at least one kernel")
-    jobs = _synthesize_jobs(kernels, args.jobs, args.seed)
+    jobs = _synthesize_jobs(args.kernels, args.jobs, args.seed)
 
     tracer = TraceRecorder()
     config = EngineConfig(
@@ -1562,6 +1548,7 @@ def cluster_main(argv: Optional[List[str]] = None) -> int:
     parser.add_argument("--seed", type=int, default=0)
     parser.add_argument(
         "--kernels",
+        type=_kernel_list,
         default="bsw,lcs,dtw,chain",
         help="comma-separated engine kernels for the stream",
     )
@@ -1636,12 +1623,11 @@ def cluster_main(argv: Optional[List[str]] = None) -> int:
                 f"--shards {args.shards} (valid: 0..{args.shards - 1})"
             )
         kills.append((round_index, shard_index))
-    kernels = tuple(k.strip() for k in args.kernels.split(",") if k.strip())
     try:
         config = ClusterChaosConfig(
             jobs=args.jobs,
             seed=args.seed,
-            kernels=kernels,
+            kernels=args.kernels,
             shards=args.shards,
             chunk_jobs=args.chunk,
             kills=tuple(kills),
@@ -1660,20 +1646,10 @@ def cluster_main(argv: Optional[List[str]] = None) -> int:
 
         tracer = TraceRecorder()
     report = run_cluster_campaign(config, tracer=tracer)
-    if args.report_out:
-        with open(args.report_out, "w", encoding="utf-8") as handle:
-            handle.write(report.to_json())
-        print(f"wrote cluster report to {args.report_out}")
-    if tracer is not None and args.trace_out:
+    if tracer is not None:
         tracer.write(args.trace_out)
         print(f"wrote cluster trace to {args.trace_out}")
-    if args.json:
-        import json
-
-        print(json.dumps(report.to_dict(), indent=2, sort_keys=True))
-    else:
-        print(report.render())
-    return 0 if report.survived else 1
+    return _emit_report(report, args, "cluster", report.survived)
 
 
 # ----------------------------------------------------------------------

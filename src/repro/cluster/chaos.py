@@ -1,13 +1,15 @@
 """Deterministic cluster chaos: seeded shard kills, hangs, partitions.
 
-A cluster campaign synthesizes the same deterministic job stream the
-engine-level campaigns use (:func:`repro.faults.chaos.synthesize_stream`),
-routes it through a real :class:`~repro.cluster.router.ClusterRouter`
-under a :class:`~repro.faults.shards.ShardFaultPlan`, and audits the
-exactly-once contract: every accepted job must settle with exactly one
-envelope -- a result from some shard, or a synthesized
+The cluster scenario of the one campaign driver
+(:mod:`repro.faults.campaign`): the same deterministic job stream the
+engine-level campaigns use routes through a real
+:class:`~repro.cluster.router.ClusterRouter` under a
+:class:`~repro.faults.shards.ShardFaultPlan`, and the driver's ledger
+audits the exactly-once contract: every accepted job must settle with
+exactly one envelope -- a result from some shard, or a synthesized
 ``cluster-fault`` -- no matter which shards die, hang or partition
-mid-stream.
+mid-stream.  This module supplies the config, the router factory and
+the projection of the ledger onto :class:`ClusterReport`.
 
 Determinism is end to end: the router runs on a
 :class:`~repro.cluster.clock.SimClock`, so every latency that feeds a
@@ -21,18 +23,36 @@ exactly that, twice over, with a shard killed mid-campaign.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass, field
-from typing import Any, Dict, List, Optional, Tuple
+from typing import Any, Dict, Optional, Tuple
 
 from repro.cluster.clock import SimClock
-from repro.cluster.router import ClusterConfig, ClusterRouter
-from repro.engine import BackpressureError, EngineConfig, make_job
-from repro.faults.chaos import DEFAULT_KERNELS, synthesize_stream
+from repro.cluster.router import CLUSTER_COUNTERS, ClusterConfig, ClusterRouter
+from repro.engine import EngineConfig
+from repro.faults.campaign import (
+    DEFAULT_KERNELS,
+    SETTLE_ROUNDS,
+    CanonicalReport,
+    check_stream_shape,
+    config_block,
+    counter_fields,
+    decorated_jobs,
+    drive,
+)
 from repro.faults.shards import ShardFaultPlan
-from repro.obs.logs import get_logger, log_context
 
-_LOG = get_logger("repro.cluster.chaos")
+#: ``ClusterChaosConfig`` fields the report's ``config`` block echoes.
+_ECHOED = (
+    "jobs", "seed", "kernels", "shards", "chunk_jobs", "shard_queue", "kill_rate",
+    "hang_rate", "partition_rate", "kills", "partition_rounds", "validate_fraction",
+    "affinity_stride",
+)
+#: ``ClusterReport`` fields fed by their ``cluster_[jobs_]*`` counter.
+_COUNTED = (
+    "duplicate_envelopes", "routed", "route_fallbacks", "stolen", "resubmitted",
+    "shards_killed", "shards_ejected", "shards_rejoined", "partitions_injected",
+    "hangs_injected", "drain_rounds",
+)
 
 
 @dataclass(frozen=True)
@@ -48,8 +68,6 @@ class ClusterChaosConfig:
     chunk_jobs: int = 48
     #: Per-shard bounded queue (the admission limit each hop sees).
     shard_queue: int = 96
-    #: Simulated seconds one drained job costs (virtual-time axis).
-    per_job_cost_s: float = 0.001
     #: Shard-fault probabilities per (shard, round) draw.
     kill_rate: float = 0.0
     hang_rate: float = 0.0
@@ -59,12 +77,6 @@ class ClusterChaosConfig:
     kills: Tuple[Tuple[int, int], ...] = ()
     #: Rounds a partitioned shard stays unreachable.
     partition_rounds: int = 2
-    #: Simulated seconds a hung shard's next drain loses.
-    hang_delay_s: float = 0.5
-    #: Cap on rate-drawn kills (scheduled kills are exempt).
-    max_kills: int = 1
-    #: Drain rounds allowed to settle stragglers after the stream.
-    settle_rounds: int = 16
     #: Engine-side validation fraction (the corruption guard).
     validate_fraction: float = 1.0
     #: When > 0, job *i* carries ``_affinity = i % stride`` so one
@@ -74,16 +86,9 @@ class ClusterChaosConfig:
     affinity_stride: int = 0
 
     def __post_init__(self) -> None:
-        if self.jobs <= 0:
-            raise ValueError("jobs must be positive")
-        if not self.kernels:
-            raise ValueError("kernels must name at least one engine kernel")
+        check_stream_shape(self)
         if self.shards <= 0:
             raise ValueError("shards must be positive")
-        if self.chunk_jobs <= 0:
-            raise ValueError("chunk_jobs must be positive")
-        if self.settle_rounds < 0:
-            raise ValueError("settle_rounds must be non-negative")
         self.shard_plan()  # validates the fault rates eagerly
 
     def shard_plan(self) -> ShardFaultPlan:
@@ -95,8 +100,6 @@ class ClusterChaosConfig:
             partition_rate=self.partition_rate,
             kills=self.kills,
             partition_rounds=self.partition_rounds,
-            hang_delay_s=self.hang_delay_s,
-            max_kills=self.max_kills,
         )
 
     def cluster_config(self) -> ClusterConfig:
@@ -108,13 +111,12 @@ class ClusterChaosConfig:
                 workers=0,
                 validate_fraction=self.validate_fraction,
             ),
-            per_job_cost_s=self.per_job_cost_s,
             fault_plan=self.shard_plan(),
         )
 
 
 @dataclass
-class ClusterReport:
+class ClusterReport(CanonicalReport):
     """Survival metrics of one cluster campaign (deterministic only)."""
 
     config: Dict[str, Any]
@@ -142,40 +144,13 @@ class ClusterReport:
 
     @property
     def survived(self) -> bool:
-        """Exactly-once held: nothing lost, nothing double-reported."""
-        return self.lost == 0 and self.duplicate_envelopes == 0
-
-    def to_dict(self) -> Dict[str, Any]:
-        """A plain, JSON-able, run-to-run-identical report."""
-        return {
-            "config": dict(self.config),
-            "submitted": self.submitted,
-            "rejected": self.rejected,
-            "envelopes": self.envelopes,
-            "lost": self.lost,
-            "ok": self.ok,
-            "failed": self.failed,
-            "cluster_faults": self.cluster_faults,
-            "duplicate_envelopes": self.duplicate_envelopes,
-            "routed": self.routed,
-            "route_fallbacks": self.route_fallbacks,
-            "stolen": self.stolen,
-            "resubmitted": self.resubmitted,
-            "shards_killed": self.shards_killed,
-            "shards_ejected": self.shards_ejected,
-            "shards_rejoined": self.shards_rejoined,
-            "partitions_injected": self.partitions_injected,
-            "hangs_injected": self.hangs_injected,
-            "drain_rounds": self.drain_rounds,
-            "dead_letter_backlog": self.dead_letter_backlog,
-            "virtual_seconds": round(self.virtual_seconds, 6),
-            "final_shard_states": dict(sorted(self.final_shard_states.items())),
-            "survived": self.survived,
-        }
-
-    def to_json(self) -> str:
-        """Canonical serialization (the byte-identity contract)."""
-        return json.dumps(self.to_dict(), indent=2, sort_keys=True) + "\n"
+        """Exactly-once held: nothing lost, nothing double-reported,
+        no envelope for a job that was never accepted."""
+        return (
+            self.lost == 0
+            and self.duplicate_envelopes == 0
+            and self.envelopes == self.submitted
+        )
 
     def render(self) -> str:
         """Human-readable campaign summary."""
@@ -216,107 +191,41 @@ def run_cluster_campaign(
 ) -> ClusterReport:
     """Run one deterministic cluster chaos campaign."""
     config = config or ClusterChaosConfig()
-    stream = synthesize_stream(config)
-    report = ClusterReport(config=_config_dict(config))
-    clock = SimClock()
-    router = ClusterRouter(
-        config.cluster_config(), tracer=tracer, clock=clock
+    jobs = decorated_jobs(config, affinity_stride=config.affinity_stride)
+    cluster, clock = config.cluster_config(), SimClock()
+    ledger, (virtual_seconds, final_shard_states) = drive(
+        lambda: ClusterRouter(cluster, tracer=tracer, clock=clock),
+        jobs,
+        config.chunk_jobs,
+        seed=config.seed,
+        finish=lambda router: (router.virtual_seconds, router.shard_states()),
     )
-    accepted_ids = set()
-    settled: Dict[int, Any] = {}
-    try:
-        with log_context(campaign="cluster", seed=config.seed):
-            for start in range(0, len(stream), config.chunk_jobs):
-                chunk = stream[start : start + config.chunk_jobs]
-                for offset, (kernel, payload) in enumerate(chunk):
-                    if config.affinity_stride > 0:
-                        payload = dict(
-                            payload,
-                            _affinity=(start + offset)
-                            % config.affinity_stride,
-                        )
-                    job = make_job(kernel, payload)
-                    try:
-                        accepted = router.submit(job)
-                    except BackpressureError:
-                        report.rejected += 1
-                        continue
-                    report.submitted += 1
-                    accepted_ids.add(accepted.job_id)
-                for result in router.drain():
-                    _settle(result, settled, report)
-            for _ in range(config.settle_rounds):
-                if not router.inflight and not router._orphans:
-                    break
-                for result in router.drain():
-                    _settle(result, settled, report)
-
-        report.envelopes = len(settled)
-        report.lost = len(accepted_ids - set(settled))
-        counters = router.metrics.counters
-        report.duplicate_envelopes += counters.get(
-            "cluster_duplicate_envelopes", 0
-        )
-        report.routed = counters.get("cluster_jobs_routed", 0)
-        report.route_fallbacks = counters.get("cluster_route_fallbacks", 0)
-        report.stolen = counters.get("cluster_jobs_stolen", 0)
-        report.resubmitted = counters.get("cluster_jobs_resubmitted", 0)
-        report.shards_killed = counters.get("cluster_shards_killed", 0)
-        report.shards_ejected = counters.get("cluster_shards_ejected", 0)
-        report.shards_rejoined = counters.get("cluster_shards_rejoined", 0)
-        report.partitions_injected = counters.get(
-            "cluster_partitions_injected", 0
-        )
-        report.hangs_injected = counters.get("cluster_hangs_injected", 0)
-        report.drain_rounds = counters.get("cluster_drain_rounds", 0)
-        report.dead_letter_backlog = len(router.dead_letters)
-        report.virtual_seconds = router.virtual_seconds
-        report.final_shard_states = router.shard_states()
-    finally:
-        router.close()
-    if not report.survived:
-        _LOG.warning(
-            "cluster campaign failed exactly-once",
-            extra={
-                "lost": report.lost,
-                "duplicates": report.duplicate_envelopes,
-            },
-        )
-    return report
-
-
-def _settle(result, settled: Dict[int, Any], report: ClusterReport) -> None:
-    if result.job_id in settled:
-        # The router already audits duplicates; this is belt and braces
-        # at the campaign boundary.
-        report.duplicate_envelopes += 1
-        return
-    settled[result.job_id] = result
-    if result.ok:
-        report.ok += 1
-    else:
-        report.failed += 1
-        if result.error and result.error.startswith("cluster-fault"):
-            report.cluster_faults += 1
-
-
-def _config_dict(config: ClusterChaosConfig) -> Dict[str, Any]:
-    return {
-        "jobs": config.jobs,
-        "seed": config.seed,
-        "kernels": list(config.kernels),
-        "shards": config.shards,
-        "chunk_jobs": config.chunk_jobs,
-        "shard_queue": config.shard_queue,
-        "per_job_cost_s": config.per_job_cost_s,
-        "kill_rate": config.kill_rate,
-        "hang_rate": config.hang_rate,
-        "partition_rate": config.partition_rate,
-        "kills": [list(pair) for pair in config.kills],
-        "partition_rounds": config.partition_rounds,
-        "hang_delay_s": config.hang_delay_s,
-        "max_kills": config.max_kills,
-        "settle_rounds": config.settle_rounds,
-        "validate_fraction": config.validate_fraction,
-        "affinity_stride": config.affinity_stride,
-    }
+    counted = counter_fields(
+        ledger.counters, CLUSTER_COUNTERS, _COUNTED, "cluster_jobs_", "cluster_"
+    )
+    # The router audits duplicates among its shards; the ledger audits
+    # them again at the campaign boundary.
+    counted["duplicate_envelopes"] += ledger.duplicate_envelopes
+    return ClusterReport(
+        # Knobs the campaign does not expose are echoed from the objects
+        # that hold them: the router config, the shard plan, the driver.
+        config=config_block(
+            config,
+            _ECHOED,
+            per_job_cost_s=cluster.per_job_cost_s,
+            hang_delay_s=cluster.fault_plan.hang_delay_s,
+            max_kills=cluster.fault_plan.max_kills,
+            settle_rounds=SETTLE_ROUNDS,
+        ),
+        submitted=len(ledger.accepted),
+        rejected=ledger.shed_backpressure,
+        envelopes=len(ledger.envelopes),
+        lost=ledger.lost,
+        ok=ledger.ok,
+        failed=ledger.failed,
+        cluster_faults=ledger.failures_by_error()["cluster-fault"],
+        dead_letter_backlog=ledger.dead_letter_backlog,
+        virtual_seconds=virtual_seconds,
+        final_shard_states=final_shard_states,
+        **counted,
+    )

@@ -1,17 +1,18 @@
 """Seeded crash/recovery chaos campaigns for the durable journal.
 
-The campaign is :mod:`repro.faults.chaos` pointed at the durability
-layer: a deterministic job stream runs through a journaled
-:class:`~repro.engine.Engine` in chunks, and between chunks a seeded
-coin decides whether the process "dies" (``journal.crash()`` -- the
-``kill -9`` model: the file handle drops without syncing, the
-in-memory queue evaporates, everything ``append`` returned for is
-still on disk).  A fresh engine over the same journal directory then
-runs :meth:`~repro.engine.Engine.recover`, and the stream continues.
-Injected disk faults (:class:`repro.faults.disk.DiskFaultPlan`) tear
-and bit-flip journal writes the whole way through.
+The recovery scenario of the one campaign driver
+(:mod:`repro.faults.campaign`): a deterministic job stream runs through
+a journaled :class:`~repro.engine.Engine` in chunks while the driver's
+seeded coin ``kill -9``s it between chunks (``journal.crash()``: the
+queue evaporates, everything ``append`` returned for is still on disk)
+and a fresh engine over the same journal directory runs
+:meth:`~repro.engine.Engine.recover`.  Injected disk faults
+(:class:`repro.faults.disk.DiskFaultPlan`) tear and bit-flip journal
+writes the whole way through.  This module supplies the config, the
+engine factory and the projection of the driver's ledger plus the
+journal's final state onto :class:`RecoveryCampaignReport`.
 
-The report folds result envelopes across *all* engine generations by
+The ledger folds result envelopes across *all* engine generations by
 job id, so the crash-restart property is checked end to end:
 
 - **zero lost jobs** -- every job any generation accepted produced an
@@ -21,7 +22,9 @@ job id, so the crash-restart property is checked end to end:
 - **zero duplicate completions** -- the journal itself never holds two
   ``complete`` records for one id (``durable_duplicate_completions``);
 - **zero final orphans** -- the journal agrees everything accepted
-  reached a terminal record.
+  reached a terminal record;
+- **the ledger closes** -- as many envelopes as accepted jobs (an
+  envelope for a job this campaign never accepted fails it).
 
 Like :class:`~repro.faults.chaos.CampaignReport`, the report contains
 only counts and names -- no timings, paths or ids -- so two campaigns
@@ -35,25 +38,38 @@ the campaign models process death, where the page cache survives.
 
 from __future__ import annotations
 
-import shutil
 import tempfile
 from dataclasses import dataclass
-from typing import Any, Dict, List, Optional, Tuple
+from typing import Any, Dict, Optional, Tuple
 
-from repro.faults.chaos import DEFAULT_KERNELS, synthesize_stream
+from repro.faults.campaign import (
+    DEFAULT_KERNELS,
+    CanonicalReport,
+    check_stream_shape,
+    config_block,
+    counter_fields,
+    decorated_jobs,
+    drive,
+)
 from repro.faults.disk import DiskFaultPlan
-from repro.faults.plan import FaultPlan, unit_draw
-from repro.obs.logs import get_logger, log_context
+from repro.faults.plan import FaultPlan
 
-_LOG = get_logger("repro.durable.campaign")
-
-#: Engine-generation counters the report accumulates (each engine has
-#: its own registry; the campaign sums them across crashes).
-_HARVEST_COUNTERS = (
-    "durable_records_appended",
-    "durable_writes_healed",
-    "durable_write_errors",
-    "durable_compactions",
+#: Fixed engine/journal geometry every recovery campaign runs under.
+BATCH_CAPACITY = 8
+SEGMENT_BYTES = 1 << 16
+DLQ_CAPACITY = 256
+#: ``RecoveryChaosConfig`` fields the report's ``config`` block echoes
+#: (never ``workdir``: reports contain no path).
+_ECHOED = (
+    "jobs", "seed", "kernels", "chunk_jobs", "crash_rate", "torn_rate",
+    "bitflip_rate", "short_fsync_rate", "fail_rate", "fsync", "verify_writes",
+    "compact_every",
+)
+#: ``RecoveryCampaignReport`` fields fed by their ``durable_*`` counter.
+_COUNTED = (
+    "recoveries", "orphans_resubmitted", "completions_deduped",
+    "duplicate_completions", "corrupt_frames", "records_appended",
+    "writes_healed", "write_errors", "compactions",
 )
 
 
@@ -67,7 +83,6 @@ class RecoveryChaosConfig:
     workers: int = 1
     #: Jobs submitted per drain; also the engine's queue bound.
     chunk_jobs: int = 24
-    batch_capacity: int = 8
     job_timeout_s: float = 0.15
     max_retries: int = 1
     #: Per-chunk probability the process crashes after submitting the
@@ -81,25 +96,20 @@ class RecoveryChaosConfig:
     #: dead-letter journaling + rehydration path).
     fail_rate: float = 0.0
     fsync: str = "interval"
-    segment_bytes: int = 1 << 16
-    #: Read-back verification heals torn/flipped writes in-process;
-    #: turning it off sheds accept-faulted jobs instead (still
-    #: crash-consistent, no longer loss-free on the write path).
+    #: Read-back verification heals torn/flipped writes in-process.
+    #: Off, a torn accept write sheds its job, a lost ``complete``
+    #: re-executes its job at the next recovery, and a bit-flipped
+    #: frame truncates the journal tail behind it at replay: under
+    #: disk faults the campaign reports FAILED (docs/reliability.md).
     verify_writes: bool = True
     #: Compact the journal after every Nth surviving chunk (0 = off).
     compact_every: int = 0
-    dlq_capacity: int = 256
     #: Journal directory; a temp dir is created (and removed) when
     #: None.  Reports never contain the path.
     workdir: Optional[str] = None
 
     def __post_init__(self) -> None:
-        if self.jobs <= 0:
-            raise ValueError("jobs must be positive")
-        if not self.kernels:
-            raise ValueError("kernels must name at least one engine kernel")
-        if self.chunk_jobs <= 0:
-            raise ValueError("chunk_jobs must be positive")
+        check_stream_shape(self)
         if not 0.0 <= self.crash_rate <= 1.0:
             raise ValueError("crash_rate must be in [0, 1]")
         if self.compact_every < 0:
@@ -123,14 +133,14 @@ class RecoveryChaosConfig:
         return DurabilityConfig(
             dir_path=dir_path,
             fsync=self.fsync,
-            segment_bytes=self.segment_bytes,
+            segment_bytes=SEGMENT_BYTES,
             verify_writes=self.verify_writes,
             disk_faults=plan if plan.enabled else None,
         )
 
 
 @dataclass
-class RecoveryCampaignReport:
+class RecoveryCampaignReport(CanonicalReport):
     """Crash-restart survival metrics (deterministic content only)."""
 
     config: Dict[str, Any]
@@ -160,41 +170,14 @@ class RecoveryCampaignReport:
 
     @property
     def survived(self) -> bool:
-        """The crash-restart property, all four clauses."""
+        """The crash-restart property, all five clauses."""
         return (
             self.lost == 0
             and self.duplicate_envelopes == 0
             and self.duplicate_completions == 0
             and self.final_orphans == 0
+            and self.envelopes == self.accepted
         )
-
-    def to_dict(self) -> Dict[str, Any]:
-        """A plain, JSON-able, run-to-run-identical report."""
-        return {
-            "config": dict(self.config),
-            "accepted": self.accepted,
-            "shed_backpressure": self.shed_backpressure,
-            "shed_write_faults": self.shed_write_faults,
-            "envelopes": self.envelopes,
-            "lost": self.lost,
-            "duplicate_envelopes": self.duplicate_envelopes,
-            "ok": self.ok,
-            "failed": self.failed,
-            "crashes": self.crashes,
-            "recoveries": self.recoveries,
-            "orphans_resubmitted": self.orphans_resubmitted,
-            "completions_deduped": self.completions_deduped,
-            "duplicate_completions": self.duplicate_completions,
-            "dead_lettered": self.dead_lettered,
-            "dlq_rehydrated": self.dlq_rehydrated,
-            "corrupt_frames": self.corrupt_frames,
-            "final_orphans": self.final_orphans,
-            "records_appended": self.records_appended,
-            "writes_healed": self.writes_healed,
-            "write_errors": self.write_errors,
-            "compactions": self.compactions,
-            "survived": self.survived,
-        }
 
     def render(self) -> str:
         """Human-readable campaign summary."""
@@ -231,172 +214,58 @@ def run_recovery_campaign(
 ) -> RecoveryCampaignReport:
     """Run one seeded crash/recovery campaign and return its report."""
     config = config or RecoveryChaosConfig()
-    workdir = config.workdir
-    created = workdir is None
-    if created:
-        workdir = tempfile.mkdtemp(prefix="gendp-recover-")
-    try:
-        with log_context(campaign_seed=config.seed):
-            return _run(config, workdir)
-    finally:
-        if created:
-            shutil.rmtree(workdir, ignore_errors=True)
+    if config.workdir is not None:
+        return _run(config, config.workdir)
+    with tempfile.TemporaryDirectory(prefix="gendp-recover-") as workdir:
+        return _run(config, workdir)
 
 
 def _run(config: RecoveryChaosConfig, workdir: str) -> RecoveryCampaignReport:
-    from repro.engine import BackpressureError, Engine, EngineConfig
-    from repro.engine.jobs import make_job
-    from repro.durable.journal import JournalError, load_journal_state
+    from repro.engine import Engine, EngineConfig
+    from repro.engine.metrics import DURABLE_COUNTERS
 
-    fault_plan = FaultPlan(seed=config.seed, fail_rate=config.fail_rate)
-    stream = synthesize_stream(config)  # duck-typed: jobs/seed/kernels
-    jobs = []
-    for index, (kernel, payload) in enumerate(stream):
-        payload, _kind = fault_plan.decorate(index, payload)
-        jobs.append(make_job(kernel, payload))
-
-    def fresh_engine() -> Engine:
-        return Engine(
-            EngineConfig(
-                max_queue=config.chunk_jobs,
-                workers=config.workers,
-                job_timeout_s=config.job_timeout_s,
-                max_retries=config.max_retries,
-                batch_capacity=config.batch_capacity,
-                validate_fraction=0.0,
-                dlq_capacity=config.dlq_capacity,
-                reliability_seed=config.seed,
-                durability=config.durability(workdir),
-            )
-        )
-
-    report = RecoveryCampaignReport(
-        config={
-            "jobs": config.jobs,
-            "seed": config.seed,
-            "kernels": list(config.kernels),
-            "chunk_jobs": config.chunk_jobs,
-            "crash_rate": config.crash_rate,
-            "torn_rate": config.torn_rate,
-            "bitflip_rate": config.bitflip_rate,
-            "short_fsync_rate": config.short_fsync_rate,
-            "fail_rate": config.fail_rate,
-            "fsync": config.fsync,
-            "verify_writes": config.verify_writes,
-            "compact_every": config.compact_every,
-        }
+    jobs = decorated_jobs(
+        config, FaultPlan(seed=config.seed, fail_rate=config.fail_rate)
     )
-    accepted_ids = set()
-    envelopes: Dict[int, Any] = {}
-
-    def fold(results: List[Any]) -> None:
-        for result in results:
-            if result.job_id in envelopes:
-                report.duplicate_envelopes += 1
-                continue
-            envelopes[result.job_id] = result
-
-    def harvest(engine: Engine) -> None:
-        report.records_appended += engine.metrics.counter(
-            _HARVEST_COUNTERS[0]
-        )
-        report.writes_healed += engine.metrics.counter(_HARVEST_COUNTERS[1])
-        report.write_errors += engine.metrics.counter(_HARVEST_COUNTERS[2])
-        report.compactions += engine.metrics.counter(_HARVEST_COUNTERS[3])
-
-    _LOG.info(
-        "recovery campaign started",
-        extra={
-            "campaign_seed": config.seed,
-            "campaign_jobs": config.jobs,
-            "crash_rate": config.crash_rate,
-        },
+    engine_config = EngineConfig(
+        max_queue=config.chunk_jobs,
+        workers=config.workers,
+        job_timeout_s=config.job_timeout_s,
+        max_retries=config.max_retries,
+        batch_capacity=BATCH_CAPACITY,
+        validate_fraction=0.0,
+        dlq_capacity=DLQ_CAPACITY,
+        reliability_seed=config.seed,
+        durability=config.durability(workdir),
     )
-    engine = fresh_engine()
-    chunks = [
-        jobs[start : start + config.chunk_jobs]
-        for start in range(0, len(jobs), config.chunk_jobs)
-    ]
-    survived_chunks = 0
-    for chunk_index, chunk in enumerate(chunks):
-        for job in chunk:
-            try:
-                accepted = engine.submit(job)
-            except BackpressureError:
-                report.shed_backpressure += 1
-                continue
-            except (JournalError, OSError):
-                report.shed_write_faults += 1
-                continue
-            accepted_ids.add(accepted.job_id)
-        if unit_draw(config.seed, "crash", chunk_index) < config.crash_rate:
-            # kill -9 after accepting a full chunk: the queue dies
-            # with the process, the journal keeps its page cache.
-            report.crashes += 1
-            engine.journal.crash()
-            harvest(engine)
-            engine.close()
-            engine = fresh_engine()
-            recovery = engine.recover()
-            report.recoveries += 1
-            report.orphans_resubmitted += recovery.orphans_resubmitted
-            report.completions_deduped += recovery.completions_deduped
-            report.dlq_rehydrated += recovery.dlq_rehydrated
-            report.corrupt_frames += recovery.corrupt_frames
-            fold(recovery.drained)
-        else:
-            survived_chunks += 1
-            if (
-                config.compact_every
-                and survived_chunks % config.compact_every == 0
-            ):
-                engine.journal.compact()
-        fold(engine.drain())
-
-    fold(engine.drain())
-
-    # Closing sweep: an orphan can outlive the loop when its resubmit
-    # write faulted during a recovery; a clean restart finishes it.
-    for _sweep in range(2):
-        state, _issues = load_journal_state(workdir)
-        if not state.orphans():
-            break
-        harvest(engine)
-        engine.close()
-        engine = fresh_engine()
-        recovery = engine.recover()
-        report.recoveries += 1
-        report.orphans_resubmitted += recovery.orphans_resubmitted
-        report.completions_deduped += recovery.completions_deduped
-        report.dlq_rehydrated += recovery.dlq_rehydrated
-        report.corrupt_frames += recovery.corrupt_frames
-        fold(recovery.drained)
-        fold(engine.drain())
-
-    harvest(engine)
-    state, issues = load_journal_state(workdir)
-    report.duplicate_completions = state.duplicate_completions
-    report.dead_lettered = len(state.dead)
-    report.final_orphans = len(state.orphans())
-    report.corrupt_frames += issues["corrupt_frames"]
-    engine.close()
-
-    report.accepted = len(accepted_ids)
-    report.envelopes = len(envelopes)
-    report.lost = len(accepted_ids - set(envelopes))
-    for result in envelopes.values():
-        if result.ok:
-            report.ok += 1
-        else:
-            report.failed += 1
-    _LOG.info(
-        "recovery campaign complete",
-        extra={
-            "campaign_seed": config.seed,
-            "accepted": report.accepted,
-            "crashes": report.crashes,
-            "lost": report.lost,
-            "duplicates": report.duplicate_envelopes,
-        },
+    ledger, (state, issues) = drive(
+        lambda: Engine(engine_config),
+        jobs,
+        config.chunk_jobs,
+        seed=config.seed,
+        crash_rate=config.crash_rate,
+        compact_every=config.compact_every,
+        finish=lambda engine: engine.journal.load_state(),
     )
-    return report
+    counted = counter_fields(ledger.counters, DURABLE_COUNTERS, _COUNTED, "durable_")
+    # Two durable_* counters are per-replay sums; the report wants the
+    # journal's final word: every corrupt frame including the ones the
+    # last read-only scan found, and duplicates as the journal ends up.
+    counted["corrupt_frames"] += issues["corrupt_frames"]
+    counted["duplicate_completions"] = state.duplicate_completions
+    return RecoveryCampaignReport(
+        config=config_block(config, _ECHOED),
+        accepted=len(ledger.accepted),
+        shed_backpressure=ledger.shed_backpressure,
+        shed_write_faults=ledger.shed_write_faults,
+        envelopes=len(ledger.envelopes),
+        lost=ledger.lost,
+        duplicate_envelopes=ledger.duplicate_envelopes,
+        ok=ledger.ok,
+        failed=ledger.failed,
+        crashes=ledger.crashes,
+        dead_lettered=len(state.dead),
+        dlq_rehydrated=sum(r.dlq_rehydrated for r in ledger.recoveries),
+        final_orphans=len(state.orphans()),
+        **counted,
+    )

@@ -8,7 +8,11 @@ that are never exercised rot.  This package drives them on purpose:
   schedule that decorates job payloads with crash / hang / corruption /
   failure markers and injects compile failures, all reproducible from
   one integer seed and free when disabled;
-- :mod:`repro.faults.chaos` -- seeded chaos campaigns: run a mixed job
+- :mod:`repro.faults.campaign` -- the one campaign driver: the seeded
+  job stream, the chunked submit/crash/recover/drain loop over any
+  engine-shaped target, and the id-keyed :class:`Ledger` every
+  scenario's verdict comes from;
+- :mod:`repro.faults.chaos` -- the engine scenario: run a mixed job
   stream through an engine under a plan and report survival metrics
   (jobs lost, corruption escapes, degraded fraction);
 - :mod:`repro.faults.shards` -- :class:`ShardFaultPlan`, the same idea
@@ -23,6 +27,7 @@ The CLI front end is ``gendp-chaos``; ``docs/reliability.md`` has the
 fault taxonomy and the hardening each fault class forced.
 """
 
+from repro.faults.campaign import Ledger, drive
 from repro.faults.chaos import CampaignReport, ChaosConfig, run_campaign
 from repro.faults.disk import DISK_FAULT_KINDS, DiskFaultPlan, TornWriteError
 from repro.faults.plan import (
@@ -42,9 +47,11 @@ __all__ = [
     "FAULT_KINDS",
     "FaultPlan",
     "InjectedCompileError",
+    "Ledger",
     "SHARD_FAULT_KINDS",
     "ShardFaultPlan",
     "TornWriteError",
+    "drive",
     "run_campaign",
     "seeded_rng",
     "unit_draw",

@@ -7,7 +7,10 @@ inputs, and folds numerical-sentinel counts along the way.  Because
 every case is a pure function of ``(seed, kernel, index)``, a campaign
 interrupted at any point resumes from its JSON checkpoint to the exact
 report an uninterrupted run produces -- same convention as
-:mod:`repro.faults.chaos`.
+:mod:`repro.faults.chaos`.  The sweep is over pure cases with no
+service to drive and no ledger to balance, so it keeps its own loop;
+with the campaign driver (:mod:`repro.faults.campaign`) it shares only
+the canonical report serialization.
 
 Checkpoints are written atomically (tmp + replace) every
 ``checkpoint_every`` cases and keyed by the campaign config; a
@@ -22,6 +25,7 @@ import os
 from dataclasses import dataclass, field
 from typing import Any, Dict, List, Optional, Tuple
 
+from repro.faults.campaign import JsonReport
 from repro.guard.diff import (
     DIFF_KERNELS,
     KernelPrograms,
@@ -103,12 +107,13 @@ class KernelOutcome:
 
 
 @dataclass
-class GuardReport:
+class GuardReport(JsonReport):
     """The deterministic result of a campaign.
 
     ``to_dict`` contains only values that are pure functions of the
     config, so two same-config runs -- or a fresh run and a
-    kill-then-resume run -- serialize byte-identically.
+    kill-then-resume run -- serialize byte-identically (``to_json`` is
+    the one every campaign report shares).
     """
 
     config: GuardConfig
@@ -140,9 +145,6 @@ class GuardReport:
             "clean": self.clean,
             "kernels": [outcome.to_dict() for outcome in self.outcomes],
         }
-
-    def to_json(self) -> str:
-        return json.dumps(self.to_dict(), sort_keys=True, indent=2)
 
     def render(self) -> str:
         lines = [

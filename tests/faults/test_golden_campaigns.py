@@ -1,0 +1,36 @@
+"""Every seeded campaign report is identical to the golden file.
+
+``golden_campaigns.json`` was generated before the engine, recovery and
+cluster campaigns were folded onto one driver (see
+:mod:`tests.faults.golden_campaigns`); a difference here is a change in
+campaign behaviour, not a flaky test.
+"""
+
+import json
+
+import pytest
+
+from tests.faults.golden_campaigns import CASES, GOLDEN_PATH, generate
+
+GOLDEN = json.loads(GOLDEN_PATH.read_text())
+
+
+@pytest.fixture(scope="module")
+def regenerated():
+    return generate()
+
+
+def test_same_cases(regenerated):
+    assert sorted(regenerated) == sorted(GOLDEN) == sorted(CASES)
+
+
+@pytest.mark.parametrize("name", sorted(GOLDEN))
+def test_report_identical(regenerated, name):
+    assert regenerated[name] == GOLDEN[name]
+
+
+def test_unsafe_write_mode_is_pinned_as_failing():
+    # R4: verify_writes=False under disk faults loses jobs today; the
+    # golden preserves that verdict (docs/reliability.md explains why).
+    assert GOLDEN["R4"]["survived"] is False
+    assert GOLDEN["R4"]["lost"] == 23
