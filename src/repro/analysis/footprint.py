@@ -13,6 +13,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Dict, List
 
+from repro.dfg.stencils import WAVEFRONT_SPECS, wavefront_spec
 from repro.isa.program import ArrayProgram, PEProgram
 
 #: Table 7's instruction-buffer capacity and the tile's array count.
@@ -40,22 +41,11 @@ class FootprintRow:
 
 def measure_wavefront_footprint(kernel: str, passes: int = 4) -> FootprintRow:
     """Footprint of a generated 2D-kernel load-out for one array."""
-    from repro.mapping import kernels2d
     from repro.mapping.wavefront2d import build_wavefront_programs
 
-    specs = {
-        "bsw": kernels2d.bsw_wavefront_spec,
-        "lcs": kernels2d.lcs_wavefront_spec,
-        "dtw": kernels2d.dtw_wavefront_spec,
-    }
-    if kernel == "pairhmm":
-        spec = kernels2d.pairhmm_boundary_for_length(
-            kernels2d.pairhmm_wavefront_spec(), 4 * passes
-        )
-    elif kernel in specs:
-        spec = specs[kernel]()
-    else:
+    if kernel not in WAVEFRONT_SPECS:
         raise KeyError(f"no wavefront footprint recipe for {kernel!r}")
+    spec = wavefront_spec(kernel, 4 * passes)
     programs = build_wavefront_programs(spec, 4 * passes, 100)
     array = ArrayProgram(
         array_control=programs.array_control,

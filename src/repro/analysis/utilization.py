@@ -20,6 +20,7 @@ from dataclasses import dataclass
 from typing import Dict, List, Sequence
 
 from repro.dfg.graph import DataFlowGraph
+from repro.dfg.stencils import WAVEFRONT_SPECS
 from repro.dpmap.mapper import MappingStats, run_dpmap
 
 #: Kernels with a measured-utilization recipe.
@@ -76,29 +77,11 @@ def measured_kernel_profile(kernel: str, seed: int = 0):
     import random
 
     rng = random.Random(seed)
-    if kernel in ("bsw", "lcs", "dtw", "pairhmm"):
-        from repro.mapping import kernels2d
+    if kernel in WAVEFRONT_SPECS:
+        from repro.mapping.kernels2d import probe_task
         from repro.mapping.wavefront2d import run_wavefront
-        from repro.seq.alphabet import encode, random_sequence
 
-        if kernel == "bsw":
-            spec = kernels2d.bsw_wavefront_spec()
-            target = encode(random_sequence(16, rng))
-            stream = encode(random_sequence(24, rng))
-        elif kernel == "lcs":
-            spec = kernels2d.lcs_wavefront_spec()
-            target = encode(random_sequence(16, rng))
-            stream = encode(random_sequence(24, rng))
-        elif kernel == "dtw":
-            spec = kernels2d.dtw_wavefront_spec()
-            target = [rng.randint(0, 50) for _ in range(16)]
-            stream = [rng.randint(0, 50) for _ in range(24)]
-        else:
-            spec = kernels2d.pairhmm_boundary_for_length(
-                kernels2d.pairhmm_wavefront_spec(), 16
-            )
-            target = encode(random_sequence(16, rng))
-            stream = encode(random_sequence(24, rng))
+        spec, target, stream = probe_task(kernel, rng)
         run = run_wavefront(spec, target=target, stream=stream, profile=True)
         if not run.finished:
             raise RuntimeError(f"{kernel}: profiled run hit the cycle cap")

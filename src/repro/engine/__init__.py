@@ -11,9 +11,12 @@ concurrently (Section 3.1 of the paper).
 Module map (one concern each):
 
 - :mod:`repro.engine.jobs`     -- job records and result envelopes
+- :mod:`repro.engine.kernels`  -- the kernel table: one row per kernel
 - :mod:`repro.engine.cache`    -- LRU compiled-program cache
 - :mod:`repro.engine.batcher`  -- kernel/size-bin batch packing
-- :mod:`repro.engine.runners`  -- per-kernel functional execution
+- :mod:`repro.engine.sweep`    -- 2-D table sweeps generated from the
+  kernels' ``Wavefront2DSpec`` (the declaration the simulator runs)
+- :mod:`repro.engine.runners`  -- functional execution of one job
 - :mod:`repro.engine.executor` -- inline backend, executor factory and
   the failure contract it shares with the shm workers
   (:mod:`repro.serve.transport`)

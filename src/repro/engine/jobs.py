@@ -19,18 +19,15 @@ import itertools
 from dataclasses import dataclass, field
 from typing import Any, Dict, Optional
 
-#: Kernels the engine can execute (see :mod:`repro.engine.runners`).
-ENGINE_KERNELS = ("bsw", "pairhmm", "lcs", "dtw", "chain")
+from repro.engine.kernels import KERNELS
 
-#: Table dimensionality per kernel: 2-D kernels run one task per 4-PE
-#: array (independent-array interconnect); 1-D kernels stream through
-#: the concatenated 64-PE chain (Section 3.1).
+#: Kernels the engine can execute: the rows of
+#: :data:`repro.engine.kernels.KERNELS`, in table order.
+ENGINE_KERNELS = tuple(KERNELS)
+
+#: Table dimensionality per kernel (see ``EngineKernel.dimensions``).
 KERNEL_DIMENSIONS: Dict[str, int] = {
-    "bsw": 2,
-    "pairhmm": 2,
-    "lcs": 2,
-    "dtw": 2,
-    "chain": 1,
+    name: row.dimensions for name, row in KERNELS.items()
 }
 
 _job_ids = itertools.count()
@@ -99,35 +96,25 @@ class JobResult:
     shard: Optional[str] = None
 
 
-_REQUIRED_PAYLOAD_KEYS: Dict[str, tuple] = {
-    "bsw": ("query", "target"),
-    "pairhmm": ("read", "haplotype"),
-    "lcs": ("x", "y"),
-    "dtw": ("a", "b"),
-    "chain": ("anchors",),
-}
-
-
 def validate_payload(kernel: str, payload: Dict[str, Any]) -> None:
-    """Check *payload* has the keys and shapes *kernel* needs."""
-    if kernel not in ENGINE_KERNELS:
+    """Check *payload* has the keys and shapes *kernel*'s row asks for."""
+    row = KERNELS.get(kernel)
+    if row is None:
         raise JobValidationError(
             f"unknown kernel {kernel!r}; engine kernels: {ENGINE_KERNELS}"
         )
     if not isinstance(payload, dict):
         raise JobValidationError("payload must be a dict")
-    for key in _REQUIRED_PAYLOAD_KEYS[kernel]:
+    for key in row.keys:
         value = payload.get(key)
         if value is None or (hasattr(value, "__len__") and len(value) == 0):
             raise JobValidationError(
                 f"{kernel} payload needs non-empty {key!r}"
             )
-    if kernel == "chain":
-        for anchor in payload["anchors"]:
-            if len(anchor) != 3:
-                raise JobValidationError(
-                    "chain anchors must be [x, y, w] triples"
-                )
+        if not row.codec.is_valid(value):
+            raise JobValidationError(
+                f"{kernel} payload {key!r} must be {row.codec.expects}"
+            )
 
 
 def validate_deadline(deadline_s: Optional[float]) -> Optional[float]:

@@ -125,8 +125,8 @@ class CellMemo:
     """Bounded memo of specialized cells, keyed by program content.
 
     An entry remembers the program it was built from and a hit is
-    honoured only when instructions and register maps really are equal
-    (an identity check per bundle for a cached program, a deep compare
+    honoured only when instructions and register maps really are equal,
+    order included (an identity check per bundle for a cached program, a deep compare
     once per freshly unpickled one), so a ``CompiledProgram`` carrying
     a stale or forged ``program_hash`` can never be handed another
     program's function.  A program whose specialization raised is
@@ -157,10 +157,12 @@ class CellMemo:
             source, cell = entry
             if source is compiled:
                 return cell
+            # Register maps compare as ordered items: their order is
+            # the cell's calling convention, and the hash ignores it.
             if (
                 source.instructions == compiled.instructions
-                and source.input_regs == compiled.input_regs
-                and source.output_regs == compiled.output_regs
+                and list(source.input_regs.items()) == list(compiled.input_regs.items())
+                and list(source.output_regs.items()) == list(compiled.output_regs.items())
             ):
                 # Later jobs of the same batch compare by identity.
                 self._entries[key] = (compiled, cell)

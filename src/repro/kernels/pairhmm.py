@@ -179,12 +179,12 @@ def pairhmm_forward_pruned(
     quals = _resolve_qualities(read, qualities, params)
 
     rows, cols = len(read) + 1, len(haplotype) + 1
-    log_a_mm = _to_fixed(params.match_to_match)
-    log_a_gap = _to_fixed(params.gap_open)
-    log_a_ext = _to_fixed(params.gap_extend)
-    log_a_im = _to_fixed(params.indel_to_match)
+    log_a_mm = to_fixed(params.match_to_match)
+    log_a_gap = to_fixed(params.gap_open)
+    log_a_ext = to_fixed(params.gap_extend)
+    log_a_im = to_fixed(params.indel_to_match)
 
-    init = _to_fixed(1.0 / len(haplotype))
+    init = to_fixed(1.0 / len(haplotype))
     f_m = [_LOG_FLOOR] * cols
     f_i = [_LOG_FLOOR] * cols
     f_d = [init] * cols
@@ -209,7 +209,7 @@ def pairhmm_forward_pruned(
                 cells_pruned += 1
                 continue
             cells_computed += 1
-            rho = _to_fixed(
+            rho = to_fixed(
                 params.emission(read[i - 1], haplotype[j - 1], quals[i - 1])
             )
             match_sum = _log_sum3(
@@ -276,7 +276,7 @@ def _build_log_sum_table() -> Tuple[List[int], int]:
 _LOG_SUM_TABLE, _LOG_SUM_TABLE_SPAN = _build_log_sum_table()
 
 
-def _to_fixed(probability: float) -> int:
+def to_fixed(probability: float) -> int:
     """Linear-domain probability -> fixed-point log2 value."""
     if probability <= 0.0:
         return _LOG_FLOOR

@@ -1,146 +1,32 @@
 """Wavefront specs for the 2D kernels: BSW, PairHMM, LCS, DTW.
 
 Each spec binds one kernel's DFG inputs to the systolic dataflow roles
-of :class:`repro.mapping.wavefront2d.Wavefront2DSpec` and supplies the
+of :class:`repro.dfg.stencils.Wavefront2DSpec` and supplies the
 boundary constants matching the reference recurrence, so the simulator
 result can be compared against the reference kernel cell-for-cell (see
-``tests/mapping``).
+``tests/mapping``).  The four integer specs are declared in
+:mod:`repro.dfg.stencils`, where the serving engine reads them too;
+this module re-exports them and adds what only the simulator runs.
 """
 
 from __future__ import annotations
 
-import math
-from typing import Callable, List, Optional, Sequence
+import random
+from typing import List, Optional, Tuple
 
-from repro.dfg.graph import Opcode
-from repro.dfg.kernels import bsw_dfg, dtw_dfg, lcs_dfg, pairhmm_dfg
-from repro.kernels.pairhmm import LOG_FRACTION_BITS, HMMParameters
-from repro.mapping.wavefront2d import Wavefront2DSpec
-from repro.seq.alphabet import encode
-from repro.seq.scoring import AffineGap, ScoringScheme
-
-#: "Minus infinity" for integer gap states: deep enough that gap
-#: extensions never win against real scores, shallow enough that
-#: arithmetic on it stays far from 32-bit wraparound.
-NEG = -(1 << 20)
-
-#: DTW's unreachable-cell cost.
-INF = 1 << 20
-
-
-def bsw_wavefront_spec(scheme: Optional[ScoringScheme] = None) -> Wavefront2DSpec:
-    """Local affine Smith-Waterman on the systolic array.
-
-    The per-PE static element is a target base; the query streams.  The
-    running best score accumulates per PE (``hmax``) and drains each
-    pass -- local alignment's answer is the max over all of them.
-    """
-    if scheme is None:
-        scheme = ScoringScheme()
-    gap = scheme.gap
-    if not isinstance(gap, AffineGap):
-        raise TypeError("the BSW systolic kernel is affine-gap only")
-    substitution = scheme.substitution
-
-    def match_table(a: int, b: int) -> int:
-        return substitution.match if a == b else substitution.mismatch
-
-    return Wavefront2DSpec(
-        name="bsw",
-        dfg=bsw_dfg(gap_open=gap.open, gap_extend=gap.extend),
-        stream_input="q",
-        static_input="t",
-        recv=[("h_left", "h"), ("f_left", "f")],
-        delayed={"h_diag": "h_left"},
-        own={"h_up": "h", "e_up": "e"},
-        boundary_row={"h": 0, "e": NEG, "f": NEG},
-        first_column={"h": 0, "f": NEG},
-        first_corner={"h": 0, "f": NEG},
-        epilogue=["hmax"],
-        accumulators=[("hmax", Opcode.MAX, "h")],
-        accumulator_init={"hmax": 0},
-        match_table=match_table,
-    )
-
-
-def pairhmm_wavefront_spec(
-    params: Optional[HMMParameters] = None,
-) -> Wavefront2DSpec:
-    """PairHMM forward pass in the log2 fixed-point domain.
-
-    Haplotype bases are static per PE; read bases stream.  Emissions
-    come from the MATCH_SCORE LUT (constant base quality), transition
-    weights are preloaded parameters, and each PE drains its column's
-    last-row (m, i) states per pass -- the host log-sums them into the
-    likelihood, mirroring GATK's final row sum.
-    """
-    if params is None:
-        params = HMMParameters()
-    scale = 1 << LOG_FRACTION_BITS
-
-    def to_fixed(probability: float) -> int:
-        return int(round(math.log2(probability) * scale))
-
-    error = 10.0 ** (-params.base_quality / 10.0)
-    emit_match = to_fixed(1.0 - error)
-    emit_mismatch = to_fixed(error / 3.0)
-    floor = NEG
-
-    def match_table(a: int, b: int) -> int:
-        return emit_match if a == b else emit_mismatch
-
-    return Wavefront2DSpec(
-        name="pairhmm",
-        dfg=pairhmm_dfg(inline_emission=True),
-        stream_input="q",
-        static_input="t",
-        recv=[("m_left", "m"), ("i_left", "i"), ("d_left", "d")],
-        delayed={"m_diag": "m_left", "i_diag": "i_left", "d_diag": "d_left"},
-        own={"m_up": "m", "i_up": "i"},
-        params={
-            "a_mm": to_fixed(params.match_to_match),
-            "a_im": to_fixed(params.indel_to_match),
-            "a_gap": to_fixed(params.gap_open),
-            "a_ext": to_fixed(params.gap_extend),
-        },
-        # Row 0: the read has not started; M and I are impossible, D is
-        # uniform over haplotype positions.  The uniform init depends on
-        # the haplotype length, patched per task by the runner (see
-        # run_pairhmm): the spec stores a placeholder of log2(1) = 0.
-        boundary_row={"m": floor, "i": floor, "d": 0},
-        first_column={"m": floor, "i": floor, "d": floor},
-        first_corner={"m": floor, "i": floor, "d": floor},
-        epilogue=["m_up", "i_up"],
-        match_table=match_table,
-    )
-
-
-def pairhmm_boundary_for_length(
-    spec: Wavefront2DSpec, haplotype_length: int
-) -> Wavefront2DSpec:
-    """Patch the uniform row-0 D value for a concrete haplotype length."""
-    scale = 1 << LOG_FRACTION_BITS
-    init = int(round(math.log2(1.0 / haplotype_length) * scale))
-    boundary = dict(spec.boundary_row)
-    boundary["d"] = init
-    patched = Wavefront2DSpec(
-        name=spec.name,
-        dfg=spec.dfg,
-        stream_input=spec.stream_input,
-        static_input=spec.static_input,
-        recv=spec.recv,
-        delayed=spec.delayed,
-        own=spec.own,
-        params=spec.params,
-        boundary_row=boundary,
-        first_column=spec.first_column,
-        first_corner=spec.first_corner,
-        epilogue=spec.epilogue,
-        accumulators=spec.accumulators,
-        accumulator_init=spec.accumulator_init,
-        match_table=spec.match_table,
-    )
-    return patched
+from repro.dfg.stencils import (  # noqa: F401  (public names of this module)
+    INF,
+    NEG,
+    Wavefront2DSpec,
+    bsw_wavefront_spec,
+    dtw_wavefront_spec,
+    lcs_wavefront_spec,
+    pairhmm_boundary_for_length,
+    pairhmm_wavefront_spec,
+    wavefront_spec,
+)
+from repro.kernels.pairhmm import HMMParameters
+from repro.seq.alphabet import encode, random_sequence
 
 
 def pairhmm_fp_wavefront_spec(
@@ -187,38 +73,19 @@ def pairhmm_fp_wavefront_spec(
     )
 
 
-def lcs_wavefront_spec() -> Wavefront2DSpec:
-    """Longest common subsequence: the Section 2.2 teaching kernel."""
-    return Wavefront2DSpec(
-        name="lcs",
-        dfg=lcs_dfg(),
-        stream_input="x",
-        static_input="y",
-        recv=[("c_left", "c")],
-        delayed={"c_diag": "c_left"},
-        own={"c_up": "c"},
-        boundary_row={"c": 0},
-        first_column={"c": 0},
-        first_corner={"c": 0},
-        epilogue=["c_up"],
-    )
-
-
-def dtw_wavefront_spec() -> Wavefront2DSpec:
-    """Dynamic time warping over integer signals (Section 7.6.5)."""
-    return Wavefront2DSpec(
-        name="dtw",
-        dfg=dtw_dfg(),
-        stream_input="a",
-        static_input="b",
-        recv=[("d_left", "d")],
-        delayed={"d_diag": "d_left"},
-        own={"d_up": "d"},
-        boundary_row={"d": INF},
-        first_column={"d": INF},
-        first_corner={"d": 0},
-        epilogue=["d_up"],
-    )
+def probe_task(
+    kernel: str, rng: random.Random
+) -> Tuple[Wavefront2DSpec, List[int], List[int]]:
+    """``(spec, target, stream)`` of the small representative task the
+    perf model is calibrated on and the utilization study profiles:
+    16 static elements drawn first, then 24 streamed ones."""
+    if kernel == "dtw":
+        target = [rng.randint(0, 50) for _ in range(16)]
+        stream = [rng.randint(0, 50) for _ in range(24)]
+    else:
+        target = encode(random_sequence(16, rng))
+        stream = encode(random_sequence(24, rng))
+    return wavefront_spec(kernel, len(target)), target, stream
 
 
 def encode_dna(sequence: str) -> List[int]:

@@ -6,8 +6,9 @@ cell's same-row state stays in the PE's registers, previous-row values
 arrive over the systolic port, and the FIFO carries the last PE's row
 back to the first PE for the next 4-row pass.
 
-The generator is kernel-agnostic: a :class:`Wavefront2DSpec` names,
-per cell, which DFG inputs are *streamed*, *static*, *received* from
+The generator is kernel-agnostic: a :class:`Wavefront2DSpec`
+(declared in :mod:`repro.dfg.stencils`, where the serving engine reads
+the same object) names, per cell, which DFG inputs are *streamed*, *static*, *received* from
 the upstream PE, *delayed* copies of received values (the diagonal),
 *own* previous-cell outputs (the vertical state), or preloaded
 *parameters*.  Boundary handling threads the DP table's row-0 values
@@ -24,10 +25,10 @@ throughput model rather than by trimming the systolic schedule.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Callable, Dict, List, Optional, Sequence, Tuple
+from dataclasses import dataclass
+from typing import Dict, List, Optional, Sequence
 
-from repro.dfg.graph import DataFlowGraph, Opcode
+from repro.dfg.stencils import Wavefront2DSpec
 from repro.dpmap.codegen import CellProgram, compile_cell
 from repro.dpax.pe import PEConfig
 from repro.dpax.pe_array import PEArray
@@ -45,66 +46,6 @@ from repro.isa.control import (
     reg,
 )
 from repro.mapping.builder import ControlBuilder
-
-
-@dataclass
-class Wavefront2DSpec:
-    """Dataflow roles of one 2D kernel's DFG inputs and outputs."""
-
-    name: str
-    dfg: DataFlowGraph
-    stream_input: str
-    static_input: str
-    #: (input name, upstream output name), in port transfer order.
-    recv: List[Tuple[str, str]]
-    #: input name -> recv input whose previous value it takes (diagonal).
-    delayed: Dict[str, str]
-    #: input name -> own output of the previous cell (vertical state).
-    own: Dict[str, str]
-    #: input name -> constant preloaded once (transition weights etc.).
-    params: Dict[str, int] = field(default_factory=dict)
-    #: output name -> its DP row-0 value (constant along the row).
-    boundary_row: Dict[str, int] = field(default_factory=dict)
-    #: output name -> its DP column-0 per-row value.
-    first_column: Dict[str, int] = field(default_factory=dict)
-    #: output name -> its DP (0,0) corner value.
-    first_corner: Dict[str, int] = field(default_factory=dict)
-    #: register names (inputs or accumulators) drained per pass.
-    epilogue: List[str] = field(default_factory=list)
-    #: (accumulator, fold op, output): acc = op(acc, output) per cell.
-    accumulators: List[Tuple[str, Opcode, str]] = field(default_factory=list)
-    accumulator_init: Dict[str, int] = field(default_factory=dict)
-    match_table: Optional[Callable[[int, int], int]] = None
-
-    def validate(self) -> None:
-        names = set(self.dfg.inputs)
-        outputs = set(self.dfg.outputs)
-        roles = (
-            {self.stream_input, self.static_input}
-            | {pair[0] for pair in self.recv}
-            | set(self.delayed)
-            | set(self.own)
-            | set(self.params)
-        )
-        missing = names - roles
-        if missing:
-            raise ValueError(f"DFG inputs without a dataflow role: {sorted(missing)}")
-        # Recv names outside the DFG are allowed: "phantom" values that
-        # are received only so the next cell can take a delayed copy
-        # (e.g. PairHMM's i_left, consumed only as i_diag).
-        for _, out in self.recv:
-            if out not in outputs:
-                raise ValueError(f"recv references unknown output {out!r}")
-        for out in list(self.own.values()):
-            if out not in outputs:
-                raise ValueError(f"own references unknown output {out!r}")
-        recv_names = {pair[0] for pair in self.recv}
-        for dest, source in self.delayed.items():
-            if source not in recv_names:
-                raise ValueError(
-                    f"delayed input {dest!r} copies {source!r}, which is "
-                    f"not received"
-                )
 
 
 @dataclass

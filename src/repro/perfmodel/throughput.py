@@ -192,31 +192,15 @@ def measure_cycles_per_cell(kernel: str, seed: int = 0) -> float:
     """
     import random
 
-    from repro.seq.alphabet import random_sequence, encode
+    from repro.dfg.stencils import WAVEFRONT_SPECS
+    from repro.seq.alphabet import random_sequence
 
     rng = random.Random(seed)
-    if kernel in ("bsw", "lcs", "dtw", "pairhmm"):
+    if kernel in WAVEFRONT_SPECS:
+        from repro.mapping.kernels2d import probe_task
         from repro.mapping.wavefront2d import run_wavefront
-        from repro.mapping import kernels2d
 
-        if kernel == "bsw":
-            spec = kernels2d.bsw_wavefront_spec()
-            target = encode(random_sequence(16, rng))
-            stream = encode(random_sequence(24, rng))
-        elif kernel == "lcs":
-            spec = kernels2d.lcs_wavefront_spec()
-            target = encode(random_sequence(16, rng))
-            stream = encode(random_sequence(24, rng))
-        elif kernel == "dtw":
-            spec = kernels2d.dtw_wavefront_spec()
-            target = [rng.randint(0, 50) for _ in range(16)]
-            stream = [rng.randint(0, 50) for _ in range(24)]
-        else:
-            spec = kernels2d.pairhmm_boundary_for_length(
-                kernels2d.pairhmm_wavefront_spec(), 16
-            )
-            target = encode(random_sequence(16, rng))
-            stream = encode(random_sequence(24, rng))
+        spec, target, stream = probe_task(kernel, rng)
         run = run_wavefront(spec, target=target, stream=stream)
         # 4 PEs share the work; per-PE cost is wall cycles x PEs / cells.
         return run.cycles * 4 / run.cells

@@ -10,7 +10,9 @@ exporters render each tenant unchanged.
 
 Cells are the DP-native cost unit the paper bills in (a kernel's work
 is its table area): ``|query| x |target|`` for the alignment kernels,
-``n^2`` for chaining's pairwise predecessor scan.  Compute time is
+the windowed predecessor scan for chaining -- the cell count of the
+kernel's row in :data:`repro.engine.kernels.KERNELS`, which is what the
+engine sweeps and reports.  Compute time is
 integer **microseconds** (counters are ints; float seconds would
 truncate to zero for sub-second jobs).
 
@@ -25,6 +27,7 @@ from __future__ import annotations
 import threading
 from typing import Any, Dict, Mapping, Optional, Tuple
 
+from repro.engine.kernels import KERNELS
 from repro.engine.metrics import MetricsRegistry
 
 #: Per-tenant counters (prefixed ``tenant_``); every name has a
@@ -50,26 +53,17 @@ DEFAULT_RATES: Dict[str, float] = {
 
 
 def estimate_cells(kernel: str, payload: Mapping[str, Any]) -> int:
-    """Estimated DP-table cells one job sweeps, from its payload dims.
+    """DP cells one job sweeps: its kernel row's cell count, the number
+    the engine reports as ``value["cells"]``.
 
-    Mirrors ``_REQUIRED_PAYLOAD_KEYS`` in :mod:`repro.engine.jobs`;
-    unknown kernels and malformed payloads estimate zero (accounting
+    Unknown kernels and malformed payloads estimate zero (accounting
     must never reject work the engine accepted).
     """
+    row = KERNELS.get(kernel)
     try:
-        if kernel == "bsw":
-            return len(payload["query"]) * len(payload["target"])
-        if kernel == "pairhmm":
-            return len(payload["read"]) * len(payload["haplotype"])
-        if kernel == "lcs":
-            return len(payload["x"]) * len(payload["y"])
-        if kernel == "dtw":
-            return len(payload["a"]) * len(payload["b"])
-        if kernel == "chain":
-            return len(payload["anchors"]) ** 2
-    except (KeyError, TypeError):
+        return row.cells(payload) if row is not None else 0
+    except (KeyError, TypeError, ValueError):
         return 0
-    return 0
 
 
 class TenantLedger:

@@ -5,10 +5,13 @@ named input is promised to stay inside.  The numbers come from the
 ground truth the runtime layers already encode:
 
 - boundary constants and sweep initialisation in
-  :mod:`repro.engine.runners` and :mod:`repro.guard.diff` (``NEG``,
+  :mod:`repro.dfg.stencils` and :mod:`repro.guard.diff` (``NEG``,
   DTW's ``INF``, chaining's scaled seed weights),
-- the substitution / emission tables behind ``MATCH_SCORE``
-  (:func:`repro.engine.runners.match_table_for`),
+- for the four 2-D kernels, the recurrence declaration itself
+  (:func:`repro.dfg.stencils.default_spec`): its preloaded ``params``
+  are the constant inputs, its ``MATCH_SCORE`` table gives the match
+  range, and its ``recv``/``delayed``/``own`` roles are the feedback
+  edges,
 - declared workload caps (sequence lengths up to
   :data:`MAX_SEQUENCE_LENGTH`, coordinates up to 2^20).
 
@@ -25,11 +28,10 @@ the engine's runtime certificate cross-check.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
 from typing import Dict, Mapping, Optional, Tuple
 
-from repro.kernels.pairhmm import LOG_FRACTION_BITS, HMMParameters
+from repro.dfg.stencils import NEG, default_spec
 from repro.opt.kernels import contract_for
 from repro.static.intervals import Interval
 
@@ -38,31 +40,6 @@ from repro.static.intervals import Interval
 #: shorter; the cap only needs to keep accumulated scores far from the
 #: int32 boundary.
 MAX_SEQUENCE_LENGTH = 4096
-
-#: Integer "minus infinity" for gap/log states -- mirrors the runners.
-NEG = -(1 << 20)
-
-#: DTW's unreachable-cell boundary cost -- mirrors the runners.
-INF = 1 << 20
-
-
-def _pairhmm_fixed_params() -> Dict[str, int]:
-    """Default log2 fixed-point transitions, matching the engine runner."""
-    params = HMMParameters()
-    scale = 1 << LOG_FRACTION_BITS
-
-    def to_fixed(probability: float) -> int:
-        return int(round(math.log2(probability) * scale))
-
-    error = 10.0 ** (-params.base_quality / 10.0)
-    return {
-        "a_mm": to_fixed(params.match_to_match),
-        "a_im": to_fixed(params.indel_to_match),
-        "a_gap": to_fixed(params.gap_open),
-        "a_ext": to_fixed(params.gap_extend),
-        "emit_match": to_fixed(1.0 - error),
-        "emit_mismatch": to_fixed(error / 3.0),
-    }
 
 
 @dataclass(frozen=True)
@@ -87,19 +64,36 @@ class KernelContract:
             )
 
 
+def _wavefront_contract(
+    kernel: str, inputs: Dict[str, Interval]
+) -> KernelContract:
+    """A 2-D kernel's contract: *inputs* declares the data and state
+    ranges; constants, match range and feedback come from its spec."""
+    spec = default_spec(kernel)
+    match_range = spec.match_range()
+    return KernelContract(
+        name=kernel,
+        kernel=kernel,
+        inputs={
+            **inputs,
+            **{name: Interval.const(value) for name, value in spec.params.items()},
+        },
+        match_range=Interval(*match_range) if match_range else None,
+        feedback=spec.feedback(),
+    )
+
+
 def _build_contracts() -> Dict[str, KernelContract]:
     base = Interval(0, 3)
-    hmm = _pairhmm_fixed_params()
     log_state = Interval(NEG, 0)
     score = Interval(0, 1 << 16)
     gap_state = Interval(NEG - MAX_SEQUENCE_LENGTH, 1 << 16)
     coord = Interval(0, 1 << 20)
 
     contracts = [
-        KernelContract(
-            name="bsw",
-            kernel="bsw",
-            inputs={
+        _wavefront_contract(
+            "bsw",
+            {
                 "q": base,
                 "t": base,
                 "h_diag": score,
@@ -108,17 +102,10 @@ def _build_contracts() -> Dict[str, KernelContract]:
                 "e_up": Interval(NEG, 1 << 16),
                 "f_left": Interval(NEG, 1 << 16),
             },
-            match_range=Interval(-1, 1),
-            feedback={
-                "h": ("h_diag", "h_up", "h_left"),
-                "e": ("e_up",),
-                "f": ("f_left",),
-            },
         ),
-        KernelContract(
-            name="pairhmm",
-            kernel="pairhmm",
-            inputs={
+        _wavefront_contract(
+            "pairhmm",
+            {
                 "q": base,
                 "t": base,
                 "m_diag": log_state,
@@ -128,47 +115,31 @@ def _build_contracts() -> Dict[str, KernelContract]:
                 "i_up": log_state,
                 "m_left": log_state,
                 "d_left": log_state,
-                "a_mm": Interval.const(hmm["a_mm"]),
-                "a_im": Interval.const(hmm["a_im"]),
-                "a_gap": Interval.const(hmm["a_gap"]),
-                "a_ext": Interval.const(hmm["a_ext"]),
-            },
-            match_range=Interval(
-                hmm["emit_mismatch"], hmm["emit_match"]
-            ),
-            feedback={
-                "m": ("m_diag", "m_up", "m_left"),
-                "i": ("i_diag", "i_up"),
-                "d": ("d_diag", "d_left"),
             },
         ),
-        KernelContract(
-            name="lcs",
-            kernel="lcs",
+        _wavefront_contract(
+            "lcs",
             # LCS compares raw symbol codes with CMP_EQ; any byte
             # alphabet is covered.
-            inputs={
+            {
                 "x": Interval(0, 255),
                 "y": Interval(0, 255),
                 "c_diag": Interval(0, 1 << 16),
                 "c_up": Interval(0, 1 << 16),
                 "c_left": Interval(0, 1 << 16),
             },
-            feedback={"c": ("c_diag", "c_up", "c_left")},
         ),
-        KernelContract(
-            name="dtw",
-            kernel="dtw",
+        _wavefront_contract(
+            "dtw",
             # d accumulates INF + rows * |a - b|, so the recurrent
             # state rail sits at 2^29 > 2^20 + 4096 * 65535.
-            inputs={
+            {
                 "a": Interval(0, (1 << 16) - 1),
                 "b": Interval(0, (1 << 16) - 1),
                 "d_diag": Interval(0, 1 << 29),
                 "d_up": Interval(0, 1 << 29),
                 "d_left": Interval(0, 1 << 29),
             },
-            feedback={"d": ("d_diag", "d_up", "d_left")},
         ),
         KernelContract(
             name="chain",

@@ -11,6 +11,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Tuple
 
+from repro.dfg.stencils import WAVEFRONT_SPECS, wavefront_spec
 from repro.diagnostics import Diagnostic, Severity
 from repro.static.certify import (
     ProgramSafetyCertificate,
@@ -181,28 +182,14 @@ class AnalysisReport:
         return "\n".join(lines)
 
 
-def _wavefront_spec(kernel: str):
-    from repro.mapping import kernels2d
-
-    builders = {
-        "bsw": kernels2d.bsw_wavefront_spec,
-        "pairhmm": kernels2d.pairhmm_wavefront_spec,
-        "lcs": kernels2d.lcs_wavefront_spec,
-        "dtw": kernels2d.dtw_wavefront_spec,
-    }
-    builder = builders.get(kernel)
-    return builder() if builder is not None else None
-
-
 def _analyze_wavefront(kernel: str) -> Optional[ProgramAnalysisEntry]:
     from repro.guard.verifier import MachineLimits
     from repro.mapping.wavefront2d import build_wavefront_programs
 
-    spec = _wavefront_spec(kernel)
-    if spec is None:
+    if kernel not in WAVEFRONT_SPECS:
         return None
     programs = build_wavefront_programs(
-        spec,
+        wavefront_spec(kernel, _WAVEFRONT_TARGET),
         target_length=_WAVEFRONT_TARGET,
         query_length=_WAVEFRONT_QUERY,
         pe_count=_WAVEFRONT_PES,

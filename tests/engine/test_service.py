@@ -41,6 +41,25 @@ class TestSubmission:
         with pytest.raises(JobValidationError):
             make_job("chain", {"anchors": [[1, 2]]})  # not [x, y, w]
 
+    @pytest.mark.parametrize(
+        "kernel, payload",
+        [
+            ("chain", {"anchors": [1, 2, 3]}),  # used to escape as TypeError
+            ("bsw", {"query": 5, "target": "ACGT"}),
+            ("dtw", {"a": "xx", "b": [1]}),
+            ("chain", {"anchors": [[1, 2, "x"]]}),
+        ],
+    )
+    def test_wrong_element_types_rejected_at_creation(self, kernel, payload):
+        """Not accepted at submit to fail inside a worker."""
+        with pytest.raises(JobValidationError, match="must be"):
+            make_job(kernel, payload)
+
+    def test_every_submitted_shape_still_validates(self):
+        make_job("dtw", {"a": (1, 2.5), "b": [True, 3]})
+        make_job("chain", {"anchors": [(1, 2, 19), [3, 4, 19.0]], "n": 4})
+        make_job("pairhmm", {"read": "ACGT", "haplotype": "AC"})
+
 
 class TestDrain:
     def test_empty_drain_is_a_noop(self):

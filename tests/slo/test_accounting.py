@@ -42,9 +42,15 @@ class TestEstimateCells:
         assert estimate_cells("pairhmm", {"read": "AC", "haplotype": "ACGT"}) == 8
         assert estimate_cells("dtw", {"a": [1, 2, 3], "b": [1, 2]}) == 6
 
-    def test_chain_is_quadratic_in_anchors(self):
-        anchors = [[i, i, 1] for i in range(5)]
-        assert estimate_cells("chain", {"anchors": anchors}) == 25
+    def test_chain_bills_the_windowed_scan(self):
+        """What the engine sweeps, not the full n^2 table: each anchor
+        looks back over at most ``n`` (default 64) predecessors."""
+        anchors = [[i, i, 19] for i in range(5)]
+        assert estimate_cells("chain", {"anchors": anchors}) == 10
+        assert estimate_cells("chain", {"anchors": anchors, "n": 2}) == 7
+        long = [[i, i, 19] for i in range(200)]
+        assert estimate_cells("chain", {"anchors": long}) == 10_720
+        assert estimate_cells("chain", {"anchors": long, "n": "wide"}) == 0
 
     def test_unknown_kernel_and_bad_payload_estimate_zero(self):
         assert estimate_cells("poa", {}) == 0
@@ -73,6 +79,32 @@ class TestLedgerFolds:
         assert usage["tenant_jobs_failed"] == 1
         assert usage["tenant_cells_computed"] == 80
         assert usage["tenant_compute_us"] == 2000
+
+    def test_cells_billed_equal_cells_swept_on_a_mixed_stream(self):
+        """ROADMAP 6c: the ledger and the engine count the same cells."""
+        from types import SimpleNamespace
+
+        from repro.engine import make_job
+        from repro.engine.jobs import ENGINE_KERNELS
+        from repro.faults.campaign import synthesize_stream
+
+        stream = synthesize_stream(
+            SimpleNamespace(jobs=40, seed=11, kernels=ENGINE_KERNELS)
+        )
+        assert {kernel for kernel, _ in stream} == set(ENGINE_KERNELS)
+        ledger = TenantLedger()
+        swept = 0
+        with Engine(EngineConfig(max_queue=64)) as engine:
+            jobs = {}
+            for kernel, payload in stream:
+                job = engine.submit(make_job(kernel, payload))
+                jobs[job.job_id] = job
+            for result in engine.drain():
+                assert result.ok, result.error
+                swept += result.value["cells"]
+                ledger.record_result("t", jobs[result.job_id], result)
+        assert swept > 0
+        assert ledger.usage("t")["tenant_cells_computed"] == swept
 
     def test_transport_fold_ignores_nonpositive(self):
         ledger = TenantLedger()
@@ -165,11 +197,12 @@ class TestServeReconciliation:
                             "lcs", LCS, tenant="beta"
                         )
                         assert response["ok"], response
-                    # An execution failure still reconciles: a
-                    # non-numeric anchor weight passes validation but
-                    # fails inside the engine, after admission.
+                    # An execution failure still reconciles: an anchor
+                    # weight the compiled program does not fold passes
+                    # validation but fails inside the engine, after
+                    # admission.
                     bad = await client.submit(
-                        "chain", {"anchors": [[0, 0, "w"]]}, tenant="beta"
+                        "chain", {"anchors": [[0, 0, 5]]}, tenant="beta"
                     )
                     assert not bad["ok"]
                     stats = await client.stats()
