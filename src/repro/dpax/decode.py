@@ -31,7 +31,13 @@ from __future__ import annotations
 import functools
 from typing import Any, Callable, Dict, List, NamedTuple, Sequence, Tuple
 
-from repro.dfg.expressions import MATCH_TABLE, expression_namespace, way_expression
+from repro.dfg.expressions import (
+    MATCH_TABLE,
+    expression_namespace,
+    op_expression,
+    way_expression,
+)
+from repro.dfg.graph import Opcode
 from repro.dpax.storage import StorageError
 from repro.isa.compute import CUInstruction, Imm, Reg, VLIWInstruction
 from repro.isa.control import ControlInstruction, ControlOp, Loc, Space
@@ -299,6 +305,7 @@ def _simd_values(
     reads: Sequence[Sequence[Reg]],
     lanes: int,
     has_match_table: bool,
+    temporaries: List[str],
 ) -> Tuple[List[str], List[str]]:
     """Lane-wise execution with saturating lane arithmetic: every
     operand word is unpacked into signed lane locals up front, each
@@ -308,7 +315,9 @@ def _simd_values(
     low, high = -sign, sign - 1
 
     def saturate(expression: str) -> str:
-        return f"max({low}, min({high}, {expression}))"
+        # max(low, min(high, x)) as the MAX/MIN templates spell it.
+        top = op_expression(Opcode.MIN, [repr(high), expression], False, temporaries)
+        return op_expression(Opcode.MAX, [repr(low), top], False, temporaries)
 
     unpack = [
         f"r{index}_{lane} = (((w[{index}] >> {bits * lane}) & {mask}) ^ {sign}) - {sign}"
@@ -325,7 +334,9 @@ def _simd_values(
                     return repr(max(low, min(high, item.value)))
                 return f"r{item.index}_{lane}"
 
-            value = way_expression(way, operand, has_match_table, finish=saturate)
+            value = way_expression(
+                way, operand, has_match_table, temporaries, finish=saturate
+            )
             packed.append(f"(({value} & {mask}) << {bits * lane})")
         values.append("(" + " | ".join(packed) + ")")
     return unpack, values
@@ -357,6 +368,7 @@ def _bundle_body(
         ]
 
     body = ["w = rf._words"]
+    temporaries: List[str] = []
     reads = [_register_reads(way) for way in ways]
     total = 0
     for regs in reads:
@@ -366,11 +378,16 @@ def _bundle_body(
             total += 1
 
     if simd_lanes in (2, 4):
-        unpack, values = _simd_values(ways, reads, simd_lanes, has_match_table)
+        unpack, values = _simd_values(
+            ways, reads, simd_lanes, has_match_table, temporaries
+        )
         body += unpack
         hazard = False  # the lane locals above are the pre-bundle image
     else:
-        values = [way_expression(way, _scalar_operand, has_match_table) for way in ways]
+        values = [
+            way_expression(way, _scalar_operand, has_match_table, temporaries)
+            for way in ways
+        ]
         hazard = any(
             reg.index == earlier.dest.index
             for position, regs in enumerate(reads)

@@ -115,6 +115,9 @@ def validate_payload(kernel: str, payload: Dict[str, Any]) -> None:
             raise JobValidationError(
                 f"{kernel} payload {key!r} must be {row.codec.expects}"
             )
+    for key, (expects, is_valid) in row.optional.items():
+        if key in payload and not is_valid(payload[key]):
+            raise JobValidationError(f"{kernel} payload {key!r} must be {expects}")
 
 
 def validate_deadline(deadline_s: Optional[float]) -> Optional[float]:

@@ -75,12 +75,34 @@ class EngineKernel:
     reference: Callable[[Payload], Dict[str, Any]]
     #: Result key -> absolute tolerance; keys not named compare equal.
     tolerance: Mapping[str, float] = field(default_factory=dict)
+    #: Optional payload key -> (what a value given for it must be, its
+    #: check); checked at submit like *keys*, only when present.
+    optional: Mapping[str, Tuple[str, Callable[[Any], bool]]] = field(
+        default_factory=dict
+    )
 
 
 def _is_number(value: Any) -> bool:
-    # The exact-type test first: an ABC instance check costs ten times
-    # as much, and this runs per element at submit.
-    return type(value) in (int, float) or isinstance(value, Real)
+    # The exact-type tests first: an ABC instance check costs ten times
+    # as much, and this runs per element at submit.  NaN and infinities
+    # have no table integer, so they stop here and not inside a worker.
+    kind = type(value)
+    if kind is int:
+        return True
+    if kind is float:
+        return math.isfinite(value)
+    return isinstance(value, Real) and value == value and abs(value) != math.inf
+
+
+def _is_window(value: Any) -> bool:
+    # bool is an int; a window of True is a caller's mistake, not 1.
+    # The top is the shm slot's int64 header word: beyond it the two
+    # backends would disagree (inline sweeps, the slot encoder faults).
+    return (
+        isinstance(value, int)
+        and not isinstance(value, bool)
+        and 1 <= value < 1 << 63
+    )
 
 
 def _is_list(value: Any) -> bool:
@@ -212,5 +234,6 @@ KERNELS: Dict[str, EngineKernel] = {
         cells=_chain_cells,
         finish=_finish_chain,
         reference=_reference_chain,
+        optional={"n": ("an int >= 1 (the window; below 2**63)", _is_window)},
     ),
 }

@@ -68,6 +68,7 @@ def specialize_source(
     """
     written: Set[int] = set(compiled.input_regs.values())
     undefined: Set[int] = set()
+    temporaries: List[str] = []
     lines: List[str] = []
     for bundle in compiled.instructions:
         dests: List[int] = []
@@ -82,7 +83,9 @@ def specialize_source(
                 reads.add(item.index)
                 return f"r{item.index}"
 
-            expressions.append(way_expression(way, operand, has_match_table))
+            expressions.append(
+                way_expression(way, operand, has_match_table, temporaries)
+            )
             undefined |= reads - written
             hazard = hazard or not reads.isdisjoint(dests)
             dests.append(way.dest.index)

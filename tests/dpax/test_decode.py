@@ -178,6 +178,73 @@ def test_decoded_bundles_match_the_functional_model(datapath, lanes, with_table)
     assert covered == set(OPCODE_ARITY)
 
 
+class TestCallFreeTemplates:
+    """Decoded bundles share the engine's MAX/MIN lowering, the SIMD
+    lane clamp included; CI runs this class on its own."""
+
+    @pytest.mark.parametrize("lanes", [1, 2, 4])
+    def test_bundle_sources_are_the_same_text_and_call_no_builtin(self, lanes):
+        from repro.dpax.decode import _bundle_body
+        from tests.engine.test_specialize import (
+            ALLOWED_CALLS,
+            called_names,
+            engine_programs,
+        )
+
+        for compiled in engine_programs():
+            for bundle in compiled.instructions:
+                for with_table in (False, True):
+                    body = _bundle_body(bundle.ways, 64, True, lanes, with_table)
+                    again = _bundle_body(bundle.ways, 64, True, lanes, with_table)
+                    assert body == again
+                    source = "\n".join(body)
+                    assert called_names(source) <= ALLOWED_CALLS, (
+                        bundle.text(), called_names(source) - ALLOWED_CALLS
+                    )
+
+    @pytest.mark.parametrize("lanes", [1, 2, 4])
+    @pytest.mark.parametrize(
+        "root, swapped",
+        [(Opcode.MAX, False), (Opcode.MIN, True), (Opcode.LOG2_LUT, False)],
+    )
+    def test_a_nested_operand_runs_once_per_lane(self, lanes, root, swapped):
+        """The root reads its left operand twice and the lane clamp
+        reads every result twice: the match table under them must
+        still be called once per lane, low lane first.  (Left-before-
+        right is pinned where both leaves can call,
+        tests/engine/test_specialize.py: the right ALU takes no table.)"""
+        way = CUInstruction(
+            kind="tree",
+            dest=Reg(4),
+            left=SlotOp(Opcode.MATCH_SCORE, (Reg(0), Reg(1))),
+            right=None
+            if root is Opcode.LOG2_LUT
+            else SlotOp(Opcode.ADD, (Reg(2), Reg(3))),
+            root=root,
+            root_swapped=swapped,
+        )
+        bundle = VLIWInstruction(cu0=way)
+        words = [0x00050003, 0x00010002, 2, 3, 0, 0, 0, 0]
+        calls = []
+
+        def table(a, b):
+            calls.append((a, b))
+            return a * 7 - b
+
+        run, _, _ = decode_bundle(bundle, RF_SIZE, True, lanes, True)
+        rf = RegisterFile(RF_SIZE)
+        rf._words[:] = words
+        run(rf, table)
+        if lanes == 1:
+            assert calls == [(words[0], words[1])]
+        else:
+            assert calls == list(
+                zip(unpack_lanes_n(words[0], lanes), unpack_lanes_n(words[1], lanes))
+            )
+        calls.clear()
+        assert list(rf._words) == reference_bundle(bundle, words, "int", lanes, table)
+
+
 class TestMemos:
     def test_decoded_programs_form_no_cycle_with_their_unit(self):
         # Handlers take the PE/array as an argument; had they closed

@@ -48,12 +48,35 @@ class TestSubmission:
             ("bsw", {"query": 5, "target": "ACGT"}),
             ("dtw", {"a": "xx", "b": [1]}),
             ("chain", {"anchors": [[1, 2, "x"]]}),
+            # Used to fail inside the sweep: ValueError / OverflowError.
+            ("dtw", {"a": [1.5, float("nan")], "b": [1]}),
+            ("dtw", {"a": [float("inf")], "b": [1]}),
+            ("chain", {"anchors": [[1, float("-inf"), 19]]}),
         ],
     )
     def test_wrong_element_types_rejected_at_creation(self, kernel, payload):
         """Not accepted at submit to fail inside a worker."""
         with pytest.raises(JobValidationError, match="must be"):
             make_job(kernel, payload)
+
+    @pytest.mark.parametrize("window", [-1, 0, "x", None, 2.5, True, 2**63])
+    def test_chain_window_rejected_at_creation(self, window):
+        """-1 used to run and bill ``cells: -8`` inline while shm read
+        it as "no window given"; "x" / None escaped as raw ValueError /
+        TypeError; 2.5 was truncated inline and pickled over shm; 2**63
+        ran inline and faulted the whole drain in the slot encoder."""
+        anchors = [[10 * i, 9 * i, 19] for i in range(1, 9)]
+        with pytest.raises(JobValidationError, match="'n' must be an int >= 1"):
+            make_job("chain", {"anchors": anchors, "n": window})
+
+    def test_no_accepted_chain_payload_reports_negative_cells(self):
+        from repro.engine.kernels import KERNELS
+
+        for count in (1, 2, 8, 70):
+            anchors = [[10 * i, 9 * i, 19] for i in range(1, count + 1)]
+            for extra in ({}, {"n": 1}, {"n": 7}, {"n": 64}, {"n": 2**63 - 1}):
+                job = make_job("chain", {"anchors": anchors, **extra})
+                assert KERNELS["chain"].cells(job.payload) >= 0
 
     def test_every_submitted_shape_still_validates(self):
         make_job("dtw", {"a": (1, 2.5), "b": [True, 3]})

@@ -6,13 +6,15 @@ memo; the interpreter stays reachable as the explicit oracle and runs
 by itself only for sentineled payloads and unspecializable programs.
 """
 
+import ast
 import dataclasses
+import itertools
 import logging
 import pickle
 
 import pytest
 
-from repro.dfg.expressions import _EXPRESSIONS
+from repro.dfg.expressions import _EXPRESSIONS, op_expression
 from repro.dfg.graph import OPCODE_ARITY, Opcode, _apply
 from repro.engine import Engine, EngineConfig, make_job
 from repro.engine.cache import compile_program
@@ -226,6 +228,105 @@ class TestSource:
         )
         assert specialize_cell(program)(7, 3) == (10, 4)
         assert _cell_executor(program, None)(7, 3) == (10, 4)
+
+
+#: Everything generated code may call: the match table and the two
+#: PairHMM look-ups (tables, not ALUs), and ``int`` around them.
+ALLOWED_CALLS = {"_match", "_log_sum", "_log2", "int"}
+
+
+def called_names(source):
+    """Every name (or dotted path) *source* calls."""
+    return {
+        node.func.id if isinstance(node.func, ast.Name) else ast.unparse(node.func)
+        for node in ast.walk(ast.parse(source))
+        if isinstance(node, ast.Call)
+    }
+
+
+def engine_programs():
+    """The five engine programs, as DPMap emits them and optimized."""
+    from repro.opt import contract_for, default_pipeline
+
+    for kernel in ENGINE_KERNELS:
+        yield _compiled(kernel)
+        yield compile_program(
+            kernel, 2, build_dfg(kernel), default_pipeline(contract_for(kernel))
+        )
+
+
+class TestCallFreeTemplates:
+    """MAX/MIN are branch expressions with the builtin's exact
+    semantics; CI runs this class on its own (``-k CallFree``)."""
+
+    VALUES = [
+        -(2**63) - 1, -1, 0, 1, 2**31, 2**63 + 5,
+        0.0, -0.0, 1.5, float("inf"), float("-inf"), float("nan"),
+    ]
+
+    @pytest.mark.parametrize(
+        "opcode, builtin", [(Opcode.MAX, max), (Opcode.MIN, min)]
+    )
+    @pytest.mark.parametrize("operands", [("x", "y"), ("(x)", "(y)")])
+    def test_max_min_templates_equal_the_builtin(self, opcode, builtin, operands):
+        """Ties, signed zeros and NaNs included: ``repr`` tells 0.0
+        from -0.0 and 1 from 1.0.  Bare names are repeated, anything
+        else is bound to a temporary; both must agree."""
+        source = op_expression(opcode, operands, False, [])
+        assert called_names(source) == set()
+        code = compile(source, "<template>", "eval")
+        for x, y in itertools.product(self.VALUES, repeat=2):
+            got = eval(code, {"x": x, "y": y})
+            assert repr(got) == repr(builtin(x, y)), (opcode, x, y)
+
+    @pytest.mark.parametrize(
+        "root, swapped, order",
+        [
+            (Opcode.MAX, False, [(0, 1), (2, 3)]),
+            (Opcode.MIN, False, [(0, 1), (2, 3)]),
+            (Opcode.MAX, True, [(2, 3), (0, 1)]),
+            (Opcode.LOG2_LUT, False, [(0, 1)]),
+        ],
+    )
+    def test_nested_operands_run_once_left_before_right(self, root, swapped, order):
+        """``max(f(), g())`` called f then g, once each: the contract."""
+        from repro.isa.compute import CUInstruction, Reg, SlotOp, VLIWInstruction
+
+        def match(a, b):
+            return SlotOp(Opcode.MATCH_SCORE, (Reg(a), Reg(b)))
+
+        way = CUInstruction(
+            kind="tree",
+            dest=Reg(4),
+            left=match(0, 1),
+            right=None if root is Opcode.LOG2_LUT else match(2, 3),
+            root=root,
+            root_swapped=swapped,
+        )
+        program = dataclasses.replace(
+            _compiled("lcs"),
+            instructions=(VLIWInstruction(cu0=way),),
+            input_regs={"a": 0, "b": 1, "c": 2, "d": 3},
+            output_regs={"out": 4},
+        )
+        calls = []
+
+        def table(a, b):
+            calls.append((a, b))
+            return a * 7 - b
+
+        args = (5, 1, 2, 3)
+        got = specialize_cell(program, table)(*args)
+        assert calls == [tuple(args[i] for i in pair) for pair in order]
+        assert got == _cell_executor(program, table)(*args)
+
+    def test_sources_are_the_same_text_every_time_and_call_no_builtin(self):
+        for compiled, with_table in itertools.product(engine_programs(), (False, True)):
+            source = specialize_source(compiled, with_table)
+            assert specialize_source(compiled, with_table) == source
+            assert called_names(source) <= ALLOWED_CALLS, (
+                compiled.kernel, called_names(source) - ALLOWED_CALLS
+            )
 
 
 def test_every_opcode_the_functional_model_evaluates_has_a_template():
