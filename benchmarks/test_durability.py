@@ -18,11 +18,11 @@ on in production:
   re-execution), plus the same 5,000-record journal after snapshot
   compaction -- the operational answer to an unbounded curve.
 
-Besides the human-readable ``results/durability.txt`` table, the run
-emits machine-readable ``results/BENCH_durability.json``.
+The table goes to ``results/durability.txt``.  ``cluster_durable`` in
+``bench/`` tracks journal-on throughput and recovery with variance;
+the on-vs-off overhead and the recovery curve are measured only here.
 """
 
-import json
 import time
 
 from repro.analysis.report import render_table
@@ -145,7 +145,7 @@ def _time_recovery(wal_dir):
     return best, report
 
 
-def test_durability_overhead_and_recovery(benchmark, publish, results_dir, tmp_path):
+def test_durability_overhead_and_recovery(benchmark, publish, tmp_path):
     measured = benchmark.pedantic(
         lambda: {
             label: _best_stream(tmp_path, label, fsync)
@@ -169,7 +169,6 @@ def test_durability_overhead_and_recovery(benchmark, publish, results_dir, tmp_p
                 "records_appended": int(
                     counters.get("durable_records_appended", 0)
                 ),
-                "syncs": int(counters.get("durable_syncs", 0)),
             }
         )
 
@@ -185,7 +184,6 @@ def test_durability_overhead_and_recovery(benchmark, publish, results_dir, tmp_p
         curve_points.append(
             {
                 "records": records,
-                "jobs": jobs,
                 "recover_seconds": round(seconds, 6),
                 "records_per_sec": round(records / seconds, 1),
                 "compacted": False,
@@ -207,7 +205,6 @@ def test_durability_overhead_and_recovery(benchmark, publish, results_dir, tmp_p
     curve_points.append(
         {
             "records": CURVE_RECORDS[-1],
-            "jobs": CURVE_RECORDS[-1] // 2,
             "recover_seconds": round(compact_seconds, 6),
             "records_per_sec": None,
             "compacted": True,
@@ -261,27 +258,6 @@ def test_durability_overhead_and_recovery(benchmark, publish, results_dir, tmp_p
                 "history folded into one snapshot"
             ),
         ),
-    )
-
-    (results_dir / "BENCH_durability.json").write_text(
-        json.dumps(
-            {
-                "benchmark": "durability_overhead_and_recovery",
-                "workload": {
-                    "kernel": "bsw",
-                    "jobs": JOB_COUNT,
-                    "query_length": 32,
-                    "target_length": 24,
-                    "seed": 5,
-                    "transport": "shm, 2 warm workers",
-                    "repeats": REPEATS,
-                },
-                "stream": stream_points,
-                "recovery_curve": curve_points,
-            },
-            indent=2,
-        )
-        + "\n"
     )
 
     # The acceptance bar: the default policy's tax stays within 15%

@@ -10,14 +10,12 @@ Two more tables ride along (ROADMAP item 3):
 - what the simulation costs the *host*: microseconds per simulated
   cycle and simulated cycles per host-second, per kernel, with the
   cycle profiler off and on (median and quartiles of ``HOST_REPEATS``
-  runs) -- also written to ``results/BENCH_simulator.json`` so
-  ``gendp-bench`` tracks it;
+  runs; ``dpax_tiles`` in ``bench/`` is the tracked figure);
 - why Chain's measured cycles/cell leave the model's 39.0 as the chain
   grows (:func:`repro.perfmodel.throughput.chain_slot_cycles`;
   docs/architecture.md, "Chain slot time").
 """
 
-import json
 import random
 import statistics
 import time
@@ -141,7 +139,7 @@ def chain_slot_rows():
     return rows
 
 
-def test_simulator_throughput(benchmark, publish, results_dir):
+def test_simulator_throughput(benchmark, publish):
     measured = benchmark(simulate_all_kernels)
 
     throughputs = default_kernel_throughputs()
@@ -170,25 +168,20 @@ def test_simulator_throughput(benchmark, publish, results_dir):
         )
     ]
 
-    host_rows, bench_kernels = [], []
+    host_rows = []
     for kernel, (run, _) in kernel_runs().items():
         cycles = run().cycles
-        entry = {"kernel": kernel, "sim_cycles": cycles}
-        row = [kernel, cycles]
-        for suffix, profile in (("", False), ("_profiled", True)):
+        row, medians = [kernel, cycles], []
+        for profile in (False, True):
             q1, median, q3 = (
                 seconds * 1e6 / cycles
                 for seconds in statistics.quantiles(host_seconds(run, profile), n=4)
             )
-            entry[f"host_us_per_cycle{suffix}"] = round(median, 3)
-            # A scalar list: shown, but not a metric gendp-bench gates.
-            entry[f"host_us_per_cycle{suffix}_quartiles"] = [round(q1, 3), round(q3, 3)]
-            entry[f"sim_cycles_per_s{suffix}"] = round(1e6 / median)
+            medians.append(median)
             row += [f"{median:.2f} [{q1:.2f}-{q3:.2f}]", round(1e6 / median)]
-        off, on = entry["host_us_per_cycle"], entry["host_us_per_cycle_profiled"]
+        off, on = medians
         row.append(f"{(on - off) / off:+.1%}")
         host_rows.append(row)
-        bench_kernels.append(entry)
     tables.append(
         render_table(
             "Host cost of the simulation (one core, whole run incl. program build)",
@@ -229,17 +222,6 @@ def test_simulator_throughput(benchmark, publish, results_dir):
         )
     )
     publish("simulator_throughput", "\n\n".join(tables))
-    (results_dir / "BENCH_simulator.json").write_text(
-        json.dumps(
-            {
-                "benchmark": "simulator",
-                "host_repeats": HOST_REPEATS,
-                "kernels": bench_kernels,
-            },
-            indent=2,
-        )
-        + "\n"
-    )
 
     # Calibration drift guard: the model's defaults track measurements.
     for kernel, cycles_per_cell in measured.items():

@@ -48,11 +48,6 @@ Console scripts (installed by ``pip install -e .``):
   endpoint: ``check`` gates CI (``--fail-on burn``), ``report``
   prints the full objective/window state, ``watch`` polls live, and
   ``synth`` writes deterministic replay fixtures.
-- ``gendp-bench`` -- benchmark trajectory tracking
-  (:mod:`repro.slo.bench`): ``collect`` normalizes ``BENCH_*.json``
-  results into ``results/trajectory.jsonl``, ``compare`` gates them
-  against committed baselines (exit 1 on regression), ``baseline``
-  (re)seeds the baseline file.
 - ``gendp-serve`` -- run the asyncio serving tier
   (:mod:`repro.serve`): newline-delimited JSON over TCP or a Unix
   socket, per-tenant quotas, priority classes, backpressure, and
@@ -2055,228 +2050,6 @@ def slo_main(argv: Optional[List[str]] = None) -> int:
     if args.command == "check" and args.fail_on == "burn" and engine.burning:
         return 1
     return 0
-
-
-# ----------------------------------------------------------------------
-# gendp-bench
-
-
-def _bench_inputs(files: List[str], results_dir: str) -> List[str]:
-    """Explicit BENCH files, or every ``BENCH_*.json`` under the dir."""
-    if files:
-        return files
-    import glob as _glob
-    import os as _os
-
-    found = sorted(_glob.glob(_os.path.join(results_dir, "BENCH_*.json")))
-    if not found:
-        raise SystemExit(f"no BENCH_*.json files under {results_dir!r}")
-    return found
-
-
-def _bench_load(paths: List[str]) -> dict:
-    """``{benchmark: {metric: value}}`` from BENCH files."""
-    from repro.slo.bench import load_bench_file
-
-    metrics_by_bench = {}
-    for path in paths:
-        try:
-            benchmark, metrics = load_bench_file(path)
-        except (OSError, ValueError) as error:
-            raise SystemExit(f"cannot load benchmark {path!r}: {error}")
-        metrics_by_bench[benchmark] = metrics
-    return metrics_by_bench
-
-
-@_pipe_safe
-def bench_main(argv: Optional[List[str]] = None) -> int:
-    parser = argparse.ArgumentParser(
-        prog="gendp-bench",
-        description=(
-            "Track benchmark results over time and gate regressions: "
-            "collect normalizes BENCH_*.json into the trajectory log, "
-            "compare gates against committed baselines, baseline "
-            "(re)seeds them."
-        ),
-    )
-    sub = parser.add_subparsers(dest="command", required=True)
-
-    def _add_inputs(command) -> None:
-        command.add_argument(
-            "files",
-            nargs="*",
-            metavar="BENCH_JSON",
-            help="benchmark result files (default: results/BENCH_*.json)",
-        )
-        command.add_argument("--results-dir", default="results")
-
-    collect = sub.add_parser(
-        "collect", help="append normalized records to the trajectory log"
-    )
-    _add_inputs(collect)
-    collect.add_argument(
-        "--trajectory",
-        metavar="PATH",
-        default=None,
-        help="trajectory JSONL (default: <results-dir>/trajectory.jsonl)",
-    )
-    collect.add_argument(
-        "--revision", default=None, help="revision tag for the records"
-    )
-    collect.add_argument(
-        "--timestamp", default=None, help="ISO timestamp (default: now, UTC)"
-    )
-    collect.add_argument("--json", action="store_true")
-
-    compare_cmd = sub.add_parser(
-        "compare", help="gate current results against baselines (CI)"
-    )
-    _add_inputs(compare_cmd)
-    compare_cmd.add_argument(
-        "--baselines",
-        metavar="PATH",
-        default=None,
-        help="baseline file (default: <results-dir>/bench_baselines.json)",
-    )
-    compare_cmd.add_argument(
-        "--show-ok",
-        action="store_true",
-        help="also list metrics inside their tolerance band",
-    )
-    compare_cmd.add_argument("--json", action="store_true")
-
-    baseline_cmd = sub.add_parser(
-        "baseline", help="(re)seed the baseline file from current results"
-    )
-    _add_inputs(baseline_cmd)
-    baseline_cmd.add_argument(
-        "--out",
-        metavar="PATH",
-        default=None,
-        help="output path (default: <results-dir>/bench_baselines.json)",
-    )
-    baseline_cmd.add_argument(
-        "--tolerance",
-        type=float,
-        default=None,
-        help="tolerance band, percent (default: 25)",
-    )
-
-    args = parser.parse_args(argv)
-    import json as _json
-    import os as _os
-
-    paths = _bench_inputs(args.files, args.results_dir)
-    metrics_by_bench = _bench_load(paths)
-
-    if args.command == "collect":
-        from repro.slo.bench import append_trajectory, trajectory_record
-
-        timestamp = args.timestamp
-        if timestamp is None:
-            from datetime import datetime, timezone
-
-            timestamp = datetime.now(timezone.utc).isoformat(
-                timespec="seconds"
-            )
-        records = [
-            trajectory_record(
-                benchmark,
-                metrics_by_bench[benchmark],
-                timestamp=timestamp,
-                revision=args.revision,
-            )
-            for benchmark in sorted(metrics_by_bench)
-        ]
-        trajectory = args.trajectory or _os.path.join(
-            args.results_dir, "trajectory.jsonl"
-        )
-        added = append_trajectory(trajectory, records)
-        if args.json:
-            print(_json.dumps(records, indent=2, sort_keys=True))
-        for record in records:
-            print(
-                f"collected {record['benchmark']}: "
-                f"{len(record['metrics'])} metric(s)"
-            )
-        print(f"appended {added} record(s) to {trajectory}")
-        return 0
-
-    if args.command == "baseline":
-        from repro.slo.bench import DEFAULT_TOLERANCE_PCT, generate_baselines
-
-        tolerance = (
-            args.tolerance if args.tolerance is not None
-            else DEFAULT_TOLERANCE_PCT
-        )
-        if tolerance <= 0:
-            parser.error("--tolerance must be positive")
-        baselines = generate_baselines(metrics_by_bench, tolerance)
-        out = args.out or _os.path.join(
-            args.results_dir, "bench_baselines.json"
-        )
-        with open(out, "w", encoding="utf-8") as handle:
-            _json.dump(baselines, handle, indent=2, sort_keys=True)
-            handle.write("\n")
-        gated = sum(
-            1
-            for entries in baselines["benchmarks"].values()
-            for entry in entries.values()
-            if entry["direction"] != "info"
-        )
-        total = sum(
-            len(entries) for entries in baselines["benchmarks"].values()
-        )
-        print(
-            f"wrote {out}: {len(baselines['benchmarks'])} benchmark(s), "
-            f"{total} metric(s), {gated} gated at {tolerance:g}%"
-        )
-        return 0
-
-    # compare
-    from repro.slo.bench import compare, gate, load_baselines
-
-    baselines_path = args.baselines or _os.path.join(
-        args.results_dir, "bench_baselines.json"
-    )
-    try:
-        baselines = load_baselines(baselines_path)
-    except (OSError, ValueError) as error:
-        raise SystemExit(f"cannot load baselines: {error}")
-    findings = compare(metrics_by_bench, baselines)
-    failures = gate(findings)
-    if args.json:
-        document = {
-            "findings": findings,
-            "failures": len(failures),
-            "ok": not failures,
-        }
-        print(_json.dumps(document, indent=2, sort_keys=True))
-    else:
-        counts: dict = {}
-        for finding in findings:
-            counts[finding["status"]] = counts.get(finding["status"], 0) + 1
-        for finding in findings:
-            status = finding["status"]
-            if status in ("ok", "info") and not args.show_ok:
-                continue
-            delta = finding.get("delta_pct")
-            shown = "n/a" if delta is None else f"{delta:+.1f}%"
-            print(
-                f"  {status.upper():<9} {finding['benchmark']}."
-                f"{finding['metric']}  baseline {finding['baseline']:g}  "
-                f"current "
-                f"{'-' if finding['current'] is None else format(finding['current'], 'g')}"
-                f"  delta {shown} (tol {finding['tolerance_pct']:g}%, "
-                f"{finding['direction']})"
-            )
-        summary = ", ".join(
-            f"{counts.get(status, 0)} {status}"
-            for status in ("ok", "improved", "regressed", "missing", "info")
-        )
-        print(f"gendp-bench: {summary}")
-        print(f"verdict: {'FAIL' if failures else 'OK'}")
-    return 1 if failures else 0
 
 
 if __name__ == "__main__":

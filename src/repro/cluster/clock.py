@@ -10,13 +10,14 @@ explicitly accounts work onto it (``per-job cost x jobs drained``,
 plus injected hang delays), making every latency the campaign observes
 a pure function of the seed.
 
-The same clock doubles as the cluster's **virtual-time axis** for
-scalability measurement: one drain round runs its shards sequentially
-on the host (this container has a single core) but models them as
-parallel machines, so the round's virtual elapsed time is the *max*
-of the per-shard drain times, not the sum.  ``results/BENCH_cluster.json``
-reports jobs per virtual second, which is exactly the quantity Table
-12's replicated-array scaling argument is about.
+The same clock doubles as the cluster's **virtual-time axis**: one
+drain round runs its shards one after another on the host but models
+them as parallel machines, so the round's virtual elapsed time is the
+*max* of the per-shard drain times, not the sum
+(``ClusterReport.virtual_seconds``).  That is a placement model of
+Python shards, not a measurement: wall-clock cluster throughput is
+``cluster_durable`` in ``bench/``, and Table 12's replicated-array
+scaling is ``benchmarks/test_table12_scalability.py``.
 """
 
 from __future__ import annotations

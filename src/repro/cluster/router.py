@@ -39,8 +39,8 @@ Time is injectable (:mod:`repro.cluster.clock`): chaos campaigns pass
 a :class:`~repro.cluster.clock.SimClock` so latency-driven decisions
 are seed-deterministic, and every drain round accounts **virtual
 time** -- the max of the per-shard drain seconds, modelling shards as
-parallel machines -- which is what ``results/BENCH_cluster.json``
-reports scaling against.
+parallel machines (``ClusterReport.virtual_seconds``).  Wall-clock
+cluster throughput is ``cluster_durable`` in ``bench/``.
 """
 
 from __future__ import annotations
@@ -171,7 +171,6 @@ class ClusterRouter:
         self._round = 0
         self._next_ordinal = 0
         self._virtual_seconds = 0.0
-        self._rounds: List[Dict[str, Any]] = []
         self._inflight: "OrderedDict[int, Job]" = OrderedDict()
         self._owner: Dict[int, str] = {}
         self._resubmissions: Dict[int, int] = {}
@@ -451,8 +450,7 @@ class ClusterRouter:
 
         envelopes: Dict[int, JobResult] = {}
         shard_seconds: Dict[str, float] = {}
-        shard_jobs: Dict[str, int] = {}
-        self._drain_shards(round_number, envelopes, shard_seconds, shard_jobs)
+        self._drain_shards(round_number, envelopes, shard_seconds)
 
         # Failover: resubmit orphans of killed/ejected shards, then
         # drain the adopting shards so this round still settles them.
@@ -463,32 +461,13 @@ class ClusterRouter:
             if not adopted:
                 break
             self._drain_shards(
-                round_number,
-                envelopes,
-                shard_seconds,
-                shard_jobs,
-                only=adopted,
+                round_number, envelopes, shard_seconds, only=adopted
             )
         self._synthesize_leftovers(envelopes)
 
         # Virtual-time accounting: shards are parallel machines, so the
         # round costs the slowest shard's drain time, not the sum.
-        round_virtual = max(shard_seconds.values(), default=0.0)
-        self._virtual_seconds += round_virtual
-        if len(self._rounds) < 4096:
-            self._rounds.append(
-                {
-                    "round": round_number,
-                    "virtual_s": round_virtual,
-                    "shards": {
-                        shard_id: {
-                            "jobs": shard_jobs.get(shard_id, 0),
-                            "seconds": seconds,
-                        }
-                        for shard_id, seconds in sorted(shard_seconds.items())
-                    },
-                }
-            )
+        self._virtual_seconds += max(shard_seconds.values(), default=0.0)
 
         for shard in list(self._shards.values()):
             if shard.finish_leave():
@@ -543,7 +522,6 @@ class ClusterRouter:
         round_number: int,
         envelopes: Dict[int, JobResult],
         shard_seconds: Dict[str, float],
-        shard_jobs: Dict[str, int],
         only: Optional[Set[str]] = None,
     ) -> None:
         for shard_id, shard in sorted(self._shards.items()):
@@ -589,7 +567,6 @@ class ClusterRouter:
             shard_seconds[shard_id] = (
                 shard_seconds.get(shard_id, 0.0) + elapsed
             )
-            shard_jobs[shard_id] = shard_jobs.get(shard_id, 0) + len(results)
             self.metrics.observe("shard_drain_s", elapsed)
             if self.tracer is not None:
                 self.tracer.add_span(
@@ -890,11 +867,6 @@ class ClusterRouter:
     def virtual_seconds(self) -> float:
         """Parallel-machine elapsed time across all drain rounds."""
         return self._virtual_seconds
-
-    @property
-    def rounds(self) -> List[Dict[str, Any]]:
-        """Per-round drain accounting (bounded; benchmark input)."""
-        return list(self._rounds)
 
     def snapshot(self) -> Dict[str, Any]:
         """Cluster + per-shard metrics as one exporter-ready dict."""

@@ -99,8 +99,8 @@ class RecoveryChaosConfig:
     #: Read-back verification heals torn/flipped writes in-process.
     #: Off, a torn accept write sheds its job, a lost ``complete``
     #: re-executes its job at the next recovery, and a bit-flipped
-    #: frame truncates the journal tail behind it at replay: under
-    #: disk faults the campaign reports FAILED (docs/reliability.md).
+    #: frame loses that one record (the reader skips it): under disk
+    #: faults the campaign reports FAILED (docs/reliability.md).
     verify_writes: bool = True
     #: Compact the journal after every Nth surviving chunk (0 = off).
     compact_every: int = 0

@@ -15,11 +15,11 @@ dispatch, ``complete`` when the envelope is folded, and
 Crash consistency rests on three rules:
 
 1. **Append-only frames.**  A crash mid-write leaves a torn frame at
-   the tail of the last segment and nothing else; re-opening the
-   journal (or replaying it) truncates the tail at the first corrupt
-   frame.  Non-final segments can only be corrupted by silent media
-   faults, so their reader *resyncs*: it skips to the next valid
-   frame instead of discarding the rest of the segment.
+   the tail of the last segment and nothing else.  The reader
+   *resyncs* past a corrupt frame (a silent media fault) to the next
+   valid one in every segment, so one flipped bit costs one record;
+   only bytes that no valid frame follows are a torn tail, and
+   re-opening the journal truncates exactly those.
 2. **Repair-on-failure.**  A torn or unverifiable write inside a
    *surviving* process is truncated back out before the error
    propagates, so the tail stays parseable for every later append.
@@ -172,20 +172,22 @@ class SegmentScan:
     records: List[Dict[str, Any]] = field(default_factory=list)
     #: Corrupt runs encountered (1 per good->bad transition).
     corrupt_frames: int = 0
-    #: Bytes discarded (tail truncation or resync skips).
+    #: Bytes discarded (resync skips and the tail).
     skipped_bytes: int = 0
-    #: Length of the valid prefix (tail scans only; where a repair
-    #: would truncate the file).
+    #: End of the last valid frame: where a repair truncates the file.
     valid_bytes: int = 0
+    #: Bytes after the last valid frame -- a torn write when this is
+    #: the final segment (part of ``skipped_bytes`` and, when non-zero,
+    #: one of ``corrupt_frames``).
+    tail_bytes: int = 0
 
 
-def scan_segment(path: str, final: bool) -> SegmentScan:
+def scan_segment(path: str) -> SegmentScan:
     """Read every recoverable frame out of one segment.
 
-    *final* selects tail semantics: the scan stops at the first
-    corrupt frame (a crash can only tear the end of the last segment).
-    Non-final segments resync past corrupt frames, so one flipped bit
-    costs one record, not the rest of the file.
+    A corrupt frame is skipped by resyncing on the next ``MAGIC``, so
+    one flipped bit costs one record, not the rest of the file; what
+    follows the last valid frame is reported as ``tail_bytes``.
     """
     with open(path, "rb") as handle:
         blob = handle.read()
@@ -203,17 +205,13 @@ def scan_segment(path: str, final: bool) -> SegmentScan:
         if not in_bad_run:
             scan.corrupt_frames += 1
             in_bad_run = True
-        if final:
-            scan.skipped_bytes += len(blob) - scan.valid_bytes
-            break
         resync = blob.find(MAGIC, offset + 1)
         if resync < 0:
             scan.skipped_bytes += len(blob) - offset
             break
         scan.skipped_bytes += resync - offset
         offset = resync
-    if final and not scan.records and not scan.corrupt_frames:
-        scan.valid_bytes = 0
+    scan.tail_bytes = len(blob) - scan.valid_bytes
     return scan
 
 
@@ -381,15 +379,25 @@ class Journal:
     # -- open / close --------------------------------------------------
 
     def _open_for_append(self) -> None:
-        """Adopt the existing tail (repairing a torn one) or start fresh."""
+        """Adopt the existing tail (repairing a torn one) or start fresh.
+
+        A truncated torn tail counts as ``durable_truncated_bytes``;
+        corrupt frames the journal still holds (valid frames follow
+        them, so they are skipped, not cut) as ``durable_corrupt_frames``.
+        """
         state, issues = load_journal_state(
             self.config.dir_path, repair=True
         )
         self._next_seq = state.max_seq + 1
-        if issues["skipped_bytes"] and self.metrics is not None:
-            self.metrics.incr(
-                "durable_truncated_bytes", issues["skipped_bytes"]
-            )
+        if self.metrics is not None:
+            if issues["truncated_bytes"]:
+                self.metrics.incr(
+                    "durable_truncated_bytes", issues["truncated_bytes"]
+                )
+            if issues["corrupt_frames"]:
+                self.metrics.incr(
+                    "durable_corrupt_frames", issues["corrupt_frames"]
+                )
         segments = self.segment_paths()
         if segments:
             tail = segments[-1]
@@ -642,19 +650,21 @@ def load_journal_state(
 ) -> Tuple[JournalState, Dict[str, int]]:
     """Fold ``snapshot.json`` + every segment under *dir_path*.
 
-    With *repair* on, a torn tail segment is truncated to its valid
-    prefix on disk (what :class:`Journal` does before appending).
-    Returns ``(state, issues)`` where issues counts ``segments``,
-    ``corrupt_frames`` and ``skipped_bytes``; a missing or corrupt
-    snapshot is skipped (``snapshot_corrupt``) rather than fatal --
-    the segments it summarized are gone, but the journal stays
-    readable.
+    With *repair* on, the final segment's torn tail (bytes no valid
+    frame follows) is truncated on disk (what :class:`Journal` does
+    before appending) and reported as ``truncated_bytes`` instead of
+    as a corrupt frame: it is gone.  Returns ``(state, issues)`` where
+    issues counts ``segments``, ``corrupt_frames``, ``skipped_bytes``
+    and ``truncated_bytes``; a missing or corrupt snapshot is skipped
+    (``snapshot_corrupt``) rather than fatal -- the segments it
+    summarized are gone, but the journal stays readable.
     """
     state = JournalState()
     issues = {
         "segments": 0,
         "corrupt_frames": 0,
         "skipped_bytes": 0,
+        "truncated_bytes": 0,
         "snapshot_corrupt": 0,
         "snapshot_loaded": 0,
     }
@@ -682,13 +692,16 @@ def load_journal_state(
     paths = [os.path.join(dir_path, name) for name in names]
     issues["segments"] = len(paths)
     for position, path in enumerate(paths):
-        final = position == len(paths) - 1
-        scan = scan_segment(path, final=final)
-        issues["corrupt_frames"] += scan.corrupt_frames
-        issues["skipped_bytes"] += scan.skipped_bytes
-        if repair and final and scan.skipped_bytes:
+        scan = scan_segment(path)
+        if repair and scan.tail_bytes and position == len(paths) - 1:
+            # A torn write: cut off, so counted as gone, not as corrupt.
             with open(path, "r+b") as handle:
                 handle.truncate(scan.valid_bytes)
+            issues["truncated_bytes"] += scan.tail_bytes
+            scan.corrupt_frames -= 1
+            scan.skipped_bytes -= scan.tail_bytes
+        issues["corrupt_frames"] += scan.corrupt_frames
+        issues["skipped_bytes"] += scan.skipped_bytes
         for record in scan.records:
             seq = record.get("seq")
             if isinstance(seq, int) and seq <= snapshot_seq:

@@ -19,6 +19,10 @@ Unix socket.  Requests:
   one ``results`` array back;
 - ``{"op": "stats"}`` -- serving counters + queue depth.
 
+A job is validated before it is admitted: a malformed one gets
+``{"ok": false, "error": "bad job: ..."}`` (in its slot of a batch)
+and costs its tenant no quota token and no ledger submission.
+
 Dispatch: admitted jobs land on an asyncio queue; a single dispatcher
 task batches them up (``flush_interval_s`` / ``max_batch``), submits
 to the engine and runs the **synchronous** drain in the default
@@ -51,6 +55,7 @@ from typing import Any, Dict, List, Mapping, Optional, Tuple
 from dataclasses import replace
 
 from repro.engine import Engine, make_job
+from repro.engine.jobs import JobValidationError
 from repro.obs.logs import get_logger, log_context
 from repro.serve.admission import (
     AdmissionController,
@@ -488,12 +493,15 @@ class GendpServer:
         )
         return {"ok": False, "rejected": True, "error": decision.reason}
 
-    def _build_job(
-        self, spec: Mapping[str, Any], tenant: str
-    ):
+    def _build_job(self, spec: Any, tenant: str):
+        """The validated :class:`Job` for *spec*; raises
+        :class:`JobValidationError` for anything malformed."""
+        if not isinstance(spec, Mapping):
+            raise JobValidationError("a job must be a JSON object")
+        payload = spec.get("payload") or {}
         job = make_job(
             str(spec.get("kernel")),
-            dict(spec.get("payload") or {}),
+            dict(payload) if isinstance(payload, Mapping) else payload,
             priority=priority_for(spec.get("priority")),
             deadline_s=spec.get("deadline_s"),
         )
@@ -536,9 +544,17 @@ class GendpServer:
             payload["shard"] = shard
         return payload
 
+    def _bad_job(self, error: JobValidationError) -> Dict[str, Any]:
+        self.engine.metrics.incr("serve_errors")
+        return {"ok": False, "error": f"bad job: {error}"}
+
     async def _submit_one(
         self, request: Mapping[str, Any], tenant: str
     ) -> Dict[str, Any]:
+        try:
+            job = self._build_job(request, tenant)
+        except JobValidationError as error:
+            return self._bad_job(error)
         rejection = self._admit(tenant)
         if rejection is not None:
             return rejection
@@ -551,7 +567,6 @@ class GendpServer:
                 # holds the answer; never execute the same request twice.
                 self.engine.metrics.incr("serve_deduped")
                 return dict(cached, deduped=True)
-        job = self._build_job(request, tenant)
         if dedupe_id is not None and self.journal is not None:
             # Write-ahead: an un-journaled request is refused, so a
             # crash can never lose a request the client believes is in.
@@ -660,11 +675,15 @@ class GendpServer:
         entries: List[Dict[str, Any]] = []
         futures: List[Tuple[int, asyncio.Future]] = []
         for index, spec in enumerate(specs):
+            try:
+                job = self._build_job(spec, tenant)
+            except JobValidationError as error:
+                entries.append(self._bad_job(error))
+                continue
             rejection = self._admit(tenant)
             if rejection is not None:
                 entries.append(rejection)
                 continue
-            job = self._build_job(spec, tenant)
             futures.append((index, await self._enqueue(job, tenant)))
             entries.append({})  # placeholder, filled below
         for index, future in futures:

@@ -1,6 +1,5 @@
-"""repro.slo: SLOs, per-tenant accounting, flight recording, and
-perf-regression tracking -- the second-generation observability layer
-over :mod:`repro.obs`.
+"""repro.slo: SLOs, per-tenant accounting and flight recording -- the
+second-generation observability layer over :mod:`repro.obs`.
 
 - :mod:`repro.slo.objectives` -- declarative latency/availability
   objectives over ``MetricsRegistry.snapshot()`` dicts;
@@ -8,20 +7,12 @@ over :mod:`repro.obs`.
   with a deterministic (injectable-clock) alert sequence;
 - :mod:`repro.slo.accounting` -- the per-tenant usage ledger;
 - :mod:`repro.slo.flight` -- the bounded flight recorder and its
-  black-box dumps;
-- :mod:`repro.slo.bench` -- benchmark trajectory + baseline gating.
+  black-box dumps.
 
-CLI front ends: ``gendp-slo`` and ``gendp-bench``.
+CLI front end: ``gendp-slo``.
 """
 
 from repro.slo.accounting import TENANT_COUNTERS, TenantLedger, estimate_cells
-from repro.slo.bench import (
-    append_trajectory,
-    compare,
-    extract_metrics,
-    generate_baselines,
-    load_baselines,
-)
 from repro.slo.burnrate import (
     DEFAULT_WINDOWS,
     SLO_COUNTERS,
@@ -47,11 +38,6 @@ __all__ = [
     "TENANT_COUNTERS",
     "TenantLedger",
     "estimate_cells",
-    "append_trajectory",
-    "compare",
-    "extract_metrics",
-    "generate_baselines",
-    "load_baselines",
     "DEFAULT_WINDOWS",
     "SLO_COUNTERS",
     "Alert",

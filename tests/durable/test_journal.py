@@ -55,7 +55,7 @@ class TestFraming:
         journal.append("accept", job_id=1, kernel="bsw", payload={"a": 1})
         journal.append("complete", job_id=1, ok=True)
         journal.close()
-        scan = scan_segment(journal.segment_paths()[0], final=True)
+        scan = scan_segment(journal.segment_paths()[0])
         assert [r["t"] for r in scan.records] == ["accept", "complete"]
         assert scan.records[0]["payload"] == {"a": 1}
         assert scan.corrupt_frames == 0
@@ -139,6 +139,78 @@ class TestCrashConsistency:
         assert set(state.accepted) == {"0", "1", "2", "3", "99"}
         assert state.max_seq == 4
         assert issues["corrupt_frames"] == 0  # the repair removed it
+
+    def test_bit_flip_in_the_final_segment_costs_one_record(self, tmp_path):
+        journal = make_journal(tmp_path)
+        for index in range(10):
+            journal.append("accept", job_id=index, kernel="bsw")
+        journal.close()
+        path = journal.segment_paths()[0]
+        blob = bytearray(open(path, "rb").read())
+        # XOR one payload byte of the third frame.
+        offset = 0
+        for _ in range(2):
+            _magic, length, _crc = struct.unpack_from("<2sII", blob, offset)
+            offset += 10 + length
+        blob[offset + 10 + 3] ^= 0xFF
+        open(path, "wb").write(bytes(blob))
+
+        state, issues = load_journal_state(str(tmp_path / "wal"))
+        assert len(state.accepted) == 9
+        assert "2" not in state.accepted
+        assert issues["corrupt_frames"] == 1
+        # Reopening keeps every valid frame behind the flip: nothing is
+        # truncated, the skip is counted, appends continue after it.
+        metrics = MetricsRegistry()
+        journal = make_journal(tmp_path, metrics=metrics)
+        assert os.path.getsize(path) == len(blob)
+        assert metrics.counter("durable_truncated_bytes") == 0
+        assert metrics.counter("durable_corrupt_frames") >= 1
+        assert len(journal.load_state()[0].accepted) == 9
+        journal.append("accept", job_id=10, kernel="bsw")
+        state, issues = journal.load_state()
+        journal.close()
+        assert len(state.accepted) == 10
+        assert state.max_seq == 10
+        assert issues["corrupt_frames"] == 1
+
+    def test_reopen_counts_a_torn_tail_as_truncated_bytes(self, tmp_path):
+        journal = make_journal(tmp_path)
+        for index in range(5):
+            journal.append("accept", job_id=index, kernel="bsw")
+        journal.crash()
+        path = journal.segment_paths()[0]
+        whole = os.path.getsize(path)
+        last_frame = len(
+            encode_frame({"seq": 4, "t": "accept", "job_id": 4, "kernel": "bsw"})
+        )
+        with open(path, "r+b") as handle:
+            handle.truncate(whole - 7)
+        metrics = MetricsRegistry()
+        make_journal(tmp_path, metrics=metrics).close()
+        assert os.path.getsize(path) == whole - last_frame
+        assert metrics.counter("durable_truncated_bytes") == last_frame - 7
+        assert metrics.counter("durable_corrupt_frames") == 0
+
+    def test_a_flip_then_a_torn_tail_skips_one_and_truncates_the_other(
+        self, tmp_path
+    ):
+        journal = make_journal(tmp_path)
+        for index in range(6):
+            journal.append("accept", job_id=index, kernel="bsw")
+        journal.crash()
+        path = journal.segment_paths()[0]
+        blob = bytearray(open(path, "rb").read()[:-7])
+        blob[12] ^= 0xFF  # first frame's payload
+        open(path, "wb").write(bytes(blob))
+        metrics = MetricsRegistry()
+        journal = make_journal(tmp_path, metrics=metrics)
+        state, issues = journal.load_state()
+        journal.close()
+        assert set(state.accepted) == {"1", "2", "3", "4"}
+        assert issues["corrupt_frames"] == 1
+        assert metrics.counter("durable_corrupt_frames") == 1
+        assert metrics.counter("durable_truncated_bytes") > 0
 
     def test_non_final_segments_resync_past_a_flipped_bit(self, tmp_path):
         journal = make_journal(tmp_path, segment_bytes=256)

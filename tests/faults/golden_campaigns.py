@@ -6,7 +6,9 @@ recovery and cluster campaigns each had their own submit/drain loop
 the one driver in :mod:`repro.faults.campaign` must reproduce every
 ``to_dict()`` exactly.  R4 (``verify_writes=False`` under disk faults)
 is a *failing* campaign and is pinned as such: the unsafe mode's
-behaviour is preserved, not silently changed.  Regenerate (only when a
+behaviour is preserved, not silently changed (R4 was regenerated once,
+when the journal's final segment learned to resync past a bit-flipped
+frame instead of truncating behind it).  Regenerate (only when a
 campaign's semantics deliberately change) with::
 
     PYTHONPATH=src python -m tests.faults.golden_campaigns

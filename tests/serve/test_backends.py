@@ -9,8 +9,8 @@ across drains, transport accounting, and reclaim after a worker crash
 chaos campaigns).
 
 One CPU core is assumed: workloads here are tiny, the point is
-protocol correctness, not throughput (that is
-``benchmarks/test_engine_throughput.py``).
+protocol correctness, not throughput (that is ``serve_small_mixed``
+in ``bench/``, which drives the shm rings end to end).
 """
 
 import random

@@ -286,3 +286,70 @@ def test_default_tenant_used_when_unnamed(tmp_path):
                 assert second.get("rejected")  # default tenant's bucket
 
     run(scenario())
+
+
+LCS = {"x": "ACGTACGT", "y": "ACGGTA"}
+
+
+def test_batch_with_an_invalid_entry_answers_per_entry(tmp_path):
+    async def scenario():
+        async with serving(tmp_path) as (server, sock):
+            async with await ServeClient.connect(unix_socket=sock) as client:
+                response = await client.submit_batch(
+                    [
+                        {"kernel": "lcs", "payload": LCS},
+                        {"kernel": "lcs", "payload": LCS},
+                        {"kernel": "nope"},
+                    ],
+                    tenant="alpha",
+                )
+                stats = await client.stats()
+        assert response["ok"] is False and response["op"] == "batch"
+        good, also_good, bad = response["results"]
+        assert good["ok"] and also_good["ok"], response
+        assert good["value"] == also_good["value"]
+        assert bad["ok"] is False
+        assert bad["error"].startswith("bad job:") and "nope" in bad["error"]
+        # Only the two valid jobs were admitted and billed.
+        assert stats["counters"]["serve_admitted"] == 2
+        assert stats["counters"]["serve_errors"] == 1
+        usage = stats["tenants"]["alpha"]
+        assert usage["tenant_jobs_submitted"] == 2
+        assert usage["tenant_jobs_completed"] == 2
+        assert usage["tenant_jobs_failed"] == 0
+
+    run(scenario())
+
+
+def test_batch_entry_that_is_not_an_object_is_a_clean_error(tmp_path):
+    async def scenario():
+        async with serving(tmp_path) as (server, sock):
+            async with await ServeClient.connect(unix_socket=sock) as client:
+                return await client.submit_batch(
+                    [{"kernel": "lcs", "payload": LCS}, "notadict"]
+                )
+
+    response = run(scenario())
+    good, bad = response["results"]
+    assert good["ok"], response
+    assert bad == {"ok": False, "error": "bad job: a job must be a JSON object"}
+
+
+def test_invalid_submit_consumes_no_quota_token(tmp_path):
+    async def scenario():
+        config = ServeConfig(tenant_quotas={"tight": (0.001, 1.0)})
+        async with serving(tmp_path, serve_config=config) as (server, sock):
+            async with await ServeClient.connect(unix_socket=sock) as client:
+                invalid = await client.submit(
+                    "lcs", {"x": "ACGT"}, tenant="tight"
+                )
+                valid = await client.submit("lcs", LCS, tenant="tight")
+                stats = await client.stats()
+        assert invalid["ok"] is False and invalid["error"].startswith("bad job:")
+        assert "rejected" not in invalid
+        # The one token in the bucket went to the valid job.
+        assert valid["ok"], valid
+        assert stats["counters"]["serve_rejected_quota"] == 0
+        assert stats["tenants"]["tight"]["tenant_jobs_submitted"] == 1
+
+    run(scenario())

@@ -1,15 +1,14 @@
-"""The gendp-slo / gendp-bench / gendp-trace --replay front ends.
+"""The gendp-slo / gendp-trace --replay front ends.
 
 CI gates on exit codes, so the codes are the contract under test: a
-burning replay fails ``gendp-slo check``, an injected regression fails
-``gendp-bench compare``, and healthy inputs exit zero.
+burning replay fails ``gendp-slo check`` and healthy inputs exit zero.
 """
 
 import json
 
 import pytest
 
-from repro.cli import bench_main, slo_main, trace_main
+from repro.cli import slo_main, trace_main
 from repro.slo.flight import FlightRecorder
 
 
@@ -98,87 +97,6 @@ class TestSloReportAndSynth:
         # the first, so nothing ever burns.
         assert code == 0
         assert "job-availability" in capsys.readouterr().out
-
-
-class TestBenchCli:
-    @pytest.fixture()
-    def results(self, tmp_path):
-        directory = tmp_path / "results"
-        directory.mkdir()
-        (directory / "BENCH_serving.json").write_text(
-            json.dumps(
-                {
-                    "configurations": [
-                        {"label": "shm", "jobs_per_s": 1000.0},
-                    ],
-                    "latency_p99_ms": 5.0,
-                }
-            )
-        )
-        return directory
-
-    def test_collect_appends_to_trajectory(self, results, capsys):
-        code = bench_main(
-            [
-                "collect",
-                "--results-dir",
-                str(results),
-                "--revision",
-                "abc123",
-                "--timestamp",
-                "2026-08-08T00:00:00+00:00",
-            ]
-        )
-        assert code == 0
-        lines = (results / "trajectory.jsonl").read_text().splitlines()
-        record = json.loads(lines[0])
-        assert record["benchmark"] == "serving"
-        assert record["revision"] == "abc123"
-        assert record["metrics"]["configurations.shm.jobs_per_s"] == 1000.0
-
-    def test_baseline_then_clean_compare_exits_zero(self, results, capsys):
-        assert bench_main(["baseline", "--results-dir", str(results)]) == 0
-        assert (results / "bench_baselines.json").exists()
-        assert bench_main(["compare", "--results-dir", str(results)]) == 0
-        assert "OK" in capsys.readouterr().out
-
-    def test_injected_regression_exits_nonzero(self, results, capsys):
-        """The acceptance criterion at the CLI layer."""
-        assert bench_main(["baseline", "--results-dir", str(results)]) == 0
-        (results / "BENCH_serving.json").write_text(
-            json.dumps(
-                {
-                    "configurations": [
-                        {"label": "shm", "jobs_per_s": 400.0},
-                    ],
-                    "latency_p99_ms": 5.0,
-                }
-            )
-        )
-        code = bench_main(["compare", "--results-dir", str(results)])
-        assert code == 1
-        out = capsys.readouterr().out
-        assert "REGRESSED" in out
-        assert "jobs_per_s" in out
-
-    def test_compare_json_document(self, results, capsys):
-        bench_main(["baseline", "--results-dir", str(results)])
-        capsys.readouterr()
-        bench_main(["compare", "--results-dir", str(results), "--json"])
-        document = json.loads(capsys.readouterr().out)
-        assert document["ok"] is True
-        assert document["failures"] == 0
-        assert document["findings"]
-
-    def test_no_bench_files_is_an_error(self, tmp_path):
-        empty = tmp_path / "empty"
-        empty.mkdir()
-        with pytest.raises(SystemExit):
-            bench_main(["compare", "--results-dir", str(empty)])
-
-    def test_missing_baselines_is_an_error(self, results):
-        with pytest.raises(SystemExit):
-            bench_main(["compare", "--results-dir", str(results)])
 
 
 class TestTraceReplay:
