@@ -1,19 +1,23 @@
 """The engine's kernel table: one row per servable kernel.
 
-Everything the engine knows about a kernel *by name* is one
+Everything the system knows about a servable kernel *by name* is one
 :class:`EngineKernel` row of :data:`KERNELS`: which payload keys carry
-its operands and what their elements must be, how many cells a job
-sweeps, how the sweep's final state becomes the result dict, and which
-reference kernel (at what tolerance) validates it.  The recurrence
-itself is not here: a 2-D row's cell wiring, boundaries, DFG and match
-table are its :class:`~repro.dfg.stencils.Wavefront2DSpec`
-(``WAVEFRONT_SPECS[name]``), from which :mod:`repro.engine.sweep`
-generates the loop nest; the one 1-D windowed kernel (Chain) keeps a
-hand-written sweep in :mod:`repro.engine.runners`.
+its operands, what their elements must be and how a shm slot carries
+them, how many cells a job sweeps, how the sweep's final state becomes
+the result dict and which fields that dict has, which reference kernel
+(at what tolerance) validates it, and which numerical sentinels a job
+arms.  The recurrence itself is not here: a 2-D row's cell wiring,
+boundaries, DFG and match table are its
+:class:`~repro.dfg.stencils.Wavefront2DSpec` (``WAVEFRONT_SPECS[name]``),
+from which :mod:`repro.engine.sweep` generates the loop nest; the one
+1-D windowed kernel (Chain) keeps a hand-written sweep in
+:mod:`repro.engine.runners`.
 
 This module imports nothing from the engine, so :mod:`.jobs`
-(validation), :mod:`.runners` (execution) and
-:mod:`repro.slo.accounting` (billing) all read the same rows.
+(validation), :mod:`.runners` (execution), :mod:`repro.slo.accounting`
+(billing), :mod:`repro.serve.layout` (the shm wire format) and
+:mod:`repro.guard` (sentinels, certificates, fuzzing) all read the
+same rows.
 """
 
 from __future__ import annotations
@@ -24,6 +28,7 @@ from numbers import Real
 from typing import Any, Callable, Dict, List, Mapping, NamedTuple, Tuple
 
 from repro.dfg.stencils import NEG
+from repro.guard.sentinels import PAIRHMM_UNDERFLOW_FLOOR
 from repro.kernels.base import AlignmentMode
 from repro.kernels.chain import Anchor
 from repro.kernels.dtw import dtw_matrix
@@ -44,7 +49,8 @@ Payload = Mapping[str, Any]
 
 
 class Codec(NamedTuple):
-    """What one payload operand must be and how the sweep reads it."""
+    """What one payload operand must be, how the sweep reads it and
+    how a shm slot carries it."""
 
     #: Named in the rejection when *is_valid* says no (checked at
     #: submit, on input from outside).
@@ -52,6 +58,9 @@ class Codec(NamedTuple):
     is_valid: Callable[[Any], bool]
     #: Payload value -> what the sweep iterates over.
     encode: Callable[[Any], List]
+    #: The value's shm slot form (:mod:`repro.serve.layout`): 0 --
+    #: ASCII bytes; 1 -- an int64 run; k > 1 -- an int64 ``(n, k)`` run.
+    slot_columns: int
 
 
 @dataclass(frozen=True)
@@ -80,6 +89,12 @@ class EngineKernel:
     optional: Mapping[str, Tuple[str, Callable[[Any], bool]]] = field(
         default_factory=dict
     )
+    #: The result dict's fields besides ``cells``, in order, with their
+    #: types: ``int``, ``float`` or ``list`` (of ints).
+    results: Tuple[Tuple[str, type], ...] = ()
+    #: Keyword arguments of the job's :class:`~repro.guard.sentinels.Sentinel`
+    #: (every kernel watches the int32 rails; these arm more).
+    sentinel: Mapping[str, int] = field(default_factory=dict)
 
 
 def _is_number(value: Any) -> bool:
@@ -96,8 +111,8 @@ def _is_number(value: Any) -> bool:
 
 def _is_window(value: Any) -> bool:
     # bool is an int; a window of True is a caller's mistake, not 1.
-    # The top is the shm slot's int64 header word: beyond it the two
-    # backends would disagree (inline sweeps, the slot encoder faults).
+    # The top is what the shm slot's int64 AUX word, where the window
+    # rides, can hold.
     return (
         isinstance(value, int)
         and not isinstance(value, bool)
@@ -132,9 +147,16 @@ def _anchors(value: Any) -> List[Anchor]:
     return [Anchor(int(x), int(y), int(w)) for x, y, w in value]
 
 
-_DNA = Codec("a DNA string", lambda value: isinstance(value, str), encode)
-_SIGNAL = Codec("a sequence of numbers", _is_signal, _signal)
-_ANCHORS = Codec("a list of numeric [x, y, w] triples", _is_anchor_list, _anchors)
+_DNA = Codec(
+    "a DNA string over ACGT",
+    lambda value: isinstance(value, str) and not value.strip("ACGT"),
+    encode,
+    slot_columns=0,
+)
+_SIGNAL = Codec("a sequence of numbers", _is_signal, _signal, slot_columns=1)
+_ANCHORS = Codec(
+    "a list of numeric [x, y, w] triples", _is_anchor_list, _anchors, slot_columns=3
+)
 
 
 def _table_area(stream_key: str, static_key: str) -> Callable[[Payload], int]:
@@ -197,6 +219,11 @@ KERNELS: Dict[str, EngineKernel] = {
         # Local alignment: the best cell score anywhere in the table.
         finish=lambda final: {"score": final["hmax"]},
         reference=_reference_bsw,
+        results=(("score", int),),
+        # The 4x8-bit SIMD kernel: lane counts tell how often the DLP
+        # mode would clamp (a rate, not a failure -- the functional
+        # sweep does not saturate).
+        sentinel={"lane_bits": 8},
     ),
     "pairhmm": EngineKernel(
         dimensions=2,
@@ -208,6 +235,9 @@ KERNELS: Dict[str, EngineKernel] = {
             "log10_likelihood": pairhmm_forward(payload["read"], payload["haplotype"])
         },
         tolerance={"log10_likelihood": PAIRHMM_LOG10_TOLERANCE},
+        results=(("log10_likelihood", float),),
+        # Counts mean probability mass hit the fixed-point minus-infinity.
+        sentinel={"underflow_floor": PAIRHMM_UNDERFLOW_FLOOR},
     ),
     "lcs": EngineKernel(
         dimensions=2,
@@ -216,6 +246,7 @@ KERNELS: Dict[str, EngineKernel] = {
         cells=_table_area("x", "y"),
         finish=lambda final: {"length": final["c"][-1]},
         reference=lambda payload: {"length": lcs_length(payload["x"], payload["y"])},
+        results=(("length", int),),
     ),
     "dtw": EngineKernel(
         dimensions=2,
@@ -226,6 +257,7 @@ KERNELS: Dict[str, EngineKernel] = {
         reference=lambda payload: {
             "distance": int(dtw_matrix(payload["a"], payload["b"])[-1][-1])
         },
+        results=(("distance", int),),
     ),
     "chain": EngineKernel(
         dimensions=1,
@@ -235,5 +267,11 @@ KERNELS: Dict[str, EngineKernel] = {
         finish=_finish_chain,
         reference=_reference_chain,
         optional={"n": ("an int >= 1 (the window; below 2**63)", _is_window)},
+        results=(
+            ("scores", list),
+            ("parents", list),
+            ("best_index", int),
+            ("best_score", int),
+        ),
     ),
 }

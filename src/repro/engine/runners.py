@@ -54,10 +54,9 @@ from repro.dfg.stencils import WAVEFRONT_SPECS, default_spec
 from repro.dpmap.codegen import execute_way
 from repro.engine.cache import CompiledProgram
 from repro.engine.jobs import JobValidationError
-from repro.engine.kernels import (  # noqa: F401  (re-exported constants)
+from repro.engine.kernels import (  # noqa: F401  (re-exported constant)
     DEFAULT_CHAIN_WINDOW,
     KERNELS,
-    PAIRHMM_LOG10_TOLERANCE,
     EngineKernel,
 )
 from repro.engine.specialize import CELLS, CellFunction, MatchTable
@@ -333,12 +332,25 @@ def reference_result(kernel: str, payload: Dict[str, Any]) -> Dict[str, Any]:
     return _row(kernel).reference(payload)
 
 
+def results_match(
+    kernel: str, actual: Dict[str, Any], expected: Dict[str, Any]
+) -> bool:
+    """True iff *actual* has every field of the reference answer
+    *expected*, equal up to the kernel row's tolerance (exactly, for a
+    kernel without a row)."""
+    row = KERNELS.get(kernel)
+    tolerance = row.tolerance if row is not None else {}
+    return all(
+        key in actual
+        and (
+            abs(actual[key] - want) <= tolerance[key]
+            if key in tolerance
+            else actual[key] == want
+        )
+        for key, want in expected.items()
+    )
+
+
 def matches_reference(kernel: str, value: Dict[str, Any], payload: Dict[str, Any]) -> bool:
     """True iff an engine result agrees with the reference kernel."""
-    tolerance = _row(kernel).tolerance
-    return all(
-        abs(value[key] - expected) <= tolerance[key]
-        if key in tolerance
-        else value[key] == expected
-        for key, expected in reference_result(kernel, payload).items()
-    )
+    return results_match(kernel, value, reference_result(kernel, payload))

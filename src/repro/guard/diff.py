@@ -39,13 +39,14 @@ from repro.dpmap.codegen import (
     verify_program,
 )
 from repro.engine.cache import CompiledProgram, compile_program
+from repro.engine.kernels import KERNELS
 from repro.engine.runners import (
     DEFAULT_CHAIN_WINDOW,
-    PAIRHMM_LOG10_TOLERANCE,
     _cell_executor,
     build_dfg,
     match_table_for,
     reference_result,
+    results_match,
     run_job,
 )
 from repro.faults.plan import seeded_rng
@@ -67,8 +68,8 @@ DIFF_KERNELS: Tuple[str, ...] = (
     "bellman_ford",
 )
 
-#: Kernels executed through the engine's runners.
-_ENGINE_BACKED = ("bsw", "pairhmm", "chain", "dtw")
+#: Kernels executed through the engine's runners: those with a row.
+_ENGINE_BACKED = tuple(kernel for kernel in DIFF_KERNELS if kernel in KERNELS)
 
 _BASES = "ACGT"
 
@@ -332,18 +333,6 @@ def reference_answer(kernel: str, payload: Dict[str, Any]) -> Dict[str, Any]:
     raise ValueError(f"unknown guard kernel {kernel!r}")
 
 
-def results_match(
-    kernel: str, actual: Dict[str, Any], expected: Dict[str, Any]
-) -> bool:
-    """Equality up to PairHMM's documented fixed-point tolerance."""
-    if kernel == "pairhmm":
-        return (
-            abs(actual["log10_likelihood"] - expected["log10_likelihood"])
-            <= PAIRHMM_LOG10_TOLERANCE
-        )
-    return all(actual.get(key) == expected[key] for key in expected)
-
-
 @dataclass(frozen=True)
 class DiffOutcome:
     """One differential case: payload, both answers, verdict."""
@@ -420,12 +409,10 @@ def _chunk_removals(sequence: Sequence[Any], minimum: int) -> List[List[Any]]:
     return candidates
 
 
-#: Per-kernel shrinkable fields: (key, minimum length, is_string).
+#: Per-kernel shrinkable fields: (key, minimum length).  An engine
+#: kernel's are its row's operands.
 _SHRINK_FIELDS: Dict[str, List[Tuple[str, int]]] = {
-    "bsw": [("query", 1), ("target", 1)],
-    "pairhmm": [("read", 1), ("haplotype", 1)],
-    "dtw": [("a", 1), ("b", 1)],
-    "chain": [("anchors", 1)],
+    **{kernel: [(key, 1) for key in KERNELS[kernel].keys] for kernel in _ENGINE_BACKED},
     "poa": [("sequences", 1), ("query", 1)],
     "bellman_ford": [("edges", 0)],
 }

@@ -79,19 +79,16 @@ class Sentinel:
 def make_sentinel(kernel: str) -> Sentinel:
     """The sentinel configuration appropriate for *kernel*.
 
-    Every kernel watches the int32 rails; BSW (the 4x8-bit SIMD
-    kernel) additionally watches 8-bit lane saturation -- note its
-    scalar functional sweep intentionally *doesn't* saturate, so lane
-    counts tell how often the DLP mode would clamp (sat8 clamping is
-    BSW-correct behavior, not an error; the counter is a rate, not a
-    failure); PairHMM watches its log-domain floor, where counts mean
-    probability mass hit the fixed-point minus-infinity.
+    Every kernel watches the int32 rails; what else it arms is its
+    engine row's ``sentinel`` field (:data:`repro.engine.kernels.KERNELS`:
+    BSW's 8-bit lanes, PairHMM's log floor).  A kernel without a row
+    (POA, Bellman-Ford) watches the rails only.
     """
-    if kernel == "bsw":
-        return Sentinel(lane_bits=8)
-    if kernel == "pairhmm":
-        return Sentinel(underflow_floor=PAIRHMM_UNDERFLOW_FLOOR)
-    return Sentinel()
+    # Imported here: the engine's rows import this module.
+    from repro.engine.kernels import KERNELS
+
+    row = KERNELS.get(kernel)
+    return Sentinel(**row.sentinel) if row is not None else Sentinel()
 
 
 __all__ = [

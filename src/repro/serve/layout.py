@@ -3,19 +3,25 @@
 Job and result rings are two shared-memory segments each: an ``int64``
 header plane (one row of :data:`JOB_FIELDS` / :data:`RESULT_FIELDS`
 words per slot) and a ``uint8`` data plane (one fixed-capacity byte
-region per slot).  The codecs here translate between the engine's
+region per slot).  The codec here translates between the engine's
 plain payload/result dicts and those planes **without pickling** for
-the structured fast path:
+the structured fast path.  It is one generic codec over the kernel
+table (:data:`repro.engine.kernels.KERNELS`), so a new row rides the
+fast path with nothing added here:
 
-- sequence kernels (``bsw``/``pairhmm``/``lcs``) store their two
-  strings as raw ASCII bytes side by side (structure-of-arrays: all
-  lengths live in the header plane, all bytes in the data plane);
-- ``dtw`` stores its two signals as little-endian ``int64`` arrays;
-- ``chain`` stores its anchors as one ``(n, 3) int64`` array plus the
-  lookback window in the header's AUX word;
-- results store their score words (``int64``) and likelihoods
-  (``float64``) at fixed offsets, with chain's score/parent arrays as
-  two ``int64`` runs.
+- a job's body is its row's operand ``keys`` in order, side by side
+  (structure-of-arrays: the lengths live in the header's LEN_A/LEN_B
+  words, the bytes in the data plane), each in its codec's slot form
+  -- ASCII bytes (DNA), an ``int64`` run (DTW's signals) or an
+  ``int64`` ``(n, 3)`` run (Chain's anchors); the row's one optional
+  int key (Chain's window) rides the AUX word, -1 meaning absent;
+- a result's body is its row's ``results`` schema: the list fields as
+  ``int64`` runs of one common length (LEN_A; 1 when there are none),
+  then each scalar field as one ``int64``/``float64`` word, then the
+  ``cells`` word.
+
+:func:`job_body_bytes` / :func:`result_body_bytes` read a body's size
+back from its header words, for the transport's byte accounting.
 
 Payloads or results the fast path cannot express exactly -- extra
 keys, non-ASCII sequences, sentinel/trace side-channels riding on the
@@ -33,18 +39,16 @@ from __future__ import annotations
 
 import json
 import pickle
-from typing import Any, Dict, Optional, Tuple
+import struct
+from typing import Any, Dict, List, Mapping, NamedTuple, Optional, Tuple
 
 import numpy as np
 
-#: Engine kernels the SoA fast path encodes (id 0 is reserved).
-KERNEL_IDS: Dict[str, int] = {
-    "bsw": 1,
-    "pairhmm": 2,
-    "lcs": 3,
-    "dtw": 4,
-    "chain": 5,
-}
+from repro.engine.kernels import KERNELS, EngineKernel
+
+#: Engine kernels the SoA fast path encodes: row order, from 1 (id 0
+#: is reserved).
+KERNEL_IDS: Dict[str, int] = {name: index for index, name in enumerate(KERNELS, 1)}
 KERNEL_NAMES: Dict[int, str] = {index: name for name, index in KERNEL_IDS.items()}
 
 #: Slot states (header STATE word).  The lifecycle is
@@ -65,6 +69,13 @@ FLAG_EXIT = 2  # _inject_exit: kill the worker process
 FLAG_CORRUPT = 4  # _inject_corrupt: bit-flip the result
 FLAG_SENTINELS = 8  # _sentinels: arm numerical sentinels
 FLAG_TRACE = 16  # _trace: correlation ids ride behind the payload
+#: The payload keys the first four stand for (``True`` when set).
+_FLAG_KEYS = (
+    ("_inject_fail", FLAG_FAIL),
+    ("_inject_exit", FLAG_EXIT),
+    ("_inject_corrupt", FLAG_CORRUPT),
+    ("_sentinels", FLAG_SENTINELS),
+)
 
 #: Job slot header words.
 (
@@ -99,46 +110,73 @@ JOB_FIELDS = 13
 RESULT_FIELDS = 9
 
 _INT64 = np.dtype("<i8")
-_FLOAT64 = np.dtype("<f8")
 
-#: Payload keys the SoA path understands, per kernel (beyond these ->
-#: pickle fallback).  Fault markers and ``_trace``/``_sentinels`` are
-#: handled separately and never force the fallback.
-_SIDE_KEYS = frozenset(
-    {
-        "_inject_fail",
-        "_inject_exit",
-        "_inject_corrupt",
-        "_inject_delay_s",
-        "_sentinels",
-        "_trace",
-    }
-)
-_SOA_KEYS: Dict[str, Tuple[str, ...]] = {
-    "bsw": ("query", "target"),
-    "pairhmm": ("read", "haplotype"),
-    "lcs": ("x", "y"),
-    "dtw": ("a", "b"),
-    "chain": ("anchors", "n"),
-}
+#: Payload keys outside the operands that never force the pickle
+#: fallback: flag bits, the delay word, and ``_trace`` behind the body.
+_SIDE_KEYS = frozenset(key for key, _ in _FLAG_KEYS) | {"_inject_delay_s", "_trace"}
 
 
 class SlotOverflowError(ValueError):
     """The encoded payload/result does not fit one slot's byte region."""
 
 
-def _ascii_bytes(value: Any) -> Optional[bytes]:
-    if not isinstance(value, str):
-        return None
-    try:
-        raw = value.encode("ascii")
-    except UnicodeEncodeError:
-        return None
-    return raw
+class _SlotCodec(NamedTuple):
+    """What the fast path reads of one kernel row, derived once."""
+
+    #: Operand keys, counted in LEN_A then LEN_B.
+    keys: Tuple[str, ...]
+    #: The row codec's slot form (``Codec.slot_columns``) and the bytes
+    #: one counted element of it takes.
+    columns: int
+    width: int
+    #: The optional int key riding the AUX word, if the row has one.
+    window: Optional[str]
+    #: Keys a payload body may have and still ride the fast path.
+    payload_keys: frozenset
+    #: Result list fields (int64 runs), then the scalar words
+    #: (``cells`` last), their exact types and how they pack.
+    runs: Tuple[str, ...]
+    words: Tuple[str, ...]
+    word_types: Tuple[type, ...]
+    packer: struct.Struct
+    result_keys: frozenset
 
 
-def _int_array(values: Any, shape_cols: int = 0) -> Optional[np.ndarray]:
-    """``values`` as a little-endian int64 array, or None if unexpressible."""
+def _slot_codec(row: EngineKernel) -> _SlotCodec:
+    # A row with more operands or optional keys than the header has
+    # words for simply rides pickled: those keys are not in
+    # *payload_keys*.
+    keys = row.keys[:2]
+    window = next(iter(row.optional), None)
+    columns = row.codec.slot_columns
+    runs = tuple(name for name, kind in row.results if kind is list)
+    scalars = tuple((name, kind) for name, kind in row.results if kind is not list)
+    words = tuple(name for name, _ in scalars) + ("cells",)
+    word_types = tuple(kind for _, kind in scalars) + (int,)
+    return _SlotCodec(
+        keys=keys,
+        columns=columns,
+        width=8 * columns if columns else 1,
+        window=window,
+        payload_keys=frozenset(keys if window is None else keys + (window,)),
+        runs=runs,
+        words=words,
+        word_types=word_types,
+        packer=struct.Struct(
+            "<" + "".join("d" if kind is float else "q" for kind in word_types)
+        ),
+        result_keys=frozenset(runs) | frozenset(words),
+    )
+
+
+_CODECS: Dict[int, _SlotCodec] = {
+    KERNEL_IDS[name]: _slot_codec(row) for name, row in KERNELS.items()
+}
+
+
+def _int_array(values: Any, columns: int) -> Optional[np.ndarray]:
+    """``values`` as a little-endian int64 run of *columns*-wide rows
+    (1: a flat run), or None if unexpressible."""
     if not isinstance(values, (list, tuple)):
         return None
     try:
@@ -150,10 +188,7 @@ def _int_array(values: Any, shape_cols: int = 0) -> Optional[np.ndarray]:
             return None
     except (TypeError, ValueError, OverflowError):
         return None
-    if shape_cols:
-        if array.ndim != 2 or array.shape[1] != shape_cols:
-            return None
-    elif array.ndim != 1:
+    if array.shape[1:] != ((columns,) if columns > 1 else ()):
         return None
     return array
 
@@ -161,26 +196,20 @@ def _int_array(values: Any, shape_cols: int = 0) -> Optional[np.ndarray]:
 def _flags_for(payload: Dict[str, Any]) -> Tuple[int, int]:
     """(flag bits, delay in microseconds) from the fault markers."""
     flags = 0
-    if payload.get("_inject_fail"):
-        flags |= FLAG_FAIL
-    if payload.get("_inject_exit"):
-        flags |= FLAG_EXIT
-    if payload.get("_inject_corrupt"):
-        flags |= FLAG_CORRUPT
-    if payload.get("_sentinels"):
-        flags |= FLAG_SENTINELS
+    for key, bit in _FLAG_KEYS:
+        if payload.get(key):
+            flags |= bit
     delay_us = int(round(float(payload.get("_inject_delay_s") or 0.0) * 1e6))
     return flags, delay_us
 
 
-def _write(region: np.ndarray, offset: int, raw: bytes) -> int:
-    end = offset + len(raw)
-    if end > region.shape[0]:
+def _write(region: np.ndarray, raw: bytes) -> None:
+    """Store a whole body (one copy into shared memory)."""
+    if len(raw) > region.shape[0]:
         raise SlotOverflowError(
-            f"encoded body needs {end} bytes; slot holds {region.shape[0]}"
+            f"encoded body needs {len(raw)} bytes; slot holds {region.shape[0]}"
         )
-    region[offset:end] = np.frombuffer(raw, dtype=np.uint8)
-    return end
+    region[: len(raw)] = np.frombuffer(raw, dtype=np.uint8)
 
 
 def encode_payload(
@@ -194,10 +223,13 @@ def encode_payload(
     fit, which callers treat as "this job cannot ride the ring".
     """
     flags, delay_us = _flags_for(payload)
+    kernel_id = KERNEL_IDS.get(kernel, 0)
     header: Dict[int, int] = {
-        J_KERNEL: KERNEL_IDS.get(kernel, 0),
+        J_KERNEL: kernel_id,
         J_FLAGS: flags,
         J_DELAY_US: delay_us,
+        J_LEN_A: 0,
+        J_LEN_B: 0,
         J_AUX: 0,
         J_TRACE_LEN: 0,
     }
@@ -215,133 +247,97 @@ def encode_payload(
     body = dict(payload)
     for key in _SIDE_KEYS:
         body.pop(key, None)
-    soa = _encode_soa_body(kernel, body, header)
+    codec = _CODECS.get(kernel_id)
+    soa = None if codec is None else _encode_operands(codec, body, header)
     if soa is None or (trace is not None and not trace_raw):
         raw = pickle.dumps(payload, protocol=pickle.HIGHEST_PROTOCOL)
-        header = {
-            J_KERNEL: KERNEL_IDS.get(kernel, 0),
-            J_FORMAT: FMT_PICKLE,
-            J_LEN_A: len(raw),
-            J_LEN_B: 0,
-            J_AUX: 0,
-            J_FLAGS: 0,
-            J_DELAY_US: 0,
-            J_TRACE_LEN: 0,
-        }
-        _write(region, 0, raw)
+        # Markers and trace ride inside the pickle: every other word is 0.
+        header = dict.fromkeys(header, 0)
+        header.update({J_KERNEL: kernel_id, J_FORMAT: FMT_PICKLE, J_LEN_A: len(raw)})
+        _write(region, raw)
         return header
     header[J_FORMAT] = FMT_SOA
-    offset = 0
-    for raw in soa:
-        offset = _write(region, offset, raw)
-    _write(region, offset, trace_raw)
+    _write(region, b"".join(soa) + trace_raw)
     return header
 
 
-def _encode_soa_body(
-    kernel: str, body: Dict[str, Any], header: Dict[int, int]
-) -> Optional[Tuple[bytes, ...]]:
-    """SoA byte runs for the kernel-specific keys, or None to fall back."""
-    allowed = _SOA_KEYS.get(kernel)
-    if allowed is None or not set(body) <= set(allowed):
+def _encode_operands(
+    codec: _SlotCodec, body: Dict[str, Any], header: Dict[int, int]
+) -> Optional[List[bytes]]:
+    """The operands' byte runs (counts and window into *header*), or
+    None to fall back."""
+    if not body.keys() <= codec.payload_keys:
         return None
-    if kernel in ("bsw", "pairhmm", "lcs"):
-        key_a, key_b = allowed
-        raw_a = _ascii_bytes(body.get(key_a))
-        raw_b = _ascii_bytes(body.get(key_b))
-        if raw_a is None or raw_b is None:
-            return None
-        header[J_LEN_A] = len(raw_a)
-        header[J_LEN_B] = len(raw_b)
-        return raw_a, raw_b
-    if kernel == "dtw":
-        array_a = _int_array(body.get("a"))
-        array_b = _int_array(body.get("b"))
-        if array_a is None or array_b is None:
-            return None
-        header[J_LEN_A] = array_a.shape[0]
-        header[J_LEN_B] = array_b.shape[0]
-        return array_a.tobytes(), array_b.tobytes()
-    if kernel == "chain":
-        anchors = _int_array(body.get("anchors"), shape_cols=3)
-        if anchors is None:
-            return None
-        window = body.get("n")
-        if window is not None and not isinstance(window, int):
-            return None
-        header[J_LEN_A] = anchors.shape[0]
-        header[J_LEN_B] = 0
-        header[J_AUX] = -1 if window is None else window
-        return (anchors.tobytes(),)
-    return None
+    runs = []
+    for field, key in zip((J_LEN_A, J_LEN_B), codec.keys):
+        value = body.get(key)
+        if codec.columns:
+            array = _int_array(value, codec.columns)
+            if array is None:
+                return None
+            header[field], raw = array.shape[0], array.tobytes()
+        else:
+            if not isinstance(value, str) or not value.isascii():
+                return None
+            raw = value.encode("ascii")
+            header[field] = len(raw)
+        runs.append(raw)
+    if codec.window is not None:
+        header[J_AUX] = -1  # absent
+        if codec.window in body:
+            window = body[codec.window]
+            # Only what the AUX word holds losslessly.
+            if type(window) is not int or not 0 <= window < 1 << 63:
+                return None
+            header[J_AUX] = window
+    return runs
 
 
 def decode_payload(header: np.ndarray, region: np.ndarray) -> Dict[str, Any]:
     """Rebuild the payload dict a job slot carries."""
-    fmt = int(header[J_FORMAT])
-    if fmt == FMT_PICKLE:
-        return pickle.loads(region[: int(header[J_LEN_A])].tobytes())
-    kernel = KERNEL_NAMES.get(int(header[J_KERNEL]))
-    if kernel is None:
-        raise ValueError(f"job slot carries unknown kernel id {header[J_KERNEL]}")
-    len_a, len_b = int(header[J_LEN_A]), int(header[J_LEN_B])
-    payload: Dict[str, Any]
-    if kernel in ("bsw", "pairhmm", "lcs"):
-        key_a, key_b = _SOA_KEYS[kernel]
-        split = len_a + len_b
-        payload = {
-            key_a: region[:len_a].tobytes().decode("ascii"),
-            key_b: region[len_a:split].tobytes().decode("ascii"),
-        }
-        body_end = split
-    elif kernel == "dtw":
-        bytes_a, bytes_b = len_a * 8, len_b * 8
-        payload = {
-            "a": np.frombuffer(region[:bytes_a].tobytes(), dtype=_INT64).tolist(),
-            "b": np.frombuffer(
-                region[bytes_a : bytes_a + bytes_b].tobytes(), dtype=_INT64
-            ).tolist(),
-        }
-        body_end = bytes_a + bytes_b
-    else:  # chain
-        nbytes = len_a * 3 * 8
-        anchors = np.frombuffer(region[:nbytes].tobytes(), dtype=_INT64)
-        payload = {"anchors": anchors.reshape(len_a, 3).tolist()}
-        window = int(header[J_AUX])
-        if window >= 0:
-            payload["n"] = window
-        body_end = nbytes
+    words = header.tolist()  # one read of the header row, not one per word
+    if words[J_FORMAT] == FMT_PICKLE:
+        return pickle.loads(region[: words[J_LEN_A]].tobytes())
+    codec = _CODECS.get(words[J_KERNEL])
+    if codec is None:
+        raise ValueError(f"job slot carries unknown kernel id {words[J_KERNEL]}")
+    counts = (words[J_LEN_A], words[J_LEN_B])
+    body_end = codec.width * sum(counts)
+    raw = region[: body_end + words[J_TRACE_LEN]].tobytes()  # one copy out of shm
+    payload: Dict[str, Any] = {}
+    start, columns = 0, codec.columns
+    for key, count in zip(codec.keys, counts):
+        if columns:
+            values = np.frombuffer(raw, _INT64, count * columns, start)
+            payload[key] = (values.reshape(count, columns) if columns > 1 else values).tolist()
+        else:
+            payload[key] = raw[start : start + count].decode("ascii")
+        start += count * codec.width
+    if codec.window is not None and words[J_AUX] >= 0:
+        payload[codec.window] = words[J_AUX]
 
-    flags = int(header[J_FLAGS])
-    if flags & FLAG_FAIL:
-        payload["_inject_fail"] = True
-    if flags & FLAG_EXIT:
-        payload["_inject_exit"] = True
-    if flags & FLAG_CORRUPT:
-        payload["_inject_corrupt"] = True
-    if flags & FLAG_SENTINELS:
-        payload["_sentinels"] = True
-    delay_us = int(header[J_DELAY_US])
-    if delay_us:
-        payload["_inject_delay_s"] = delay_us / 1e6
-    trace_len = int(header[J_TRACE_LEN])
-    if flags & FLAG_TRACE and trace_len:
-        payload["_trace"] = json.loads(
-            region[body_end : body_end + trace_len].tobytes().decode("utf-8")
-        )
+    flags = words[J_FLAGS]
+    for key, bit in _FLAG_KEYS if flags else ():
+        if flags & bit:
+            payload[key] = True
+    if words[J_DELAY_US]:
+        payload["_inject_delay_s"] = words[J_DELAY_US] / 1e6
+    if flags & FLAG_TRACE and words[J_TRACE_LEN]:
+        payload["_trace"] = json.loads(raw[body_end:].decode("utf-8"))
     return payload
+
+
+def job_body_bytes(words: Mapping[int, int]) -> int:
+    """Bytes a job body occupies in its slot, from its header words."""
+    length = int(words[J_LEN_A])
+    if int(words[J_FORMAT]) == FMT_PICKLE:
+        return length
+    codec = _CODECS[int(words[J_KERNEL])]
+    return codec.width * (length + int(words[J_LEN_B])) + int(words[J_TRACE_LEN])
 
 
 # ----------------------------------------------------------------------
 # results
-
-_SCALAR_RESULT_KEYS: Dict[str, Tuple[str, ...]] = {
-    "bsw": ("score", "cells"),
-    "pairhmm": ("log10_likelihood", "cells"),
-    "lcs": ("length", "cells"),
-    "dtw": ("distance", "cells"),
-}
-_CHAIN_RESULT_KEYS = ("scores", "parents", "best_index", "best_score", "cells")
 
 
 def encode_result(
@@ -352,116 +348,85 @@ def encode_result(
     region: np.ndarray,
 ) -> Dict[int, int]:
     """Encode one job outcome into a result slot's byte region."""
+    kernel_id = KERNEL_IDS.get(kernel, 0)
     header: Dict[int, int] = {
         R_OK: 1 if ok else 0,
-        R_KERNEL: KERNEL_IDS.get(kernel, 0),
+        R_KERNEL: kernel_id,
         R_LEN_B: 0,
     }
     if not ok:
         raw = (error or "unknown").encode("utf-8")
         header[R_FORMAT] = FMT_SOA
         header[R_LEN_A] = len(raw)
-        _write(region, 0, raw)
+        _write(region, raw)
         return header
-    soa = _encode_soa_result(kernel, value, header)
+    codec = _CODECS.get(kernel_id)
+    soa = None if codec is None else _encode_result_body(codec, value, header)
     if soa is None:
         raw = pickle.dumps(value, protocol=pickle.HIGHEST_PROTOCOL)
         header[R_FORMAT] = FMT_PICKLE
         header[R_LEN_A] = len(raw)
-        _write(region, 0, raw)
+        _write(region, raw)
         return header
     header[R_FORMAT] = FMT_SOA
-    offset = 0
-    for raw in soa:
-        offset = _write(region, offset, raw)
+    _write(region, b"".join(soa))
     return header
 
 
-def _encode_soa_result(
-    kernel: str, value: Optional[Dict[str, Any]], header: Dict[int, int]
-) -> Optional[Tuple[bytes, ...]]:
-    if not isinstance(value, dict):
+def _encode_result_body(
+    codec: _SlotCodec, value: Optional[Dict[str, Any]], header: Dict[int, int]
+) -> Optional[List[bytes]]:
+    """The result's list runs then its packed words, or None to fall back."""
+    if not isinstance(value, dict) or value.keys() != codec.result_keys:
         return None
-    keys = _SCALAR_RESULT_KEYS.get(kernel)
-    if keys is not None:
-        if set(value) != set(keys):
+    runs = []
+    for key in codec.runs:
+        run = _int_array(value[key], 1)
+        if run is None:
             return None
-        first = value[keys[0]]
-        cells = value["cells"]
-        if not isinstance(cells, int) or isinstance(cells, bool):
-            return None
-        if kernel == "pairhmm":
-            if not isinstance(first, float):
-                return None
-            packed = np.array([first], dtype=_FLOAT64).tobytes()
-        else:
-            if not isinstance(first, int) or isinstance(first, bool):
-                return None
-            try:
-                packed = np.array([first], dtype=_INT64).tobytes()
-            except OverflowError:
-                return None
-        header[R_LEN_A] = 1
-        return packed, np.array([cells], dtype=_INT64).tobytes()
-    if kernel == "chain":
-        if set(value) != set(_CHAIN_RESULT_KEYS):
-            return None
-        scores = _int_array(value["scores"])
-        parents = _int_array(value["parents"])
-        if scores is None or parents is None or len(scores) != len(parents):
-            return None
-        tail = (value["best_index"], value["best_score"], value["cells"])
-        if any(not isinstance(word, int) or isinstance(word, bool) for word in tail):
-            return None
-        header[R_LEN_A] = scores.shape[0]
-        return (
-            scores.tobytes(),
-            parents.tobytes(),
-            np.array(tail, dtype=_INT64).tobytes(),
-        )
-    return None
+        runs.append(run.tobytes())
+    if len(set(map(len, runs))) > 1:  # one LEN_A for every run
+        return None
+    words = [value[key] for key in codec.words]
+    # Exact types: a bool (or any subclass) would not decode as itself.
+    if tuple(map(type, words)) != codec.word_types:
+        return None
+    try:
+        packed = codec.packer.pack(*words)
+    except struct.error:  # beyond int64
+        return None
+    header[R_LEN_A] = len(runs[0]) // 8 if runs else 1
+    return runs + [packed]
 
 
 def decode_result(
     header: np.ndarray, region: np.ndarray
 ) -> Tuple[bool, Optional[Dict[str, Any]], Optional[str]]:
     """Rebuild ``(ok, value, error)`` from a result slot."""
-    ok = bool(header[R_OK])
-    fmt = int(header[R_FORMAT])
-    len_a = int(header[R_LEN_A])
-    if not ok:
+    words = header.tolist()
+    len_a = words[R_LEN_A]
+    if not words[R_OK]:
         return False, None, region[:len_a].tobytes().decode("utf-8")
-    if fmt == FMT_PICKLE:
+    if words[R_FORMAT] == FMT_PICKLE:
         return True, pickle.loads(region[:len_a].tobytes()), None
-    kernel = KERNEL_NAMES.get(int(header[R_KERNEL]))
-    keys = _SCALAR_RESULT_KEYS.get(kernel or "")
-    if keys is not None:
-        if kernel == "pairhmm":
-            first: Any = float(
-                np.frombuffer(region[:8].tobytes(), dtype=_FLOAT64)[0]
-            )
-        else:
-            first = int(np.frombuffer(region[:8].tobytes(), dtype=_INT64)[0])
-        cells = int(np.frombuffer(region[8:16].tobytes(), dtype=_INT64)[0])
-        return True, {keys[0]: first, "cells": cells}, None
-    if kernel == "chain":
-        nbytes = len_a * 8
-        scores = np.frombuffer(region[:nbytes].tobytes(), dtype=_INT64).tolist()
-        parents = np.frombuffer(
-            region[nbytes : 2 * nbytes].tobytes(), dtype=_INT64
+    codec = _CODECS.get(words[R_KERNEL])
+    if codec is None:
+        raise ValueError(f"result slot carries unknown kernel id {words[R_KERNEL]}")
+    value: Dict[str, Any] = {}
+    offset, nbytes = 0, len_a * 8
+    for key in codec.runs:
+        value[key] = np.frombuffer(
+            region[offset : offset + nbytes].tobytes(), dtype=_INT64
         ).tolist()
-        tail = np.frombuffer(
-            region[2 * nbytes : 2 * nbytes + 24].tobytes(), dtype=_INT64
-        )
-        return (
-            True,
-            {
-                "scores": scores,
-                "parents": parents,
-                "best_index": int(tail[0]),
-                "best_score": int(tail[1]),
-                "cells": int(tail[2]),
-            },
-            None,
-        )
-    raise ValueError(f"result slot carries unknown kernel id {header[R_KERNEL]}")
+        offset += nbytes
+    value.update(zip(codec.words, codec.packer.unpack_from(region, offset)))
+    return True, value, None
+
+
+def result_body_bytes(header: Mapping[int, int]) -> int:
+    """Bytes a result body occupies in its slot, from its header words."""
+    length = int(header[R_LEN_A])
+    if int(header[R_FORMAT]) == FMT_PICKLE or not int(header[R_OK]):
+        return length
+    codec = _CODECS[int(header[R_KERNEL])]
+    return 8 * len(codec.runs) * length + codec.packer.size

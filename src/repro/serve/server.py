@@ -19,9 +19,11 @@ Unix socket.  Requests:
   one ``results`` array back;
 - ``{"op": "stats"}`` -- serving counters + queue depth.
 
-A job is validated before it is admitted: a malformed one gets
-``{"ok": false, "error": "bad job: ..."}`` (in its slot of a batch)
-and costs its tenant no quota token and no ledger submission.
+A job is validated before it is admitted: a malformed one -- including
+one whose payload names an engine-private ``_``-prefixed key, such as
+a fault-injection marker -- gets ``{"ok": false, "error": "bad job:
+..."}`` (in its slot of a batch) and costs its tenant no quota token
+and no ledger submission.
 
 Dispatch: admitted jobs land on an asyncio queue; a single dispatcher
 task batches them up (``flush_interval_s`` / ``max_batch``), submits
@@ -499,13 +501,18 @@ class GendpServer:
         if not isinstance(spec, Mapping):
             raise JobValidationError("a job must be a JSON object")
         payload = spec.get("payload") or {}
+        for key in payload if isinstance(payload, Mapping) else ():
+            # Engine-private keys (fault markers, ``_trace``...) are the
+            # server's to stamp, never a network client's.
+            if str(key).startswith("_"):
+                raise JobValidationError(f"payload key {key!r} is engine-private")
         job = make_job(
             str(spec.get("kernel")),
             dict(payload) if isinstance(payload, Mapping) else payload,
             priority=priority_for(spec.get("priority")),
             deadline_s=spec.get("deadline_s"),
         )
-        if self.tracer is not None and "_trace" not in job.payload:
+        if self.tracer is not None:
             # Tenant + trace ids ride to the workers inside the payload
             # (Engine.submit would add trace/job ids; adding tenant here
             # correlates worker spans back to the paying tenant too).

@@ -44,26 +44,15 @@ from repro.engine.executor import BatchOutcome, InlineExecutor, isolated_job
 from repro.obs.logs import get_logger
 from repro.serve.layout import (
     DONE,
-    FMT_PICKLE,
     FREE,
-    J_FORMAT,
     J_GEN,
     J_JOB_ID,
-    J_KERNEL,
-    J_LEN_A,
-    J_LEN_B,
     J_PROGRAM,
     J_STATE,
-    J_TRACE_LEN,
     J_WORKER,
     JOB_FIELDS,
-    KERNEL_IDS,
-    R_FORMAT,
     R_GEN,
     R_JOB_ID,
-    R_KERNEL,
-    R_LEN_A,
-    R_OK,
     R_STATE,
     READY,
     RESULT_FIELDS,
@@ -71,6 +60,8 @@ from repro.serve.layout import (
     SlotOverflowError,
     decode_result,
     encode_payload,
+    job_body_bytes,
+    result_body_bytes,
 )
 from repro.serve.ring import RingCapacityError, RingGeometry, ServeSegments
 
@@ -120,32 +111,6 @@ class TransportConfig:
             max_programs=self.max_programs,
             program_bytes=self.program_table_bytes,
         )
-
-
-def _job_body_bytes(words: Dict[int, int]) -> int:
-    """Bytes the encoded job body occupies, from its header words."""
-    if words.get(J_FORMAT) == FMT_PICKLE:
-        return int(words.get(J_LEN_A, 0))
-    kernel_id = int(words.get(J_KERNEL, 0))
-    len_a = int(words.get(J_LEN_A, 0))
-    len_b = int(words.get(J_LEN_B, 0))
-    trace = int(words.get(J_TRACE_LEN, 0))
-    if kernel_id == KERNEL_IDS["dtw"]:
-        return 8 * (len_a + len_b) + trace
-    if kernel_id == KERNEL_IDS["chain"]:
-        return 24 * len_a + trace
-    return len_a + len_b + trace
-
-
-def _result_body_bytes(header) -> int:
-    """Bytes the encoded result body occupies, from its header row."""
-    len_a = int(header[R_LEN_A])
-    if int(header[R_FORMAT]) == FMT_PICKLE or not int(header[R_OK]):
-        return len_a
-    kernel_id = int(header[R_KERNEL])
-    if kernel_id == KERNEL_IDS["chain"]:
-        return 16 * len_a + 24
-    return 16
 
 
 @dataclass
@@ -357,9 +322,7 @@ class ShmExecutor:
                 continue
             queue.pop()
             if record.attempts == 0:
-                state.transport_bytes += (
-                    _job_body_bytes(words) + JOB_FIELDS * 8
-                )
+                state.transport_bytes += job_body_bytes(words) + JOB_FIELDS * 8
             record.attempts += 1
             state.max_attempts = max(state.max_attempts, record.attempts)
             self._job_counter += 1
@@ -407,7 +370,7 @@ class ShmExecutor:
                         ),
                     }
                 state.transport_bytes += (
-                    _result_body_bytes(header) + RESULT_FIELDS * 8
+                    result_body_bytes(header) + RESULT_FIELDS * 8
                 )
                 self._finish(record, state, result)
                 del outstanding[record.job_id]

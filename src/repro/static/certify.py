@@ -35,7 +35,7 @@ from dataclasses import dataclass
 from typing import Dict, List, Optional, Tuple
 
 from repro.dpax.pe import INT32_MAX, INT32_MIN, LANE8_MAX, LANE8_MIN
-from repro.guard.sentinels import PAIRHMM_UNDERFLOW_FLOOR
+from repro.guard.sentinels import PAIRHMM_UNDERFLOW_FLOOR, make_sentinel
 from repro.static.absint import analyze_fixpoint, analyze_program
 from repro.static.contracts import KernelContract, kernel_contract
 from repro.static.intervals import Interval
@@ -49,10 +49,11 @@ _LANE8 = Interval(LANE8_MIN, LANE8_MAX)
 
 def armed_hazards(kernel: str) -> Tuple[str, ...]:
     """The hazard classes :func:`make_sentinel` arms for *kernel*."""
+    sentinel = make_sentinel(kernel)
     armed = ["int32-overflow"]
-    if kernel == "bsw":
+    if sentinel.lane_bits is not None:
         armed.append("lane-saturation")
-    if kernel == "pairhmm":
+    if sentinel.underflow_floor is not None:
         armed.append("log-underflow")
     return tuple(armed)
 

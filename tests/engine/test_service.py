@@ -78,6 +78,22 @@ class TestSubmission:
                 job = make_job("chain", {"anchors": anchors, **extra})
                 assert KERNELS["chain"].cells(job.payload) >= 0
 
+    @pytest.mark.parametrize(
+        "kernel, payload, key",
+        [
+            ("bsw", {"query": "ACGN", "target": "ACGT"}, "query"),
+            ("pairhmm", {"read": "ACGT", "haplotype": "acgt"}, "haplotype"),
+            ("lcs", {"x": "ACGT", "y": "hello"}, "y"),
+        ],
+    )
+    def test_non_acgt_strings_rejected_at_creation(self, kernel, payload, key):
+        """These used to be admitted, then dead-lettered by the sweep's
+        ``non-DNA base`` ValueError."""
+        with pytest.raises(
+            JobValidationError, match=f"'{key}' must be a DNA string over ACGT"
+        ):
+            make_job(kernel, payload)
+
     def test_every_submitted_shape_still_validates(self):
         make_job("dtw", {"a": (1, 2.5), "b": [True, 3]})
         make_job("chain", {"anchors": [(1, 2, 19), [3, 4, 19.0]], "n": 4})

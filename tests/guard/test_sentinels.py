@@ -65,3 +65,7 @@ class TestKernelArming:
     def test_others_scalar_only(self):
         sentinel = make_sentinel("dtw")
         assert sentinel.lane_bits is None and sentinel.underflow_floor is None
+
+    def test_kernels_without_an_engine_row_watch_the_rails_only(self):
+        for kernel in ("poa", "bellman_ford", "nope"):
+            assert make_sentinel(kernel) == Sentinel()

@@ -7,9 +7,14 @@ exactly falls back to pickle in the same slot (FMT_PICKLE), and fault
 markers travel as header bits, never payload keys.
 """
 
+import json
+
 import numpy as np
 import pytest
 
+from repro.engine.cache import compile_program
+from repro.engine.kernels import KERNELS
+from repro.engine.runners import build_dfg, run_job
 from repro.serve.layout import (
     FMT_PICKLE,
     FMT_SOA,
@@ -17,12 +22,22 @@ from repro.serve.layout import (
     J_FLAGS,
     J_FORMAT,
     JOB_FIELDS,
+    R_FORMAT,
     RESULT_FIELDS,
     SlotOverflowError,
     decode_payload,
     decode_result,
     encode_payload,
     encode_result,
+    job_body_bytes,
+    result_body_bytes,
+)
+from tests.serve.golden_wire import (
+    GOLDEN_PATH,
+    payload_cases,
+    result_cases,
+    wire_records,
+    written,
 )
 
 SLOT_BYTES = 4096
@@ -108,6 +123,10 @@ def test_trace_ids_ride_behind_the_body():
         ("bsw", {"query": "ACGTé", "target": "ACGT"}),  # non-ASCII
         ("dtw", {"a": [1.5, 2.5], "b": [1, 2]}),  # floats
         ("chain", {"anchors": [[1, 2], [3, 4]]}),  # not triples
+        # Windows the AUX word cannot carry losslessly (-1 is "absent").
+        ("chain", {"anchors": [[1, 2, 3]], "n": -1}),
+        ("chain", {"anchors": [[1, 2, 3]], "n": True}),
+        ("chain", {"anchors": [[1, 2, 3]], "n": 1 << 63}),
     ],
 )
 def test_inexpressible_payloads_fall_back_to_pickle(kernel, payload):
@@ -160,4 +179,65 @@ def test_result_side_channels_fall_back_to_pickle():
     (ok, decoded, _), header = _roundtrip_result("bsw", True, value, None)
     assert ok
     assert header[5] == FMT_PICKLE  # R_FORMAT
+    assert decoded == value
+
+
+def test_every_kernel_row_has_a_codec_case():
+    assert set(PAYLOADS) == set(RESULTS) == set(KERNELS)
+
+
+def test_wire_format_matches_the_golden_fixture():
+    """Header words and body bytes of every case, as first written by
+    the per-kernel codecs the generic one replaced."""
+    golden = json.loads(GOLDEN_PATH.read_text())
+    assert wire_records(PAYLOADS, RESULTS) == golden
+
+
+def _header(words, fields):
+    header = np.zeros(fields, dtype=np.int64)
+    for index, word in words.items():
+        header[index] = word
+    return header
+
+
+PICKLED_PAYLOADS = {
+    "extra-key": ("bsw", dict(PAYLOADS["bsw"], extra=1)),
+    "extra-key+trace": ("dtw", dict(PAYLOADS["dtw"], extra=1, _trace={"job_id": 1})),
+}
+PICKLED_RESULTS = {
+    "side-channel": ("bsw", True, dict(RESULTS["bsw"], _trace_spans=[{}]), None),
+}
+
+
+@pytest.mark.parametrize(
+    "case", sorted(payload_cases(PAYLOADS)) + sorted(PICKLED_PAYLOADS)
+)
+def test_job_body_bytes_is_the_written_extent(case):
+    kernel, payload = {**payload_cases(PAYLOADS), **PICKLED_PAYLOADS}[case]
+    record = written(lambda region: encode_payload(kernel, payload, region))
+    words = dict(record["words"])
+    assert (words[J_FORMAT] == FMT_PICKLE) == (case in PICKLED_PAYLOADS)
+    assert job_body_bytes(words) == len(record["body"]) // 2
+    assert job_body_bytes(_header(words, JOB_FIELDS)) == len(record["body"]) // 2
+
+
+@pytest.mark.parametrize("case", sorted(result_cases(RESULTS)) + sorted(PICKLED_RESULTS))
+def test_result_body_bytes_is_the_written_extent(case):
+    kernel, ok, value, error = {**result_cases(RESULTS), **PICKLED_RESULTS}[case]
+    record = written(lambda region: encode_result(kernel, ok, value, error, region))
+    words = dict(record["words"])
+    assert (words[R_FORMAT] == FMT_PICKLE) == (case in PICKLED_RESULTS)
+    assert result_body_bytes(_header(words, RESULT_FIELDS)) == len(record["body"]) // 2
+
+
+@pytest.mark.parametrize("kernel", sorted(KERNELS))
+def test_engine_results_ride_the_fast_path(kernel):
+    """A row's ``results`` schema is what its jobs return: a drift would
+    silently pickle every result."""
+    payload = PAYLOADS[kernel]
+    if kernel == "chain":  # the compiled program folds in weight 19
+        payload = {"anchors": [[x, y, 19] for x, y, _ in payload["anchors"]]}
+    value = run_job(kernel, compile_program(kernel, 2, build_dfg(kernel)), payload)
+    (ok, decoded, _), header = _roundtrip_result(kernel, True, value, None)
+    assert header[R_FORMAT] == FMT_SOA
     assert decoded == value

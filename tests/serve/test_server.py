@@ -335,6 +335,34 @@ def test_batch_entry_that_is_not_an_object_is_a_clean_error(tmp_path):
     assert bad == {"ok": False, "error": "bad job: a job must be a JSON object"}
 
 
+@pytest.mark.parametrize("marker", ["_inject_corrupt", "_inject_fail", "_trace"])
+def test_engine_private_payload_keys_are_bad_jobs(tmp_path, marker):
+    """A client used to be able to corrupt results (``_inject_corrupt``
+    answered ok with a wrong score), fail jobs, or kill shm workers
+    (``_inject_exit``) through the payload."""
+
+    async def scenario():
+        config = ServeConfig(tenant_quotas={"alpha": (0.001, 1.0)})
+        async with serving(tmp_path, serve_config=config) as (server, sock):
+            async with await ServeClient.connect(unix_socket=sock) as client:
+                response = await client.submit_batch(
+                    [{"kernel": "bsw", "payload": dict(BSW, **{marker: True})}],
+                    tenant="alpha",
+                )
+                valid = await client.submit("bsw", BSW, tenant="alpha")
+                stats = await client.stats()
+        assert response["results"] == [
+            {"ok": False, "error": f"bad job: payload key {marker!r} is engine-private"}
+        ]
+        # The bucket's one token and the tenant's bill went to the valid job.
+        assert valid["ok"], valid
+        assert stats["counters"]["serve_errors"] == 1
+        assert stats["counters"]["serve_admitted"] == 1
+        assert stats["tenants"]["alpha"]["tenant_jobs_submitted"] == 1
+
+    run(scenario())
+
+
 def test_invalid_submit_consumes_no_quota_token(tmp_path):
     async def scenario():
         config = ServeConfig(tenant_quotas={"tight": (0.001, 1.0)})

@@ -27,6 +27,7 @@ class TestArmedHazards:
         assert armed_hazards("dtw") == ("int32-overflow",)
         assert armed_hazards("bsw") == ("int32-overflow", "lane-saturation")
         assert armed_hazards("pairhmm") == ("int32-overflow", "log-underflow")
+        assert armed_hazards("poa") == ("int32-overflow",)
 
 
 class TestCertification:
