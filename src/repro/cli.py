@@ -896,11 +896,6 @@ def recover_main(argv: Optional[List[str]] = None) -> int:
         "--fsync", choices=("always", "interval", "never"), default="interval"
     )
     chaos.add_argument(
-        "--no-verify-writes",
-        action="store_true",
-        help="disable read-back healing of torn/flipped journal writes",
-    )
-    chaos.add_argument(
         "--compact-every",
         type=int,
         default=0,
@@ -933,7 +928,6 @@ def recover_main(argv: Optional[List[str]] = None) -> int:
                 short_fsync_rate=args.short_fsync_rate,
                 fail_rate=args.fail_rate,
                 fsync=args.fsync,
-                verify_writes=not args.no_verify_writes,
                 compact_every=args.compact_every,
             )
         except ValueError as error:
@@ -1775,19 +1769,22 @@ def serve_main(argv: Optional[List[str]] = None) -> int:
         workers=max(1, args.workers),
         warm_kernels=warm,
     )
-    serve_config = ServeConfig(
-        host=args.host,
-        port=args.port,
-        unix_socket=args.unix_socket,
-        max_pending=args.max_pending,
-        max_batch=args.max_batch,
-        default_rate=args.quota_rate,
-        default_burst=args.quota_burst,
-        tenant_quotas=overrides,
-        journal_dir=args.journal_dir,
-        journal_fsync=args.journal_fsync,
-        recover_on_start=not args.no_recover,
-    )
+    try:
+        serve_config = ServeConfig(
+            host=args.host,
+            port=args.port,
+            unix_socket=args.unix_socket,
+            max_pending=args.max_pending,
+            max_batch=args.max_batch,
+            default_rate=args.quota_rate,
+            default_burst=args.quota_burst,
+            tenant_quotas=overrides,
+            journal_dir=args.journal_dir,
+            journal_fsync=args.journal_fsync,
+            recover_on_start=not args.no_recover,
+        )
+    except ValueError as error:
+        parser.error(str(error))
     tracer = TraceRecorder() if args.trace_out else None
 
     engine_config = EngineConfig(

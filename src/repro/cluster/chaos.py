@@ -27,7 +27,12 @@ from dataclasses import dataclass, field
 from typing import Any, Dict, Optional, Tuple
 
 from repro.cluster.clock import SimClock
-from repro.cluster.router import CLUSTER_COUNTERS, ClusterConfig, ClusterRouter
+from repro.cluster.router import (
+    CLUSTER_COUNTERS,
+    PER_JOB_COST_S,
+    ClusterConfig,
+    ClusterRouter,
+)
 from repro.engine import EngineConfig
 from repro.faults.campaign import (
     DEFAULT_KERNELS,
@@ -212,7 +217,7 @@ def run_cluster_campaign(
         config=config_block(
             config,
             _ECHOED,
-            per_job_cost_s=cluster.per_job_cost_s,
+            per_job_cost_s=PER_JOB_COST_S,
             hang_delay_s=cluster.fault_plan.hang_delay_s,
             max_kills=cluster.fault_plan.max_kills,
             settle_rounds=SETTLE_ROUNDS,

@@ -28,8 +28,7 @@ never reaches a routing decision in simulation mode.
 from __future__ import annotations
 
 from collections import deque
-from dataclasses import dataclass, field
-from typing import Deque, Dict, Optional, Tuple
+from typing import Deque, Dict, Tuple
 
 from repro.engine.breaker import (
     BREAKER_CODES,
@@ -46,39 +45,33 @@ HEALTH_CODES: Dict[str, int] = {
     "ejected": 2,
 }
 
+#: Drain outcomes kept in the rolling window.
+HEALTH_WINDOW = 16
+#: Error fraction in the window at/above which a shard is degraded.
+DEGRADE_ERROR_RATE = 0.5
+#: Latency (seconds) above which a drain round counts as slow.
+SLOW_ROUND_S = 1.0
+#: Slow fraction in the window at/above which a shard is degraded.
+DEGRADE_SLOW_RATE = 0.5
+#: Consecutive failed/missed rounds before the breaker ejects.
+EJECT_THRESHOLD = 2
+#: Rounds an ejected shard sits out before a rejoin probe.
+REJOIN_COOLDOWN = 2
 
-@dataclass
+
 class ShardHealth:
     """Rolling health state of one shard."""
 
-    #: Drain outcomes kept in the rolling window.
-    window: int = 16
-    #: Error fraction in the window at/above which the shard is
-    #: classified degraded.
-    degrade_error_rate: float = 0.5
-    #: Latency (seconds) above which a drain round counts as slow.
-    slow_round_s: float = 1.0
-    #: Slow fraction in the window at/above which the shard is
-    #: classified degraded.
-    degrade_slow_rate: float = 0.5
-    #: Consecutive failed/missed rounds before the breaker ejects.
-    eject_threshold: int = 2
-    #: Rounds an ejected shard sits out before a rejoin probe.
-    rejoin_cooldown: int = 2
-
-    _outcomes: Deque[Tuple[bool, float]] = field(default_factory=deque)
-    _breaker: CircuitBreaker = field(default=None)  # type: ignore[assignment]
-    _last_beat_round: int = 0
-    _missed_beats: int = 0
-
-    def __post_init__(self) -> None:
-        if self.window <= 0:
-            raise ValueError("window must be positive")
-        self._outcomes = deque(maxlen=self.window)
-        self._breaker = CircuitBreaker(
-            failure_threshold=self.eject_threshold,
-            cooldown_batches=self.rejoin_cooldown,
+    def __init__(self) -> None:
+        self._outcomes: Deque[Tuple[bool, float]] = deque(
+            maxlen=HEALTH_WINDOW
         )
+        self._breaker = CircuitBreaker(
+            failure_threshold=EJECT_THRESHOLD,
+            cooldown_batches=REJOIN_COOLDOWN,
+        )
+        self._last_beat_round = 0
+        self._missed_beats = 0
 
     # ------------------------------------------------------------------
     # inputs (one call set per drain round)
@@ -147,7 +140,7 @@ class ShardHealth:
         if not self._outcomes:
             return 0.0
         slow = sum(
-            1 for _, latency in self._outcomes if latency > self.slow_round_s
+            1 for _, latency in self._outcomes if latency > SLOW_ROUND_S
         )
         return slow / len(self._outcomes)
 
@@ -164,8 +157,8 @@ class ShardHealth:
         if self.ejected:
             return "ejected"
         if (
-            self.error_rate >= self.degrade_error_rate
-            or self.slow_rate >= self.degrade_slow_rate
+            self.error_rate >= DEGRADE_ERROR_RATE
+            or self.slow_rate >= DEGRADE_SLOW_RATE
         ):
             return "degraded"
         return "healthy"

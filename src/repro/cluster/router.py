@@ -23,7 +23,7 @@ Placement and robustness:
   through and the shard takes its range back;
 - **failover** -- a killed shard's in-flight jobs (the pending ledger)
   are resubmitted to surviving shards *exactly once per incident*,
-  bounded by ``max_resubmit_rounds``; a job that exhausts failover
+  bounded by ``MAX_RESUBMIT_ROUNDS``; a job that exhausts failover
   gets a synthesized ``cluster-fault`` error envelope and parks in the
   router's dead-letter queue -- no job is ever silently dropped, and
   first-envelope-wins folding makes double-reporting impossible
@@ -51,7 +51,6 @@ from typing import Any, Callable, Dict, List, Optional, Set, Tuple
 
 from repro.cluster.clock import is_simulated, real_clock
 from repro.cluster.hashring import HashRing
-from repro.cluster.health import ShardHealth
 from repro.cluster.shard import EngineShard, ShardUnavailableError
 from repro.engine import BackpressureError, Engine, EngineConfig
 from repro.engine.dlq import DeadLetter, DeadLetterQueue
@@ -82,38 +81,29 @@ CLUSTER_COUNTERS: Tuple[str, ...] = (
     "cluster_drain_rounds",  # router drain rounds executed
 )
 
+#: Shard ids are ``{SHARD_PREFIX}-{ordinal}``.
+SHARD_PREFIX = "shard"
+#: Steal when a shard's queue exceeds ``STEAL_RATIO`` x the mean.
+STEAL_RATIO = 2.0
+#: Jobs one shard may shed per round (bounded rebalancing).
+MAX_STEAL_PER_ROUND = 16
+#: Failover resubmission rounds within one drain before a job gets a
+#: synthesized ``cluster-fault`` envelope.
+MAX_RESUBMIT_ROUNDS = 3
+#: Router-level dead-letter queue capacity (cluster-fault jobs).
+DLQ_CAPACITY = 256
+#: Simulated seconds one drained job costs under a ``SimClock``.
+PER_JOB_COST_S = 0.001
+
 
 @dataclass(frozen=True)
 class ClusterConfig:
-    """Cluster topology and robustness knobs."""
+    """Cluster topology: shard count, shard engine, faults, ledger."""
 
     #: Initial shard count.
     shards: int = 4
-    #: Shard ids are ``{shard_prefix}-{ordinal}``.
-    shard_prefix: str = "shard"
-    #: Virtual nodes per shard on the consistent-hash ring.
-    replicas: int = 64
     #: Engine template each shard instantiates (its own transport/workers).
     engine: EngineConfig = field(default_factory=EngineConfig)
-    #: Rolling health-window length (drain rounds).
-    health_window: int = 16
-    #: Consecutive failed/missed rounds before a shard is ejected.
-    eject_threshold: int = 2
-    #: Rounds an ejected shard sits out before its rejoin probe.
-    rejoin_cooldown: int = 2
-    #: Drain latency (seconds) above which a round counts as slow.
-    slow_round_s: float = 1.0
-    #: Steal when a shard's queue exceeds ``steal_ratio`` x the mean.
-    steal_ratio: float = 2.0
-    #: Jobs one shard may shed per round (bounded rebalancing).
-    max_steal_per_round: int = 16
-    #: Failover resubmission rounds within one drain before a job gets
-    #: a synthesized ``cluster-fault`` envelope.
-    max_resubmit_rounds: int = 3
-    #: Router-level dead-letter queue capacity (cluster-fault jobs).
-    dlq_capacity: int = 256
-    #: Simulated seconds one drained job costs under a ``SimClock``.
-    per_job_cost_s: float = 0.001
     #: Optional :class:`repro.faults.shards.ShardFaultPlan` driving
     #: deterministic shard kills/hangs/partitions per drain round.
     fault_plan: Optional[ShardFaultPlan] = None
@@ -125,22 +115,10 @@ class ClusterConfig:
     #: should stay journal-less under it -- their queues are already
     #: covered by this ledger.
     durability: Optional[object] = None
-    #: Router DLQ overflow policy (see :mod:`repro.engine.dlq`).
-    dlq_overflow: str = "drop_newest"
 
     def __post_init__(self) -> None:
         if self.shards <= 0:
             raise ValueError("shards must be positive")
-        if self.replicas <= 0:
-            raise ValueError("replicas must be positive")
-        if self.steal_ratio < 1.0:
-            raise ValueError("steal_ratio must be >= 1")
-        if self.max_steal_per_round < 0:
-            raise ValueError("max_steal_per_round must be non-negative")
-        if self.max_resubmit_rounds < 1:
-            raise ValueError("max_resubmit_rounds must be at least 1")
-        if self.per_job_cost_s <= 0:
-            raise ValueError("per_job_cost_s must be positive")
 
 
 class ClusterRouter:
@@ -164,7 +142,7 @@ class ClusterRouter:
         self.metrics = MetricsRegistry()
         for counter in CLUSTER_COUNTERS:
             self.metrics.incr(counter, 0)
-        self.ring = HashRing(replicas=self.config.replicas)
+        self.ring = HashRing()
         self._engine_factory = engine_factory or self._default_engine
         self._shards: Dict[str, EngineShard] = {}
         self._affinity: Dict[str, str] = {}
@@ -176,9 +154,7 @@ class ClusterRouter:
         self._resubmissions: Dict[int, int] = {}
         self._orphans: List[Job] = []
         self._dlq = DeadLetterQueue(
-            capacity=max(self.config.dlq_capacity, 0),
-            overflow=self.config.dlq_overflow,
-            metrics=self.metrics,
+            capacity=DLQ_CAPACITY, metrics=self.metrics
         )
         #: Cluster-wide write-ahead ledger (None without durability).
         self.journal = None
@@ -210,14 +186,6 @@ class ClusterRouter:
         except Exception:
             pass
 
-    def _new_health(self) -> ShardHealth:
-        return ShardHealth(
-            window=self.config.health_window,
-            eject_threshold=self.config.eject_threshold,
-            rejoin_cooldown=self.config.rejoin_cooldown,
-            slow_round_s=self.config.slow_round_s,
-        )
-
     # ------------------------------------------------------------------
     # membership
 
@@ -244,14 +212,11 @@ class ClusterRouter:
         """Add a shard; its hash range moves over (bounded remap)."""
         ordinal = self._next_ordinal
         self._next_ordinal += 1
-        shard_id = shard_id or f"{self.config.shard_prefix}-{ordinal}"
+        shard_id = shard_id or f"{SHARD_PREFIX}-{ordinal}"
         if shard_id in self._shards:
             raise ValueError(f"shard {shard_id!r} already exists")
         shard = EngineShard(
-            shard_id,
-            self._engine_factory(shard_id),
-            health=self._new_health(),
-            ordinal=ordinal,
+            shard_id, self._engine_factory(shard_id), ordinal=ordinal
         )
         self._shards[shard_id] = shard
         self.ring.add(shard_id)
@@ -454,7 +419,7 @@ class ClusterRouter:
 
         # Failover: resubmit orphans of killed/ejected shards, then
         # drain the adopting shards so this round still settles them.
-        for _ in range(self.config.max_resubmit_rounds):
+        for _ in range(MAX_RESUBMIT_ROUNDS):
             if not self._orphans:
                 break
             adopted = self._resubmit_orphans(round_number, envelopes)
@@ -558,9 +523,7 @@ class ClusterRouter:
                 results = []
                 drain_ok = False
             if is_simulated(self.clock):
-                self.clock.advance(
-                    jobs_count * self.config.per_job_cost_s + hang
-                )
+                self.clock.advance(jobs_count * PER_JOB_COST_S + hang)
                 elapsed = self.clock() - started
             else:
                 elapsed = self.clock() - started + hang
@@ -703,11 +666,9 @@ class ClusterRouter:
         for donor in sorted(
             donors_pool, key=lambda s: (-s.queued, s.shard_id)
         ):
-            if donor.queued <= self.config.steal_ratio * mean:
+            if donor.queued <= STEAL_RATIO * mean:
                 continue
-            excess = min(
-                int(donor.queued - mean), self.config.max_steal_per_round
-            )
+            excess = min(int(donor.queued - mean), MAX_STEAL_PER_ROUND)
             if excess <= 0:
                 continue
             stolen = donor.withdraw(excess)
@@ -748,7 +709,7 @@ class ClusterRouter:
             if job.job_id in envelopes:
                 continue  # already answered; never resubmit a settled job
             times = self._resubmissions.get(job.job_id, 0)
-            if times >= self.config.max_resubmit_rounds:
+            if times >= MAX_RESUBMIT_ROUNDS:
                 leftovers.append(job)
                 continue
             key = self._route_key(job)

@@ -51,12 +51,11 @@ class EngineShard:
         self,
         shard_id: str,
         engine: Engine,
-        health: Optional[ShardHealth] = None,
         ordinal: int = 0,
     ):
         self.shard_id = shard_id
         self.engine = engine
-        self.health = health or ShardHealth()
+        self.health = ShardHealth()
         #: Stable creation index; the fault plan draws on this, not the
         #: id string, so renamed shards keep their fault schedule.
         self.ordinal = ordinal

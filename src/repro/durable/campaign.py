@@ -62,8 +62,7 @@ DLQ_CAPACITY = 256
 #: (never ``workdir``: reports contain no path).
 _ECHOED = (
     "jobs", "seed", "kernels", "chunk_jobs", "crash_rate", "torn_rate",
-    "bitflip_rate", "short_fsync_rate", "fail_rate", "fsync", "verify_writes",
-    "compact_every",
+    "bitflip_rate", "short_fsync_rate", "fail_rate", "fsync", "compact_every",
 )
 #: ``RecoveryCampaignReport`` fields fed by their ``durable_*`` counter.
 _COUNTED = (
@@ -96,12 +95,6 @@ class RecoveryChaosConfig:
     #: dead-letter journaling + rehydration path).
     fail_rate: float = 0.0
     fsync: str = "interval"
-    #: Read-back verification heals torn/flipped writes in-process.
-    #: Off, a torn accept write sheds its job, a lost ``complete``
-    #: re-executes its job at the next recovery, and a bit-flipped
-    #: frame loses that one record (the reader skips it): under disk
-    #: faults the campaign reports FAILED (docs/reliability.md).
-    verify_writes: bool = True
     #: Compact the journal after every Nth surviving chunk (0 = off).
     compact_every: int = 0
     #: Journal directory; a temp dir is created (and removed) when
@@ -134,7 +127,6 @@ class RecoveryChaosConfig:
             dir_path=dir_path,
             fsync=self.fsync,
             segment_bytes=SEGMENT_BYTES,
-            verify_writes=self.verify_writes,
             disk_faults=plan if plan.enabled else None,
         )
 
@@ -147,7 +139,7 @@ class RecoveryCampaignReport(CanonicalReport):
     accepted: int = 0
     shed_backpressure: int = 0
     #: Jobs refused because their accept record could not be journaled
-    #: (torn write with verification off, ENOSPC) -- shed, not lost.
+    #: (write retries exhausted, ENOSPC) -- shed, not lost.
     shed_write_faults: int = 0
     envelopes: int = 0
     lost: int = 0
@@ -254,7 +246,9 @@ def _run(config: RecoveryChaosConfig, workdir: str) -> RecoveryCampaignReport:
     counted["corrupt_frames"] += issues["corrupt_frames"]
     counted["duplicate_completions"] = state.duplicate_completions
     return RecoveryCampaignReport(
-        config=config_block(config, _ECHOED),
+        # Read-back healing is the journal's only write path; reports
+        # keep echoing it so their bytes stay comparable across versions.
+        config=config_block(config, _ECHOED, verify_writes=True),
         accepted=len(ledger.accepted),
         shed_backpressure=ledger.shed_backpressure,
         shed_write_faults=ledger.shed_write_faults,

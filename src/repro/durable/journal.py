@@ -20,9 +20,11 @@ Crash consistency rests on three rules:
    valid one in every segment, so one flipped bit costs one record;
    only bytes that no valid frame follows are a torn tail, and
    re-opening the journal truncates exactly those.
-2. **Repair-on-failure.**  A torn or unverifiable write inside a
-   *surviving* process is truncated back out before the error
-   propagates, so the tail stays parseable for every later append.
+2. **Read-back on every write.**  Each frame is read back and compared
+   after the write; a torn or bit-flipped frame inside a *surviving*
+   process is truncated back out and rewritten, and only an exhausted
+   retry budget raises -- with the tail still parseable for every
+   later append.
 3. **Atomic snapshots.**  Compaction folds all records into one state
    snapshot written with the tmp + ``os.replace`` idiom (the same
    pattern :mod:`repro.guard.campaign` uses for checkpoints), then
@@ -31,18 +33,15 @@ Crash consistency rests on three rules:
 
 Fsync policy is configurable: ``always`` syncs every append (accepts
 are crash-proof the moment ``submit`` returns), ``interval`` syncs at
-most every ``fsync_interval_s`` seconds (the production default:
+most every :data:`FSYNC_INTERVAL_S` seconds (the production default:
 process crashes lose nothing because the page cache survives, only
 power loss can cost the last interval), ``never`` leaves syncing to
 the OS.  Segment rolls always sync, so completed segments are stable.
 
 Disk faults (:class:`repro.faults.disk.DiskFaultPlan`) plug into the
-write path for chaos testing; with ``verify_writes`` on, every frame
-is read back and compared after the write, so torn writes and silent
-bit flips are caught and *healed* at write time (truncate + rewrite)
-instead of surfacing as lost records at recovery.  With verification
-off a torn write is repaired out of the tail and raised instead --
-an un-journaled job must never look journaled.
+write path for chaos testing; read-back catches torn writes and silent
+bit flips and *heals* them at write time (truncate + rewrite) instead
+of letting them surface as lost records at recovery.
 """
 
 from __future__ import annotations
@@ -54,8 +53,6 @@ import time
 import zlib
 from dataclasses import dataclass, field
 from typing import Any, Dict, List, Optional, Tuple
-
-from repro.faults.disk import TornWriteError
 
 #: Frame magic: two bytes that never appear at a frame boundary by
 #: accident often enough to matter once the CRC also has to match.
@@ -73,6 +70,9 @@ RECORD_TYPES = ("accept", "attempt", "complete", "dead_letter")
 
 #: Valid fsync policies.
 FSYNC_POLICIES = ("always", "interval", "never")
+
+#: Minimum seconds between syncs under the ``interval`` policy.
+FSYNC_INTERVAL_S = 0.05
 
 SEGMENT_PREFIX = "journal-"
 SEGMENT_SUFFIX = ".seg"
@@ -96,20 +96,11 @@ class DurabilityConfig:
     dir_path: str
     #: ``always`` / ``interval`` / ``never``.
     fsync: str = "interval"
-    #: Minimum seconds between syncs under the ``interval`` policy.
-    fsync_interval_s: float = 0.05
     #: Roll to a new segment once the active one reaches this size.
     segment_bytes: int = 1 << 20
     #: Record result values in ``complete`` frames (the serve tier
     #: needs them to answer deduplicated resends without re-running).
     record_values: bool = False
-    #: Read back and CRC-check every frame after writing; a mismatch
-    #: is truncated out and rewritten (heals silent bit flips at the
-    #: cost of one pread per append).
-    verify_writes: bool = True
-    #: Rehydrate the dead-letter queue from ``dead_letter`` records at
-    #: recovery (the DLQ becomes persistent).
-    persist_dlq: bool = True
     #: Optional :class:`repro.faults.disk.DiskFaultPlan` for chaos.
     disk_faults: Optional[object] = None
 
@@ -120,8 +111,6 @@ class DurabilityConfig:
             raise ValueError(
                 f"fsync must be one of {FSYNC_POLICIES}, got {self.fsync!r}"
             )
-        if self.fsync_interval_s < 0:
-            raise ValueError("fsync_interval_s must be non-negative")
         if self.segment_bytes < 256:
             raise ValueError("segment_bytes must be at least 256")
 
@@ -462,13 +451,10 @@ class Journal:
     def append(self, rtype: str, **fields: Any) -> int:
         """Write one record; returns its ``seq``.
 
-        With ``verify_writes`` on, torn and bit-flipped writes are
-        detected by read-back and healed (truncate + retry); only an
-        exhausted retry budget raises :class:`JournalWriteError`.
-        With verification off, a torn write raises
-        :class:`TornWriteError` after the partial frame is truncated
-        back out.  ``OSError(ENOSPC)`` propagates either way.  On any
-        raise the record is *not* in the journal.
+        Torn and bit-flipped writes are detected by read-back and
+        healed (truncate + retry); only an exhausted retry budget
+        raises :class:`JournalWriteError`, and ``OSError(ENOSPC)``
+        propagates.  On any raise the record is *not* in the journal.
         """
         if self._closed or self._fh is None:
             raise JournalError("journal is closed")
@@ -500,14 +486,7 @@ class Journal:
             self._fh.write(data)
             self._pos += len(data)
             self._bytes_written += len(data)
-            if kind == "torn" and not self.config.verify_writes:
-                # Without read-back verification a torn write cannot
-                # be seen in-process; repair the tail and surface it.
-                self._repair(start)
-                raise TornWriteError(
-                    f"injected torn write at seq {record['seq']}"
-                )
-            if not self.config.verify_writes or self._verify(start, frame):
+            if self._verify(start, frame):
                 break
             # The frame on disk is not the frame we meant to write
             # (bit flip, short write): truncate it out and try again.
@@ -567,7 +546,7 @@ class Journal:
             self._do_sync()
         elif policy == "interval":
             now = time.monotonic()
-            if now - self._last_sync >= self.config.fsync_interval_s:
+            if now - self._last_sync >= FSYNC_INTERVAL_S:
                 self._do_sync()
 
     def _do_sync(self) -> None:

@@ -16,9 +16,8 @@ crash destroyed:
    so the envelope the caller eventually sees is indistinguishable
    from a crash-free run.  The global job-id counter is advanced past
    every journaled id first, so new work can never collide.
-3. **The DLQ is rehydrated** (``persist_dlq``): ``dead_letter``
-   records park again, making the dead-letter queue itself survive
-   restarts.
+3. **The DLQ is rehydrated**: ``dead_letter`` records park again,
+   making the dead-letter queue itself survive restarts.
 
 The replay is traced as one ``recover:replay`` span and folded into
 the ``durable_*`` counters, so a recovering process is observable
@@ -154,10 +153,8 @@ def recover_engine(engine: Any, resubmit: bool = True) -> RecoveryReport:
     if issues["skipped_bytes"]:
         metrics.incr("durable_truncated_bytes", issues["skipped_bytes"])
 
-    if resubmit and getattr(journal.config, "persist_dlq", True):
-        report.dlq_rehydrated = _rehydrate_dlq(engine, state)
-
     if resubmit:
+        report.dlq_rehydrated = _rehydrate_dlq(engine, state)
         report.orphans_resubmitted = _resubmit_orphans(
             engine, orphan_records, report
         )

@@ -30,7 +30,11 @@ BREAKER_CODES = {
 
 
 class CircuitBreaker:
-    """Consecutive-failure breaker with a batch-counted cooldown."""
+    """Consecutive-failure breaker with a batch-counted cooldown.
+
+    The defaults (3 failures, 8 batches) are the engine's per-kernel
+    breaker; cluster shards pass their own ejection thresholds.
+    """
 
     def __init__(self, failure_threshold: int = 3, cooldown_batches: int = 8):
         if failure_threshold <= 0:

@@ -31,6 +31,10 @@ from repro.isa.compute import VLIWInstruction
 
 CacheKey = Tuple[str, int, str, str]
 
+#: Reduction-tree depth of the hardware's CU: the only depth with
+#: instruction emission, so the only one the engine compiles for.
+CU_LEVELS = 2
+
 
 @dataclass(frozen=True)
 class CompiledProgram:
@@ -166,7 +170,7 @@ def compile_program(
     :class:`repro.opt.passes.PassPipeline` run over the emitted cell
     program before wrapping -- its counters land in ``opt_stats``.
     """
-    if levels != 2:
+    if levels != CU_LEVELS:
         raise ValueError(
             "the engine executes programs for the 2-level CU only "
             f"(got levels={levels})"

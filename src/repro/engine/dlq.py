@@ -7,14 +7,11 @@ a caller -- the CLI, a chaos campaign, an operator -- can replay them
 once the cause has passed (a transient compile fault, a quarantined
 kernel now routed to the reference path).
 
-The queue is bounded with a configurable overflow policy:
-``drop_newest`` (the default) refuses the incoming letter,
-``drop_oldest`` evicts the oldest to make room -- the right choice
-when recent failures are worth more to a post-mortem than ancient
-ones.  Either way :meth:`push` bumps ``dead_letters_dropped`` on the
-attached metrics registry itself, so callers that ignore the return
-value still count drops.  Deadline expiries never dead-letter: the
-deadline was the caller's, and replaying past it is meaningless.
+The queue is bounded: a full queue refuses the incoming letter, and
+:meth:`push` bumps ``dead_letters_dropped`` on the attached metrics
+registry itself, so callers that ignore the return value still count
+drops.  Deadline expiries never dead-letter: the deadline was the
+caller's, and replaying past it is meaningless.
 """
 
 from __future__ import annotations
@@ -23,9 +20,6 @@ from dataclasses import dataclass
 from typing import Iterable, List, Optional
 
 from repro.engine.jobs import Job
-
-#: Valid overflow policies.
-OVERFLOW_POLICIES = ("drop_newest", "drop_oldest")
 
 
 @dataclass(frozen=True)
@@ -43,18 +37,11 @@ class DeadLetterQueue:
     def __init__(
         self,
         capacity: int = 64,
-        overflow: str = "drop_newest",
         metrics: Optional[object] = None,
     ):
         if capacity < 0:
             raise ValueError("dead-letter capacity must be non-negative")
-        if overflow not in OVERFLOW_POLICIES:
-            raise ValueError(
-                f"overflow must be one of {OVERFLOW_POLICIES}, "
-                f"got {overflow!r}"
-            )
         self.capacity = capacity
-        self.overflow = overflow
         self.metrics = metrics
         self._letters: List[DeadLetter] = []
 
@@ -66,22 +53,11 @@ class DeadLetterQueue:
             self.metrics.incr("dead_letters_dropped")
 
     def push(self, job: Job, error: str, attempts: int = 1) -> bool:
-        """Park a failed job; False when the *incoming* letter was
-        dropped (``drop_newest`` overflow).
-
-        Overflow accounting happens here -- one ``dead_letters_dropped``
-        bump per discarded letter, whichever end it fell off.
-        """
-        if self.capacity == 0:
+        """Park a failed job; False when the queue is full and the
+        letter was dropped (one ``dead_letters_dropped`` bump each)."""
+        if len(self._letters) >= self.capacity:
             self._dropped()
             return False
-        if len(self._letters) >= self.capacity:
-            if self.overflow == "drop_newest":
-                self._dropped()
-                return False
-            # drop_oldest: evict from the front to admit the new letter.
-            del self._letters[0]
-            self._dropped()
         self._letters.append(DeadLetter(job=job, error=error, attempts=attempts))
         return True
 

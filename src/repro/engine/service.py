@@ -36,7 +36,12 @@ from typing import Any, Dict, List, Optional, Tuple
 from repro.dpax.machine import INTEGER_ARRAYS
 from repro.engine.batcher import Batch, Batcher
 from repro.engine.breaker import BREAKER_CODES, CircuitBreaker
-from repro.engine.cache import CompiledProgram, ProgramCache, compile_program
+from repro.engine.cache import (
+    CU_LEVELS,
+    CompiledProgram,
+    ProgramCache,
+    compile_program,
+)
 from repro.engine.dlq import DeadLetter, DeadLetterQueue
 from repro.engine.executor import BatchOutcome, InlineExecutor, make_executor
 from repro.engine.jobs import Job, JobResult
@@ -88,14 +93,6 @@ class EngineConfig:
     max_retries: int = 1
     #: Jobs per batch (one tile launch; 16 = the DPAx integer arrays).
     batch_capacity: int = INTEGER_ARRAYS
-    #: Reduction-tree depth compiled for (2 = the hardware).
-    levels: int = 2
-    #: Consecutive degraded batches before a kernel's circuit breaker
-    #: opens and its batches short-circuit to the inline floor
-    #: (0 disables the breaker).
-    breaker_threshold: int = 3
-    #: Batches an open breaker skips before letting a probe through.
-    breaker_cooldown: int = 8
     #: Fraction of ok results re-checked against the reference kernels
     #: (0 = off, 1 = every result); a mismatch fails the job with
     #: ``validation-mismatch`` and quarantines the kernel onto the
@@ -108,10 +105,6 @@ class EngineConfig:
     #: Optional :class:`repro.faults.FaultPlan`; when set, its
     #: ``maybe_fail_compile`` hook runs inside the compile seam.
     fault_plan: Optional[object] = None
-    #: Statically verify every compiled program against the ISA limits
-    #: before it is cached; violations reject the batch's jobs with a
-    #: ``compile-failed`` envelope and never poison the cache.
-    verify_programs: bool = True
     #: Arm numerical sentinels on every job: intermediate ALU values
     #: are watched for int32 overflow / lane saturation / log-domain
     #: underflow, folded into the ``sentinel_*`` metrics counters.
@@ -144,9 +137,6 @@ class EngineConfig:
     #: completed jobs deduplicated, orphans resubmitted, DLQ
     #: rehydrated.  ``None`` (the default) costs nothing.
     durability: Optional[object] = None
-    #: DLQ overflow policy: ``drop_newest`` (refuse the incoming
-    #: letter) or ``drop_oldest`` (evict the oldest to make room).
-    dlq_overflow: str = "drop_newest"
 
     def __post_init__(self) -> None:
         if self.max_queue <= 0:
@@ -157,10 +147,6 @@ class EngineConfig:
             raise ValueError("job_timeout_s must be positive")
         if self.max_retries < 0:
             raise ValueError("max_retries must be non-negative")
-        if self.breaker_threshold < 0:
-            raise ValueError("breaker_threshold must be non-negative")
-        if self.breaker_cooldown <= 0:
-            raise ValueError("breaker_cooldown must be positive")
         if not 0.0 <= self.validate_fraction <= 1.0:
             raise ValueError("validate_fraction must be in [0, 1]")
         if self.dlq_capacity < 0:
@@ -220,8 +206,7 @@ class Engine:
         self._breakers: Dict[str, CircuitBreaker] = {}
         self._quarantined: Dict[str, str] = {}
         self._dlq = DeadLetterQueue(
-            capacity=max(self.config.dlq_capacity, 0),
-            overflow=self.config.dlq_overflow,
+            capacity=self.config.dlq_capacity,
             metrics=self.metrics,
         )
         #: Write-ahead journal (None without ``config.durability``).
@@ -260,7 +245,7 @@ class Engine:
                 pipeline = self._pipeline_for(kernel)
                 key = self.cache.key_for(
                     kernel,
-                    self.config.levels,
+                    CU_LEVELS,
                     dfg,
                     pipeline.signature() if pipeline is not None else "",
                 )
@@ -569,10 +554,7 @@ class Engine:
 
         # Circuit breaker: kernels whose batches keep killing workers
         # are short-circuited straight to the inline floor.
-        use_breaker = (
-            getattr(self.executor, "backend", "inline") == "shm"
-            and self.config.breaker_threshold > 0
-        )
+        use_breaker = getattr(self.executor, "backend", "inline") == "shm"
         worker_entries, floor_entries = [], []
         for entry in executable:
             if use_breaker and not self._breaker_for(entry[0].kernel).allow():
@@ -635,7 +617,7 @@ class Engine:
         pipeline = self._pipeline_for(batch.kernel)
         key = self.cache.key_for(
             batch.kernel,
-            self.config.levels,
+            CU_LEVELS,
             dfg,
             pipeline.signature() if pipeline is not None else "",
         )
@@ -661,10 +643,10 @@ class Engine:
         # The 3-arg call shape is the engine's compile seam (tests and
         # fault hooks wrap it); the pipeline rides along only when set.
         if pipeline is None:
-            compiled = compile_program(kernel, self.config.levels, dfg)
+            compiled = compile_program(kernel, CU_LEVELS, dfg)
         else:
             compiled = compile_program(
-                kernel, self.config.levels, dfg, pipeline
+                kernel, CU_LEVELS, dfg, pipeline
             )
         if compiled.opt_stats is not None:
             self.metrics.incr("opt_programs_optimized")
@@ -675,14 +657,13 @@ class Engine:
             self.metrics.incr(
                 "opt_ways_repacked", compiled.opt_stats.get("ways_repacked", 0)
             )
-        if self.config.verify_programs:
-            check = check_program(compiled, name=kernel)
-            if not check.ok:
-                # Raising here means ProgramCache.get_or_compile counts
-                # a compile failure and inserts nothing: an illegal
-                # program can never be cached, let alone executed.
-                self.metrics.incr("verifier_rejections")
-                check.raise_if_violations()
+        check = check_program(compiled, name=kernel)
+        if not check.ok:
+            # Raising here means ProgramCache.get_or_compile counts a
+            # compile failure and inserts nothing: an illegal program
+            # can never be cached, let alone executed.
+            self.metrics.incr("verifier_rejections")
+            check.raise_if_violations()
         # Value-range certification runs after the verifier so only
         # structurally legal programs earn certificates.  An analysis
         # failure degrades to "no certificate" (sentinels stay on);
@@ -851,10 +832,7 @@ class Engine:
     def _breaker_for(self, kernel: str) -> CircuitBreaker:
         breaker = self._breakers.get(kernel)
         if breaker is None:
-            breaker = CircuitBreaker(
-                failure_threshold=self.config.breaker_threshold,
-                cooldown_batches=self.config.breaker_cooldown,
-            )
+            breaker = CircuitBreaker()
             self._breakers[kernel] = breaker
         return breaker
 

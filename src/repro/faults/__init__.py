@@ -29,7 +29,7 @@ fault taxonomy and the hardening each fault class forced.
 
 from repro.faults.campaign import Ledger, drive
 from repro.faults.chaos import CampaignReport, ChaosConfig, run_campaign
-from repro.faults.disk import DISK_FAULT_KINDS, DiskFaultPlan, TornWriteError
+from repro.faults.disk import DISK_FAULT_KINDS, DiskFaultPlan
 from repro.faults.plan import (
     FAULT_KINDS,
     FaultPlan,
@@ -50,7 +50,6 @@ __all__ = [
     "Ledger",
     "SHARD_FAULT_KINDS",
     "ShardFaultPlan",
-    "TornWriteError",
     "drive",
     "run_campaign",
     "seeded_rng",

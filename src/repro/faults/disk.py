@@ -14,10 +14,8 @@ Fault classes map onto the journal's write path
 kind            what it models / exercises
 ==============  ====================================================
 ``torn``        power loss mid-``write(2)``: only a seeded prefix of
-                the frame reaches the file; read-back verification
-                heals it in-process, or (verification off) the writer
-                raises :class:`TornWriteError` and the reader's
-                first-corrupt-frame truncation must recover
+                the frame reaches the file, which read-back
+                verification catches and heals in-process
 ``bitflip``     silent media corruption: one seeded bit of the frame
                 flips before it is written, which only the CRC32
                 check (at read time) or read-back verification (at
@@ -46,16 +44,6 @@ from repro.faults.plan import unit_draw
 #: them (``short_fsync`` rides on sync calls, not writes; ``enospc``
 #: is a byte budget, not a draw).
 DISK_FAULT_KINDS = ("torn", "bitflip", "short_fsync", "enospc")
-
-
-class TornWriteError(OSError):
-    """A journal append that only partially reached the file.
-
-    Models a crash mid-``write(2)``; the journal truncates the partial
-    frame back out before raising, so a *surviving* process keeps an
-    intact tail while a genuinely killed process leaves the torn frame
-    for recovery's first-corrupt-frame truncation.
-    """
 
 
 @dataclass(frozen=True)

@@ -26,7 +26,7 @@ a fault-injection marker -- gets ``{"ok": false, "error": "bad job:
 and no ledger submission.
 
 Dispatch: admitted jobs land on an asyncio queue; a single dispatcher
-task batches them up (``flush_interval_s`` / ``max_batch``), submits
+task batches them up (:data:`FLUSH_INTERVAL_S` / ``max_batch``), submits
 to the engine and runs the **synchronous** drain in the default
 executor so the event loop keeps accepting while DP tables sweep.  The
 engine under the server is typically configured with the
@@ -43,7 +43,7 @@ existing Prometheus exporters pick them up unchanged.
 
 Graceful drain: SIGINT/SIGTERM (or :meth:`GendpServer.request_shutdown`)
 stops admission (``draining`` rejections), lets in-flight work
-complete up to ``drain_timeout_s``, then closes the listener.
+complete up to :data:`DRAIN_TIMEOUT_S`, then closes the listener.
 """
 
 from __future__ import annotations
@@ -70,6 +70,11 @@ _LOG = get_logger("repro.serve.server")
 
 #: Tenant used when a request names none.
 DEFAULT_TENANT = "default"
+
+#: How long the dispatcher waits to fill a batch before flushing.
+FLUSH_INTERVAL_S = 0.01
+#: Seconds a drain waits for in-flight work before closing anyway.
+DRAIN_TIMEOUT_S = 10.0
 
 
 def _client_payload(payload: Dict[str, Any]) -> Dict[str, Any]:
@@ -113,8 +118,6 @@ class ServeConfig:
     max_pending: int = 256
     #: Jobs the dispatcher packs into one engine drain.
     max_batch: int = 64
-    #: How long the dispatcher waits to fill a batch before flushing.
-    flush_interval_s: float = 0.01
     #: Token-bucket defaults (tokens/second, burst) for unnamed tenants.
     default_rate: float = 200.0
     default_burst: float = 100.0
@@ -122,8 +125,6 @@ class ServeConfig:
     tenant_quotas: Mapping[str, Tuple[float, float]] = field(
         default_factory=dict
     )
-    #: Seconds a drain waits for in-flight work before closing anyway.
-    drain_timeout_s: float = 10.0
     #: Directory for the request-level write-ahead journal
     #: (:mod:`repro.durable`).  When set, ``submit`` requests carrying
     #: a ``dedupe_id`` are journaled before execution and their
@@ -141,10 +142,16 @@ class ServeConfig:
             raise ValueError("max_pending must be positive")
         if self.max_batch <= 0:
             raise ValueError("max_batch must be positive")
-        if self.flush_interval_s < 0:
-            raise ValueError("flush_interval_s must be non-negative")
-        if self.drain_timeout_s < 0:
-            raise ValueError("drain_timeout_s must be non-negative")
+        # A bucket is built lazily at a tenant's first request; an
+        # impossible quota must fail here, not on every request.
+        quotas = [("default", self.default_rate, self.default_burst)]
+        quotas += [(t, r, b) for t, (r, b) in self.tenant_quotas.items()]
+        for tenant, rate, burst in quotas:
+            if not (rate > 0 and burst > 0):
+                raise ValueError(
+                    f"quota {tenant}={rate}:{burst} needs a positive "
+                    "rate and burst"
+                )
 
 
 class GendpServer:
@@ -282,7 +289,7 @@ class GendpServer:
     async def _finish(self) -> None:
         try:
             await asyncio.wait_for(
-                self._idle.wait(), timeout=self.config.drain_timeout_s
+                self._idle.wait(), timeout=DRAIN_TIMEOUT_S
             )
         except asyncio.TimeoutError:
             _LOG.warning(
@@ -710,7 +717,7 @@ class GendpServer:
         while True:
             item = await self._queue.get()
             batch = [item]
-            deadline = loop.time() + self.config.flush_interval_s
+            deadline = loop.time() + FLUSH_INTERVAL_S
             while len(batch) < self.config.max_batch:
                 timeout = deadline - loop.time()
                 if timeout <= 0:

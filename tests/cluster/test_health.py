@@ -1,9 +1,28 @@
-"""Shard health: windows, degradation, ejection, rejoin probes."""
+"""Shard health: windows, degradation, ejection, rejoin probes.
 
-import pytest
+The knobs are module constants: a window of 16 rounds, degraded at a
+0.5 error or slow-round share, slow above 1.0 s, ejected after 2
+consecutive failures, rejoin probe after a cooldown of 2 rounds.
+"""
 
-from repro.cluster.health import HEALTH_CODES, ShardHealth
+from repro.cluster.health import (
+    EJECT_THRESHOLD,
+    HEALTH_CODES,
+    HEALTH_WINDOW,
+    REJOIN_COOLDOWN,
+    SLOW_ROUND_S,
+    ShardHealth,
+)
 from repro.engine.breaker import BREAKER_CODES
+
+
+def test_constants_are_the_documented_values():
+    assert (HEALTH_WINDOW, EJECT_THRESHOLD, REJOIN_COOLDOWN, SLOW_ROUND_S) == (
+        16,
+        2,
+        2,
+        1.0,
+    )
 
 
 class TestClassification:
@@ -13,46 +32,48 @@ class TestClassification:
         assert not health.ejected
 
     def test_error_rate_degrades(self):
-        health = ShardHealth(window=4, degrade_error_rate=0.5)
+        health = ShardHealth()
         health.record_drain(True, 0.01)
         health.record_drain(False, 0.01)
         health.record_drain(True, 0.01)
+        assert health.classification == "healthy"  # 1/3 < 0.5
         health.record_drain(False, 0.01)
         assert health.error_rate == 0.5
         assert health.classification == "degraded"
 
     def test_slow_rounds_degrade(self):
-        health = ShardHealth(window=4, slow_round_s=0.1, degrade_slow_rate=0.5)
-        for _ in range(4):
-            health.record_drain(True, 0.5)
-        assert health.slow_rate == 1.0
+        health = ShardHealth()
+        health.record_drain(True, SLOW_ROUND_S)  # at the bound: not slow
+        assert health.slow_rate == 0.0
+        for _ in range(3):
+            health.record_drain(True, 1.5)
+        assert health.slow_rate == 0.75
         assert health.classification == "degraded"
         # Successes kept the breaker closed: degraded, not ejected.
         assert not health.ejected
 
     def test_window_is_bounded(self):
-        health = ShardHealth(window=3)
-        for _ in range(10):
-            health.record_drain(False, 0.0)
+        health = ShardHealth()
+        health.record_drain(False, 0.0)
+        for _ in range(HEALTH_WINDOW - 1):
             health.record_drain(True, 0.0)
-        assert 0.0 < health.error_rate < 1.0
+        assert health.error_rate == 1 / HEALTH_WINDOW
+        # One more round pushes the failure out of the window.
+        health.record_drain(True, 0.0)
+        assert health.error_rate == 0.0
         assert health.mean_latency_s == 0.0
-
-    def test_invalid_window_rejected(self):
-        with pytest.raises(ValueError):
-            ShardHealth(window=0)
 
 
 class TestEjection:
     def test_consecutive_failures_eject(self):
-        health = ShardHealth(eject_threshold=2)
+        health = ShardHealth()
         assert not health.record_drain(False, 0.0)
         assert health.record_drain(False, 0.0)  # this one opens
         assert health.ejected
         assert health.classification == "ejected"
 
     def test_missed_heartbeats_eject(self):
-        health = ShardHealth(eject_threshold=2)
+        health = ShardHealth()
         health.beat(1)
         assert health.missed_beats == 0
         health.miss(2)
@@ -61,14 +82,15 @@ class TestEjection:
         assert health.missed_beats == 2
 
     def test_success_resets_the_streak(self):
-        health = ShardHealth(eject_threshold=2)
+        health = ShardHealth()
         health.record_drain(False, 0.0)
         health.record_drain(True, 0.0)
         assert not health.record_drain(False, 0.0)
         assert not health.ejected
 
     def test_rejoin_after_cooldown(self):
-        health = ShardHealth(eject_threshold=1, rejoin_cooldown=2)
+        health = ShardHealth()
+        health.record_drain(False, 0.0)
         health.record_drain(False, 0.0)
         assert health.ejected
         # Cooldown counts down in allow() calls (one per drain round);
@@ -100,7 +122,8 @@ class TestSnapshot:
         assert snap["breaker_state"] == float(BREAKER_CODES["closed"])
 
     def test_snapshot_reflects_ejection(self):
-        health = ShardHealth(eject_threshold=1)
+        health = ShardHealth()
+        health.record_drain(False, 0.0)
         health.record_drain(False, 0.0)
         snap = health.snapshot()
         assert snap["health"] == float(HEALTH_CODES["ejected"])

@@ -11,18 +11,17 @@ from repro.cluster import (
     ClusterRouter,
     SimClock,
 )
+from repro.cluster.router import MAX_STEAL_PER_ROUND, STEAL_RATIO
 from repro.engine import BackpressureError, EngineConfig, make_job
 from repro.obs.trace import TraceRecorder
 
 SRC_ROOT = Path(__file__).resolve().parents[2] / "src" / "repro"
 
 
-def _router(shards=4, max_queue=64, tracer=None, **kwargs):
+def _router(shards=4, max_queue=64, tracer=None):
     return ClusterRouter(
         ClusterConfig(
-            shards=shards,
-            engine=EngineConfig(workers=0, max_queue=max_queue),
-            **kwargs,
+            shards=shards, engine=EngineConfig(workers=0, max_queue=max_queue)
         ),
         tracer=tracer,
         clock=SimClock(),
@@ -145,7 +144,7 @@ class TestFailover:
 
 class TestRebalancing:
     def test_hot_shard_sheds_onto_idle_ones(self):
-        with _router(shards=4, steal_ratio=1.5, max_steal_per_round=32) as router:
+        with _router(shards=4) as router:
             # All jobs share one program and no affinity token: one
             # shard owns the whole stream until the stealer spreads it.
             submitted = [router.submit(_job()) for _ in range(32)]
@@ -156,14 +155,17 @@ class TestRebalancing:
             assert len(shards_used) > 1
 
     def test_stealing_respects_the_bound(self):
-        with _router(
-            shards=4, steal_ratio=1.5, max_steal_per_round=4
-        ) as router:
-            for _ in range(32):
+        assert (STEAL_RATIO, MAX_STEAL_PER_ROUND) == (2.0, 16)
+        with _router(shards=4) as router:
+            for _ in range(64):
                 router.submit(_job())
             router.drain()
-            # One donor round may shed at most max_steal_per_round.
-            assert router.metrics.counter("cluster_jobs_stolen") <= 4
+            # 64 jobs on one of four shards: the excess over the mean
+            # (16) is 48, but one donor round sheds at most the cap.
+            assert (
+                router.metrics.counter("cluster_jobs_stolen")
+                == MAX_STEAL_PER_ROUND
+            )
 
 
 class TestLifecycle:

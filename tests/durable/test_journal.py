@@ -23,12 +23,13 @@ from repro.durable.journal import (
     DurabilityConfig,
     Journal,
     JournalState,
+    JournalWriteError,
     encode_frame,
     load_journal_state,
     scan_segment,
 )
 from repro.engine.metrics import MetricsRegistry
-from repro.faults.disk import DiskFaultPlan, TornWriteError
+from repro.faults.disk import DiskFaultPlan
 
 
 def make_journal(tmp_path, metrics=None, **overrides):
@@ -41,8 +42,6 @@ class TestConfig:
     def test_rejects_bad_policy_interval_and_segment_size(self):
         with pytest.raises(ValueError):
             DurabilityConfig(dir_path="x", fsync="sometimes")
-        with pytest.raises(ValueError):
-            DurabilityConfig(dir_path="x", fsync_interval_s=-1.0)
         with pytest.raises(ValueError):
             DurabilityConfig(dir_path="x", segment_bytes=16)
         with pytest.raises(ValueError):
@@ -279,9 +278,7 @@ class TestVerifyHealing:
     def test_bitflips_are_healed_by_readback(self, tmp_path):
         metrics = MetricsRegistry()
         plan = DiskFaultPlan(seed=0, bitflip_rate=0.4)
-        journal = make_journal(
-            tmp_path, metrics=metrics, disk_faults=plan, verify_writes=True
-        )
+        journal = make_journal(tmp_path, metrics=metrics, disk_faults=plan)
         for index in range(40):
             journal.append("accept", job_id=index, kernel="bsw")
         journal.close()
@@ -293,9 +290,7 @@ class TestVerifyHealing:
     def test_torn_writes_are_healed_by_readback(self, tmp_path):
         metrics = MetricsRegistry()
         plan = DiskFaultPlan(seed=1, torn_rate=0.4)
-        journal = make_journal(
-            tmp_path, metrics=metrics, disk_faults=plan, verify_writes=True
-        )
+        journal = make_journal(tmp_path, metrics=metrics, disk_faults=plan)
         for index in range(40):
             journal.append("accept", job_id=index, kernel="bsw")
         journal.close()
@@ -304,26 +299,18 @@ class TestVerifyHealing:
         assert issues["corrupt_frames"] == 0
         assert metrics.counter("durable_writes_healed") > 0
 
-    def test_verify_off_surfaces_torn_writes_with_a_clean_tail(
-        self, tmp_path
-    ):
-        plan = DiskFaultPlan(seed=1, torn_rate=0.3)
-        journal = make_journal(
-            tmp_path, disk_faults=plan, verify_writes=False
-        )
-        written, torn = 0, 0
-        for index in range(40):
-            try:
-                journal.append("accept", job_id=index, kernel="bsw")
-                written += 1
-            except TornWriteError:
-                torn += 1
+    def test_exhausted_retries_raise_with_a_clean_tail(self, tmp_path):
+        metrics = MetricsRegistry()
+        # Every write tears: read-back rejects each attempt and the
+        # append gives up without leaving a partial frame behind.
+        plan = DiskFaultPlan(torn_rate=1.0)
+        journal = make_journal(tmp_path, metrics=metrics, disk_faults=plan)
+        with pytest.raises(JournalWriteError):
+            journal.append("accept", job_id=0, kernel="bsw")
+        assert metrics.counter("durable_writes_healed") > 0
         journal.close()
-        assert torn > 0
         state, issues = load_journal_state(str(tmp_path / "wal"))
-        # Every record that got in is intact: the partial frame was
-        # truncated back out before the error surfaced.
-        assert len(state.accepted) == written
+        assert state.accepted == {}
         assert issues["corrupt_frames"] == 0
 
     def test_enospc_propagates_and_leaves_the_journal_intact(self, tmp_path):

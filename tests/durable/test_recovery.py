@@ -152,25 +152,6 @@ class TestDlqRehydration:
         engine.drain()
         engine.close()
 
-    def test_persist_dlq_off_skips_rehydration(self, tmp_path):
-        config = DurabilityConfig(
-            dir_path=str(tmp_path / "wal"), fsync="never", persist_dlq=False
-        )
-        engine = engine_over(
-            tmp_path, max_retries=0, durability=config
-        )
-        engine.submit(make_job("lcs", dict(LCS, _inject_fail=True)))
-        engine.drain()
-        engine.journal.crash()
-        engine.close()
-
-        engine = engine_over(tmp_path, max_retries=0, durability=config)
-        report = engine.recover()
-        assert report.dead_lettered == 1
-        assert report.dlq_rehydrated == 0
-        assert engine.dead_letters == []
-        engine.close()
-
 
 class TestEdges:
     def test_recover_without_journal_raises(self):
@@ -199,18 +180,21 @@ class TestEdges:
 
     def test_unjournaled_submission_is_not_accepted(self, tmp_path):
         # Write-ahead means write-ahead: if the accept record cannot
-        # be journaled, the job must not enter the queue.
-        from repro.faults.disk import DiskFaultPlan, TornWriteError
+        # be journaled, the job must not enter the queue.  Every write
+        # tears, so read-back exhausts its retries on the accept.
+        from repro.durable.journal import JournalWriteError
+        from repro.faults.disk import DiskFaultPlan
 
         config = DurabilityConfig(
             dir_path=str(tmp_path / "wal"),
             fsync="never",
-            verify_writes=False,
             disk_faults=DiskFaultPlan(seed=0, torn_rate=1.0),
         )
         engine = engine_over(tmp_path, durability=config)
-        with pytest.raises((TornWriteError, OSError)):
+        with pytest.raises(JournalWriteError):
             engine.submit(make_job("lcs", dict(LCS)))
+        assert engine.queued == 0
+        assert engine.metrics.counter("jobs_rejected") == 1
         assert engine.drain() == []
         engine.close()
         state, _issues = load_journal_state(str(tmp_path / "wal"))

@@ -1,4 +1,4 @@
-"""Dead-letter queue: bounded parking, overflow policies, replay hand-off."""
+"""Dead-letter queue: bounded parking, overflow accounting, replay hand-off."""
 
 import pytest
 
@@ -40,20 +40,6 @@ class TestParking:
 
 
 class TestOverflowPolicies:
-    def test_drop_oldest_evicts_the_front(self):
-        dlq = DeadLetterQueue(capacity=2, overflow="drop_oldest")
-        a, b, c = _job(), _job(), _job()
-        assert dlq.push(a, "first")
-        assert dlq.push(b, "second")
-        # The incoming letter is admitted; the oldest falls off.
-        assert dlq.push(c, "third")
-        assert len(dlq) == 2
-        assert [l.job.job_id for l in dlq.letters()] == [b.job_id, c.job_id]
-
-    def test_unknown_policy_rejected(self):
-        with pytest.raises(ValueError):
-            DeadLetterQueue(overflow="drop_random")
-
     def test_drop_newest_counts_each_refusal(self):
         metrics = MetricsRegistry()
         dlq = DeadLetterQueue(capacity=1, metrics=metrics)
@@ -62,17 +48,6 @@ class TestOverflowPolicies:
         dlq.push(_job(), "refused")
         counters = metrics.snapshot()["counters"]
         assert counters["dead_letters_dropped"] == 2
-
-    def test_drop_oldest_counts_each_eviction(self):
-        metrics = MetricsRegistry()
-        dlq = DeadLetterQueue(
-            capacity=1, overflow="drop_oldest", metrics=metrics
-        )
-        dlq.push(_job(), "first")
-        dlq.push(_job(), "second")
-        counters = metrics.snapshot()["counters"]
-        assert counters["dead_letters_dropped"] == 1
-        assert dlq.letters()[0].error == "second"
 
     def test_zero_capacity_counts_every_letter(self):
         metrics = MetricsRegistry()

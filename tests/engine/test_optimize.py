@@ -73,9 +73,7 @@ class TestOptimizedEngine:
             ] == len(KERNELS)
 
     def test_optimized_programs_are_verified(self):
-        # verify_programs defaults on; an optimize_programs run must
-        # not trip it (the pipeline only emits verifier-legal code).
-        _, snapshot, _ = drain(
-            EngineConfig(optimize_programs=True, verify_programs=True)
-        )
+        # Every compile is verified; an optimize_programs run must not
+        # trip the verifier (the pipeline only emits verifier-legal code).
+        _, snapshot, _ = drain(EngineConfig(optimize_programs=True))
         assert snapshot["reliability"]["verifier_rejections"] == 0

@@ -401,16 +401,6 @@ class TestStaticVerification:
             assert not retry.ok
             assert engine.metrics.counter("verifier_rejections") == 2
 
-    def test_verification_can_be_disabled(self, monkeypatch):
-        self._corrupting(monkeypatch)
-        with Engine(EngineConfig(verify_programs=False)) as engine:
-            engine.submit(_lcs_job())
-            engine.drain()
-            # The corrupted program sails through into the cache and
-            # computes garbage -- exactly what the default prevents.
-            assert engine.metrics.counter("verifier_rejections") == 0
-            assert len(engine.cache) == 1
-
     def test_clean_programs_unaffected(self):
         with Engine() as engine:
             engine.submit(_lcs_job())

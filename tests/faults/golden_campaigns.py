@@ -4,12 +4,13 @@ The golden file was written at the last commit where the engine,
 recovery and cluster campaigns each had their own submit/drain loop
 (``faults/chaos.py``, ``durable/campaign.py``, ``cluster/chaos.py``);
 the one driver in :mod:`repro.faults.campaign` must reproduce every
-``to_dict()`` exactly.  R4 (``verify_writes=False`` under disk faults)
-is a *failing* campaign and is pinned as such: the unsafe mode's
-behaviour is preserved, not silently changed (R4 was regenerated once,
-when the journal's final segment learned to resync past a bit-flipped
-frame instead of truncating behind it).  Regenerate (only when a
-campaign's semantics deliberately change) with::
+``to_dict()`` exactly.  R4 (heavy torn writes and bit flips) was
+regenerated twice on purpose: once when the journal's final segment
+learned to resync past a bit-flipped frame instead of truncating behind
+it, and once when the unverified write mode it used to run under was
+deleted -- under read-back healing, the journal's only write path, the
+same seed and rates survive.  Regenerate (only when a campaign's
+semantics deliberately change) with::
 
     PYTHONPATH=src python -m tests.faults.golden_campaigns
 """
@@ -58,7 +59,7 @@ CASES: Dict[str, Callable[[], Any]] = {
     "R4": lambda: run_recovery_campaign(
         RecoveryChaosConfig(
             jobs=48, chunk_jobs=12, seed=1, crash_rate=0.4, torn_rate=0.1,
-            bitflip_rate=0.1, verify_writes=False,
+            bitflip_rate=0.1,
         )
     ),
     "C1": lambda: run_cluster_campaign(

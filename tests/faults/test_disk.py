@@ -4,7 +4,7 @@ import errno
 
 import pytest
 
-from repro.faults.disk import DISK_FAULT_KINDS, DiskFaultPlan, TornWriteError
+from repro.faults.disk import DISK_FAULT_KINDS, DiskFaultPlan
 
 
 class TestValidation:
@@ -70,10 +70,6 @@ class TestTornWrites:
         plan = DiskFaultPlan(seed=3, torn_rate=1.0)
         assert plan.torn_length(0, 1) == 0
         assert plan.torn_length(0, 0) == 0
-
-    def test_torn_write_error_is_an_os_error(self):
-        # Callers that tolerate write faults catch OSError once.
-        assert issubclass(TornWriteError, OSError)
 
 
 class TestBitFlips:

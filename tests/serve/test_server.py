@@ -136,6 +136,22 @@ def test_quota_rejections_are_reported_not_queued(tmp_path):
     run(scenario())
 
 
+@pytest.mark.parametrize(
+    "kwargs",
+    [
+        {"default_rate": 0.0},
+        {"default_burst": -1.0},
+        {"tenant_quotas": {"t": (5.0, 0.0)}},
+        {"tenant_quotas": {"t": (0.0, 5.0)}},
+    ],
+)
+def test_impossible_quota_is_rejected_at_config_time(kwargs):
+    # A bucket is built at a tenant's first request; without this check
+    # the server starts and then fails every request of that tenant.
+    with pytest.raises(ValueError, match="positive rate and burst"):
+        ServeConfig(**kwargs)
+
+
 def test_backpressure_rejects_past_max_pending(tmp_path):
     async def scenario():
         config = ServeConfig(max_pending=2)

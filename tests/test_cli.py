@@ -15,6 +15,7 @@ from repro.cli import (
     lint_main,
     metrics_main,
     report_main,
+    serve_main,
     simulate_main,
     trace_main,
 )
@@ -334,6 +335,30 @@ class TestChaos:
     def test_empty_kernel_list_rejected(self):
         with pytest.raises(SystemExit):
             chaos_main(["--kernels", ","])
+
+
+class TestServe:
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["--quota-rate", "0"],
+            ["--quota-burst", "0"],
+            ["--tenant-quota", "t=5:0"],
+            ["--tenant-quota", "t=0:5"],
+            ["--max-batch", "0"],
+        ],
+    )
+    def test_impossible_config_is_a_usage_error(self, argv, capsys):
+        # --duration bounds the run if the server wrongly starts.
+        with pytest.raises(SystemExit) as exit_info:
+            serve_main(
+                ["--port", "0", "--transport", "inline", "--warm-kernels", "",
+                 "--duration", "0.2", *argv]
+            )
+        assert exit_info.value.code == 2
+        captured = capsys.readouterr()
+        assert "listening" not in captured.out
+        assert "gendp-serve: error:" in captured.err
 
 
 class TestPipeSafety:
