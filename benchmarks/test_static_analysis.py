@@ -153,28 +153,19 @@ def test_static_analysis_cost_and_elision_payoff(benchmark, publish):
     for kernel in ("dtw", "bsw"):
         off_rate, off_snapshot = measured[f"{kernel} off"]
         on_rate, on_snapshot = measured[f"{kernel} on"]
+        off, on = off_snapshot["counters"], on_snapshot["counters"]
         stream_points.append(
             {
                 "kernel": kernel,
-                "certified": bool(
-                    on_snapshot["static"]["static_programs_certified"]
-                ),
+                "certified": bool(on["static_programs_certified"]),
                 "jobs_per_sec_elide_off": round(off_rate, 2),
                 "jobs_per_sec_elide_on": round(on_rate, 2),
                 "speedup": round(on_rate / off_rate, 3),
-                "elisions": int(
-                    on_snapshot["static"]["static_sentinel_elisions"]
-                ),
-                "values_observed_elide_off": int(
-                    off_snapshot["sentinels"]["sentinel_values_observed"]
-                ),
-                "values_observed_elide_on": int(
-                    on_snapshot["sentinels"]["sentinel_values_observed"]
-                ),
-                "certificate_violations": int(
-                    on_snapshot["static"]["static_certificate_violations"]
-                )
-                + int(off_snapshot["static"]["static_certificate_violations"]),
+                "elisions": int(on["static_sentinel_elisions"]),
+                "values_observed_elide_off": int(off["sentinel_values_observed"]),
+                "values_observed_elide_on": int(on["sentinel_values_observed"]),
+                "certificate_violations": int(on["static_certificate_violations"])
+                + int(off["static_certificate_violations"]),
             }
         )
 

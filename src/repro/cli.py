@@ -7,7 +7,8 @@ Console scripts (installed by ``pip install -e .``):
   statistics (optionally at a different reduction-tree depth).
 - ``gendp-simulate <kernel>`` -- run the kernel on the cycle-level
   simulator with a random workload and report cycles/cell plus the
-  validation verdict against the reference implementation.
+  projected MCUPS (cell-exactness against the reference kernels is
+  checked by ``tests/mapping``, not here).
 - ``gendp-report`` -- regenerate the evaluation's summary tables
   (Figure 10, Tables 2/11/12) in one shot.
 - ``gendp-batch`` -- run a job stream through the batched execution
@@ -217,7 +218,6 @@ def simulate_main(argv: Optional[List[str]] = None) -> int:
         description="Run a kernel on the cycle-level DPAx simulator.",
     )
     parser.add_argument("kernel", choices=SIMULATABLE)
-    parser.add_argument("--size", type=int, default=16, help="workload scale")
     parser.add_argument("--seed", type=int, default=0)
     args = parser.parse_args(argv)
 

@@ -42,7 +42,7 @@ from repro.cluster.health import (
     HEALTH_STATES,
     ShardHealth,
 )
-from repro.cluster.router import CLUSTER_COUNTERS, ClusterConfig, ClusterRouter
+from repro.cluster.router import ClusterConfig, ClusterRouter
 from repro.cluster.shard import (
     SHARD_STATE_CODES,
     SHARD_STATES,
@@ -52,7 +52,6 @@ from repro.cluster.shard import (
 
 __all__ = [
     "BREAKER_CODES",
-    "CLUSTER_COUNTERS",
     "ClusterChaosConfig",
     "ClusterConfig",
     "ClusterReport",

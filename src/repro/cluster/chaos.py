@@ -27,12 +27,7 @@ from dataclasses import dataclass, field
 from typing import Any, Dict, Optional, Tuple
 
 from repro.cluster.clock import SimClock
-from repro.cluster.router import (
-    CLUSTER_COUNTERS,
-    PER_JOB_COST_S,
-    ClusterConfig,
-    ClusterRouter,
-)
+from repro.cluster.router import PER_JOB_COST_S, ClusterConfig, ClusterRouter
 from repro.engine import EngineConfig
 from repro.faults.campaign import (
     DEFAULT_KERNELS,
@@ -52,7 +47,7 @@ _ECHOED = (
     "hang_rate", "partition_rate", "kills", "partition_rounds", "validate_fraction",
     "affinity_stride",
 )
-#: ``ClusterReport`` fields fed by their ``cluster_[jobs_]*`` counter.
+#: ``ClusterReport`` fields fed by their ``cluster`` family counter.
 _COUNTED = (
     "duplicate_envelopes", "routed", "route_fallbacks", "stolen", "resubmitted",
     "shards_killed", "shards_ejected", "shards_rejoined", "partitions_injected",
@@ -205,9 +200,7 @@ def run_cluster_campaign(
         seed=config.seed,
         finish=lambda router: (router.virtual_seconds, router.shard_states()),
     )
-    counted = counter_fields(
-        ledger.counters, CLUSTER_COUNTERS, _COUNTED, "cluster_jobs_", "cluster_"
-    )
+    counted = counter_fields(ledger.counters, _COUNTED, "cluster")
     # The router audits duplicates among its shards; the ledger audits
     # them again at the campaign boundary.
     counted["duplicate_envelopes"] += ledger.duplicate_envelopes

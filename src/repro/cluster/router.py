@@ -47,7 +47,7 @@ from __future__ import annotations
 
 from collections import OrderedDict
 from dataclasses import dataclass, field
-from typing import Any, Callable, Dict, List, Optional, Set, Tuple
+from typing import Any, Callable, Dict, List, Optional, Set
 
 from repro.cluster.clock import is_simulated, real_clock
 from repro.cluster.hashring import HashRing
@@ -61,25 +61,6 @@ from repro.faults.shards import ShardFaultPlan
 from repro.obs.logs import get_logger, log_context
 
 _LOG = get_logger("repro.cluster.router")
-
-#: Cluster counters (fixed schema, mirrored by the drift test in
-#: ``tests/cluster``); every name has a real ``incr`` site here.
-CLUSTER_COUNTERS: Tuple[str, ...] = (
-    "cluster_jobs_routed",  # jobs placed on a shard by the ring
-    "cluster_route_fallbacks",  # ring hops past unavailable/full shards
-    "cluster_jobs_stolen",  # jobs moved by work stealing
-    "cluster_jobs_resubmitted",  # failover resubmissions after shard loss
-    "cluster_jobs_unroutable",  # synthesized cluster-fault envelopes
-    "cluster_duplicate_envelopes",  # exactly-once audit (must stay 0)
-    "cluster_shards_joined",  # shards added (initial + join())
-    "cluster_shards_left",  # graceful leaves completed
-    "cluster_shards_killed",  # crash kills (chaos or operator)
-    "cluster_shards_ejected",  # breaker-opened hash-range ejections
-    "cluster_shards_rejoined",  # post-cooldown rejoin probes admitted
-    "cluster_partitions_injected",  # shard-unreachable faults applied
-    "cluster_hangs_injected",  # slow-drain faults applied
-    "cluster_drain_rounds",  # router drain rounds executed
-)
 
 #: Shard ids are ``{SHARD_PREFIX}-{ordinal}``.
 SHARD_PREFIX = "shard"
@@ -139,9 +120,7 @@ class ClusterRouter:
         #: with every default-built shard engine: kills, ejections and
         #: unroutable-job dead letters trip it.
         self.flight = flight
-        self.metrics = MetricsRegistry()
-        for counter in CLUSTER_COUNTERS:
-            self.metrics.incr(counter, 0)
+        self.metrics = MetricsRegistry("cluster", "durable")
         self.ring = HashRing()
         self._engine_factory = engine_factory or self._default_engine
         self._shards: Dict[str, EngineShard] = {}

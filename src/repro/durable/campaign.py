@@ -64,7 +64,7 @@ _ECHOED = (
     "jobs", "seed", "kernels", "chunk_jobs", "crash_rate", "torn_rate",
     "bitflip_rate", "short_fsync_rate", "fail_rate", "fsync", "compact_every",
 )
-#: ``RecoveryCampaignReport`` fields fed by their ``durable_*`` counter.
+#: ``RecoveryCampaignReport`` fields fed by their ``durable`` family counter.
 _COUNTED = (
     "recoveries", "orphans_resubmitted", "completions_deduped",
     "duplicate_completions", "corrupt_frames", "records_appended",
@@ -214,7 +214,6 @@ def run_recovery_campaign(
 
 def _run(config: RecoveryChaosConfig, workdir: str) -> RecoveryCampaignReport:
     from repro.engine import Engine, EngineConfig
-    from repro.engine.metrics import DURABLE_COUNTERS
 
     jobs = decorated_jobs(
         config, FaultPlan(seed=config.seed, fail_rate=config.fail_rate)
@@ -239,7 +238,7 @@ def _run(config: RecoveryChaosConfig, workdir: str) -> RecoveryCampaignReport:
         compact_every=config.compact_every,
         finish=lambda engine: engine.journal.load_state(),
     )
-    counted = counter_fields(ledger.counters, DURABLE_COUNTERS, _COUNTED, "durable_")
+    counted = counter_fields(ledger.counters, _COUNTED, "durable")
     # Two durable_* counters are per-replay sums; the report wants the
     # journal's final word: every corrupt frame including the ones the
     # last read-only scan found, and duplicates as the journal ends up.

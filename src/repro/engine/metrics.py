@@ -29,83 +29,158 @@ DEFAULT_LATENCY_BOUNDS: Tuple[float, ...] = (
 #: Occupancy buckets (fractions of batch capacity).
 OCCUPANCY_BOUNDS: Tuple[float, ...] = (0.25, 0.5, 0.75, 1.0)
 
-#: Reliability counters the hardened engine maintains (all zero on a
-#: healthy run; ``docs/reliability.md`` maps each to its failure mode).
-#: Exported as one block by :meth:`MetricsRegistry.reliability` so the
-#: CLI report and chaos campaigns read a stable schema.
-RELIABILITY_COUNTERS: Tuple[str, ...] = (
-    "batch_retries",  # worker resubmissions after worker death/timeout
-    "degraded_batches",  # batches that fell to the inline floor
-    "breaker_opened",  # circuit-breaker open transitions
-    "breaker_short_circuits",  # batches routed inline by an open breaker
-    "compile_failed_batches",  # batches whose program compile raised
-    "validation_checked",  # results re-checked against the oracle
-    "validation_mismatches",  # corrupted results the guard caught
-    "kernels_quarantined",  # kernels rerouted to the reference path
-    "reference_jobs",  # jobs served by the software baseline
-    "dead_letters",  # failed jobs parked for replay
-    "dead_letters_dropped",  # DLQ overflow (newest letter discarded)
-    "dead_letters_replayed",  # letters resubmitted via replay
-    "drain_faults",  # drain internals raised; envelopes synthesized
-    "verifier_rejections",  # illegal programs the static verifier refused
-)
-
-#: Numerical-sentinel counters (prefixed ``sentinel_``), folded from
-#: per-job snapshots when ``EngineConfig.sentinels`` is on.  Mirrors
-#: :data:`repro.guard.sentinels.SENTINEL_FIELDS`; all-zero hazard
-#: counts on a healthy run (``values_observed`` is volume, not error).
-SENTINEL_COUNTERS: Tuple[str, ...] = (
-    "sentinel_values_observed",  # ALU values watched
-    "sentinel_int32_overflows",  # values outside the signed-32 rails
-    "sentinel_lane_saturations",  # values an 8-bit SIMD lane would clamp
-    "sentinel_underflows",  # values at/below the log-domain floor
-)
-
-#: Program-optimizer counters (prefixed ``opt_``), bumped at compile
-#: time when ``EngineConfig.optimize_programs`` is on.  Compiles are
-#: cached, so these count distinct compiles, not jobs.
-OPT_COUNTERS: Tuple[str, ...] = (
-    "opt_programs_optimized",  # compiles run through the pass pipeline
-    "opt_instructions_eliminated",  # VLIW bundles removed across compiles
-    "opt_ways_repacked",  # ways moved to a different bundle by re-packing
-)
-
-#: Durability counters (prefixed ``durable_``), maintained by the
-#: write-ahead journal (:mod:`repro.durable.journal`) and the recovery
-#: replay (:mod:`repro.durable.recovery`) when ``EngineConfig.durability``
-#: is set.  ``durable_duplicate_completions`` is the exactly-once audit
-#: counter: recovery's dedupe working means it stays zero.
-DURABLE_COUNTERS: Tuple[str, ...] = (
-    "durable_records_appended",  # frames written to the journal
-    "durable_accepts_logged",  # jobs journaled before entering the queue
-    "durable_attempts_logged",  # dispatch attempts journaled
-    "durable_completions_logged",  # result envelopes journaled
-    "durable_dead_letters_logged",  # DLQ parks journaled
-    "durable_syncs",  # fsync calls issued (policy-dependent)
-    "durable_write_errors",  # appends lost to disk faults (tolerated)
-    "durable_writes_healed",  # bad frames caught by read-back verify
-    "durable_truncated_bytes",  # bytes dropped at torn-tail truncation
-    "durable_corrupt_frames",  # corrupt frame runs found at replay
-    "durable_recoveries",  # journal replays performed
-    "durable_replayed_records",  # records folded during replays
-    "durable_orphans_resubmitted",  # accepted-unfinished jobs re-queued
-    "durable_completions_deduped",  # journaled-terminal jobs not re-run
-    "durable_duplicate_completions",  # audit: 2nd completion per id (= 0)
-    "durable_compactions",  # snapshot compactions performed
-)
-
-#: Static-analysis counters (prefixed ``static_``), maintained by the
-#: compile seam (certificate issuance) and the dispatch/fold paths
-#: (sentinel elision and its soundness cross-check).
-#: ``static_certificate_violations`` is the soundness audit counter: a
-#: runtime sentinel firing on a program whose certificate proved it
-#: sentinel-free.  The analysis being sound means it stays zero.
-STATIC_COUNTERS: Tuple[str, ...] = (
-    "static_programs_certified",  # compiles whose certificate proves sentinel-freedom
-    "static_programs_uncertified",  # compiles analyzed but not provably safe
-    "static_sentinel_elisions",  # jobs whose sentinel observation was elided
-    "static_certificate_violations",  # audit: sentinel fired on certified program (= 0)
-)
+#: Every counter the code bumps, declared once: family -> names.  An
+#: owner pre-registers its families at zero (``MetricsRegistry(*families)``
+#: or :meth:`MetricsRegistry.register`), so its scrape carries the whole
+#: schema from the first sample and each counter is exported once, as a
+#: counter.  ``tests/engine/test_metrics.py`` checks the table against
+#: the ``incr`` sites in both directions.  Apart from ``engine`` and
+#: ``reliability``, a family's name is its counters' prefix.
+COUNTERS: Dict[str, Tuple[str, ...]] = {
+    # Job and batch volume on the engine's submit/drain path.
+    "engine": (
+        "jobs_submitted",  # jobs accepted into the queue
+        "jobs_completed",  # result envelopes with ok=True
+        "jobs_failed",  # result envelopes with ok=False
+        "jobs_rejected",  # submissions refused (queue full, accept unjournaled)
+        "jobs_expired",  # jobs whose deadline passed in the queue
+        "jobs_withdrawn",  # queued jobs the cluster router took back
+        "batches_total",  # batches the drain packed
+        "parallel_batches",  # batches run on the shm workers
+        "inline_batches",  # batches run in-process
+        "transport_bytes",  # slot bytes moved over the shm rings
+        "warm_kernels_preloaded",  # kernels compiled and broadcast at start
+    ),
+    # The hardened engine's failure modes (all zero on a healthy run;
+    # ``docs/reliability.md`` maps each to its failure mode).
+    "reliability": (
+        "batch_retries",  # worker resubmissions after worker death/timeout
+        "degraded_batches",  # batches that fell to the inline floor
+        "breaker_opened",  # circuit-breaker open transitions
+        "breaker_short_circuits",  # batches routed inline by an open breaker
+        "compile_failed_batches",  # batches whose program compile raised
+        "validation_checked",  # results re-checked against the oracle
+        "validation_mismatches",  # corrupted results the guard caught
+        "kernels_quarantined",  # kernels rerouted to the reference path
+        "reference_jobs",  # jobs served by the software baseline
+        "dead_letters",  # failed jobs parked for replay
+        "dead_letters_dropped",  # DLQ overflow (newest letter discarded)
+        "dead_letters_replayed",  # letters resubmitted via replay
+        "drain_faults",  # drain internals raised; envelopes synthesized
+        "verifier_rejections",  # illegal programs the static verifier refused
+    ),
+    # Numerical sentinels, folded from per-job snapshots when
+    # ``EngineConfig.sentinels`` is on.  Mirrors
+    # :data:`repro.guard.sentinels.SENTINEL_FIELDS`; all-zero hazard
+    # counts on a healthy run (``values_observed`` is volume, not error).
+    "sentinel": (
+        "sentinel_values_observed",  # ALU values watched
+        "sentinel_int32_overflows",  # values outside the signed-32 rails
+        "sentinel_lane_saturations",  # values an 8-bit SIMD lane would clamp
+        "sentinel_underflows",  # values at/below the log-domain floor
+    ),
+    # Program optimizer, bumped at compile time when
+    # ``EngineConfig.optimize_programs`` is on.  Compiles are cached, so
+    # these count distinct compiles, not jobs.
+    "opt": (
+        "opt_programs_optimized",  # compiles run through the pass pipeline
+        "opt_instructions_eliminated",  # VLIW bundles removed across compiles
+        "opt_ways_repacked",  # ways moved to a different bundle by re-packing
+    ),
+    # The write-ahead journal (:mod:`repro.durable.journal`) and its
+    # recovery replay (:mod:`repro.durable.recovery`).
+    # ``durable_duplicate_completions`` is the exactly-once audit
+    # counter: recovery's dedupe working means it stays zero.
+    "durable": (
+        "durable_records_appended",  # frames written to the journal
+        "durable_accepts_logged",  # jobs journaled before entering the queue
+        "durable_attempts_logged",  # dispatch attempts journaled
+        "durable_completions_logged",  # result envelopes journaled
+        "durable_dead_letters_logged",  # DLQ parks journaled
+        "durable_syncs",  # fsync calls issued (policy-dependent)
+        "durable_write_errors",  # appends lost to disk faults (tolerated)
+        "durable_writes_healed",  # bad frames caught by read-back verify
+        "durable_truncated_bytes",  # bytes dropped at torn-tail truncation
+        "durable_corrupt_frames",  # corrupt frame runs found at replay
+        "durable_recoveries",  # journal replays performed
+        "durable_replayed_records",  # records folded during replays
+        "durable_orphans_resubmitted",  # accepted-unfinished jobs re-queued
+        "durable_completions_deduped",  # journaled-terminal jobs not re-run
+        "durable_duplicate_completions",  # audit: 2nd completion per id (= 0)
+        "durable_compactions",  # snapshot compactions performed
+    ),
+    # Static analysis: certificate issuance at the compile seam, sentinel
+    # elision and its soundness cross-check at dispatch/fold.
+    # ``static_certificate_violations`` is the soundness audit counter: a
+    # runtime sentinel firing on a program whose certificate proved it
+    # sentinel-free.  The analysis being sound means it stays zero.
+    "static": (
+        "static_programs_certified",  # compiles whose certificate proves sentinel-freedom
+        "static_programs_uncertified",  # compiles analyzed but not provably safe
+        "static_sentinel_elisions",  # jobs whose sentinel observation was elided
+        "static_certificate_violations",  # audit: sentinel fired on certified program (= 0)
+    ),
+    # The ``gendp-serve`` front door (:mod:`repro.serve.server`), in the
+    # registry of the engine (or router) it fronts.
+    "serve": (
+        "serve_connections",  # client connections accepted
+        "serve_requests",  # request lines received
+        "serve_admitted",  # jobs past admission control
+        "serve_rejected_draining",  # admission refused: shutting down
+        "serve_rejected_backpressure",  # admission refused: too many pending
+        "serve_rejected_quota",  # admission refused: tenant bucket empty
+        "serve_dispatches",  # job batches handed to the engine
+        "serve_responses",  # response lines written
+        "serve_errors",  # malformed requests, bad jobs, journal refusals
+        "serve_journaled",  # dedupe requests journaled before running
+        "serve_deduped",  # resends answered from the journal
+        "serve_recovered",  # orphaned requests re-run at startup
+    ),
+    # The cluster front door (:mod:`repro.cluster.router`).
+    "cluster": (
+        "cluster_jobs_routed",  # jobs placed on a shard by the ring
+        "cluster_route_fallbacks",  # ring hops past unavailable/full shards
+        "cluster_jobs_stolen",  # jobs moved by work stealing
+        "cluster_jobs_resubmitted",  # failover resubmissions after shard loss
+        "cluster_jobs_unroutable",  # synthesized cluster-fault envelopes
+        "cluster_duplicate_envelopes",  # exactly-once audit (must stay 0)
+        "cluster_shards_joined",  # shards added (initial + join())
+        "cluster_shards_left",  # graceful leaves completed
+        "cluster_shards_killed",  # crash kills (chaos or operator)
+        "cluster_shards_ejected",  # breaker-opened hash-range ejections
+        "cluster_shards_rejoined",  # post-cooldown rejoin probes admitted
+        "cluster_partitions_injected",  # shard-unreachable faults applied
+        "cluster_hangs_injected",  # slow-drain faults applied
+        "cluster_drain_rounds",  # router drain rounds executed
+    ),
+    # The SLO evaluator (:mod:`repro.slo.burnrate`), in whatever
+    # registry it is handed (the engine's, for one scrape surface).
+    "slo": (
+        "slo_evaluations",  # observe() calls folded into the history
+        "slo_alerts_fired",  # window transitions into burning
+        "slo_alerts_resolved",  # window transitions out of burning
+        "slo_windows_burning",  # objective x window pairs burning now
+    ),
+    # One registry per tenant (:mod:`repro.slo.accounting`).
+    "tenant": (
+        "tenant_jobs_submitted",  # jobs admitted for this tenant
+        "tenant_jobs_completed",  # result envelopes with ok=True
+        "tenant_jobs_failed",  # result envelopes with ok=False
+        "tenant_rejections",  # admission rejections, any reason
+        "tenant_quota_rejections",  # the token-bucket subset
+        "tenant_cells_computed",  # estimated DP cells across completed jobs
+        "tenant_transport_bytes",  # NDJSON request+response bytes
+        "tenant_compute_us",  # execute-time microseconds across envelopes
+    ),
+    # The flight recorder (:mod:`repro.slo.flight`), in whatever
+    # registry it is handed.
+    "flight": (
+        "flight_entries_recorded",  # ring appends (post-sampling)
+        "flight_trips",  # trigger events seen (dumped or not)
+        "flight_dumps_written",  # black boxes written to disk
+        "flight_dumps_suppressed",  # trips past the max_dumps cap
+    ),
+}
 
 
 @dataclass
@@ -169,11 +244,25 @@ class Histogram:
 
 
 class MetricsRegistry:
-    """Named counters and histograms with a plain-dict export."""
+    """Named counters and histograms with a plain-dict export.
 
-    def __init__(self) -> None:
+    *families* (keys of :data:`COUNTERS`) are registered at zero.
+    """
+
+    def __init__(self, *families: str) -> None:
         self.counters: Dict[str, int] = {}
         self.histograms: Dict[str, Histogram] = {}
+        self.register(*families)
+
+    def register(self, *families: str) -> None:
+        """Pre-register every counter of *families* at zero."""
+        for family in families:
+            for name in COUNTERS[family]:
+                self.counters.setdefault(name, 0)
+
+    def family(self, family: str) -> Dict[str, int]:
+        """One :data:`COUNTERS` family's values, in table order."""
+        return {name: self.counters.get(name, 0) for name in COUNTERS[family]}
 
     def incr(self, name: str, amount: int = 1) -> None:
         self.counters[name] = self.counters.get(name, 0) + amount
@@ -195,26 +284,6 @@ class MetricsRegistry:
         bounds: Sequence[float] = DEFAULT_LATENCY_BOUNDS,
     ) -> None:
         self.histogram(name, bounds).observe(value)
-
-    def reliability(self) -> Dict[str, int]:
-        """The reliability counters as one fixed-schema dict."""
-        return {name: self.counters.get(name, 0) for name in RELIABILITY_COUNTERS}
-
-    def sentinels(self) -> Dict[str, int]:
-        """The numerical-sentinel counters as one fixed-schema dict."""
-        return {name: self.counters.get(name, 0) for name in SENTINEL_COUNTERS}
-
-    def optimization(self) -> Dict[str, int]:
-        """The program-optimizer counters as one fixed-schema dict."""
-        return {name: self.counters.get(name, 0) for name in OPT_COUNTERS}
-
-    def durability(self) -> Dict[str, int]:
-        """The journal/recovery counters as one fixed-schema dict."""
-        return {name: self.counters.get(name, 0) for name in DURABLE_COUNTERS}
-
-    def static(self) -> Dict[str, int]:
-        """The static-analysis counters as one fixed-schema dict."""
-        return {name: self.counters.get(name, 0) for name in STATIC_COUNTERS}
 
     def snapshot(self) -> Dict[str, object]:
         return {

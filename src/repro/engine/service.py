@@ -200,7 +200,9 @@ class Engine:
             max_retries=self.config.max_retries,
             transport=self.config.transport,
         )
-        self.metrics = MetricsRegistry()
+        self.metrics = MetricsRegistry(
+            "engine", "reliability", "sentinel", "opt", "durable", "static"
+        )
         self._queue: List[Job] = []
         self._floor = InlineExecutor()
         self._breakers: Dict[str, CircuitBreaker] = {}
@@ -969,11 +971,6 @@ class Engine:
         """Engine + cache metrics as one plain dict."""
         snap = self.metrics.snapshot()
         snap["cache"] = self.cache.stats.snapshot()
-        snap["reliability"] = self.metrics.reliability()
-        snap["sentinels"] = self.metrics.sentinels()
-        snap["optimization"] = self.metrics.optimization()
-        snap["durability"] = self.metrics.durability()
-        snap["static"] = self.metrics.static()
         snap["quarantined"] = sorted(self._quarantined)
         snap["dead_letter_backlog"] = len(self._dlq)
         if self.shard is not None:
@@ -996,12 +993,7 @@ class Engine:
         if self.flight is not None:
             # Fold the flight ring's own counters into the scrape (the
             # recorder may keep a separate registry) plus ring gauges.
-            counters = dict(snap.get("counters", {}))
-            from repro.slo.flight import FLIGHT_COUNTERS
-
-            for name in FLIGHT_COUNTERS:
-                counters[name] = self.flight.metrics.counter(name)
-            snap["counters"] = counters
+            snap["counters"].update(self.flight.metrics.family("flight"))
             snap["flight"] = {
                 "ring_entries": float(len(self.flight)),
                 "ring_dropped": float(self.flight.dropped),

@@ -28,7 +28,6 @@ must stay importable without the serving stack.
 from __future__ import annotations
 
 import json
-import re
 from collections import Counter
 from dataclasses import dataclass, field, fields
 from typing import Any, Callable, Dict, List, Optional, Sequence, Set, Tuple
@@ -363,17 +362,25 @@ def drive(
 
 
 def counter_fields(
-    counters: Counter, schema: Sequence[str], names: Sequence[str], *prefixes: str
+    counters: Counter, names: Sequence[str], *families: str
 ) -> Dict[str, int]:
     """Harvested counts for the report fields *names*, as keyword arguments.
 
-    A field is fed by the *schema* counter called its own name behind one
-    of *prefixes* (``routed`` <- ``cluster_jobs_routed``); naming a field
-    no schema counter feeds is a ``KeyError``.
+    A field is fed by the one counter of *families* (rows of
+    :data:`repro.engine.metrics.COUNTERS`) that is its name or ends in
+    ``_<name>`` (``routed`` <- ``cluster_jobs_routed``); a field that no
+    counter, or more than one, would feed is a ``KeyError``.
     """
-    strip = re.compile("^(%s)" % "|".join(prefixes))
-    feeds = {strip.sub("", counter): counter for counter in schema}
-    return {name: counters[feeds[name]] for name in names}
+    from repro.engine.metrics import COUNTERS
+
+    schema = [counter for family in families for counter in COUNTERS[family]]
+    harvested = {}
+    for name in names:
+        feeds = [c for c in schema if c == name or c.endswith("_" + name)]
+        if len(feeds) != 1:
+            raise KeyError(f"report field {name!r} is fed by {feeds}")
+        harvested[name] = counters[feeds[0]]
+    return harvested
 
 
 def config_block(config: Any, echoed: Sequence[str], **fixed: Any) -> Dict[str, Any]:

@@ -195,7 +195,6 @@ def run_campaign(
 ) -> CampaignReport:
     """Run one seeded chaos campaign and return its report."""
     from repro.engine import Engine, EngineConfig
-    from repro.engine.metrics import RELIABILITY_COUNTERS
 
     config = config or ChaosConfig()
     plan = plan or config.plan()
@@ -236,7 +235,5 @@ def run_campaign(
         failures_by_error=dict(ledger.failures_by_error()),
         quarantined=quarantined,
         dead_letter_backlog=ledger.dead_letter_backlog,
-        **counter_fields(
-            ledger.counters, RELIABILITY_COUNTERS + ("batches_total",), _COUNTED
-        ),
+        **counter_fields(ledger.counters, _COUNTED, "reliability", "engine"),
     )

@@ -17,9 +17,9 @@ any result:
   (armed for PairHMM, whose probabilities underflow toward
   ``NEG = -(1 << 20)``, the fixed-point stand-in for log 0).
 
-Counters surface in the engine metrics snapshot under ``sentinels``
-(see :data:`repro.engine.metrics.SENTINEL_COUNTERS`) and in guard
-campaign reports.
+Counters surface in the engine metrics snapshot as ``sentinel_*``
+counters (the ``sentinel`` family of
+:data:`repro.engine.metrics.COUNTERS`) and in guard campaign reports.
 """
 
 from __future__ import annotations
@@ -33,7 +33,7 @@ from repro.dpax.pe import INT32_MAX, INT32_MIN, LANE8_MAX, LANE8_MIN
 #: anything at or below it means the probability mass underflowed.
 PAIRHMM_UNDERFLOW_FLOOR = -(1 << 20)
 
-#: Stable counter schema (mirrored by the engine metrics block).
+#: Stable counter schema (mirrored by the ``sentinel`` counter family).
 SENTINEL_FIELDS = ("values_observed", "int32_overflows", "lane_saturations", "underflows")
 
 

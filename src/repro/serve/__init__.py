@@ -23,7 +23,7 @@ from repro.serve.admission import (
 )
 from repro.serve.client import ReconnectPolicy, ServeClient
 from repro.serve.quota import TenantQuotas, TokenBucket
-from repro.serve.server import SERVE_COUNTERS, GendpServer, ServeConfig
+from repro.serve.server import GendpServer, ServeConfig
 from repro.serve.transport import BACKENDS, ShmExecutor, TransportConfig
 
 __all__ = [
@@ -33,7 +33,6 @@ __all__ = [
     "GendpServer",
     "PRIORITY_CLASSES",
     "ReconnectPolicy",
-    "SERVE_COUNTERS",
     "ServeClient",
     "ServeConfig",
     "ShmExecutor",

@@ -37,9 +37,10 @@ socket, with the only pickling on rejected fast-path payloads.
 Observability: ``serve:accept`` / ``serve:admit`` / ``serve:dispatch``
 spans land in the engine's tracer when one is attached, every log
 record inside the request path carries ``trace_id``/``tenant``/
-``job_id`` via :func:`repro.obs.logs.log_context`, and the
-:data:`SERVE_COUNTERS` live in the engine's metrics registry so the
-existing Prometheus exporters pick them up unchanged.
+``job_id`` via :func:`repro.obs.logs.log_context`, and the ``serve``
+family of :data:`repro.engine.metrics.COUNTERS` lives in the engine's
+metrics registry so the existing Prometheus exporters pick it up
+unchanged.
 
 Graceful drain: SIGINT/SIGTERM (or :meth:`GendpServer.request_shutdown`)
 stops admission (``draining`` rejections), lets in-flight work
@@ -85,24 +86,6 @@ def _client_payload(payload: Dict[str, Any]) -> Dict[str, Any]:
         for key, value in payload.items()
         if not key.startswith("_")
     }
-
-#: Counters the serving tier owns inside the engine's registry.  The
-#: obs exporters pick these up like any engine counter; the drift test
-#: in ``tests/serve`` pins this schema.
-SERVE_COUNTERS = (
-    "serve_connections",
-    "serve_requests",
-    "serve_admitted",
-    "serve_rejected_draining",
-    "serve_rejected_backpressure",
-    "serve_rejected_quota",
-    "serve_dispatches",
-    "serve_responses",
-    "serve_errors",
-    "serve_journaled",
-    "serve_deduped",
-    "serve_recovered",
-)
 
 
 @dataclass(frozen=True)
@@ -213,8 +196,7 @@ class GendpServer:
                 ),
                 metrics=self.engine.metrics,
             )
-        for counter in SERVE_COUNTERS:
-            self.engine.metrics.incr(counter, 0)
+        self.engine.metrics.register("serve")
 
     # ------------------------------------------------------------------
     # lifecycle
@@ -453,16 +435,13 @@ class GendpServer:
             self.ledger.record_transport(tenant, len(line) + sent)
 
     def _stats(self) -> Dict[str, Any]:
-        counters = self.engine.metrics.snapshot().get("counters", {})
         stats = {
             "ok": True,
             "op": "stats",
             "draining": self._draining,
             "pending": self._pending,
             "endpoint": self.endpoint,
-            "counters": {
-                name: counters.get(name, 0) for name in SERVE_COUNTERS
-            },
+            "counters": self.engine.metrics.family("serve"),
             "tenants": self.ledger.snapshot_section(),
         }
         # A cluster behind the server reports its shard topology too.

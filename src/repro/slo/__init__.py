@@ -12,17 +12,15 @@ second-generation observability layer over :mod:`repro.obs`.
 CLI front end: ``gendp-slo``.
 """
 
-from repro.slo.accounting import TENANT_COUNTERS, TenantLedger, estimate_cells
+from repro.slo.accounting import TenantLedger, estimate_cells
 from repro.slo.burnrate import (
     DEFAULT_WINDOWS,
-    SLO_COUNTERS,
     Alert,
     BurnWindow,
     SLOEngine,
     synthesize_burn_replay,
 )
 from repro.slo.flight import (
-    FLIGHT_COUNTERS,
     FlightRecorder,
     blackbox_to_chrome_trace,
     canonical_blackbox,
@@ -35,16 +33,13 @@ from repro.slo.objectives import (
 )
 
 __all__ = [
-    "TENANT_COUNTERS",
     "TenantLedger",
     "estimate_cells",
     "DEFAULT_WINDOWS",
-    "SLO_COUNTERS",
     "Alert",
     "BurnWindow",
     "SLOEngine",
     "synthesize_burn_replay",
-    "FLIGHT_COUNTERS",
     "FlightRecorder",
     "blackbox_to_chrome_trace",
     "canonical_blackbox",

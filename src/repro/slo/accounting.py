@@ -2,7 +2,8 @@
 
 A :class:`TenantLedger` folds the serve front door's admission
 decisions and the engine's result envelopes into **one fixed counter
-schema per tenant** (:data:`TENANT_COUNTERS`): jobs in/out, DP cells
+schema per tenant** (the ``tenant`` family of
+:data:`repro.engine.metrics.COUNTERS`): jobs in/out, DP cells
 computed, NDJSON transport bytes, compute time, and quota rejections.
 Each tenant gets its own :class:`MetricsRegistry`, so the schema has
 real ``incr`` sites (the drift test's contract) and the existing
@@ -28,28 +29,7 @@ import threading
 from typing import Any, Dict, Mapping, Optional, Tuple
 
 from repro.engine.kernels import KERNELS
-from repro.engine.metrics import MetricsRegistry
-
-#: Per-tenant counters (prefixed ``tenant_``); every name has a
-#: literal ``incr`` site below, pinned by the drift test.
-TENANT_COUNTERS: Tuple[str, ...] = (
-    "tenant_jobs_submitted",  # jobs admitted for this tenant
-    "tenant_jobs_completed",  # result envelopes with ok=True
-    "tenant_jobs_failed",  # result envelopes with ok=False
-    "tenant_rejections",  # admission rejections, any reason
-    "tenant_quota_rejections",  # the token-bucket subset
-    "tenant_cells_computed",  # estimated DP cells across completed jobs
-    "tenant_transport_bytes",  # NDJSON request+response bytes
-    "tenant_compute_us",  # execute-time microseconds across envelopes
-)
-
-#: Default per-unit prices for the cost report (arbitrary currency;
-#: chosen so a small demo run produces legible non-zero totals).
-DEFAULT_RATES: Dict[str, float] = {
-    "cells_per_unit": 1e-9,  # 1 unit per billion DP cells
-    "bytes_per_unit": 1e-9,  # 1 unit per GB of transport
-    "compute_s_per_unit": 1e-3,  # 1 unit per 1000 compute-seconds
-}
+from repro.engine.metrics import COUNTERS, MetricsRegistry
 
 
 def estimate_cells(kernel: str, payload: Mapping[str, Any]) -> int:
@@ -77,9 +57,7 @@ class TenantLedger:
         with self._lock:
             registry = self._tenants.get(tenant)
             if registry is None:
-                registry = MetricsRegistry()
-                for counter in TENANT_COUNTERS:
-                    registry.incr(counter, 0)
+                registry = MetricsRegistry("tenant")
                 self._tenants[tenant] = registry
             return registry
 
@@ -136,10 +114,7 @@ class TenantLedger:
 
     def usage(self, tenant: str) -> Dict[str, int]:
         """One tenant's counters as the fixed schema dict."""
-        registry = self._registry(tenant)
-        return {
-            name: registry.counter(name) for name in TENANT_COUNTERS
-        }
+        return self._registry(tenant).family("tenant")
 
     def snapshot_section(self) -> Dict[str, Dict[str, int]]:
         """All tenants for the labelled ``tenants`` snapshot section
@@ -155,31 +130,8 @@ class TenantLedger:
     def totals(self) -> Dict[str, int]:
         """Schema counters summed across every tenant (the numbers the
         reconciliation test checks against the engine)."""
-        totals = {name: 0 for name in TENANT_COUNTERS}
+        totals = dict.fromkeys(COUNTERS["tenant"], 0)
         for tenant in self.tenants:
             for name, value in self.usage(tenant).items():
                 totals[name] += value
         return totals
-
-    def cost_report(
-        self, rates: Optional[Mapping[str, float]] = None
-    ) -> Dict[str, Any]:
-        """Per-tenant usage priced at *rates* (``gendp-slo report``)."""
-        rates = dict(DEFAULT_RATES, **(rates or {}))
-        tenants: Dict[str, Any] = {}
-        grand_total = 0.0
-        for tenant in self.tenants:
-            usage = self.usage(tenant)
-            cost = (
-                usage["tenant_cells_computed"] * rates["cells_per_unit"]
-                + usage["tenant_transport_bytes"] * rates["bytes_per_unit"]
-                + (usage["tenant_compute_us"] / 1e6)
-                * rates["compute_s_per_unit"]
-            )
-            grand_total += cost
-            tenants[tenant] = {"usage": usage, "cost_units": round(cost, 9)}
-        return {
-            "rates": rates,
-            "tenants": tenants,
-            "total_cost_units": round(grand_total, 9),
-        }

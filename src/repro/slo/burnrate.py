@@ -32,16 +32,6 @@ from repro.slo.objectives import DEFAULT_OBJECTIVES, SLObjective
 
 _LOG = get_logger("repro.slo.burnrate")
 
-#: SLO-engine counters (prefixed ``slo_``); live in whatever registry
-#: the evaluator is handed (the engine's, for one scrape surface).
-#: The drift test in ``tests/engine`` pins this schema.
-SLO_COUNTERS: Tuple[str, ...] = (
-    "slo_evaluations",  # observe() calls folded into the history
-    "slo_alerts_fired",  # window transitions into burning
-    "slo_alerts_resolved",  # window transitions out of burning
-    "slo_windows_burning",  # objective x window pairs burning now
-)
-
 
 @dataclass(frozen=True)
 class BurnWindow:
@@ -165,6 +155,7 @@ class SLOEngine:
         )
         self.clock = clock if clock is not None else time.monotonic
         self.metrics = metrics if metrics is not None else MetricsRegistry()
+        self.metrics.register("slo")
         #: Optional :class:`repro.slo.flight.FlightRecorder`; tripped
         #: on every fired alert.
         self.flight = flight
@@ -176,8 +167,6 @@ class SLOEngine:
         #: Every fired/resolved transition, in evaluation order -- the
         #: deterministic alert sequence the acceptance test pins.
         self.alerts: List[Alert] = []
-        for counter in SLO_COUNTERS:
-            self.metrics.incr(counter, 0)
 
     # ------------------------------------------------------------------
     # observation
@@ -344,13 +333,13 @@ class SLOEngine:
         """Return *snapshot* with the ``slo`` section (and the
         evaluator's own counters) folded in for the exporters."""
         enriched = dict(snapshot)
-        counters = dict(enriched.get("counters") or {})
-        for name in SLO_COUNTERS:
-            # Overwrite, not add: when the evaluator shares the
-            # engine's registry these counters are already in the
-            # snapshot, and adding would double-count them.
-            counters[name] = self.metrics.counter(name)
-        enriched["counters"] = counters
+        # Overwrite, not add: when the evaluator shares the engine's
+        # registry these counters are already in the snapshot, and
+        # adding would double-count them.
+        enriched["counters"] = {
+            **(enriched.get("counters") or {}),
+            **self.metrics.family("slo"),
+        }
         enriched["slo"] = self.export_section()
         return enriched
 

@@ -38,15 +38,6 @@ from repro.obs.logs import get_logger
 
 _LOG = get_logger("repro.slo.flight")
 
-#: Flight-recorder counters (prefixed ``flight_``); live in whatever
-#: registry the recorder is handed.  Pinned by the drift test.
-FLIGHT_COUNTERS: Tuple[str, ...] = (
-    "flight_entries_recorded",  # ring appends (post-sampling)
-    "flight_trips",  # trigger events seen (dumped or not)
-    "flight_dumps_written",  # black boxes written to disk
-    "flight_dumps_suppressed",  # trips past the max_dumps cap
-)
-
 #: Wall-clock-derived fields :func:`canonical_blackbox` removes: the
 #: dump stamp, per-entry clock readings, and span timing args.  The
 #: determinism contract is "byte-identical modulo exactly this set".
@@ -88,14 +79,13 @@ class FlightRecorder:
         self.max_dumps = max_dumps
         self.clock = clock if clock is not None else time.monotonic
         self.metrics = metrics if metrics is not None else MetricsRegistry()
+        self.metrics.register("flight")
         self._entries: Deque[Dict[str, Any]] = deque(maxlen=capacity)
         self._seq = 0
         self._dump_seq = 0
         self._dropped = 0
         self._last_counters: Dict[str, int] = {}
         self._lock = threading.Lock()
-        for counter in FLIGHT_COUNTERS:
-            self.metrics.incr(counter, 0)
 
     # ------------------------------------------------------------------
     # recording

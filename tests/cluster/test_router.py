@@ -5,14 +5,10 @@ from pathlib import Path
 
 import pytest
 
-from repro.cluster import (
-    CLUSTER_COUNTERS,
-    ClusterConfig,
-    ClusterRouter,
-    SimClock,
-)
+from repro.cluster import ClusterConfig, ClusterRouter, SimClock
 from repro.cluster.router import MAX_STEAL_PER_ROUND, STEAL_RATIO
 from repro.engine import BackpressureError, EngineConfig, make_job
+from repro.engine.metrics import COUNTERS
 from repro.obs.trace import TraceRecorder
 
 SRC_ROOT = Path(__file__).resolve().parents[2] / "src" / "repro"
@@ -196,20 +192,20 @@ class TestLifecycle:
             assert set(snap["shards"]) == {"shard-0", "shard-1"}
             for gauges in snap["shards"].values():
                 assert "health" in gauges and "state" in gauges
-            for counter in CLUSTER_COUNTERS:
+            for counter in COUNTERS["cluster"] + COUNTERS["durable"]:
                 assert counter in snap["counters"]
 
 
 class TestCounterSchema:
     def test_cluster_counters_have_incr_sites(self):
-        """Drift guard: every schema counter has a real incr site."""
+        """Drift guard: every cluster-family counter has a real incr site."""
         blob = "\n".join(
             path.read_text()
             for path in sorted((SRC_ROOT / "cluster").rglob("*.py"))
         )
         missing = [
             name
-            for name in CLUSTER_COUNTERS
+            for name in COUNTERS["cluster"]
             if not re.search(rf"incr\(\s*[\"']{name}[\"']", blob)
         ]
         assert not missing, f"cluster counters without incr sites: {missing}"

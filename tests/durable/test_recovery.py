@@ -210,8 +210,8 @@ class TestEdges:
 
         engine = engine_over(tmp_path)
         engine.recover()
-        durability = engine.snapshot()["durability"]
+        counters = engine.snapshot()["counters"]
         engine.close()
-        assert durability["durable_recoveries"] == 1
-        assert durability["durable_completions_deduped"] == 3
-        assert durability["durable_duplicate_completions"] == 0
+        assert counters["durable_recoveries"] == 1
+        assert counters["durable_completions_deduped"] == 3
+        assert counters["durable_duplicate_completions"] == 0

@@ -3,6 +3,7 @@
 import pytest
 
 from repro.engine import Engine, EngineConfig, Job
+from repro.engine.metrics import COUNTERS
 from repro.guard.diff import generate_payload
 
 KERNELS = ("bsw", "pairhmm", "chain", "dtw")
@@ -50,7 +51,7 @@ class TestOptimizedEngine:
 
     def test_opt_counters_and_snapshot_block(self):
         _, snapshot, _ = drain(EngineConfig(optimize_programs=True))
-        block = snapshot["optimization"]
+        block = snapshot["counters"]
         assert block["opt_programs_optimized"] == len(KERNELS)
         # BSW loses a bundle to dead-output elimination and Chain one
         # to re-packing; both land in the eliminated counter.
@@ -59,7 +60,8 @@ class TestOptimizedEngine:
 
     def test_counters_stay_zero_when_off(self):
         _, snapshot, _ = drain(EngineConfig())
-        assert all(v == 0 for v in snapshot["optimization"].values())
+        counters = snapshot["counters"]
+        assert all(counters[name] == 0 for name in COUNTERS["opt"])
 
     def test_compiles_once_per_kernel(self):
         with Engine(EngineConfig(optimize_programs=True)) as engine:
@@ -68,12 +70,12 @@ class TestOptimizedEngine:
             engine.submit_many(make_jobs())
             engine.drain()
             assert engine.cache.stats.compiles == len(KERNELS)
-            assert engine.snapshot()["optimization"][
-                "opt_programs_optimized"
-            ] == len(KERNELS)
+            assert engine.metrics.counter("opt_programs_optimized") == len(
+                KERNELS
+            )
 
     def test_optimized_programs_are_verified(self):
         # Every compile is verified; an optimize_programs run must not
         # trip the verifier (the pipeline only emits verifier-legal code).
         _, snapshot, _ = drain(EngineConfig(optimize_programs=True))
-        assert snapshot["reliability"]["verifier_rejections"] == 0
+        assert snapshot["counters"]["verifier_rejections"] == 0

@@ -421,7 +421,7 @@ class TestSentinels:
             assert result.ok
             # The marker never leaks into the user-visible value.
             assert "_sentinels" not in result.value
-            counters = engine.metrics.sentinels()
+            counters = engine.snapshot()["counters"]
             assert counters["sentinel_values_observed"] > 0
             assert counters["sentinel_int32_overflows"] == 0
             assert (
@@ -434,9 +434,7 @@ class TestSentinels:
         with Engine(EngineConfig(sentinels=True)) as engine:
             engine.submit(_lcs_job())
             assert engine.drain()[0].ok
-            assert (
-                engine.metrics.sentinels()["sentinel_values_observed"] == 0
-            )
+            assert engine.metrics.counter("sentinel_values_observed") == 0
             assert engine.metrics.counter("static_sentinel_elisions") == 1
             assert engine.metrics.counter("static_programs_certified") == 1
 
@@ -444,7 +442,7 @@ class TestSentinels:
         with Engine() as engine:
             engine.submit(_lcs_job())
             assert engine.drain()[0].ok
-            assert engine.metrics.sentinels()["sentinel_values_observed"] == 0
+            assert engine.metrics.counter("sentinel_values_observed") == 0
 
     def test_results_identical_with_and_without_sentinels(self):
         with Engine() as engine:

@@ -88,7 +88,7 @@ class TestInlineEngineRunsTheSpecializedCell:
         with Engine(EngineConfig(workers=0, sentinels=True)) as engine:
             engine.submit(make_job(kernel, PAYLOADS[kernel]))
             result = engine.drain()[0]
-            counts = engine.metrics.sentinels()
+            counts = engine.metrics.family("sentinel")
             violations = engine.metrics.counter("static_certificate_violations")
         sentinel = make_sentinel(kernel)
         assert result.value == _interpreted(

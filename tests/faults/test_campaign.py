@@ -221,17 +221,15 @@ class TestReports:
 
     def test_counter_fields_feeds_only_the_named_fields(self):
         counters = Counter(cluster_jobs_routed=7, cluster_drain_rounds=3, other=9)
-        schema = ("cluster_jobs_routed", "cluster_drain_rounds", "other")
-        prefixes = ("cluster_jobs_", "cluster_")
-        assert counter_fields(counters, schema, ("routed", "other"), *prefixes) == {
+        assert counter_fields(counters, ("routed", "drain_rounds"), "cluster") == {
             "routed": 7,
-            "other": 9,
+            "drain_rounds": 3,
         }
-        assert counter_fields(counters, schema, ("drain_rounds",), *prefixes) == {
-            "drain_rounds": 3
-        }
-        with pytest.raises(KeyError):  # no schema counter feeds that field
-            counter_fields(counters, schema, ("stolen",), *prefixes)
+        assert counter_fields(counters, ("stolen",), "cluster") == {"stolen": 0}
+        with pytest.raises(KeyError):  # no counter of the family feeds it
+            counter_fields(counters, ("other",), "cluster")
+        with pytest.raises(KeyError):  # two would: cluster_jobs_ and orphans_
+            counter_fields(counters, ("resubmitted",), "cluster", "durable")
 
     def test_config_block_echoes_only_the_declared_fields_plus_fixed(self):
         from repro.cluster import ClusterChaosConfig

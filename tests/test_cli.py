@@ -82,6 +82,12 @@ class TestSimulate:
         assert "cycles/cell" in out
         assert "projected MCUPS" in out
 
+    def test_size_flag_is_rejected(self):
+        # The workload is fixed by the seed; there is no scale knob.
+        with pytest.raises(SystemExit) as exit_info:
+            simulate_main(["lcs", "--size", "32"])
+        assert exit_info.value.code == 2
+
 
 class TestReport:
     def test_summary_report(self, capsys):
