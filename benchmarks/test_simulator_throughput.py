@@ -193,12 +193,15 @@ def test_simulator_throughput(benchmark, publish):
             ],
             host_rows,
             note=(
-                f"median [q1-q3] of {HOST_REPEATS} runs after a warm-up.  The per-cycle "
-                "interpreter this replaced (PR 13's parent, same inputs, same "
-                "session, pinned core) cost 16.8 / 18.4 / 45.8 / 5.8 us per cycle "
-                "unprofiled and 20.0 / 21.8 / 51.4 / 7.9 profiled (bsw / pairhmm / "
-                "chain / poa): the profiler's absolute cost per cycle is unchanged, "
-                "so its share grew"
+                f"median [q1-q3] of {HOST_REPEATS} runs after a warm-up, one pinned "
+                "core.  Host speed drifts up to 2x, so designs compare only in "
+                "alternating runs; on these inputs each earlier design cost more "
+                "host time per simulated cycle (bsw / pairhmm / chain / poa, "
+                "unprofiled): the per-cycle interpreter 4.6 / 4.7 / 4.5 / 5.0x the "
+                "decoded simulator that called step() per PE and array and re-ran "
+                "every stalled handler, and that one 1.33 / 1.30 / 1.65 / 1.72x "
+                "the generated cycle loop (medians of 5 alternating runs).  The "
+                "profiler's hooks cost what they did, so their share grew"
             ),
         )
     )

@@ -7,6 +7,9 @@ Models the architecture of Section 4 at instruction granularity:
 - :mod:`repro.dpax.decode` -- decode-at-load: control instructions
   and VLIW bundles compiled to functions once, when a program is
   loaded, shared by every PE and run.
+- :mod:`repro.dpax.loop` -- the one cycle loop every ``step`` and
+  ``run`` calls, generated per machine shape; a stalled thread waits
+  on a predicate instead of re-running its handler.
 - :mod:`repro.dpax.pe` -- a processing element running a decoupled
   control thread (Table 3 instructions) and a 2-way VLIW compute thread
   (Table 4 operations) against its own RF/SPM.
@@ -14,7 +17,7 @@ Models the architecture of Section 4 at instruction granularity:
   array-level control thread, last-to-first FIFO, and input/output data
   buffers.
 - :mod:`repro.dpax.machine` -- the DPAx tile (16 integer + 1 FP PE
-  arrays) with configurable array concatenation, plus the cycle loop.
+  arrays) with configurable array concatenation.
 
 Programs come from :mod:`repro.mapping` (control codegen) and
 :mod:`repro.dpmap.codegen` (compute codegen); the simulator's results

@@ -24,12 +24,21 @@ the array thread run the same Table 3 opcodes and differ only in which
 spaces they may address, what ``set`` starts, and whether stores are
 fenced by the compute thread and clamped to the datapath width; those
 differences are the two :class:`_Thread` tables below.
+
+Handlers touch storage in their own code -- RF, SPM and data-buffer
+words, port and FIFO deques -- with the bounds checks, access counters
+and ``StorageError`` messages of :mod:`repro.dpax.storage`.  A handler
+that completes returns None.  One that cannot complete this cycle
+changes nothing observable and returns a :data:`Wait` record instead:
+what it waits on, the stall reason, and the access each retry would
+count.  The cycle loop (:mod:`repro.dpax.loop`) then tests the record
+every cycle instead of calling the handler again.
 """
 
 from __future__ import annotations
 
 import functools
-from typing import Any, Callable, Dict, List, NamedTuple, Sequence, Tuple
+from typing import Any, Callable, Dict, List, NamedTuple, Optional, Sequence, Tuple
 
 from repro.dfg.expressions import (
     MATCH_TABLE,
@@ -42,8 +51,16 @@ from repro.dpax.storage import StorageError
 from repro.isa.compute import CUInstruction, Imm, Reg, VLIWInstruction
 from repro.isa.control import ControlInstruction, ControlOp, Loc, Space
 
-#: A decoded control instruction: called with its PE or array.
-ControlHandler = Callable[[Any], None]
+#: Why a control instruction stalled: ``(deque, limit, reason,
+#: counted)``.  The thread stays blocked while ``len(deque) == limit``
+#: (0: an empty queue it pops; the capacity: a full queue it pushes),
+#: or, with no deque, while its PE's compute window is open (a fenced
+#: RF/SPM access or a ``set``).  *counted* is the storage whose source
+#: read each retry repeats (``reads += 1``), or None.
+Wait = Tuple[Optional[Any], int, str, Optional[Any]]
+#: A decoded control instruction: called with its PE or array; returns
+#: None, or the :data:`Wait` it stalled on.
+ControlHandler = Callable[[Any], Optional[Wait]]
 #: A decoded bundle ``(run(rf, match_table), ways, alu_ops)``.
 DecodedBundle = Tuple[Callable[[Any, Any], None], int, int]
 
@@ -62,8 +79,8 @@ class _Thread(NamedTuple):
     subject: str
     #: The counter a completed instruction bumps.
     executed: str
-    #: Indexed stores read through ``.read(i)`` / written through
-    #: ``.write(i, x)``, and queues popped / pushed.
+    #: Indexed stores read / written (a RegisterFile, Scratchpad or
+    #: DataBuffer, see :data:`_WORDS`), and queues popped / pushed.
     loads: Dict[Space, str]
     stores: Dict[Space, str]
     pops: Dict[Space, str]
@@ -97,8 +114,7 @@ _THREADS: Dict[str, _Thread] = {
         branch_error="branch left the program",
         set_unit=(
             "if u.compute_remaining > 0:",
-            "    u._stall('compute_busy')",
-            "    return",
+            "    return (None, 0, 'compute_busy', None)",
             "if not 0 <= {target} <= len(u.compute):",
             "    raise StorageError('set target out of range: {target}')",
             "if {target} + {count} > len(u.compute):",
@@ -136,56 +152,103 @@ def _wrapped(value: str) -> str:
     return f"(({value} + 2147483648) & 4294967295) - 2147483648"
 
 
-def _index(loc: Loc) -> str:
-    return f"u.aregs[{loc.index}]" if loc.indirect else repr(loc.index)
+#: Indexed spaces: (name in ``StorageError`` messages, words are a
+#: list -- else a sparse dict read as 0 where unwritten).
+_WORDS: Dict[Space, Tuple[str, bool]] = {
+    Space.REG: ("RF", True),
+    Space.SPM: ("SPM", False),
+    Space.IBUF: ("buffer", False),
+    Space.OBUF: ("buffer", False),
+}
+
+
+def _indexed(store: str, loc: Loc, access: str) -> Tuple[List[str], str]:
+    """Lines binding ``s`` to the store at *loc* and counting one
+    *access* (``read``/``write``) after its bounds check, and the index
+    expression of the word."""
+    name = _WORDS[loc.space][0]
+    lines = [f"s = {store}"]
+    if loc.indirect:
+        lines += [
+            f"i = u.aregs[{loc.index}]",
+            "if not 0 <= i < s.size:",
+            f"    raise StorageError(f'{name} {access} out of range: {{i}}')",
+        ]
+        index = "i"
+    elif loc.index < 0:
+        return lines + [f"raise StorageError('{name} {access} out of range: {loc.index}')"], ""
+    else:
+        lines += [
+            f"if {loc.index} >= s.size:",
+            f"    raise StorageError('{name} {access} out of range: {loc.index}')",
+        ]
+        index = repr(loc.index)
+    return lines + [f"s.{access}s += 1"], index
+
+
+def _unwired(thread: _Thread, queue: str, name: str) -> List[str]:
+    if queue not in thread.unwired:
+        return []
+    return [
+        f"if {name} is None:",
+        f"    raise StorageError(f'PE {{u.pe_index}} has no {thread.unwired[queue]}')",
+    ]
 
 
 def _read(thread: _Thread, loc: Loc) -> List[str]:
-    """Lines binding ``v`` to the word at *loc* (and ``q`` to the queue
-    it was popped from); an empty queue stalls the thread."""
+    """Lines binding ``v`` to the word at *loc* (and ``q``/``e`` to the
+    queue it was popped from and its deque); an empty queue stalls the
+    thread."""
     space = loc.space
     if space in thread.loads:
-        return [f"v = {thread.loads[space]}.read({_index(loc)})"]
+        lines, index = _indexed(thread.loads[space], loc, "read")
+        if index:
+            listed = _WORDS[space][1]
+            lines.append(f"v = s._words[{index}]" if listed else f"v = s._words.get({index}, 0)")
+        return lines
     if space is Space.ADDR:
         return [f"v = u.aregs[{loc.index}]"]
     if space in thread.pops:
         queue = thread.pops[space]
-        lines = [f"q = {queue}"]
-        if queue in thread.unwired:
-            lines += [
-                "if q is None:",
-                f"    raise StorageError(f'PE {{u.pe_index}} has no {thread.unwired[queue]}')",
-            ]
-        return lines + [
-            "v = q.pop()",
-            "if v is None:",
-            f"    u._stall('{space.value}_empty')",
-            "    return",
+        return [f"q = {queue}"] + _unwired(thread, queue, "q") + [
+            "e = q._queue",
+            "if not e:",
+            f"    return (e, 0, '{space.value}_empty', None)",
+            "q.pops += 1",
+            "v = e.popleft()",
         ]
     return [f"raise StorageError('{thread.subject} cannot read space {space.value}')"]
 
 
-def _write(thread: _Thread, loc: Loc, word: str, raw: str, popped: bool) -> List[str]:
+def _write(
+    thread: _Thread, loc: Loc, word: str, raw: str, source: Optional[Loc]
+) -> List[str]:
     """Lines storing *word* (the datapath-clamped value; *raw* is the
-    unclamped integer address registers take) at *loc*.  A full queue
+    unclamped integer address registers take) at *loc*; *source* is
+    where the word came from (None for an immediate).  A full queue
     stalls the thread, after handing a popped source word back."""
     space = loc.space
     if space in thread.stores:
-        return [f"{thread.stores[space]}.write({_index(loc)}, {word})"]
+        lines, index = _indexed(thread.stores[space], loc, "write")
+        return lines + ([f"s._words[{index}] = {word}"] if index else [])
     if space is Space.ADDR:
         return [f"u.aregs[{loc.index}] = {raw}"]
     if space in thread.pushes:
         queue = thread.pushes[space]
-        lines = [f"t = {queue}"]
-        if queue in thread.unwired:
-            lines += [
-                "if t is None:",
-                f"    raise StorageError(f'PE {{u.pe_index}} has no {thread.unwired[queue]}')",
-            ]
-        lines.append(f"if not t.push({word}):")
-        if popped:
-            lines.append("    q.unpop(v)")
-        return lines + [f"    u._stall('{space.value}_full')", "    return"]
+        counted = "None"
+        lines = [f"t = {queue}"] + _unwired(thread, queue, "t") + [
+            "d = t._queue",
+            "if len(d) >= t.capacity:",
+        ]
+        if source is not None and source.space in thread.pops:
+            lines += ["    e.appendleft(v)", "    q.pops -= 1"]
+        elif source is not None and source.space in thread.loads:
+            counted = "s"
+        return lines + [
+            f"    return (d, t.capacity, '{space.value}_full', {counted})",
+            f"d.append({word})",
+            "t.pushes += 1",
+        ]
     return [f"raise StorageError('{thread.subject} cannot write space {space.value}')"]
 
 
@@ -224,19 +287,18 @@ def _control_body(
     touched = [dest] if op is ControlOp.LI else [dest, src]
     body: List[str] = []
     if thread.owns_datapath and any(loc.space in thread.stores for loc in touched):
-        body += ["if u.compute_remaining > 0:", "    u._stall('compute_fence')", "    return"]
+        body += ["if u.compute_remaining > 0:", "    return (None, 0, 'compute_fence', None)"]
     if op is ControlOp.LI:
         imm = instruction.imm
         word = repr(wrap32(int(imm))) if wraps else repr(imm)
-        return body + _write(thread, dest, word, repr(int(imm)), popped=False) + advance
+        return body + _write(thread, dest, word, repr(int(imm)), None) + advance
     if op is ControlOp.MV:
         body += _read(thread, src)
         word = "v"
         if wraps and dest.space is not Space.ADDR:
             body.append(f"c = {_wrapped('int(v)')}")
             word = "c"
-        popped = src.space in thread.pops
-        return body + _write(thread, dest, word, "int(v)", popped) + advance
+        return body + _write(thread, dest, word, "int(v)", src) + advance
     return [f"raise StorageError('unhandled control op {op}')"]
 
 

@@ -1,0 +1,214 @@
+"""The simulator's one cycle loop, generated once per machine shape.
+
+Every way of advancing the simulator -- ``PE.step``, ``PEArray.step``
+and ``run``, ``DPAxMachine.step`` and ``run`` -- is a call of one
+generated function, ``cycles(units, max_cycles, active)``.  It is
+compiled once per process for each *shape*: the PE count of every
+array it drives (or a bare PE, for ``PE.step``) and whether each is
+profiled.  The arrays themselves are arguments, never captured, so the
+memoised function forms no reference cycle with them.
+
+Within a cycle the order is fixed: for each array, its control thread,
+then its PEs in chain order -- the bundle at ``compute_pc`` if a window
+is open (else an idle cycle), then the control thread -- then the FIFO
+depth sample when profiled.  What a run cannot change is bound to
+locals once per call: each PE's decoded handlers and bundles, register
+file, match table, statistics and profiler hooks, each array's handlers
+and FIFO.  The counters only the loop writes (cycles, bundles, ALU ops,
+idle cycles, stalls) are locals too, stored back when the call returns
+or raises.
+
+A stalled control thread is not re-run.  Its handler returned a
+:data:`~repro.dpax.decode.Wait` record; each later cycle tests that
+record instead -- still empty, still full, window still open -- and,
+while it holds, counts the stall (and the profiler reason, and the
+source read a retry would repeat) exactly as a retry would.  Only when
+the record no longer holds does the handler run again, and it may stall
+on something else: a fenced ``mv r <- in`` waits for the window, then
+for the port.  Nothing can unblock a thread behind the loop's back
+within one call -- a queue's other end is another thread of the same
+loop, and only a PE's own ``set`` opens its window -- and records are
+dropped when the call returns, so ``step()`` and ``run()`` can be
+mixed freely.
+"""
+
+from __future__ import annotations
+
+import functools
+from typing import Any, Callable, List, Optional, Sequence, Tuple
+
+from repro.dpax.decode import _compile
+
+#: Per unit the loop drives: ``(PEs, profiled)`` for a PE array, with
+#: PEs None for a bare PE.
+Shape = Tuple[Tuple[Optional[int], bool], ...]
+
+
+def _indent(lines: List[str], depth: int = 1) -> List[str]:
+    return ["    " * depth + line for line in lines]
+
+
+def _thread(
+    unit: str, ops: str, stall: Callable[[str], List[str]], window: bool
+) -> Tuple[List[str], List[str]]:
+    """Bindings and cycle of one control thread: run the handler at
+    ``pc`` unless its wait record, unpacked into ``w<unit>`` (the
+    record), ``q``/``l``/``r``/``c<unit>`` (its fields), still holds.
+    Only a PE thread (*window*) can wait on its compute window."""
+    w, q, limit, reason, counted = (f"{name}{unit}" for name in "wqlrc")
+    call = [
+        f"{w} = {ops}[{unit}.pc]({unit})",
+        f"if {w} is not None:",
+        f"    {q}, {limit}, {reason}, {counted} = {w}",
+        *_indent(stall(reason)),
+    ]
+    blocked = f"len({q}) == {limit}"
+    if window:
+        blocked = f"({blocked}) if {q} is not None else {unit}.compute_remaining > 0"
+    cycle = [
+        f"if {w} is None:",
+        *_indent(call),
+        f"elif {blocked}:",
+        *_indent(stall(reason)),
+        f"    if {counted} is not None:",
+        f"        {counted}.reads += 1",
+        "else:",
+        *_indent(call),
+    ]
+    return [f"{w} = None"], cycle
+
+
+#: The PEStats counters only the loop writes: held in locals during a
+#: call and stored back when it returns or raises.
+_COUNTERS = ("cycles", "compute_bundles", "alu_ops", "compute_idle", "control_stalls")
+
+
+def _pe(name: str, profiled: bool) -> Tuple[List[str], List[str], List[str]]:
+    """Bindings, cycle and write-back of one PE named *name*."""
+    bind = [
+        f"ops{name} = {name}._ops",
+        f"bundles{name} = {name}._bundles",
+        f"rf{name} = {name}.rf",
+        f"mt{name} = {name}.config.match_table",
+        f"st{name} = {name}.stats",
+    ]
+    bind += [f"{counter}{name} = st{name}.{counter}" for counter in _COUNTERS]
+    store = [f"st{name}.{counter} = {counter}{name}" for counter in _COUNTERS]
+    bundle, idle = [], []
+    if profiled:
+        bind += [
+            f"pb{name} = {name}.profiler.bundle",
+            f"pi{name} = {name}.profiler.idle",
+            f"ps{name} = {name}.profiler.stall",
+        ]
+        bundle = [f"pb{name}(cycles{name}, b[1], b[2])"]
+        idle = [f"pi{name}(cycles{name})"]
+
+    def stall(reason: str) -> List[str]:
+        return [f"control_stalls{name} += 1"] + ([f"ps{name}({reason})"] if profiled else [])
+
+    thread_bind, thread = _thread(name, f"ops{name}", stall, window=True)
+    cycle = [
+        f"if {name}.started:",
+        f"    cycles{name} += 1",
+        f"    if {name}.compute_remaining > 0:",
+        f"        b = bundles{name}[{name}.compute_pc]",
+        f"        b[0](rf{name}, mt{name})",
+        f"        alu_ops{name} += b[2]",
+        f"        {name}.compute_pc += 1",
+        f"        {name}.compute_remaining -= 1",
+        f"        compute_bundles{name} += 1",
+        *_indent(bundle, 2),
+        "    else:",
+        f"        compute_idle{name} += 1",
+        *_indent(idle, 2),
+        f"    if not {name}.halted:",
+        *_indent(thread, 2),
+    ]
+    return bind + thread_bind, cycle, store
+
+
+def _source(shape: Shape) -> List[str]:
+    """Body of the loop over units of *shape*."""
+    bind = [
+        f"{', '.join(f'u{j}' for j in range(len(shape)))}, = units",
+        f"{', '.join(f'act{j}' for j in range(len(shape)))}, = active",
+    ]
+    cycle: List[str] = []
+    store: List[str] = []
+    done: List[str] = []
+    for j, (pes, profiled) in enumerate(shape):
+        unit = f"u{j}"
+        if pes is None:
+            names = [f"p{j}_0"]
+            bind.append(f"p{j}_0 = {unit}")
+        else:
+            names = [f"p{j}_{k}" for k in range(pes)]
+            bind += [
+                f"{', '.join(names)}, = {unit}.pes",
+                f"ops{unit} = {unit}._ops",
+                f"control_stalls{unit} = {unit}.control_stalls",
+            ]
+            store.append(f"{unit}.control_stalls = control_stalls{unit}")
+            if profiled:
+                bind += [
+                    f"fifo{unit} = {unit}.fifo._queue",
+                    f"sample{unit} = {unit}.profiler.sample",
+                    f"ps{unit} = {unit}.profiler.control_stall",
+                ]
+
+            def stall(reason: str, unit=unit, profiled=profiled) -> List[str]:
+                return [f"control_stalls{unit} += 1"] + (
+                    [f"ps{unit}({reason})"] if profiled else []
+                )
+
+            thread_bind, thread = _thread(unit, f"ops{unit}", stall, window=False)
+            bind += thread_bind
+            cycle += [f"if not {unit}.halted:", *_indent(thread)]
+        for name in names:
+            pe_bind, pe_cycle, pe_store = _pe(name, profiled)
+            bind += pe_bind
+            cycle += pe_cycle
+            store += pe_store
+        if pes is None:
+            finished = f"{names[0]}.halted and {names[0]}.compute_remaining <= 0"
+        else:
+            if profiled:
+                cycle.append(f"sample{unit}(len(fifo{unit}))")
+            finished = " and ".join(
+                [f"{unit}.halted"]
+                + [f"(not {n}.started or {n}.halted and {n}.compute_remaining <= 0)" for n in names]
+            )
+        done.append(f"(not act{j} or {finished})")
+    body = bind + [
+        "n = 0",
+        "try:",
+        "    for n in range(1, max_cycles + 1):",
+        *_indent(cycle, 2),
+        f"        if {' and '.join(done)}:",
+        "            break",
+        "finally:",
+        *_indent(store),
+        "return n",
+    ]
+    return body
+
+
+@functools.lru_cache(maxsize=64)
+def cycle_loop(shape: Shape) -> Callable[[Sequence[Any], int, Sequence[bool]], int]:
+    """The compiled loop for *shape*: ``cycles(units, max_cycles,
+    active)`` runs until every unit flagged in *active* is done (an
+    array: its thread halted and every started PE done; a PE: halted
+    with its window closed) or *max_cycles* have run, and returns the
+    cycles it ran."""
+    return _compile("cycles", "units, max_cycles, active", _source(shape))
+
+
+def run(units: Sequence[Any], max_cycles: int, active: Sequence[bool]) -> int:
+    """Advance *units* (PE arrays, or one bare PE) in lockstep; see
+    :func:`cycle_loop`."""
+    shape = tuple(
+        (len(unit.pes) if hasattr(unit, "pes") else None, unit.profiler is not None)
+        for unit in units
+    )
+    return cycle_loop(shape)(units, max_cycles, active)

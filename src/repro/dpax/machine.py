@@ -14,6 +14,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence
 
+from repro.dpax import loop
 from repro.dpax.pe import PEConfig, PEStats
 from repro.dpax.pe_array import PES_PER_ARRAY, PEArray
 
@@ -70,12 +71,12 @@ class DPAxMachine:
     def enable_profiling(self, timeline: bool = True, max_timeline: int = 200_000):
         """Attach cycle profiling to every array; returns a TileProfile.
 
-        Opt-in by design: an unprofiled machine pays one ``is not
-        None`` check per PE and per array per cycle.  Profiling itself
-        is not cheap next to a decoded cycle: it adds roughly 0.5-0.9
-        host microseconds per PE-cycle, which
-        ``benchmarks/test_simulator_throughput.py`` measures as +45%
-        (Chain) to +76% (POA) host time per simulated cycle
+        Opt-in by design: an unprofiled machine runs a cycle loop
+        compiled without hooks (:mod:`repro.dpax.loop`).  Profiling
+        itself is not cheap next to a generated cycle: its hooks add
+        roughly 0.6-0.9 host microseconds per PE-cycle, which
+        ``benchmarks/test_simulator_throughput.py`` measures as +55%
+        to +120% (POA highest) host time per simulated cycle
         (``results/simulator_throughput.txt``).
         """
         if self._tile_profile is None:
@@ -126,33 +127,27 @@ class DPAxMachine:
     # execution
 
     def step(self) -> None:
-        for array in self.arrays:
-            array.step()
+        """One cycle of every array, in order."""
+        arrays = self.arrays
+        loop.run(arrays, 1, (False,) * len(arrays))
         self.cycles += 1
 
     def run(self, max_cycles: int = 5_000_000) -> SimulationResult:
         """Run until every loaded array halts (or the cycle cap hits).
 
-        The cap guards against deadlocked hand-written programs; hitting
-        it returns ``finished=False`` rather than raising, so tests can
-        assert on it.
+        Every array steps every cycle, loaded or not (an idle array's
+        profiler still samples its empty FIFO).  The cap guards against
+        deadlocked hand-written programs; hitting it returns
+        ``finished=False`` rather than raising, so tests can assert on
+        it.
         """
-        active = [array for array in self.arrays if array.control]
-        if not active:
+        arrays = self.arrays
+        loaded = [bool(array.control) for array in arrays]
+        if not any(loaded):
             raise ValueError("no array has a program loaded")
-        start = self.cycles
-        if len(self.arrays) == 1:
-            # Nothing to keep in lockstep: the array's own driver loop.
-            cycles, finished = active[0].run(max_cycles)
-            self.cycles += cycles
-        else:
-            # Every array steps every cycle, loaded or not (an idle
-            # array's profiler still samples its empty FIFO).
-            while self.cycles - start < max_cycles:
-                self.step()
-                if all(array.done for array in active):
-                    break
-            finished = all(array.done for array in active)
+        cycles = loop.run(arrays, max_cycles, loaded)
+        self.cycles += cycles
+        active = [array for array, on in zip(arrays, loaded) if on]
         stats = PEStats()
         for array in active:
             stats = stats.merge(array.merged_pe_stats())
@@ -160,9 +155,9 @@ class DPAxMachine:
             self._tile_profile.report() if self._tile_profile is not None else None
         )
         return SimulationResult(
-            cycles=self.cycles - start,
+            cycles=cycles,
             pe_stats=stats,
-            finished=finished,
+            finished=all(array.done for array in active),
             profile=profile,
         )
 

@@ -17,13 +17,14 @@ decoupled-access-execute overlap the paper borrows from [65].
 
 How a cycle executes.  :meth:`PE.load` is the decode step
 (:mod:`repro.dpax.decode`): every control instruction becomes a
-handler and every bundle one straight-line function, so
-:meth:`PE.step` only calls them -- the decoded bundle at
-``compute_pc`` if the compute thread is busy, then the decoded control
-op at ``pc``.  Resolved at load: opcodes, ``Loc`` spaces and literal
-indices, which accesses the fence guards, stall reasons, register
-bounds of bundles, and from :class:`PEConfig` the datapath width, the
-SIMD lane split, the RF size and *whether* a match table is bound.
+handler and every bundle one straight-line function, so a cycle of
+the loop (:mod:`repro.dpax.loop`) only calls them -- the decoded
+bundle at ``compute_pc`` if the compute thread is busy, then the
+decoded control op at ``pc``.  Resolved at load: opcodes, ``Loc``
+spaces and literal indices, which accesses the fence guards, stall
+reasons, register bounds of bundles, and from :class:`PEConfig` the
+datapath width, the SIMD lane split, the RF size and *whether* a match
+table is bound.
 Read at run time, because the array, ``DPAxMachine.concatenate`` and
 the mappings rewire them after construction: ``out_target``,
 ``fifo_read``/``fifo_write``, queue capacities, the match table
@@ -35,6 +36,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Callable, List, Optional
 
+from repro.dpax import loop
 from repro.dpax.decode import (
     ControlHandler,
     DecodedBundle,
@@ -185,7 +187,7 @@ class PE:
 
         self.control: List[ControlInstruction] = []
         self.compute: List[VLIWInstruction] = []
-        #: The decoded streams ``step`` runs: one handler per control
+        #: The decoded streams a cycle runs: one handler per control
         #: PC (plus the end-of-program halt), one entry per bundle.
         self._ops: List[ControlHandler] = decode_program([], "pe")
         self._bundles: List[DecodedBundle] = []
@@ -196,8 +198,8 @@ class PE:
         self.halted = False
         self.stats = PEStats()
         #: Optional :class:`repro.obs.profile.PEProfile`; attached by
-        #: ``PEArray.enable_profiling()``.  When None (the default)
-        #: the simulator pays one attribute check per cycle.
+        #: ``PEArray.enable_profiling()``, with the array's own.  When
+        #: None (the default) the loop is compiled without hooks.
         self.profiler = None
 
     # ------------------------------------------------------------------
@@ -246,29 +248,6 @@ class PE:
     # cycle execution
 
     def step(self) -> None:
-        """Advance one cycle: compute thread first, then control."""
-        if not self.started:
-            return
-        stats = self.stats
-        stats.cycles += 1
-        if self.compute_remaining > 0:
-            run, ways, alu_ops = self._bundles[self.compute_pc]
-            run(self.rf, self.config.match_table)
-            stats.alu_ops += alu_ops
-            self.compute_pc += 1
-            self.compute_remaining -= 1
-            stats.compute_bundles += 1
-            if self.profiler is not None:
-                self.profiler.bundle(stats.cycles, ways, alu_ops)
-        else:
-            stats.compute_idle += 1
-            if self.profiler is not None:
-                self.profiler.idle(stats.cycles)
-        if not self.halted:
-            self._ops[self.pc](self)
-
-    def _stall(self, reason: str) -> None:
-        """A decoded control op could not complete this cycle."""
-        self.stats.control_stalls += 1
-        if self.profiler is not None:
-            self.profiler.stall(reason)
+        """Advance one cycle, compute thread first, then control: one
+        cycle of :mod:`repro.dpax.loop`'s loop over this PE alone."""
+        loop.run((self,), 1, (False,))

@@ -14,17 +14,18 @@ From the array thread's viewpoint, ``out`` pushes into the first PE and
 
 The array thread runs on the same decoder as the PE thread
 (:func:`repro.dpax.decode.decode_program` with the ``"array"`` address
-map): :meth:`PEArray.load_array_control` decodes, and a cycle
-(:meth:`PEArray.step`) calls the handler at ``pc``, then steps every
-PE in chain order -- every started PE, every cycle -- then samples the
-FIFO depth for the profiler.  :meth:`PEArray.run` is the one driver
-loop the mappings and ``DPAxMachine.run`` share.
+map): :meth:`PEArray.load_array_control` decodes, and a cycle of the
+loop (:mod:`repro.dpax.loop`) runs the handler at ``pc``, then every
+started PE in chain order, then samples the FIFO depth for the
+profiler.  :meth:`PEArray.step` is one cycle of that loop and
+:meth:`PEArray.run` runs it to completion.
 """
 
 from __future__ import annotations
 
 from typing import List, Optional, Tuple
 
+from repro.dpax import loop
 from repro.dpax.decode import ControlHandler, decode_program
 from repro.dpax.pe import PE, PEConfig, PEStats
 from repro.dpax.storage import DataBuffer, Fifo, PortQueue
@@ -93,12 +94,7 @@ class PEArray:
 
     def step(self) -> None:
         """One cycle: array control first, then each PE in chain order."""
-        if not self.halted:
-            self._ops[self.pc](self)
-        for pe in self.pes:
-            pe.step()
-        if self.profiler is not None:
-            self.profiler.sample(len(self.fifo))
+        loop.run((self,), 1, (False,))
 
     def run(self, max_cycles: int) -> Tuple[int, bool]:
         """Step until :attr:`done` or *max_cycles*: ``(cycles, finished)``.
@@ -106,12 +102,7 @@ class PEArray:
         The cap guards against deadlocked programs; hitting it is
         reported, not raised, so callers can assert on it.
         """
-        cycles = 0
-        while cycles < max_cycles:
-            self.step()
-            cycles += 1
-            if self.done:
-                break
+        cycles = loop.run((self,), max_cycles, (True,))
         return cycles, self.done
 
     def enable_profiling(self, timeline: bool = True, max_timeline: int = 200_000):
@@ -139,9 +130,3 @@ class PEArray:
         for pe in self.pes:
             stats = stats.merge(pe.stats)
         return stats
-
-    def _stall(self, reason: str) -> None:
-        """A decoded array control op could not complete this cycle."""
-        self.control_stalls += 1
-        if self.profiler is not None:
-            self.profiler.control_stall(reason)

@@ -4,6 +4,13 @@ Each component counts its accesses: the paper's energy/area arguments
 (Table 7's RF-dominated PE area, Section 7.2's POA memory-boundedness)
 are all stated in terms of who gets touched how often, and the
 benchmarks report those counters.
+
+The methods below are the host-side interface and the definition of
+each access.  Decoded control handlers and bundles
+(:mod:`repro.dpax.decode`) do the same accesses in their own generated
+code -- ``_words``, ``_queue`` and the counters directly, with the same
+bounds checks and ``StorageError`` messages -- so a simulated cycle
+calls no storage method.
 """
 
 from __future__ import annotations
@@ -23,7 +30,7 @@ class RegisterFile:
     The words are a preallocated list: decoded VLIW bundles
     (:mod:`repro.dpax.decode`) index it directly, with register bounds
     checked once at decode time and the bundle's static access counts
-    added in one step; everything else goes through ``read``/``write``.
+    added in one step.
     """
 
     def __init__(self, size: int = 64):
@@ -88,7 +95,10 @@ class PortQueue:
     """A bounded FIFO port between neighboring PEs (or PE and array).
 
     ``push``/``pop`` return False/None when full/empty so the caller
-    can stall its thread instead of losing data.
+    can stall its thread instead of losing data.  A ``mv`` between two
+    ports pops its source before it learns that the destination is
+    full; the decoded handler then puts the word back at the head (the
+    popping thread is the queue's only consumer) and stalls.
     """
 
     def __init__(self, capacity: int = 8):
@@ -99,9 +109,6 @@ class PortQueue:
         self.pushes = 0
         self.pops = 0
 
-    def can_push(self) -> bool:
-        return len(self._queue) < self.capacity
-
     def push(self, value: int) -> bool:
         if len(self._queue) >= self.capacity:
             return False
@@ -109,25 +116,11 @@ class PortQueue:
         self.pushes += 1
         return True
 
-    def can_pop(self) -> bool:
-        return bool(self._queue)
-
     def pop(self) -> Optional[int]:
         if not self._queue:
             return None
         self.pops += 1
         return self._queue.popleft()
-
-    def unpop(self, value: int) -> None:
-        """Undo a ``pop`` whose word could not be delivered.
-
-        A ``mv`` between two ports pops its source before it learns
-        that the destination is full; the word goes back to the head
-        (the popping thread is the queue's only consumer) and the move
-        replays next cycle.
-        """
-        self._queue.appendleft(value)
-        self.pops -= 1
 
     def __len__(self) -> int:
         return len(self._queue)

@@ -13,8 +13,8 @@ paper's observability tables need:
 
 Attachment is explicit and opt-in (``PEArray.enable_profiling()`` /
 ``DPAxMachine.enable_profiling()``): with no profiler attached the
-simulator pays one ``is not None`` check per cycle; the cost of an
-attached one is published, on vs off, in
+simulator's cycle loop is compiled without hooks (:mod:`repro.dpax.loop`);
+the cost of an attached one is published, on vs off, in
 ``results/simulator_throughput.txt``.
 
 The :class:`ProfileReport` rollup feeds

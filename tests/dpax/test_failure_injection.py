@@ -6,7 +6,7 @@ these tests pin down the error behavior of every guard rail.
 
 import pytest
 
-from repro.dpax.pe import PE, PEConfig
+from repro.dpax.pe import PE, PEConfig, PEStats
 from repro.dpax.pe_array import PEArray
 from repro.dpax.storage import StorageError
 from repro.isa.compute import CUInstruction, Imm, Reg, SlotOp, VLIWInstruction
@@ -15,8 +15,11 @@ from repro.isa.control import (
     ControlOp,
     IN_PORT,
     OUT_PORT,
+    addi,
+    areg,
     branch,
     halt,
+    ibuf,
     li,
     mv,
     reg,
@@ -126,6 +129,84 @@ class TestComputeFailures:
         pe = PE(0)
         with pytest.raises(ValueError):
             pe.load([halt()], [VLIWInstruction()])
+
+
+class TestFaultInsideTheLoop:
+    """A ``StorageError`` raised mid-run leaves the simulator where running
+    every handler every cycle left it: the figures below come from the
+    simulator before the generated loop, and the oracle of
+    ``tests/dpax/test_loop.py`` agrees."""
+
+    @staticmethod
+    def faulting_array():
+        bump = VLIWInstruction(
+            cu0=CUInstruction(
+                kind="tree", dest=Reg(0), right=SlotOp(Opcode.ADD, (Reg(0), Imm(1)))
+            )
+        )
+        array = PEArray(pe_count=2)
+        array.pes[0].in_queue.capacity = 2
+        array.pes[1].in_queue.capacity = 1
+        array.ibuf.preload(list(range(100, 130)))
+        # PE0 bumps each word on its compute unit and forwards it.
+        array.load_pe(
+            0,
+            [mv(reg(0), IN_PORT), set_unit(0, 1), mv(OUT_PORT, reg(0)),
+             branch(ControlOp.BEQ, 0, 0, -3)],
+            [bump],
+        )
+        # PE1 stores each word at s[a3], a3 counting up from 2040: the
+        # ninth store leaves the 2048-word SPM.
+        array.load_pe(
+            1,
+            [li(areg(3), 2040), mv(spm(3, indirect=True), IN_PORT), addi(3, 3, 1),
+             branch(ControlOp.BEQ, 0, 0, -2)],
+            [],
+        )
+        array.load_array_control(
+            [set_unit(0, 1), set_unit(1, 1), mv(OUT_PORT, ibuf(0, indirect=True)),
+             addi(0, 0, 1), branch(ControlOp.BEQ, 1, 1, -2)]
+        )
+        return array
+
+    @staticmethod
+    def observed(array):
+        return {
+            "array": (array.pc, array.control_executed, array.control_stalls, array.ibuf.reads),
+            "pes": [
+                (pe.pc, pe.compute_pc, pe.compute_remaining, pe.stats,
+                 (pe.rf.reads, pe.rf.writes), (pe.spm.reads, pe.spm.writes))
+                for pe in array.pes
+            ],
+            "queues": [
+                (queue.pushes, queue.pops, list(queue._queue))
+                for queue in [pe.in_queue for pe in array.pes] + [array.tail_queue]
+            ],
+        }
+
+    def test_state_at_the_fault_is_the_one_every_handler_reaches(self):
+        array = self.faulting_array()
+        with pytest.raises(StorageError, match="SPM write out of range: 2048"):
+            array.run(1000)
+        assert self.observed(array) == {
+            # Three stalled pushes each re-read ibuf: 11 words + 3.
+            "array": (4, 34, 3, 14),
+            "pes": [
+                (3, 1, 0, PEStats(37, 35, 9, 9, 2, 28), (18, 18), (0, 0)),
+                (1, 0, 0, PEStats(36, 25, 0, 0, 10, 36), (0, 0), (0, 8)),
+            ],
+            "queues": [(11, 9, [109, 110]), (9, 9, []), (0, 0, [])],
+        }
+
+    def test_the_oracle_stops_at_the_same_state(self):
+        from tests.dpax.test_loop import oracle_run
+
+        fast, slow = self.faulting_array(), self.faulting_array()
+        with pytest.raises(StorageError):
+            fast.run(1000)
+        with pytest.raises(StorageError):
+            oracle_run([slow], 1000, [True])
+        assert self.observed(fast) == self.observed(slow)
 
 
 class TestDeadlockDetection:
