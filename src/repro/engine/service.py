@@ -31,13 +31,14 @@ from __future__ import annotations
 import random
 import time
 from dataclasses import dataclass, field, replace
-from typing import Any, Dict, List, Optional, Tuple
+from typing import Any, Callable, Dict, List, Optional, Tuple
 
 from repro.dpax.machine import INTEGER_ARRAYS
 from repro.engine.batcher import Batch, Batcher
 from repro.engine.breaker import BREAKER_CODES, CircuitBreaker
 from repro.engine.cache import (
     CU_LEVELS,
+    CacheKey,
     CompiledProgram,
     ProgramCache,
     compile_program,
@@ -223,7 +224,9 @@ class Engine:
             )
         self._validation_rng = random.Random(self.config.reliability_seed)
         self._compile_attempts: Dict[str, int] = {}
-        self._pipelines: Dict[str, Optional[object]] = {}
+        #: kernel -> (cache key, pass pipeline): a kernel's DFG and
+        #: pipeline never change within an engine, so neither does its key.
+        self._keys: Dict[str, Tuple[CacheKey, Optional[object]]] = {}
         self._last_drain_fault: Optional[str] = None
         self._warm_start()
 
@@ -243,16 +246,8 @@ class Engine:
         preload = getattr(self.executor, "preload", None)
         for kernel in transport.warm_kernels:
             try:
-                dfg = build_dfg(kernel)
-                pipeline = self._pipeline_for(kernel)
-                key = self.cache.key_for(
-                    kernel,
-                    CU_LEVELS,
-                    dfg,
-                    pipeline.signature() if pipeline is not None else "",
-                )
                 compiled, _ = self.cache.get_or_compile(
-                    key, lambda: self._compile(kernel, dfg, pipeline)
+                    *self._program_key(kernel)
                 )
                 if preload is not None:
                     preload(compiled)
@@ -596,39 +591,52 @@ class Engine:
     # ------------------------------------------------------------------
     # drain helpers
 
-    def _pipeline_for(self, kernel: str) -> Optional[object]:
-        """The kernel's pass pipeline when optimization is on.
+    def _program_key(
+        self, kernel: str
+    ) -> Tuple[CacheKey, Callable[[], CompiledProgram]]:
+        """*kernel*'s cache key and the compile to run on a miss.
 
-        Pipelines carry per-kernel consumed-output contracts, so they
-        are built once per kernel and memoized.  ``repro.opt`` is
-        imported lazily: an engine with ``optimize_programs=False``
-        never touches the optimizer.
+        The first call in an engine builds the kernel's DFG (and, when
+        optimization is on, its pass pipeline -- ``repro.opt`` is
+        imported lazily, so an engine without it never touches the
+        optimizer) to derive the key, and a miss compiles from that
+        DFG.  Later calls reuse the key; a miss then -- the program was
+        evicted -- compiles from a freshly built DFG.
         """
-        if not self.config.optimize_programs:
-            return None
-        if kernel not in self._pipelines:
-            from repro.opt import contract_for, default_pipeline
+        resolved = self._keys.get(kernel)
+        dfg = None
+        if resolved is None:
+            dfg = build_dfg(kernel)
+            pipeline = None
+            if self.config.optimize_programs:
+                from repro.opt import contract_for, default_pipeline
 
-            self._pipelines[kernel] = default_pipeline(contract_for(kernel))
-        return self._pipelines[kernel]
+                pipeline = default_pipeline(contract_for(kernel))
+            key = self.cache.key_for(
+                kernel,
+                CU_LEVELS,
+                dfg,
+                pipeline.signature() if pipeline is not None else "",
+            )
+            resolved = self._keys[kernel] = (key, pipeline)
+        key, pipeline = resolved
+
+        def compile_fn() -> CompiledProgram:
+            nonlocal dfg
+            if dfg is None:
+                dfg = build_dfg(kernel)
+            return self._compile(kernel, dfg, pipeline)
+
+        return key, compile_fn
 
     def _resolve_program(
         self, batch: Batch
     ) -> Tuple[CompiledProgram, Dict[int, bool]]:
-        dfg = build_dfg(batch.kernel)
-        pipeline = self._pipeline_for(batch.kernel)
-        key = self.cache.key_for(
-            batch.kernel,
-            CU_LEVELS,
-            dfg,
-            pipeline.signature() if pipeline is not None else "",
-        )
+        key, compile_fn = self._program_key(batch.kernel)
         compiled: Optional[CompiledProgram] = None
         hits: Dict[int, bool] = {}
         for job in batch.jobs:
-            compiled, hit = self.cache.get_or_compile(
-                key, lambda: self._compile(batch.kernel, dfg, pipeline)
-            )
+            compiled, hit = self.cache.get_or_compile(key, compile_fn)
             hits[job.job_id] = hit
             if not hit:
                 self.metrics.observe("compile_s", compiled.compile_seconds)

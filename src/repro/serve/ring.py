@@ -81,9 +81,13 @@ def _attach(name: str) -> shared_memory.SharedMemory:
 class RingGeometry:
     """Shape of one transport instance's shared segments."""
 
-    slots: int = 64
+    #: Job/result ring capacity in slots (shared by both rings).
+    slots: int = 32
+    #: Byte capacity of one job payload slot.
     slot_bytes: int = 1 << 16
+    #: Byte capacity of one result slot.
     result_slot_bytes: int = 1 << 16
+    #: Program-table limits (programs are broadcast once, not per job).
     max_programs: int = 64
     program_bytes: int = 1 << 22
 

@@ -26,9 +26,16 @@ a fault-injection marker -- gets ``{"ok": false, "error": "bad job:
 and no ledger submission.
 
 Dispatch: admitted jobs land on an asyncio queue; a single dispatcher
-task batches them up (:data:`FLUSH_INTERVAL_S` / ``max_batch``), submits
-to the engine and runs the **synchronous** drain in the default
-executor so the event loop keeps accepting while DP tables sweep.  The
+task takes everything already queued, then keeps the batch open while
+requests keep arriving -- it closes after :data:`GATHER_GAP_S` without
+an arrival, at ``max_batch``, or :data:`FLUSH_INTERVAL_S` after its
+first job, whichever comes first.  So batch size follows load: a lone
+request is sent within a millisecond, a closed loop of clients refills
+the batch while the previous drain's answers go out.  The dispatcher
+submits to the engine and runs the **synchronous** drain in the default
+executor so the event loop keeps accepting while DP tables sweep; a
+drain that raises answers its batch with error envelopes and the
+dispatcher carries on.  The
 engine under the server is typically configured with the
 shared-memory transport (:mod:`repro.serve.transport`), making the
 whole path: socket -> admission -> ring -> warm worker -> ring ->
@@ -72,8 +79,10 @@ _LOG = get_logger("repro.serve.server")
 #: Tenant used when a request names none.
 DEFAULT_TENANT = "default"
 
-#: How long the dispatcher waits to fill a batch before flushing.
+#: Longest a batch stays open after its first job arrives.
 FLUSH_INTERVAL_S = 0.01
+#: A batch closes once no request has arrived for this long.
+GATHER_GAP_S = 0.001
 #: Seconds a drain waits for in-flight work before closing anyway.
 DRAIN_TIMEOUT_S = 10.0
 
@@ -691,25 +700,43 @@ class GendpServer:
     # dispatch
 
     async def _dispatcher(self) -> None:
-        """Single consumer: pack pending jobs, drain, resolve futures."""
+        """Single consumer: gather a batch, drain, resolve futures."""
         loop = asyncio.get_running_loop()
         while True:
-            item = await self._queue.get()
-            batch = [item]
-            deadline = loop.time() + FLUSH_INTERVAL_S
-            while len(batch) < self.config.max_batch:
-                timeout = deadline - loop.time()
-                if timeout <= 0:
-                    break
-                try:
-                    batch.append(
-                        await asyncio.wait_for(self._queue.get(), timeout)
-                    )
-                except asyncio.TimeoutError:
-                    break
-            await self._dispatch(loop, batch)
+            batch = [await self._queue.get()]
+            opened = loop.time()
+            closed = await self._gather(loop, batch, opened + FLUSH_INTERVAL_S)
+            gather_ms = (loop.time() - opened) * 1e3
+            await self._dispatch(loop, batch, closed, gather_ms)
 
-    async def _dispatch(self, loop, batch: List[Tuple]) -> None:
+    async def _gather(self, loop, batch: List[Tuple], deadline: float) -> str:
+        """Grow *batch* until arrivals pause; returns why it closed.
+
+        Whatever is already queued joins at once; after that the batch
+        waits at most :data:`GATHER_GAP_S` for each next arrival and
+        closes at ``max_batch`` (``full``), after a quiet gap (``gap``)
+        or :data:`FLUSH_INTERVAL_S` after its first job (``deadline``).
+        Every wait is on the queue itself, so an idle server sleeps.
+        """
+        queue, limit = self._queue, self.config.max_batch
+        while True:
+            while len(batch) < limit and not queue.empty():
+                batch.append(queue.get_nowait())
+            if len(batch) >= limit:
+                return "full"
+            left = deadline - loop.time()
+            if left <= 0:
+                return "deadline"
+            try:
+                batch.append(
+                    await asyncio.wait_for(queue.get(), min(GATHER_GAP_S, left))
+                )
+            except asyncio.TimeoutError:
+                return "gap" if left > GATHER_GAP_S else "deadline"
+
+    async def _dispatch(
+        self, loop, batch: List[Tuple], closed: str, gather_ms: float
+    ) -> None:
         self.engine.metrics.incr("serve_dispatches")
         trace_id = self.tracer.trace_id if self.tracer is not None else None
         start = self.tracer.now() if self.tracer is not None else 0.0
@@ -735,12 +762,24 @@ class GendpServer:
                 drain = getattr(
                     self.engine, "drain_until_settled", self.engine.drain
                 )
-                results = await loop.run_in_executor(None, drain)
+                lost = "lost in drain"
+                try:
+                    results = await loop.run_in_executor(None, drain)
+                except Exception as error:
+                    # The engine's own drain is crash-safe; anything
+                    # else behind the server may not be.  Answer this
+                    # batch with error envelopes and keep dispatching.
+                    lost = f"drain-fault: {type(error).__name__}: {error}"
+                    _LOG.error(
+                        "dispatch drain fault",
+                        extra={"error": lost, "jobs": len(accepted)},
+                    )
+                    results = []
                 by_id = {result.job_id: result for result in results}
                 for job, tenant, future in accepted:
                     result = by_id.get(job.job_id)
                     if result is None:
-                        result = _ErrorResult(job, "lost in drain")
+                        result = _ErrorResult(job, lost)
                     self.ledger.record_result(tenant, job, result)
                     self._resolve(future, result)
         if self.tracer is not None:
@@ -751,6 +790,8 @@ class GendpServer:
                 cat="serve",
                 jobs=len(batch),
                 tenants=",".join(tenants),
+                closed=closed,
+                gather_ms=round(gather_ms, 3),
             )
 
     def _resolve(self, future: asyncio.Future, result) -> None:

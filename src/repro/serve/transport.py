@@ -70,6 +70,10 @@ _LOG = get_logger("repro.serve.transport")
 #: Transport backends the engine seam accepts.
 BACKENDS = ("inline", "shm")
 
+#: Shape of every transport's shared segments, read when an executor
+#: starts (tests shrink the ring by replacing it).
+RING_GEOMETRY = RingGeometry()
+
 
 @dataclass(frozen=True)
 class TransportConfig:
@@ -78,15 +82,6 @@ class TransportConfig:
     backend: str = "shm"
     #: Worker processes for the shm backend (>= 1).
     workers: int = 2
-    #: Job/result ring capacity in slots (shared by both rings).
-    ring_slots: int = 32
-    #: Byte capacity of one job payload slot.
-    slot_bytes: int = 1 << 16
-    #: Byte capacity of one result slot.
-    result_slot_bytes: int = 1 << 16
-    #: Program-table limits (programs are broadcast once, not per job).
-    max_programs: int = 64
-    program_table_bytes: int = 1 << 22
     #: Kernels whose programs the engine compiles and broadcasts at
     #: startup so the first request hits warm workers.
     warm_kernels: Tuple[str, ...] = ()
@@ -103,14 +98,16 @@ class TransportConfig:
         if self.poll_interval_s <= 0:
             raise ValueError("poll_interval_s must be positive")
 
-    def geometry(self) -> RingGeometry:
-        return RingGeometry(
-            slots=self.ring_slots,
-            slot_bytes=self.slot_bytes,
-            result_slot_bytes=self.result_slot_bytes,
-            max_programs=self.max_programs,
-            program_bytes=self.program_table_bytes,
-        )
+    # The ring's slot sizes, for code that sizes buffers like a slot's.
+    @property
+    def slot_bytes(self) -> int:
+        """Byte capacity of one job payload slot."""
+        return RING_GEOMETRY.slot_bytes
+
+    @property
+    def result_slot_bytes(self) -> int:
+        """Byte capacity of one result slot."""
+        return RING_GEOMETRY.result_slot_bytes
 
 
 @dataclass
@@ -174,7 +171,7 @@ class ShmExecutor:
         self._unaccounted_program_bytes = 0
         try:
             self._ctx = mp.get_context("fork")
-            self._segments = ServeSegments.create(config.geometry())
+            self._segments = ServeSegments.create(RING_GEOMETRY)
             self._job_sem = self._ctx.Semaphore(0)
             self._job_lock = self._ctx.Lock()
             self._result_sem = self._ctx.Semaphore(0)
@@ -202,7 +199,7 @@ class ShmExecutor:
             target=worker_main,
             args=(
                 worker_id,
-                self.config.geometry(),
+                self._segments.geometry,
                 self._segments.names,
                 self._job_sem,
                 self._job_lock,

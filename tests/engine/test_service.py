@@ -452,3 +452,70 @@ class TestSentinels:
             engine.submit(_lcs_job())
             watched = engine.drain()[0].value
         assert plain == watched
+
+
+class TestProgramKeyMemo:
+    """Each kernel's cache key is derived once per engine: a drain
+    builds no DFG unless it has to compile."""
+
+    @pytest.fixture
+    def builds(self, monkeypatch):
+        from repro.engine import service
+
+        built = []
+
+        def counting(kernel):
+            dfg = original(kernel)
+            built.append((kernel, dfg))
+            return dfg
+
+        original = service.build_dfg
+        monkeypatch.setattr(service, "build_dfg", counting)
+        return built
+
+    @staticmethod
+    def _drain(engine, kernel, jobs):
+        payload = {"lcs": {"x": "ACGT", "y": "AGT"}, "dtw": {"a": [1, 2], "b": [2]}}
+        for _ in range(jobs):
+            engine.submit(make_job(kernel, dict(payload[kernel])))
+        assert all(result.ok for result in engine.drain())
+
+    def test_warm_engine_builds_each_kernel_once(self, builds):
+        with Engine(EngineConfig(optimize_programs=True)) as engine:
+            for _ in range(3):
+                self._drain(engine, "lcs", 2)
+                self._drain(engine, "dtw", 1)
+            cache = engine.snapshot()["cache"]
+        assert [kernel for kernel, _ in builds] == ["lcs", "dtw"]
+        # One miss per kernel, every other job a hit.
+        assert (cache["misses"], cache["hits"]) == (2, 7)
+
+    def test_a_second_engine_builds_again(self, builds):
+        for _ in range(2):
+            with Engine() as engine:
+                self._drain(engine, "lcs", 1)
+                self._drain(engine, "lcs", 1)
+        assert [kernel for kernel, _ in builds] == ["lcs", "lcs"]
+        assert builds[0][1] is not builds[1][1]
+
+    def test_recompile_after_eviction_builds_a_fresh_dfg(self, builds, monkeypatch):
+        from repro.engine import service
+
+        compiled_from = []
+        compile_program = service.compile_program
+
+        def recording(kernel, levels, dfg, *rest):
+            compiled_from.append(dfg)
+            return compile_program(kernel, levels, dfg, *rest)
+
+        monkeypatch.setattr(service, "compile_program", recording)
+        with Engine(EngineConfig(cache_capacity=1)) as engine:
+            self._drain(engine, "lcs", 2)
+            self._drain(engine, "dtw", 1)  # evicts lcs
+            self._drain(engine, "lcs", 2)
+            cache = engine.snapshot()["cache"]
+        assert [kernel for kernel, _ in builds] == ["lcs", "dtw", "lcs"]
+        # Each compile ran on the DFG built for it, never on a reused one.
+        assert [id(dfg) for dfg in compiled_from] == [id(dfg) for _, dfg in builds]
+        assert builds[0][1] is not builds[2][1]
+        assert (cache["misses"], cache["hits"], cache["evictions"]) == (3, 2, 2)

@@ -20,7 +20,8 @@ import pytest
 from repro.engine import Engine, EngineConfig, make_job
 from repro.engine.jobs import ENGINE_KERNELS
 from repro.faults import FaultPlan
-from repro.serve import TransportConfig
+from repro.serve import TransportConfig, transport as transport_module
+from repro.serve.ring import RingGeometry
 from repro.serve.transport import ShmExecutor
 from repro.workloads.anchors import generate_chain_workload
 
@@ -117,12 +118,17 @@ def test_shm_program_broadcast_amortizes_across_drains():
     assert second < first / 2, (first, second)
 
 
-def test_full_ring_applies_backpressure_not_loss():
+def _ring_slots(monkeypatch, slots):
+    monkeypatch.setattr(
+        transport_module, "RING_GEOMETRY", RingGeometry(slots=slots)
+    )
+
+
+def test_full_ring_applies_backpressure_not_loss(monkeypatch):
     """More jobs in one drain than the ring has slots: every job still
     completes, because publishing simply waits for free slots."""
-    transport = TransportConfig(
-        backend="shm", workers=1, ring_slots=4, poll_interval_s=0.01
-    )
+    _ring_slots(monkeypatch, 4)
+    transport = TransportConfig(backend="shm", workers=1, poll_interval_s=0.01)
     jobs = {"bsw": _payloads("bsw", 20)}
     results, snapshot = _drain(transport, jobs)
     assert len(results) == 20
@@ -130,12 +136,11 @@ def test_full_ring_applies_backpressure_not_loss():
     assert snapshot["counters"].get("degraded_batches", 0) == 0
 
 
-def test_slot_wraparound_across_consecutive_drains():
+def test_slot_wraparound_across_consecutive_drains(monkeypatch):
     """Slots are reused across drains with bumped generations; results
     stay correct and the program broadcast is not repaid."""
-    transport = TransportConfig(
-        backend="shm", workers=1, ring_slots=4, poll_interval_s=0.01
-    )
+    _ring_slots(monkeypatch, 4)
+    transport = TransportConfig(backend="shm", workers=1, poll_interval_s=0.01)
     with Engine(EngineConfig(max_queue=64, transport=transport)) as engine:
         reference = {}
         for drain_round in range(3):
@@ -158,7 +163,7 @@ def test_slot_wraparound_across_consecutive_drains():
     assert snapshot["cache"]["compiles"] == 1  # one program, reused
 
 
-def test_reclaim_after_worker_crash_via_fault_plan():
+def test_reclaim_after_worker_crash_via_fault_plan(monkeypatch):
     """A crash-marked job kills its worker mid-ring; the transport
     requeues the slot, respawns the worker, and the job survives
     (degrading to inline where the marker is inert): the resubmission
@@ -168,9 +173,8 @@ def test_reclaim_after_worker_crash_via_fault_plan():
     crash_payload, kind = plan.decorate(0, dict(base))
     assert kind == "crash" and crash_payload.get("_inject_exit")
 
-    transport = TransportConfig(
-        backend="shm", workers=2, ring_slots=8, poll_interval_s=0.01
-    )
+    _ring_slots(monkeypatch, 8)
+    transport = TransportConfig(backend="shm", workers=2, poll_interval_s=0.01)
     with Engine(
         EngineConfig(max_queue=64, transport=transport, max_retries=1)
     ) as engine:

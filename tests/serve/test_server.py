@@ -9,6 +9,7 @@ async test plugin needed.
 
 import asyncio
 import json
+import time
 
 import pytest
 
@@ -16,6 +17,7 @@ from repro.engine import Engine, EngineConfig
 from repro.engine.metrics import COUNTERS
 from repro.obs.trace import TraceRecorder, validate_chrome_trace
 from repro.serve import ServeClient, TransportConfig
+from repro.serve import server as server_module
 from repro.serve.server import (
     DEFAULT_TENANT,
     GendpServer,
@@ -383,3 +385,169 @@ def test_invalid_submit_consumes_no_quota_token(tmp_path):
         assert stats["tenants"]["tight"]["tenant_jobs_submitted"] == 1
 
     run(scenario())
+
+
+# ----------------------------------------------------------------------
+# batch formation: a batch closes when arrivals pause, at max_batch, or
+# FLUSH_INTERVAL_S after its first job.  Timings are stretched through
+# the module constants so a slow host cannot flip an outcome.
+
+
+def _dispatch_spans(tracer):
+    return [span for span in tracer.spans() if span.name == "serve:dispatch"]
+
+
+def _pace(monkeypatch, gap_s, cap_s):
+    monkeypatch.setattr(server_module, "GATHER_GAP_S", gap_s)
+    monkeypatch.setattr(server_module, "FLUSH_INTERVAL_S", cap_s)
+
+
+def test_a_burst_within_the_gap_is_one_dispatch(tmp_path, monkeypatch):
+    _pace(monkeypatch, gap_s=0.2, cap_s=5.0)
+    tracer = TraceRecorder()
+
+    async def scenario():
+        async with serving(tmp_path, tracer=tracer) as (server, sock):
+            async with await ServeClient.connect(unix_socket=sock) as client:
+                responses = await asyncio.gather(
+                    *(client.submit("lcs", LCS) for _ in range(8))
+                )
+                assert all(r["ok"] for r in responses), responses
+                return server.engine.metrics.counter("serve_dispatches")
+
+    assert run(scenario()) == 1
+    (span,) = _dispatch_spans(tracer)
+    assert span.args["jobs"] == 8 and span.args["closed"] == "gap"
+    assert span.args["gather_ms"] >= 200.0
+
+
+def test_spaced_requests_do_not_wait_for_the_cap(tmp_path, monkeypatch):
+    _pace(monkeypatch, gap_s=0.001, cap_s=5.0)
+    tracer = TraceRecorder()
+
+    async def scenario():
+        async with serving(tmp_path, tracer=tracer) as (server, sock):
+            async with await ServeClient.connect(unix_socket=sock) as client:
+                waits = []
+                for _ in range(3):
+                    started = time.perf_counter()
+                    assert (await client.submit("lcs", LCS))["ok"]
+                    waits.append(time.perf_counter() - started)
+                    await asyncio.sleep(0.02)
+                return waits, server.engine.metrics.counter("serve_dispatches")
+
+    waits, dispatches = run(scenario())
+    assert dispatches == 3
+    assert max(waits) < 1.0, waits  # the 5 s cap never held one back
+    assert [span.args["closed"] for span in _dispatch_spans(tracer)] == ["gap"] * 3
+
+
+def test_a_steady_stream_closes_at_max_batch(tmp_path, monkeypatch):
+    _pace(monkeypatch, gap_s=0.2, cap_s=5.0)
+    tracer = TraceRecorder()
+
+    async def scenario():
+        config = ServeConfig(max_batch=4)
+        async with serving(tmp_path, serve_config=config, tracer=tracer) as (
+            server,
+            sock,
+        ):
+            async with await ServeClient.connect(unix_socket=sock) as client:
+                responses = await asyncio.gather(
+                    *(client.submit("lcs", LCS) for _ in range(10))
+                )
+                assert all(r["ok"] for r in responses), responses
+
+    run(scenario())
+    spans = _dispatch_spans(tracer)
+    assert [span.args["jobs"] for span in spans] == [4, 4, 2]
+    assert [span.args["closed"] for span in spans] == ["full", "full", "gap"]
+
+
+def test_a_steady_stream_closes_at_the_cap(tmp_path, monkeypatch):
+    _pace(monkeypatch, gap_s=0.2, cap_s=0.1)
+    tracer = TraceRecorder()
+
+    async def scenario():
+        async with serving(tmp_path, tracer=tracer) as (server, sock):
+            async with await ServeClient.connect(unix_socket=sock) as client:
+                # One arrival every 10 ms never leaves a 200 ms gap.
+                requests = []
+                for _ in range(30):
+                    requests.append(
+                        asyncio.create_task(client.submit("lcs", LCS))
+                    )
+                    await asyncio.sleep(0.01)
+                responses = await asyncio.gather(*requests)
+                assert all(r["ok"] for r in responses), responses
+
+    run(scenario())
+    first = _dispatch_spans(tracer)[0]
+    assert first.args["closed"] == "deadline"
+    assert 100.0 <= first.args["gather_ms"] < 200.0
+    assert first.args["jobs"] < 30
+
+
+def test_priority_order_within_a_batch(tmp_path, monkeypatch):
+    _pace(monkeypatch, gap_s=0.2, cap_s=5.0)
+    packed = []
+
+    async def scenario():
+        async with serving(tmp_path) as (server, sock):
+            pack = server.engine.batcher.pack
+
+            def recording(jobs):
+                batches = pack(jobs)
+                packed.append(
+                    [(job.priority, job.job_id) for b in batches for job in b.jobs]
+                )
+                return batches
+
+            server.engine.batcher.pack = recording
+            async with await ServeClient.connect(unix_socket=sock) as client:
+                responses = await asyncio.gather(
+                    *(
+                        client.submit("lcs", LCS, priority=priority)
+                        for priority in ("low", "high", "normal", "high", "low")
+                    )
+                )
+                assert all(r["ok"] for r in responses), responses
+
+    run(scenario())
+    (order,) = packed  # one dispatch, one drain
+    priorities = [priority for priority, _ in order]
+    assert priorities == sorted(priorities, reverse=True)
+    # Arrival order breaks ties, as in a direct engine drain.
+    for level in set(priorities):
+        ids = [job_id for priority, job_id in order if priority == level]
+        assert ids == sorted(ids)
+
+
+def test_a_drain_that_raises_answers_its_batch_and_dispatch_goes_on(tmp_path):
+    async def scenario():
+        async with serving(tmp_path) as (server, sock):
+            engine = server.engine
+            drain = engine.drain
+            faults = []
+
+            def failing_once():
+                if not faults:
+                    faults.append(engine.withdraw())
+                    raise RuntimeError("drain exploded")
+                return drain()
+
+            engine.drain = failing_once
+            async with await ServeClient.connect(unix_socket=sock) as client:
+                first = await client.submit("lcs", LCS, tenant="alpha")
+                second = await client.submit("lcs", LCS, tenant="alpha")
+                stats = await client.stats()
+            assert not server._dispatcher_task.done()
+            return first, second, stats
+
+    first, second, stats = run(scenario())
+    assert first["ok"] is False
+    assert first["error"] == "drain-fault: RuntimeError: drain exploded"
+    assert second["ok"], second
+    usage = stats["tenants"]["alpha"]
+    assert usage["tenant_jobs_completed"] == 1
+    assert usage["tenant_jobs_failed"] == 1

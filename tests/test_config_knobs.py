@@ -31,17 +31,8 @@ CONFIGS = (
     ClusterConfig,
 )
 
-#: Fields no caller sets yet, on purpose.  The ring geometry belongs to
-#: the serve-path rework (ROADMAP item 3): ``bench/layers.py`` reads
-#: ``TransportConfig().slot_bytes``, and the ring's own default slot
-#: count differs from the transport's, so they are reconciled there.
-ALLOWED_UNSET = {
-    "TransportConfig.ring_slots",
-    "TransportConfig.slot_bytes",
-    "TransportConfig.result_slot_bytes",
-    "TransportConfig.max_programs",
-    "TransportConfig.program_table_bytes",
-}
+#: Fields no caller sets yet, on purpose.
+ALLOWED_UNSET: set = set()
 
 
 def _called_name(call: ast.Call):
