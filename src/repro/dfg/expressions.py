@@ -4,10 +4,11 @@
 at a time), :mod:`repro.static` holds the abstract one (intervals), and
 this module is the third and last: expression templates from which
 straight-line Python is generated.  Two compilers build on it --
-:mod:`repro.engine.specialize` (a whole cell program as one function of
-named registers) and :mod:`repro.dpax.decode` (one VLIW bundle as one
-function of the PE's register-file words) -- so it lives beside
-``_apply``, below both, and imports neither.
+:mod:`repro.engine.specialize` (a whole cell program over named
+registers, as one function or inlined in the engine's sweep) and
+:mod:`repro.dpax.decode` (one VLIW bundle as one function of the PE's
+register-file words) -- so it lives beside ``_apply``, below both, and
+imports neither.
 
 Ways and slots are duck-typed (``repro.isa.compute`` imports this
 package, not the other way round); how an operand turns into source
@@ -20,8 +21,12 @@ value a caller can wrap and pack), and it calls no builtin per ALU
 operation.  In DPAx a ``MAX`` is one ALU of the reduction tree; as
 ``max(a, b)`` it is a global lookup, a vectorcall and a generic
 argument walk (~90 ns) that cost more than the rest of a cell, so
-``MAX``/``MIN`` are conditional expressions.  The calls that remain
-(the match table and the two PairHMM look-ups) are tables, not ALUs.
+``MAX``/``MIN`` are conditional expressions, and ``LOG_SUM_LUT`` is an
+index into ``_LOG_SUM_TABLE`` under the same branches
+:func:`repro.kernels.pairhmm.log_sum_lookup` takes.  The calls that
+remain are the match table (where it is a per-run argument: the
+engine's fused sweeps index :data:`MATCH_LOOKUP` instead) and
+``LOG2_LUT``'s ``_log2``.
 Tie/NaN rule: ``max(a, b)`` is exactly ``b if b > a else a`` and
 ``min(a, b)`` is ``b if b < a else a`` -- the first operand wins ties
 and any comparison a NaN makes false, so ``-0.0`` against ``0.0`` and
@@ -34,18 +39,26 @@ left before right, as the call evaluated its arguments.
 from __future__ import annotations
 
 import math
-from typing import Any, Callable, Dict, List, Optional, Sequence
+from typing import Any, Callable, Dict, List, Optional, Sequence, Union
 
 from repro.dfg.graph import OPCODE_ARITY, Opcode
+from repro.kernels.pairhmm import _LOG_SUM_TABLE, _LOG_SUM_TABLE_SPAN
 
 #: The name generated code calls the MATCH_SCORE table by: a global of
 #: :func:`expression_namespace` or a parameter shadowing it.  The only
 #: template whose result type its operands do not determine.
 MATCH_TABLE = "_match"
 
+#: MATCH_SCORE as an index into a nested tuple of the table's scores,
+#: ``_MATCH[a][b]``: exact wherever both operands are codes the tuple
+#: covers (the engine's fused sweeps bind it, see
+#: :func:`repro.engine.sweep.fuse_sweep`).
+MATCH_LOOKUP = "_MATCH[{0}][{1}]"
+
 #: Opcode -> expression template.  A numbered hole (``{0}``, ``{1}``...)
 #: is where that operand is evaluated; ``{a}`` / ``{b}`` read operand
-#: 0 / 1 *again* after its numbered hole ran (see :func:`op_expression`).
+#: 0 / 1 *again* after its numbered hole ran, and ``{t}`` is a fresh
+#: local the template binds itself (see :func:`op_expression`).
 #: Semantics mirror :func:`repro.dfg.graph._apply` exactly; any new
 #: opcode must be added here *and* covered by the differential tests.
 _EXPRESSIONS: Dict[Opcode, str] = {
@@ -61,7 +74,12 @@ _EXPRESSIONS: Dict[Opcode, str] = {
     Opcode.COPY: "{0}",
     Opcode.MATCH_SCORE: MATCH_TABLE + "({0}, {1})",
     Opcode.LOG2_LUT: "(0 if {0} <= 0 else int(_log2({a}) * 2.0))",
-    Opcode.LOG_SUM_LUT: "_log_sum({0}, {1})",
+    # log2(2^a + 2^b): the larger operand plus the table's correction
+    # for their distance, none from the span on.
+    Opcode.LOG_SUM_LUT: (
+        "(({a} + _LOG_SUM_TABLE[{t}] if {t} < %d else {a}) if ({t} := {0} - {1}) >= 0"
+        " else ({b} + _LOG_SUM_TABLE[-{t}] if {t} > -%d else {b}))"
+    ) % (_LOG_SUM_TABLE_SPAN, _LOG_SUM_TABLE_SPAN),
     Opcode.CMP_GT: "({2} if {0} > {1} else {3})",
     Opcode.CMP_EQ: "({2} if {0} == {1} else {3})",
     Opcode.NOP: "0",
@@ -74,9 +92,11 @@ _DEFAULT_MATCH = "(1 if {0} == {1} else -1)"
 
 def expression_namespace(match_table: Optional[Callable] = None) -> Dict[str, Any]:
     """The globals generated code evaluates the templates in."""
-    from repro.kernels.pairhmm import log_sum_lookup
-
-    return {MATCH_TABLE: match_table, "_log2": math.log2, "_log_sum": log_sum_lookup}
+    return {
+        MATCH_TABLE: match_table,
+        "_log2": math.log2,
+        "_LOG_SUM_TABLE": _LOG_SUM_TABLE,
+    }
 
 
 def _repeatable(text: str) -> bool:
@@ -87,7 +107,7 @@ def _repeatable(text: str) -> bool:
 def op_expression(
     opcode: Opcode,
     operands: Sequence[str],
-    has_match_table: bool,
+    has_match_table: Union[bool, str],
     temporaries: List[str],
 ) -> str:
     """Source of one operation applied to already-rendered operands.
@@ -95,13 +115,18 @@ def op_expression(
     Every operand is evaluated once, in order.  Where the template
     reads one again, a name or literal is simply repeated and anything
     else is bound where it is evaluated, by an assignment expression,
-    to a fresh local ``_t<n>``.  *temporaries* is the list of those
-    names so far in the function being generated (start it empty,
-    pass the same list for every operation): it keeps them unique in
-    the function and the text the same on every generation.
+    to a fresh local ``_t<n>``; a ``{t}`` hole gets one too.
+    *temporaries* is the list of those names so far in the function
+    being generated (start it empty, pass the same list for every
+    operation): it keeps them unique in the function and the text the
+    same on every generation.
+
+    *has_match_table* picks MATCH_SCORE's form: false, the +1/-1
+    fallback; true, a call of :data:`MATCH_TABLE`; a template string
+    (:data:`MATCH_LOOKUP`), that template.
     """
-    if opcode is Opcode.MATCH_SCORE and not has_match_table:
-        template = _DEFAULT_MATCH
+    if opcode is Opcode.MATCH_SCORE and has_match_table is not True:
+        template = has_match_table or _DEFAULT_MATCH
     else:
         template = _EXPRESSIONS.get(opcode)
     if template is None:
@@ -115,13 +140,16 @@ def op_expression(
             text = f"_t{len(temporaries)}"
             temporaries.append(text)
         again[hole] = text
+    if "{t}" in template:
+        again["t"] = f"_t{len(temporaries)}"
+        temporaries.append(again["t"])
     return template.format(*evaluated, **again)
 
 
 def way_expression(
     way,
     operand: Callable[[Any], str],
-    has_match_table: bool,
+    has_match_table: Union[bool, str],
     temporaries: List[str],
     finish: Callable[[str], str] = str,
 ) -> str:

@@ -212,12 +212,19 @@ def pairhmm_wavefront_spec(
     )
 
 
+def pairhmm_row0(haplotype_length: int) -> Dict[str, int]:
+    """The row-0 values that depend on the haplotype length: D's
+    uniform init."""
+    return {"d": to_fixed(1.0 / haplotype_length)}
+
+
 def pairhmm_boundary_for_length(
     spec: Wavefront2DSpec, haplotype_length: int
 ) -> Wavefront2DSpec:
     """Patch the uniform row-0 D value for a concrete haplotype length."""
-    init = to_fixed(1.0 / haplotype_length)
-    return replace(spec, boundary_row={**spec.boundary_row, "d": init})
+    return replace(
+        spec, boundary_row={**spec.boundary_row, **pairhmm_row0(haplotype_length)}
+    )
 
 
 def lcs_wavefront_spec() -> Wavefront2DSpec:
@@ -254,11 +261,12 @@ def dtw_wavefront_spec() -> Wavefront2DSpec:
     )
 
 
-#: kernel -> (default spec builder, per-task boundary patch or None):
-#: the one place a kernel name resolves to its recurrence.
+#: kernel -> (default spec builder, static length -> the row-0 values
+#: that depend on it, or None): the one place a kernel name resolves to
+#: its recurrence.
 WAVEFRONT_SPECS: Dict[str, Tuple[Callable[[], Wavefront2DSpec], Optional[Callable]]] = {
     "bsw": (bsw_wavefront_spec, None),
-    "pairhmm": (pairhmm_wavefront_spec, pairhmm_boundary_for_length),
+    "pairhmm": (pairhmm_wavefront_spec, pairhmm_row0),
     "lcs": (lcs_wavefront_spec, None),
     "dtw": (dtw_wavefront_spec, None),
 }
@@ -279,6 +287,15 @@ def default_spec(kernel: str) -> Wavefront2DSpec:
 def wavefront_spec(kernel: str, static_length: int) -> Wavefront2DSpec:
     """A fresh default spec of *kernel* for tasks whose static sequence
     (target, haplotype) has *static_length* elements."""
-    build, patch = WAVEFRONT_SPECS[kernel]
-    spec = build()
-    return patch(spec, static_length) if patch is not None else spec
+    build, _ = WAVEFRONT_SPECS[kernel]
+    return replace(build(), boundary_row=dict(boundary_row(kernel, static_length)))
+
+
+@functools.lru_cache(maxsize=256)
+def boundary_row(kernel: str, static_length: int) -> Dict[str, int]:
+    """Row 0 of *kernel*'s default spec for a static sequence of
+    *static_length* elements, without building a spec.  Shared between
+    callers: treat it as immutable."""
+    _, row0 = WAVEFRONT_SPECS[kernel]
+    row = default_spec(kernel).boundary_row
+    return row if row0 is None else {**row, **row0(static_length)}

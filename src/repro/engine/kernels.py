@@ -10,8 +10,8 @@ arms.  The recurrence itself is not here: a 2-D row's cell wiring,
 boundaries, DFG and match table are its
 :class:`~repro.dfg.stencils.Wavefront2DSpec` (``WAVEFRONT_SPECS[name]``),
 from which :mod:`repro.engine.sweep` generates the loop nest; the one
-1-D windowed kernel (Chain) keeps a hand-written sweep in
-:mod:`repro.engine.runners`.
+1-D windowed kernel (Chain) gets its loop nest from the same generator,
+from positional roles.
 
 This module imports nothing from the engine, so :mod:`.jobs`
 (validation), :mod:`.runners` (execution), :mod:`repro.slo.accounting`

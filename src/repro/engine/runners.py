@@ -1,10 +1,10 @@
 """Per-kernel functional execution of compiled cell programs.
 
-A job's DP table is swept cell by cell through one cell function.  The
-four 2-D kernels run the loop nest :mod:`repro.engine.sweep` generates
-from their :class:`~repro.dfg.stencils.Wavefront2DSpec` -- the
-declaration the cycle-level simulator executes too; Chain, the one 1-D
-windowed kernel, keeps a hand-written sweep here.  Everything else the
+A job's DP table is swept by the loop nest :mod:`repro.engine.sweep`
+generates for its kernel: the four 2-D kernels' from their
+:class:`~repro.dfg.stencils.Wavefront2DSpec` -- the declaration the
+cycle-level simulator executes too -- and Chain's, the one 1-D
+windowed kernel, from its positional roles.  Everything else the
 engine knows about a kernel by name is its row of
 :data:`repro.engine.kernels.KERNELS`; the functions below are lookups
 into that table.  This is the functional model of the compute thread
@@ -13,19 +13,21 @@ PairHMM's fixed-point log domain, like the hardware), but orders of
 magnitude faster than the cycle-level simulator, which is what a
 throughput-oriented serving layer needs.
 
-There is one cell-execution path.  :func:`run_job` streams cells
-through the program's specialized function
-(:mod:`repro.engine.specialize`: the DPMap-emitted VLIW bundles
-compiled once into straight-line Python, memoized per process), on
-every backend -- inline, shm workers and the shm degraded floor.  The
-interpreter (:func:`_cell_executor`, the same
+There is one cell-execution path.  :func:`run_job` runs the program's
+fused sweep (the DPMap-emitted VLIW bundles compiled once into
+straight-line Python, :mod:`repro.engine.specialize`, and inlined in
+the loop nest, memoized per process) on every backend -- inline, shm
+workers and the shm degraded floor.  The interpreter
+(:func:`_cell_executor`, the same
 :func:`repro.dpmap.codegen.execute_way` semantics the PE simulator
-uses) is the oracle that path is differentially tested against; it
-runs a job only when the payload arms sentinels (it alone carries the
-per-ALU observe hook), when specialization failed, or when a caller
-passes it explicitly.  Both implement one calling convention: inputs
-positional in ``input_regs`` order, outputs a tuple in ``output_regs``
-order; the sweeps bind both by name, whatever that order is.
+uses) is the oracle that path is differentially tested against; the
+loop nest calls it once per cell, and runs a job that way only when
+the payload arms sentinels (it alone carries the per-ALU observe
+hook), when specialization failed, or when a caller passes it
+explicitly.  The interpreter and the specialized cell share one
+calling convention: inputs positional in ``input_regs`` order, outputs
+a tuple in ``output_regs`` order; the sweeps bind both by name,
+whatever that order is.
 
 Sweeps are module-level functions on plain payload dicts, so a job
 the SoA slot layout cannot carry still pickles into a worker.
@@ -50,7 +52,7 @@ from typing import Any, Callable, Dict, Optional, Tuple
 
 from repro.dfg.graph import DataFlowGraph
 from repro.dfg.kernels import chain_dfg
-from repro.dfg.stencils import WAVEFRONT_SPECS, default_spec
+from repro.dfg.stencils import WAVEFRONT_SPECS, boundary_row, default_spec
 from repro.dpmap.codegen import execute_way
 from repro.engine.cache import CompiledProgram
 from repro.engine.jobs import JobValidationError
@@ -60,7 +62,7 @@ from repro.engine.kernels import (  # noqa: F401  (re-exported constant)
     EngineKernel,
 )
 from repro.engine.specialize import CELLS, CellFunction, MatchTable
-from repro.engine.sweep import wavefront_sweep
+from repro.engine.sweep import CHAIN_OUTPUTS, SWEEPS, Sweep, wavefront_sweep
 from repro.guard.sentinels import make_sentinel
 from repro.kernels.chain import DEFAULT_AVG_SEED_WEIGHT
 from repro.obs.trace import monotonic_epoch_clock, worker_span
@@ -68,11 +70,6 @@ from repro.obs.trace import monotonic_epoch_clock, worker_span
 #: Worker-side span clock: wall-anchored monotonic, one anchor per
 #: worker process, matching the recorder's default timeline.
 _SPAN_CLOCK = monotonic_epoch_clock()
-
-#: The positional signature :func:`_sweep_chain` calls its cell with
-#: (the input order ``chain_dfg`` declares) and the outputs it reads.
-_CHAIN_INPUTS = ("x_i", "x_j", "y_i", "y_j", "w", "f_j", "f_i", "j_idx", "parent")
-_CHAIN_OUTPUTS = ("f", "parent")
 
 
 def _row(kernel: str) -> EngineKernel:
@@ -89,12 +86,12 @@ def _row(kernel: str) -> EngineKernel:
 #: :class:`repro.opt.passes.PruneOutputsPass` uses this map to drop
 #: those outputs and eliminate their compute cones.  A 2-D kernel's
 #: entry is what its spec's ``recv``/``own``/``accumulators`` name;
-#: Chain's is what :func:`_sweep_chain` reads.
+#: Chain's is what its sweep reads.
 CONSUMED_OUTPUTS: Dict[str, frozenset] = {
     name: frozenset(
         default_spec(name).consumed_outputs()
         if row.dimensions == 2
-        else _CHAIN_OUTPUTS
+        else CHAIN_OUTPUTS
     )
     for name, row in KERNELS.items()
 }
@@ -152,31 +149,20 @@ def _cell_executor(
 
 
 # ----------------------------------------------------------------------
-# kernel sweeps
+# kernel sweeps: what each row's loop is handed
 
 
-def _sweep_wavefront(
-    kernel: str, compiled: CompiledProgram, payload: Dict[str, Any], cell: CellFunction
-) -> Dict[str, Any]:
-    """Sweep a 2-D table as the kernel's spec declares it."""
+def _wavefront_operands(kernel: str, payload: Dict[str, Any]) -> Tuple[Any, ...]:
+    """A 2-D table's stream, static sequence and row 0."""
     row = KERNELS[kernel]
     stream_key, static_key = row.keys
     static = row.codec.encode(payload[static_key])
-    spec = default_spec(kernel)
-    _, patch = WAVEFRONT_SPECS[kernel]
-    if patch is not None:
-        spec = patch(spec, len(static))
-    sweep = wavefront_sweep(
-        kernel, tuple(compiled.input_regs), tuple(compiled.output_regs)
-    )
     stream = row.codec.encode(payload[stream_key])
-    return sweep(cell, stream, static, spec.boundary_row)
+    return stream, static, boundary_row(kernel, len(static))
 
 
-def _sweep_chain(
-    kernel: str, compiled: CompiledProgram, payload: Dict[str, Any], cell: CellFunction
-) -> Dict[str, Any]:
-    """Reordered fixed-point chaining (anchor j pushes to anchor i).
+def _chain_operands(kernel: str, payload: Dict[str, Any]) -> Tuple[Any, ...]:
+    """Chain's anchors and window.
 
     The compiled DFG folds the average seed weight (19) into its gap
     constant, exactly like :func:`repro.dfg.kernels.chain_dfg`; payload
@@ -184,8 +170,6 @@ def _sweep_chain(
     to :func:`repro.kernels.chain_fixed.chain_reordered_fixed` (the
     workload generators' default).
     """
-    from repro.kernels.chain_fixed import SCALE
-
     anchors = KERNELS[kernel].codec.encode(payload["anchors"])
     for anchor in anchors:
         if anchor.w != DEFAULT_AVG_SEED_WEIGHT:
@@ -194,30 +178,7 @@ def _sweep_chain(
                 f"{DEFAULT_AVG_SEED_WEIGHT} into its gap constant; anchor "
                 f"weight {anchor.w} would diverge from the reference"
             )
-    # Positional arguments in any other order would compute garbage
-    # silently.
-    inputs, outputs = tuple(compiled.input_regs), tuple(compiled.output_regs)
-    if inputs != _CHAIN_INPUTS or not set(_CHAIN_OUTPUTS) <= set(outputs):
-        raise JobValidationError(
-            f"chain program signature {inputs} -> {outputs} does not fit "
-            f"the chain sweep ({_CHAIN_INPUTS} -> {_CHAIN_OUTPUTS})"
-        )
-    f_slot, parent_slot = (outputs.index(name) for name in _CHAIN_OUTPUTS)
-    n = int(payload.get("n", DEFAULT_CHAIN_WINDOW))
-    count = len(anchors)
-    scores = [anchor.w * SCALE for anchor in anchors]
-    parents = [-1] * count
-    for j in range(count):
-        hi = min(count, j + 1 + n)
-        x_j, y_j = anchors[j].x, anchors[j].y
-        for i in range(j + 1, hi):
-            anchor = anchors[i]
-            out = cell(
-                anchor.x, x_j, anchor.y, y_j, anchor.w,
-                scores[j], scores[i], j, parents[i],
-            )
-            scores[i], parents[i] = out[f_slot], out[parent_slot]
-    return {"scores": scores, "parents": parents}
+    return anchors, int(payload.get("n", DEFAULT_CHAIN_WINDOW))
 
 
 def _in_worker() -> bool:
@@ -257,6 +218,11 @@ def specialized_cell(compiled: CompiledProgram) -> Optional[CellFunction]:
     return CELLS.get(compiled, match_table_for)
 
 
+def fused_sweep(compiled: CompiledProgram) -> Optional[Sweep]:
+    """*compiled*'s memoized fused sweep (``None``: it has none)."""
+    return SWEEPS.get(compiled, match_table_for)
+
+
 def run_job(
     kernel: str,
     compiled: CompiledProgram,
@@ -265,13 +231,17 @@ def run_job(
 ) -> Dict[str, Any]:
     """Execute one job with *compiled* and return its output dict.
 
-    *cell* is the cell function the sweep streams through; ``None``
-    (every executor's call) means the program's specialized cell from
-    the per-process memo.  The interpreter runs instead when the
+    *cell* is the cell function the job runs; ``None`` (every
+    executor's call) means the program's specialized cell from the
+    per-process memo.  A specialized cell is never called per cell:
+    the job runs its program's fused sweep, the cell inlined in the
+    loop.  The interpreter runs instead, called per cell, when the
     payload arms sentinels -- only it carries the per-ALU observe
     hook, so a passed *cell* is set aside too -- when specialization
     failed, or when the caller passes :func:`_cell_executor`'s closure
-    as the oracle.
+    as the oracle; any other cell a caller passes is called per cell
+    too.  The ``job:run`` span's ``path`` names what ran: ``fused``,
+    or the called cell's own ``path`` (``interpreted``).
     """
     row = _row(kernel)
     if _in_worker():
@@ -299,8 +269,19 @@ def run_job(
             match_table_for(kernel),
             sentinel.observe if sentinel is not None else None,
         )
-    sweep = _sweep_wavefront if row.dimensions == 2 else _sweep_chain
-    value = row.finish(sweep(kernel, compiled, payload, cell))
+    operands = (_wavefront_operands if row.dimensions == 2 else _chain_operands)(
+        kernel, payload
+    )
+    fused = (
+        fused_sweep(compiled) if getattr(cell, "path", None) == "specialized" else None
+    )
+    if fused is not None:
+        path, final = "fused", fused(*operands)
+    else:
+        inputs, outputs = tuple(compiled.input_regs), tuple(compiled.output_regs)
+        path = getattr(cell, "path", "called")
+        final = wavefront_sweep(kernel, inputs, outputs)(cell, *operands)
+    value = row.finish(final)
     value["cells"] = row.cells(payload)
     if payload.get("_inject_corrupt"):
         value = corrupt_value(value)
@@ -317,7 +298,7 @@ def run_job(
                 job_id=trace.get("job_id") if isinstance(trace, dict) else None,
                 tenant=trace.get("tenant") if isinstance(trace, dict) else None,
                 in_pool=_in_worker(),
-                path=getattr(cell, "path", "specialized"),
+                path=path,
             )
         ]
     return value

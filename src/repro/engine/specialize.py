@@ -2,41 +2,45 @@
 
 DPMap emits one VLIW cell program per objective function and every PE
 runs that same program.  The software analogue: the bundles are
-translated once into one straight-line Python function (register-file
-slots become local variables, each CU way becomes one expression from
-the opcode templates of :mod:`repro.dfg.expressions`, which mirror
-:func:`repro.dfg.graph._apply` exactly), compiled with
-``compile``/``exec``, and every executor -- inline, shm workers, the
-shm degraded floor, the guard fuzzer -- streams cells through that
-function.  Per cell this removes the bundle/way/slot
+translated once into straight-line Python (:func:`cell_lines`:
+register-file slots become local variables, each CU way becomes one
+expression from the opcode templates of :mod:`repro.dfg.expressions`,
+which mirror :func:`repro.dfg.graph._apply` exactly), compiled with
+``compile``/``exec``.  Per cell this removes the bundle/way/slot
 interpretation loop, the operand list building and the chained opcode
 dispatch of :func:`repro.dpmap.codegen.execute_way` at identical
-integer semantics.
+integer semantics.  Those lines take two shapes: inlined in the
+kernel's loop nest, the fused sweep every executor -- inline, shm
+workers, the shm degraded floor, the guard fuzzer -- runs
+(:mod:`repro.engine.sweep`), and wrapped as one cell function
+(:func:`specialize_cell`), which ``run_job`` turns into its program's
+fused sweep when handed one.
 
-Calling convention (shared with the interpreter closure
-:func:`repro.engine.runners._cell_executor`): inputs are positional in
-``input_regs`` order, outputs come back as a tuple in ``output_regs``
-order.
+Calling convention of the cell function (shared with the interpreter
+closure :func:`repro.engine.runners._cell_executor`): inputs are
+positional in ``input_regs`` order, outputs come back as a tuple in
+``output_regs`` order.
 
 The interpreter survives as the oracle the differential tests and the
 guard fuzzer compare against, and as the only carrier of the sentinel
 observe hook; :func:`repro.engine.runners.run_job` picks it when a
 payload arms sentinels or when specialization fails.
 
-:data:`CELLS` is the one per-process memo of specialized functions.
-It is keyed by content (``(kernel, program_hash)``), not hung off each
-:class:`~repro.engine.cache.CompiledProgram`: a fresh engine that
-recompiles a program, or a respawned worker that unpickles it again,
-must not pay ``compile()`` again.
+:data:`CELLS` is the one per-process memo of specialized functions
+(:data:`repro.engine.sweep.SWEEPS`, of fused sweeps, is the same
+memo).  It is keyed by content (``(kernel, program_hash)``), not hung
+off each :class:`~repro.engine.cache.CompiledProgram`: a fresh engine
+that recompiles a program, or a respawned worker that unpickles it
+again, must not pay ``compile()`` again.
 """
 
 from __future__ import annotations
 
-from typing import Callable, Dict, List, Optional, Set, Tuple
+from typing import Any, Callable, Dict, List, Optional, Sequence, Set, Tuple, Union
 
 from repro.dfg.expressions import expression_namespace, way_expression
 from repro.engine.cache import CompiledProgram
-from repro.isa.compute import Imm
+from repro.isa.compute import Imm, Reg
 from repro.obs.logs import get_logger
 
 _LOG = get_logger("repro.engine.specialize")
@@ -50,62 +54,118 @@ class SpecializationError(ValueError):
     """The program uses a construct the specializer cannot express."""
 
 
-def specialize_source(
-    compiled: CompiledProgram, has_match_table: bool
-) -> str:
-    """The straight-line Python source of one cell update.
+def _reads(way) -> Set[int]:
+    """The registers one CU way reads."""
+    slots = (way.mul,) if way.kind == "mul" else (way.left, way.right)
+    return {
+        item.index
+        for slot in slots
+        if slot is not None
+        for item in slot.operands
+        if isinstance(item, Reg)
+    }
 
-    Bundles commit register writes only after every way of the bundle
-    has read its operands, exactly like the interpreter: where a way
-    reads a register an earlier way of its bundle writes, every value
-    of that bundle lands in a temporary first and destinations are
-    assigned at the bundle boundary.
 
-    A register read before anything wrote it reads as 0 in the
-    interpreter (``rf.get(index, 0)``), so exactly those registers are
-    zero-initialised; programs that pass the verifier's
-    read-before-write check have none and pay for no prologue.
+def _cone(instructions, live: Set[int]) -> List[List[Any]]:
+    """Each bundle's ways that the registers in *live* depend on: a
+    backward pass, where the last way of a bundle writing a register
+    is the one whose value lands."""
+    live, kept = set(live), []
+    for bundle in reversed(instructions):
+        ways = []
+        for way in reversed(bundle.ways):
+            if way.dest.index in live:
+                live.discard(way.dest.index)
+                ways.append(way)
+        for way in ways:
+            live |= _reads(way)
+        kept.append(ways[::-1])
+    return kept[::-1]
+
+
+def cell_lines(
+    compiled: CompiledProgram,
+    has_match_table: Union[bool, str],
+    bound: Optional[Dict[int, str]] = None,
+    outputs: Optional[Sequence[str]] = None,
+) -> Tuple[List[str], Dict[str, str]]:
+    """The statements of one cell update, and the local holding each output.
+
+    Only the ways *outputs* (default: every output) depend on are
+    emitted.  Bundles commit register writes only after every way of
+    the bundle has read its operands, exactly like the interpreter:
+    where a way reads a register an earlier way of its bundle writes,
+    every value of that bundle lands in a temporary first and
+    destinations are assigned at the bundle boundary.
+
+    A read of an input register nothing has written yet renders as
+    *bound*'s text for it (default: ``r<index>``, the cell's
+    parameter).  Any other register read before anything wrote it
+    reads as 0 in the interpreter (``rf.get(index, 0)``), so exactly
+    those registers are zero-initialised; programs that pass the
+    verifier's read-before-write check have none and pay for no
+    prologue.  Every output is the local ``r<index>``.
     """
-    written: Set[int] = set(compiled.input_regs.values())
+    if bound is None:
+        bound = {index: f"r{index}" for index in compiled.input_regs.values()}
+    names = list(compiled.output_regs) if outputs is None else list(outputs)
+    targets = [compiled.output_regs[name] for name in names]
+    written: Set[int] = set()
     undefined: Set[int] = set()
     temporaries: List[str] = []
     lines: List[str] = []
-    for bundle in compiled.instructions:
+    for ways in _cone(compiled.instructions, set(targets)):
         dests: List[int] = []
         expressions: List[str] = []
         hazard = False
-        for way in bundle.ways:
+        for way in ways:
             reads: Set[int] = set()
 
             def operand(item) -> str:
                 if isinstance(item, Imm):
                     return repr(item.value)
                 reads.add(item.index)
+                if item.index in bound and item.index not in written:
+                    return bound[item.index]
                 return f"r{item.index}"
 
             expressions.append(
                 way_expression(way, operand, has_match_table, temporaries)
             )
-            undefined |= reads - written
+            undefined |= reads - written - bound.keys()
             hazard = hazard or not reads.isdisjoint(dests)
             dests.append(way.dest.index)
         if hazard:
-            lines += [f"    t{i} = {expr}" for i, expr in enumerate(expressions)]
+            lines += [f"t{i} = {expr}" for i, expr in enumerate(expressions)]
             expressions = [f"t{i}" for i in range(len(dests))]
-        lines += [f"    r{dest} = {expr}" for dest, expr in zip(dests, expressions)]
+        lines += [f"r{dest} = {expr}" for dest, expr in zip(dests, expressions)]
         written.update(dests)
-    missing = sorted(set(compiled.output_regs.values()) - written)
+    missing = sorted(
+        index for index in set(targets) - written if index not in bound
+    )
     if missing:
         raise SpecializationError(f"output registers never written: {missing}")
+    # An output that is an input nothing overwrote still lands in its
+    # own local: callers store every output from ``r<index>``.
+    lines += [
+        f"r{index} = {bound[index]}"
+        for index in dict.fromkeys(targets)
+        if index not in written and bound[index] != f"r{index}"
+    ]
+    prologue = [f"r{index} = 0" for index in sorted(undefined)]
+    return prologue + lines, {name: f"r{index}" for name, index in zip(names, targets)}
 
+
+def specialize_source(
+    compiled: CompiledProgram, has_match_table: bool
+) -> str:
+    """The straight-line Python source of one cell update
+    (:func:`cell_lines` as a function of the input registers)."""
+    lines, values = cell_lines(compiled, has_match_table)
     parameters = ", ".join(f"r{index}" for index in compiled.input_regs.values())
-    prologue = [f"    r{index} = 0" for index in sorted(undefined)]
-    returns = "".join(f"r{index}, " for index in compiled.output_regs.values())
-    return (
-        f"def _cell({parameters}):\n"
-        + "\n".join(prologue + lines)
-        + f"\n    return ({returns})\n"
-    )
+    returns = "".join(f"{value}, " for value in values.values())
+    body = "".join(f"    {line}\n" for line in lines)
+    return f"def _cell({parameters}):\n{body}    return ({returns})\n"
 
 
 def specialize_cell(
@@ -116,31 +176,43 @@ def specialize_cell(
 
     Drop-in for the closure :func:`repro.engine.runners._cell_executor`
     builds, minus the sentinel observe hook (callers must keep the
-    interpreted path when sentinels are armed).
+    interpreted path when sentinels are armed).  Handed one,
+    ``run_job`` runs its program's fused sweep
+    (:mod:`repro.engine.sweep`) instead of calling it per cell.
     """
     source = specialize_source(compiled, match_table is not None)
     namespace = expression_namespace(match_table)
     exec(compile(source, "<gendp-specialized>", "exec"), namespace)
-    return namespace["_cell"]
+    cell = namespace["_cell"]
+    cell.path = "specialized"  # what run_job fuses
+    return cell
 
 
 class CellMemo:
-    """Bounded memo of specialized cells, keyed by program content.
+    """Bounded memo of functions generated from a program, keyed by its
+    content: specialized cells here, fused sweeps
+    (:data:`repro.engine.sweep.SWEEPS`) with *build*.
 
     An entry remembers the program it was built from and a hit is
     honoured only when instructions and register maps really are equal,
     order included (an identity check per bundle for a cached program, a deep compare
     once per freshly unpickled one), so a ``CompiledProgram`` carrying
     a stale or forged ``program_hash`` can never be handed another
-    program's function.  A program whose specialization raised is
-    remembered as ``None`` -- callers interpret it -- and logged once.
-    Eviction is first-in first-out.
+    program's function.  A program whose build raised is remembered as
+    ``None`` -- its jobs call a cell per cell instead -- and logged
+    once.  Eviction is first-in first-out.
     """
 
-    def __init__(self, capacity: int = 64):
+    def __init__(
+        self,
+        capacity: int = 64,
+        build: Optional[Callable[[CompiledProgram, Optional[MatchTable]], Any]] = None,
+    ):
         if capacity <= 0:
             raise ValueError("memo capacity must be positive")
         self.capacity = capacity
+        #: ``build(compiled, match_table)``; None: :func:`specialize_cell`.
+        self._build = build
         self._entries: Dict[
             Tuple[str, str], Tuple[CompiledProgram, Optional[CellFunction]]
         ] = {}
@@ -181,13 +253,13 @@ class CellMemo:
         self._entries[key] = (compiled, cell)
         return cell
 
-    @staticmethod
-    def _specialize(compiled, match_table_for) -> Optional[CellFunction]:
+    def _specialize(self, compiled, match_table_for) -> Optional[CellFunction]:
+        build = self._build or specialize_cell
         try:
-            return specialize_cell(compiled, match_table_for(compiled.kernel))
+            return build(compiled, match_table_for(compiled.kernel))
         except Exception as error:  # malformed programs fail in many ways
             _LOG.warning(
-                "cell specialization failed; program runs interpreted",
+                "specialization failed; the program's jobs call their cell per cell",
                 extra={
                     "kernel": compiled.kernel,
                     "program_hash": compiled.program_hash,

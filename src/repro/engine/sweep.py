@@ -1,66 +1,100 @@
-"""Row-major table sweeps generated from a kernel's dependency stencil.
+"""Table sweeps generated from a kernel's dataflow roles.
 
 The simulator turns a :class:`~repro.dfg.stencils.Wavefront2DSpec`
 into systolic control programs; this is the same declaration lowered
-for the serving engine: one Python loop nest per (kernel, program
-signature), outer loop over the streamed sequence, inner loop over the
-static one, calling the cell it is handed once per table cell.  ``recv``
-inputs read the cell to the left, ``delayed`` ones the diagonal,
-``own`` ones the cell above; ``params`` are literals; row 0, column 0
-and the corner take the spec's boundary values (row 0 at run time: it
-may depend on the task, see ``pairhmm_boundary_for_length``).
+for the serving engine: one Python loop nest per (kernel, program),
+outer loop over the streamed sequence, inner loop over the static one.
+``recv`` inputs read the cell to the left, ``delayed`` ones the
+diagonal, ``own`` ones the cell above; ``params`` are literals; row 0,
+column 0 and the corner take the spec's boundary values (row 0 at run
+time: it may depend on the task, see
+:func:`~repro.dfg.stencils.boundary_row`).  The inner loop walks
+``zip(static, <row above>[1:], ...)``: the values above arrive with the
+column, the left and diagonal ones are carried in locals, and each new
+row is built by ``append``.  Chain, the one 1-D windowed kernel, has
+its own loop shape (each anchor pushes to the *n* after it) with the
+same parts; its roles are :data:`CHAIN_INPUTS`, bound positionally.
 
-Every cell argument is bound **by name**, in whatever order the
-program's ``input_regs`` lists its inputs, and every state update
-reads the output tuple at the index ``output_regs`` gives that name.
-A program whose signature the stencil cannot serve -- an input with no
-dataflow role, a consumed output it does not produce -- fails here,
-once, before any cell runs.
+A loop nest comes in two forms with one body slot:
 
-The cell is called, never inlined: the specialized function, the
-interpreter oracle and the sentinel-observing interpreter stay one
-calling convention (:mod:`repro.engine.specialize`).
+- **fused** (:func:`fuse_sweep`, what ``run_job`` runs): the slot holds
+  the program's cell itself, :func:`repro.engine.specialize.cell_lines`
+  with every input read as the local its role binds and only the cone
+  of the outputs the sweep consumes emitted.  No call per cell: the
+  opcode templates of :mod:`repro.dfg.expressions` index
+  ``_LOG_SUM_TABLE`` and ``_MATCH``, the match table tabulated over
+  the DNA codes (and only where both operands are those codes).
+  :data:`SWEEPS` memoizes them per process, by program content.
+- **call** (:func:`sweep_source`, :func:`wavefront_sweep`): the slot
+  calls the cell it is handed.  The interpreter oracle and the
+  sentinel-observing interpreter run this way, one calling convention
+  with the specialized cell (:mod:`repro.engine.specialize`).
+
+Every input is bound **by name**, in whatever order the program's
+``input_regs`` lists it.  A program whose signature the roles cannot
+serve -- an input with no dataflow role, a consumed output it does not
+produce -- fails here, once, before any cell runs.
 """
 
 from __future__ import annotations
 
 import functools
-from typing import Any, Callable, Dict, List, Sequence, Tuple
+import re
+from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
 
+from repro.dfg.expressions import MATCH_LOOKUP, expression_namespace
 from repro.dfg.graph import Opcode
-from repro.dfg.stencils import Wavefront2DSpec, default_spec
+from repro.dfg.stencils import WAVEFRONT_SPECS, Wavefront2DSpec, default_spec
+from repro.engine.cache import CompiledProgram
 from repro.engine.jobs import JobValidationError
+from repro.engine.specialize import CellMemo, MatchTable, SpecializationError, cell_lines
+from repro.seq.alphabet import DNA_ALPHABET
 
-#: ``sweep(cell, stream, static, row0)`` -> final state: the last row of
-#: every output the recurrence keeps a row of, and every accumulator.
+#: ``sweep([cell,] stream, static, row0)`` / ``sweep([cell,] anchors,
+#: n)`` -> final state: the last row of every output the recurrence
+#: keeps a row of and every accumulator; Chain's scores and parents.
 Sweep = Callable[..., Dict[str, Any]]
+
+#: ``render(bind, consumed)`` -> the body slot's lines and the local
+#: (or subscript) each consumed output is read from afterwards.
+Render = Callable[[Dict[str, str], Sequence[str]], Tuple[List[str], Dict[str, str]]]
 
 #: Accumulator fold op -> the comparison under which a value replaces it.
 _FOLDS = {Opcode.MAX: ">", Opcode.MIN: "<"}
 
+#: Chain's positional signature (the input order ``chain_dfg``
+#: declares), the outputs its sweep reads, and each input's local.
+CHAIN_INPUTS = ("x_i", "x_j", "y_i", "y_j", "w", "f_j", "f_i", "j_idx", "parent")
+CHAIN_OUTPUTS = ("f", "parent")
+_CHAIN_LOCALS = {name: name for name in CHAIN_INPUTS} | {"j_idx": "j"}
 
-def sweep_source(
-    spec: Wavefront2DSpec, inputs: Sequence[str], outputs: Sequence[str]
+
+def _wavefront_source(
+    spec: Wavefront2DSpec,
+    inputs: Sequence[str],
+    outputs: Sequence[str],
+    render: Render,
+    head: str,
 ) -> str:
-    """Source of *spec*'s sweep over a cell taking *inputs*, giving *outputs*."""
     recv_output = dict(spec.recv)
     consumed = spec.consumed_outputs()
-    # Outputs the next row reads (above, or diagonally) keep a row;
-    # ones only the next cell reads (BSW's F) keep a scalar.
+    # Outputs the next row reads (above, or diagonally) keep a row.
     next_row = set(spec.own.values()) | {
         recv_output[source] for source in spec.delayed.values()
     }
     rowed = [out for out in consumed if out in next_row]
-    scalars = [out for out in recv_output.values() if out not in rowed]
+    lefts = [out for name, out in spec.recv if name in inputs]
+    diagonals = [
+        recv_output[source] for name, source in spec.delayed.items() if name in inputs
+    ]
 
-    bind = {spec.stream_input: "s", spec.static_input: "static[j - 1]"}
+    bind = {spec.stream_input: "s", spec.static_input: "t"}
     bind.update((name, repr(value)) for name, value in spec.params.items())
-    for name, out in spec.recv:
-        bind[name] = f"{out}_curr[j - 1]" if out in rowed else f"{out}_left"
-    for name, source in spec.delayed.items():
-        bind[name] = f"{recv_output[source]}_prev[j - 1]"
-    for name, out in spec.own.items():
-        bind[name] = f"{out}_prev[j]"
+    bind.update((name, f"{out}_left") for name, out in spec.recv)
+    bind.update(
+        (name, f"{recv_output[source]}_diag") for name, source in spec.delayed.items()
+    )
+    bind.update((name, f"{out}_up") for name, out in spec.own.items())
     unbound = [name for name in inputs if name not in bind]
     missing = [out for out in consumed if out not in outputs]
     if unbound or missing:
@@ -69,28 +103,18 @@ def sweep_source(
             f"does not fit the {spec.name} sweep: inputs without a dataflow "
             f"role {unbound}, consumed outputs not produced {missing}"
         )
-
-    folded = {out for _, _, out in spec.accumulators}
-    stores: List[Tuple[str, int]] = []
-    for out in consumed:
-        targets = [f"{out}_new"] if out in folded else []
-        if out in rowed:
-            targets.append(f"{out}_curr[j]")
-        elif out in scalars:
-            targets.append(f"{out}_left")
-        stores.append((" = ".join(targets), outputs.index(out)))
-    call = f"cell({', '.join(bind[name] for name in inputs)})"
-    if len(stores) == 1:
-        cell_lines = [f"{stores[0][0]} = {call}[{stores[0][1]}]"]
-    else:
-        cell_lines = [f"out = {call}"]
-        cell_lines += [f"{targets} = out[{slot}]" for targets, slot in stores]
-    cell_lines += [
-        f"if {out}_new {_FOLDS[op]} acc_{acc}: acc_{acc} = {out}_new"
+    body, values = render(bind, consumed)
+    body += [f"{out}_curr.append({values[out]})" for out in rowed]
+    body += [
+        f"if {values[out]} {_FOLDS[op]} acc_{acc}: acc_{acc} = {values[out]}"
         for acc, op, out in spec.accumulators
     ]
+    body += [f"{out}_left = {values[out]}" for out in lefts]
+    body += [f"{out}_diag = {out}_up" for out in diagonals]
 
-    lines = ["def _sweep(cell, stream, static, row0):", "    cols = len(static) + 1"]
+    columns = ["t"] + [f"{out}_up" for out in rowed]
+    rows = ["static"] + [f"{out}_prev[1:]" for out in rowed]
+    lines = [f"def _sweep({head}stream, static, row0):"]
     lines += [
         f"    {out}_prev = [{spec.first_corner.get(out)!r}] + [row0[{out!r}]] * len(static)"
         for out in rowed
@@ -100,12 +124,14 @@ def sweep_source(
         for acc, _, _ in spec.accumulators
     ]
     lines.append("    for s in stream:")
-    lines += [
-        f"        {out}_curr = [{spec.first_column.get(out)!r}] * cols" for out in rowed
-    ]
-    lines += [f"        {out}_left = {spec.first_column[out]!r}" for out in scalars]
-    lines.append("        for j in range(1, cols):")
-    lines += ["            " + line for line in cell_lines]
+    lines += [f"        {out}_curr = [{spec.first_column.get(out)!r}]" for out in rowed]
+    lines += [f"        {out}_left = {spec.first_column.get(out)!r}" for out in lefts]
+    lines += [f"        {out}_diag = {out}_prev[0]" for out in diagonals]
+    lines.append(
+        f"        for {', '.join(columns)}{',' * (len(columns) == 1)} "
+        f"in zip({', '.join(rows)}):"
+    )
+    lines += ["            " + line for line in body]
     lines += [f"        {out}_prev = {out}_curr" for out in rowed]
     final = [f"{out!r}: {out}_prev" for out in rowed]
     final += [f"{acc!r}: acc_{acc}" for acc, _, _ in spec.accumulators]
@@ -113,12 +139,118 @@ def sweep_source(
     return "\n".join(lines) + "\n"
 
 
+def _chain_source(
+    inputs: Sequence[str], outputs: Sequence[str], render: Render, head: str
+) -> str:
+    """Reordered fixed-point chaining: anchor j pushes to the *n*
+    anchors after it (the score of j is final when its turn comes)."""
+    from repro.kernels.chain_fixed import SCALE
+
+    # Positional arguments in any other order would compute garbage
+    # silently.
+    if tuple(inputs) != CHAIN_INPUTS or not set(CHAIN_OUTPUTS) <= set(outputs):
+        raise JobValidationError(
+            f"chain program signature {tuple(inputs)} -> {tuple(outputs)} does "
+            f"not fit the chain sweep ({CHAIN_INPUTS} -> {CHAIN_OUTPUTS})"
+        )
+    body, values = render(_CHAIN_LOCALS, CHAIN_OUTPUTS)
+    body += [f"scores[i] = {values['f']}", f"parents[i] = {values['parent']}"]
+    lines = [
+        f"def _sweep({head}anchors, n):",
+        "    points = [(anchor.x, anchor.y, anchor.w) for anchor in anchors]",
+        f"    scores = [w * {SCALE!r} for _, _, w in points]",
+        "    parents = [-1] * len(points)",
+        "    for j, (x_j, y_j, _) in enumerate(points):",
+        "        f_j = scores[j]",
+        "        hi = j + 1 + n",
+        "        for i, (x_i, y_i, w), f_i, parent in zip(",
+        "            range(j + 1, hi),",
+        "            points[j + 1 : hi],",
+        "            scores[j + 1 : hi],",
+        "            parents[j + 1 : hi],",
+        "        ):",
+    ]
+    lines += ["            " + line for line in body]
+    lines.append("    return {'scores': scores, 'parents': parents}")
+    return "\n".join(lines) + "\n"
+
+
+def _source(
+    kernel: str, inputs: Sequence[str], outputs: Sequence[str], render: Render, head: str
+) -> str:
+    if kernel in WAVEFRONT_SPECS:
+        return _wavefront_source(default_spec(kernel), inputs, outputs, render, head)
+    return _chain_source(inputs, outputs, render, head)
+
+
+def _call(inputs: Sequence[str], outputs: Sequence[str]) -> Render:
+    """The call form's body: one call of ``cell``, bound by name."""
+
+    def render(bind, consumed):
+        arguments = ", ".join(bind[name] for name in inputs)
+        values = {out: f"out[{outputs.index(out)}]" for out in consumed}
+        return [f"out = cell({arguments})"], values
+
+    return render
+
+
+def sweep_source(
+    spec: Wavefront2DSpec, inputs: Sequence[str], outputs: Sequence[str]
+) -> str:
+    """Source of *spec*'s call-form sweep over a cell taking *inputs*,
+    giving *outputs*."""
+    return _wavefront_source(spec, inputs, outputs, _call(inputs, outputs), "cell, ")
+
+
 @functools.lru_cache(maxsize=64)
 def wavefront_sweep(
     kernel: str, inputs: Tuple[str, ...], outputs: Tuple[str, ...]
 ) -> Sweep:
-    """The compiled sweep of *kernel* for one program signature."""
+    """The compiled call-form sweep of *kernel* for one program signature."""
     namespace: Dict[str, Any] = {}
-    source = sweep_source(default_spec(kernel), inputs, outputs)
+    source = _source(kernel, inputs, outputs, _call(inputs, outputs), "cell, ")
     exec(compile(source, f"<gendp-sweep:{kernel}>", "exec"), namespace)
     return namespace["_sweep"]
+
+
+def fused_source(compiled: CompiledProgram, has_match_table: bool) -> str:
+    """Source of *compiled*'s fused sweep: its cell inlined in the loop."""
+    regs = compiled.input_regs
+    match = MATCH_LOOKUP if has_match_table else False
+
+    def render(bind, consumed):
+        bound = {regs[name]: bind[name] for name in regs}
+        return cell_lines(compiled, match, bound, consumed)
+
+    return _source(compiled.kernel, tuple(regs), tuple(compiled.output_regs), render, "")
+
+
+def fuse_sweep(
+    compiled: CompiledProgram, match_table: Optional[MatchTable] = None
+) -> Sweep:
+    """Compile *compiled*'s fused sweep.
+
+    ``_MATCH[a][b]`` is ``match_table(a, b)`` for every pair of DNA
+    codes, the only values the DNA codec gives a table's operands, so
+    a program whose MATCH_SCORE reads anything but the two sequence
+    elements is refused (:class:`SpecializationError`).
+    """
+    source = fused_source(compiled, match_table is not None)
+    namespace = expression_namespace()
+    if match_table is not None:
+        lookups = re.findall(r"_MATCH\[[st]\]\[[st]\]", source)
+        if source.count("_MATCH[") != len(lookups):
+            raise SpecializationError(
+                "MATCH_SCORE reads something besides the sequences"
+            )
+        codes = range(len(DNA_ALPHABET))
+        namespace["_MATCH"] = tuple(
+            tuple(match_table(a, b) for b in codes) for a in codes
+        )
+    exec(compile(source, f"<gendp-fused:{compiled.kernel}>", "exec"), namespace)
+    return namespace["_sweep"]
+
+
+#: The process's fused sweeps, one per program content: a fresh engine
+#: or a respawned worker never compiles one again.
+SWEEPS = CellMemo(build=fuse_sweep)

@@ -1,19 +1,33 @@
-"""The engine's 2-D sweeps are generated from the simulator's specs.
+"""The engine's sweeps are generated from the kernels' dataflow roles.
 
 What these tests pin: the values *derived* from each
 ``Wavefront2DSpec`` equal the literals that used to be written out by
 hand in ``engine/runners.py`` and ``static/contracts.py`` (the literals
 live here now), the generated loop nests agree with the reference
 kernels on degenerate and non-square tables through every cell kind,
-cell arguments are bound by name, and the kernel table has exactly the
-published rows.
+cell arguments are bound by name, the fused sweep every job runs is
+bit-equal to the interpreter called per cell and memoized by program
+content, and the kernel table has exactly the published rows.
 """
 
+import builtins
 import dataclasses
+import itertools
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
-from repro.dfg.stencils import WAVEFRONT_SPECS, default_spec, wavefront_spec
+from repro.dfg.expressions import expression_namespace, op_expression
+from repro.dfg.graph import Opcode
+from repro.dfg.stencils import (
+    WAVEFRONT_SPECS,
+    boundary_row,
+    default_spec,
+    pairhmm_boundary_for_length,
+    wavefront_spec,
+)
+from repro.engine import Engine, EngineConfig, make_job
 from repro.engine.cache import compile_program
 from repro.engine.jobs import ENGINE_KERNELS, KERNEL_DIMENSIONS, JobValidationError
 from repro.engine.kernels import KERNELS
@@ -21,11 +35,15 @@ from repro.engine.runners import (
     CONSUMED_OUTPUTS,
     _cell_executor,
     build_dfg,
+    fused_sweep,
     match_table_for,
     matches_reference,
     run_job,
 )
-from repro.engine.sweep import sweep_source, wavefront_sweep
+from repro.engine.specialize import SpecializationError
+from repro.engine.sweep import fuse_sweep, fused_source, sweep_source, wavefront_sweep
+from repro.isa.compute import CUInstruction, Reg, SlotOp, VLIWInstruction
+from repro.kernels.pairhmm import log_sum_lookup
 from repro.opt import contract_for, default_pipeline
 from repro.static.contracts import kernel_contract
 from repro.static.intervals import Interval
@@ -83,6 +101,18 @@ class TestDerivedFromTheSpec:
         assert wavefront_spec("pairhmm", 16).boundary_row["d"] == -16384
         assert wavefront_spec("pairhmm", 7).boundary_row["d"] == -11499
         assert default_spec("pairhmm").boundary_row["d"] == 0  # not patched in place
+
+    @pytest.mark.parametrize("kernel", WAVEFRONT_KERNELS)
+    def test_boundary_row_is_the_patched_specs_without_building_one(self, kernel):
+        for length in range(1, 130):
+            row = boundary_row(kernel, length)
+            assert row is boundary_row(kernel, length)  # memoized
+            assert row == wavefront_spec(kernel, length).boundary_row
+            if kernel == "pairhmm":
+                patched = pairhmm_boundary_for_length(default_spec(kernel), length)
+                assert row == patched.boundary_row
+            else:
+                assert row == default_spec(kernel).boundary_row
 
     def test_match_tables(self):
         bsw, hmm = match_table_for("bsw"), match_table_for("pairhmm")
@@ -171,15 +201,23 @@ class TestGeneratedSweeps:
             }
 
     def test_bsw_source_is_the_hand_written_loop(self):
+        """Both forms of one loop: the oracle's calls the cell, the
+        production one holds it, with only the consumed outputs' cone
+        (BSW's traceback ``dir`` is not computed)."""
         compiled = compile_program("bsw", 2, build_dfg("bsw"))
-        source = sweep_source(
+        loop = "for t, h_up, e_up in zip(static, h_prev[1:], e_prev[1:]):"
+        call = sweep_source(
             default_spec("bsw"), tuple(compiled.input_regs), tuple(compiled.output_regs)
         )
-        assert (
-            "out = cell(s, static[j - 1], h_prev[j - 1], h_prev[j], e_prev[j], "
-            "h_curr[j - 1], f_left)"
-        ) in source
-        assert "if h_new > acc_hmax: acc_hmax = h_new" in source
+        assert loop in call
+        assert "out = cell(s, t, h_diag, h_up, e_up, h_left, f_left)" in call
+        assert "if out[0] > acc_hmax: acc_hmax = out[0]" in call
+        fused = fused_source(compiled, has_match_table=True)
+        assert loop in fused
+        assert "r7 = (h_diag + _MATCH[s][t])" in fused
+        assert "if r10 > acc_hmax: acc_hmax = r10" in fused
+        assert "h_left = r10" in fused and "h_diag = h_up" in fused
+        assert "cell(" not in fused and "r11 =" not in fused and "r12 =" not in fused
 
     def test_one_sweep_per_program_signature(self):
         compiled = compile_program("lcs", 2, build_dfg("lcs"))
@@ -237,7 +275,190 @@ class TestBoundByName:
 
 
 # ----------------------------------------------------------------------
-# (d) one table
+# (d) the fused sweep is the interpreter, called per cell
+
+DNA = st.text("ACGT", min_size=1, max_size=8)
+SIGNAL = st.lists(st.integers(-40, 40), min_size=1, max_size=8)
+#: Chain anchors as (dx, dy) steps from the previous one: sorted, with
+#: gaps on both sides of the cell's 500 / 5000 cut-offs.
+STEPS = st.lists(st.tuples(st.integers(0, 700), st.integers(0, 700)), max_size=10)
+
+#: (optimized, permuted) -- permuted reverses the register maps: every
+#: input of a 2-D kernel, and the outputs of every kernel (Chain's
+#: inputs are positional, see TestBoundByName).
+VARIANTS = list(itertools.product((False, True), repeat=2))
+
+_PROGRAMS = {}
+
+
+def _program(kernel, optimized, permuted):
+    key = (kernel, optimized, permuted)
+    if key not in _PROGRAMS:
+        pipeline = default_pipeline(contract_for(kernel)) if optimized else None
+        compiled = compile_program(kernel, 2, build_dfg(kernel), pipeline)
+        if permuted:
+            inputs = compiled.input_regs.items()
+            compiled = dataclasses.replace(
+                compiled,
+                input_regs=dict(inputs if kernel == "chain" else reversed(list(inputs))),
+                output_regs=dict(reversed(list(compiled.output_regs.items()))),
+            )
+        _PROGRAMS[key] = compiled
+    return _PROGRAMS[key]
+
+
+def _fused_is_interpreted(kernel, payload, optimized, permuted):
+    """The fused sweep's answer, bit-equal to the interpreter's and, but
+    for PairHMM's one-column tables, to the reference kernel's (both
+    forms share their loop nest, so the reference checks the loop)."""
+    compiled = _program(kernel, optimized, permuted)
+    trace = {"trace_id": "t", "job_id": 1}
+    fused = run_job(kernel, compiled, {**payload, "_trace": trace})
+    (span,) = fused.pop("_trace_spans")
+    assert span["args"]["path"] == "fused"
+    oracle = _cell_executor(compiled, match_table_for(kernel))
+    assert fused == run_job(kernel, compiled, dict(payload), oracle)
+    if kernel != "pairhmm" or len(payload["haplotype"]) > 1:
+        assert matches_reference(kernel, fused, payload)
+    return fused
+
+
+class TestFusedSweepIsTheInterpreter:
+    @pytest.mark.parametrize("optimized, permuted", VARIANTS)
+    @pytest.mark.parametrize("kernel", ("bsw", "pairhmm", "lcs"))
+    @settings(max_examples=25, deadline=None)
+    @given(stream=DNA, static=DNA)
+    @example(stream="A", static="C")
+    @example(stream="A", static="ACGTTGCA")
+    @example(stream="ACGTTGCA", static="G")
+    @example(stream="ACGTTGCAAC", static="ACGTAGC")
+    def test_dna_tables(self, kernel, optimized, permuted, stream, static):
+        payload = dict(zip(KERNELS[kernel].keys, (stream, static)))
+        value = _fused_is_interpreted(kernel, payload, optimized, permuted)
+        if kernel == "pairhmm" and (stream, static) in PAIRHMM_ONE_COLUMN:
+            assert value["log10_likelihood"] == PAIRHMM_ONE_COLUMN[stream, static]
+
+    @pytest.mark.parametrize("optimized, permuted", VARIANTS)
+    @settings(max_examples=25, deadline=None)
+    @given(a=SIGNAL, b=SIGNAL)
+    @example(a=[3], b=[2, 8, 1, 6, 11])
+    @example(a=[3, 9, 4, 7, 0, 12], b=[5])
+    @example(a=[3, 9, 4, 7, 0, 12], b=[2, 8, 1, 6, 11])
+    def test_dtw_tables(self, optimized, permuted, a, b):
+        _fused_is_interpreted("dtw", {"a": a, "b": b}, optimized, permuted)
+
+    @pytest.mark.parametrize("optimized, permuted", VARIANTS)
+    @settings(max_examples=25, deadline=None)
+    @given(steps=STEPS, window=st.integers(1, 12))
+    @example(steps=[(40, 30)] * 6, window=1)
+    @example(steps=[(40, 30)] * 6, window=7)  # wider than the anchor count
+    def test_chain_windows(self, optimized, permuted, steps, window):
+        anchors, x, y = [], 0, 0
+        for dx, dy in steps:
+            x, y = x + dx, y + dy
+            anchors.append([x, y, 19])
+        payload = {"anchors": anchors, "n": window}
+        _fused_is_interpreted("chain", payload, optimized, permuted)
+
+
+class TestFusedSweepMemo:
+    def test_one_sweep_per_program_content(self):
+        first, second = build_dfg("lcs"), build_dfg("lcs")
+        first = compile_program("lcs", 2, first)
+        second = compile_program("lcs", 2, second)
+        assert first is not second
+        assert fused_sweep(first) is fused_sweep(second)
+
+    def test_a_second_engine_reuses_the_fused_sweep(self, monkeypatch):
+        payloads = {
+            "bsw": {"query": "ACGTTGCA", "target": "ACGTAGC"},
+            "chain": {"anchors": [[10, 9, 19], [30, 25, 19], [55, 49, 19]]},
+        }
+
+        def drain():
+            with Engine(EngineConfig(workers=0)) as engine:
+                engine.submit_many([make_job(k, p) for k, p in payloads.items()])
+                return [result.value for result in engine.drain()]
+
+        first = drain()
+        compiled = []
+        real = builtins.compile
+
+        def watch(source, filename, *args, **kwargs):
+            compiled.append(filename)
+            return real(source, filename, *args, **kwargs)
+
+        monkeypatch.setattr(builtins, "compile", watch)
+        assert drain() == first
+        assert [name for name in compiled if name.startswith("<gendp")] == []
+
+    def test_forged_program_hash_gets_its_own_sweep(self):
+        clean = compile_program("dtw", 2, build_dfg("dtw"))
+        forged = dataclasses.replace(
+            clean, output_regs={"d": next(iter(clean.input_regs.values()))}
+        )
+        assert forged.program_hash == clean.program_hash
+        honest = fused_sweep(clean)
+        assert fused_sweep(forged) is not honest
+        assert fused_sweep(clean) is honest
+        payload = {"a": [3, 9, 4], "b": [2, 8]}
+        assert run_job("dtw", forged, dict(payload)) == run_job(
+            "dtw", forged, dict(payload), _cell_executor(forged, None)
+        )
+        assert run_job("dtw", clean, dict(payload)) != run_job(
+            "dtw", forged, dict(payload)
+        )
+
+    def test_match_lookup_only_where_both_operands_are_sequence_codes(self):
+        """A program that overwrites ``q`` before MATCH_SCORE reads it
+        is not fused; its specialized cell is called instead."""
+        clean = compile_program("bsw", 2, build_dfg("bsw"))
+        q, t = clean.input_regs["q"], clean.input_regs["t"]
+        copy_t_to_q = CUInstruction(
+            kind="tree", dest=Reg(q), left=SlotOp(Opcode.COPY, (Reg(t),))
+        )
+        overwrite = VLIWInstruction(cu0=copy_t_to_q)
+        odd = dataclasses.replace(clean, instructions=(overwrite,) + clean.instructions)
+        with pytest.raises(SpecializationError, match="MATCH_SCORE"):
+            fuse_sweep(odd, match_table_for("bsw"))
+        payload = {"query": "ACGTT", "target": "AGGTC"}
+        trace = {"trace_id": "t", "job_id": 1}
+        value = run_job("bsw", odd, {**payload, "_trace": trace})
+        (span,) = value.pop("_trace_spans")
+        assert span["args"]["path"] == "specialized"
+        oracle = _cell_executor(odd, match_table_for("bsw"))
+        assert value == run_job("bsw", odd, payload, oracle)
+
+
+class TestCallFreeFusedSweeps:
+    """What CI's "Call-free cells" step runs (``-k CallFree``): no
+    fused sweep calls a cell, the log-sum or the match table."""
+
+    @pytest.mark.parametrize("optimized", [False, True])
+    @pytest.mark.parametrize("kernel", ENGINE_KERNELS)
+    def test_fused_sources_call_only_log2(self, kernel, optimized):
+        compiled = _program(kernel, optimized, False)
+        source = fused_source(compiled, match_table_for(kernel) is not None)
+        for call in ("cell(", "_log_sum(", "_match("):
+            assert call not in source, (kernel, call)
+        if kernel != "chain":
+            assert "_log2(" not in source
+
+    def test_log_sum_template_is_log_sum_lookup(self):
+        span = 1 << 16
+        edges = [-(1 << 20), -span - 1, -span, -span + 1, -1, 0, 1]
+        edges += [span - 1, span, span + 1, 12345, -99999]
+        for operands in (("x", "y"), ("(x + 1)", "(y - 1)")):
+            source = op_expression(Opcode.LOG_SUM_LUT, operands, False, [])
+            code = compile(source, "<t>", "eval")
+            shift = 0 if operands[0] == "x" else 1
+            for x, y in itertools.product(edges, repeat=2):
+                got = eval(code, {**expression_namespace(), "x": x, "y": y})
+                assert got == log_sum_lookup(x + shift, y - shift), (operands, x, y)
+
+
+# ----------------------------------------------------------------------
+# (e) one table
 
 
 class TestKernelTable:
