@@ -201,7 +201,10 @@ def test_simulator_throughput(benchmark, publish):
                 "decoded simulator that called step() per PE and array and re-ran "
                 "every stalled handler, and that one 1.33 / 1.30 / 1.65 / 1.72x "
                 "the generated cycle loop (medians of 5 alternating runs).  The "
-                "profiler's hooks cost what they did, so their share grew"
+                "profiled loop calls nothing per cycle; the one that called a "
+                "profiler hook per PE-cycle, stall and array cycle cost 2.03 / 1.78 / "
+                "2.05 / 2.35x the unprofiled one, against 1.25 / 1.29 / 1.11 / 1.21x "
+                "now (medians of 7 alternating runs)"
             ),
         )
     )

@@ -13,16 +13,20 @@ then its PEs in chain order -- the bundle at ``compute_pc`` if a window
 is open (else an idle cycle), then the control thread -- then the FIFO
 depth sample when profiled.  What a run cannot change is bound to
 locals once per call: each PE's decoded handlers and bundles, register
-file, match table, statistics and profiler hooks, each array's handlers
+file, match table, statistics and profile tables, each array's handlers
 and FIFO.  The counters only the loop writes (cycles, bundles, ALU ops,
 idle cycles, stalls) are locals too, stored back when the call returns
-or raises.
+or raises.  The profiled variant calls nothing the unprofiled one does
+not: it bumps the profile's way and stall-reason tables in place, and
+touches the timeline and the FIFO depth histogram only when a PE
+switches between compute and idle or the depth changes; the open
+segment and the current depth run are closed when the call returns.
 
 A stalled control thread is not re-run.  Its handler returned a
 :data:`~repro.dpax.decode.Wait` record; each later cycle tests that
 record instead -- still empty, still full, window still open -- and,
-while it holds, counts the stall (and the profiler reason, and the
-source read a retry would repeat) exactly as a retry would.  Only when
+while it holds, counts the stall (and its reason, when profiled, and
+the source read a retry would repeat) exactly as a retry would.  Only when
 the record no longer holds does the handler run again, and it may stall
 on something else: a fenced ``mv r <- in`` waits for the window, then
 for the port.  Nothing can unblock a thread behind the loop's back
@@ -49,33 +53,41 @@ def _indent(lines: List[str], depth: int = 1) -> List[str]:
 
 
 def _thread(
-    unit: str, ops: str, stall: Callable[[str], List[str]], window: bool
-) -> Tuple[List[str], List[str]]:
-    """Bindings and cycle of one control thread: run the handler at
-    ``pc`` unless its wait record, unpacked into ``w<unit>`` (the
-    record), ``q``/``l``/``r``/``c<unit>`` (its fields), still holds.
-    Only a PE thread (*window*) can wait on its compute window."""
-    w, q, limit, reason, counted = (f"{name}{unit}" for name in "wqlrc")
+    unit: str, profiled: bool, window: bool, bind: List[str], store: List[str]
+) -> List[str]:
+    """The cycle of one control thread (its bindings and write-back go
+    to *bind* and *store*): run the handler at ``pc`` unless its wait
+    record, unpacked into ``w<unit>`` (the record), ``q``/``l``/``r``/
+    ``c<unit>`` (its fields), still holds.  *Profiled*, a record's
+    stalls go to its reason in ``stalls<unit>`` once, when it stops
+    holding or the call ends (``s<unit>``: the stall count it started
+    from).  Only a PE thread (*window*) can wait on its compute window."""
+    w, q, limit, reason, counted, since = (f"{name}{unit}" for name in "wqlrcs")
+    stalls = f"control_stalls{unit}"
+    flush = [f"stalls{unit}[{reason}] += {stalls} - {since}"] if profiled else []
     call = [
-        f"{w} = {ops}[{unit}.pc]({unit})",
+        f"{w} = ops{unit}[{unit}.pc]({unit})",
         f"if {w} is not None:",
         f"    {q}, {limit}, {reason}, {counted} = {w}",
-        *_indent(stall(reason)),
+        *([f"    {since} = {stalls}"] if profiled else []),
+        f"    {stalls} += 1",
     ]
     blocked = f"len({q}) == {limit}"
     if window:
         blocked = f"({blocked}) if {q} is not None else {unit}.compute_remaining > 0"
-    cycle = [
+    bind.append(f"{w} = None")
+    store += [f"if {w} is not None:", *_indent(flush)] if profiled else []
+    return [
         f"if {w} is None:",
         *_indent(call),
         f"elif {blocked}:",
-        *_indent(stall(reason)),
+        f"    {stalls} += 1",
         f"    if {counted} is not None:",
         f"        {counted}.reads += 1",
         "else:",
-        *_indent(call),
+        # A handler that raises leaves no record to flush again.
+        *_indent(flush + ([f"{w} = None"] if profiled else []) + call),
     ]
-    return [f"{w} = None"], cycle
 
 
 #: The PEStats counters only the loop writes: held in locals during a
@@ -83,9 +95,47 @@ def _thread(
 _COUNTERS = ("cycles", "compute_bundles", "alu_ops", "compute_idle", "control_stalls")
 
 
-def _pe(name: str, profiled: bool) -> Tuple[List[str], List[str], List[str]]:
-    """Bindings, cycle and write-back of one PE named *name*."""
-    bind = [
+def _profile(name: str, bind: List[str], store: List[str]) -> Tuple[List[str], List[str]]:
+    """The bundle and idle lines of a profiled PE.  Its timeline changes
+    only on a switch between compute and idle: the open segment (or a
+    scratch one) closes and, while there is room, the next one opens."""
+    prof, segs, seg, busy, room = (f"{local}{name}" for local in "prof segs seg busy room".split())
+    marked = f"compute_bundles{name} + compute_idle{name}"
+    bind += [
+        f"{prof} = {name}.profiler",
+        f"ways{name} = {prof}.ways",
+        f"stalls{name} = {prof}.stalls",
+        f"{segs} = {prof}._segments",
+        f"{room} = {prof}.timeline_room",
+        # The open segment: the last one, if it ran up to this call.
+        f"{seg} = {segs}[-1] if {segs} and {segs}[-1][2] == cycles{name} else [None, 0, 0]",
+        f"{busy} = {seg}[0] and {seg}[0] == 'compute'",
+        # Cycles that marked nothing: a bundle's that raised.
+        f"lost{name} = cycles{name} - ({marked})",
+    ]
+    store.append(f"{seg}[2] = {marked} + lost{name}")
+
+    def switch(state: str) -> List[str]:
+        return [
+            f"{busy} = {state == 'compute'}",
+            f"{seg}[2] = cycles{name} - 1",
+            f"if {room}:",
+            f"    {room} -= 1",
+            f"    {seg} = ['{state}', cycles{name}, cycles{name}]",
+            f"    {segs}.append({seg})",
+            "else:",
+            f"    {seg} = [None, 0, 0]",
+            f"    {prof}.timeline_truncated = True",
+        ]
+
+    bundle = [f"ways{name}[b[1]] += 1", f"if not {busy}:", *_indent(switch("compute"))]
+    return bundle, [f"if {busy} is not False:", *_indent(switch("idle"))]
+
+
+def _pe(name: str, profiled: bool, bind: List[str], store: List[str]) -> List[str]:
+    """The cycle of one PE named *name* (bindings and write-back go to
+    *bind* and *store*)."""
+    bind += [
         f"ops{name} = {name}._ops",
         f"bundles{name} = {name}._bundles",
         f"rf{name} = {name}.rf",
@@ -93,22 +143,10 @@ def _pe(name: str, profiled: bool) -> Tuple[List[str], List[str], List[str]]:
         f"st{name} = {name}.stats",
     ]
     bind += [f"{counter}{name} = st{name}.{counter}" for counter in _COUNTERS]
-    store = [f"st{name}.{counter} = {counter}{name}" for counter in _COUNTERS]
-    bundle, idle = [], []
-    if profiled:
-        bind += [
-            f"pb{name} = {name}.profiler.bundle",
-            f"pi{name} = {name}.profiler.idle",
-            f"ps{name} = {name}.profiler.stall",
-        ]
-        bundle = [f"pb{name}(cycles{name}, b[1], b[2])"]
-        idle = [f"pi{name}(cycles{name})"]
-
-    def stall(reason: str) -> List[str]:
-        return [f"control_stalls{name} += 1"] + ([f"ps{name}({reason})"] if profiled else [])
-
-    thread_bind, thread = _thread(name, f"ops{name}", stall, window=True)
-    cycle = [
+    store += [f"st{name}.{counter} = {counter}{name}" for counter in _COUNTERS]
+    bundle, idle = _profile(name, bind, store) if profiled else ([], [])
+    thread = _thread(name, profiled, True, bind, store)
+    return [
         f"if {name}.started:",
         f"    cycles{name} += 1",
         f"    if {name}.compute_remaining > 0:",
@@ -125,7 +163,29 @@ def _pe(name: str, profiled: bool) -> Tuple[List[str], List[str], List[str]]:
         f"    if not {name}.halted:",
         *_indent(thread, 2),
     ]
-    return bind + thread_bind, cycle, store
+
+
+def _array_profile(unit: str, bind: List[str], store: List[str]) -> List[str]:
+    """The end-of-cycle lines of a profiled array: its FIFO depth
+    histogram, counted in runs of one depth.  Binds its stall-reason
+    table too."""
+    prof, depth, since, sampled = (f"{local}{unit}" for local in "prof depth since sampled".split())
+    flush = [f"if {sampled} != {since}:", f"    depths{unit}[{depth}] += {sampled} - {since}"]
+    bind += [
+        f"{prof} = {unit}.profiler",
+        f"stalls{unit} = {prof}.control_stalls",
+        f"fifo{unit} = {unit}.fifo._queue",
+        f"depths{unit} = {prof}.fifo_depths",
+        f"{sampled} = {since} = {prof}.sampled_cycles",
+        f"{depth} = len(fifo{unit})",
+    ]
+    store += flush + [f"{prof}.sampled_cycles = {sampled}"]
+    return [
+        f"if len(fifo{unit}) != {depth}:",
+        *_indent(flush),
+        f"    {depth}, {since} = len(fifo{unit}), {sampled}",
+        f"{sampled} += 1",
+    ]
 
 
 def _source(shape: Shape) -> List[str]:
@@ -139,6 +199,7 @@ def _source(shape: Shape) -> List[str]:
     done: List[str] = []
     for j, (pes, profiled) in enumerate(shape):
         unit = f"u{j}"
+        sample: List[str] = []
         if pes is None:
             names = [f"p{j}_0"]
             bind.append(f"p{j}_0 = {unit}")
@@ -151,30 +212,15 @@ def _source(shape: Shape) -> List[str]:
             ]
             store.append(f"{unit}.control_stalls = control_stalls{unit}")
             if profiled:
-                bind += [
-                    f"fifo{unit} = {unit}.fifo._queue",
-                    f"sample{unit} = {unit}.profiler.sample",
-                    f"ps{unit} = {unit}.profiler.control_stall",
-                ]
-
-            def stall(reason: str, unit=unit, profiled=profiled) -> List[str]:
-                return [f"control_stalls{unit} += 1"] + (
-                    [f"ps{unit}({reason})"] if profiled else []
-                )
-
-            thread_bind, thread = _thread(unit, f"ops{unit}", stall, window=False)
-            bind += thread_bind
+                sample = _array_profile(unit, bind, store)
+            thread = _thread(unit, profiled, False, bind, store)
             cycle += [f"if not {unit}.halted:", *_indent(thread)]
         for name in names:
-            pe_bind, pe_cycle, pe_store = _pe(name, profiled)
-            bind += pe_bind
-            cycle += pe_cycle
-            store += pe_store
+            cycle += _pe(name, profiled, bind, store)
+        cycle += sample
         if pes is None:
             finished = f"{names[0]}.halted and {names[0]}.compute_remaining <= 0"
         else:
-            if profiled:
-                cycle.append(f"sample{unit}(len(fifo{unit}))")
             finished = " and ".join(
                 [f"{unit}.halted"]
                 + [f"(not {n}.started or {n}.halted and {n}.compute_remaining <= 0)" for n in names]

@@ -68,28 +68,19 @@ class DPAxMachine:
         self.cycles = 0
         self._tile_profile = None
 
-    def enable_profiling(self, timeline: bool = True, max_timeline: int = 200_000):
+    def enable_profiling(self):
         """Attach cycle profiling to every array; returns a TileProfile.
 
         Opt-in by design: an unprofiled machine runs a cycle loop
-        compiled without hooks (:mod:`repro.dpax.loop`).  Profiling
-        itself is not cheap next to a generated cycle: its hooks add
-        roughly 0.6-0.9 host microseconds per PE-cycle, which
-        ``benchmarks/test_simulator_throughput.py`` measures as +55%
-        to +120% (POA highest) host time per simulated cycle
-        (``results/simulator_throughput.txt``).
+        compiled without any profiling (:mod:`repro.dpax.loop`).  The
+        profiled one calls nothing per cycle but writes the profile's
+        counts, at a host cost ``benchmarks/test_simulator_throughput.py``
+        publishes (``results/simulator_throughput.txt``).
         """
         if self._tile_profile is None:
             from repro.obs.profile import TileProfile
 
-            self._tile_profile = TileProfile(
-                [
-                    array.enable_profiling(
-                        timeline=timeline, max_timeline=max_timeline
-                    )
-                    for array in self.arrays
-                ]
-            )
+            self._tile_profile = TileProfile([array.enable_profiling() for array in self.arrays])
         return self._tile_profile
 
     @property

@@ -197,9 +197,10 @@ class PE:
         self.started = False
         self.halted = False
         self.stats = PEStats()
-        #: Optional :class:`repro.obs.profile.PEProfile`; attached by
-        #: ``PEArray.enable_profiling()``, with the array's own.  When
-        #: None (the default) the loop is compiled without hooks.
+        #: Optional :class:`repro.obs.profile.PEProfile` over
+        #: :attr:`stats`; attached by ``PEArray.enable_profiling()``,
+        #: with the array's own.  The loop writes its tables directly;
+        #: when None (the default) it is compiled without them.
         self.profiler = None
 
     # ------------------------------------------------------------------

@@ -72,8 +72,8 @@ class PEArray:
         self.halted = False
         self.control_executed = 0
         self.control_stalls = 0
-        #: Optional :class:`repro.obs.profile.ArrayProfile`; see
-        #: :meth:`enable_profiling`.
+        #: Optional :class:`repro.obs.profile.ArrayProfile`, whose tables
+        #: the loop writes directly; see :meth:`enable_profiling`.
         self.profiler = None
 
     # ------------------------------------------------------------------
@@ -105,7 +105,7 @@ class PEArray:
         cycles = loop.run((self,), max_cycles, (True,))
         return cycles, self.done
 
-    def enable_profiling(self, timeline: bool = True, max_timeline: int = 200_000):
+    def enable_profiling(self):
         """Attach per-PE cycle profiling; returns the ArrayProfile.
 
         Idempotent: a second call returns the already-attached profile
@@ -114,14 +114,8 @@ class PEArray:
         if self.profiler is None:
             from repro.obs.profile import ArrayProfile
 
-            profile = ArrayProfile(
-                self.array_index,
-                len(self.pes),
-                timeline=timeline,
-                max_timeline=max_timeline,
-            )
-            self.profiler = profile
-            for pe, pe_profile in zip(self.pes, profile.pes):
+            self.profiler = ArrayProfile(self.array_index, [pe.stats for pe in self.pes])
+            for pe, pe_profile in zip(self.pes, self.profiler.pes):
                 pe.profiler = pe_profile
         return self.profiler
 

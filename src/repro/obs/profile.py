@@ -12,10 +12,10 @@ paper's observability tables need:
 - **FIFO depth histograms**, sampled once per array cycle.
 
 Attachment is explicit and opt-in (``PEArray.enable_profiling()`` /
-``DPAxMachine.enable_profiling()``): with no profiler attached the
-simulator's cycle loop is compiled without hooks (:mod:`repro.dpax.loop`);
-the cost of an attached one is published, on vs off, in
-``results/simulator_throughput.txt``.
+``DPAxMachine.enable_profiling()``).  Bundles, ALU ops and idle cycles
+are read from the PEs' ``PEStats``; the profiled cycle loop
+(:mod:`repro.dpax.loop`) writes the rest directly, with no call per
+cycle.  Its cost, on vs off, is in ``results/simulator_throughput.txt``.
 
 The :class:`ProfileReport` rollup feeds
 :mod:`repro.analysis.utilization` and exports per-PE compute/idle
@@ -25,14 +25,16 @@ timelines in the same Chrome-trace format as :mod:`repro.obs.trace`
 
 from __future__ import annotations
 
+import dataclasses
 from collections import Counter
 from dataclasses import dataclass, field
 from typing import Any, Dict, List, Optional
 
+from repro.dpax.pe import PEStats
 from repro.dpmap.mapper import CUS_PER_PE
 from repro.dpmap.passes import alus_for_levels
 
-#: Stall reasons the PE control thread distinguishes (pe.py hooks).
+#: Stall reasons the control threads distinguish (decode.py waits).
 STALL_REASONS = (
     "compute_busy",  # SET waiting for the running bundle window
     "compute_fence",  # RF/SPM access fenced by the compute thread
@@ -46,64 +48,48 @@ STALL_REASONS = (
 #: ALU slots per issued VLIW bundle (2 CUs x 3 ALUs at tree depth 2).
 ALU_SLOTS_PER_BUNDLE = CUS_PER_PE * alus_for_levels(2)
 
+#: Timeline segments kept per PE; later changes are counted, not drawn.
+MAX_TIMELINE = 200_000
+
+
+def _grown(counter: str) -> property:
+    """A PEStats counter's growth since the profile was attached."""
+    return property(lambda self: getattr(self.stats, counter) - getattr(self._base, counter))
+
 
 class PEProfile:
-    """Cycle accounting for one PE (attached via ``pe.profiler``)."""
+    """One PE's profile (``pe.profiler``): a view over its
+    :class:`~repro.dpax.pe.PEStats` since attachment, plus what only the
+    profiler counts, which the profiled cycle loop writes directly."""
 
-    def __init__(
-        self,
-        array_index: int,
-        pe_index: int,
-        timeline: bool = True,
-        max_timeline: int = 200_000,
-    ):
+    def __init__(self, array_index: int, pe_index: int, stats: Optional[PEStats] = None):
         self.array_index = array_index
         self.pe_index = pe_index
-        self.bundles = 0
-        self.ways_issued = 0
-        self.alu_ops = 0
-        self.idle_cycles = 0
-        self.way_histogram: Counter = Counter()
+        self.stats = PEStats() if stats is None else stats
+        self._base = dataclasses.replace(self.stats)
+        #: Bundles run, by issued-way count (the index).
+        self.ways = [0] * (CUS_PER_PE + 1)
         self.stalls: Counter = Counter()
-        self._timeline_on = timeline
-        self._max_timeline = max_timeline
-        #: Coalesced [state, first_cycle, last_cycle] runs.
+        #: Coalesced [state, first_cycle, last_cycle] runs, in PE cycles.
         self._segments: List[List[Any]] = []
         self.timeline_truncated = False
 
-    # ------------------------------------------------------------------
-    # hooks the PE calls (hot path: keep them allocation-light)
+    bundles = _grown("compute_bundles")
+    alu_ops = _grown("alu_ops")
+    idle_cycles = _grown("compute_idle")
 
-    def bundle(self, cycle: int, ways: int, alu_ops: int) -> None:
-        self.bundles += 1
-        self.ways_issued += ways
-        self.alu_ops += alu_ops
-        self.way_histogram[ways] += 1
-        if self._timeline_on:
-            self._mark("compute", cycle)
+    @property
+    def way_histogram(self) -> Dict[int, int]:
+        return {ways: count for ways, count in enumerate(self.ways) if count}
 
-    def idle(self, cycle: int) -> None:
-        self.idle_cycles += 1
-        if self._timeline_on:
-            self._mark("idle", cycle)
+    @property
+    def ways_issued(self) -> int:
+        return sum(ways * count for ways, count in enumerate(self.ways))
 
-    def stall(self, reason: str) -> None:
-        self.stalls[reason] += 1
-
-    def _mark(self, state: str, cycle: int) -> None:
-        segments = self._segments
-        if segments:
-            last = segments[-1]
-            if last[0] == state and last[2] == cycle - 1:
-                last[2] = cycle
-                return
-        if len(segments) >= self._max_timeline:
-            self.timeline_truncated = True
-            self._timeline_on = False
-            return
-        segments.append([state, cycle, cycle])
-
-    # ------------------------------------------------------------------
+    @property
+    def timeline_room(self) -> int:
+        """Segments the timeline may still append (none once truncated)."""
+        return 0 if self.timeline_truncated else MAX_TIMELINE - len(self._segments)
 
     @property
     def way_occupancy(self) -> float:
@@ -128,9 +114,7 @@ class PEProfile:
             "ways_issued": self.ways_issued,
             "alu_ops": self.alu_ops,
             "idle_cycles": self.idle_cycles,
-            "way_histogram": {
-                str(ways): count for ways, count in sorted(self.way_histogram.items())
-            },
+            "way_histogram": {str(ways): count for ways, count in self.way_histogram.items()},
             "way_occupancy": self.way_occupancy,
             "slot_utilization": self.slot_utilization,
             "stalls": {k: v for k, v in sorted(self.stalls.items())},
@@ -140,29 +124,13 @@ class PEProfile:
 class ArrayProfile:
     """One PE array's profile: per-PE profiles + FIFO depth sampling."""
 
-    def __init__(
-        self,
-        array_index: int,
-        pe_count: int,
-        timeline: bool = True,
-        max_timeline: int = 200_000,
-    ):
+    def __init__(self, array_index: int, stats: List[PEStats]):
         self.array_index = array_index
-        self.pes = [
-            PEProfile(array_index, pe, timeline=timeline, max_timeline=max_timeline)
-            for pe in range(pe_count)
-        ]
+        self.pes = [PEProfile(array_index, pe, pe_stats) for pe, pe_stats in enumerate(stats)]
+        #: Array cycles by the FIFO depth they ended with.
         self.fifo_depths: Counter = Counter()
         self.control_stalls: Counter = Counter()
         self.sampled_cycles = 0
-
-    def sample(self, fifo_depth: int) -> None:
-        """Called once per array cycle (the FIFO depth histogram)."""
-        self.fifo_depths[fifo_depth] += 1
-        self.sampled_cycles += 1
-
-    def control_stall(self, reason: str) -> None:
-        self.control_stalls[reason] += 1
 
     def report(self) -> "ProfileReport":
         return ProfileReport(arrays=[self])
@@ -178,6 +146,11 @@ class TileProfile:
         return ProfileReport(arrays=list(self.arrays))
 
 
+def _summed(count: str) -> property:
+    """A per-PE count summed over every PE of the report."""
+    return property(lambda self: sum(getattr(pe, count) for pe in self._pes()))
+
+
 @dataclass
 class ProfileReport:
     """The aggregated, exportable view over one or more array profiles."""
@@ -190,17 +163,9 @@ class ProfileReport:
     # ------------------------------------------------------------------
     # aggregates
 
-    @property
-    def bundles(self) -> int:
-        return sum(pe.bundles for pe in self._pes())
-
-    @property
-    def alu_ops(self) -> int:
-        return sum(pe.alu_ops for pe in self._pes())
-
-    @property
-    def ways_issued(self) -> int:
-        return sum(pe.ways_issued for pe in self._pes())
+    bundles = _summed("bundles")
+    alu_ops = _summed("alu_ops")
+    ways_issued = _summed("ways_issued")
 
     def vliw_slot_utilization(self) -> float:
         """Occupied ALU slots / slot capacity of every issued bundle.
@@ -220,10 +185,8 @@ class ProfileReport:
         return self.ways_issued / capacity if capacity else 0.0
 
     def way_histogram(self) -> Dict[int, int]:
-        combined: Counter = Counter()
-        for pe in self._pes():
-            combined.update(pe.way_histogram)
-        return dict(sorted(combined.items()))
+        totals = [sum(counts) for counts in zip(*(pe.ways for pe in self._pes()))]
+        return {ways: count for ways, count in enumerate(totals) if count}
 
     def stall_breakdown(self) -> Dict[str, int]:
         """PE + array control stalls by reason, combined."""

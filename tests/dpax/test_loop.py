@@ -9,14 +9,17 @@ Seeded random two-array programs -- port, FIFO, RF and SPM moves,
 must leave every counter, storage image, queue and profile identical.
 """
 
+import ast
 import random
 
 import pytest
 
 from repro.dfg.graph import Opcode
+from repro.dpax import loop
 from repro.dpax.machine import DPAxMachine
 from repro.dpax.pe_array import PEArray
 from repro.dpax.storage import StorageError
+from repro.obs import profile as profiling
 from repro.isa.compute import CUInstruction, Imm, Reg, SlotOp, VLIWInstruction
 from repro.isa.control import (
     ControlOp,
@@ -42,25 +45,38 @@ CAP = 400
 
 
 def oracle_run(arrays, max_cycles, active):
-    """Every handler, every cycle: the loop's reference semantics."""
+    """Every handler, every cycle: the loop's reference semantics.  It
+    does its own profile accounting, one cycle at a time, and writes it
+    straight into the profiles' fields."""
 
-    def thread(unit, counters, hook):
+    def thread(unit, counters, reasons):
         wait = unit._ops[unit.pc](unit)
         if wait is not None:
             counters.control_stalls += 1
-            if hook is not None:
-                hook(wait[2])
+            if reasons is not None:
+                reasons[wait[2]] += 1
+
+    def mark(profile, state, cycle):
+        segments = profile._segments
+        if profile.timeline_truncated:
+            return
+        if segments and segments[-1][0] == state and segments[-1][2] == cycle - 1:
+            segments[-1][2] = cycle
+        elif len(segments) >= profiling.MAX_TIMELINE:
+            profile.timeline_truncated = True
+        else:
+            segments.append([state, cycle, cycle])
 
     cycles = 0
     while cycles < max_cycles:
         for array in arrays:
             profile = array.profiler
             if not array.halted:
-                thread(array, array, profile and profile.control_stall)
+                thread(array, array, profile and profile.control_stalls)
             for pe in array.pes:
                 if not pe.started:
                     continue
-                stats, hooks = pe.stats, pe.profiler
+                stats, pe_profile = pe.stats, pe.profiler
                 stats.cycles += 1
                 if pe.compute_remaining > 0:
                     run, ways, alu_ops = pe._bundles[pe.compute_pc]
@@ -69,16 +85,18 @@ def oracle_run(arrays, max_cycles, active):
                     pe.compute_pc += 1
                     pe.compute_remaining -= 1
                     stats.compute_bundles += 1
-                    if hooks is not None:
-                        hooks.bundle(stats.cycles, ways, alu_ops)
+                    if pe_profile is not None:
+                        pe_profile.ways[ways] += 1
+                        mark(pe_profile, "compute", stats.cycles)
                 else:
                     stats.compute_idle += 1
-                    if hooks is not None:
-                        hooks.idle(stats.cycles)
+                    if pe_profile is not None:
+                        mark(pe_profile, "idle", stats.cycles)
                 if not pe.halted:
-                    thread(pe, stats, hooks and hooks.stall)
+                    thread(pe, stats, pe_profile and pe_profile.stalls)
             if profile is not None:
-                profile.sample(len(array.fifo))
+                profile.fifo_depths[len(array.fifo)] += 1
+                profile.sampled_cycles += 1
         cycles += 1
         if all(array.done for array, on in zip(arrays, active) if on):
             break
@@ -319,6 +337,15 @@ def test_port_to_port_mv_unpops_on_every_stalled_cycle():
     assert array.profiler.pes[0].stalls["out_full"] > 10
 
 
+@pytest.mark.parametrize("seed", [0, 2, 4])
+def test_truncated_timelines_match_the_oracle(seed, monkeypatch):
+    monkeypatch.setattr(profiling, "MAX_TIMELINE", 3)
+    fast, slow = build(seed, profiled=True), build(seed, profiled=True)
+    assert fast.run(CAP).cycles == oracle_run(slow.arrays, CAP, [True] * len(slow.arrays))
+    assert any(pe.timeline_truncated for array in fast.arrays for pe in array.profiler.pes)
+    assert state(fast.arrays) == state(slow.arrays)
+
+
 @pytest.mark.parametrize("seed", [1, 4, 7])
 def test_mixing_step_and_run_matches_run_alone(seed):
     alone, mixed = build(seed, profiled=True), build(seed, profiled=True)
@@ -335,3 +362,38 @@ def test_mixing_step_and_run_matches_run_alone(seed):
     got = outcome(drive)
     assert got == want
     assert state(mixed.arrays) == state(alone.arrays)
+
+
+# ----------------------------------------------------------------------
+
+
+class TestHookFreeProfiledLoop:
+    """The profiled loop writes the profile; it calls nothing for it.  A
+    cycle calls the control handlers, the bundle runners and ``len``,
+    and appends a timeline segment only when a PE switches between
+    compute and idle."""
+
+    @pytest.mark.parametrize(
+        "shape", [((None, True),), ((4, True),), ((2, False), (4, True))], ids=str
+    )
+    def test_cycle_body_calls(self, shape):
+        source = "def cycles(units, max_cycles, active):\n    " + "\n    ".join(loop._source(shape))
+        body = next(node for node in ast.walk(ast.parse(source)) if isinstance(node, ast.For)).body
+        nodes = [node for statement in body for node in ast.walk(statement)]
+        switches = {
+            id(node)
+            for switch in nodes
+            if isinstance(switch, ast.If)
+            and ast.unparse(switch.test).startswith(("not busy", "busy"))
+            for node in ast.walk(switch)
+        }
+        appends = 0
+        for call in (node for node in nodes if isinstance(node, ast.Call)):
+            callee = ast.unparse(call.func)
+            if callee.endswith(".append") and callee.startswith("segs"):
+                assert id(call) in switches, ast.unparse(call)
+                appends += 1
+                continue
+            handler = isinstance(call.func, ast.Subscript) and callee.startswith("ops")
+            assert handler or callee in ("b[0]", "len"), ast.unparse(call)
+        assert appends == 2 * sum(pes or 1 for pes, profiled in shape if profiled)

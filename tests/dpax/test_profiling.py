@@ -1,15 +1,22 @@
 """Opt-in simulator profiling: per-PE accounting and invariants."""
 
+import dataclasses
 import random
 
 import pytest
 
+from repro.dfg.graph import Opcode
 from repro.dpax.machine import DPAxMachine
+from repro.dpax.pe import PEConfig, PEStats
 from repro.dpax.pe_array import PEArray
+from repro.dpax.storage import StorageError
+from repro.isa.compute import CUInstruction, Imm, Reg, SlotOp, VLIWInstruction
+from repro.isa.control import halt, li, reg, set_unit
 from repro.kernels.chain import Anchor
 from repro.mapping import kernels2d
 from repro.mapping.sliding1d import run_chain
 from repro.mapping.wavefront2d import run_wavefront
+from repro.obs import profile as profiling
 from repro.obs.profile import (
     ALU_SLOTS_PER_BUNDLE,
     PEProfile,
@@ -18,6 +25,13 @@ from repro.obs.profile import (
 )
 from repro.obs.trace import validate_chrome_trace
 from repro.seq.alphabet import encode, random_sequence
+from tests.dpax import test_failure_injection as failures
+from tests.dpax.test_loop import CAP, build, state
+
+#: One bundle: r0 += 1.
+BUMP = VLIWInstruction(
+    cu0=CUInstruction(kind="tree", dest=Reg(0), right=SlotOp(Opcode.ADD, (Reg(0), Imm(1))))
+)
 
 
 @pytest.fixture(scope="module")
@@ -137,16 +151,122 @@ def test_empty_profile_is_all_zero():
     assert report.way_histogram() == {}
 
 
-def test_timeline_truncation_cap():
-    profile = PEProfile(array_index=0, pe_index=0, max_timeline=4)
-    # Alternate states so no coalescing happens.
-    for cycle in range(12):
-        if cycle % 2:
-            profile.idle(cycle)
-        else:
-            profile.bundle(cycle, ways=1, alu_ops=1)
+def test_timeline_truncation_cap(monkeypatch):
+    monkeypatch.setattr(profiling, "MAX_TIMELINE", 4)
+    array = PEArray(pe_count=1)
+    profile = array.enable_profiling().pes[0]
+    # Alternate states so no coalescing happens: each set opens a
+    # one-bundle window that the next cycle runs.
+    array.load_pe(0, [set_unit(0, 1), li(reg(1), 0)] * 5 + [set_unit(0, 1), halt()], [BUMP])
+    array.load_array_control([set_unit(0, 1), halt()])
+    assert array.run(100) == (12, True)
     assert len(profile.segments()) == 4
     assert profile.timeline_truncated
     # Accounting keeps going after the timeline stops.
     assert profile.bundles == 6
     assert profile.idle_cycles == 6
+
+
+# ----------------------------------------------------------------------
+# the profile against the PEs' own statistics
+
+
+def baseline(array):
+    """What a profile attached now must not count."""
+    return array.control_stalls, [dataclasses.replace(pe.stats) for pe in array.pes]
+
+
+def assert_consistent(array, base=(0, None)):
+    """*array*'s profile counts exactly the stats' growth since *base*:
+    bundles, ALU ops, idle cycles and stalls; the way histogram sums to
+    the bundles; the timeline covers each counted cycle once, after
+    *base* and in order; the FIFO histogram sums to the sampled cycles."""
+    control_stalls, before = base
+    profile = array.profiler
+    assert sum(profile.control_stalls.values()) == array.control_stalls - control_stalls
+    assert sum(profile.fifo_depths.values()) == profile.sampled_cycles
+    for pe, pe_profile, old in zip(array.pes, profile.pes, before or [PEStats()] * len(array.pes)):
+        stats = pe.stats
+        assert pe_profile.bundles == stats.compute_bundles - old.compute_bundles
+        assert pe_profile.alu_ops == stats.alu_ops - old.alu_ops
+        assert pe_profile.idle_cycles == stats.compute_idle - old.compute_idle
+        assert sum(pe_profile.stalls.values()) == stats.control_stalls - old.control_stalls
+        assert sum(pe_profile.way_histogram.values()) == pe_profile.bundles
+        segments = pe_profile.segments()
+        assert not pe_profile.timeline_truncated
+        cycles = [cycle for _, first, last in segments for cycle in range(first, last + 1)]
+        assert cycles == sorted(set(cycles))
+        assert all(old.cycles < cycle <= stats.cycles for cycle in cycles)
+        assert len(cycles) == pe_profile.bundles + pe_profile.idle_cycles
+        busy = sum(last - first + 1 for state, first, last in segments if state == "compute")
+        assert busy == pe_profile.bundles
+
+
+@pytest.mark.parametrize("seed", [1, 2, 4])
+def test_profiler_attached_late_counts_only_later_cycles(seed):
+    machine = build(seed, profiled=False)
+    assert not machine.run(30).finished
+    bases = [baseline(array) for array in machine.arrays]
+    machine.enable_profiling()
+    result = machine.run(CAP)
+    assert result.finished
+    for array, base in zip(machine.arrays, bases):
+        assert array.profiler.sampled_cycles == result.cycles
+        assert_consistent(array, base)
+
+
+@pytest.mark.parametrize("seed", [1, 2, 4])
+def test_two_profiled_runs_accumulate(seed):
+    split, whole = build(seed, profiled=True), build(seed, profiled=True)
+    first = split.run(30)
+    halfway = [(array.profiler.report().to_dict(), baseline(array)) for array in split.arrays]
+    second = split.run(CAP)
+    assert second.finished and first.cycles + second.cycles == whole.run(CAP).cycles
+    for array, (counted, (control_stalls, before)) in zip(split.arrays, halfway):
+        totals = array.profiler.report().to_dict()
+
+        def grown(counter):
+            pairs = zip(array.pes, before)
+            return sum(getattr(pe.stats, counter) - getattr(old, counter) for pe, old in pairs)
+
+        assert totals["bundles"] == counted["bundles"] + grown("compute_bundles")
+        assert totals["alu_ops"] == counted["alu_ops"] + grown("alu_ops")
+        stalls = array.control_stalls - control_stalls + grown("control_stalls")
+        stalls_counted = sum(counted["stall_breakdown"].values())
+        assert sum(totals["stall_breakdown"].values()) == stalls_counted + stalls
+        assert array.profiler.sampled_cycles == first.cycles + second.cycles
+        assert_consistent(array)
+    # Runs that cross a call boundary continue, as in one call.
+    assert state(split.arrays) == state(whole.arrays)
+
+
+def test_a_run_that_raises_leaves_the_profile_consistent():
+    array = failures.TestFaultInsideTheLoop.faulting_array()
+    array.enable_profiling()
+    with pytest.raises(StorageError):
+        array.run(1000)
+    assert_consistent(array)
+    # PE0 ran every cycle; the faulting one never reached the sample.
+    assert array.profiler.sampled_cycles == array.pes[0].stats.cycles - 1 == 36
+
+
+def test_a_bundle_that_raises_counts_its_cycle_but_no_mark():
+    bad = VLIWInstruction(
+        cu0=CUInstruction(kind="tree", dest=Reg(8), right=SlotOp(Opcode.ADD, (Reg(0), Imm(1))))
+    )
+    array = PEArray(pe_config=PEConfig(rf_size=8), pe_count=1)
+    array.enable_profiling()
+    array.load_pe(0, [set_unit(0, 1), halt()], [bad])
+    array.load_array_control([set_unit(0, 1), halt()])
+    for cycles in (2, 3):  # and again, from where the fault left it
+        with pytest.raises(StorageError, match="RF write out of range: 8"):
+            array.run(10)
+        assert array.pes[0].stats.cycles == cycles
+        assert array.profiler.pes[0].segments() == [["idle", 1, 1]]
+        assert_consistent(array)
+    # A new program runs on: its timeline skips the two faulted cycles.
+    array.load_pe(0, [set_unit(0, 1), halt()], [BUMP])
+    array.load_array_control([set_unit(0, 1), halt()])
+    assert array.run(10)[1]
+    assert array.profiler.pes[0].segments()[1][1] == 4
+    assert_consistent(array)
