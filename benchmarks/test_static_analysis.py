@@ -12,12 +12,13 @@ certificates over runtime sentinels:
 
 - **What does sentinel elision buy at run time?**  The same 96-job
   stream on the shared-memory warm-worker transport with
-  ``sentinels=True``, elision on vs off.  DTW certifies sentinel-free,
-  so elision strips the per-value observe hook and restores the
-  specialized warm-cell fast path -- the throughput delta must be
-  positive.  BSW is the uncertified control: its certificate cannot
-  prove lane saturation absent, elision never touches it, and its
-  delta is published as soundness evidence (expected ~0).
+  ``sentinels=True``, elision on vs off.  Off, every job runs the
+  armed fused sweep, which computes every way and counts each value's
+  hazards.  DTW certifies sentinel-free, so elision runs the plain
+  fused sweep instead -- the throughput delta must be positive.  BSW
+  is the uncertified control: its certificate cannot prove lane
+  saturation absent, elision never touches it, and its delta is
+  published as soundness evidence (expected ~0).
 
 The table goes to ``results/static_analysis.txt``; ``static.certify_ms``
 and ``cold_compile_ms @ compile_cold`` in ``bench/`` track the compile
@@ -38,7 +39,7 @@ JOB_COUNT = 96
 REPEATS = 3
 SEED = 11
 #: DTW signal length per side -- long enough that per-cell work (and
-#: therefore the sentinel observe hook) dominates per-job overhead.
+#: therefore the sentinels' counting) dominates per-job overhead.
 DTW_LENGTH = 24
 
 
@@ -205,11 +206,11 @@ def test_static_analysis_cost_and_elision_payoff(benchmark, publish):
         + render_table(
             f"Sentinel-elision payoff ({JOB_COUNT} jobs, shm 2 warm "
             f"workers, sentinels armed, best of {REPEATS})",
-            ["stream", "jobs/s (observe)", "jobs/s (elided)", "speedup", "elided"],
+            ["stream", "jobs/s (armed)", "jobs/s (elided)", "speedup", "elided"],
             stream_rows,
             note=(
                 f"dtw certifies sentinel-free: {dtw['speedup']:.2f}x from "
-                "dropping the observe hook; bsw cannot certify (lane "
+                "running the unarmed fused sweep; bsw cannot certify (lane "
                 f"saturation), so elision leaves it alone ({bsw['elisions']} "
                 "jobs elided) and its sentinel keeps counting"
             ),
@@ -220,7 +221,7 @@ def test_static_analysis_cost_and_elision_payoff(benchmark, publish):
     # per program, amortized by the cache.
     assert all(p["certify_ms"] < 250.0 for p in certify_points), certify_points
     # The headline claim: elision on the certified kernel is a measured
-    # improvement, achieved by skipping observation entirely.
+    # improvement, achieved by skipping the sentinels' counting entirely.
     assert dtw["certified"]
     # JOB_COUNT stream jobs plus the cache-warming job.
     assert dtw["elisions"] == JOB_COUNT + 1

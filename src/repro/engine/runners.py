@@ -17,17 +17,12 @@ There is one cell-execution path.  :func:`run_job` runs the program's
 fused sweep (the DPMap-emitted VLIW bundles compiled once into
 straight-line Python, :mod:`repro.engine.specialize`, and inlined in
 the loop nest, memoized per process) on every backend -- inline, shm
-workers and the shm degraded floor.  The interpreter
-(:func:`_cell_executor`, the same
+workers and the shm degraded floor -- armed when the payload arms the
+numerical sentinels.  The interpreter (:func:`_cell_executor`, the
 :func:`repro.dpmap.codegen.execute_way` semantics the PE simulator
-uses) is the oracle that path is differentially tested against; the
-loop nest calls it once per cell, and runs a job that way only when
-the payload arms sentinels (it alone carries the per-ALU observe
-hook), when specialization failed, or when a caller passes it
-explicitly.  The interpreter and the specialized cell share one
-calling convention: inputs positional in ``input_regs`` order, outputs
-a tuple in ``output_regs`` order; the sweeps bind both by name,
-whatever that order is.
+uses), called once per cell, is its oracle: it runs a job only when a
+caller passes it or when the program cannot be fused.  The sweeps bind
+a program's inputs and outputs by name, whatever their order.
 
 Sweeps are module-level functions on plain payload dicts, so a job
 the SoA slot layout cannot carry still pickles into a worker.
@@ -61,8 +56,8 @@ from repro.engine.kernels import (  # noqa: F401  (re-exported constant)
     KERNELS,
     EngineKernel,
 )
-from repro.engine.specialize import CELLS, CellFunction, MatchTable
-from repro.engine.sweep import CHAIN_OUTPUTS, SWEEPS, Sweep, wavefront_sweep
+from repro.engine.specialize import CellFunction, MatchTable, observed_per_cell
+from repro.engine.sweep import ARMED, CHAIN_OUTPUTS, SWEEPS, Sweep, wavefront_sweep
 from repro.guard.sentinels import make_sentinel
 from repro.kernels.chain import DEFAULT_AVG_SEED_WEIGHT
 from repro.obs.trace import monotonic_epoch_clock, worker_span
@@ -125,9 +120,9 @@ def _cell_executor(
 ) -> CellFunction:
     """The interpreter: one cell update on a fresh RF image per call.
 
-    The oracle for the specialized cell, with the same calling
-    convention.  *observe* sees every intermediate ALU value of the
-    sweep -- the numerical sentinels' hook, which only this path has.
+    The oracle for the fused sweep, armed or not.  *observe* sees every
+    intermediate ALU value of the sweep -- the numerical sentinels'
+    hook, which the armed fused sweep's counts must equal.
     """
     instructions = compiled.instructions
     input_indexes = tuple(compiled.input_regs.values())
@@ -213,14 +208,9 @@ def corrupt_value(value: Dict[str, Any]) -> Dict[str, Any]:
     return corrupted
 
 
-def specialized_cell(compiled: CompiledProgram) -> Optional[CellFunction]:
-    """*compiled*'s memoized specialized cell (``None``: it has none)."""
-    return CELLS.get(compiled, match_table_for)
-
-
-def fused_sweep(compiled: CompiledProgram) -> Optional[Sweep]:
-    """*compiled*'s memoized fused sweep (``None``: it has none)."""
-    return SWEEPS.get(compiled, match_table_for)
+def fused_sweep(compiled: CompiledProgram, armed: bool = False) -> Optional[Sweep]:
+    """*compiled*'s memoized fused sweep, *armed* or not (``None``: none)."""
+    return (ARMED if armed else SWEEPS).get(compiled, match_table_for)
 
 
 def run_job(
@@ -231,17 +221,13 @@ def run_job(
 ) -> Dict[str, Any]:
     """Execute one job with *compiled* and return its output dict.
 
-    *cell* is the cell function the job runs; ``None`` (every
-    executor's call) means the program's specialized cell from the
-    per-process memo.  A specialized cell is never called per cell:
-    the job runs its program's fused sweep, the cell inlined in the
-    loop.  The interpreter runs instead, called per cell, when the
-    payload arms sentinels -- only it carries the per-ALU observe
-    hook, so a passed *cell* is set aside too -- when specialization
-    failed, or when the caller passes :func:`_cell_executor`'s closure
-    as the oracle; any other cell a caller passes is called per cell
-    too.  The ``job:run`` span's ``path`` names what ran: ``fused``,
-    or the called cell's own ``path`` (``interpreted``).
+    ``cell=None`` (every executor's call), or a specialized cell, runs
+    the program's fused sweep, armed when the payload has
+    ``_sentinels`` -- or, for a program that cannot be fused, the
+    interpreter, observing when armed.  Any other *cell* -- the
+    oracle, :func:`_cell_executor`'s closure -- is called per cell.
+    The ``job:run`` span's ``path`` names what ran: ``fused``, or the
+    called cell's own ``path`` (``interpreted``).
     """
     row = _row(kernel)
     if _in_worker():
@@ -258,22 +244,16 @@ def run_job(
     # processes and cannot share the recorder.
     trace = payload.get("_trace")
     run_started = _SPAN_CLOCK() if trace is not None else 0.0
-    sentinel = make_sentinel(kernel) if payload.get("_sentinels") else None
-    if sentinel is not None:
-        cell = None
-    elif cell is None:
-        cell = specialized_cell(compiled)
-    if cell is None:
-        cell = _cell_executor(
-            compiled,
-            match_table_for(kernel),
-            sentinel.observe if sentinel is not None else None,
-        )
+    sentinel = fused = None
+    if cell is None or getattr(cell, "path", None) == "specialized":
+        armed = bool(payload.get("_sentinels"))
+        sentinel = make_sentinel(kernel) if armed else None
+        fused = fused_sweep(compiled, armed)
+        if fused is None:
+            observe = sentinel.observe if sentinel else None
+            cell = _cell_executor(compiled, match_table_for(kernel), observe)
     operands = (_wavefront_operands if row.dimensions == 2 else _chain_operands)(
         kernel, payload
-    )
-    fused = (
-        fused_sweep(compiled) if getattr(cell, "path", None) == "specialized" else None
     )
     if fused is not None:
         path, final = "fused", fused(*operands)
@@ -282,10 +262,13 @@ def run_job(
         path = getattr(cell, "path", "called")
         final = wavefront_sweep(kernel, inputs, outputs)(cell, *operands)
     value = row.finish(final)
-    value["cells"] = row.cells(payload)
+    value["cells"] = cells = row.cells(payload)
     if payload.get("_inject_corrupt"):
         value = corrupt_value(value)
     if sentinel is not None and isinstance(value, dict):
+        if fused is not None:
+            sentinel.merge(final)
+            sentinel.values_observed = cells * observed_per_cell(compiled)
         value["_sentinels"] = sentinel.snapshot()
     if trace is not None and isinstance(value, dict):
         value["_trace_spans"] = [

@@ -9,12 +9,11 @@ which mirror :func:`repro.dfg.graph._apply` exactly), compiled with
 ``compile``/``exec``.  Per cell this removes the bundle/way/slot
 interpretation loop, the operand list building and the chained opcode
 dispatch of :func:`repro.dpmap.codegen.execute_way` at identical
-integer semantics.  Those lines take two shapes: inlined in the
-kernel's loop nest, the fused sweep every executor -- inline, shm
-workers, the shm degraded floor, the guard fuzzer -- runs
-(:mod:`repro.engine.sweep`), and wrapped as one cell function
-(:func:`specialize_cell`), which ``run_job`` turns into its program's
-fused sweep when handed one.
+integer semantics.  Those lines are inlined in the kernel's loop nest,
+the fused sweep every executor -- inline, shm workers, the shm
+degraded floor, the guard fuzzer -- runs (:mod:`repro.engine.sweep`),
+armed or not; wrapped as one cell function (:func:`specialize_cell`),
+they are what the repo benchmark times.
 
 Calling convention of the cell function (shared with the interpreter
 closure :func:`repro.engine.runners._cell_executor`): inputs are
@@ -22,16 +21,15 @@ positional in ``input_regs`` order, outputs come back as a tuple in
 ``output_regs`` order.
 
 The interpreter survives as the oracle the differential tests and the
-guard fuzzer compare against, and as the only carrier of the sentinel
-observe hook; :func:`repro.engine.runners.run_job` picks it when a
-payload arms sentinels or when specialization fails.
+guard fuzzer pass in, and runs a job itself only for a program that
+cannot be fused.
 
-:data:`CELLS` is the one per-process memo of specialized functions
-(:data:`repro.engine.sweep.SWEEPS`, of fused sweeps, is the same
-memo).  It is keyed by content (``(kernel, program_hash)``), not hung
-off each :class:`~repro.engine.cache.CompiledProgram`: a fresh engine
-that recompiles a program, or a respawned worker that unpickles it
-again, must not pay ``compile()`` again.
+:class:`CellMemo` is the per-process memo of sweeps (its two instances
+are :data:`repro.engine.sweep.SWEEPS` and ``ARMED``).  It is keyed by
+content (``(kernel, program_hash)``), not hung off each
+:class:`~repro.engine.cache.CompiledProgram`: a fresh engine that
+recompiles a program, or a respawned worker that unpickles it again,
+must not pay ``compile()`` again.
 """
 
 from __future__ import annotations
@@ -40,6 +38,7 @@ from typing import Any, Callable, Dict, List, Optional, Sequence, Set, Tuple, Un
 
 from repro.dfg.expressions import expression_namespace, way_expression
 from repro.engine.cache import CompiledProgram
+from repro.guard.sentinels import Sentinel
 from repro.isa.compute import Imm, Reg
 from repro.obs.logs import get_logger
 
@@ -83,20 +82,32 @@ def _cone(instructions, live: Set[int]) -> List[List[Any]]:
     return kept[::-1]
 
 
+def observed_per_cell(compiled: CompiledProgram) -> int:
+    """The values the interpreter observes per cell: each slot's and root's."""
+    return sum(
+        1 if way.kind == "mul" else 3 - (way.left, way.right, way.root).count(None)
+        for bundle in compiled.instructions for way in bundle.ways
+    )
+
+
 def cell_lines(
     compiled: CompiledProgram,
     has_match_table: Union[bool, str],
     bound: Optional[Dict[int, str]] = None,
     outputs: Optional[Sequence[str]] = None,
+    sentinel: Optional[Sentinel] = None,
 ) -> Tuple[List[str], Dict[str, str]]:
     """The statements of one cell update, and the local holding each output.
 
     Only the ways *outputs* (default: every output) depend on are
-    emitted.  Bundles commit register writes only after every way of
-    the bundle has read its operands, exactly like the interpreter:
-    where a way reads a register an earlier way of its bundle writes,
-    every value of that bundle lands in a temporary first and
-    destinations are assigned at the bundle boundary.
+    emitted; with a *sentinel*, every way, each value the interpreter
+    observes bound to a local and counted at the end of its bundle
+    (:meth:`~repro.guard.sentinels.Sentinel.count_line`).  Bundles
+    commit register writes only after every way of the bundle has read
+    its operands, exactly like the interpreter: where a way reads a
+    register an earlier way of its bundle writes, every value of that
+    bundle lands in a temporary first and destinations are assigned at
+    the bundle boundary.
 
     A read of an input register nothing has written yet renders as
     *bound*'s text for it (default: ``r<index>``, the cell's
@@ -114,7 +125,17 @@ def cell_lines(
     undefined: Set[int] = set()
     temporaries: List[str] = []
     lines: List[str] = []
-    for ways in _cone(compiled.instructions, set(targets)):
+    observed: List[str] = []
+
+    def watch(expression: str) -> str:
+        observed.append(f"_t{len(temporaries)}")
+        temporaries.append(observed[-1])
+        return f"({observed[-1]} := {expression})"
+
+    bundles = [bundle.ways for bundle in compiled.instructions]
+    if sentinel is None:
+        bundles = _cone(compiled.instructions, set(targets))
+    for ways in bundles:
         dests: List[int] = []
         expressions: List[str] = []
         hazard = False
@@ -129,8 +150,9 @@ def cell_lines(
                     return bound[item.index]
                 return f"r{item.index}"
 
+            finish = str if sentinel is None else watch
             expressions.append(
-                way_expression(way, operand, has_match_table, temporaries)
+                way_expression(way, operand, has_match_table, temporaries, finish)
             )
             undefined |= reads - written - bound.keys()
             hazard = hazard or not reads.isdisjoint(dests)
@@ -139,6 +161,9 @@ def cell_lines(
             lines += [f"t{i} = {expr}" for i, expr in enumerate(expressions)]
             expressions = [f"t{i}" for i in range(len(dests))]
         lines += [f"r{dest} = {expr}" for dest, expr in zip(dests, expressions)]
+        if sentinel is not None:
+            lines += [sentinel.count_line(value) for value in observed]
+            observed.clear()
         written.update(dests)
     missing = sorted(
         index for index in set(targets) - written if index not in bound
@@ -175,10 +200,9 @@ def specialize_cell(
     """Compile *compiled* into one specialized cell-update function.
 
     Drop-in for the closure :func:`repro.engine.runners._cell_executor`
-    builds, minus the sentinel observe hook (callers must keep the
-    interpreted path when sentinels are armed).  Handed one,
-    ``run_job`` runs its program's fused sweep
-    (:mod:`repro.engine.sweep`) instead of calling it per cell.
+    builds, minus the sentinel observe hook.  Handed one, ``run_job``
+    runs its program's fused sweep (:mod:`repro.engine.sweep`), armed
+    or not, instead of calling it per cell.
     """
     source = specialize_source(compiled, match_table is not None)
     namespace = expression_namespace(match_table)
@@ -189,9 +213,9 @@ def specialize_cell(
 
 
 class CellMemo:
-    """Bounded memo of functions generated from a program, keyed by its
-    content: specialized cells here, fused sweeps
-    (:data:`repro.engine.sweep.SWEEPS`) with *build*.
+    """Bounded memo of the functions *build* generates from a program
+    (fused sweeps, :data:`repro.engine.sweep.SWEEPS`), keyed by its
+    content.
 
     An entry remembers the program it was built from and a hit is
     honoured only when instructions and register maps really are equal,
@@ -199,22 +223,22 @@ class CellMemo:
     once per freshly unpickled one), so a ``CompiledProgram`` carrying
     a stale or forged ``program_hash`` can never be handed another
     program's function.  A program whose build raised is remembered as
-    ``None`` -- its jobs call a cell per cell instead -- and logged
+    ``None`` -- its jobs run the interpreter instead -- and logged
     once.  Eviction is first-in first-out.
     """
 
     def __init__(
         self,
+        build: Callable[[CompiledProgram, Optional[MatchTable]], Any],
         capacity: int = 64,
-        build: Optional[Callable[[CompiledProgram, Optional[MatchTable]], Any]] = None,
     ):
         if capacity <= 0:
             raise ValueError("memo capacity must be positive")
         self.capacity = capacity
-        #: ``build(compiled, match_table)``; None: :func:`specialize_cell`.
+        #: ``build(compiled, match_table)``.
         self._build = build
         self._entries: Dict[
-            Tuple[str, str], Tuple[CompiledProgram, Optional[CellFunction]]
+            Tuple[str, str], Tuple[CompiledProgram, Optional[Callable[..., Any]]]
         ] = {}
 
     def __len__(self) -> int:
@@ -224,8 +248,8 @@ class CellMemo:
         self,
         compiled: CompiledProgram,
         match_table_for: Callable[[str], Optional[MatchTable]],
-    ) -> Optional[CellFunction]:
-        """The specialized cell of *compiled*; ``None`` if it has none."""
+    ) -> Optional[Callable[..., Any]]:
+        """What *build* made of *compiled*; ``None`` if it raised."""
         key = (compiled.kernel, compiled.program_hash)
         entry = self._entries.get(key)
         if entry is not None:
@@ -253,13 +277,12 @@ class CellMemo:
         self._entries[key] = (compiled, cell)
         return cell
 
-    def _specialize(self, compiled, match_table_for) -> Optional[CellFunction]:
-        build = self._build or specialize_cell
+    def _specialize(self, compiled, match_table_for) -> Optional[Callable[..., Any]]:
         try:
-            return build(compiled, match_table_for(compiled.kernel))
+            return self._build(compiled, match_table_for(compiled.kernel))
         except Exception as error:  # malformed programs fail in many ways
             _LOG.warning(
-                "specialization failed; the program's jobs call their cell per cell",
+                "specialization failed; the program's jobs run the interpreter",
                 extra={
                     "kernel": compiled.kernel,
                     "program_hash": compiled.program_hash,
@@ -267,7 +290,3 @@ class CellMemo:
                 },
             )
             return None
-
-
-#: The process's memo: what ``run_job(..., cell=None)`` resolves through.
-CELLS = CellMemo()

@@ -23,12 +23,12 @@ A loop nest comes in two forms with one body slot:
   of the outputs the sweep consumes emitted.  No call per cell: the
   opcode templates of :mod:`repro.dfg.expressions` index
   ``_LOG_SUM_TABLE`` and ``_MATCH``, the match table tabulated over
-  the DNA codes (and only where both operands are those codes).
-  :data:`SWEEPS` memoizes them per process, by program content.
+  the DNA codes (and only where both operands are those codes).  The
+  **armed** variant emits every way and returns the sentinels' hazard
+  counts too.  :data:`SWEEPS` and :data:`ARMED` memoize them per
+  process, by program content.
 - **call** (:func:`sweep_source`, :func:`wavefront_sweep`): the slot
-  calls the cell it is handed.  The interpreter oracle and the
-  sentinel-observing interpreter run this way, one calling convention
-  with the specialized cell (:mod:`repro.engine.specialize`).
+  calls the cell it is handed, the interpreter.
 
 Every input is bound **by name**, in whatever order the program's
 ``input_regs`` lists it.  A program whose signature the roles cannot
@@ -48,6 +48,7 @@ from repro.dfg.stencils import WAVEFRONT_SPECS, Wavefront2DSpec, default_spec
 from repro.engine.cache import CompiledProgram
 from repro.engine.jobs import JobValidationError
 from repro.engine.specialize import CellMemo, MatchTable, SpecializationError, cell_lines
+from repro.guard.sentinels import SENTINEL_FIELDS, make_sentinel
 from repro.seq.alphabet import DNA_ALPHABET
 
 #: ``sweep([cell,] stream, static, row0)`` / ``sweep([cell,] anchors,
@@ -75,6 +76,7 @@ def _wavefront_source(
     outputs: Sequence[str],
     render: Render,
     head: str,
+    counters: Sequence[str] = (),
 ) -> str:
     recv_output = dict(spec.recv)
     consumed = spec.consumed_outputs()
@@ -115,6 +117,7 @@ def _wavefront_source(
     columns = ["t"] + [f"{out}_up" for out in rowed]
     rows = ["static"] + [f"{out}_prev[1:]" for out in rowed]
     lines = [f"def _sweep({head}stream, static, row0):"]
+    lines += [f"    {name} = 0" for name in counters]
     lines += [
         f"    {out}_prev = [{spec.first_corner.get(out)!r}] + [row0[{out!r}]] * len(static)"
         for out in rowed
@@ -135,12 +138,17 @@ def _wavefront_source(
     lines += [f"        {out}_prev = {out}_curr" for out in rowed]
     final = [f"{out!r}: {out}_prev" for out in rowed]
     final += [f"{acc!r}: acc_{acc}" for acc, _, _ in spec.accumulators]
+    final += [f"{name!r}: {name}" for name in counters]
     lines.append("    return {" + ", ".join(final) + "}")
     return "\n".join(lines) + "\n"
 
 
 def _chain_source(
-    inputs: Sequence[str], outputs: Sequence[str], render: Render, head: str
+    inputs: Sequence[str],
+    outputs: Sequence[str],
+    render: Render,
+    head: str,
+    counters: Sequence[str] = (),
 ) -> str:
     """Reordered fixed-point chaining: anchor j pushes to the *n*
     anchors after it (the score of j is final when its turn comes)."""
@@ -160,6 +168,7 @@ def _chain_source(
         "    points = [(anchor.x, anchor.y, anchor.w) for anchor in anchors]",
         f"    scores = [w * {SCALE!r} for _, _, w in points]",
         "    parents = [-1] * len(points)",
+        *(f"    {name} = 0" for name in counters),
         "    for j, (x_j, y_j, _) in enumerate(points):",
         "        f_j = scores[j]",
         "        hi = j + 1 + n",
@@ -171,16 +180,16 @@ def _chain_source(
         "        ):",
     ]
     lines += ["            " + line for line in body]
-    lines.append("    return {'scores': scores, 'parents': parents}")
+    final = "".join(f", {name!r}: {name}" for name in counters)
+    lines.append("    return {'scores': scores, 'parents': parents%s}" % final)
     return "\n".join(lines) + "\n"
 
 
-def _source(
-    kernel: str, inputs: Sequence[str], outputs: Sequence[str], render: Render, head: str
-) -> str:
+def _source(kernel: str, *args: Any) -> str:
+    """*kernel*'s loop nest: the rest of the arguments are its generator's."""
     if kernel in WAVEFRONT_SPECS:
-        return _wavefront_source(default_spec(kernel), inputs, outputs, render, head)
-    return _chain_source(inputs, outputs, render, head)
+        return _wavefront_source(default_spec(kernel), *args)
+    return _chain_source(*args)
 
 
 def _call(inputs: Sequence[str], outputs: Sequence[str]) -> Render:
@@ -213,29 +222,36 @@ def wavefront_sweep(
     return namespace["_sweep"]
 
 
-def fused_source(compiled: CompiledProgram, has_match_table: bool) -> str:
-    """Source of *compiled*'s fused sweep: its cell inlined in the loop."""
+def fused_source(
+    compiled: CompiledProgram, has_match_table: bool, armed: bool = False
+) -> str:
+    """Source of *compiled*'s fused sweep (*armed*: its armed variant)."""
     regs = compiled.input_regs
     match = MATCH_LOOKUP if has_match_table else False
+    sentinel = make_sentinel(compiled.kernel) if armed else None
+    counters = SENTINEL_FIELDS[1:] if armed else ()
 
     def render(bind, consumed):
         bound = {regs[name]: bind[name] for name in regs}
-        return cell_lines(compiled, match, bound, consumed)
+        return cell_lines(compiled, match, bound, consumed, sentinel)
 
-    return _source(compiled.kernel, tuple(regs), tuple(compiled.output_regs), render, "")
+    inputs, outputs = tuple(regs), tuple(compiled.output_regs)
+    return _source(compiled.kernel, inputs, outputs, render, "", counters)
 
 
 def fuse_sweep(
-    compiled: CompiledProgram, match_table: Optional[MatchTable] = None
+    compiled: CompiledProgram,
+    match_table: Optional[MatchTable] = None,
+    armed: bool = False,
 ) -> Sweep:
-    """Compile *compiled*'s fused sweep.
+    """Compile *compiled*'s :func:`fused_source`.
 
     ``_MATCH[a][b]`` is ``match_table(a, b)`` for every pair of DNA
     codes, the only values the DNA codec gives a table's operands, so
     a program whose MATCH_SCORE reads anything but the two sequence
     elements is refused (:class:`SpecializationError`).
     """
-    source = fused_source(compiled, match_table is not None)
+    source = fused_source(compiled, match_table is not None, armed)
     namespace = expression_namespace()
     if match_table is not None:
         lookups = re.findall(r"_MATCH\[[st]\]\[[st]\]", source)
@@ -253,4 +269,6 @@ def fuse_sweep(
 
 #: The process's fused sweeps, one per program content: a fresh engine
 #: or a respawned worker never compiles one again.
-SWEEPS = CellMemo(build=fuse_sweep)
+SWEEPS = CellMemo(fuse_sweep)
+#: Their armed variants.
+ARMED = CellMemo(functools.partial(fuse_sweep, armed=True))

@@ -10,7 +10,7 @@ Bellman-Ford through functional sweeps of their scratchpad-mapping
 cell programs (:mod:`repro.mapping.longrange` semantics, without the
 cycle-level simulator cost).  The engine-backed four are checked twice
 per case: the interpreted program against the reference kernel, and
-the specialized cell every executor runs against the interpreter.
+the fused sweep every executor runs, armed too, against the oracle.
 
 Case generation is a pure function of ``(seed, kernel, index)`` via
 :func:`repro.faults.seeded_rng`, so campaigns are resumable and two
@@ -50,7 +50,7 @@ from repro.engine.runners import (
     run_job,
 )
 from repro.faults.plan import seeded_rng
-from repro.guard.sentinels import Sentinel
+from repro.guard.sentinels import Sentinel, make_sentinel
 from repro.kernels.bellman_ford import Edge, bellman_ford
 from repro.kernels.chain import DEFAULT_AVG_SEED_WEIGHT
 from repro.kernels.poa import PartialOrderGraph, graph_dp_tables
@@ -291,8 +291,8 @@ def compiled_result(
     """Run *payload* through the compiled path; optionally sentineled.
 
     Engine-backed kernels run on the interpreter closure here -- the
-    oracle, and the only path with an observe hook for *sentinel*;
-    :func:`run_case` cross-checks the specialized cell against it.
+    oracle, observing for *sentinel*; :func:`run_case` cross-checks
+    the fused sweep, armed and not, against it.
     """
     observe = sentinel.observe if sentinel is not None else None
     if kernel in _ENGINE_BACKED:
@@ -354,18 +354,25 @@ def run_case(
 
     Two oracles for engine-backed kernels: the interpreted program
     against the reference kernel, then the engine's default path (the
-    specialized cell ``run_job`` resolves by itself) bit-for-bit
-    against the interpreter.  A divergence of the second kind is
-    reported like a reference mismatch, with the interpreter's answer
-    as ``expected`` and the specialized one as ``actual``.
+    fused sweep, armed too under a *sentinel*: its counts included)
+    bit-for-bit against the interpreter.  A divergence of the second
+    kind is reported like a reference mismatch, with the interpreter's
+    answer as ``expected`` and the engine's as ``actual``.
     """
+    before = sentinel.snapshot() if sentinel is not None else {}
     actual = compiled_result(kernel, payload, programs, sentinel)
     expected = reference_answer(kernel, payload)
     ok = results_match(kernel, actual, expected)
     if ok and kernel in _ENGINE_BACKED:
-        specialized = run_job(kernel, programs.compiled, payload)
-        if specialized != actual:
-            expected, actual, ok = actual, specialized, False
+        fused = run_job(kernel, programs.compiled, payload)
+        if fused != actual:
+            expected, actual, ok = actual, fused, False
+        elif sentinel is not None:
+            counts = {k: n - before[k] for k, n in sentinel.snapshot().items()}
+            oracle = dict(actual, _sentinels=counts)
+            armed = run_job(kernel, programs.compiled, dict(payload, _sentinels=True))
+            if armed != oracle:
+                expected, actual, ok = oracle, armed, False
     return DiffOutcome(
         kernel=kernel,
         payload=payload,
@@ -650,13 +657,13 @@ def shrink_mismatch(
     payload: Dict[str, Any],
     programs: KernelPrograms,
 ) -> Reproducer:
-    """Shrink a sweep-level mismatch into a payload reproducer."""
+    """Shrink a sweep-level mismatch (armed runs included) into a payload reproducer."""
 
     def still_fails(candidate: Dict[str, Any]) -> bool:
-        return not run_case(kernel, candidate, programs).ok
+        return not run_case(kernel, candidate, programs, make_sentinel(kernel)).ok
 
     shrunk = shrink_payload(kernel, payload, still_fails)
-    outcome = run_case(kernel, shrunk, programs)
+    outcome = run_case(kernel, shrunk, programs, make_sentinel(kernel))
     return Reproducer(
         kind="payload",
         kernel=kernel,

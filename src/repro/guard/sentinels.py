@@ -5,8 +5,9 @@ that would wrap the 32-bit datapath (or saturate an 8-bit SIMD lane)
 silently stays "correct" in simulation while the hardware it models
 diverges.  A :class:`Sentinel` watches every intermediate ALU value of
 a compiled-program execution (through the ``observe`` hook of
-:func:`repro.dpmap.codegen.execute_way`) and counts, without altering
-any result:
+:func:`repro.dpmap.codegen.execute_way`, or the statements
+:meth:`Sentinel.count_line` renders into the engine's armed fused
+sweep) and counts, without altering any result:
 
 - ``int32_overflows``  -- values outside the signed 32-bit rails that
   :func:`repro.dpax.pe.wrap32` would wrap;
@@ -61,6 +62,19 @@ class Sentinel:
                 self.lane_saturations += 1
         if self.underflow_floor is not None and value <= self.underflow_floor:
             self.underflows += 1
+
+    def count_line(self, value: str) -> str:
+        """A statement counting what :meth:`observe` would of the local
+        *value* into locals named after the hazard fields."""
+        low, high = INT32_MIN, INT32_MAX
+        checks = [f"int32_overflows += {value} < {low} or {value} > {high}"]
+        if self.lane_bits is not None:  # the lanes' rails lie inside int32's
+            low, high = -(1 << (self.lane_bits - 1)), (1 << (self.lane_bits - 1)) - 1
+            checks.append(f"lane_saturations += {value} < {low} or {value} > {high}")
+        if self.underflow_floor is not None:
+            low = max(low, self.underflow_floor + 1)
+            checks.append(f"underflows += {value} <= {self.underflow_floor}")
+        return f"if {value} < {low} or {value} > {high}: " + "; ".join(checks)
 
     @property
     def triggered(self) -> bool:

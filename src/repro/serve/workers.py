@@ -72,11 +72,9 @@ class _ProgramCache:
             compiled = self._segments.programs.load(program_id)
             if compiled is None:
                 return None
-            from repro.engine.runners import fused_sweep, specialized_cell
+            from repro.engine.runners import fused_sweep
 
-            # Warm both memos ahead of traffic.
-            if specialized_cell(compiled) is not None:
-                fused_sweep(compiled)
+            fused_sweep(compiled)  # warm the memo ahead of traffic
             self._entries[program_id] = compiled
         return compiled
 

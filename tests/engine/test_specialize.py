@@ -1,13 +1,15 @@
 """One cell-execution path: the compile-seam specializer and its memo.
 
-``run_job(..., cell=None)`` -- what every executor calls -- streams
-cells through the program's specialized function from the per-process
-memo; the interpreter stays reachable as the explicit oracle and runs
-by itself only for sentineled payloads and unspecializable programs.
+``run_job(..., cell=None)`` -- what every executor calls -- sweeps
+the table with the program's fused sweep from the per-process memo,
+its armed variant when the payload arms sentinels; the interpreter
+stays reachable as the explicit oracle and runs by itself only for
+programs that cannot be fused.
 """
 
 import ast
 import dataclasses
+import functools
 import itertools
 import logging
 import pickle
@@ -16,22 +18,23 @@ import pytest
 
 from repro.dfg.expressions import _EXPRESSIONS, op_expression
 from repro.dfg.graph import OPCODE_ARITY, Opcode, _apply
+from repro.dfg.stencils import boundary_row
 from repro.engine import Engine, EngineConfig, make_job
 from repro.engine.cache import compile_program
 from repro.engine.jobs import ENGINE_KERNELS
 from repro.engine.runners import (
     _cell_executor,
     build_dfg,
+    fused_sweep,
     match_table_for,
     run_job,
-    specialized_cell,
 )
 from repro.engine.specialize import (
-    CELLS,
     CellMemo,
     specialize_cell,
     specialize_source,
 )
+from repro.engine.sweep import ARMED, SWEEPS, fuse_sweep
 from repro.guard.sentinels import make_sentinel
 
 PAYLOADS = {
@@ -75,7 +78,8 @@ class TestInlineEngineRunsTheSpecializedCell:
         assert path({}) == "fused"
         # A specialized cell passed in runs as its program's fused sweep.
         assert path({}, specialize_cell(compiled, match_table_for(kernel))) == "fused"
-        assert path({"_sentinels": True}) == "interpreted"
+        # An armed job runs the armed variant of the same sweep.
+        assert path({"_sentinels": True}) == "fused"
         oracle = _cell_executor(compiled, match_table_for(kernel))
         assert path({}, oracle) == "interpreted"
 
@@ -83,10 +87,11 @@ class TestInlineEngineRunsTheSpecializedCell:
         "kernel, saturations, underflows",
         [("bsw", 50, 0), ("pairhmm", 0, 396)],
     )
-    def test_sentinel_payloads_still_run_the_interpreter(
+    def test_sentinel_payloads_run_the_armed_fused_sweep(
         self, kernel, saturations, underflows
     ):
-        # The literal counts are the parent commit's on these payloads.
+        # The literal counts are the interpreter's on these payloads,
+        # pinned when it still ran every sentinel-armed job.
         with Engine(EngineConfig(workers=0, sentinels=True)) as engine:
             engine.submit(make_job(kernel, PAYLOADS[kernel]))
             result = engine.drain()[0]
@@ -104,64 +109,76 @@ class TestInlineEngineRunsTheSpecializedCell:
         assert violations == 0
 
 
+def _dtw_operands():
+    return [3, 9, 4], [2, 8], boundary_row("dtw", 2)
+
+
 class TestMemo:
+    """The two process memos, :data:`SWEEPS` and :data:`ARMED`, and the
+    :class:`CellMemo` they are (the honest-first forged-hash case and
+    one sweep per program content are ``test_sweep.TestFusedSweepMemo``'s)."""
+
     def test_two_compiles_of_one_dfg_share_one_function(self):
         first, second = _compiled("dtw"), _compiled("dtw")
         assert first is not second
         assert first.instructions is not second.instructions
-        cell = specialized_cell(first)
-        assert cell is not None
-        assert specialized_cell(second) is cell
-        assert specialized_cell(pickle.loads(pickle.dumps(first))) is cell
+        for armed in (False, True):
+            sweep = fused_sweep(first, armed)
+            assert sweep is not None
+            assert fused_sweep(second, armed) is sweep
+            assert fused_sweep(pickle.loads(pickle.dumps(first)), armed) is sweep
+        assert fused_sweep(first, True) is not fused_sweep(first)
 
     def test_not_pickled_with_the_program(self):
         compiled = _compiled("lcs")
         before = pickle.dumps(compiled)
-        assert specialized_cell(compiled) is not None
+        assert fused_sweep(compiled) is not None
+        assert fused_sweep(compiled, True) is not None
         assert pickle.dumps(compiled) == before
         assert set(vars(compiled)) == {
             field.name for field in dataclasses.fields(compiled)
         }
 
     def test_bounded(self):
-        memo = CellMemo(capacity=2)
+        memo = CellMemo(fuse_sweep, capacity=2)
         programs = [_compiled(kernel) for kernel in ("lcs", "dtw", "chain")]
-        cells = [memo.get(program, match_table_for) for program in programs]
+        sweeps = [memo.get(program, match_table_for) for program in programs]
         assert len(memo) == 2
         # Oldest entry went first: lcs is rebuilt, chain is still there.
-        assert memo.get(programs[2], match_table_for) is cells[2]
-        assert memo.get(programs[0], match_table_for) is not cells[0]
+        assert memo.get(programs[2], match_table_for) is sweeps[2]
+        assert memo.get(programs[0], match_table_for) is not sweeps[0]
         assert len(memo) == 2
-        assert len(CELLS) <= CELLS.capacity
+        assert len(SWEEPS) <= SWEEPS.capacity
+        assert len(ARMED) <= ARMED.capacity
         with pytest.raises(ValueError):
-            CellMemo(capacity=0)
+            CellMemo(fuse_sweep, capacity=0)
 
     def test_stale_hash_never_returns_another_programs_function(self):
         """``dataclasses.replace`` keeps ``program_hash``: the memo must
-        compare the program itself, not trust the hash."""
+        compare the program itself, not trust the hash -- here with
+        the forged program memoized first, in the armed memo's shape."""
         clean = _compiled("dtw")
         forged = dataclasses.replace(
             clean, output_regs={"d": next(iter(clean.input_regs.values()))}
         )
         assert forged.program_hash == clean.program_hash
-        memo = CellMemo()
-        honest = memo.get(clean, match_table_for)
-        assert memo.get(forged, match_table_for) is not honest
-        assert memo.get(clean, match_table_for) is honest
-        # Forged first: the honest program must not inherit its cell.
-        memo = CellMemo()
+        memo = CellMemo(functools.partial(fuse_sweep, armed=True))
         wrong = memo.get(forged, match_table_for)
+        honest = memo.get(clean, match_table_for)
+        assert honest is not wrong
         assert memo.get(clean, match_table_for) is not wrong
-        args = [1, 2, 3, 4, 5]
-        assert memo.get(clean, match_table_for)(*args) == honest(*args)
+        assert honest(*_dtw_operands()) == ARMED.get(clean, match_table_for)(
+            *_dtw_operands()
+        )
+        assert honest(*_dtw_operands()) != wrong(*_dtw_operands())
 
     def test_failure_is_logged_once_per_program(self, caplog):
         clean = _compiled("lcs")
-        # An output register nothing writes: the specializer refuses.
+        # A consumed output register nothing writes: fusing refuses.
         unwritten = dataclasses.replace(
-            clean, output_regs={**clean.output_regs, "ghost": 4000}
+            clean, output_regs={**clean.output_regs, "c": 4000}
         )
-        memo = CellMemo()
+        memo = CellMemo(fuse_sweep)
         with caplog.at_level(logging.WARNING, logger="repro.engine.specialize"):
             assert memo.get(unwritten, match_table_for) is None
             assert memo.get(unwritten, match_table_for) is None
@@ -182,14 +199,23 @@ class TestMemo:
         def refuse(compiled, match_table=None):
             raise specialize.SpecializationError("no")
 
-        monkeypatch.setattr(specialize, "specialize_cell", refuse)
-        monkeypatch.setattr(specialize.CELLS, "_entries", {})
+        for memo in (SWEEPS, ARMED):
+            monkeypatch.setattr(memo, "_build", refuse)
+            monkeypatch.setattr(memo, "_entries", {})
         compiled = _compiled("bsw")
         payload = {**PAYLOADS["bsw"], "_trace": {"trace_id": "t", "job_id": 1}}
         value = run_job("bsw", compiled, payload)
         (span,) = value.pop("_trace_spans")
         assert span["args"]["path"] == "interpreted"
         assert value == _interpreted("bsw", PAYLOADS["bsw"])
+        # Armed, the interpreter observes: the same counts as the oracle.
+        value = run_job("bsw", compiled, {**payload, "_sentinels": True})
+        (span,) = value.pop("_trace_spans")
+        assert span["args"]["path"] == "interpreted"
+        sentinel = make_sentinel("bsw")
+        oracle = _interpreted("bsw", PAYLOADS["bsw"], sentinel.observe)
+        assert value == {**oracle, "_sentinels": sentinel.snapshot()}
+        assert sentinel.lane_saturations == 50
 
 
 class TestSource:

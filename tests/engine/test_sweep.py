@@ -5,9 +5,11 @@ What these tests pin: the values *derived* from each
 hand in ``engine/runners.py`` and ``static/contracts.py`` (the literals
 live here now), the generated loop nests agree with the reference
 kernels on degenerate and non-square tables through every cell kind,
-cell arguments are bound by name, the fused sweep every job runs is
-bit-equal to the interpreter called per cell and memoized by program
-content, and the kernel table has exactly the published rows.
+cell arguments are bound by name, the fused sweep every job runs --
+armed, for a payload that arms sentinels -- is bit-equal to the
+interpreter called per cell (in value and in every sentinel count) and
+memoized by program content, and the kernel table has exactly the
+published rows.
 """
 
 import builtins
@@ -21,12 +23,14 @@ from hypothesis import strategies as st
 from repro.dfg.expressions import expression_namespace, op_expression
 from repro.dfg.graph import Opcode
 from repro.dfg.stencils import (
+    INF,
     WAVEFRONT_SPECS,
     boundary_row,
     default_spec,
     pairhmm_boundary_for_length,
     wavefront_spec,
 )
+from repro.dpax.pe import INT32_MAX, INT32_MIN
 from repro.engine import Engine, EngineConfig, make_job
 from repro.engine.cache import compile_program
 from repro.engine.jobs import ENGINE_KERNELS, KERNEL_DIMENSIONS, JobValidationError
@@ -42,6 +46,7 @@ from repro.engine.runners import (
 )
 from repro.engine.specialize import SpecializationError
 from repro.engine.sweep import fuse_sweep, fused_source, sweep_source, wavefront_sweep
+from repro.guard.sentinels import make_sentinel
 from repro.isa.compute import CUInstruction, Reg, SlotOp, VLIWInstruction
 from repro.kernels.pairhmm import log_sum_lookup
 from repro.opt import contract_for, default_pipeline
@@ -307,58 +312,98 @@ def _program(kernel, optimized, permuted):
     return _PROGRAMS[key]
 
 
-def _fused_is_interpreted(kernel, payload, optimized, permuted):
-    """The fused sweep's answer, bit-equal to the interpreter's and, but
-    for PairHMM's one-column tables, to the reference kernel's (both
-    forms share their loop nest, so the reference checks the loop)."""
+def _fused_is_interpreted(kernel, payload, optimized, permuted, armed):
+    """The fused sweep's answer (*armed*: its armed variant's, with its
+    sentinel snapshot), bit-equal to an observing interpreter's and,
+    but for PairHMM's one-column tables and DTW signals past the
+    model's finite infinity, to the reference kernel's (both forms
+    share their loop nest, so the reference checks the loop).  Returns
+    the value and the snapshot (``None`` unarmed)."""
     compiled = _program(kernel, optimized, permuted)
     trace = {"trace_id": "t", "job_id": 1}
-    fused = run_job(kernel, compiled, {**payload, "_trace": trace})
+    arm = {"_sentinels": True} if armed else {}
+    fused = run_job(kernel, compiled, {**payload, **arm, "_trace": trace})
     (span,) = fused.pop("_trace_spans")
     assert span["args"]["path"] == "fused"
-    oracle = _cell_executor(compiled, match_table_for(kernel))
+    counts = fused.pop("_sentinels", None)
+    sentinel = make_sentinel(kernel)
+    oracle = _cell_executor(compiled, match_table_for(kernel), sentinel.observe)
     assert fused == run_job(kernel, compiled, dict(payload), oracle)
-    if kernel != "pairhmm" or len(payload["haplotype"]) > 1:
+    assert counts == (sentinel.snapshot() if armed else None)
+    one_column = kernel == "pairhmm" and len(payload["haplotype"]) == 1
+    # The int32 rails' DTW examples: costs past INF, which floats lack.
+    past_inf = kernel == "dtw" and max(map(abs, payload["a"] + payload["b"])) >= INF
+    if not (one_column or past_inf):
         assert matches_reference(kernel, fused, payload)
-    return fused
+    return fused, counts
 
 
 class TestFusedSweepIsTheInterpreter:
     @pytest.mark.parametrize("optimized, permuted", VARIANTS)
     @pytest.mark.parametrize("kernel", ("bsw", "pairhmm", "lcs"))
     @settings(max_examples=25, deadline=None)
-    @given(stream=DNA, static=DNA)
-    @example(stream="A", static="C")
-    @example(stream="A", static="ACGTTGCA")
-    @example(stream="ACGTTGCA", static="G")
-    @example(stream="ACGTTGCAAC", static="ACGTAGC")
-    def test_dna_tables(self, kernel, optimized, permuted, stream, static):
+    @given(stream=DNA, static=DNA, armed=st.booleans())
+    @example(stream="A", static="C", armed=False)
+    @example(stream="A", static="ACGTTGCA", armed=False)
+    @example(stream="ACGTTGCA", static="G", armed=False)
+    @example(stream="ACGTTGCAAC", static="ACGTAGC", armed=False)
+    @example(stream="A", static="C", armed=True)
+    @example(stream="ACGTTGCAAC", static="ACGTAGC", armed=True)
+    def test_dna_tables(self, kernel, optimized, permuted, stream, static, armed):
         payload = dict(zip(KERNELS[kernel].keys, (stream, static)))
-        value = _fused_is_interpreted(kernel, payload, optimized, permuted)
+        value, _ = _fused_is_interpreted(kernel, payload, optimized, permuted, armed)
         if kernel == "pairhmm" and (stream, static) in PAIRHMM_ONE_COLUMN:
             assert value["log10_likelihood"] == PAIRHMM_ONE_COLUMN[stream, static]
 
     @pytest.mark.parametrize("optimized, permuted", VARIANTS)
     @settings(max_examples=25, deadline=None)
-    @given(a=SIGNAL, b=SIGNAL)
-    @example(a=[3], b=[2, 8, 1, 6, 11])
-    @example(a=[3, 9, 4, 7, 0, 12], b=[5])
-    @example(a=[3, 9, 4, 7, 0, 12], b=[2, 8, 1, 6, 11])
-    def test_dtw_tables(self, optimized, permuted, a, b):
-        _fused_is_interpreted("dtw", {"a": a, "b": b}, optimized, permuted)
+    @given(a=SIGNAL, b=SIGNAL, armed=st.booleans())
+    @example(a=[3], b=[2, 8, 1, 6, 11], armed=False)
+    @example(a=[3, 9, 4, 7, 0, 12], b=[5], armed=False)
+    @example(a=[3, 9, 4, 7, 0, 12], b=[2, 8, 1, 6, 11], armed=False)
+    @example(a=[3, 9, 4, 7, 0, 12], b=[2, 8, 1, 6, 11], armed=True)
+    # Values at the int32 rails: differences and sums leave them.
+    @example(a=[INT32_MAX, INT32_MIN], b=[INT32_MIN, INT32_MAX - 1], armed=True)
+    @example(a=[-(2**31) + 5, 7, 2**31 - 3], b=[2**31 - 9, -(2**31) + 1], armed=True)
+    def test_dtw_tables(self, optimized, permuted, a, b, armed):
+        payload = {"a": a, "b": b}
+        _, counts = _fused_is_interpreted("dtw", payload, optimized, permuted, armed)
+        if armed and max(a + b) - min(a + b) > INT32_MAX:
+            assert counts["int32_overflows"] > 0
 
     @pytest.mark.parametrize("optimized, permuted", VARIANTS)
     @settings(max_examples=25, deadline=None)
-    @given(steps=STEPS, window=st.integers(1, 12))
-    @example(steps=[(40, 30)] * 6, window=1)
-    @example(steps=[(40, 30)] * 6, window=7)  # wider than the anchor count
-    def test_chain_windows(self, optimized, permuted, steps, window):
+    @given(steps=STEPS, window=st.integers(1, 12), armed=st.booleans())
+    @example(steps=[(40, 30)] * 6, window=1, armed=False)
+    @example(steps=[(40, 30)] * 6, window=7, armed=False)  # wider than the anchors
+    @example(steps=[(40, 30)] * 6, window=7, armed=True)
+    def test_chain_windows(self, optimized, permuted, steps, window, armed):
         anchors, x, y = [], 0, 0
         for dx, dy in steps:
             x, y = x + dx, y + dy
             anchors.append([x, y, 19])
         payload = {"anchors": anchors, "n": window}
-        _fused_is_interpreted("chain", payload, optimized, permuted)
+        _fused_is_interpreted("chain", payload, optimized, permuted, armed)
+
+
+    def test_armed_sweep_computes_and_counts_dead_ways(self):
+        """The interpreter observes a way no consumed output reads, so
+        the armed sweep emits it (the unarmed one prunes it)."""
+        clean = compile_program("dtw", 2, build_dfg("dtw"))
+        shifted = SlotOp(Opcode.SHL16, (Reg(clean.input_regs["a"]),))
+        way = CUInstruction(kind="tree", dest=Reg(60), left=shifted)
+        dead = VLIWInstruction(cu0=way)
+        program = dataclasses.replace(clean, instructions=clean.instructions + (dead,))
+        assert "r60 =" not in fused_source(program, False)
+        assert "r60 =" in fused_source(program, False, armed=True)
+        payload = {"a": [40000, 3], "b": [5, 7, 9]}
+        sentinel = make_sentinel("dtw")
+        oracle = _cell_executor(program, None, sentinel.observe)
+        expected = run_job("dtw", program, dict(payload), oracle)
+        armed = run_job("dtw", program, dict(payload, _sentinels=True))
+        assert armed.pop("_sentinels") == sentinel.snapshot()
+        assert armed == expected
+        assert sentinel.int32_overflows == 3  # 40000 << 16, once per cell of its row
 
 
 class TestFusedSweepMemo:
@@ -411,7 +456,7 @@ class TestFusedSweepMemo:
 
     def test_match_lookup_only_where_both_operands_are_sequence_codes(self):
         """A program that overwrites ``q`` before MATCH_SCORE reads it
-        is not fused; its specialized cell is called instead."""
+        is not fused; the interpreter runs its jobs instead."""
         clean = compile_program("bsw", 2, build_dfg("bsw"))
         q, t = clean.input_regs["q"], clean.input_regs["t"]
         copy_t_to_q = CUInstruction(
@@ -425,24 +470,32 @@ class TestFusedSweepMemo:
         trace = {"trace_id": "t", "job_id": 1}
         value = run_job("bsw", odd, {**payload, "_trace": trace})
         (span,) = value.pop("_trace_spans")
-        assert span["args"]["path"] == "specialized"
+        assert span["args"]["path"] == "interpreted"
         oracle = _cell_executor(odd, match_table_for("bsw"))
         assert value == run_job("bsw", odd, payload, oracle)
 
 
 class TestCallFreeFusedSweeps:
     """What CI's "Call-free cells" step runs (``-k CallFree``): no
-    fused sweep calls a cell, the log-sum or the match table."""
+    fused sweep, armed or not, calls a cell, the log-sum, the match
+    table or a sentinel, and an armed job runs fused."""
 
     @pytest.mark.parametrize("optimized", [False, True])
     @pytest.mark.parametrize("kernel", ENGINE_KERNELS)
     def test_fused_sources_call_only_log2(self, kernel, optimized):
         compiled = _program(kernel, optimized, False)
-        source = fused_source(compiled, match_table_for(kernel) is not None)
-        for call in ("cell(", "_log_sum(", "_match("):
-            assert call not in source, (kernel, call)
-        if kernel != "chain":
-            assert "_log2(" not in source
+        for armed in (False, True):
+            source = fused_source(compiled, match_table_for(kernel) is not None, armed)
+            for call in ("cell(", "_log_sum(", "_match(", "observe("):
+                assert call not in source, (kernel, armed, call)
+            if kernel != "chain":
+                assert "_log2(" not in source
+        from tests.engine.test_specialize import PAYLOADS
+
+        trace = {"trace_id": "t", "job_id": 1}
+        payload = {**PAYLOADS[kernel], "_sentinels": True, "_trace": trace}
+        (span,) = run_job(kernel, compiled, payload)["_trace_spans"]
+        assert span["args"]["path"] == "fused"
 
     def test_log_sum_template_is_log_sum_lookup(self):
         span = 1 << 16

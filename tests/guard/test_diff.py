@@ -122,28 +122,70 @@ class TestCorruptedCodegen:
         self, monkeypatch
     ):
         """A codegen bug: the interpreter (and so the reference) is
-        right, the cell every executor runs is not."""
+        right, the fused sweep every executor runs is not."""
         from repro.engine import runners
 
-        real = runners.specialized_cell
+        real = runners.fused_sweep
 
-        def off_by_one(compiled):
-            cell = real(compiled)
-            return lambda *inputs: tuple(value + 1 for value in cell(*inputs))
+        def off_by_one(compiled, armed=False):
+            sweep = real(compiled, armed)
+
+            def wrong(*operands):
+                final = sweep(*operands)
+                return {**final, "d": [value + 1 for value in final["d"]]}
+
+            return wrong
 
         programs = compile_kernel_programs("dtw")
         payload = generate_payload("dtw", 7, 0)
         assert run_case("dtw", payload, programs).ok
-        monkeypatch.setattr(runners, "specialized_cell", off_by_one)
+        monkeypatch.setattr(runners, "fused_sweep", off_by_one)
         outcome = run_case("dtw", payload, programs, make_sentinel("dtw"))
         assert not outcome.ok
-        # expected is the oracle's answer, actual the specialized one.
+        # expected is the oracle's answer, actual the fused one.
         assert outcome.expected["distance"] == diff.reference_answer(
             "dtw", payload
         )["distance"]
         assert outcome.actual["distance"] != outcome.expected["distance"]
         reproducer = shrink_mismatch("dtw", 7, 0, payload, programs)
         assert payload_size("dtw", reproducer.payload) <= payload_size("dtw", payload)
+        assert reproducer.expected != reproducer.actual
+
+    def test_armed_counts_diverging_from_the_interpreter_are_a_finding(
+        self, monkeypatch
+    ):
+        """The armed sweep computes the right value but miscounts one
+        hazard: only a run under a sentinel can see it."""
+        from repro.engine import runners
+
+        real = runners.fused_sweep
+
+        def miscounting(compiled, armed=False):
+            sweep = real(compiled, armed)
+            if not armed:
+                return sweep
+
+            def wrong(*operands):
+                final = sweep(*operands)
+                return {**final, "underflows": final["underflows"] + 1}
+
+            return wrong
+
+        programs = compile_kernel_programs("pairhmm")
+        payload = generate_payload("pairhmm", 7, 0)
+        monkeypatch.setattr(runners, "fused_sweep", miscounting)
+        assert run_case("pairhmm", payload, programs).ok
+        sentinel = make_sentinel("pairhmm")
+        outcome = run_case("pairhmm", payload, programs, sentinel)
+        assert not outcome.ok
+        # expected is the interpreter's answer and counts, actual the armed ones.
+        expected, actual = dict(outcome.expected), dict(outcome.actual)
+        assert expected.pop("_sentinels") == sentinel.snapshot()
+        counts = actual.pop("_sentinels")
+        assert expected == actual
+        assert counts == {**sentinel.snapshot(), "underflows": sentinel.underflows + 1}
+        reproducer = shrink_mismatch("pairhmm", 7, 0, payload, programs)
+        assert payload_size("pairhmm", reproducer.payload) < payload_size("pairhmm", payload)
         assert reproducer.expected != reproducer.actual
 
     def test_cell_probe_shrinks_to_minimal_dfg(self, monkeypatch):

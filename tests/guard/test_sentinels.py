@@ -41,6 +41,29 @@ class TestObservation:
         assert not sentinel.triggered
 
 
+class TestCountLine:
+    """The statement the armed fused sweep runs per value counts what
+    ``observe`` counts, on both sides of every rail."""
+
+    EDGES = [
+        -(1 << 31) - 1, -(1 << 31), -(1 << 20) - 1, -(1 << 20), -(1 << 20) + 1,
+        -129, -128, 0, 127, 128, (1 << 31) - 1, 1 << 31,
+    ]
+
+    def test_every_kernel_sentinel_counts_like_observe(self):
+        for kernel in ("bsw", "pairhmm", "lcs", "dtw", "chain", "poa"):
+            observed, counted = make_sentinel(kernel), make_sentinel(kernel)
+            code = compile(counted.count_line("v"), "<count_line>", "exec")
+            counts = dict.fromkeys(SENTINEL_FIELDS[1:], 0)
+            for value in self.EDGES:
+                observed.observe(value)
+                counts["v"] = value
+                exec(code, {}, counts)
+            del counts["v"]
+            assert {**counts, "values_observed": len(self.EDGES)} == observed.snapshot()
+            assert observed.triggered, kernel
+
+
 class TestSnapshotMerge:
     def test_snapshot_schema_is_stable(self):
         assert tuple(Sentinel().snapshot()) == SENTINEL_FIELDS
