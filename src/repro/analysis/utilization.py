@@ -87,16 +87,11 @@ def measured_kernel_profile(kernel: str, seed: int = 0):
             raise RuntimeError(f"{kernel}: profiled run hit the cycle cap")
         return run.profile
     if kernel == "chain":
-        from repro.kernels.chain import Anchor
-        from repro.mapping.sliding1d import run_chain
+        from repro.mapping.sliding1d import probe_anchors, run_chain
 
-        anchors = []
-        x = y = 0
-        for _ in range(24):
-            x += rng.randint(1, 60)
-            y += rng.randint(1, 60)
-            anchors.append(Anchor(x, y))
-        run = run_chain(anchors, total_pes=8, pes_per_array=4, profile=True)
+        run = run_chain(
+            probe_anchors(rng), total_pes=8, pes_per_array=4, profile=True
+        )
         if not run.finished:
             raise RuntimeError("chain: profiled run hit the cycle cap")
         return run.profile

@@ -185,15 +185,27 @@ def compile_program(
         cell = outcome.program
         opt_stats = dict(outcome.stats)
     elapsed = time.perf_counter() - started
+    return compiled_from_cell(kernel, dfg.content_hash(), cell, elapsed, opt_stats)
+
+
+def compiled_from_cell(
+    kernel: str,
+    dfg_hash: str,
+    cell: object,
+    compile_seconds: float = 0.0,
+    opt_stats: Optional[Dict[str, int]] = None,
+) -> CompiledProgram:
+    """Wrap an emitted (maybe optimized) :class:`~repro.dpmap.codegen.CellProgram`
+    compiled from the DFG hashing to *dfg_hash*."""
     return CompiledProgram(
         kernel=kernel,
-        levels=levels,
-        dfg_hash=dfg.content_hash(),
+        levels=CU_LEVELS,
+        dfg_hash=dfg_hash,
         instructions=tuple(cell.instructions),
         input_regs=dict(cell.input_regs),
         output_regs=dict(cell.output_regs),
-        compile_seconds=elapsed,
-        mapping_stats=cell.mapping.stats,
+        compile_seconds=compile_seconds,
+        mapping_stats=cell.mapping.stats if cell.mapping else None,
         program_hash=cell.content_hash(),
         opt_stats=opt_stats,
     )

@@ -57,7 +57,7 @@ from repro.engine.kernels import (  # noqa: F401  (re-exported constant)
     EngineKernel,
 )
 from repro.engine.specialize import CellFunction, MatchTable, observed_per_cell
-from repro.engine.sweep import ARMED, CHAIN_OUTPUTS, SWEEPS, Sweep, wavefront_sweep
+from repro.engine.sweep import ARMED, SWEEPS, Sweep, wavefront_sweep
 from repro.guard.sentinels import make_sentinel
 from repro.kernels.chain import DEFAULT_AVG_SEED_WEIGHT
 from repro.obs.trace import monotonic_epoch_clock, worker_span
@@ -72,24 +72,6 @@ def _row(kernel: str) -> EngineKernel:
     if row is None:
         raise JobValidationError(f"unknown kernel {kernel!r}")
     return row
-
-
-#: Per-kernel consumer contract: the program outputs each sweep
-#: actually reads.  DPMap compiles every DFG output (BSW and POA carry
-#: traceback ``dir`` bits, for instance) but the score-only sweeps
-#: never consume some of them -- the optimizer's
-#: :class:`repro.opt.passes.PruneOutputsPass` uses this map to drop
-#: those outputs and eliminate their compute cones.  A 2-D kernel's
-#: entry is what its spec's ``recv``/``own``/``accumulators`` name;
-#: Chain's is what its sweep reads.
-CONSUMED_OUTPUTS: Dict[str, frozenset] = {
-    name: frozenset(
-        default_spec(name).consumed_outputs()
-        if row.dimensions == 2
-        else CHAIN_OUTPUTS
-    )
-    for name, row in KERNELS.items()
-}
 
 
 def build_dfg(kernel: str) -> DataFlowGraph:

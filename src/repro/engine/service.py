@@ -113,8 +113,8 @@ class EngineConfig:
     #: When sentinels are armed, skip runtime observation for programs
     #: whose compile-time :class:`ProgramSafetyCertificate` proves no
     #: armed hazard can fire under the kernel's declared input contract
-    #: (see :mod:`repro.static`).  Elision restores the specialized
-    #: warm-cell fast path that sentinel observation otherwise forgoes;
+    #: (see :mod:`repro.static`).  Elision swaps the armed fused sweep,
+    #: which counts every value against the rails, for the unarmed one;
     #: uncertified programs keep full observation.  Set False to force
     #: observation everywhere (the soundness cross-check then audits
     #: certificates via ``static_certificate_violations``).
@@ -535,10 +535,11 @@ class Engine:
                 "certified": certified,
             }
             # Sentinel elision: a certificate proves no armed hazard
-            # can fire for in-contract inputs, so the observe hook is
-            # dropped before dispatch and the workers take the
-            # specialized fast path.  Payload dicts are per-job copies
-            # made at submit, so popping here mutates nothing shared.
+            # can fire for in-contract inputs, so the ``_sentinels`` key
+            # is dropped before dispatch and the job runs the unarmed
+            # fused sweep, not the armed one.  Payload dicts are per-job
+            # copies made at submit, so popping here mutates nothing
+            # shared.
             if (
                 certified
                 and self.config.sentinels

@@ -242,7 +242,7 @@ def _static_verify(
     programs: KernelPrograms, outcome: KernelOutcome
 ) -> None:
     """Statically verify the kernel's program(s) into *outcome*."""
-    for name, program in programs.verifiable():
+    for name, program in programs.named_cells():
         result = check_program(program, name=name)
         if not result.ok:
             outcome.verifier_violations += len(result.violations)
@@ -255,7 +255,7 @@ def _probe_cells(
     config: GuardConfig, programs: KernelPrograms, outcome: KernelOutcome
 ) -> None:
     """Random-input program-vs-DFG probes of the kernel's cells."""
-    for index, (_, program) in enumerate(programs.probe_targets()):
+    for index, (_, program) in enumerate(programs.named_cells()):
         reproducer = probe_cell(
             programs.kernel,
             program,

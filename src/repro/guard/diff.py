@@ -12,6 +12,11 @@ cycle-level simulator cost).  The engine-backed four are checked twice
 per case: the interpreted program against the reference kernel, and
 the fused sweep every executor runs, armed too, against the oracle.
 
+Everything the guard, ``gendp-lint`` and ``gendp-analyze`` know about
+a fuzzed kernel by name is its row of :data:`FUZZ_KERNELS`; the
+engine-backed rows are built from :data:`repro.engine.kernels.KERNELS`,
+and only POA and Bellman-Ford declare their own.
+
 Case generation is a pure function of ``(seed, kernel, index)`` via
 :func:`repro.faults.seeded_rng`, so campaigns are resumable and two
 processes fuzzing the same seed see byte-identical workloads.
@@ -26,6 +31,7 @@ input values (:func:`shrink_case`), serialized as a standalone JSON
 from __future__ import annotations
 
 import json
+import random
 from dataclasses import dataclass, field
 from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
 
@@ -38,7 +44,7 @@ from repro.dpmap.codegen import (
     run_program,
     verify_program,
 )
-from repro.engine.cache import CompiledProgram, compile_program
+from repro.engine.cache import CompiledProgram, compiled_from_cell
 from repro.engine.kernels import KERNELS
 from repro.engine.runners import (
     DEFAULT_CHAIN_WINDOW,
@@ -49,27 +55,18 @@ from repro.engine.runners import (
     results_match,
     run_job,
 )
+from repro.engine.specialize import MatchTable
 from repro.faults.plan import seeded_rng
 from repro.guard.sentinels import Sentinel, make_sentinel
 from repro.kernels.bellman_ford import Edge, bellman_ford
 from repro.kernels.chain import DEFAULT_AVG_SEED_WEIGHT
 from repro.kernels.poa import PartialOrderGraph, graph_dp_tables
+from repro.opt import OptResult, contract_for, default_pipeline
 from repro.seq.alphabet import encode
 from repro.seq.scoring import ScoringScheme
 
-#: The six differential-fuzz kernels (superset of the engine's five
-#: serving kernels on the graph side, minus LCS which BSW subsumes).
-DIFF_KERNELS: Tuple[str, ...] = (
-    "bsw",
-    "pairhmm",
-    "poa",
-    "chain",
-    "dtw",
-    "bellman_ford",
-)
-
-#: Kernels executed through the engine's runners: those with a row.
-_ENGINE_BACKED = tuple(kernel for kernel in DIFF_KERNELS if kernel in KERNELS)
+Payload = Dict[str, Any]
+Observe = Optional[Callable[[int], None]]
 
 _BASES = "ACGT"
 
@@ -79,53 +76,7 @@ BF_INF = 1 << 25
 
 
 # ----------------------------------------------------------------------
-# seeded workload generation
-
-
-def _dna(rng, low: int, high: int) -> str:
-    return "".join(rng.choice(_BASES) for _ in range(rng.randint(low, high)))
-
-
-def generate_payload(kernel: str, seed: int, index: int) -> Dict[str, Any]:
-    """The fuzz workload for case *(seed, kernel, index)* -- pure."""
-    rng = seeded_rng(seed, "guard", kernel, index)
-    if kernel == "bsw":
-        return {"query": _dna(rng, 4, 24), "target": _dna(rng, 4, 24)}
-    if kernel == "pairhmm":
-        return {"read": _dna(rng, 3, 10), "haplotype": _dna(rng, 4, 12)}
-    if kernel == "dtw":
-        return {
-            "a": [rng.randint(0, 40) for _ in range(rng.randint(3, 12))],
-            "b": [rng.randint(0, 40) for _ in range(rng.randint(3, 12))],
-        }
-    if kernel == "chain":
-        count = rng.randint(4, 16)
-        anchors: List[List[int]] = []
-        x, y = 0, 0
-        for _ in range(count):
-            x += rng.randint(1, 40)
-            y += rng.randint(1, 40)
-            anchors.append([x, y, DEFAULT_AVG_SEED_WEIGHT])
-        return {"anchors": anchors, "n": DEFAULT_CHAIN_WINDOW}
-    if kernel == "poa":
-        reads = [_dna(rng, 6, 12) for _ in range(rng.randint(2, 3))]
-        return {"sequences": reads, "query": _dna(rng, 5, 10)}
-    if kernel == "bellman_ford":
-        vertices = rng.randint(4, 8)
-        edge_count = rng.randint(vertices, 2 * vertices)
-        edges: List[List[int]] = []
-        for _ in range(edge_count):
-            u = rng.randrange(vertices)
-            v = rng.randrange(vertices)
-            while v == u:
-                v = rng.randrange(vertices)
-            edges.append([u, v, rng.randint(1, 20)])
-        return {"vertices": vertices, "edges": edges, "source": 0}
-    raise ValueError(f"unknown guard kernel {kernel!r}")
-
-
-# ----------------------------------------------------------------------
-# compiled-path execution
+# compiled programs
 
 
 @dataclass
@@ -134,48 +85,38 @@ class KernelPrograms:
 
     kernel: str
     #: Engine-backed kernels carry the picklable payload the runners
-    #: consume; ``cells`` always holds the full cell programs (with
-    #: mapping + DFG) for static verification and cell probing.
+    #: consume, wrapped from ``cells["cell"]``; ``cells`` always holds
+    #: the full cell programs (with mapping + DFG).
     compiled: Optional[CompiledProgram] = None
     cells: Dict[str, CellProgram] = field(default_factory=dict)
+    #: Per-cell optimizer outcomes, when compiled with ``optimize=True``.
+    outcomes: Dict[str, OptResult] = field(default_factory=dict)
 
-    def verifiable(self) -> List[Tuple[str, object]]:
-        """(name, program) pairs for the static verifier."""
-        if self.compiled is not None:
-            return [(self.kernel, self.compiled)]
-        return [(f"{self.kernel}:{name}", prog) for name, prog in sorted(self.cells.items())]
+    def label(self, cell_name: str) -> str:
+        """A cell program's name in every report and contract: the
+        kernel for a single-cell kernel (whose one cell is ``cell``),
+        ``kernel:cell`` otherwise."""
+        return self.kernel if cell_name == "cell" else f"{self.kernel}:{cell_name}"
 
-    def probe_targets(self) -> List[Tuple[str, CellProgram]]:
-        """(name, cell program) pairs for random cell probing."""
-        return [(f"{self.kernel}:{name}", prog) for name, prog in sorted(self.cells.items())]
-
-
-def compile_kernel_programs(kernel: str) -> KernelPrograms:
-    """Compile the program(s) the differential sweep for *kernel* runs."""
-    if kernel in _ENGINE_BACKED:
-        dfg = build_dfg(kernel)
-        return KernelPrograms(
-            kernel=kernel,
-            compiled=compile_program(kernel, 2, dfg),
-            cells={"cell": compile_cell(dfg)},
-        )
-    scheme = ScoringScheme()
-    if kernel == "poa":
-        gap = scheme.gap
-        edge = compile_cell(poa_edge_dfg(gap.open, gap.extend))
-        final = offset_cell_program(
-            compile_cell(poa_final_dfg(gap.open, gap.extend)),
-            edge.register_count,
-        )
-        return KernelPrograms(kernel=kernel, cells={"edge": edge, "final": final})
-    if kernel == "bellman_ford":
-        return KernelPrograms(
-            kernel=kernel, cells={"cell": compile_cell(bellman_ford_dfg())}
-        )
-    raise ValueError(f"unknown guard kernel {kernel!r}")
+    def named_cells(self) -> List[Tuple[str, CellProgram]]:
+        """(label, cell program) pairs in cell-name order: what the
+        static verifier checks, the probes exercise and the linter and
+        analyzer report."""
+        return [(self.label(name), cell) for name, cell in sorted(self.cells.items())]
 
 
-def _poa_graph(payload: Dict[str, Any]) -> PartialOrderGraph:
+def _run_engine_compiled(
+    programs: KernelPrograms, payload: Payload, observe: Observe = None
+) -> Dict[str, Any]:
+    """An engine kernel's job on the interpreter closure -- the oracle,
+    observing for a sentinel; :func:`run_case` cross-checks the fused
+    sweep, armed and not, against it."""
+    kernel = programs.kernel
+    oracle = _cell_executor(programs.compiled, match_table_for(kernel), observe)
+    return run_job(kernel, programs.compiled, payload, oracle)
+
+
+def _poa_graph(payload: Payload) -> PartialOrderGraph:
     sequences = payload["sequences"]
     graph = PartialOrderGraph(sequences[0])
     for sequence in sequences[1:]:
@@ -184,9 +125,7 @@ def _poa_graph(payload: Dict[str, Any]) -> PartialOrderGraph:
 
 
 def _run_poa_compiled(
-    programs: KernelPrograms,
-    payload: Dict[str, Any],
-    observe: Optional[Callable[[int], None]] = None,
+    programs: KernelPrograms, payload: Payload, observe: Observe = None
 ) -> Dict[str, Any]:
     """Functional model of the single-PE POA scratchpad mapping.
 
@@ -252,10 +191,16 @@ def _run_poa_compiled(
     return {"h": h, "score": best}
 
 
+def _poa_reference(payload: Payload) -> Dict[str, Any]:
+    graph = _poa_graph(payload)
+    h_float, _, _ = graph_dp_tables(graph, payload["query"])
+    h = [[int(value) for value in row] for row in h_float]
+    best = max((value for row in h for value in row), default=0)
+    return {"h": h, "score": best}
+
+
 def _run_bf_compiled(
-    programs: KernelPrograms,
-    payload: Dict[str, Any],
-    observe: Optional[Callable[[int], None]] = None,
+    programs: KernelPrograms, payload: Payload, observe: Observe = None
 ) -> Dict[str, Any]:
     """Functional model of the Bellman-Ford scratchpad mapping."""
     cell = programs.cells["cell"]
@@ -282,55 +227,195 @@ def _run_bf_compiled(
     return {"distances": dist, "predecessors": pred}
 
 
-def compiled_result(
-    kernel: str,
-    payload: Dict[str, Any],
-    programs: KernelPrograms,
-    sentinel: Optional[Sentinel] = None,
-) -> Dict[str, Any]:
-    """Run *payload* through the compiled path; optionally sentineled.
+def _bf_reference(payload: Payload) -> Dict[str, Any]:
+    vertices = int(payload["vertices"])
+    edges = [Edge(int(u), int(v), int(w)) for u, v, w in payload["edges"]]
+    paths = bellman_ford(vertices, edges, source=int(payload.get("source", 0)))
+    distances = [
+        BF_INF if distance == float("inf") else int(distance)
+        for distance in paths.distances
+    ]
+    return {"distances": distances, "predecessors": paths.predecessors}
 
-    Engine-backed kernels run on the interpreter closure here -- the
-    oracle, observing for *sentinel*; :func:`run_case` cross-checks
-    the fused sweep, armed and not, against it.
+
+# ----------------------------------------------------------------------
+# seeded workload generation
+
+
+def _dna(rng: random.Random, low: int, high: int) -> str:
+    return "".join(rng.choice(_BASES) for _ in range(rng.randint(low, high)))
+
+
+def _bsw_payload(rng: random.Random) -> Payload:
+    return {"query": _dna(rng, 4, 24), "target": _dna(rng, 4, 24)}
+
+
+def _pairhmm_payload(rng: random.Random) -> Payload:
+    return {"read": _dna(rng, 3, 10), "haplotype": _dna(rng, 4, 12)}
+
+
+def _dtw_payload(rng: random.Random) -> Payload:
+    return {
+        "a": [rng.randint(0, 40) for _ in range(rng.randint(3, 12))],
+        "b": [rng.randint(0, 40) for _ in range(rng.randint(3, 12))],
+    }
+
+
+def _chain_payload(rng: random.Random) -> Payload:
+    count = rng.randint(4, 16)
+    anchors: List[List[int]] = []
+    x, y = 0, 0
+    for _ in range(count):
+        x += rng.randint(1, 40)
+        y += rng.randint(1, 40)
+        anchors.append([x, y, DEFAULT_AVG_SEED_WEIGHT])
+    return {"anchors": anchors, "n": DEFAULT_CHAIN_WINDOW}
+
+
+def _poa_payload(rng: random.Random) -> Payload:
+    reads = [_dna(rng, 6, 12) for _ in range(rng.randint(2, 3))]
+    return {"sequences": reads, "query": _dna(rng, 5, 10)}
+
+
+def _bf_payload(rng: random.Random) -> Payload:
+    vertices = rng.randint(4, 8)
+    edge_count = rng.randint(vertices, 2 * vertices)
+    edges: List[List[int]] = []
+    for _ in range(edge_count):
+        u = rng.randrange(vertices)
+        v = rng.randrange(vertices)
+        while v == u:
+            v = rng.randrange(vertices)
+        edges.append([u, v, rng.randint(1, 20)])
+    return {"vertices": vertices, "edges": edges, "source": 0}
+
+
+# ----------------------------------------------------------------------
+# the kernel table
+
+
+@dataclass(frozen=True)
+class FuzzKernel:
+    """One differential-fuzz kernel: everything known about it by name."""
+
+    #: One case's payload, drawn from the case's seeded RNG.
+    generate: Callable[[random.Random], Payload]
+    #: Cell name -> DFG, in register-file order (``cell`` for a
+    #: single-cell kernel).  The cells of one kernel share a PE's
+    #: register file: each one's registers start past the last's.
+    cells: Callable[[], Dict[str, DataFlowGraph]]
+    #: The compiled path: (programs, payload, ALU observe hook) -> result.
+    run: Callable[[KernelPrograms, Payload, Observe], Dict[str, Any]]
+    #: The software-baseline answer the compiled path must reproduce.
+    reference: Callable[[Payload], Dict[str, Any]]
+    #: Shrinkable payload fields: (key, minimum length).
+    shrink_fields: Tuple[Tuple[str, int], ...]
+    #: The MATCH_SCORE table the random cell probes run with.
+    match_table: Optional[MatchTable] = None
+    #: Served by the engine: compiles carry a ``CompiledProgram`` and
+    #: every case also checks the fused sweep against the interpreter.
+    engine: bool = False
+
+
+def _engine_row(
+    kernel: str, generate: Callable[[random.Random], Payload]
+) -> FuzzKernel:
+    """A fuzz row for an engine kernel: all but the generator from its
+    :data:`repro.engine.kernels.KERNELS` row."""
+    return FuzzKernel(
+        generate=generate,
+        cells=lambda: {"cell": build_dfg(kernel)},
+        run=_run_engine_compiled,
+        reference=lambda payload: reference_result(kernel, payload),
+        shrink_fields=tuple((key, 1) for key in KERNELS[kernel].keys),
+        match_table=match_table_for(kernel),
+        engine=True,
+    )
+
+
+def _poa_cells() -> Dict[str, DataFlowGraph]:
+    gap = ScoringScheme().gap
+    return {
+        "edge": poa_edge_dfg(gap.open, gap.extend),
+        "final": poa_final_dfg(gap.open, gap.extend),
+    }
+
+
+#: The six differential-fuzz kernels (superset of the engine's serving
+#: kernels on the graph side, minus LCS which BSW subsumes), in report
+#: order.
+FUZZ_KERNELS: Dict[str, FuzzKernel] = {
+    "bsw": _engine_row("bsw", _bsw_payload),
+    "pairhmm": _engine_row("pairhmm", _pairhmm_payload),
+    "poa": FuzzKernel(
+        generate=_poa_payload,
+        cells=_poa_cells,
+        run=_run_poa_compiled,
+        reference=_poa_reference,
+        shrink_fields=(("sequences", 1), ("query", 1)),
+    ),
+    "chain": _engine_row("chain", _chain_payload),
+    "dtw": _engine_row("dtw", _dtw_payload),
+    "bellman_ford": FuzzKernel(
+        generate=_bf_payload,
+        cells=lambda: {"cell": bellman_ford_dfg()},
+        run=_run_bf_compiled,
+        reference=_bf_reference,
+        shrink_fields=(("edges", 0),),
+    ),
+}
+
+DIFF_KERNELS: Tuple[str, ...] = tuple(FUZZ_KERNELS)
+
+
+def fuzz_kernel(kernel: str) -> FuzzKernel:
+    row = FUZZ_KERNELS.get(kernel)
+    if row is None:
+        raise ValueError(f"unknown guard kernel {kernel!r}")
+    return row
+
+
+def generate_payload(kernel: str, seed: int, index: int) -> Payload:
+    """The fuzz workload for case *(seed, kernel, index)* -- pure."""
+    row = fuzz_kernel(kernel)
+    return row.generate(seeded_rng(seed, "guard", kernel, index))
+
+
+def compile_kernel_programs(kernel: str, optimize: bool = False) -> KernelPrograms:
+    """Compile the program(s) the differential sweep for *kernel* runs.
+
+    DPMap runs once per cell.  With *optimize*, each cell then goes
+    through the optimizer's pass pipeline with its label's consumed
+    outputs, before the register offset.
     """
-    observe = sentinel.observe if sentinel is not None else None
-    if kernel in _ENGINE_BACKED:
-        oracle = _cell_executor(
-            programs.compiled, match_table_for(kernel), observe
-        )
-        return run_job(kernel, programs.compiled, payload, oracle)
-    if kernel == "poa":
-        return _run_poa_compiled(programs, payload, observe)
-    if kernel == "bellman_ford":
-        return _run_bf_compiled(programs, payload, observe)
-    raise ValueError(f"unknown guard kernel {kernel!r}")
+    row = fuzz_kernel(kernel)
+    programs = KernelPrograms(kernel=kernel)
+    base = 0
+    for name, dfg in row.cells().items():
+        cell = compile_cell(dfg)
+        opt_stats = None
+        if optimize:
+            outcome = default_pipeline(contract_for(programs.label(name))).run(cell)
+            programs.outcomes[name] = outcome
+            cell, opt_stats = outcome.program, dict(outcome.stats)
+        if base:
+            cell = offset_cell_program(cell, base)
+        base = cell.register_count
+        programs.cells[name] = cell
+        if row.engine:
+            programs.compiled = compiled_from_cell(
+                kernel, dfg.content_hash(), cell, opt_stats=opt_stats
+            )
+    return programs
 
 
 # ----------------------------------------------------------------------
 # reference answers and comparison
 
 
-def reference_answer(kernel: str, payload: Dict[str, Any]) -> Dict[str, Any]:
+def reference_answer(kernel: str, payload: Payload) -> Dict[str, Any]:
     """The software-baseline answer the compiled path must reproduce."""
-    if kernel in _ENGINE_BACKED:
-        return reference_result(kernel, payload)
-    if kernel == "poa":
-        graph = _poa_graph(payload)
-        h_float, _, _ = graph_dp_tables(graph, payload["query"])
-        h = [[int(value) for value in row] for row in h_float]
-        best = max((value for row in h for value in row), default=0)
-        return {"h": h, "score": best}
-    if kernel == "bellman_ford":
-        vertices = int(payload["vertices"])
-        edges = [Edge(int(u), int(v), int(w)) for u, v, w in payload["edges"]]
-        paths = bellman_ford(vertices, edges, source=int(payload.get("source", 0)))
-        distances = [
-            BF_INF if distance == float("inf") else int(distance)
-            for distance in paths.distances
-        ]
-        return {"distances": distances, "predecessors": paths.predecessors}
-    raise ValueError(f"unknown guard kernel {kernel!r}")
+    return fuzz_kernel(kernel).reference(payload)
 
 
 @dataclass(frozen=True)
@@ -359,11 +444,13 @@ def run_case(
     kind is reported like a reference mismatch, with the interpreter's
     answer as ``expected`` and the engine's as ``actual``.
     """
+    row = fuzz_kernel(kernel)
     before = sentinel.snapshot() if sentinel is not None else {}
-    actual = compiled_result(kernel, payload, programs, sentinel)
-    expected = reference_answer(kernel, payload)
+    observe = sentinel.observe if sentinel is not None else None
+    actual = row.run(programs, payload, observe)
+    expected = row.reference(payload)
     ok = results_match(kernel, actual, expected)
-    if ok and kernel in _ENGINE_BACKED:
+    if ok and row.engine:
         fused = run_job(kernel, programs.compiled, payload)
         if fused != actual:
             expected, actual, ok = actual, fused, False
@@ -416,15 +503,6 @@ def _chunk_removals(sequence: Sequence[Any], minimum: int) -> List[List[Any]]:
     return candidates
 
 
-#: Per-kernel shrinkable fields: (key, minimum length).  An engine
-#: kernel's are its row's operands.
-_SHRINK_FIELDS: Dict[str, List[Tuple[str, int]]] = {
-    **{kernel: [(key, 1) for key in KERNELS[kernel].keys] for kernel in _ENGINE_BACKED},
-    "poa": [("sequences", 1), ("query", 1)],
-    "bellman_ford": [("edges", 0)],
-}
-
-
 def shrink_payload(
     kernel: str,
     payload: Dict[str, Any],
@@ -437,7 +515,7 @@ def shrink_payload(
     reduction moves and always smaller-or-equal to the input.
     """
     current = dict(payload)
-    fields = _SHRINK_FIELDS.get(kernel, [])
+    fields = fuzz_kernel(kernel).shrink_fields
     improved = True
     while improved:
         improved = False
@@ -688,7 +766,7 @@ def probe_cell(
     index)``), checks :func:`verify_program`, and on divergence shrinks
     the (DFG, inputs) case to a minimal cell reproducer.
     """
-    match_table = match_table_for(kernel) if kernel in _ENGINE_BACKED else None
+    match_table = fuzz_kernel(kernel).match_table
     rng = seeded_rng(seed, "guard-cell", kernel, index)
     for probe in range(probes):
         inputs = {

@@ -35,6 +35,7 @@ pushes the exiting anchor into the head FIFO as the next broadcast.
 
 from __future__ import annotations
 
+import random
 from dataclasses import dataclass
 from typing import List, Optional, Sequence
 
@@ -246,6 +247,19 @@ class ChainRun:
     @property
     def cycles_per_cell(self) -> float:
         return self.cycles / self.cells if self.cells else 0.0
+
+
+def probe_anchors(rng: random.Random) -> List[Anchor]:
+    """The 24-anchor chain the perf model is calibrated on and the
+    utilization study profiles (the 1-D counterpart of
+    :func:`repro.mapping.kernels2d.probe_task`)."""
+    anchors = []
+    x = y = 0
+    for _ in range(24):
+        x += rng.randint(1, 60)
+        y += rng.randint(1, 60)
+        anchors.append(Anchor(x, y))
+    return anchors
 
 
 def run_chain(

@@ -11,21 +11,19 @@ VLIW programs.  This package adds the classic post-compile layer:
   height-priority VLIW re-packer, composed by :class:`PassPipeline`.
 - :mod:`repro.opt.cost` -- the static cost model
   (:class:`ProgramCost`) feeding the tile-level performance model.
-- :mod:`repro.opt.kernels` -- optimized programs for the six
-  differential-fuzz kernels, wired to their consumer contracts.
 - :mod:`repro.opt.lint` -- the report-only analyses behind
   ``gendp-lint``.
+
+A program's consumer contract -- the outputs :class:`PruneOutputsPass`
+keeps -- is :func:`contract_for`, the feedback outputs its
+:mod:`repro.static.contracts` declaration names.  The six
+differential-fuzz kernels compile, optimized or not, through
+:func:`repro.guard.diff.compile_kernel_programs`.
 
 See ``docs/optimizer.md`` for the pass catalog and safety argument.
 """
 
 from repro.opt.cost import ProgramCost, cost_of, program_stats
-from repro.opt.kernels import (
-    SWEEP_CONTRACTS,
-    contract_for,
-    optimize_all_kernels,
-    optimize_kernel_programs,
-)
 from repro.opt.lint import LintReport, ProgramLint, lint_program, run_lint
 from repro.opt.model import (
     LinearProgram,
@@ -51,6 +49,7 @@ from repro.opt.passes import (
     default_pipeline,
     pack_ways,
 )
+from repro.static.contracts import contract_for
 
 __all__ = [
     "CommonSubexpressionPass",
@@ -66,7 +65,6 @@ __all__ = [
     "ProgramCost",
     "ProgramLint",
     "PruneOutputsPass",
-    "SWEEP_CONTRACTS",
     "SimplifySlotsPass",
     "contract_for",
     "cost_of",
@@ -77,8 +75,6 @@ __all__ = [
     "linearize",
     "live_sets",
     "live_ways",
-    "optimize_all_kernels",
-    "optimize_kernel_programs",
     "pack_ways",
     "peak_live",
     "program_stats",

@@ -295,15 +295,14 @@ def run_lint(kernels: Optional[Sequence[str]] = None) -> LintReport:
     report shows what the pass pipeline would buy.
     """
     from repro.guard.diff import DIFF_KERNELS, compile_kernel_programs
-    from repro.opt.kernels import contract_for, optimize_kernel_programs
+    from repro.static.contracts import contract_for
 
     programs: List[ProgramLint] = []
     for kernel in kernels if kernels is not None else DIFF_KERNELS:
         base = compile_kernel_programs(kernel)
-        optimized, outcomes = optimize_kernel_programs(kernel)
-        for cell_name in sorted(base.cells):
-            label = kernel if cell_name == "cell" else f"{kernel}:{cell_name}"
-            cell = base.cells[cell_name]
+        optimized = compile_kernel_programs(kernel, optimize=True)
+        for name, cell in sorted(base.cells.items()):
+            label = base.label(name)
             programs.append(
                 ProgramLint(
                     name=label,
@@ -311,8 +310,8 @@ def run_lint(kernels: Optional[Sequence[str]] = None) -> LintReport:
                         lint_program(label, cell, contract=contract_for(label))
                     ),
                     cost=cost_of(cell),
-                    optimized_cost=cost_of(optimized.cells[cell_name]),
-                    opt_stats=dict(outcomes[cell_name].stats),
+                    optimized_cost=cost_of(optimized.cells[name]),
+                    opt_stats=dict(optimized.outcomes[name].stats),
                 )
             )
     return LintReport(programs=tuple(programs))

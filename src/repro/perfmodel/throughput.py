@@ -205,16 +205,9 @@ def measure_cycles_per_cell(kernel: str, seed: int = 0) -> float:
         # 4 PEs share the work; per-PE cost is wall cycles x PEs / cells.
         return run.cycles * 4 / run.cells
     if kernel == "chain":
-        from repro.kernels.chain import Anchor
-        from repro.mapping.sliding1d import run_chain
+        from repro.mapping.sliding1d import probe_anchors, run_chain
 
-        anchors = []
-        x = y = 0
-        for _ in range(24):
-            x += rng.randint(1, 60)
-            y += rng.randint(1, 60)
-            anchors.append(Anchor(x, y))
-        run = run_chain(anchors, total_pes=4)
+        run = run_chain(probe_anchors(rng), total_pes=4)
         return run.cycles * 4 / run.cells
     if kernel == "poa":
         from repro.kernels.poa import PartialOrderGraph

@@ -12,8 +12,8 @@ lint layers already share:
 - :mod:`repro.static.absint` -- a generic forward dataflow engine whose
   abstract transfer mirrors ``execute_way``'s observe order exactly.
 - :mod:`repro.static.contracts` -- per-kernel declared input contracts
-  (seeded from ``repro.opt.kernels`` sweep contracts) that condition
-  every proof.
+  that condition every proof; their feedback outputs are the one
+  declaration of what each program's consumer reads.
 - :mod:`repro.static.certify` -- :class:`ProgramSafetyCertificate`
   construction; certified programs let the engine elide the sentinel
   observe hook on the hot path.

@@ -19,8 +19,9 @@ Certificates issued by :mod:`repro.static.certify` are *conditional*
 on these contracts: the proof says "no armed sentinel can fire for any
 cell invocation whose inputs respect the declared intervals".  The
 feedback edges (which output feeds which recurrent input of the next
-cell) are cross-checked against the optimizer's sweep contracts
-(:func:`repro.opt.kernels.contract_for`), so static, opt, and guard
+cell) are the one declaration of what a program's consumer reads:
+their outputs are the optimizer's prune contract (:func:`contract_for`,
+exported as ``repro.opt.contract_for``), so static, opt, and guard
 agree on what recurs.  Contract *validity* on real sweeps is enforced
 empirically by ``tests/properties/test_static_soundness.py`` and by
 the engine's runtime certificate cross-check.
@@ -32,7 +33,6 @@ from dataclasses import dataclass, field
 from typing import Dict, Mapping, Optional, Tuple
 
 from repro.dfg.stencils import NEG, default_spec
-from repro.opt.kernels import contract_for
 from repro.static.intervals import Interval
 
 #: Declared cap on sequence / signal lengths a contract covers.  Real
@@ -54,14 +54,6 @@ class KernelContract:
     match_range: Optional[Interval] = None
     #: output name -> recurrent input names it feeds on the next cell.
     feedback: Mapping[str, Tuple[str, ...]] = field(default_factory=dict)
-
-    def __post_init__(self) -> None:
-        consumed = contract_for(self.name)
-        if consumed is not None and set(self.feedback) != set(consumed):
-            raise ValueError(
-                f"{self.name}: feedback outputs {sorted(self.feedback)} "
-                f"disagree with the sweep contract {sorted(consumed)}"
-            )
 
 
 def _wavefront_contract(
@@ -219,6 +211,16 @@ def kernel_contract(name: str) -> Optional[KernelContract]:
     (``poa:edge``, ``poa:final``).
     """
     return _CONTRACTS.get(name)
+
+
+def contract_for(name: str) -> Optional[frozenset]:
+    """The outputs a program's consumer reads: its feedback outputs.
+
+    What :class:`repro.opt.passes.PruneOutputsPass` keeps.  Unknown
+    labels get None: the pipeline then keeps every output.
+    """
+    contract = _CONTRACTS.get(name)
+    return frozenset(contract.feedback) if contract is not None else None
 
 
 def contract_names() -> Tuple[str, ...]:

@@ -227,11 +227,7 @@ def run_analysis(
     limits = MachineLimits()
     entries: List[ProgramAnalysisEntry] = []
     for kernel in kernels if kernels is not None else DIFF_KERNELS:
-        programs = compile_kernel_programs(kernel)
-        for cell_name, cell in programs.cells.items():
-            label = (
-                kernel if cell_name == "cell" else f"{kernel}:{cell_name}"
-            )
+        for label, cell in compile_kernel_programs(kernel).named_cells():
             certificate = certify_program(kernel, cell, name=label)
             diagnostics = certificate_diagnostics(certificate)
             diagnostics.extend(

@@ -36,7 +36,6 @@ from repro.engine.cache import compile_program
 from repro.engine.jobs import ENGINE_KERNELS, KERNEL_DIMENSIONS, JobValidationError
 from repro.engine.kernels import KERNELS
 from repro.engine.runners import (
-    CONSUMED_OUTPUTS,
     _cell_executor,
     build_dfg,
     fused_sweep,
@@ -45,7 +44,13 @@ from repro.engine.runners import (
     run_job,
 )
 from repro.engine.specialize import SpecializationError
-from repro.engine.sweep import fuse_sweep, fused_source, sweep_source, wavefront_sweep
+from repro.engine.sweep import (
+    CHAIN_OUTPUTS,
+    fuse_sweep,
+    fused_source,
+    sweep_source,
+    wavefront_sweep,
+)
 from repro.guard.sentinels import make_sentinel
 from repro.isa.compute import CUInstruction, Reg, SlotOp, VLIWInstruction
 from repro.kernels.pairhmm import log_sum_lookup
@@ -86,9 +91,20 @@ MATCH_RANGE = {"bsw": (-1, 1), "pairhmm": (PAIRHMM_EMIT_MISMATCH, PAIRHMM_EMIT_M
 
 class TestDerivedFromTheSpec:
     def test_consumed_outputs(self):
-        assert CONSUMED_OUTPUTS == {k: frozenset(v) for k, v in CONSUMED.items()}
+        for kernel in WAVEFRONT_KERNELS:
+            assert set(default_spec(kernel).consumed_outputs()) == CONSUMED[kernel]
+        assert set(CHAIN_OUTPUTS) == CONSUMED["chain"]
         for kernel in ENGINE_KERNELS:
             assert contract_for(kernel) == CONSUMED[kernel]
+
+    def test_feedback_outputs_are_what_each_sweep_reads(self):
+        # A consumed-output set is declared once, as the keys of a
+        # feedback map: the 2-D maps come from the spec, Chain's is
+        # written by hand against its sweep's CHAIN_OUTPUTS.
+        for kernel in WAVEFRONT_KERNELS:
+            feedback = kernel_contract(kernel).feedback
+            assert set(feedback) == set(default_spec(kernel).consumed_outputs())
+        assert set(kernel_contract("chain").feedback) == set(CHAIN_OUTPUTS)
 
     @pytest.mark.parametrize("kernel", WAVEFRONT_KERNELS)
     def test_feedback_and_match_range(self, kernel):

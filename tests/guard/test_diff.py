@@ -89,7 +89,7 @@ class TestCleanDifferential:
     @pytest.mark.parametrize("kernel", DIFF_KERNELS)
     def test_clean_cell_probes(self, kernel):
         programs = compile_kernel_programs(kernel)
-        for _, program in programs.probe_targets():
+        for _, program in programs.named_cells():
             assert probe_cell(kernel, program, 11, 0) is None
 
 
@@ -237,7 +237,7 @@ class TestShrinkers:
 class TestDFGSerialization:
     @pytest.mark.parametrize("kernel", DIFF_KERNELS)
     def test_roundtrip_preserves_structure(self, kernel):
-        for _, program in compile_kernel_programs(kernel).probe_targets():
+        for _, program in compile_kernel_programs(kernel).named_cells():
             dfg = program.mapping.dfg
             clone = dfg_from_dict(dfg_to_dict(dfg))
             assert clone.content_hash() == dfg.content_hash()

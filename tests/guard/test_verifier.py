@@ -39,7 +39,7 @@ def _rules(result):
 class TestCleanPrograms:
     def test_every_kernel_program_verifies(self):
         for kernel in DIFF_KERNELS:
-            for name, program in compile_kernel_programs(kernel).verifiable():
+            for name, program in compile_kernel_programs(kernel).named_cells():
                 result = check_program(program, name=name)
                 assert result.ok, [str(v) for v in result.violations]
 
@@ -290,5 +290,5 @@ class TestSimdLaneDefinedness:
 
     def test_scalar_mode_is_unchanged(self):
         for kernel in DIFF_KERNELS:
-            for name, program in compile_kernel_programs(kernel).verifiable():
+            for name, program in compile_kernel_programs(kernel).named_cells():
                 assert check_program(program, name=name).ok

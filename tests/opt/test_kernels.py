@@ -18,7 +18,7 @@ from repro.guard.diff import (
     run_case,
 )
 from repro.guard.verifier import check_program
-from repro.opt import contract_for, default_pipeline, optimize_kernel_programs
+from repro.opt import contract_for, default_pipeline
 
 #: (kernel, cell) -> (unoptimized, optimized) bundle counts for the
 #: strict wins; every other program must simply not get worse.
@@ -31,7 +31,10 @@ STRICT_WINS = {
 
 @pytest.fixture(scope="module")
 def optimized():
-    return {kernel: optimize_kernel_programs(kernel) for kernel in DIFF_KERNELS}
+    return {
+        kernel: compile_kernel_programs(kernel, optimize=True)
+        for kernel in DIFF_KERNELS
+    }
 
 
 @pytest.fixture(scope="module")
@@ -42,14 +45,14 @@ def baseline():
 class TestStaticAcceptance:
     @pytest.mark.parametrize("kernel", DIFF_KERNELS)
     def test_optimized_programs_pass_the_verifier(self, optimized, kernel):
-        programs, _ = optimized[kernel]
+        programs = optimized[kernel]
         for cell_name, cell in programs.cells.items():
             report = check_program(cell, name=f"{kernel}:{cell_name}")
             assert report.ok, report.violations
 
     @pytest.mark.parametrize("kernel", DIFF_KERNELS)
     def test_never_more_instructions(self, optimized, baseline, kernel):
-        programs, _ = optimized[kernel]
+        programs = optimized[kernel]
         for cell_name, cell in programs.cells.items():
             before = baseline[kernel].cells[cell_name]
             assert len(cell.instructions) <= len(before.instructions)
@@ -57,15 +60,15 @@ class TestStaticAcceptance:
     def test_strict_wins(self, optimized, baseline):
         for (kernel, cell_name), (before, after) in STRICT_WINS.items():
             base = baseline[kernel].cells[cell_name]
-            cell = optimized[kernel][0].cells[cell_name]
+            cell = optimized[kernel].cells[cell_name]
             assert len(base.instructions) == before
             assert len(cell.instructions) == after
 
     @pytest.mark.parametrize("kernel", DIFF_KERNELS)
     def test_idempotent(self, optimized, kernel):
-        _, outcomes = optimized[kernel]
-        for cell_name, outcome in outcomes.items():
-            label = kernel if cell_name == "cell" else f"{kernel}:{cell_name}"
+        programs = optimized[kernel]
+        for cell_name, outcome in programs.outcomes.items():
+            label = programs.label(cell_name)
             again = default_pipeline(contract_for(label)).run(outcome.program)
             assert again.program is outcome.program
 
@@ -73,7 +76,7 @@ class TestStaticAcceptance:
 class TestDifferentialAcceptance:
     @pytest.mark.parametrize("kernel", DIFF_KERNELS)
     def test_seeded_sweep_matches_reference(self, optimized, kernel):
-        programs, _ = optimized[kernel]
+        programs = optimized[kernel]
         for index in range(8):
             payload = generate_payload(kernel, seed=1234, index=index)
             outcome = run_case(kernel, payload, programs)
@@ -81,18 +84,26 @@ class TestDifferentialAcceptance:
 
     @pytest.mark.parametrize("kernel", DIFF_KERNELS)
     def test_random_cell_probes_match_the_dfg(self, optimized, kernel):
-        programs, _ = optimized[kernel]
-        for index, (_, cell) in enumerate(programs.probe_targets()):
+        programs = optimized[kernel]
+        for index, (_, cell) in enumerate(programs.named_cells()):
             reproducer = probe_cell(kernel, cell, seed=42, index=index, probes=5)
             assert reproducer is None, reproducer.to_json()
 
 
 class TestContracts:
     def test_engine_kernels_use_runner_contracts(self):
-        from repro.engine.runners import CONSUMED_OUTPUTS
+        # An engine kernel's contract is what its runner's sweep reads.
+        from repro.dfg.stencils import default_spec
+        from repro.engine.kernels import KERNELS
+        from repro.engine.sweep import CHAIN_OUTPUTS
 
-        for kernel, contract in CONSUMED_OUTPUTS.items():
-            assert contract_for(kernel) == contract
+        for kernel, row in KERNELS.items():
+            read = (
+                default_spec(kernel).consumed_outputs()
+                if row.dimensions == 2
+                else CHAIN_OUTPUTS
+            )
+            assert contract_for(kernel) == frozenset(read)
 
     def test_sweep_contracts_cover_the_scratchpad_kernels(self):
         assert contract_for("poa:final") == frozenset({"h", "e"})
@@ -104,8 +115,7 @@ class TestContracts:
         # prune nothing; one naming every output would back off.  Check
         # each contract is a proper, nonempty subset of real outputs.
         for kernel in DIFF_KERNELS:
-            for cell_name, cell in baseline[kernel].cells.items():
-                label = kernel if cell_name == "cell" else f"{kernel}:{cell_name}"
+            for label, cell in baseline[kernel].named_cells():
                 contract = contract_for(label)
                 if contract is None:
                     continue

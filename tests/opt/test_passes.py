@@ -269,7 +269,7 @@ class TestPipeline:
 
     def test_idempotent_on_kernels(self):
         for kernel in ("bsw", "pairhmm", "chain", "dtw"):
-            from repro.opt.kernels import contract_for
+            from repro.opt import contract_for
 
             pipeline = default_pipeline(contract_for(kernel))
             once = pipeline.run(compile_cell_for(kernel))
