@@ -1,18 +1,18 @@
 """The cluster front door: health-aware consistent-hash routing.
 
 A :class:`ClusterRouter` runs N independent :class:`~repro.engine.Engine`
-shards (each with its own transport, workers, program cache, breaker set
-and DLQ) behind the same ``submit()`` / ``drain()`` surface the single
-engine exposes, so every existing caller -- ``gendp-batch`` streams,
-chaos campaigns, the ``gendp-serve`` dispatcher -- can point at a
-cluster unchanged.
+shards (each with its own transport, workers, breaker set and DLQ; one
+program cache shared by all) behind the same ``submit()`` / ``drain()``
+surface the single engine exposes, so every existing caller --
+``gendp-batch`` streams, chaos campaigns, the ``gendp-serve``
+dispatcher -- can point at a cluster unchanged.
 
 Placement and robustness:
 
 - **routing** -- jobs route by their kernel's DFG content hash over a
   consistent-hash ring (:mod:`repro.cluster.hashring`), so every job
-  that shares a compiled program lands on the shard whose LRU cache is
-  already warm for it; an unavailable or full shard falls through to
+  that shares a compiled program lands on the shard whose workers
+  already hold it; an unavailable or full shard falls through to
   the next shard in deterministic ring order (``cluster_route_fallbacks``);
 - **health** -- each drain round heartbeats every shard and feeds its
   drain outcome/latency into a rolling window
@@ -53,6 +53,7 @@ from repro.cluster.clock import is_simulated, real_clock
 from repro.cluster.hashring import HashRing
 from repro.cluster.shard import EngineShard, ShardUnavailableError
 from repro.engine import BackpressureError, Engine, EngineConfig
+from repro.engine.cache import ProgramCache
 from repro.engine.dlq import DeadLetter, DeadLetterQueue
 from repro.engine.jobs import Job, JobResult
 from repro.engine.service import _journal_payload
@@ -123,6 +124,9 @@ class ClusterRouter:
         self.metrics = MetricsRegistry("cluster", "durable")
         self.ring = HashRing()
         self._engine_factory = engine_factory or self._default_engine
+        #: The one program cache every default-built shard shares: a
+        #: kernel compiles once per router, joins included.
+        self._programs = ProgramCache(self.config.engine.cache_capacity)
         self._shards: Dict[str, EngineShard] = {}
         self._affinity: Dict[str, str] = {}
         self._round = 0
@@ -153,6 +157,7 @@ class ClusterRouter:
             tracer=self.tracer,
             shard=shard_id,
             flight=self.flight,
+            cache=self._programs,
         )
 
     def _flight_trip(self, reason: str, **context: Any) -> None:

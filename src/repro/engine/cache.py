@@ -117,6 +117,13 @@ class ProgramCache:
         """Current keys, least- to most-recently used."""
         return list(self._entries)
 
+    def view(self) -> "ProgramCache":
+        """A cache over these same entries that counts its own lookups
+        (how a cluster's shard engines share one compile per key)."""
+        view = ProgramCache(self.capacity)
+        view._entries = self._entries
+        return view
+
     @staticmethod
     def key_for(
         kernel: str,

@@ -111,13 +111,14 @@ def make_executor(
     job_timeout_s: float = 30.0,
     max_retries: int = 1,
     transport: Optional[object] = None,
+    programs: Sequence[CompiledProgram] = (),
 ):
     """Build the engine's execution backend.
 
     *transport* (a :class:`repro.serve.transport.TransportConfig`)
     rules when set; without it ``workers > 0`` means that many warm
     shm workers on the default ring geometry, and ``workers <= 0``
-    means inline.
+    means inline.  *programs* are broadcast before any worker starts.
     """
     if transport is None and workers <= 0:
         return InlineExecutor()
@@ -130,5 +131,8 @@ def make_executor(
     if transport.backend == "inline":
         return InlineExecutor()
     return ShmExecutor(
-        transport, job_timeout_s=job_timeout_s, max_retries=max_retries
+        transport,
+        job_timeout_s=job_timeout_s,
+        max_retries=max_retries,
+        programs=programs,
     )

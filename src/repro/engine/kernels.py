@@ -129,14 +129,20 @@ def _is_signal(value: Any) -> bool:
 
 
 def _is_anchor_list(value: Any) -> bool:
-    return _is_list(value) and all(
+    if not _is_list(value) or not all(
         isinstance(anchor, (list, tuple))
         and len(anchor) == 3
         and _is_number(anchor[0])
         and _is_number(anchor[1])
         and _is_number(anchor[2])
         for anchor in value
-    )
+    ):
+        return False
+    # The order repro.kernels.chain._check_sorted requires of the
+    # decoded anchors: out of order, the reference raises, and a
+    # sampled validation would quarantine Chain for every tenant.
+    keys = [(int(x), int(y)) for x, y, _ in value]
+    return all(prev <= cur for prev, cur in zip(keys, keys[1:]))
 
 
 def _signal(value: Any) -> List[int]:
@@ -155,7 +161,10 @@ _DNA = Codec(
 )
 _SIGNAL = Codec("a sequence of numbers", _is_signal, _signal, slot_columns=1)
 _ANCHORS = Codec(
-    "a list of numeric [x, y, w] triples", _is_anchor_list, _anchors, slot_columns=3
+    "a list of numeric [x, y, w] triples sorted by (x, y)",
+    _is_anchor_list,
+    _anchors,
+    slot_columns=3,
 )
 
 

@@ -165,6 +165,11 @@ class Engine:
     compile (with cache hit counts) and execute spans, validation
     spans, expiry/quarantine events and the drain envelope -- and
     ingests ``job:run`` spans shipped back from worker processes.
+
+    ``cache`` is a :class:`ProgramCache` whose entries this engine
+    shares (a cluster router passes one to every shard, so a kernel
+    compiles once per cluster); the engine still counts its own hits,
+    misses and compiles.  Without one the engine has a private cache.
     """
 
     def __init__(
@@ -173,6 +178,7 @@ class Engine:
         tracer: Optional[object] = None,
         shard: Optional[str] = None,
         flight: Optional[object] = None,
+        cache: Optional[ProgramCache] = None,
     ):
         self.config = config or EngineConfig()
         self.tracer = tracer
@@ -193,14 +199,12 @@ class Engine:
             and hasattr(tracer, "flight")
         ):
             tracer.flight = flight
-        self.cache = ProgramCache(capacity=self.config.cache_capacity)
-        self.batcher = Batcher(capacity=self.config.batch_capacity)
-        self.executor = make_executor(
-            self.config.workers,
-            job_timeout_s=self.config.job_timeout_s,
-            max_retries=self.config.max_retries,
-            transport=self.config.transport,
+        self.cache = (
+            cache.view()
+            if cache is not None
+            else ProgramCache(capacity=self.config.cache_capacity)
         )
+        self.batcher = Batcher(capacity=self.config.batch_capacity)
         self.metrics = MetricsRegistry(
             "engine", "reliability", "sentinel", "opt", "durable", "static"
         )
@@ -228,29 +232,32 @@ class Engine:
         #: pipeline never change within an engine, so neither does its key.
         self._keys: Dict[str, Tuple[CacheKey, Optional[object]]] = {}
         self._last_drain_fault: Optional[str] = None
-        self._warm_start()
+        self.executor = make_executor(
+            self.config.workers,
+            job_timeout_s=self.config.job_timeout_s,
+            max_retries=self.config.max_retries,
+            transport=self.config.transport,
+            programs=self._warm_start(),
+        )
 
-    def _warm_start(self) -> None:
-        """Compile and broadcast the transport's warm kernels.
+    def _warm_start(self) -> List[CompiledProgram]:
+        """Compile the transport's warm kernels, before the executor.
 
-        Pre-seeds both the engine's LRU cache and -- through the
-        executor's ``preload`` hook -- the warm workers' program
-        caches, so the first real request pays neither a compile nor a
-        worker-side unpickle/specialize.  Warm-start failures are
-        logged, not fatal: a kernel that cannot compile will fail its
-        first batch the normal way.
+        Pre-seeds the engine's LRU cache (a hit when a cluster sibling
+        compiled the kernel already) and returns the programs for the
+        executor to broadcast and fuse before it forks its workers, so
+        the first real request pays no compile and no worker builds a
+        sweep.  Warm-start failures are logged, not fatal: a kernel
+        that cannot compile will fail its first batch the normal way.
         """
         transport = self.config.transport
-        if transport is None or not getattr(transport, "warm_kernels", ()):
-            return
-        preload = getattr(self.executor, "preload", None)
-        for kernel in transport.warm_kernels:
+        programs: List[CompiledProgram] = []
+        for kernel in getattr(transport, "warm_kernels", ()):
             try:
                 compiled, _ = self.cache.get_or_compile(
                     *self._program_key(kernel)
                 )
-                if preload is not None:
-                    preload(compiled)
+                programs.append(compiled)
                 self.metrics.incr("warm_kernels_preloaded")
             except Exception as error:
                 _LOG.warning(
@@ -260,6 +267,7 @@ class Engine:
                         "error": f"{type(error).__name__}: {error}",
                     },
                 )
+        return programs
 
     # ------------------------------------------------------------------
     # submission

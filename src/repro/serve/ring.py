@@ -142,8 +142,9 @@ class ProgramTable:
     The parent is the only writer: blob first, row second, count last,
     so a reader that observes ``count > id`` is guaranteed to see that
     program's complete row and bytes.  Workers unpickle each program
-    once and memoize (plus the specialized cell function built from
-    it) -- that is the warm-worker program cache.
+    once and memoize it -- that is the warm-worker program cache; its
+    fused sweep they inherit from the parent, which built it before
+    forking them.
     """
 
     def __init__(
@@ -246,6 +247,13 @@ class ServeSegments:
 
     @classmethod
     def create(cls, geometry: RingGeometry) -> "ServeSegments":
+        """Create every segment, owned by the caller.
+
+        Nothing is written: a new POSIX segment is sized by
+        ``ftruncate`` and reads as zeros, which is every slot FREE at
+        generation 0 and an empty program table.  Only the pages the
+        parent later fills become resident.
+        """
         sizes = {
             "job_header": geometry.slots * JOB_FIELDS * 8,
             "job_data": geometry.slots * geometry.slot_bytes,
@@ -258,7 +266,6 @@ class ServeSegments:
         try:
             for key, size in sizes.items():
                 segments[key] = shared_memory.SharedMemory(create=True, size=size)
-                segments[key].buf[:] = b"\x00" * size
         except Exception:
             for segment in segments.values():
                 try:

@@ -41,6 +41,7 @@ import multiprocessing as mp
 from repro.engine.batcher import Batch
 from repro.engine.cache import CompiledProgram
 from repro.engine.executor import BatchOutcome, InlineExecutor, isolated_job
+from repro.engine.runners import fused_sweep, run_job
 from repro.obs.logs import get_logger
 from repro.serve.layout import (
     DONE,
@@ -145,7 +146,16 @@ class _BatchState:
 
 
 class ShmExecutor:
-    """Warm-worker execution over shared-memory job/result rings."""
+    """Warm-worker execution over shared-memory job/result rings.
+
+    Start-up runs in the order that lets every worker fork warm: the
+    segments are created, *programs* (the engine's warm kernels,
+    compiled already) are broadcast into the program table and their
+    fused sweeps built in this process, and only then are the workers
+    forked -- each inherits the sweeps and builds none.  A program
+    broadcast later is fused here at broadcast too, so a worker
+    respawned after a crash or a kill also starts warm.
+    """
 
     backend = "shm"
 
@@ -154,6 +164,7 @@ class ShmExecutor:
         config: TransportConfig,
         job_timeout_s: float = 30.0,
         max_retries: int = 1,
+        programs: Sequence[CompiledProgram] = (),
     ):
         if job_timeout_s <= 0:
             raise ValueError("job timeout must be positive")
@@ -177,6 +188,8 @@ class ShmExecutor:
             self._result_sem = self._ctx.Semaphore(0)
             self._result_lock = self._ctx.Lock()
             self._shutdown = self._ctx.Event()
+            for compiled in programs:
+                self._program_id(compiled)
             self._workers = [None] * config.workers
             for worker_id in range(config.workers):
                 self._spawn(worker_id)
@@ -213,12 +226,9 @@ class ShmExecutor:
         process.start()
         self._workers[worker_id] = process
 
-    def preload(self, compiled: CompiledProgram) -> Optional[int]:
-        """Broadcast *compiled* so workers specialize it before traffic."""
-        return self._program_id(compiled)
-
     def _program_id(self, compiled: CompiledProgram) -> Optional[int]:
-        """The broadcast id for *compiled* (appending on first sight)."""
+        """The broadcast id for *compiled* (appending on first sight,
+        and fusing its sweep here so later forks inherit it)."""
         if self._segments is None:
             return None
         key = compiled.program_hash
@@ -234,6 +244,7 @@ class ShmExecutor:
             return None
         self._program_ids[key] = program_id
         self._unaccounted_program_bytes += nbytes
+        fused_sweep(compiled)
         return program_id
 
     # ------------------------------------------------------------------
@@ -481,8 +492,6 @@ class ShmExecutor:
 
     def _run_inline(self, record: _PendingJob, state: _BatchState) -> None:
         """The degradation floor for one job (always correct, serial)."""
-        from repro.engine.runners import run_job
-
         record.attempts += 1
         state.max_attempts = max(state.max_attempts, record.attempts)
         self._finish(

@@ -16,10 +16,12 @@ Warm means two things here:
   :func:`repro.engine.runners.run_job` like the inline executor, and
   that resolves the program's specialized cell through the engine's
   per-process memo (:mod:`repro.engine.specialize`);
-- the parent pre-seeds that table with the engine's warm kernels
-  before the first job is published, and a worker resolves each
-  program's cell as it absorbs it, so the first request pays no
-  compile, no unpickle and no specialization.
+- the parent broadcasts the engine's warm kernels into that table
+  and fuses their sweeps (the process-wide memo,
+  :data:`repro.engine.sweep.SWEEPS`) *before* it forks any worker, and
+  fuses every later broadcast too.  A worker -- first or respawned --
+  inherits those sweeps, so absorbing a program is an unpickle and a
+  memo hit, and the first request pays no compile and builds no sweep.
 
 Fault-injection markers decoded from the job header act here and not
 in the parent (:mod:`repro.engine.runners` applies delay/exit only

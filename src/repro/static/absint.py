@@ -33,7 +33,7 @@ from repro.static.intervals import Interval, IntervalDomain
 MAX_FIXPOINT_ITERATIONS = 32
 
 
-def _linear(program) -> LinearProgram:
+def as_linear(program) -> LinearProgram:
     """Linearize a cell program or an engine ``CompiledProgram``.
 
     ``CompiledProgram`` carries no ``node_regs``; :func:`linearize`
@@ -139,7 +139,7 @@ def analyze_program(
     """
     if domain is None:
         domain = IntervalDomain()
-    lp = _linear(program)
+    lp = as_linear(program)
     state: Dict[int, Interval] = {}
     seeded: Dict[str, Interval] = {}
     for name, reg in lp.input_regs.items():
@@ -194,6 +194,7 @@ def analyze_fixpoint(
     feedback: Dict[str, Tuple[str, ...]],
     match_range: Optional[Interval] = None,
     domain: Optional[IntervalDomain] = None,
+    first: Optional[ProgramAnalysis] = None,
 ) -> FixpointResult:
     """Kleene-iterate the output -> recurrent-input feedback edges.
 
@@ -201,12 +202,16 @@ def analyze_fixpoint(
     recurrent inputs named by *feedback*, widening to the rails after
     the first ascent so unbounded accumulators reach a stable (if
     coarse) summary; one narrowing descent then tightens endpoints the
-    widening overshot.
+    widening overshot.  *first*, when given, is the caller's
+    :func:`analyze_program` pass on *contract_inputs*, reused as the
+    first iteration; the program is linearized once for every pass.
     """
     if domain is None:
         domain = IntervalDomain()
+    program = as_linear(program)
     inputs = dict(contract_inputs)
-    first = analyze_program(program, inputs, match_range, domain)
+    if first is None:
+        first = analyze_program(program, inputs, match_range, domain)
     closed = all(
         first.outputs[out].within(
             contract_inputs.get(name, domain.top())

@@ -36,7 +36,7 @@ from typing import Dict, List, Optional, Tuple
 
 from repro.dpax.pe import INT32_MAX, INT32_MIN, LANE8_MAX, LANE8_MIN
 from repro.guard.sentinels import PAIRHMM_UNDERFLOW_FLOOR, make_sentinel
-from repro.static.absint import analyze_fixpoint, analyze_program
+from repro.static.absint import analyze_fixpoint, analyze_program, as_linear
 from repro.static.contracts import KernelContract, kernel_contract
 from repro.static.intervals import Interval
 
@@ -197,8 +197,9 @@ def certify_program(
     if contract is None:
         return _uncertified(label, kernel, program_hash)
 
+    linear = as_linear(program)
     analysis = analyze_program(
-        program, dict(contract.inputs), contract.match_range
+        linear, dict(contract.inputs), contract.match_range
     )
     observed: List[Tuple[Interval, Optional[int]]] = []
     for way in analysis.ways:
@@ -229,10 +230,11 @@ def certify_program(
         )
 
     fixpoint = analyze_fixpoint(
-        program,
+        linear,
         dict(contract.inputs),
         dict(contract.feedback),
         contract.match_range,
+        first=analysis,
     )
     sentinel_free = all(
         verdict.proven_absent for verdict in verdicts if verdict.armed

@@ -1,15 +1,18 @@
 """ClusterRouter: routing, failover exactly-once, stealing, lifecycle."""
 
 import re
+from collections import Counter
 from pathlib import Path
 
 import pytest
 
 from repro.cluster import ClusterConfig, ClusterRouter, SimClock
 from repro.cluster.router import MAX_STEAL_PER_ROUND, STEAL_RATIO
-from repro.engine import BackpressureError, EngineConfig, make_job
+from repro.engine import BackpressureError, EngineConfig, make_job, service
+from repro.engine.kernels import KERNELS
 from repro.engine.metrics import COUNTERS
 from repro.obs.trace import TraceRecorder
+from repro.serve.transport import TransportConfig
 
 SRC_ROOT = Path(__file__).resolve().parents[2] / "src" / "repro"
 
@@ -194,6 +197,57 @@ class TestLifecycle:
                 assert "health" in gauges and "state" in gauges
             for counter in COUNTERS["cluster"] + COUNTERS["durable"]:
                 assert counter in snap["counters"]
+
+
+class TestOneCompilePerCluster:
+    """Shard engines share the router's program cache: a warm kernel
+    compiles once per router, however many shards start or join."""
+
+    @pytest.fixture
+    def compiles(self, monkeypatch):
+        counts = Counter()
+        compile_program = service.compile_program
+
+        def counting(kernel, *args):
+            counts[kernel] += 1
+            return compile_program(kernel, *args)
+
+        monkeypatch.setattr(service, "compile_program", counting)
+        return counts
+
+    @pytest.mark.parametrize("shards", [2, 3])
+    def test_warm_kernels_compile_once(self, compiles, shards):
+        warm = tuple(KERNELS)
+        config = ClusterConfig(
+            shards=shards,
+            engine=EngineConfig(
+                transport=TransportConfig(backend="inline", warm_kernels=warm)
+            ),
+        )
+        with ClusterRouter(config, clock=SimClock()) as router:
+            assert compiles == Counter(warm)
+            router.join()
+            assert compiles == Counter(warm)
+
+            # Each shard counts its own lookups: the first compiled,
+            # every later one hit the shared entries.
+            caches = {
+                shard_id: shard.engine.snapshot()["cache"]
+                for shard_id, shard in router.shards.items()
+            }
+            assert caches["shard-0"]["misses"] == len(warm)
+            assert caches["shard-0"]["hits"] == 0
+            for shard_id in list(caches)[1:]:
+                assert caches[shard_id]["misses"] == 0
+                assert caches[shard_id]["hits"] == len(warm)
+
+            owner = router._owner[router.submit(_job()).job_id]
+            assert all(result.ok for result in router.drain())
+            for shard_id, shard in router.shards.items():
+                hits = shard.engine.snapshot()["cache"]["hits"]
+                grew = hits - caches[shard_id]["hits"]
+                assert grew == (1 if shard_id == owner else 0)
+            assert compiles == Counter(warm)
 
 
 class TestCounterSchema:

@@ -52,6 +52,9 @@ class TestSubmission:
             ("dtw", {"a": [1.5, float("nan")], "b": [1]}),
             ("dtw", {"a": [float("inf")], "b": [1]}),
             ("chain", {"anchors": [[1, float("-inf"), 19]]}),
+            # Out of (x, y) order the reference raises, and a sampled
+            # validation would quarantine Chain for every tenant.
+            ("chain", {"anchors": [[5, 6, 19], [1, 2, 19]]}),
         ],
     )
     def test_wrong_element_types_rejected_at_creation(self, kernel, payload):
@@ -97,6 +100,7 @@ class TestSubmission:
     def test_every_submitted_shape_still_validates(self):
         make_job("dtw", {"a": (1, 2.5), "b": [True, 3]})
         make_job("chain", {"anchors": [(1, 2, 19), [3, 4, 19.0]], "n": 4})
+        make_job("chain", {"anchors": [[1, 2, 19], [1, 2, 7], [1, 3, 19]]})
         make_job("pairhmm", {"read": "ACGT", "haplotype": "AC"})
 
 

@@ -13,13 +13,16 @@ protocol correctness, not throughput (that is ``serve_small_mixed``
 in ``bench/``, which drives the shm rings end to end).
 """
 
+import os
 import random
 
 import pytest
 
 from repro.engine import Engine, EngineConfig, make_job
 from repro.engine.jobs import ENGINE_KERNELS
+from repro.engine.sweep import SWEEPS
 from repro.faults import FaultPlan
+from repro.obs.trace import TraceRecorder
 from repro.serve import TransportConfig, transport as transport_module
 from repro.serve.ring import RingGeometry
 from repro.serve.transport import ShmExecutor
@@ -204,6 +207,48 @@ def test_reclaim_after_worker_crash_via_fault_plan(monkeypatch):
         again = engine.drain()
         assert all(r.ok for r in again)
         assert all(r.backend == "shm" for r in again)
+
+
+def test_workers_fork_with_warm_sweeps(monkeypatch):
+    """A warm engine fuses its kernels' sweeps before it forks: a
+    worker -- the first one, and one respawned after a kill -- runs
+    its first job of every warm kernel fused, building no sweep."""
+    parent = os.getpid()
+    build = SWEEPS._build
+
+    def parent_only(*args):
+        if os.getpid() != parent:
+            raise AssertionError("a worker built a sweep")
+        return build(*args)
+
+    monkeypatch.setattr(SWEEPS, "_entries", {})
+    monkeypatch.setattr(SWEEPS, "_build", parent_only)
+    tracer = TraceRecorder()
+    transport = TransportConfig(
+        backend="shm",
+        workers=1,
+        warm_kernels=ENGINE_KERNELS,
+        poll_interval_s=0.01,
+    )
+    with Engine(EngineConfig(transport=transport), tracer=tracer) as engine:
+
+        def run_every_kernel():
+            seen = len(tracer.spans())
+            for kernel in ENGINE_KERNELS:
+                engine.submit(make_job(kernel, _payloads(kernel, 1)[0]))
+            results = engine.drain()
+            assert all(r.ok and r.backend == "shm" for r in results)
+            runs = [s for s in tracer.spans()[seen:] if s.name == "job:run"]
+            assert len(runs) == len(ENGINE_KERNELS)
+            return {(span.pid, span.args["path"]) for span in runs}
+
+        first = engine.executor._workers[0]
+        assert run_every_kernel() == {(first.pid, "fused")}
+        first.kill()
+        first.join()
+        respawned = run_every_kernel()
+        (pid, path), = respawned
+        assert pid not in (parent, first.pid) and path == "fused"
 
 
 def test_injected_failures_stay_job_level():

@@ -5,6 +5,8 @@ in the same interpreter); the multi-process protocol on top is covered
 by ``test_backends.py``.
 """
 
+import os
+
 import pytest
 
 from repro.engine.cache import compile_program
@@ -48,9 +50,47 @@ def test_geometry_rejects_degenerate_shapes(kwargs):
 
 
 def test_fresh_rings_are_all_free(segments):
-    assert segments.jobs.find_state(FREE) == [0, 1, 2, 3]
-    assert segments.results.find_state(FREE) == [0, 1, 2, 3]
-    assert segments.programs.count == 0
+    """Nothing zero-fills a new segment: the kernel hands it out
+    zeroed, which is every slot FREE and an empty program table, seen
+    from the owner and from an attached view."""
+    attached = ServeSegments.attach(segments.geometry, segments.names)
+    try:
+        for view in (segments, attached):
+            planes = (
+                view.jobs.header,
+                view.jobs.data,
+                view.results.header,
+                view.results.data,
+                view.programs._table,
+                view.programs._blob,
+            )
+            assert not any(plane.any() for plane in planes)
+            assert view.jobs.find_state(FREE) == [0, 1, 2, 3]
+            assert view.results.find_state(FREE) == [0, 1, 2, 3]
+            assert view.programs.count == 0
+    finally:
+        attached.close()
+
+
+def _rss_shmem_kb():
+    with open("/proc/self/status", encoding="ascii") as status:
+        for line in status:
+            if line.startswith("RssShmem:"):
+                return int(line.split()[1])
+    pytest.skip("no RssShmem line in /proc/self/status")
+
+
+@pytest.mark.skipif(
+    not os.path.exists("/proc/self/status"), reason="needs /proc"
+)
+def test_create_leaves_segments_unresident():
+    """Creating the default 8 MiB of segments maps no page of them."""
+    before = _rss_shmem_kb()
+    segs = ServeSegments.create(RingGeometry())
+    try:
+        assert _rss_shmem_kb() - before < 1024
+    finally:
+        segs.close()
 
 
 def test_publish_and_state_scan(segments):
