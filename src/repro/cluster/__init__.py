@@ -14,11 +14,11 @@ giving up the reliability contract the engine already guarantees
   error/latency windows, and a shard-granularity circuit breaker that
   ejects (and later rejoins) unhealthy shards;
 - :mod:`repro.cluster.shard`    -- one engine plus its lifecycle state
-  machine and the pending-job ledger that makes crash failover
-  lossless;
+  machine, health and fault flags;
 - :mod:`repro.cluster.router`   -- the front door: health-aware
-  routing, bounded work stealing, exactly-once failover, graceful
-  join/leave/drain, virtual-time scaling accounting;
+  routing, the one in-flight ledger that makes failover lossless,
+  bounded work stealing, graceful join/leave/drain, virtual-time
+  scaling accounting;
 - :mod:`repro.cluster.clock`    -- injectable real/simulated time, the
   determinism seam for chaos campaigns;
 - :mod:`repro.cluster.chaos`    -- seeded cluster campaigns driven by
@@ -47,7 +47,6 @@ from repro.cluster.shard import (
     SHARD_STATE_CODES,
     SHARD_STATES,
     EngineShard,
-    ShardUnavailableError,
 )
 
 __all__ = [
@@ -63,7 +62,6 @@ __all__ = [
     "SHARD_STATE_CODES",
     "SHARD_STATES",
     "ShardHealth",
-    "ShardUnavailableError",
     "SimClock",
     "is_simulated",
     "real_clock",

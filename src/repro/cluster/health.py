@@ -70,15 +70,13 @@ class ShardHealth:
             failure_threshold=EJECT_THRESHOLD,
             cooldown_batches=REJOIN_COOLDOWN,
         )
-        self._last_beat_round = 0
         self._missed_beats = 0
 
     # ------------------------------------------------------------------
     # inputs (one call set per drain round)
 
-    def beat(self, round_number: int) -> None:
+    def beat(self) -> None:
         """The shard answered this round's heartbeat."""
-        self._last_beat_round = round_number
         self._missed_beats = 0
 
     def miss(self, round_number: int) -> bool:
@@ -123,10 +121,6 @@ class ShardHealth:
     @property
     def missed_beats(self) -> int:
         return self._missed_beats
-
-    @property
-    def last_beat_round(self) -> int:
-        return self._last_beat_round
 
     @property
     def error_rate(self) -> float:

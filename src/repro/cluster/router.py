@@ -21,13 +21,16 @@ Placement and robustness:
   hash range remaps onto the survivors (bounded, ~K/N keys) and its
   queued jobs fail over.  A cooled-down breaker lets a rejoin probe
   through and the shard takes its range back;
-- **failover** -- a killed shard's in-flight jobs (the pending ledger)
-  are resubmitted to surviving shards *exactly once per incident*,
-  bounded by ``MAX_RESUBMIT_ROUNDS``; a job that exhausts failover
-  gets a synthesized ``cluster-fault`` error envelope and parks in the
-  router's dead-letter queue -- no job is ever silently dropped, and
-  first-envelope-wins folding makes double-reporting impossible
-  (``cluster_duplicate_envelopes`` audits that it never happens);
+- **failover** -- one ordered in-flight ledger records each routed
+  job's owning shard until its envelope is delivered.  A shard loses
+  its jobs through one path, however it is lost (killed, ejected, or
+  its drain raised): its rows are marked orphaned and resubmitted to
+  surviving shards in ring order, bounded by ``MAX_RESUBMIT_ROUNDS``;
+  a job that exhausts failover gets a synthesized ``cluster-fault``
+  error envelope and parks in the router's dead-letter queue -- no job
+  is ever silently dropped, and first-envelope-wins folding makes
+  double-reporting impossible (``cluster_duplicate_envelopes`` audits
+  that it never happens);
 - **work stealing** -- before draining, queue depth outliers shed
   their excess onto the least-loaded healthy shards, so one hot hash
   range cannot stall the round;
@@ -45,13 +48,13 @@ cluster throughput is ``cluster_durable`` in ``bench/``.
 
 from __future__ import annotations
 
-from collections import OrderedDict
+from collections import Counter, OrderedDict
 from dataclasses import dataclass, field
-from typing import Any, Callable, Dict, List, Optional, Set
+from typing import Any, Callable, Dict, List, Optional, Set, Tuple
 
 from repro.cluster.clock import is_simulated, real_clock
 from repro.cluster.hashring import HashRing
-from repro.cluster.shard import EngineShard, ShardUnavailableError
+from repro.cluster.shard import EngineShard
 from repro.engine import BackpressureError, Engine, EngineConfig
 from repro.engine.cache import ProgramCache
 from repro.engine.dlq import DeadLetter, DeadLetterQueue
@@ -103,6 +106,17 @@ class ClusterConfig:
             raise ValueError("shards must be positive")
 
 
+@dataclass
+class _InFlight:
+    """One in-flight ledger row: a routed job awaiting its envelope."""
+
+    job: Job
+    #: Owning shard id; None while the job is orphaned.
+    shard: Optional[str]
+    #: Failover placements so far (at most ``MAX_RESUBMIT_ROUNDS``).
+    resubmissions: int = 0
+
+
 class ClusterRouter:
     """N engine shards behind one engine-shaped front door."""
 
@@ -111,31 +125,28 @@ class ClusterRouter:
         config: Optional[ClusterConfig] = None,
         tracer: Optional[object] = None,
         clock: Optional[Callable[[], float]] = None,
-        engine_factory: Optional[Callable[[str], Engine]] = None,
         flight: Optional[object] = None,
     ):
         self.config = config or ClusterConfig()
         self.tracer = tracer
         self.clock = clock or real_clock
         #: Optional :class:`repro.slo.flight.FlightRecorder`, shared
-        #: with every default-built shard engine: kills, ejections and
+        #: with every shard engine: kills, ejections and
         #: unroutable-job dead letters trip it.
         self.flight = flight
         self.metrics = MetricsRegistry("cluster", "durable")
         self.ring = HashRing()
-        self._engine_factory = engine_factory or self._default_engine
-        #: The one program cache every default-built shard shares: a
-        #: kernel compiles once per router, joins included.
+        #: The one program cache every shard engine shares: a kernel
+        #: compiles once per router, joins included.
         self._programs = ProgramCache(self.config.engine.cache_capacity)
         self._shards: Dict[str, EngineShard] = {}
         self._affinity: Dict[str, str] = {}
         self._round = 0
         self._next_ordinal = 0
         self._virtual_seconds = 0.0
-        self._inflight: "OrderedDict[int, Job]" = OrderedDict()
-        self._owner: Dict[int, str] = {}
-        self._resubmissions: Dict[int, int] = {}
-        self._orphans: List[Job] = []
+        #: The one in-flight ledger, in routing order: job id -> job,
+        #: owning shard and failover count, until delivery.
+        self._ledger: "OrderedDict[int, _InFlight]" = OrderedDict()
         self._dlq = DeadLetterQueue(
             capacity=DLQ_CAPACITY, metrics=self.metrics
         )
@@ -150,15 +161,6 @@ class ClusterRouter:
         self._rate_kills = 0
         for _ in range(self.config.shards):
             self.join()
-
-    def _default_engine(self, shard_id: str) -> Engine:
-        return Engine(
-            self.config.engine,
-            tracer=self.tracer,
-            shard=shard_id,
-            flight=self.flight,
-            cache=self._programs,
-        )
 
     def _flight_trip(self, reason: str, **context: Any) -> None:
         """Trip the flight recorder; forensics never fail the router."""
@@ -199,9 +201,14 @@ class ClusterRouter:
         shard_id = shard_id or f"{SHARD_PREFIX}-{ordinal}"
         if shard_id in self._shards:
             raise ValueError(f"shard {shard_id!r} already exists")
-        shard = EngineShard(
-            shard_id, self._engine_factory(shard_id), ordinal=ordinal
+        engine = Engine(
+            self.config.engine,
+            tracer=self.tracer,
+            shard=shard_id,
+            flight=self.flight,
+            cache=self._programs,
         )
+        shard = EngineShard(shard_id, engine, ordinal=ordinal)
         self._shards[shard_id] = shard
         self.ring.add(shard_id)
         self.metrics.incr("cluster_shards_joined")
@@ -234,25 +241,19 @@ class ClusterRouter:
                 extra={"shard": shard_id},
             )
             return -1
-        orphans = shard.kill()
+        shard.kill()
         self.ring.remove(shard_id)
-        self._orphans.extend(orphans)
+        orphans = self._orphan(shard)
         self.metrics.incr("cluster_shards_killed")
-        self._flight_trip(
-            "shard-kill", shard=shard_id, orphans=len(orphans)
-        )
+        self._flight_trip("shard-kill", shard=shard_id, orphans=orphans)
         _LOG.warning(
-            "shard killed",
-            extra={"shard": shard_id, "orphans": len(orphans)},
+            "shard killed", extra={"shard": shard_id, "orphans": orphans}
         )
         if self.tracer is not None:
             self.tracer.event(
-                "cluster:kill",
-                cat="cluster",
-                shard=shard_id,
-                orphans=len(orphans),
+                "cluster:kill", cat="cluster", shard=shard_id, orphans=orphans
             )
-        return len(orphans)
+        return orphans
 
     # ------------------------------------------------------------------
     # routing
@@ -282,6 +283,26 @@ class ClusterRouter:
             key = f"{key}/{salt}"
         return key
 
+    def _place(
+        self, job: Job, round_number: int
+    ) -> Tuple[Optional[EngineShard], Job, int]:
+        """Enqueue *job* on the first shard in its ring order that
+        accepts it this round -- submit and failover both place here.
+
+        Returns ``(shard, accepted, refused)``; ``shard`` is None when
+        every hop refused, and ``refused`` counts the hops that did.
+        """
+        refused = 0
+        for shard_id in self.ring.route_n(self._route_key(job), len(self.ring)):
+            shard = self._shards[shard_id]
+            if shard.accepting(round_number):
+                try:
+                    return shard, shard.engine.submit(job), refused
+                except BackpressureError:
+                    pass
+            refused += 1
+        return None, job, refused
+
     def submit(self, job: Job) -> Job:
         """Route *job* to its ring owner (or the next available shard).
 
@@ -296,59 +317,47 @@ class ClusterRouter:
         session...); the token subdivides that program's hash range
         while staying fully deterministic.
         """
-        key = self._route_key(job)
-        next_round = self._round + 1
         route_start = self.tracer.now() if self.tracer is not None else 0.0
-        fallbacks = 0
-        for shard_id in self.ring.route_n(key, len(self.ring)):
-            shard = self._shards[shard_id]
-            if not shard.accepting(next_round):
-                fallbacks += 1
-                continue
+        shard, accepted, fallbacks = self._place(job, self._round + 1)
+        if shard is None:
+            raise BackpressureError(
+                f"no shard can accept {job.kernel!r} "
+                f"({len(self.ring)} in ring, {fallbacks} refused)"
+            )
+        if self.journal is not None:
+            # Write-ahead: a job the journal does not know is not
+            # routed.  A failed accept write pulls the job back off the
+            # shard (it is the queue tail -- the router is
+            # single-threaded) and propagates.
             try:
-                accepted = shard.submit(job)
-            except (BackpressureError, ShardUnavailableError):
-                fallbacks += 1
-                continue
-            if self.journal is not None:
-                # Write-ahead: a job the ledger does not know is not
-                # routed.  A failed accept write pulls the job back off
-                # the shard (it is the queue tail -- the router is
-                # single-threaded) and propagates.
-                try:
-                    self.journal.append(
-                        "accept",
-                        job_id=accepted.job_id,
-                        kernel=accepted.kernel,
-                        payload=_journal_payload(accepted.payload),
-                        priority=accepted.priority,
-                    )
-                    self.metrics.incr("durable_accepts_logged")
-                except Exception:
-                    self.metrics.incr("durable_write_errors")
-                    shard.withdraw(1)
-                    raise
-            self._inflight[accepted.job_id] = accepted
-            self._owner[accepted.job_id] = shard_id
-            self.metrics.incr("cluster_jobs_routed")
-            if fallbacks:
-                self.metrics.incr("cluster_route_fallbacks", fallbacks)
-            if self.tracer is not None:
-                self.tracer.add_span(
-                    "cluster:route",
-                    route_start,
-                    self.tracer.now(),
-                    cat="cluster",
+                self.journal.append(
+                    "accept",
                     job_id=accepted.job_id,
                     kernel=accepted.kernel,
-                    shard=shard_id,
-                    fallbacks=fallbacks,
+                    payload=_journal_payload(accepted.payload),
+                    priority=accepted.priority,
                 )
-            return accepted
-        raise BackpressureError(
-            f"no shard can accept {job.kernel!r} "
-            f"({len(self.ring)} in ring, {fallbacks} refused)"
-        )
+                self.metrics.incr("durable_accepts_logged")
+            except Exception:
+                self.metrics.incr("durable_write_errors")
+                shard.engine.withdraw(1)
+                raise
+        self._ledger[accepted.job_id] = _InFlight(accepted, shard.shard_id)
+        self.metrics.incr("cluster_jobs_routed")
+        if fallbacks:
+            self.metrics.incr("cluster_route_fallbacks", fallbacks)
+        if self.tracer is not None:
+            self.tracer.add_span(
+                "cluster:route",
+                route_start,
+                self.tracer.now(),
+                cat="cluster",
+                job_id=accepted.job_id,
+                kernel=accepted.kernel,
+                shard=shard.shard_id,
+                fallbacks=fallbacks,
+            )
+        return accepted
 
     def submit_many(self, jobs: List[Job]) -> List[Job]:
         return [self.submit(job) for job in jobs]
@@ -360,7 +369,7 @@ class ClusterRouter:
     @property
     def inflight(self) -> int:
         """Jobs routed but not yet settled with an envelope."""
-        return len(self._inflight)
+        return len(self._ledger)
 
     # ------------------------------------------------------------------
     # drain
@@ -372,7 +381,7 @@ class ClusterRouter:
         settle in a later round (see :meth:`drain_until_settled`);
         jobs on a *killed* shard fail over inside this round.
         """
-        if not self._inflight and not self._orphans:
+        if not self._ledger:
             return []
         self._round += 1
         round_number = self._round
@@ -401,11 +410,9 @@ class ClusterRouter:
         shard_seconds: Dict[str, float] = {}
         self._drain_shards(round_number, envelopes, shard_seconds)
 
-        # Failover: resubmit orphans of killed/ejected shards, then
-        # drain the adopting shards so this round still settles them.
+        # Failover: resubmit orphans of lost shards, then drain the
+        # adopting shards so this round still settles them.
         for _ in range(MAX_RESUBMIT_ROUNDS):
-            if not self._orphans:
-                break
             adopted = self._resubmit_orphans(round_number, envelopes)
             if not adopted:
                 break
@@ -424,16 +431,14 @@ class ClusterRouter:
                 _LOG.info("shard left", extra={"shard": shard.shard_id})
 
         ordered: List[JobResult] = []
-        for job_id in list(self._inflight.keys()):
+        for job_id in list(self._ledger):
             result = envelopes.get(job_id)
             if result is None:
                 continue  # stranded on a partitioned shard; later round
             if self.journal is not None:
                 self._journal_completion(result)
             ordered.append(result)
-            del self._inflight[job_id]
-            self._owner.pop(job_id, None)
-            self._resubmissions.pop(job_id, None)
+            del self._ledger[job_id]
         return ordered
 
     def _journal_completion(self, result: JobResult) -> None:
@@ -459,7 +464,7 @@ class ClusterRouter:
         settled: List[JobResult] = []
         for _ in range(max_rounds):
             settled.extend(self.drain())
-            if not self._inflight and not self._orphans:
+            if not self._ledger:
                 break
         return settled
 
@@ -482,7 +487,7 @@ class ClusterRouter:
                 if shard.health.miss(round_number):
                     self._eject(shard, round_number)
                 continue
-            shard.health.beat(round_number)
+            shard.health.beat()
             if shard.queued == 0:
                 continue
             jobs_count = shard.queued
@@ -492,11 +497,11 @@ class ClusterRouter:
             )
             started = self.clock()
             try:
-                results = shard.drain()
+                results = shard.engine.drain()
                 drain_ok = True
             except Exception as error:
                 # The engine drain is crash-safe; an exception past it
-                # means the shard itself is broken -- treat as a death.
+                # means the shard itself is broken: its jobs fail over.
                 _LOG.error(
                     "shard drain raised",
                     extra={
@@ -530,6 +535,7 @@ class ClusterRouter:
                 shard.health.record_drain(True, elapsed)
                 self._fold(shard_id, results, envelopes)
             else:
+                self._orphan(shard)
                 if shard.health.record_drain(False, elapsed):
                     self._eject(shard, round_number)
 
@@ -552,12 +558,26 @@ class ClusterRouter:
                 result.shard = shard_id
             envelopes[result.job_id] = result
 
+    def _orphan(self, shard: EngineShard) -> int:
+        """The one path by which a shard loses its jobs (kill, eject, a
+        drain that raised): empty its engine queue while the engine is
+        open, then orphan every ledger row it owns for failover.
+        Returns the number of rows orphaned."""
+        if shard.state in ("active", "draining"):
+            shard.engine.withdraw(None)
+        orphans = 0
+        for entry in self._ledger.values():
+            if entry.shard == shard.shard_id:
+                entry.shard = None
+                orphans += 1
+        return orphans
+
     def _eject(self, shard: EngineShard, round_number: int) -> None:
-        """Breaker opened: drop the shard's hash range, orphan its queue."""
+        """Breaker opened: drop the shard's hash range, orphan its jobs."""
         if shard.shard_id not in self.ring:
             return
         self.ring.remove(shard.shard_id)
-        self._orphans.extend(shard.withdraw(None))
+        self._orphan(shard)
         self.metrics.incr("cluster_shards_ejected")
         self._flight_trip(
             "shard-eject", shard=shard.shard_id, round=round_number
@@ -655,27 +675,25 @@ class ClusterRouter:
             excess = min(int(donor.queued - mean), MAX_STEAL_PER_ROUND)
             if excess <= 0:
                 continue
-            stolen = donor.withdraw(excess)
-            for job in stolen:
-                placed = False
+            for job in donor.engine.withdraw(excess):
+                owner = donor
                 for target in sorted(
                     targets_pool, key=lambda s: (s.queued, s.shard_id)
                 ):
-                    if target.shard_id == donor.shard_id:
+                    if target is donor:
                         continue
                     try:
-                        target.adopt(job)
-                    except (BackpressureError, ShardUnavailableError):
+                        target.engine.submit(job)
+                    except BackpressureError:
                         continue
-                    self._owner[job.job_id] = target.shard_id
+                    owner = target
                     self.metrics.incr("cluster_jobs_stolen")
-                    placed = True
                     break
-                if not placed:
+                else:
                     # Nobody could take it; hand it back to the donor
                     # (it had room -- we just withdrew from it).
-                    donor.adopt(job)
-                    self._owner[job.job_id] = donor.shard_id
+                    donor.engine.submit(job)
+                self._ledger[job.job_id].shard = owner.shard_id
 
     def _resubmit_orphans(
         self, round_number: int, envelopes: Dict[int, JobResult]
@@ -684,45 +702,32 @@ class ClusterRouter:
 
         Returns the shard ids that adopted work (they get a follow-up
         drain this round).  Jobs that exhaust their resubmission budget
-        or find no shard stay orphaned for :meth:`_synthesize_leftovers`.
+        or find no shard stay orphaned for :meth:`_synthesize_leftovers`;
+        a job already answered this round is never resubmitted.
         """
-        orphans, self._orphans = self._orphans, []
         adopted: Set[str] = set()
-        leftovers: List[Job] = []
-        for job in orphans:
-            if job.job_id in envelopes:
-                continue  # already answered; never resubmit a settled job
-            times = self._resubmissions.get(job.job_id, 0)
-            if times >= MAX_RESUBMIT_ROUNDS:
-                leftovers.append(job)
+        for job_id, entry in self._ledger.items():
+            if (
+                entry.shard is not None
+                or job_id in envelopes
+                or entry.resubmissions >= MAX_RESUBMIT_ROUNDS
+            ):
                 continue
-            key = self._route_key(job)
-            placed = False
-            for shard_id in self.ring.route_n(key, len(self.ring)):
-                shard = self._shards[shard_id]
-                if not shard.accepting(round_number):
-                    continue
-                try:
-                    shard.adopt(job)
-                except (BackpressureError, ShardUnavailableError):
-                    continue
-                self._owner[job.job_id] = shard_id
-                self._resubmissions[job.job_id] = times + 1
-                self.metrics.incr("cluster_jobs_resubmitted")
-                adopted.add(shard_id)
-                placed = True
-                break
-            if not placed:
-                leftovers.append(job)
-        self._orphans = leftovers
+            shard, _, _ = self._place(entry.job, round_number)
+            if shard is None:
+                continue
+            entry.shard = shard.shard_id
+            entry.resubmissions += 1
+            self.metrics.incr("cluster_jobs_resubmitted")
+            adopted.add(shard.shard_id)
         return adopted
 
     def _synthesize_leftovers(self, envelopes: Dict[int, JobResult]) -> None:
         """Exactly-once floor: un-placeable jobs get error envelopes."""
-        orphans, self._orphans = self._orphans, []
-        for job in orphans:
-            if job.job_id in envelopes:
+        for job_id, entry in self._ledger.items():
+            if entry.shard is not None or job_id in envelopes:
                 continue
+            job = entry.job
             self.metrics.incr("cluster_jobs_unroutable")
             error = "cluster-fault: no shard available for failover"
             envelopes[job.job_id] = JobResult(
@@ -793,11 +798,9 @@ class ClusterRouter:
             except BackpressureError:
                 self._dlq.extend(letters[index:])
                 break
-            self._inflight[letter.job.job_id] = letter.job
         for shard in self.live_shards():
-            for job in shard.replay_dead_letters():
-                self._inflight[job.job_id] = job
-                self._owner[job.job_id] = shard.shard_id
+            for job in shard.engine.replay_dead_letters():
+                self._ledger[job.job_id] = _InFlight(job, shard.shard_id)
                 replayed.append(job)
         return replayed
 
@@ -822,11 +825,12 @@ class ClusterRouter:
             "shards_in_ring": len(self.ring),
             "round": self._round,
             "virtual_seconds": round(self._virtual_seconds, 6),
-            "inflight": len(self._inflight),
+            "inflight": len(self._ledger),
             "dead_letter_backlog": len(self._dlq),
         }
+        owned = Counter(entry.shard for entry in self._ledger.values())
         snap["shards"] = {
-            shard_id: shard.snapshot(self._round)
+            shard_id: shard.snapshot(self._round, owned[shard_id])
             for shard_id, shard in sorted(self._shards.items())
         }
         return snap

@@ -1,33 +1,30 @@
-"""One engine shard: lifecycle, pending-job ledger, fault flags.
+"""One engine shard: lifecycle, health, fault flags.
 
 An :class:`EngineShard` pairs one :class:`repro.engine.Engine` (its
-own transport, workers, program cache, DLQ) with the cluster-side state
+own transport, workers, breaker set, DLQ) with the cluster-side state
 the router needs:
 
 - a **lifecycle state machine** -- ``active`` -> ``draining`` (graceful
   leave: no new work, queued work finishes) -> ``left``, or ``active``
-  -> ``dead`` (kill: engine closed, pending jobs orphaned for
-  failover);
-- a **pending ledger** -- every job routed here is remembered until
-  its result envelope comes back, so a kill mid-stream hands the
-  router the exact set of in-flight jobs to resubmit (exactly once)
-  instead of silently dropping them;
+  -> ``dead`` (kill: engine closed);
+- its **health** (:class:`~repro.cluster.health.ShardHealth`);
 - **fault flags** -- the deterministic chaos layer marks a shard
   partitioned (unreachable for N rounds) or hung (next drain is slow)
   without reaching into the engine.
 
-The shard never routes; the router owns placement.  The shard's job is
-to make "what was in flight here?" answerable at any instant, which is
-what turns a shard death into a bounded failover instead of data loss.
+The shard neither routes nor remembers jobs: the router enqueues on
+``shard.engine`` directly, and its one in-flight ledger records which
+shard owns each job -- so "what was in flight on this shard?" has one
+answer, however the shard is lost (killed, ejected, or a drain that
+raised).
 """
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional
+from typing import Dict
 
 from repro.cluster.health import ShardHealth
 from repro.engine import Engine
-from repro.engine.jobs import Job, JobResult
 
 #: Lifecycle states, mapped to gauge codes for the exporters.
 SHARD_STATES = ("active", "draining", "left", "dead")
@@ -37,11 +34,6 @@ SHARD_STATE_CODES: Dict[str, int] = {
     "left": 2,
     "dead": 3,
 }
-
-
-class ShardUnavailableError(RuntimeError):
-    """The shard cannot accept work (dead, left, draining, ejected or
-    partitioned); the router should pick another shard."""
 
 
 class EngineShard:
@@ -60,7 +52,6 @@ class EngineShard:
         #: id string, so renamed shards keep their fault schedule.
         self.ordinal = ordinal
         self.state = "active"
-        self._pending: Dict[int, Job] = {}
         self._partitioned_until_round = 0
         self._hang_delay_s = 0.0
 
@@ -90,54 +81,6 @@ class EngineShard:
     def queued(self) -> int:
         return self.engine.queued if self.state not in ("dead", "left") else 0
 
-    @property
-    def pending(self) -> int:
-        return len(self._pending)
-
-    # ------------------------------------------------------------------
-    # work
-
-    def submit(self, job: Job) -> Job:
-        """Enqueue on this shard's engine and ledger the job.
-
-        Raises whatever the engine raises (``BackpressureError`` when
-        the shard's bounded queue is full) -- the router turns that
-        into a fallback hop along the ring.
-        """
-        if self.state != "active":
-            raise ShardUnavailableError(
-                f"shard {self.shard_id} is {self.state}"
-            )
-        accepted = self.engine.submit(job)
-        self._pending[accepted.job_id] = accepted
-        return accepted
-
-    def adopt(self, job: Job) -> Job:
-        """Take over a job stolen or failed over from another shard."""
-        return self.submit(job)
-
-    def drain(self) -> List[JobResult]:
-        """Drain the shard's engine; settle the pending ledger."""
-        results = self.engine.drain()
-        for result in results:
-            self._pending.pop(result.job_id, None)
-        return results
-
-    def replay_dead_letters(self) -> List[Job]:
-        """Replay the engine's DLQ, keeping the pending ledger honest
-        (replayed jobs are in flight again and must survive a kill)."""
-        replayed = self.engine.replay_dead_letters()
-        for job in replayed:
-            self._pending[job.job_id] = job
-        return replayed
-
-    def withdraw(self, max_jobs: Optional[int] = None) -> List[Job]:
-        """Pull queued-but-unstarted jobs back out (work stealing)."""
-        taken = self.engine.withdraw(max_jobs)
-        for job in taken:
-            self._pending.pop(job.job_id, None)
-        return taken
-
     # ------------------------------------------------------------------
     # faults
 
@@ -154,21 +97,14 @@ class EngineShard:
         delay, self._hang_delay_s = self._hang_delay_s, 0.0
         return delay
 
-    def kill(self) -> List[Job]:
-        """Simulated/operator crash: close the engine, orphan pending.
-
-        Returns the in-flight jobs that never produced an envelope --
-        the exact set the router must resubmit for exactly-once
-        delivery.
-        """
-        orphans = list(self._pending.values())
-        self._pending.clear()
+    def kill(self) -> None:
+        """Simulated/operator crash: close the engine.  The router
+        fails over what this shard owned from its in-flight ledger."""
         self.state = "dead"
         try:
             self.engine.close()
         except Exception:
             pass  # a dead shard's executor may already be gone
-        return orphans
 
     # ------------------------------------------------------------------
     # lifecycle
@@ -194,14 +130,17 @@ class EngineShard:
     # ------------------------------------------------------------------
     # introspection
 
-    def snapshot(self, round_number: int = 0) -> Dict[str, float]:
-        """Per-shard numeric gauges (health + load), exporter-ready."""
+    def snapshot(
+        self, round_number: int = 0, pending: int = 0
+    ) -> Dict[str, float]:
+        """Per-shard numeric gauges (health + load), exporter-ready;
+        *pending* is the router ledger's count of jobs this shard owns."""
         gauges = dict(self.health.snapshot())
         gauges.update(
             {
                 "state": float(SHARD_STATE_CODES[self.state]),
                 "queued": float(self.queued),
-                "pending": float(len(self._pending)),
+                "pending": float(pending),
                 "partitioned": float(
                     1.0 if self.partitioned(round_number) else 0.0
                 ),

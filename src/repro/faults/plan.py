@@ -76,10 +76,6 @@ def seeded_rng(seed: int, *parts: object) -> random.Random:
     return random.Random(int.from_bytes(digest, "big"))
 
 
-#: Backward-compatible private alias (pre-guard internal name).
-_unit = unit_draw
-
-
 @dataclass(frozen=True)
 class FaultPlan:
     """A deterministic schedule of injected faults."""
@@ -137,7 +133,7 @@ class FaultPlan:
 
     def fault_for(self, index: int) -> Optional[str]:
         """The fault kind (or None) for stream position *index*."""
-        draw = _unit(self.seed, "job", index)
+        draw = unit_draw(self.seed, "job", index)
         threshold = 0.0
         for kind, rate in zip(
             FAULT_KINDS,
@@ -174,7 +170,7 @@ class FaultPlan:
         """
         if not self.compile_fail_rate:
             return
-        if _unit(self.seed, "compile", kernel, attempt) < self.compile_fail_rate:
+        if unit_draw(self.seed, "compile", kernel, attempt) < self.compile_fail_rate:
             raise InjectedCompileError(
                 f"injected compile failure for {kernel!r} (attempt {attempt})"
             )

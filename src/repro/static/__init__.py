@@ -9,7 +9,7 @@ lint layers already share:
 
 - :mod:`repro.static.intervals` -- the interval (value-range) abstract
   domain with widening to the machine's power-of-two rails.
-- :mod:`repro.static.absint` -- a generic forward dataflow engine whose
+- :mod:`repro.static.absint` -- a forward interval dataflow pass whose
   abstract transfer mirrors ``execute_way``'s observe order exactly.
 - :mod:`repro.static.contracts` -- per-kernel declared input contracts
   that condition every proof; their feedback outputs are the one
@@ -48,7 +48,7 @@ from repro.static.hazards import (
     rf_pressure_diagnostics,
     wavefront_protocol_diagnostics,
 )
-from repro.static.intervals import INT32, LANE8, Interval, IntervalDomain
+from repro.static.intervals import INT32, LANE8, Interval
 from repro.static.report import (
     AnalysisReport,
     ProgramAnalysisEntry,
@@ -60,7 +60,6 @@ __all__ = [
     "HazardVerdict",
     "INT32",
     "Interval",
-    "IntervalDomain",
     "KernelContract",
     "LANE8",
     "ProgramAnalysis",

@@ -1,4 +1,4 @@
-"""Generic forward dataflow over the shared ``LinearProgram`` model.
+"""Forward interval dataflow over the shared ``LinearProgram`` model.
 
 The analysis walks the same def/use-ordered way list the optimizer
 passes transform (:func:`repro.opt.model.linearize`), so guard, opt,
@@ -26,7 +26,7 @@ from typing import Dict, List, Optional, Tuple
 from repro.dfg.graph import OPCODE_ARITY
 from repro.isa.compute import CUInstruction, Imm, SlotOp
 from repro.opt.model import LinearProgram, linearize
-from repro.static.intervals import Interval, IntervalDomain
+from repro.static.intervals import Interval, transfer
 
 #: Iteration cap for the feedback fixpoint; widening to the rails makes
 #: real kernels converge in < 5 passes, so hitting this is a bug.
@@ -88,23 +88,20 @@ class ProgramAnalysis:
 def abstract_way(
     way: CUInstruction,
     state: Dict[int, Interval],
-    domain: Optional[IntervalDomain] = None,
     match_range: Optional[Interval] = None,
 ) -> Tuple[Interval, List[Interval]]:
     """Abstract mirror of ``execute_way``; returns (result, observed)."""
-    if domain is None:
-        domain = IntervalDomain()
     observed: List[Interval] = []
 
     def operand(op) -> Interval:
         if isinstance(op, Imm):
-            return domain.const(op.value)
+            return Interval.const(op.value)
         # execute_way reads missing registers as 0 (rf.get(index, 0)).
-        return state.get(op.index, domain.const(0))
+        return state.get(op.index, Interval.const(0))
 
     def run_slot(slot: SlotOp) -> Interval:
         args = [operand(op) for op in slot.operands]
-        value = domain.transfer(slot.opcode, args, match_range)
+        value = transfer(slot.opcode, args, match_range)
         observed.append(value)
         return value
 
@@ -116,12 +113,12 @@ def abstract_way(
         result = left_out if left_out is not None else right_out
         return result, observed
     if OPCODE_ARITY[way.root] == 1:
-        value = domain.transfer(way.root, [left_out], match_range)
+        value = transfer(way.root, [left_out], match_range)
     else:
         inputs = [left_out, right_out]
         if way.root_swapped:
             inputs.reverse()
-        value = domain.transfer(way.root, inputs, match_range)
+        value = transfer(way.root, inputs, match_range)
     observed.append(value)
     return value, observed
 
@@ -130,25 +127,22 @@ def analyze_program(
     program,
     contract_inputs: Dict[str, Interval],
     match_range: Optional[Interval] = None,
-    domain: Optional[IntervalDomain] = None,
 ) -> ProgramAnalysis:
     """Forward value-range pass seeded from a declared input contract.
 
     Inputs missing from the contract start at lattice top (sound: the
     analysis then claims nothing about values derived from them).
     """
-    if domain is None:
-        domain = IntervalDomain()
     lp = as_linear(program)
     state: Dict[int, Interval] = {}
     seeded: Dict[str, Interval] = {}
     for name, reg in lp.input_regs.items():
-        interval = contract_inputs.get(name, domain.top())
+        interval = contract_inputs.get(name, Interval.top())
         seeded[name] = interval
         state[reg] = interval
     ways: List[WayAnalysis] = []
     for index, way in enumerate(lp.ways):
-        result, observed = abstract_way(way, state, domain, match_range)
+        result, observed = abstract_way(way, state, match_range)
         state[way.dest.index] = result
         ways.append(
             WayAnalysis(
@@ -160,7 +154,7 @@ def analyze_program(
             )
         )
     outputs = {
-        name: state.get(reg, domain.const(0))
+        name: state.get(reg, Interval.const(0))
         for name, reg in lp.output_regs.items()
     }
     return ProgramAnalysis(
@@ -193,7 +187,6 @@ def analyze_fixpoint(
     contract_inputs: Dict[str, Interval],
     feedback: Dict[str, Tuple[str, ...]],
     match_range: Optional[Interval] = None,
-    domain: Optional[IntervalDomain] = None,
     first: Optional[ProgramAnalysis] = None,
 ) -> FixpointResult:
     """Kleene-iterate the output -> recurrent-input feedback edges.
@@ -206,15 +199,13 @@ def analyze_fixpoint(
     :func:`analyze_program` pass on *contract_inputs*, reused as the
     first iteration; the program is linearized once for every pass.
     """
-    if domain is None:
-        domain = IntervalDomain()
     program = as_linear(program)
     inputs = dict(contract_inputs)
     if first is None:
-        first = analyze_program(program, inputs, match_range, domain)
+        first = analyze_program(program, inputs, match_range)
     closed = all(
         first.outputs[out].within(
-            contract_inputs.get(name, domain.top())
+            contract_inputs.get(name, Interval.top())
         )
         for out, names in feedback.items()
         if out in first.outputs
@@ -230,14 +221,14 @@ def analyze_fixpoint(
                 continue
             produced = analysis.outputs[out]
             for name in names:
-                old = inputs.get(name, domain.top())
-                grown = domain.join(old, produced)
-                if not domain.leq(grown, old):
-                    inputs[name] = domain.widen(old, grown)
+                old = inputs.get(name, Interval.top())
+                grown = old.join(produced)
+                if not grown.within(old):
+                    inputs[name] = old.widen(grown)
                     changed = True
         if not changed:
             break
-        analysis = analyze_program(program, inputs, match_range, domain)
+        analysis = analyze_program(program, inputs, match_range)
         iterations += 1
 
     # One narrowing descent: recompute from the widened inputs and pull
@@ -248,13 +239,12 @@ def analyze_fixpoint(
             continue
         produced = analysis.outputs[out]
         for name in names:
-            declared = contract_inputs.get(name, domain.top())
-            refined = domain.narrow(
-                narrowed.get(name, domain.top()),
-                domain.join(declared, produced),
+            declared = contract_inputs.get(name, Interval.top())
+            refined = narrowed.get(name, Interval.top()).narrow(
+                declared.join(produced)
             )
             narrowed[name] = refined
-    analysis = analyze_program(program, narrowed, match_range, domain)
+    analysis = analyze_program(program, narrowed, match_range)
     iterations += 1
     return FixpointResult(
         analysis=analysis,

@@ -20,7 +20,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Iterable, List, Optional, Sequence
+from typing import Iterable, Optional, Sequence
 
 from repro.dfg.graph import OPCODE_ARITY, Opcode
 from repro.dpax.pe import INT32_MAX, INT32_MIN, LANE8_MAX, LANE8_MIN
@@ -332,6 +332,10 @@ def transfer(
     match_range: Optional[Interval] = None,
 ) -> Interval:
     """Abstract counterpart of :func:`repro.dfg.graph._apply`."""
+    if OPCODE_ARITY[opcode] > len(args):
+        raise ValueError(
+            f"{opcode!r} needs {OPCODE_ARITY[opcode]} args, got {len(args)}"
+        )
     if opcode is Opcode.ADD:
         return _interval_add(args[0], args[1])
     if opcode is Opcode.SUB:
@@ -373,47 +377,3 @@ def transfer(
         return Interval.const(0)
     raise ValueError(f"no interval transfer for opcode {opcode!r}")
 
-
-class IntervalDomain:
-    """The interval lattice packaged for the generic dataflow engine.
-
-    The engine in :mod:`repro.static.absint` is parametric in the
-    domain: any object with this surface (``top``/``const``/``join``/
-    ``widen``/``narrow``/``transfer``/``leq``) plugs in.  Intervals are
-    the workhorse; the verifier's SIMD lane-mask and the control
-    thread's address-register analyses reuse the same engine shape with
-    their own lattices.
-    """
-
-    name = "interval"
-
-    def top(self) -> Interval:
-        return Interval.top()
-
-    def const(self, value: int) -> Interval:
-        return Interval.const(value)
-
-    def join(self, a: Interval, b: Interval) -> Interval:
-        return a.join(b)
-
-    def widen(self, older: Interval, newer: Interval) -> Interval:
-        return older.widen(newer)
-
-    def narrow(self, older: Interval, newer: Interval) -> Interval:
-        return older.narrow(newer)
-
-    def leq(self, a: Interval, b: Interval) -> bool:
-        return a.within(b)
-
-    def transfer(
-        self,
-        opcode: Opcode,
-        args: List[Interval],
-        match_range: Optional[Interval] = None,
-    ) -> Interval:
-        if OPCODE_ARITY[opcode] > len(args):
-            raise ValueError(
-                f"{opcode!r} needs {OPCODE_ARITY[opcode]} args, got "
-                f"{len(args)}"
-            )
-        return transfer(opcode, args, match_range)

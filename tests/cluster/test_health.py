@@ -74,7 +74,7 @@ class TestEjection:
 
     def test_missed_heartbeats_eject(self):
         health = ShardHealth()
-        health.beat(1)
+        health.beat()
         assert health.missed_beats == 0
         health.miss(2)
         assert health.miss(3)
@@ -106,7 +106,7 @@ class TestEjection:
 class TestSnapshot:
     def test_snapshot_is_numeric_and_schema_stable(self):
         health = ShardHealth()
-        health.beat(1)
+        health.beat()
         health.record_drain(True, 0.02)
         snap = health.snapshot()
         assert set(snap) == {

@@ -40,7 +40,7 @@ class TestRouting:
             owners = set()
             for _ in range(10):
                 accepted = router.submit(_job())
-                owners.add(router._owner[accepted.job_id])
+                owners.add(router._ledger[accepted.job_id].shard)
             assert len(owners) == 1
 
     def test_affinity_token_subdivides_a_program(self):
@@ -48,7 +48,7 @@ class TestRouting:
             owners = set()
             for salt in range(64):
                 accepted = router.submit(_job(salt=salt))
-                owners.add(router._owner[accepted.job_id])
+                owners.add(router._ledger[accepted.job_id].shard)
             assert len(owners) > 2
 
     def test_full_shard_falls_through_the_ring(self):
@@ -87,7 +87,7 @@ class TestFailover:
     def test_kill_fails_over_exactly_once(self):
         with _router() as router:
             submitted = [router.submit(_job(salt=i)) for i in range(20)]
-            victim = router._owner[submitted[0].job_id]
+            victim = router._ledger[submitted[0].job_id].shard
             assert router.kill_shard(victim) > 0
             results = router.drain()
             # Every job settles with exactly one envelope, all ok.
@@ -97,7 +97,7 @@ class TestFailover:
             assert all(r.ok for r in results)
             assert router.metrics.counter("cluster_jobs_resubmitted") > 0
             assert router.metrics.counter("cluster_duplicate_envelopes") == 0
-            assert not router._inflight
+            assert router.inflight == 0
 
     def test_killing_the_last_shard_is_refused(self):
         with _router(shards=1) as router:
@@ -110,14 +110,14 @@ class TestFailover:
         # failover has nowhere to go: the orphan must still settle.
         with _router(shards=2, max_queue=4) as router:
             submitted = [router.submit(_job(salt=i)) for i in range(8)]
-            owners = {router._owner[j.job_id] for j in submitted}
+            owners = {router._ledger[j.job_id].shard for j in submitted}
             assert len(owners) == 2  # both shards hold work
             victim = sorted(owners)[0]
             router.kill_shard(victim)
             survivor = next(s for s in owners if s != victim)
             # Fill the survivor so adoption hits backpressure.
             while router.shards[survivor].queued < 4:
-                router.shards[survivor].submit(_job(salt=99))
+                router.shards[survivor].engine.submit(_job(salt=99))
             results = router.drain()
             by_id = {r.job_id: r for r in results}
             faulted = [
@@ -131,6 +131,36 @@ class TestFailover:
             if faulted:
                 assert len(router.dead_letters) == len(faulted)
 
+    @pytest.mark.parametrize("shards", [2, 1])
+    def test_raising_drain_fails_over_its_jobs(self, monkeypatch, shards):
+        # The shard's drain pops its queue and then raises: the jobs
+        # sit in no queue, so only the ledger can still fail them over.
+        with _router(shards=shards) as router:
+            submitted = [router.submit(_job()) for _ in range(6)]
+            broken = next(s for s in router.shards.values() if s.queued)
+            assert broken.queued == 6
+
+            def drain():
+                broken.engine.withdraw(None)
+                raise RuntimeError("shard broke mid-drain")
+
+            monkeypatch.setattr(broken.engine, "drain", drain)
+            results = router.drain_until_settled()
+            assert sorted(r.job_id for r in results) == sorted(
+                j.job_id for j in submitted
+            )
+            assert router.inflight == 0
+            assert router.metrics.counter("cluster_duplicate_envelopes") == 0
+            assert router.snapshot()["shards"][broken.shard_id]["pending"] == 0
+            if shards == 2:
+                # Two raising drains open the breaker; the survivor
+                # runs every job.
+                assert all(r.ok and r.shard != broken.shard_id for r in results)
+            else:
+                # Nowhere left to fail over: the exactly-once floor.
+                assert all("cluster-fault" in r.error for r in results)
+                assert len(router.dead_letters) == len(submitted)
+
     def test_dead_letter_replay_reledgers(self):
         with _router(shards=2, max_queue=4) as router:
             for i in range(4):
@@ -138,7 +168,7 @@ class TestFailover:
             router.drain()
             if router.dead_letters:
                 replayed = router.replay_dead_letters()
-                assert all(j.job_id in router._inflight for j in replayed)
+                assert all(j.job_id in router._ledger for j in replayed)
 
 
 class TestRebalancing:
@@ -177,7 +207,7 @@ class TestLifecycle:
     def test_graceful_leave_finishes_backlog(self):
         with _router(shards=2) as router:
             submitted = [router.submit(_job(salt=i)) for i in range(8)]
-            leaver = router._owner[submitted[0].job_id]
+            leaver = router._ledger[submitted[0].job_id].shard
             router.leave(leaver)
             assert leaver not in router.ring
             results = router.drain()
@@ -241,7 +271,7 @@ class TestOneCompilePerCluster:
                 assert caches[shard_id]["misses"] == 0
                 assert caches[shard_id]["hits"] == len(warm)
 
-            owner = router._owner[router.submit(_job()).job_id]
+            owner = router._ledger[router.submit(_job()).job_id].shard
             assert all(result.ok for result in router.drain())
             for shard_id, shard in router.shards.items():
                 hits = shard.engine.snapshot()["cache"]["hits"]

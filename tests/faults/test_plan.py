@@ -3,17 +3,17 @@
 import pytest
 
 from repro.faults import FAULT_KINDS, FaultPlan, InjectedCompileError
-from repro.faults.plan import _unit
+from repro.faults.plan import unit_draw
 
 
 class TestUnitDraw:
     def test_pure_function_of_arguments(self):
-        assert _unit(9, "job", 3) == _unit(9, "job", 3)
-        assert _unit(9, "job", 3) != _unit(9, "job", 4)
-        assert _unit(8, "job", 3) != _unit(9, "job", 3)
+        assert unit_draw(9, "job", 3) == unit_draw(9, "job", 3)
+        assert unit_draw(9, "job", 3) != unit_draw(9, "job", 4)
+        assert unit_draw(8, "job", 3) != unit_draw(9, "job", 3)
 
     def test_in_unit_interval(self):
-        draws = [_unit(0, "job", i) for i in range(500)]
+        draws = [unit_draw(0, "job", i) for i in range(500)]
         assert all(0.0 <= d < 1.0 for d in draws)
         # Sanity: the draws actually spread out.
         assert min(draws) < 0.05 and max(draws) > 0.95
