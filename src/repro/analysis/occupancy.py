@@ -38,12 +38,6 @@ class OccupancyReport:
         attempts = self.control_executed + self.control_stalls
         return self.control_stalls / attempts if attempts else 0.0
 
-    @property
-    def alu_slot_occupancy(self) -> float:
-        """Issued bundles per cycle, against the 1-bundle/cycle peak."""
-        return self.compute_occupancy
-
-
 def occupancy_from_stats(stats: PEStats) -> OccupancyReport:
     """Build a report from (merged) PE statistics."""
     return OccupancyReport(

@@ -59,7 +59,6 @@ from repro.engine import BackpressureError, Engine, EngineConfig
 from repro.engine.cache import ProgramCache
 from repro.engine.dlq import DeadLetter, DeadLetterQueue
 from repro.engine.jobs import Job, JobResult
-from repro.engine.service import _journal_payload
 from repro.engine.metrics import MetricsRegistry
 from repro.faults.shards import ShardFaultPlan
 from repro.obs.logs import get_logger, log_context
@@ -324,25 +323,7 @@ class ClusterRouter:
                 f"no shard can accept {job.kernel!r} "
                 f"({len(self.ring)} in ring, {fallbacks} refused)"
             )
-        if self.journal is not None:
-            # Write-ahead: a job the journal does not know is not
-            # routed.  A failed accept write pulls the job back off the
-            # shard (it is the queue tail -- the router is
-            # single-threaded) and propagates.
-            try:
-                self.journal.append(
-                    "accept",
-                    job_id=accepted.job_id,
-                    kernel=accepted.kernel,
-                    payload=_journal_payload(accepted.payload),
-                    priority=accepted.priority,
-                )
-                self.metrics.incr("durable_accepts_logged")
-            except Exception:
-                self.metrics.incr("durable_write_errors")
-                shard.engine.withdraw(1)
-                raise
-        self._ledger[accepted.job_id] = _InFlight(accepted, shard.shard_id)
+        self._admit(shard, accepted)
         self.metrics.incr("cluster_jobs_routed")
         if fallbacks:
             self.metrics.incr("cluster_route_fallbacks", fallbacks)
@@ -358,6 +339,24 @@ class ClusterRouter:
                 fallbacks=fallbacks,
             )
         return accepted
+
+    def _admit(self, shard: EngineShard, job: Job) -> Job:
+        """Journal *job*, just queued on *shard*, and enter it in the
+        ledger.
+
+        Write-ahead: a job the journal does not know is not routed.  A
+        failed accept write pulls the job back off the shard (it is
+        the queue tail -- the router is single-threaded) and
+        propagates.
+        """
+        if self.journal is not None:
+            try:
+                self.journal.accept(job)
+            except Exception:
+                shard.engine.withdraw(1)
+                raise
+        self._ledger[job.job_id] = _InFlight(job, shard.shard_id)
+        return job
 
     def submit_many(self, jobs: List[Job]) -> List[Job]:
         return [self.submit(job) for job in jobs]
@@ -436,23 +435,10 @@ class ClusterRouter:
             if result is None:
                 continue  # stranded on a partitioned shard; later round
             if self.journal is not None:
-                self._journal_completion(result)
+                self.journal.complete(result.job_id, result.ok, result.error)
             ordered.append(result)
             del self._ledger[job_id]
         return ordered
-
-    def _journal_completion(self, result: JobResult) -> None:
-        """Ledger a delivered envelope; failures are tolerated (the
-        job replays at the next recovery, where dedupe keeps the
-        accounting exactly-once)."""
-        fields: Dict[str, Any] = {"job_id": result.job_id, "ok": result.ok}
-        if result.error:
-            fields["error"] = result.error
-        try:
-            self.journal.append("complete", **fields)
-            self.metrics.incr("durable_completions_logged")
-        except Exception:
-            self.metrics.incr("durable_write_errors")
 
     def drain_until_settled(self, max_rounds: int = 64) -> List[JobResult]:
         """Drain rounds until nothing is in flight (or *max_rounds*).
@@ -745,16 +731,7 @@ class ClusterRouter:
                     error=error,
                 )
                 if self.journal is not None:
-                    try:
-                        self.journal.append(
-                            "dead_letter",
-                            job_id=job.job_id,
-                            error=error,
-                            attempts=1,
-                        )
-                        self.metrics.incr("durable_dead_letters_logged")
-                    except Exception:
-                        self.metrics.incr("durable_write_errors")
+                    self.journal.dead_letter(job.job_id, error, 1)
             else:
                 _LOG.warning(
                     "cluster DLQ full; letter dropped",
@@ -789,19 +766,18 @@ class ClusterRouter:
         return self._dlq.letters()
 
     def replay_dead_letters(self) -> List[Job]:
-        """Replay cluster-level and every live shard's dead letters."""
-        replayed: List[Job] = []
-        letters = self._dlq.drain()
-        for index, letter in enumerate(letters):
-            try:
-                replayed.append(self.submit(letter.job))
-            except BackpressureError:
-                self._dlq.extend(letters[index:])
-                break
+        """Replay cluster-level and every live shard's dead letters.
+
+        Cluster letters re-route; a shard's letters go back onto that
+        shard, journaled and entered in the ledger like a routed job.
+        """
+        replayed = self._dlq.replay(self.submit)
         for shard in self.live_shards():
-            for job in shard.engine.replay_dead_letters():
-                self._ledger[job.job_id] = _InFlight(job, shard.shard_id)
-                replayed.append(job)
+            replayed.extend(
+                shard.engine._dlq.replay(
+                    lambda job: self._admit(shard, shard.engine.submit(job))
+                )
+            )
         return replayed
 
     # ------------------------------------------------------------------

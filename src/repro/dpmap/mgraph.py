@@ -45,11 +45,6 @@ class Source:
             return True
         return self.producer is not None and not self.via_edge
 
-    @property
-    def is_const(self) -> bool:
-        return self.const_value is not None
-
-
 @dataclass
 class MNode:
     """A working-graph node: opcode plus operand sources."""

@@ -7,10 +7,14 @@ frame::
     MAGIC (2B) | payload length (4B LE) | CRC32 (4B LE) | JSON payload
 
 Records carry a monotonically increasing ``seq`` and a type ``t`` from
-:data:`RECORD_TYPES` -- the engine logs ``accept`` before a job enters
-the queue (an un-journaled job is *not* accepted), ``attempt`` at
-dispatch, ``complete`` when the envelope is folded, and
-``dead_letter`` when a failed job is parked for replay.
+:data:`RECORD_TYPES` -- ``accept`` before a job enters the queue (an
+un-journaled job is *not* accepted), ``attempt`` at dispatch,
+``complete`` when the envelope is folded, and ``dead_letter`` when a
+failed job is parked for replay.  Each type has one writer method
+(:meth:`Journal.accept`, :meth:`~Journal.attempt`,
+:meth:`~Journal.complete`, :meth:`~Journal.dead_letter`), the only code
+that knows the record schema: the engine, the cluster router and
+``gendp-serve`` all write through them.
 
 Crash consistency rests on three rules:
 
@@ -68,6 +72,11 @@ MAX_PAYLOAD_BYTES = 16 * 1024 * 1024
 #: Record types the journal knows how to fold.
 RECORD_TYPES = ("accept", "attempt", "complete", "dead_letter")
 
+#: Payload keys a process stamps on a job for itself (trace
+#: correlation ids, sentinel arming); an ``accept`` record never
+#: carries them, so a replay in a later process starts clean.
+EPHEMERAL_PAYLOAD_KEYS = ("_trace", "_sentinels")
+
 #: Valid fsync policies.
 FSYNC_POLICIES = ("always", "interval", "never")
 
@@ -98,9 +107,6 @@ class DurabilityConfig:
     fsync: str = "interval"
     #: Roll to a new segment once the active one reaches this size.
     segment_bytes: int = 1 << 20
-    #: Record result values in ``complete`` frames (the serve tier
-    #: needs them to answer deduplicated resends without re-running).
-    record_values: bool = False
     #: Optional :class:`repro.faults.disk.DiskFaultPlan` for chaos.
     disk_faults: Optional[object] = None
 
@@ -216,7 +222,10 @@ class JournalState:
     idempotent and order-tolerant: duplicate ``accept``/``dead_letter``
     records collapse, and a second ``complete`` for an id is counted
     in :attr:`duplicate_completions` -- the audit counter that must
-    stay zero when recovery's dedupe works.
+    stay zero when recovery's dedupe works.  An ``accept`` for an id
+    that already has a terminal record is a re-admission (a replayed
+    dead letter): it reopens the id, so the replay's own terminal
+    record is the id's first.
     """
 
     def __init__(self) -> None:
@@ -236,7 +245,14 @@ class JournalState:
             self.max_seq = max(self.max_seq, seq)
         self.replayed_records += 1
         if rtype == "accept":
-            self.accepted.setdefault(key, record)
+            if self.terminal(key):
+                # The new record replaces the old one, whose payload
+                # compaction may have shed.
+                self.completed.pop(key, None)
+                self.dead.pop(key, None)
+                self.accepted[key] = record
+            else:
+                self.accepted.setdefault(key, record)
         elif rtype == "attempt":
             self.attempts[key] = self.attempts.get(key, 0) + 1
         elif rtype == "complete":
@@ -378,15 +394,10 @@ class Journal:
             self.config.dir_path, repair=True
         )
         self._next_seq = state.max_seq + 1
-        if self.metrics is not None:
-            if issues["truncated_bytes"]:
-                self.metrics.incr(
-                    "durable_truncated_bytes", issues["truncated_bytes"]
-                )
-            if issues["corrupt_frames"]:
-                self.metrics.incr(
-                    "durable_corrupt_frames", issues["corrupt_frames"]
-                )
+        if issues["truncated_bytes"]:
+            self._incr("durable_truncated_bytes", issues["truncated_bytes"])
+        if issues["corrupt_frames"]:
+            self._incr("durable_corrupt_frames", issues["corrupt_frames"])
         segments = self.segment_paths()
         if segments:
             tail = segments[-1]
@@ -491,17 +502,101 @@ class Journal:
             # The frame on disk is not the frame we meant to write
             # (bit flip, short write): truncate it out and try again.
             self._repair(start)
-            if self.metrics is not None:
-                self.metrics.incr("durable_writes_healed")
+            self._incr("durable_writes_healed")
         else:
             raise JournalWriteError(
                 f"could not persist an intact frame for seq {record['seq']}"
             )
         self._next_seq += 1
-        if self.metrics is not None:
-            self.metrics.incr("durable_records_appended")
+        self._incr("durable_records_appended")
         self._maybe_sync()
         return record["seq"]
+
+    # -- record writers ------------------------------------------------
+
+    def accept(self, job: Any, **extra: Any) -> None:
+        """Journal *job*'s admission.
+
+        Write-ahead: the caller admits the job only once this returns,
+        so a failed write counts ``durable_write_errors`` and raises.
+        The payload loses its :data:`EPHEMERAL_PAYLOAD_KEYS`; *extra*
+        adds fields or overrides them (the serve tier keys a request
+        by its dedupe id and records the tenant).
+        """
+        payload = job.payload
+        if any(key in payload for key in EPHEMERAL_PAYLOAD_KEYS):
+            payload = {
+                key: value
+                for key, value in payload.items()
+                if key not in EPHEMERAL_PAYLOAD_KEYS
+            }
+        fields = {
+            "job_id": job.job_id,
+            "kernel": job.kernel,
+            "payload": payload,
+            "priority": job.priority,
+            **extra,
+        }
+        try:
+            self.append("accept", **fields)
+        except Exception:
+            self._incr("durable_write_errors")
+            raise
+        self._incr("durable_accepts_logged")
+
+    def attempt(self, job_id: Any) -> bool:
+        """Journal a dispatch (forensic: it tells a post-mortem which
+        orphans died mid-execution); False when the write failed."""
+        logged = self._tolerated("attempt", job_id=job_id)
+        if logged:
+            self._incr("durable_attempts_logged")
+        return logged
+
+    def complete(
+        self,
+        job_id: Any,
+        ok: bool,
+        error: Optional[str] = None,
+        value: Any = None,
+    ) -> bool:
+        """Journal a terminal envelope; False when the write failed.
+
+        A lost ``complete`` re-executes the job at the next recovery
+        (at-least-once underneath), and recovery's dedupe still folds
+        it to one terminal record per id.
+        """
+        fields: Dict[str, Any] = {"job_id": job_id, "ok": ok}
+        if error is not None:
+            fields["error"] = error
+        if value is not None:
+            fields["value"] = value
+        logged = self._tolerated("complete", **fields)
+        if logged:
+            self._incr("durable_completions_logged")
+        return logged
+
+    def dead_letter(self, job_id: Any, error: str, attempts: int) -> bool:
+        """Journal a DLQ park; False when the write failed."""
+        logged = self._tolerated(
+            "dead_letter", job_id=job_id, error=error, attempts=attempts
+        )
+        if logged:
+            self._incr("durable_dead_letters_logged")
+        return logged
+
+    def _tolerated(self, rtype: str, **fields: Any) -> bool:
+        """Append a record whose loss the caller survives; a failed
+        write is counted, not raised."""
+        try:
+            self.append(rtype, **fields)
+        except Exception:
+            self._incr("durable_write_errors")
+            return False
+        return True
+
+    def _incr(self, name: str, amount: int = 1) -> None:
+        if self.metrics is not None:
+            self.metrics.incr(name, amount)
 
     def _verify(self, start: int, frame: bytes) -> bool:
         try:
@@ -555,8 +650,7 @@ class Journal:
         self._last_sync = time.monotonic()
         index = self._sync_index
         self._sync_index += 1
-        if self.metrics is not None:
-            self.metrics.incr("durable_syncs")
+        self._incr("durable_syncs")
         plan = self.config.disk_faults
         if plan is not None and getattr(plan, "enabled", False):
             if plan.fsync_lies(index):
@@ -610,8 +704,7 @@ class Journal:
         self._fh = open(self._segment_path, "a+b", buffering=0)
         self._pos = 0
         self._synced_bytes = 0
-        if self.metrics is not None:
-            self.metrics.incr("durable_compactions")
+        self._incr("durable_compactions")
         return {
             "segments_removed": removed,
             "records_folded": state.replayed_records,

@@ -11,13 +11,14 @@ The queue is bounded: a full queue refuses the incoming letter, and
 :meth:`push` bumps ``dead_letters_dropped`` on the attached metrics
 registry itself, so callers that ignore the return value still count
 drops.  Deadline expiries never dead-letter: the deadline was the
-caller's, and replaying past it is meaningless.
+caller's, and replaying past it is meaningless.  :meth:`replay` is the
+one replay loop the engine and the cluster router share.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, List, Optional
+from typing import Callable, Iterable, List, Optional
 
 from repro.engine.jobs import Job
 
@@ -71,8 +72,29 @@ class DeadLetterQueue:
         return letters
 
     def extend(self, letters: Iterable[DeadLetter]) -> None:
-        """Put letters back (replay hit backpressure mid-way)."""
+        """Put letters back (a replay was refused mid-way)."""
         self._letters.extend(letters)
+
+    def replay(self, submit: Callable[[Job], Job]) -> List[Job]:
+        """Resubmit every letter through *submit*, oldest first.
+
+        Jobs keep their ids, so a later drain's envelope supersedes the
+        failed one.  Returns the resubmitted jobs (one
+        ``dead_letters_replayed`` bump each); when *submit* refuses one
+        (backpressure, a failed journal write, both counted by the
+        submitter) it and every later letter stay parked.
+        """
+        letters = self.drain()
+        replayed: List[Job] = []
+        for index, letter in enumerate(letters):
+            try:
+                replayed.append(submit(letter.job))
+            except Exception:
+                self.extend(letters[index:])
+                break
+        if replayed and self.metrics is not None:
+            self.metrics.incr("dead_letters_replayed", len(replayed))
+        return replayed
 
     def clear(self) -> None:
         self._letters.clear()

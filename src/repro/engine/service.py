@@ -61,22 +61,6 @@ class BackpressureError(RuntimeError):
     """The submission queue is full; caller must drain or shed load."""
 
 
-#: Payload keys stamped per-process (trace correlation ids, sentinel
-#: arming) that must not be replayed into a future process's payloads.
-_EPHEMERAL_PAYLOAD_KEYS = ("_trace", "_sentinels")
-
-
-def _journal_payload(payload: Dict[str, Any]) -> Dict[str, Any]:
-    """*payload* without the per-process keys ``submit`` stamped on."""
-    if any(key in payload for key in _EPHEMERAL_PAYLOAD_KEYS):
-        return {
-            key: value
-            for key, value in payload.items()
-            if key not in _EPHEMERAL_PAYLOAD_KEYS
-        }
-    return payload
-
-
 @dataclass(frozen=True)
 class EngineConfig:
     """Engine tuning knobs."""
@@ -300,16 +284,8 @@ class Engine:
             # refused, the queue untouched), so the journal can never
             # know *less* than the engine does.
             try:
-                self.journal.append(
-                    "accept",
-                    job_id=stamped.job_id,
-                    kernel=stamped.kernel,
-                    payload=_journal_payload(stamped.payload),
-                    priority=stamped.priority,
-                )
-                self.metrics.incr("durable_accepts_logged")
+                self.journal.accept(stamped)
             except Exception:
-                self.metrics.incr("durable_write_errors")
                 self.metrics.incr("jobs_rejected")
                 raise
         self._queue.append(stamped)
@@ -398,7 +374,7 @@ class Engine:
             if not result.ok and result.error != "deadline-expired":
                 self._dead_letter(job, result)
             if self.journal is not None:
-                self._journal_completion(result)
+                self.journal.complete(result.job_id, result.ok, result.error)
             if result.shard is None:
                 result.shard = self.shard
             ordered.append(result)
@@ -468,16 +444,9 @@ class Engine:
         batches = self.batcher.pack(live)
         self.metrics.incr("batches_total", len(batches))
         if self.journal is not None:
-            # Attempt records are forensic (they tell a post-mortem
-            # which orphans died mid-execution vs queued); losing one
-            # to a disk fault is tolerated, never fatal to the drain.
             for batch in batches:
                 for job in batch.jobs:
-                    try:
-                        self.journal.append("attempt", job_id=job.job_id)
-                        self.metrics.incr("durable_attempts_logged")
-                    except Exception:
-                        self.metrics.incr("durable_write_errors")
+                    self.journal.attempt(job.job_id)
 
         # Resolve compiled programs: one cache lookup per *job* (the
         # hit-rate metric's unit), one DPMap compile per distinct key.
@@ -868,27 +837,6 @@ class Engine:
                 extra={"kernel": kernel, "reason": reason},
             )
 
-    def _journal_completion(self, result: JobResult) -> None:
-        """Journal a terminal envelope; write failures are tolerated.
-
-        A lost ``complete`` record re-executes the job at the next
-        recovery (at-least-once underneath), but the replay's dedupe
-        still folds it to exactly one terminal record per id.
-        """
-        fields: Dict[str, Any] = {
-            "job_id": result.job_id,
-            "ok": result.ok,
-        }
-        if result.error is not None:
-            fields["error"] = result.error
-        if self.config.durability.record_values and result.ok:
-            fields["value"] = result.value
-        try:
-            self.journal.append("complete", **fields)
-            self.metrics.incr("durable_completions_logged")
-        except Exception:
-            self.metrics.incr("durable_write_errors")
-
     def _dead_letter(self, job: Job, result: JobResult) -> None:
         if self.config.dlq_capacity <= 0:
             return
@@ -904,16 +852,9 @@ class Engine:
                 attempts=result.attempts,
             )
             if self.journal is not None:
-                try:
-                    self.journal.append(
-                        "dead_letter",
-                        job_id=job.job_id,
-                        error=result.error or "unknown",
-                        attempts=result.attempts,
-                    )
-                    self.metrics.incr("durable_dead_letters_logged")
-                except Exception:
-                    self.metrics.incr("durable_write_errors")
+                self.journal.dead_letter(
+                    job.job_id, result.error or "unknown", result.attempts
+                )
 
     def _flight_trip(self, reason: str, **context: Any) -> None:
         """Trip the flight recorder; forensics never fail the engine."""
@@ -946,23 +887,9 @@ class Engine:
         return self._dlq.letters()
 
     def replay_dead_letters(self) -> List[Job]:
-        """Resubmit every dead letter; returns the resubmitted jobs.
-
-        Jobs keep their ids, so a later drain's envelope supersedes the
-        failed one.  If the queue fills mid-replay the remaining
-        letters stay parked.
-        """
-        letters = self._dlq.drain()
-        replayed: List[Job] = []
-        for index, letter in enumerate(letters):
-            try:
-                replayed.append(self.submit(letter.job))
-            except BackpressureError:
-                self._dlq.extend(letters[index:])
-                break
-        if replayed:
-            self.metrics.incr("dead_letters_replayed", len(replayed))
-        return replayed
+        """Resubmit every dead letter under its id; returns the
+        resubmitted jobs (see :meth:`DeadLetterQueue.replay`)."""
+        return self._dlq.replay(self.submit)
 
     def recover(self):
         """Replay the write-ahead journal after a restart.

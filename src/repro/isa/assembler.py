@@ -155,10 +155,6 @@ def _imm(token: str) -> int:
 # compute
 
 
-def _operand_text(operand: Operand) -> str:
-    return operand.text()
-
-
 def _parse_operand(token: str) -> Operand:
     token = token.strip()
     if token.startswith("#"):
@@ -166,10 +162,6 @@ def _parse_operand(token: str) -> Operand:
     if token.startswith("r"):
         return Reg(int(token[1:]))
     raise AssemblyError(f"bad compute operand {token!r}")
-
-
-def _slot_text(slot: SlotOp) -> str:
-    return slot.text()
 
 
 def _parse_slot(token: str) -> SlotOp:
@@ -185,12 +177,6 @@ def _parse_slot(token: str) -> SlotOp:
         _parse_operand(arg) for arg in args_text.split(",") if arg.strip()
     )
     return SlotOp(opcode, operands)
-
-
-def _cu_text(way: Optional[CUInstruction]) -> str:
-    if way is None:
-        return "nop"
-    return way.text()
 
 
 def _parse_cu(text: str) -> Optional[CUInstruction]:

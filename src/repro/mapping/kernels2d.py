@@ -86,8 +86,3 @@ def probe_task(
         target = encode(random_sequence(16, rng))
         stream = encode(random_sequence(24, rng))
     return wavefront_spec(kernel, len(target)), target, stream
-
-
-def encode_dna(sequence: str) -> List[int]:
-    """Shared helper: DNA string to the stream/static integer codes."""
-    return encode(sequence)

@@ -27,7 +27,7 @@ from __future__ import annotations
 import asyncio
 import json
 from dataclasses import dataclass
-from typing import Any, Dict, List, Optional, Sequence, Tuple
+from typing import Any, Dict, Optional, Sequence, Tuple
 
 from repro.faults.plan import unit_draw
 
@@ -279,13 +279,3 @@ class ServeClient:
             body["tenant"] = tenant
         return await self.request(body)
 
-
-async def submit_all(
-    client: ServeClient, requests: Sequence[Dict[str, Any]]
-) -> List[Dict[str, Any]]:
-    """Fire many submit bodies concurrently; responses in request order."""
-    return list(
-        await asyncio.gather(
-            *(client.request(dict(body, op="submit")) for body in requests)
-        )
-    )

@@ -87,16 +87,6 @@ GATHER_GAP_S = 0.001
 DRAIN_TIMEOUT_S = 10.0
 
 
-def _client_payload(payload: Dict[str, Any]) -> Dict[str, Any]:
-    """The client's payload minus engine-private keys (``_trace``...);
-    per-process stamps must not be replayed at recovery."""
-    return {
-        key: value
-        for key, value in payload.items()
-        if not key.startswith("_")
-    }
-
-
 @dataclass(frozen=True)
 class ServeConfig:
     """``gendp-serve`` tuning knobs."""
@@ -201,7 +191,6 @@ class GendpServer:
                 DurabilityConfig(
                     dir_path=self.config.journal_dir,
                     fsync=self.config.journal_fsync,
-                    record_values=True,
                 ),
                 metrics=self.engine.metrics,
             )
@@ -573,14 +562,7 @@ class GendpServer:
             # Write-ahead: an un-journaled request is refused, so a
             # crash can never lose a request the client believes is in.
             try:
-                self.journal.append(
-                    "accept",
-                    job_id=dedupe_id,
-                    kernel=job.kernel,
-                    payload=_client_payload(job.payload),
-                    priority=job.priority,
-                    tenant=tenant,
-                )
+                self.journal.accept(job, job_id=dedupe_id, tenant=tenant)
                 self.engine.metrics.incr("serve_journaled")
             except Exception as error:
                 self.engine.metrics.incr("serve_errors")
@@ -600,20 +582,14 @@ class GendpServer:
     def _journal_request_complete(
         self, dedupe_id: str, payload: Dict[str, Any]
     ) -> None:
-        """Record a request's answer; tolerated on failure (the job
-        re-executes at the next recovery, which is safe -- dedupe only
-        promises at-most-once *per journaled completion*)."""
-        try:
-            self.journal.append(
-                "complete",
-                job_id=dedupe_id,
-                ok=bool(payload.get("ok")),
-                value=payload,
-            )
-        except Exception:
-            self.engine.metrics.incr("durable_write_errors")
-            return
-        self._completed_requests[dedupe_id] = dict(payload)
+        """Record a request's answer and cache it for resends -- only
+        once journaled: an unrecorded request re-executes at the next
+        recovery, which is safe (dedupe only promises at-most-once
+        *per journaled completion*)."""
+        if self.journal.complete(
+            dedupe_id, bool(payload.get("ok")), value=payload
+        ):
+            self._completed_requests[dedupe_id] = dict(payload)
 
     def _recover_requests(self) -> int:
         """Sync startup replay of the request journal.

@@ -20,7 +20,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Iterable, Optional, Sequence
+from typing import Optional, Sequence
 
 from repro.dfg.graph import OPCODE_ARITY, Opcode
 from repro.dpax.pe import INT32_MAX, INT32_MIN, LANE8_MAX, LANE8_MIN
@@ -166,15 +166,6 @@ def _rail_above(value: int) -> Optional[int]:
         if value <= rail:
             return rail
     return None
-
-
-def join_all(intervals: Iterable[Interval]) -> Interval:
-    result: Optional[Interval] = None
-    for interval in intervals:
-        result = interval if result is None else result.join(interval)
-    if result is None:
-        raise ValueError("join of no intervals")
-    return result
 
 
 #: The two hazard rails the sentinels watch, as intervals.

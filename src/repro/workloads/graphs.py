@@ -28,12 +28,6 @@ class BFWorkload:
     source: int
     goal: int
 
-    @property
-    def total_relaxation_cells(self) -> int:
-        """Worst-case relaxations (rounds x edges) -- the CUPS bound."""
-        return (self.vertex_count - 1) * len(self.edges)
-
-
 def generate_bf_workload(
     vertices: int = 100,
     neighbors: int = 6,

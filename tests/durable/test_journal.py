@@ -413,3 +413,74 @@ class TestStateFold:
         clone = JournalState.from_dict(state.to_dict())
         assert clone.terminal("1")
         assert clone.max_seq == state.max_seq
+
+    def test_a_reaccept_reopens_a_terminal_id(self):
+        state = JournalState()
+        state.apply({"seq": 0, "t": "accept", "job_id": 1, "payload": {"a": 1}})
+        state.apply({"seq": 1, "t": "dead_letter", "job_id": 1, "error": "x"})
+        state.apply({"seq": 2, "t": "complete", "job_id": 1, "ok": False})
+        state.apply({"seq": 3, "t": "accept", "job_id": 1, "payload": {"a": 2}})
+        assert not state.terminal("1")
+        assert [r["seq"] for r in state.orphans()] == [3]
+        state.apply({"seq": 4, "t": "complete", "job_id": 1, "ok": True})
+        assert state.duplicate_completions == 0
+        assert state.completed["1"]["ok"] and not state.dead
+        # A second accept of a still-open id keeps the first record.
+        state.apply({"seq": 5, "t": "accept", "job_id": 2})
+        state.apply({"seq": 6, "t": "accept", "job_id": 2})
+        assert state.accepted["2"]["seq"] == 5
+
+
+class _Job:
+    job_id, kernel, priority = 7, "lcs", 2
+    payload = {"x": "AC", "_trace": {"trace_id": "t"}, "_sentinels": True}
+
+
+class TestRecordWriters:
+    def test_each_writer_counts_its_record(self, tmp_path):
+        metrics = MetricsRegistry("durable")
+        journal = make_journal(tmp_path, metrics=metrics)
+        journal.accept(_Job())
+        assert journal.attempt(7)
+        assert journal.dead_letter(7, "boom", 2)
+        assert journal.complete(7, False, "boom")
+        journal.close()
+        records = scan_segment(journal.segment_paths()[0]).records
+        assert records == [
+            {"seq": 0, "t": "accept", "job_id": 7, "kernel": "lcs",
+             "payload": {"x": "AC"}, "priority": 2},
+            {"seq": 1, "t": "attempt", "job_id": 7},
+            {"seq": 2, "t": "dead_letter", "job_id": 7, "error": "boom",
+             "attempts": 2},
+            {"seq": 3, "t": "complete", "job_id": 7, "ok": False,
+             "error": "boom"},
+        ]
+        counters = metrics.snapshot()["counters"]
+        for name in ("accepts", "attempts", "dead_letters", "completions"):
+            assert counters[f"durable_{name}_logged"] == 1
+        assert counters["durable_write_errors"] == 0
+
+    def test_extra_fields_override_and_values_are_kept(self, tmp_path):
+        journal = make_journal(tmp_path)
+        journal.accept(_Job(), job_id="req-1", tenant="t1")
+        journal.complete("req-1", True, value={"ok": True})
+        journal.close()
+        accept, complete = scan_segment(journal.segment_paths()[0]).records
+        assert (accept["job_id"], accept["tenant"]) == ("req-1", "t1")
+        assert complete == {"seq": 1, "t": "complete", "job_id": "req-1",
+                            "ok": True, "value": {"ok": True}}
+
+    def test_a_failed_accept_raises_and_the_rest_return_false(self, tmp_path):
+        metrics = MetricsRegistry("durable")
+        plan = DiskFaultPlan(torn_rate=1.0)
+        journal = make_journal(tmp_path, metrics=metrics, disk_faults=plan)
+        with pytest.raises(JournalWriteError):
+            journal.accept(_Job())
+        assert journal.attempt(7) is False
+        assert journal.complete(7, True) is False
+        assert journal.dead_letter(7, "boom", 1) is False
+        counters = metrics.snapshot()["counters"]
+        assert counters["durable_write_errors"] == 4
+        assert counters["durable_accepts_logged"] == 0
+        assert counters["durable_completions_logged"] == 0
+        journal.close()

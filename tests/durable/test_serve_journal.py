@@ -83,6 +83,52 @@ class TestDedupe:
 
         run(scenario())
 
+    def test_journal_writes_count_the_durable_counters(self, tmp_path):
+        sock = str(tmp_path / "gendp.sock")
+        wal = str(tmp_path / "wal")
+
+        async def scenario():
+            server = await _start(sock, wal)
+            try:
+                async with await ServeClient.connect(unix_socket=sock) as client:
+                    await client.submit("bsw", BSW, dedupe_id="a")
+                    await client.submit("bsw", BSW, dedupe_id="b")
+                    await client.submit("bsw", BSW, dedupe_id="a")
+                return server.engine.metrics.snapshot()["counters"]
+            finally:
+                await _stop(server)
+
+        counters = run(scenario())
+        assert counters["serve_journaled"] == 2
+        assert counters["durable_accepts_logged"] == 2
+        assert counters["durable_completions_logged"] == 2
+        assert counters["durable_write_errors"] == 0
+
+    def test_a_failed_accept_write_rejects_and_counts(self, tmp_path):
+        sock = str(tmp_path / "gendp.sock")
+        wal = str(tmp_path / "wal")
+
+        def full_disk(*_args, **_fields):
+            raise OSError(28, "No space left on device")
+
+        async def scenario():
+            server = await _start(sock, wal)
+            server.journal.append = full_disk
+            try:
+                async with await ServeClient.connect(unix_socket=sock) as client:
+                    response = await client.submit("bsw", BSW, dedupe_id="a")
+                return response, server.engine.metrics.snapshot()["counters"]
+            finally:
+                await _stop(server)
+
+        response, counters = run(scenario())
+        assert response["rejected"] is True
+        assert response["error"].startswith("journal write failed")
+        assert counters["serve_errors"] == 1
+        assert counters["durable_write_errors"] == 1
+        assert counters["serve_journaled"] == 0
+        assert counters["serve_dispatches"] == 0
+
     def test_journal_records_are_keyed_by_dedupe_id(self, tmp_path):
         sock = str(tmp_path / "gendp.sock")
         wal = str(tmp_path / "wal")

@@ -78,6 +78,30 @@ class TestReplayHandoff:
         assert len(dlq) == 1
         assert isinstance(dlq.letters()[0], DeadLetter)
 
+    def test_replay_resubmits_in_order_and_counts(self):
+        metrics = MetricsRegistry()
+        dlq = DeadLetterQueue(metrics=metrics)
+        jobs = [_job(), _job()]
+        for job in jobs:
+            dlq.push(job, "boom")
+        assert dlq.replay(lambda job: job) == jobs
+        assert len(dlq) == 0
+        assert metrics.snapshot()["counters"]["dead_letters_replayed"] == 2
+
+    def test_a_refused_resubmit_reparks_it_and_the_rest(self):
+        dlq = DeadLetterQueue()
+        jobs = [_job(), _job(), _job()]
+        for job in jobs:
+            dlq.push(job, "boom")
+
+        def submit(job):
+            if job is jobs[1]:
+                raise RuntimeError("queue full")
+            return job
+
+        assert dlq.replay(submit) == jobs[:1]
+        assert [letter.job for letter in dlq.letters()] == jobs[1:]
+
     def test_clear(self):
         dlq = DeadLetterQueue()
         dlq.push(_job(), "boom")

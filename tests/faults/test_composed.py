@@ -46,7 +46,7 @@ SEEDS = (1, 2, 3, 4)
 PLANES = ("worker_crashes", "shards_killed", "restarts", "journal_faults")
 
 
-def composed(seed, workers, wal, **planes_off):
+def composed(seed, workers, wal, replay_rounds=0, **planes_off):
     """One composed run; *planes_off* zeroes a fault plane's rate."""
     rates = dict(crash_rate=0.04, kills=((2, 1),), torn_rate=0.05, restart=0.4)
     rates.update(planes_off)
@@ -77,6 +77,7 @@ def composed(seed, workers, wal, **planes_off):
         32,
         seed=seed,
         crash_rate=rates["restart"],
+        replay_rounds=replay_rounds,
         finish=lambda router: (router.journal.load_state()[0], router.shard_states()),
     )
     engines = [shard.engine for r in routers for shard in r.shards.values()]
@@ -101,6 +102,8 @@ def composed(seed, workers, wal, **planes_off):
         "restarts": len(ledger.recoveries),
         "journal_faults": ledger.counters["durable_writes_healed"]
         + ledger.counters["durable_corrupt_frames"],
+        "replayed": ledger.counters["dead_letters_replayed"]
+        + sum(e.metrics.counter("dead_letters_replayed") for e in engines),
     }, boxes
 
 
@@ -183,3 +186,14 @@ def test_each_plane_is_needed_for_the_non_vacuity_bar(tmp_path, plane, off):
         report, _ = composed(seed, 1, tmp_path / f"{plane}{seed}", **off)
         assert report[plane] == 0
         assert_exactly_once(report)
+
+
+def test_dead_letter_replay_composes_with_the_journal(tmp_path):
+    # Seed 4's outage parks its cluster-fault jobs in the router's DLQ;
+    # the replay rounds re-admit them (and the shards' own letters)
+    # under their original ids.  Each re-admission reopens its id in
+    # the journal, so the replay's terminal record is not a duplicate.
+    report, _ = composed(4, 0, tmp_path / "wal", replay_rounds=2)
+    assert_exactly_once(report)
+    assert report["replayed"] >= 48
+    assert report["failed"] < 51
