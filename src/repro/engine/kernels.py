@@ -22,8 +22,10 @@ same rows.
 
 from __future__ import annotations
 
+import collections.abc
 import math
 from dataclasses import dataclass, field
+from itertools import chain
 from numbers import Real
 from typing import Any, Callable, Dict, List, Mapping, NamedTuple, Tuple
 
@@ -120,16 +122,36 @@ def _is_window(value: Any) -> bool:
     )
 
 
+#: Element and row types the validators pass without a per-element
+#: check (JSON decodes every payload to these).
+_EXACT_INT = frozenset((int,))
+_ROW_TYPES = frozenset((list, tuple))
+
+
 def _is_list(value: Any) -> bool:
-    return hasattr(value, "__len__") and not isinstance(value, (str, bytes, Mapping))
+    return hasattr(value, "__len__") and not isinstance(
+        value, (str, bytes, collections.abc.Mapping)
+    )
 
 
 def _is_signal(value: Any) -> bool:
-    return _is_list(value) and all(map(_is_number, value))
+    return _is_list(value) and (
+        _EXACT_INT.issuperset(map(type, value)) or all(map(_is_number, value))
+    )
+
+
+def _is_exact_triples(value: Any) -> bool:
+    return (
+        _ROW_TYPES.issuperset(map(type, value))
+        and set(map(len, value)) == {3}
+        and _EXACT_INT.issuperset(map(type, chain.from_iterable(value)))
+    )
 
 
 def _is_anchor_list(value: Any) -> bool:
-    if not _is_list(value) or not all(
+    if not _is_list(value):
+        return False
+    if not _is_exact_triples(value) and not all(
         isinstance(anchor, (list, tuple))
         and len(anchor) == 3
         and _is_number(anchor[0])

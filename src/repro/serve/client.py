@@ -30,6 +30,7 @@ from dataclasses import dataclass
 from typing import Any, Dict, Optional, Sequence, Tuple
 
 from repro.faults.plan import unit_draw
+from repro.serve.lines import LineWriter
 
 #: Errors worth redialing through: the transport died underneath us.
 _TRANSIENT_ERRORS = (ConnectionError, OSError, asyncio.IncompleteReadError)
@@ -79,6 +80,7 @@ class ServeClient:
     ):
         self._reader = reader
         self._writer = writer
+        self._lines = LineWriter(writer)
         self._endpoint = endpoint
         self._reconnect_policy = reconnect
         self._next_id = 0
@@ -134,6 +136,7 @@ class ServeClient:
             pass  # the old transport is already broken
         host, port, unix_socket = self._endpoint
         self._reader, self._writer = await self._open(host, port, unix_socket)
+        self._lines = LineWriter(self._writer)
         self._reader_task = asyncio.create_task(self._read_loop())
         self.reconnects += 1
 
@@ -221,8 +224,7 @@ class ServeClient:
         future: asyncio.Future = asyncio.get_running_loop().create_future()
         self._waiters[request_id] = future
         try:
-            self._writer.write((json.dumps(body) + "\n").encode("utf-8"))
-            await self._writer.drain()
+            await self._lines.send((json.dumps(body) + "\n").encode("utf-8"))
         except Exception:
             # the caller gets the write error; the waiter must not linger
             # for close() to fail later with nobody left to retrieve it

@@ -31,8 +31,12 @@ hot kernels never pay for pickle.  Fault-injection markers
 (:mod:`repro.faults`) are header bits, not payload keys, so chaos
 campaigns ride the fast path too.
 
-Everything here is pure functions over ``memoryview``/numpy slices;
-the ring state machine lives in :mod:`repro.serve.ring`.
+Int runs (DTW's signals, Chain's anchors and result lists) are packed
+with :mod:`struct` when every element is an exact ``int``; anything
+else takes a checked numpy conversion, which decides the same bytes
+or the fallback.  Everything here is pure functions over
+``memoryview``/numpy slices; the ring state machine lives in
+:mod:`repro.serve.ring`.
 """
 
 from __future__ import annotations
@@ -40,6 +44,7 @@ from __future__ import annotations
 import json
 import pickle
 import struct
+from itertools import chain
 from typing import Any, Dict, List, Mapping, NamedTuple, Optional, Tuple
 
 import numpy as np
@@ -174,11 +179,34 @@ _CODECS: Dict[int, _SlotCodec] = {
 }
 
 
-def _int_array(values: Any, columns: int) -> Optional[np.ndarray]:
-    """``values`` as a little-endian int64 run of *columns*-wide rows
-    (1: a flat run), or None if unexpressible."""
+_EXACT_INT = frozenset((int,))
+_ROW_TYPES = frozenset((list, tuple))
+
+
+def _int_run(values: Any, columns: int) -> Optional[Tuple[int, bytes]]:
+    """``values`` as ``(rows, little-endian int64 bytes)`` of
+    *columns*-wide rows (1: a flat run), or None if unexpressible."""
     if not isinstance(values, (list, tuple)):
         return None
+    flat = values if columns == 1 else _flat_rows(values, columns)
+    if flat and _EXACT_INT.issuperset(map(type, flat)):
+        try:
+            return len(values), struct.pack(f"<{len(flat)}q", *flat)
+        except struct.error:
+            pass  # beyond int64: the checked path says no
+    array = _int_array(values, columns)
+    return None if array is None else (array.shape[0], array.tobytes())
+
+
+def _flat_rows(rows: Any, columns: int) -> Optional[list]:
+    """List/tuple *rows* of *columns* elements each, flattened."""
+    if _ROW_TYPES.issuperset(map(type, rows)) and set(map(len, rows)) == {columns}:
+        return list(chain.from_iterable(rows))
+    return None
+
+
+def _int_array(values: Any, columns: int) -> Optional[np.ndarray]:
+    """The checked numpy path of :func:`_int_run`."""
     try:
         # Two-step with an equality check: a direct int64 cast would
         # silently truncate floats, making the transport lossy.
@@ -203,13 +231,13 @@ def _flags_for(payload: Dict[str, Any]) -> Tuple[int, int]:
     return flags, delay_us
 
 
-def _write(region: np.ndarray, raw: bytes) -> None:
+def _write(region: Any, raw: bytes) -> None:
     """Store a whole body (one copy into shared memory)."""
-    if len(raw) > region.shape[0]:
+    if len(raw) > len(region):
         raise SlotOverflowError(
-            f"encoded body needs {len(raw)} bytes; slot holds {region.shape[0]}"
+            f"encoded body needs {len(raw)} bytes; slot holds {len(region)}"
         )
-    region[: len(raw)] = np.frombuffer(raw, dtype=np.uint8)
+    memoryview(region)[: len(raw)] = raw
 
 
 def encode_payload(
@@ -222,7 +250,8 @@ def encode_payload(
     codec's).  Raises :class:`SlotOverflowError` when the body does not
     fit, which callers treat as "this job cannot ride the ring".
     """
-    flags, delay_us = _flags_for(payload)
+    side = not _SIDE_KEYS.isdisjoint(payload)
+    flags, delay_us = _flags_for(payload) if side else (0, 0)
     kernel_id = KERNEL_IDS.get(kernel, 0)
     header: Dict[int, int] = {
         J_KERNEL: kernel_id,
@@ -244,9 +273,9 @@ def encode_payload(
         except (TypeError, ValueError):
             trace_raw = b""  # unserializable trace -> pickle fallback below
 
-    body = dict(payload)
-    for key in _SIDE_KEYS:
-        body.pop(key, None)
+    body = payload
+    if side:
+        body = {key: value for key, value in payload.items() if key not in _SIDE_KEYS}
     codec = _CODECS.get(kernel_id)
     soa = None if codec is None else _encode_operands(codec, body, header)
     if soa is None or (trace is not None and not trace_raw):
@@ -272,10 +301,10 @@ def _encode_operands(
     for field, key in zip((J_LEN_A, J_LEN_B), codec.keys):
         value = body.get(key)
         if codec.columns:
-            array = _int_array(value, codec.columns)
-            if array is None:
+            run = _int_run(value, codec.columns)
+            if run is None:
                 return None
-            header[field], raw = array.shape[0], array.tobytes()
+            header[field], raw = run
         else:
             if not isinstance(value, str) or not value.isascii():
                 return None
@@ -307,9 +336,11 @@ def decode_payload(header: np.ndarray, region: np.ndarray) -> Dict[str, Any]:
     payload: Dict[str, Any] = {}
     start, columns = 0, codec.columns
     for key, count in zip(codec.keys, counts):
-        if columns:
+        if columns == 1:
+            payload[key] = list(struct.unpack_from(f"<{count}q", raw, start))
+        elif columns:  # rows: numpy's reshape beats slicing a tuple
             values = np.frombuffer(raw, _INT64, count * columns, start)
-            payload[key] = (values.reshape(count, columns) if columns > 1 else values).tolist()
+            payload[key] = values.reshape(count, columns).tolist()
         else:
             payload[key] = raw[start : start + count].decode("ascii")
         start += count * codec.width
@@ -381,10 +412,10 @@ def _encode_result_body(
         return None
     runs = []
     for key in codec.runs:
-        run = _int_array(value[key], 1)
+        run = _int_run(value[key], 1)
         if run is None:
             return None
-        runs.append(run.tobytes())
+        runs.append(run[1])
     if len(set(map(len, runs))) > 1:  # one LEN_A for every run
         return None
     words = [value[key] for key in codec.words]
@@ -415,9 +446,7 @@ def decode_result(
     value: Dict[str, Any] = {}
     offset, nbytes = 0, len_a * 8
     for key in codec.runs:
-        value[key] = np.frombuffer(
-            region[offset : offset + nbytes].tobytes(), dtype=_INT64
-        ).tolist()
+        value[key] = list(struct.unpack_from(f"<{len_a}q", region, offset))
         offset += nbytes
     value.update(zip(codec.words, codec.packer.unpack_from(region, offset)))
     return True, value, None

@@ -3,26 +3,32 @@
 One :class:`ServeSegments` owns four ``multiprocessing.shared_memory``
 segments -- job headers, job bytes, result headers, result bytes --
 plus a program table (row header + pickle blob region).  Parent and
-workers map the same segments as numpy arrays, so publishing a job is
-a handful of int64 stores and one byte-region copy; nothing is pickled
-per batch on the fast path.
+workers map the same segments as plain memoryviews (``int64`` header
+words, per-slot byte regions), so publishing a job is a handful of
+word stores and one byte-region copy; nothing is pickled per batch on
+the fast path, and no numpy scalar is boxed per word.
 
 Slot lifecycle (header ``STATE`` word, see :mod:`repro.serve.layout`):
 
-- the parent **claims** a FREE job slot (it is the only producer, so
-  claiming is lock-free), **fills** the payload bytes, then
-  **publishes** by storing READY and releasing the job semaphore;
-- a worker wakes on the semaphore, takes the claim lock, picks any
-  READY slot, stamps its worker id and RUNNING -- the lock covers only
-  this transition;
-- the worker writes its result into a result slot it claims the same
-  way (result lock), marks the job slot DONE, stores READY on the
-  result slot and releases the result semaphore;
-- the parent drains READY result slots, matches them to pending jobs
-  by ``(job_id, generation)``, and **reclaims** both slots: state back
-  to FREE with the generation word bumped, so a stale write from a
-  worker that was timed out mid-job can never be mistaken for a live
-  result.
+- the parent **claims** a FREE job slot from its own free list (it is
+  the only code that frees a job slot, so claiming is lock-free),
+  **fills** the payload bytes, then **publishes** by storing READY
+  and releasing the job semaphore;
+- a worker wakes on the semaphore, takes the claim lock, picks the
+  lowest READY slot, stamps its worker id and RUNNING -- the lock
+  covers only this transition (and the DONE stamp below);
+- the worker runs the job, stamps its slot DONE, then writes the
+  result into result slot *i*, job slot *i*'s partner -- no claim:
+  the job slot is held until the parent collects it -- body and words
+  first, the job's generation word and READY last.  It posts the
+  result semaphore once it finds no job left to take;
+- the parent reads the result slots of the jobs it has outstanding;
+  one whose generation word is the one its job was published under
+  is that job's result.  It then **reclaims** the job slot: state
+  back to FREE with the generation word bumped, so a result left
+  behind by an earlier occupant -- delivered already, or revoked
+  with a worker that died or was timed out mid-job -- can never be
+  mistaken for a live one.
 
 The generation word is the wraparound guard: slots are reused in
 arbitrary order under load, and every reuse changes the generation the
@@ -32,18 +38,11 @@ parent expects, which is what the ring edge-case tests pin down.
 from __future__ import annotations
 
 import pickle
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from multiprocessing import shared_memory
 from typing import Dict, List, Optional, Tuple
 
-import numpy as np
-
-from repro.serve.layout import (
-    FREE,
-    JOB_FIELDS,
-    READY,
-    RESULT_FIELDS,
-)
+from repro.serve.layout import JOB_FIELDS, READY, RESULT_FIELDS
 
 #: Program-table row words.
 P_ID, P_OFFSET, P_LENGTH = range(3)
@@ -101,7 +100,14 @@ class RingGeometry:
 
 
 class SlotRing:
-    """numpy views over one header plane + one data plane."""
+    """Word and byte views over one header plane + one data plane.
+
+    ``rows[i]`` is slot *i*'s header -- ``int64`` words indexed by the
+    layout's field constants -- ``regions[i]`` its byte region, and
+    ``states`` every slot's STATE word (a strided view of the plane).
+    All are memoryviews, built once: a word is read or stored with one
+    index.
+    """
 
     def __init__(
         self,
@@ -111,29 +117,39 @@ class SlotRing:
         fields: int,
         slot_bytes: int,
     ):
-        self._header_shm = header_shm
-        self._data_shm = data_shm
+        words = header_shm.buf.cast("q")
+        data = data_shm.buf
         self.slots = slots
-        self.header = np.ndarray(
-            (slots, fields), dtype=np.int64, buffer=header_shm.buf
-        )
-        self.data = np.ndarray(
-            (slots, slot_bytes), dtype=np.uint8, buffer=data_shm.buf
-        )
+        self.rows = [words[i * fields : (i + 1) * fields] for i in range(slots)]
+        self.regions = [
+            data[i * slot_bytes : (i + 1) * slot_bytes] for i in range(slots)
+        ]
+        self.states = words[::fields]
+        self._views = [words, self.states, *self.rows, *self.regions]
 
     def find_state(self, state: int) -> List[int]:
         """Slot indices currently in *state* (a snapshot)."""
-        return np.flatnonzero(self.header[:, 0] == state).tolist()
+        words = self.states.tolist()
+        return [index for index, word in enumerate(words) if word == state]
 
-    def first_free(self) -> Optional[int]:
-        free = np.flatnonzero(self.header[:, 0] == FREE)
-        return int(free[0]) if free.size else None
+    def first(self, state: int) -> Optional[int]:
+        """The lowest slot index in *state*, or None."""
+        try:
+            return self.states.tolist().index(state)
+        except ValueError:
+            return None
 
     def publish(self, index: int, header_words: Dict[int, int]) -> None:
         """Store header words then flip the slot READY (state last)."""
+        row = self.rows[index]
         for field, value in header_words.items():
-            self.header[index, field] = value
-        self.header[index, 0] = READY
+            row[field] = value
+        row[0] = READY
+
+    def release(self) -> None:
+        for view in self._views:
+            view.release()
+        self._views = self.rows = self.regions = []
 
 
 class ProgramTable:
@@ -153,27 +169,20 @@ class ProgramTable:
         blob_shm: shared_memory.SharedMemory,
         max_programs: int,
     ):
-        self._header_shm = header_shm
-        self._blob_shm = blob_shm
         self.max_programs = max_programs
-        # Row 0 of the header plane is [count, blob_used, 0]; program
-        # rows start at 1 so program id N lives in row N + 1.
-        self._table = np.ndarray(
-            (max_programs + 1, PROGRAM_FIELDS),
-            dtype=np.int64,
-            buffer=header_shm.buf,
-        )
-        self._blob = np.ndarray(
-            (blob_shm.size,), dtype=np.uint8, buffer=blob_shm.buf
-        )
+        # Words 0-1 are [count, blob_used]; program rows of
+        # PROGRAM_FIELDS words start at row 1, so program id N lives at
+        # word (N + 1) * PROGRAM_FIELDS.
+        self._table = header_shm.buf.cast("q")
+        self._blob = blob_shm.buf[:]
 
     @property
     def count(self) -> int:
-        return int(self._table[0, 0])
+        return self._table[0]
 
     @property
     def blob_used(self) -> int:
-        return int(self._table[0, 1])
+        return self._table[1]
 
     def append(self, program: object) -> Tuple[int, int]:
         """Publish one program; returns ``(program_id, blob_bytes)``."""
@@ -183,22 +192,30 @@ class ProgramTable:
             raise RingCapacityError(
                 f"program table full ({self.max_programs} programs)"
             )
-        if offset + len(raw) > self._blob.shape[0]:
+        if offset + len(raw) > len(self._blob):
             raise RingCapacityError(
-                f"program blob region full ({self._blob.shape[0]} bytes)"
+                f"program blob region full ({len(self._blob)} bytes)"
             )
-        self._blob[offset : offset + len(raw)] = np.frombuffer(raw, dtype=np.uint8)
-        self._table[count + 1] = (count, offset, len(raw))
-        self._table[0, 1] = offset + len(raw)
-        self._table[0, 0] = count + 1  # readers key off this store
+        self._blob[offset : offset + len(raw)] = raw
+        row = (count + 1) * PROGRAM_FIELDS
+        self._table[row + P_ID] = count
+        self._table[row + P_OFFSET] = offset
+        self._table[row + P_LENGTH] = len(raw)
+        self._table[1] = offset + len(raw)
+        self._table[0] = count + 1  # readers key off this store
         return count, len(raw)
 
     def load(self, program_id: int) -> Optional[object]:
         """Unpickle program *program_id*, or None if not yet visible."""
         if program_id < 0 or program_id >= self.count:
             return None
-        _, offset, length = (int(word) for word in self._table[program_id + 1])
-        return pickle.loads(self._blob[offset : offset + length].tobytes())
+        row = (program_id + 1) * PROGRAM_FIELDS
+        offset, length = self._table[row + P_OFFSET], self._table[row + P_LENGTH]
+        return pickle.loads(self._blob[offset : offset + length])
+
+    def release(self) -> None:
+        self._table.release()
+        self._blob.release()
 
 
 @dataclass(frozen=True)
@@ -281,15 +298,8 @@ class ServeSegments:
         cls, geometry: RingGeometry, names: SegmentNames
     ) -> "ServeSegments":
         segments = {
-            key: _attach(getattr(names, key))
-            for key in (
-                "job_header",
-                "job_data",
-                "result_header",
-                "result_data",
-                "program_header",
-                "program_blob",
-            )
+            field.name: _attach(getattr(names, field.name))
+            for field in fields(SegmentNames)
         }
         return cls(geometry, segments, owner=False)
 
@@ -300,12 +310,11 @@ class ServeSegments:
         )
 
     def close(self) -> None:
-        """Drop the numpy views, unmap, and (as owner) unlink."""
-        # The ndarray views hold exported pointers into the mapped
-        # buffers; they must be released before SharedMemory.close().
-        self.jobs.header = self.jobs.data = None  # type: ignore[assignment]
-        self.results.header = self.results.data = None  # type: ignore[assignment]
-        self.programs._table = self.programs._blob = None  # type: ignore[assignment]
+        """Release the views, unmap, and (as owner) unlink."""
+        # The views hold exported pointers into the mapped buffers;
+        # they must be released before SharedMemory.close().
+        for views in (self.jobs, self.results, self.programs):
+            views.release()
         for segment in self._segments.values():
             try:
                 segment.close()

@@ -43,8 +43,9 @@ socket, with the only pickling on rejected fast-path payloads.
 
 Observability: ``serve:accept`` / ``serve:admit`` / ``serve:dispatch``
 spans land in the engine's tracer when one is attached, every log
-record inside the request path carries ``trace_id``/``tenant``/
-``job_id`` via :func:`repro.obs.logs.log_context`, and the ``serve``
+record a request's handler emits carries its ``trace_id`` and
+``tenant`` (one :func:`repro.obs.logs.log_context` per request) and a
+dispatch's records its ``trace_id``, and the ``serve``
 family of :data:`repro.engine.metrics.COUNTERS` lives in the engine's
 metrics registry so the existing Prometheus exporters pick it up
 unchanged.
@@ -59,8 +60,9 @@ from __future__ import annotations
 import asyncio
 import json
 import signal
+from collections.abc import Mapping
 from dataclasses import dataclass, field
-from typing import Any, Dict, List, Mapping, Optional, Tuple
+from typing import Any, Dict, List, Optional, Set, Tuple
 
 from dataclasses import replace
 
@@ -71,6 +73,7 @@ from repro.serve.admission import (
     AdmissionController,
     priority_for,
 )
+from repro.serve.lines import LineWriter
 from repro.serve.quota import TenantQuotas
 from repro.slo.accounting import TenantLedger
 
@@ -331,8 +334,14 @@ class GendpServer:
         )
         if self.tracer is not None:
             self.tracer.event("serve:accept", cat="serve", peer=str(peer))
-        write_lock = asyncio.Lock()
-        tasks: List[asyncio.Task] = []
+        responses = LineWriter(writer)
+        tasks: Set[asyncio.Task] = set()
+
+        def finished(task: asyncio.Task) -> None:
+            tasks.discard(task)
+            if not task.cancelled():
+                task.exception()  # read: what escapes is a vanished peer
+
         self._conn_writers.add(writer)
         try:
             while True:
@@ -341,11 +350,9 @@ class GendpServer:
                     break
                 if not line.strip():
                     continue
-                task = asyncio.create_task(
-                    self._handle_line(line, writer, write_lock)
-                )
-                tasks.append(task)
-                tasks = [t for t in tasks if not t.done()]
+                task = asyncio.create_task(self._handle_line(line, responses))
+                tasks.add(task)
+                task.add_done_callback(finished)
             if tasks:
                 await asyncio.gather(*tasks, return_exceptions=True)
         except (
@@ -356,6 +363,7 @@ class GendpServer:
             pass
         finally:
             self._conn_writers.discard(writer)
+            responses.flush()
             try:
                 writer.close()
                 await writer.wait_closed()
@@ -363,24 +371,14 @@ class GendpServer:
                 pass  # server close cancels the wait; nothing to flush
 
     async def _respond(
-        self,
-        writer: asyncio.StreamWriter,
-        write_lock: asyncio.Lock,
-        response: Dict[str, Any],
+        self, responses: LineWriter, response: Dict[str, Any]
     ) -> int:
         data = (json.dumps(response, default=str) + "\n").encode("utf-8")
-        async with write_lock:
-            writer.write(data)
-            await writer.drain()
+        await responses.send(data)
         self.engine.metrics.incr("serve_responses")
         return len(data)
 
-    async def _handle_line(
-        self,
-        line: bytes,
-        writer: asyncio.StreamWriter,
-        write_lock: asyncio.Lock,
-    ) -> None:
+    async def _handle_line(self, line: bytes, responses: LineWriter) -> None:
         self.engine.metrics.incr("serve_requests")
         try:
             request = json.loads(line.decode("utf-8"))
@@ -389,9 +387,7 @@ class GendpServer:
         except (ValueError, UnicodeDecodeError) as error:
             self.engine.metrics.incr("serve_errors")
             await self._respond(
-                writer,
-                write_lock,
-                {"ok": False, "error": f"bad request: {error}"},
+                responses, {"ok": False, "error": f"bad request: {error}"}
             )
             return
         request_id = request.get("id")
@@ -427,7 +423,7 @@ class GendpServer:
                 response["id"] = request_id
             if trace_id is not None:
                 response.setdefault("trace_id", trace_id)
-            sent = await self._respond(writer, write_lock, response)
+            sent = await self._respond(responses, response)
             # Transport accounting: the tenant pays for the NDJSON
             # bytes both ways -- exact, no apportionment needed.
             self.ledger.record_transport(tenant, len(line) + sent)
@@ -513,11 +509,11 @@ class GendpServer:
             )
         return job
 
-    async def _enqueue(self, job, tenant: str) -> asyncio.Future:
+    def _enqueue(self, job, tenant: str) -> asyncio.Future:
         future: asyncio.Future = asyncio.get_running_loop().create_future()
         self._pending += 1
         self._idle.clear()
-        await self._queue.put((job, tenant, future))
+        self._queue.put_nowait((job, tenant, future))  # unbounded queue
         return future
 
     def _result_payload(self, result) -> Dict[str, Any]:
@@ -571,13 +567,11 @@ class GendpServer:
                     "rejected": True,
                     "error": f"journal write failed: {error}",
                 }
-        with log_context(job_id=job.job_id):
-            future = await self._enqueue(job, tenant)
-            result = await future
-            payload = self._result_payload(result)
-            if dedupe_id is not None and self.journal is not None:
-                self._journal_request_complete(dedupe_id, payload)
-            return payload
+        future = self._enqueue(job, tenant)
+        payload = self._result_payload(await future)
+        if dedupe_id is not None and self.journal is not None:
+            self._journal_request_complete(dedupe_id, payload)
+        return payload
 
     def _journal_request_complete(
         self, dedupe_id: str, payload: Dict[str, Any]
@@ -662,7 +656,7 @@ class GendpServer:
             if rejection is not None:
                 entries.append(rejection)
                 continue
-            futures.append((index, await self._enqueue(job, tenant)))
+            futures.append((index, self._enqueue(job, tenant)))
             entries.append({})  # placeholder, filled below
         for index, future in futures:
             entries[index] = self._result_payload(await future)
@@ -720,16 +714,13 @@ class GendpServer:
         with log_context(trace_id=trace_id):
             accepted: List[Tuple[Any, str, asyncio.Future]] = []
             for job, tenant, future in batch:
-                with log_context(tenant=tenant, job_id=job.job_id):
-                    try:
-                        self.engine.submit(job)
-                        accepted.append((job, tenant, future))
-                    except Exception as error:  # incl. BackpressureError
-                        result = _ErrorResult(
-                            job, f"{type(error).__name__}: {error}"
-                        )
-                        self.ledger.record_result(tenant, job, result)
-                        self._resolve(future, result)
+                try:
+                    self.engine.submit(job)
+                    accepted.append((job, tenant, future))
+                except Exception as error:  # incl. BackpressureError
+                    result = _ErrorResult(job, f"{type(error).__name__}: {error}")
+                    self.ledger.record_result(tenant, job, result)
+                    self._resolve(future, result)
             if accepted:
                 # The drain is synchronous engine code; the default
                 # executor keeps the loop accepting while tables sweep.

@@ -19,7 +19,8 @@ quantifies per batch.
 Failure semantics are the one contract of
 :mod:`repro.engine.executor`.  A job's ``job_timeout_s`` window opens
 when a worker claims its slot (the parent sees the slot RUNNING on a
-collect tick); a worker that holds a job past its window is killed.
+liveness tick, at most ``poll_interval_s`` apart); a worker that holds
+a job past its window is killed.
 A dead worker -- crashed or killed -- has the slot it held revoked
 with a bumped generation and requeued while retry budget remains
 (charging that job one attempt, the resubmission contract the
@@ -32,6 +33,7 @@ inline rather than failing the drain.
 
 from __future__ import annotations
 
+import heapq
 import time
 from dataclasses import dataclass
 from typing import Any, Dict, List, Optional, Sequence, Tuple
@@ -53,7 +55,6 @@ from repro.serve.layout import (
     J_WORKER,
     JOB_FIELDS,
     R_GEN,
-    R_JOB_ID,
     R_STATE,
     READY,
     RESULT_FIELDS,
@@ -86,7 +87,8 @@ class TransportConfig:
     #: Kernels whose programs the engine compiles and broadcasts at
     #: startup so the first request hits warm workers.
     warm_kernels: Tuple[str, ...] = ()
-    #: Worker idle-poll cadence (also the parent's collect tick).
+    #: Worker idle-poll cadence; also the parent's longest wait for a
+    #: result and the cadence of its liveness and overdue checks.
     poll_interval_s: float = 0.02
 
     def __post_init__(self) -> None:
@@ -124,7 +126,7 @@ class _PendingJob:
     slot: int = -1
     generation: int = -1
     job_id: int = -1
-    #: ``perf_counter()`` of the collect tick that first saw a worker
+    #: ``perf_counter()`` of the liveness tick that first saw a worker
     #: holding this job; its timeout window runs from here, so time
     #: spent READY behind a busy or hung worker costs it nothing.
     claimed_at: Optional[float] = None
@@ -183,10 +185,12 @@ class ShmExecutor:
         try:
             self._ctx = mp.get_context("fork")
             self._segments = ServeSegments.create(RING_GEOMETRY)
+            # The parent is the only code that frees a job slot, so
+            # it keeps the FREE ones itself: a heap, lowest index first.
+            self._free = list(range(RING_GEOMETRY.slots))
             self._job_sem = self._ctx.Semaphore(0)
             self._job_lock = self._ctx.Lock()
             self._result_sem = self._ctx.Semaphore(0)
-            self._result_lock = self._ctx.Lock()
             self._shutdown = self._ctx.Event()
             for compiled in programs:
                 self._program_id(compiled)
@@ -217,7 +221,6 @@ class ShmExecutor:
                 self._job_sem,
                 self._job_lock,
                 self._result_sem,
-                self._result_lock,
                 self._shutdown,
                 self.config.poll_interval_s,
             ),
@@ -291,12 +294,21 @@ class ShmExecutor:
 
         outstanding: Dict[int, _PendingJob] = {}
         queue.reverse()  # pop() from the tail publishes in order
+        poll = self.config.poll_interval_s
+        next_check = 0.0
         while queue or outstanding:
             self._publish(queue, outstanding, states)
-            self._result_sem.acquire(timeout=self.config.poll_interval_s)
+            woke = self._result_sem.acquire(timeout=poll)
+            while woke and self._result_sem.acquire(False):
+                pass  # one collect takes every result posted so far
             self._collect(outstanding, states)
-            self._kill_overdue_workers(outstanding)
-            self._reap_dead_workers(queue, outstanding, states)
+            # Liveness and overdue checks: on a quiet wait, else at
+            # most once per poll interval.
+            now = time.perf_counter()
+            if not woke or now >= next_check:
+                next_check = now + poll
+                self._kill_overdue_workers(outstanding, now)
+                self._reap_dead_workers(queue, outstanding, states)
 
         return [self._outcome(state) for state in states]
 
@@ -307,7 +319,7 @@ class ShmExecutor:
         states: List[_BatchState],
     ) -> None:
         """Fill FREE job slots until the ring pushes back."""
-        jobs = self._segments.jobs
+        jobs, free = self._segments.jobs, self._free
         while queue:
             record = queue[-1]
             state = states[record.batch_index]
@@ -316,12 +328,12 @@ class ShmExecutor:
                 state.degraded = True
                 self._run_inline(record, state)
                 continue
-            slot = jobs.first_free()
-            if slot is None:
+            if not free:
                 return  # ring full: natural backpressure, collect first
+            slot = free[0]
             try:
                 words = encode_payload(
-                    record.kernel, record.payload, jobs.data[slot]
+                    record.kernel, record.payload, jobs.regions[slot]
                 )
             except SlotOverflowError:
                 queue.pop()
@@ -329,6 +341,7 @@ class ShmExecutor:
                 self._run_inline(record, state)
                 continue
             queue.pop()
+            heapq.heappop(free)
             if record.attempts == 0:
                 state.transport_bytes += job_body_bytes(words) + JOB_FIELDS * 8
             record.attempts += 1
@@ -337,7 +350,7 @@ class ShmExecutor:
             record.job_id = self._job_counter
             record.slot = slot
             record.claimed_at = None
-            record.generation = int(jobs.header[slot, J_GEN])
+            record.generation = jobs.rows[slot][J_GEN]
             words[J_GEN] = record.generation
             words[J_JOB_ID] = record.job_id
             words[J_PROGRAM] = record.program_id
@@ -349,47 +362,49 @@ class ShmExecutor:
     def _collect(
         self, outstanding: Dict[int, _PendingJob], states: List[_BatchState]
     ) -> None:
-        """Drain READY result slots; reclaim both sides of each match."""
-        results = self._segments.results
-        jobs = self._segments.jobs
-        for slot in results.find_state(READY):
-            header = results.header[slot]
-            record = outstanding.get(int(header[R_JOB_ID]))
-            fresh = (
-                record is not None
-                and record.generation == int(header[R_GEN])
-            )
-            if fresh:
-                state = states[record.batch_index]
-                try:
-                    ok, value, error = decode_result(
-                        header, results.data[slot]
-                    )
-                    result = (
-                        {"ok": True, "value": value}
-                        if ok
-                        else {"ok": False, "error": error}
-                    )
-                except Exception as decode_error:
-                    result = {
-                        "ok": False,
-                        "error": (
-                            f"{type(decode_error).__name__}: {decode_error}"
-                        ),
-                    }
-                state.transport_bytes += (
-                    result_body_bytes(header) + RESULT_FIELDS * 8
-                )
-                self._finish(record, state, result)
-                del outstanding[record.job_id]
-                # Reclaim the job slot (DONE by now): bump generation.
-                jobs.header[record.slot, J_GEN] = record.generation + 1
-                jobs.header[record.slot, J_STATE] = FREE
-            # Stale generations are dropped: their job was revoked and
-            # rehomed already.  Either way the result slot frees up.
-            header[R_STATE] = FREE
+        """Take every outstanding job's result that its worker wrote,
+        and free the job's slot.
 
-    def _kill_overdue_workers(self, outstanding: Dict[int, _PendingJob]) -> None:
+        Result slot *i* is job slot *i*'s.  It holds this job's result
+        once it reads READY under the job's generation (stored after
+        the body); anything else is an earlier occupant's -- delivered
+        already, or revoked -- and is never read.
+        """
+        rows = self._segments.results.rows
+        finished = [
+            record
+            for record in outstanding.values()
+            if rows[record.slot][R_GEN] == record.generation
+            and rows[record.slot][R_STATE] == READY
+        ]
+        regions = self._segments.results.regions
+        for record in finished:
+            state = states[record.batch_index]
+            header = rows[record.slot]
+            try:
+                ok, value, error = decode_result(header, regions[record.slot])
+                result = (
+                    {"ok": True, "value": value} if ok else {"ok": False, "error": error}
+                )
+            except Exception as decode_error:
+                error = f"{type(decode_error).__name__}: {decode_error}"
+                result = {"ok": False, "error": error}
+            state.transport_bytes += result_body_bytes(header) + RESULT_FIELDS * 8
+            self._finish(record, state, result)
+            del outstanding[record.job_id]
+            # Reclaim the job slot (DONE by now): bump generation.
+            self._release_slot(record)
+
+    def _release_slot(self, record: _PendingJob) -> None:
+        """FREE *record*'s job slot under the next generation."""
+        header = self._segments.jobs.rows[record.slot]
+        header[J_GEN] = record.generation + 1
+        header[J_STATE] = FREE
+        heapq.heappush(self._free, record.slot)
+
+    def _kill_overdue_workers(
+        self, outstanding: Dict[int, _PendingJob], now: float
+    ) -> None:
         """Kill each worker that has held one job past ``job_timeout_s``.
 
         Only stamps claim times when nothing is overdue: one header
@@ -397,27 +412,23 @@ class ShmExecutor:
         worker's slot is revoked by :meth:`_reap_dead_workers`, the
         same path a crash takes.
         """
-        now = time.perf_counter()
-        header = self._segments.jobs.header
+        rows = self._segments.jobs.rows
         overdue = []
         for record in outstanding.values():
             if record.claimed_at is None:
-                if int(header[record.slot, J_STATE]) == RUNNING:
+                if rows[record.slot][J_STATE] == RUNNING:
                     record.claimed_at = now
             elif now - record.claimed_at > self.job_timeout_s:
                 overdue.append(record)
         for record in overdue:
-            row = header[record.slot]
+            row = rows[record.slot]
             # Under the claim lock the worker cannot be stamping DONE,
             # and joining before release means it cannot die holding
             # the lock either.
             with self._job_lock:
-                if (
-                    int(row[J_GEN]) != record.generation
-                    or int(row[J_STATE]) != RUNNING
-                ):
+                if row[J_GEN] != record.generation or row[J_STATE] != RUNNING:
                     continue  # finished at the last moment: let it report
-                worker_id = int(row[J_WORKER])
+                worker_id = row[J_WORKER]
                 process = self._workers[worker_id]
                 process.kill()
                 process.join()
@@ -448,13 +459,13 @@ class ShmExecutor:
             # Results it published before dying are good: take them
             # first, so only the job it never reported is charged.
             self._collect(outstanding, states)
-            header = self._segments.jobs.header
+            rows = self._segments.jobs.rows
             victims = [
                 record
                 for record in outstanding.values()
-                if int(header[record.slot, J_WORKER]) == worker_id
-                and int(header[record.slot, J_STATE]) in (RUNNING, DONE)
-                and int(header[record.slot, J_GEN]) == record.generation
+                if rows[record.slot][J_WORKER] == worker_id
+                and rows[record.slot][J_STATE] in (RUNNING, DONE)
+                and rows[record.slot][J_GEN] == record.generation
             ]
             for record in victims:
                 self._revoke(record, outstanding, queue, states)
@@ -478,9 +489,7 @@ class ShmExecutor:
         for this slot stale, so it can never be accepted afterwards.
         """
         state = states[record.batch_index]
-        header = self._segments.jobs.header[record.slot]
-        header[J_GEN] = record.generation + 1
-        header[J_STATE] = FREE
+        self._release_slot(record)
         outstanding.pop(record.job_id, None)
         record.slot = -1
         record.generation = -1

@@ -13,6 +13,7 @@ protocol correctness, not throughput (that is ``serve_small_mixed``
 in ``bench/``, which drives the shm rings end to end).
 """
 
+import multiprocessing.process
 import os
 import random
 
@@ -24,6 +25,8 @@ from repro.engine.sweep import SWEEPS
 from repro.faults import FaultPlan
 from repro.obs.trace import TraceRecorder
 from repro.serve import TransportConfig, transport as transport_module
+from repro.serve import workers as workers_module
+from repro.serve.layout import J_GEN, R_GEN, R_JOB_ID, R_STATE, READY, encode_result
 from repro.serve.ring import RingGeometry
 from repro.serve.transport import ShmExecutor
 from repro.workloads.anchors import generate_chain_workload
@@ -161,8 +164,8 @@ def test_slot_wraparound_across_consecutive_drains(monkeypatch):
                 reference[key] = result.value
         snapshot = engine.snapshot()
         executor = engine.executor
-        generations = executor._segments.jobs.header[:, 1]
-        assert int(generations.max()) >= 2  # slots really wrapped
+        generations = [row[J_GEN] for row in executor._segments.jobs.rows]
+        assert max(generations) >= 2  # slots really wrapped
     assert snapshot["cache"]["compiles"] == 1  # one program, reused
 
 
@@ -275,3 +278,115 @@ def test_shm_executor_close_releases_segments():
 
     with pytest.raises(FileNotFoundError):
         shared_memory.SharedMemory(name=names.job_header)
+
+
+def _die_reporting_once(monkeypatch, tmp_path):
+    """Once the returned path exists, the next worker to report a
+    result dies after stamping its job DONE and before writing the
+    result; its respawned successor reports normally."""
+    armed, died = tmp_path / "armed", tmp_path / "died"
+    encode = workers_module.encode_result
+
+    def encode_or_die(*args):
+        if armed.exists() and not died.exists():
+            died.touch()
+            os._exit(3)
+        return encode(*args)
+
+    monkeypatch.setattr(workers_module, "encode_result", encode_or_die)
+    return armed
+
+
+def _rerun_after_death(monkeypatch, tmp_path, after_revoke=None):
+    """Drain one LCS job on a one-slot ring whose first worker dies
+    reporting it; returns that job's results and its inline reference
+    value.  Without *after_revoke* a first job drains before it, so
+    the slot holds an earlier occupant's result; with it, the slot is
+    fresh and *after_revoke* runs once the dead worker's slot is
+    revoked."""
+    _ring_slots(monkeypatch, 1)
+    armed = _die_reporting_once(monkeypatch, tmp_path)
+    if after_revoke is not None:
+        revoke = ShmExecutor._revoke
+
+        def revoke_then(self, record, *args):
+            slot, generation = record.slot, record.generation
+            revoke(self, record, *args)
+            after_revoke(self, slot, generation, record)
+
+        monkeypatch.setattr(ShmExecutor, "_revoke", revoke_then)
+    first, second = _payloads("lcs", 2, seed=5)
+    reference, _ = _drain(TransportConfig(backend="inline"), {"lcs": [second]})
+    transport = TransportConfig(backend="shm", workers=1, poll_interval_s=0.01)
+    config = EngineConfig(max_queue=16, transport=transport, max_retries=1)
+    with Engine(config) as engine:
+        if after_revoke is None:
+            engine.submit(make_job("lcs", dict(first)))
+            assert all(r.ok and r.backend == "shm" for r in engine.drain())
+        armed.touch()
+        # Each attempt takes a while, so the parent polls the slot
+        # while the rerun is still running.
+        job = engine.submit(make_job("lcs", dict(second, _inject_delay_s=0.05)))
+        results = [r for r in engine.drain() if r.job_id == job.job_id]
+    return results, reference[("lcs", 0)].value
+
+
+def test_worker_killed_after_done_is_rerun_exactly_once(monkeypatch, tmp_path):
+    """A worker that dies between stamping its job DONE and posting the
+    result leaves that job to one rerun -- never to the result the
+    slot's earlier occupant left behind."""
+    results, expected = _rerun_after_death(monkeypatch, tmp_path)
+    (result,) = results
+    assert result.ok, result.error
+    assert result.attempts == 2
+    assert result.backend == "shm"
+    assert result.value == expected
+
+
+def test_result_under_a_revoked_generation_is_never_delivered(monkeypatch, tmp_path):
+    """A result posted into slot *i* under a generation the parent has
+    revoked stays undelivered, also once slot *i* is republished and
+    its new occupant completes."""
+    planted = []
+
+    def plant_stale_result(executor, slot, generation, record):
+        rows = executor._segments.results.rows
+        region = executor._segments.results.regions[slot]
+        words = encode_result("lcs", True, {"length": -1, "cells": -1}, None, region)
+        header = rows[slot]
+        for field, word in words.items():
+            header[field] = word
+        header[R_JOB_ID] = record.job_id
+        header[R_GEN] = generation
+        header[R_STATE] = READY
+        planted.append(generation)
+
+    results, expected = _rerun_after_death(
+        monkeypatch, tmp_path, after_revoke=plant_stale_result
+    )
+    assert planted, "no slot was revoked"
+    (result,) = results
+    assert result.ok, result.error
+    assert result.value == expected
+    assert result.attempts == 2
+
+
+def test_close_after_a_drain_joins_workers_without_terminate(monkeypatch):
+    """Workers read the shutdown event on their idle tick: a close
+    right after a drain joins each one with exit code 0."""
+    terminated = []
+    monkeypatch.setattr(
+        multiprocessing.process.BaseProcess,
+        "terminate",
+        lambda process: terminated.append(process.pid),
+    )
+    transport = TransportConfig(backend="shm", workers=2, poll_interval_s=0.01)
+    with Engine(EngineConfig(max_queue=16, transport=transport)) as engine:
+        for payload in _payloads("bsw", 6):
+            engine.submit(make_job("bsw", payload))
+        assert all(r.ok and r.backend == "shm" for r in engine.drain())
+        executor = engine.executor
+        workers = list(executor._workers)
+        executor.close()
+    assert terminated == []
+    assert [process.exitcode for process in workers] == [0, 0]

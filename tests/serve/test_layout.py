@@ -11,10 +11,12 @@ import json
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from repro.engine.cache import compile_program
 from repro.engine.kernels import KERNELS
 from repro.engine.runners import build_dfg, run_job
+from repro.serve import layout
 from repro.serve.layout import (
     FMT_PICKLE,
     FMT_SOA,
@@ -241,3 +243,43 @@ def test_engine_results_ride_the_fast_path(kernel):
     (ok, decoded, _), header = _roundtrip_result(kernel, True, value, None)
     assert header[R_FORMAT] == FMT_SOA
     assert decoded == value
+
+
+def _checked(values, columns):
+    """The numpy path's answer, in :func:`layout._int_run`'s shape."""
+    array = layout._int_array(values, columns)
+    return None if array is None else (array.shape[0], array.tobytes())
+
+
+_INTS = st.integers(min_value=-(1 << 64), max_value=1 << 64)
+_ELEMENTS = st.one_of(
+    _INTS,
+    st.booleans(),
+    st.floats(min_value=-1e18, max_value=1e18),
+    st.integers(min_value=-(1 << 63), max_value=(1 << 63) - 1).map(np.int64),
+)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(_ELEMENTS, max_size=12))
+def test_struct_int_runs_match_the_checked_numpy_path(values):
+    """The ``struct`` fast path writes the bytes numpy would, and says
+    no exactly where it does (bools, floats, numpy ints, beyond int64)."""
+    with np.errstate(invalid="ignore"):  # numpy casting a huge float
+        assert layout._int_run(values, 1) == _checked(values, 1)
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    st.lists(
+        st.one_of(
+            st.lists(_INTS, min_size=3, max_size=3),
+            st.tuples(_INTS, _INTS, _INTS),
+            st.lists(st.one_of(_INTS, st.booleans()), min_size=2, max_size=4),
+        ),
+        max_size=8,
+    )
+)
+def test_struct_anchor_rows_match_the_checked_numpy_path(rows):
+    with np.errstate(invalid="ignore"):
+        assert layout._int_run(rows, 3) == _checked(rows, 3)

@@ -5,10 +5,13 @@ in the same interpreter); the multi-process protocol on top is covered
 by ``test_backends.py``.
 """
 
+import ast
 import os
+import pathlib
 
 import pytest
 
+import repro
 from repro.engine.cache import compile_program
 from repro.engine.runners import build_dfg
 from repro.serve.layout import FREE, J_GEN, J_JOB_ID, J_STATE, READY, RUNNING
@@ -57,14 +60,14 @@ def test_fresh_rings_are_all_free(segments):
     try:
         for view in (segments, attached):
             planes = (
-                view.jobs.header,
-                view.jobs.data,
-                view.results.header,
-                view.results.data,
+                *view.jobs.rows,
+                *view.jobs.regions,
+                *view.results.rows,
+                *view.results.regions,
                 view.programs._table,
                 view.programs._blob,
             )
-            assert not any(plane.any() for plane in planes)
+            assert all(plane.tobytes() == bytes(plane.nbytes) for plane in planes)
             assert view.jobs.find_state(FREE) == [0, 1, 2, 3]
             assert view.results.find_state(FREE) == [0, 1, 2, 3]
             assert view.programs.count == 0
@@ -94,19 +97,20 @@ def test_create_leaves_segments_unresident():
 
 
 def test_publish_and_state_scan(segments):
-    index = segments.jobs.first_free()
+    index = segments.jobs.first(FREE)
     segments.jobs.publish(index, {J_STATE: READY, J_JOB_ID: 77})
     assert segments.jobs.find_state(READY) == [index]
-    assert int(segments.jobs.header[index, J_JOB_ID]) == 77
+    assert segments.jobs.first(READY) == index
+    assert segments.jobs.rows[index][J_JOB_ID] == 77
     assert index not in segments.jobs.find_state(FREE)
 
 
 def test_first_free_exhausts_then_none(segments):
     for expected in range(4):
-        index = segments.jobs.first_free()
+        index = segments.jobs.first(FREE)
         assert index == expected
         segments.jobs.publish(index, {J_STATE: READY})
-    assert segments.jobs.first_free() is None  # ring full -> backpressure
+    assert segments.jobs.first(FREE) is None  # ring full -> backpressure
 
 
 def test_slot_wraparound_bumps_generation(segments):
@@ -114,26 +118,26 @@ def test_slot_wraparound_bumps_generation(segments):
     results for the old occupant are recognizably stale."""
     ring = segments.jobs
     for round_number in range(3):
-        index = ring.first_free()
+        index = ring.first(FREE)
         assert index == 0  # always reusing the same slot
         ring.publish(index, {J_GEN: round_number, J_JOB_ID: round_number})
         # Simulate worker claim + parent reclaim (generation first,
         # state last, exactly as the transport does it).
-        ring.header[index, J_STATE] = RUNNING
-        ring.header[index, J_GEN] = round_number + 1
-        ring.header[index, J_STATE] = FREE
-    assert int(ring.header[0, J_GEN]) == 3
+        ring.rows[index][J_STATE] = RUNNING
+        ring.rows[index][J_GEN] = round_number + 1
+        ring.rows[index][J_STATE] = FREE
+    assert ring.rows[0][J_GEN] == 3
 
 
 def test_attach_sees_creators_writes(segments):
     attached = ServeSegments.attach(segments.geometry, segments.names)
     try:
-        index = segments.jobs.first_free()
+        index = segments.jobs.first(FREE)
         segments.jobs.publish(index, {J_STATE: READY, J_JOB_ID: 123})
         assert attached.jobs.find_state(READY) == [index]
-        assert int(attached.jobs.header[index, J_JOB_ID]) == 123
+        assert attached.jobs.rows[index][J_JOB_ID] == 123
         # And the other direction: attacher writes, creator reads.
-        attached.jobs.header[index, J_STATE] = RUNNING
+        attached.jobs.rows[index][J_STATE] = RUNNING
         assert segments.jobs.find_state(RUNNING) == [index]
     finally:
         attached.close()
@@ -155,3 +159,55 @@ def test_program_table_roundtrip_and_capacity(segments):
 
 def test_program_table_load_unknown_id(segments):
     assert segments.programs.load(99) is None
+
+
+#: The per-job path: each function here runs once (or more) per job.
+PER_JOB_FUNCTIONS = {
+    "repro/serve/workers.py": (
+        "worker_main",
+        "_claim_job",
+        "_run_slot",
+        "_post_result",
+    ),
+    "repro/serve/transport.py": (
+        "ShmExecutor.run_batches",
+        "ShmExecutor._publish",
+        "ShmExecutor._collect",
+        "ShmExecutor._release_slot",
+    ),
+}
+
+
+def _functions(tree):
+    """``name`` / ``Class.name`` -> def node, for a module's top level."""
+    found = {}
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            found[node.name] = node
+        elif isinstance(node, ast.ClassDef):
+            for item in node.body:
+                if isinstance(item, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                    found[f"{node.name}.{item.name}"] = item
+    return found
+
+
+@pytest.mark.parametrize("path", sorted(PER_JOB_FUNCTIONS))
+def test_per_job_path_is_numpy_free(path):
+    """Ring words and regions are memoryviews: the worker loop, its
+    claim helpers and the parent's publish/collect name no numpy."""
+    source = pathlib.Path(repro.__file__).parent.parent / path
+    functions = _functions(ast.parse(source.read_text(encoding="utf-8")))
+    for name in PER_JOB_FUNCTIONS[path]:
+        assert name in functions, f"{path} has no {name}"
+        for node in ast.walk(functions[name]):
+            names = []
+            if isinstance(node, ast.Name):
+                names = [node.id]
+            elif isinstance(node, (ast.Import, ast.ImportFrom)):
+                names = [alias.name for alias in node.names]
+                names += [node.module or ""] if isinstance(node, ast.ImportFrom) else []
+            for used in names:
+                root = used.split(".")[0]
+                assert root not in ("np", "numpy"), (
+                    f"{name} in {path} uses {used} (line {node.lineno})"
+                )

@@ -8,16 +8,20 @@ async test plugin needed.
 """
 
 import asyncio
+import io
 import json
+import logging
 import time
 
 import pytest
 
 from repro.engine import Engine, EngineConfig
 from repro.engine.metrics import COUNTERS
+from repro.obs.logs import configure_json_logging
 from repro.obs.trace import TraceRecorder, validate_chrome_trace
 from repro.serve import ServeClient, TransportConfig
 from repro.serve import server as server_module
+from repro.serve.lines import LineWriter
 from repro.serve.server import (
     DEFAULT_TENANT,
     GendpServer,
@@ -551,3 +555,102 @@ def test_a_drain_that_raises_answers_its_batch_and_dispatch_goes_on(tmp_path):
     usage = stats["tenants"]["alpha"]
     assert usage["tenant_jobs_completed"] == 1
     assert usage["tenant_jobs_failed"] == 1
+
+
+def test_log_records_carry_the_request_correlation_ids(tmp_path):
+    """A quota rejection is logged with its request's trace id and
+    tenant, and no job id (nothing was admitted); a drain fault speaks
+    for a whole batch, so it carries the trace id alone."""
+    tracer = TraceRecorder()
+    stream = io.StringIO()
+    logger = logging.getLogger(server_module.__name__)
+    handler = configure_json_logging(stream=stream, logger_name=logger.name)
+
+    async def scenario():
+        config = ServeConfig(tenant_quotas={"tight": (0.001, 1.0)})
+        async with serving(tmp_path, serve_config=config, tracer=tracer) as (
+            server,
+            sock,
+        ):
+            engine = server.engine
+            drain = engine.drain
+            faults = []
+
+            def failing_once():
+                if not faults:
+                    faults.append(engine.withdraw())
+                    raise RuntimeError("drain exploded")
+                return drain()
+
+            engine.drain = failing_once
+            async with await ServeClient.connect(unix_socket=sock) as client:
+                faulted = await client.submit("lcs", LCS, tenant="tight")
+                rejected = await client.submit("lcs", LCS, tenant="tight")
+            assert faulted["error"].startswith("drain-fault")
+            assert rejected["error"] == "quota-exceeded"
+
+    try:
+        run(scenario())
+    finally:
+        logger.removeHandler(handler)
+        logger.setLevel(logging.NOTSET)
+        logger.propagate = True
+    records = {}
+    for line in stream.getvalue().splitlines():
+        record = json.loads(line)
+        records.setdefault(record["message"], []).append(record)
+    (rejection,) = records["request rejected"]
+    assert rejection["trace_id"] == tracer.trace_id
+    assert rejection["tenant"] == "tight"
+    assert "job_id" not in rejection
+    (fault,) = records["dispatch drain fault"]
+    assert fault["trace_id"] == tracer.trace_id
+    assert "tenant" not in fault
+    assert "job_id" not in fault
+
+
+def test_lines_coalesce_per_loop_turn_and_drain_above_high_water():
+    """A connection's lines queued in one loop turn leave in one write;
+    a line queued above the transport's high-water mark waits for
+    ``drain()``."""
+
+    class Transport:
+        size = 0
+
+        def get_write_buffer_limits(self):
+            return 16, 64
+
+        def get_write_buffer_size(self):
+            return self.size
+
+    class Writer:
+        def __init__(self):
+            self.transport = Transport()
+            self.writes = []
+            self.drains = 0
+
+        def write(self, data):
+            self.writes.append(data)
+
+        def is_closing(self):
+            return False
+
+        async def drain(self):
+            self.drains += 1
+
+    async def scenario():
+        writer = Writer()
+        responses = LineWriter(writer)
+        await responses.send(b"a\n")
+        await responses.send(b"b\n")
+        assert writer.writes == []
+        await asyncio.sleep(0)
+        assert writer.writes == [b"a\nb\n"]
+        assert writer.drains == 0
+        writer.transport.size = 65
+        await responses.send(b"c\n")
+        assert writer.drains == 1
+        await asyncio.sleep(0)
+        assert writer.writes == [b"a\nb\n", b"c\n"]
+
+    run(scenario())
