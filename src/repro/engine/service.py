@@ -277,7 +277,12 @@ class Engine:
             if self.shard is not None:
                 trace_ids["shard"] = self.shard
             payload = dict(payload, _trace=trace_ids)
-        stamped = replace(job, payload=payload, submitted_at=time.monotonic())
+        # One constructor call, not ``replace``: keep every field of
+        # Job here (tests/engine/test_service.py checks none is lost).
+        stamped = Job(
+            job.job_id, job.kernel, payload, job.priority, job.deadline_s,
+            time.monotonic(),
+        )
         if self.journal is not None:
             # Write-ahead: an un-journaled job is not accepted.  A
             # failed accept write propagates to the caller (the job is

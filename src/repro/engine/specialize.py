@@ -9,11 +9,15 @@ which mirror :func:`repro.dfg.graph._apply` exactly), compiled with
 ``compile``/``exec``.  Per cell this removes the bundle/way/slot
 interpretation loop, the operand list building and the chained opcode
 dispatch of :func:`repro.dpmap.codegen.execute_way` at identical
-integer semantics.  Those lines are inlined in the kernel's loop nest,
-the fused sweep every executor -- inline, shm workers, the shm
-degraded floor, the guard fuzzer -- runs (:mod:`repro.engine.sweep`),
-armed or not; wrapped as one cell function (:func:`specialize_cell`),
-they are what the repo benchmark times.
+integer semantics, and lazily, as DPAx's untaken select arm costs
+nothing: a value read once is nested in its reader, so a conditional
+evaluates it only on the branch that takes it, and a slot repeating a
+value still in a local reads the local.  Those lines are inlined in
+the kernel's loop nest, the fused sweep every executor -- inline, shm
+workers, the shm degraded floor, the guard fuzzer -- runs
+(:mod:`repro.engine.sweep`), armed or not; wrapped as one cell
+function (:func:`specialize_cell`), they are what the repo benchmark
+times.
 
 Calling convention of the cell function (shared with the interpreter
 closure :func:`repro.engine.runners._cell_executor`): inputs are
@@ -34,12 +38,15 @@ must not pay ``compile()`` again.
 
 from __future__ import annotations
 
-from typing import Any, Callable, Dict, List, Optional, Sequence, Set, Tuple, Union
+from dataclasses import replace
+from typing import Any, Callable, Dict, List, NamedTuple, Optional, Sequence, Set
+from typing import Tuple, Union
 
 from repro.dfg.expressions import expression_namespace, way_expression
+from repro.dfg.graph import Opcode
 from repro.engine.cache import CompiledProgram
 from repro.guard.sentinels import Sentinel
-from repro.isa.compute import Imm, Reg
+from repro.isa.compute import Imm, Reg, SlotOp
 from repro.obs.logs import get_logger
 
 _LOG = get_logger("repro.engine.specialize")
@@ -51,6 +58,16 @@ MatchTable = Callable[[int, int], int]
 
 class SpecializationError(ValueError):
     """The program uses a construct the specializer cannot express."""
+
+
+class _Value(NamedTuple):
+    """One emitted way, a slot that repeats a live value rewritten as a
+    copy of it.  Operands, in rendering order: a value's number (its
+    place in emission order), ``~index`` of an unwritten register, or text."""
+
+    way: Any
+    operands: List[Union[int, str]]
+    bundle: int
 
 
 def _reads(way) -> Set[int]:
@@ -100,14 +117,19 @@ def cell_lines(
     """The statements of one cell update, and the local holding each output.
 
     Only the ways *outputs* (default: every output) depend on are
-    emitted; with a *sentinel*, every way, each value the interpreter
-    observes bound to a local and counted at the end of its bundle
-    (:meth:`~repro.guard.sentinels.Sentinel.count_line`).  Bundles
-    commit register writes only after every way of the bundle has read
-    its operands, exactly like the interpreter: where a way reads a
-    register an earlier way of its bundle writes, every value of that
-    bundle lands in a temporary first and destinations are assigned at
-    the bundle boundary.
+    emitted, lazily: a value read once, by a later bundle, is nested in
+    its reader's expression (a conditional evaluates it only on the
+    branch that takes it) wherever every register its text reads,
+    transitively, still holds what it read; and a slot repeating a
+    value a local still holds (same opcode, same operand values) reads
+    that local.  With a *sentinel*, every way is emitted eagerly, each
+    value the interpreter observes bound to a local and counted at the
+    end of its bundle (:meth:`~repro.guard.sentinels.Sentinel.count_line`).
+    Bundles commit register writes only after every way of the bundle
+    has read its operands, exactly like the interpreter: where a way
+    reads a register an earlier way of its bundle writes, every value
+    of that bundle lands in a temporary first, destinations are
+    assigned at the bundle boundary, and nothing is nested in or out.
 
     A read of an input register nothing has written yet renders as
     *bound*'s text for it (default: ``r<index>``, the cell's
@@ -121,62 +143,126 @@ def cell_lines(
         bound = {index: f"r{index}" for index in compiled.input_regs.values()}
     names = list(compiled.output_regs) if outputs is None else list(outputs)
     targets = [compiled.output_regs[name] for name in names]
-    written: Set[int] = set()
-    undefined: Set[int] = set()
+    lazy = sentinel is None
+    bundles = [bundle.ways for bundle in compiled.instructions]
+    if lazy:
+        bundles = _cone(compiled.instructions, set(targets))
+
+    values: List[_Value] = []
+    current: Dict[int, int] = {}  # register -> value, as its bundle reads it
+    writes: Dict[int, List[int]] = {}  # register -> the values written to it
+    numbered: Dict[Tuple[Any, ...], int] = {}  # (opcode, *operands) -> value
+    hazards: List[bool] = []
+    groups: List[range] = []  # each bundle's values
+    for number, ways in enumerate(bundles):
+        dests = [way.dest.index for way in ways]
+        hazard = any(_reads(way) & set(dests[:k]) for k, way in enumerate(ways))
+        hazards.append(hazard)
+        for way in ways:
+            operands, copies, keys = [], {}, []
+            for name in ("mul",) if way.kind == "mul" else ("left", "right"):
+                slot = getattr(way, name)
+                if slot is None:
+                    continue
+                read = [
+                    repr(item.value) if isinstance(item, Imm)
+                    else current.get(item.index, ~item.index)
+                    for item in slot.operands
+                ]
+                keys.append((slot.opcode, *read))
+                hit = numbered.get(keys[-1]) if lazy and not hazard else None
+                if hit is not None and writes[values[hit].way.dest.index][-1] == hit:
+                    copies[name] = SlotOp(Opcode.COPY, (values[hit].way.dest,))
+                    read = [hit]
+                operands += read
+            if lazy and not hazard and way.root is None and keys:
+                numbered[keys[0]] = len(values)
+            writes.setdefault(way.dest.index, []).append(len(values))
+            values.append(_Value(replace(way, **copies), operands, number))
+        groups.append(range(len(values) - len(ways), len(values)))
+        current.update(zip(dests, groups[-1]))
+    missing = sorted(set(targets) - current.keys() - bound.keys())
+    if missing:
+        raise SpecializationError(f"output registers never written: {missing}")
+
+    readers: Dict[int, List[int]] = {}
+    for reader, value in enumerate(values):
+        for operand in value.operands:
+            if isinstance(operand, int) and operand >= 0:
+                readers.setdefault(operand, []).append(reader)
+    kept = {current[index] for index in targets if index in current}
+    inlined: Set[int] = set()
+    spans: Dict[int, List[Tuple[int, int]]] = {}  # value -> (register, since)
+    for number, value in enumerate(values):
+        spans[number] = [
+            span
+            for operand in value.operands if isinstance(operand, int)
+            for span in (
+                spans[operand] if operand in inlined
+                else [(values[operand].way.dest.index, operand)] if operand >= 0
+                else [(~operand, -1)]
+            )
+        ]
+        user, *others = readers.get(number, [None, None])
+        if (
+            lazy and not others and number not in kept
+            and values[user].bundle > value.bundle
+            and not hazards[value.bundle] and not hazards[values[user].bundle]
+            and not any(
+                since < write < user
+                for register, since in spans[number]
+                for write in writes.get(register, ())
+            )
+        ):
+            inlined.add(number)
+
     temporaries: List[str] = []
     lines: List[str] = []
     observed: List[str] = []
+    texts: Dict[int, str] = {}
+
+    def text(operand: Union[int, str]) -> str:
+        if isinstance(operand, str):
+            return operand
+        if operand < 0:
+            return bound.get(~operand, f"r{~operand}")
+        return texts.get(operand, f"r{values[operand].way.dest.index}")
 
     def watch(expression: str) -> str:
         observed.append(f"_t{len(temporaries)}")
         temporaries.append(observed[-1])
         return f"({observed[-1]} := {expression})"
 
-    bundles = [bundle.ways for bundle in compiled.instructions]
-    if sentinel is None:
-        bundles = _cone(compiled.instructions, set(targets))
-    for ways in bundles:
-        dests: List[int] = []
-        expressions: List[str] = []
-        hazard = False
-        for way in ways:
-            reads: Set[int] = set()
-
-            def operand(item) -> str:
-                if isinstance(item, Imm):
-                    return repr(item.value)
-                reads.add(item.index)
-                if item.index in bound and item.index not in written:
-                    return bound[item.index]
-                return f"r{item.index}"
-
-            finish = str if sentinel is None else watch
-            expressions.append(
-                way_expression(way, operand, has_match_table, temporaries, finish)
+    for hazard, group in zip(hazards, groups):
+        assigned: List[Tuple[int, str]] = []
+        for number in group:
+            read = iter(values[number].operands)
+            expression = way_expression(
+                values[number].way, lambda item: text(next(read)), has_match_table,
+                temporaries, str if lazy else watch,
             )
-            undefined |= reads - written - bound.keys()
-            hazard = hazard or not reads.isdisjoint(dests)
-            dests.append(way.dest.index)
+            if number in inlined:
+                texts[number] = expression
+            else:
+                assigned.append((values[number].way.dest.index, expression))
         if hazard:
-            lines += [f"t{i} = {expr}" for i, expr in enumerate(expressions)]
-            expressions = [f"t{i}" for i in range(len(dests))]
-        lines += [f"r{dest} = {expr}" for dest, expr in zip(dests, expressions)]
-        if sentinel is not None:
-            lines += [sentinel.count_line(value) for value in observed]
+            lines += [f"t{i} = {expr}" for i, (_, expr) in enumerate(assigned)]
+            assigned = [(dest, f"t{i}") for i, (dest, _) in enumerate(assigned)]
+        lines += [f"r{dest} = {expr}" for dest, expr in assigned]
+        if not lazy:
+            lines += [sentinel.count_line(name) for name in observed]
             observed.clear()
-        written.update(dests)
-    missing = sorted(
-        index for index in set(targets) - written if index not in bound
-    )
-    if missing:
-        raise SpecializationError(f"output registers never written: {missing}")
     # An output that is an input nothing overwrote still lands in its
     # own local: callers store every output from ``r<index>``.
     lines += [
         f"r{index} = {bound[index]}"
         for index in dict.fromkeys(targets)
-        if index not in written and bound[index] != f"r{index}"
+        if index not in current and bound[index] != f"r{index}"
     ]
+    undefined = {
+        ~operand for value in values for operand in value.operands
+        if isinstance(operand, int) and operand < 0 and ~operand not in bound
+    }
     prologue = [f"r{index} = 0" for index in sorted(undefined)]
     return prologue + lines, {name: f"r{index}" for name, index in zip(names, targets)}
 

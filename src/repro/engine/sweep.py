@@ -20,13 +20,15 @@ A loop nest comes in two forms with one body slot:
 - **fused** (:func:`fuse_sweep`, what ``run_job`` runs): the slot holds
   the program's cell itself, :func:`repro.engine.specialize.cell_lines`
   with every input read as the local its role binds and only the cone
-  of the outputs the sweep consumes emitted.  No call per cell: the
+  of the outputs the sweep consumes emitted, each value read once
+  nested in the expression that reads it.  No call per cell: the
   opcode templates of :mod:`repro.dfg.expressions` index
   ``_LOG_SUM_TABLE`` and ``_MATCH``, the match table tabulated over
-  the DNA codes (and only where both operands are those codes).  The
-  **armed** variant emits every way and returns the sentinels' hazard
-  counts too.  :data:`SWEEPS` and :data:`ARMED` memoize them per
-  process, by program content.
+  the DNA codes (and only where both operands are those codes, as
+  rendered: a copied code is one, a computed one is refused).  The
+  **armed** variant emits every way eagerly and returns the
+  sentinels' hazard counts too.  :data:`SWEEPS` and :data:`ARMED`
+  memoize them per process, by program content.
 - **call** (:func:`sweep_source`, :func:`wavefront_sweep`): the slot
   calls the cell it is handed, the interpreter.
 

@@ -54,12 +54,13 @@ class TenantLedger:
         self._lock = threading.Lock()
 
     def _registry(self, tenant: str) -> MetricsRegistry:
-        with self._lock:
-            registry = self._tenants.get(tenant)
-            if registry is None:
-                registry = MetricsRegistry("tenant")
-                self._tenants[tenant] = registry
-            return registry
+        # A dict read is atomic: only a tenant's first sight takes the
+        # lock, and setdefault keeps the registry a racing thread made.
+        registry = self._tenants.get(tenant)
+        if registry is None:
+            with self._lock:
+                registry = self._tenants.setdefault(tenant, MetricsRegistry("tenant"))
+        return registry
 
     # ------------------------------------------------------------------
     # event folds (called from the serve request path)

@@ -1,11 +1,12 @@
 """Engine front door: queueing, backpressure, deadlines, metrics."""
 
+import dataclasses
 import time
 
 import pytest
 
 from repro.engine import BackpressureError, Engine, EngineConfig, make_job
-from repro.engine.jobs import JobValidationError
+from repro.engine.jobs import Job, JobValidationError
 
 
 def _lcs_job(priority=0, deadline_s=None):
@@ -32,6 +33,30 @@ class TestSubmission:
         with Engine() as engine:
             stamped = engine.submit(_lcs_job())
             assert stamped.submitted_at > 0
+
+    def test_every_job_field_survives_submit(self):
+        """``submit`` rebuilds the job field by field: every field of
+        ``Job`` -- one added later too, set here to a marker -- must be
+        carried over; only the payload's stamps and the time are new."""
+        known = {
+            "job_id", "kernel", "payload", "priority", "deadline_s", "submitted_at"
+        }
+        markers = {
+            field.name: object()
+            for field in dataclasses.fields(Job)
+            if field.name not in known
+        }
+        job = dataclasses.replace(_lcs_job(priority=3, deadline_s=7.5), **markers)
+        for config in (EngineConfig(), EngineConfig(sentinels=True)):
+            with Engine(config) as engine:
+                stamped = engine.submit(job)
+            assert type(stamped) is Job
+            assert stamped.submitted_at > job.submitted_at
+            for field in dataclasses.fields(Job):
+                if field.name not in ("payload", "submitted_at"):
+                    assert getattr(stamped, field.name) is getattr(job, field.name)
+            assert job.payload.items() <= stamped.payload.items()
+        assert stamped.payload["_sentinels"] is True
 
     def test_invalid_jobs_rejected_at_creation(self):
         with pytest.raises(JobValidationError):

@@ -10,18 +10,24 @@ programs that cannot be fused.
 import ast
 import dataclasses
 import functools
+import hashlib
 import itertools
 import logging
+import math
 import pickle
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
-from repro.dfg.expressions import _EXPRESSIONS, op_expression
+from repro.dfg.expressions import _EXPRESSIONS, MATCH_LOOKUP, op_expression
 from repro.dfg.graph import OPCODE_ARITY, Opcode, _apply
 from repro.dfg.stencils import boundary_row
+from repro.dpax.pe import INT32_MAX, INT32_MIN
 from repro.engine import Engine, EngineConfig, make_job
 from repro.engine.cache import compile_program
 from repro.engine.jobs import ENGINE_KERNELS
+from repro.engine.kernels import KERNELS
 from repro.engine.runners import (
     _cell_executor,
     build_dfg,
@@ -31,11 +37,13 @@ from repro.engine.runners import (
 )
 from repro.engine.specialize import (
     CellMemo,
+    cell_lines,
     specialize_cell,
     specialize_source,
 )
-from repro.engine.sweep import ARMED, SWEEPS, fuse_sweep
+from repro.engine.sweep import ARMED, SWEEPS, fuse_sweep, fused_source
 from repro.guard.sentinels import make_sentinel
+from repro.isa.compute import CUInstruction, Reg, SlotOp, VLIWInstruction
 
 PAYLOADS = {
     "bsw": {"query": "ACGTTGCAACGTAGCTAGCTTACG", "target": "ACGTAGCAACGAAGCTAGGTTACGTT"},
@@ -256,6 +264,238 @@ class TestSource:
         )
         assert specialize_cell(program)(7, 3) == (10, 4)
         assert _cell_executor(program, None)(7, 3) == (10, 4)
+
+
+def _way(dest, opcode, *operands):
+    return CUInstruction(
+        kind="tree", dest=Reg(dest), left=SlotOp(opcode, tuple(map(Reg, operands)))
+    )
+
+
+def _hand_built(*bundles, outputs):
+    """A two-input program (``a`` in r0, ``b`` in r1) of *bundles*."""
+    return dataclasses.replace(
+        _compiled("lcs"),
+        instructions=tuple(VLIWInstruction(*ways) for ways in bundles),
+        input_regs={"a": 0, "b": 1},
+        output_regs=outputs,
+    )
+
+
+#: sha1[:16] of each kernel's armed ``fused_source`` (DPMap's program,
+#: then the optimized one) as the eager emitter wrote it before values
+#: were inlined: the armed variant emits every way, unchanged.
+ARMED_SOURCES = {
+    "bsw": ("3c04f7f6026c77f2", "e4f8f009f4604515"),
+    "pairhmm": ("6a9b65f5935bb746", "6a9b65f5935bb746"),
+    "lcs": ("fc0c188a0b4b1720", "fc0c188a0b4b1720"),
+    "dtw": ("1e6dd1caa7bcc97a", "1e6dd1caa7bcc97a"),
+    "chain": ("42f7e7eaada0ecbe", "c31a32da6254192d"),
+}
+
+_DNA = st.text("ACGT", min_size=1, max_size=9)
+#: Small values and the int32 rails, whose differences and sums wrap.
+_SIGNAL = st.lists(
+    st.one_of(
+        st.integers(-50, 50), st.sampled_from([INT32_MIN, INT32_MAX, -(2**31) + 3])
+    ),
+    min_size=1,
+    max_size=7,
+)
+
+
+def _chain_job(steps, window):
+    anchors, x, y = [], 0, 0
+    for dx, dy in steps:
+        x, y = x + dx, y + dy
+        anchors.append([x, y, 19])
+    return "chain", {"anchors": anchors, "n": window}
+
+
+#: (kernel, payload) for every engine kernel.
+JOBS = st.one_of(
+    st.builds(
+        lambda kernel, stream, static: (
+            kernel, dict(zip(KERNELS[kernel].keys, (stream, static)))
+        ),
+        st.sampled_from(["bsw", "pairhmm", "lcs"]), _DNA, _DNA,
+    ),
+    st.builds(lambda a, b: ("dtw", {"a": a, "b": b}), _SIGNAL, _SIGNAL),
+    st.builds(
+        _chain_job,
+        st.lists(st.tuples(st.integers(0, 6000), st.integers(0, 6000)), max_size=10),
+        st.integers(1, 12),
+    ),
+)
+
+#: The rails each edge case must reach: 1xN and Nx1 tables, BSW's
+#: 16-bit lane saturation, PairHMM's one-column floor (underflows) and
+#: DTW's int32 wrap.
+EDGES = [
+    (("bsw", {"query": "A", "target": "ACGTTGCA"}), "lane_saturations"),
+    (("lcs", {"x": "ACGTTGCA", "y": "G"}), None),
+    (("bsw", PAYLOADS["bsw"]), "lane_saturations"),
+    (("pairhmm", {"read": "ACGTTGCA", "haplotype": "G"}), "underflows"),
+    (
+        ("dtw", {"a": [INT32_MAX, INT32_MIN], "b": [INT32_MIN, INT32_MAX - 1]}),
+        "int32_overflows",
+    ),
+    (_chain_job([(40, 30)] * 6, 7), None),
+]
+
+
+def _three_ways(kernel, payload, optimized):
+    """Fused, interpreted and armed runs of one job: equal values, and
+    the armed counts equal to the observing interpreter's."""
+    pipeline = None
+    if optimized:
+        from repro.opt import contract_for, default_pipeline
+
+        pipeline = default_pipeline(contract_for(kernel))
+    compiled = compile_program(kernel, 2, build_dfg(kernel), pipeline)
+    sentinel = make_sentinel(kernel)
+    oracle = _cell_executor(compiled, match_table_for(kernel), sentinel.observe)
+    interpreted = run_job(kernel, compiled, dict(payload), oracle)
+    fused = run_job(kernel, compiled, dict(payload))
+    armed = run_job(kernel, compiled, dict(payload, _sentinels=True))
+    counts = armed.pop("_sentinels")
+    assert fused == interpreted == armed
+    assert counts == sentinel.snapshot()
+    return counts
+
+
+class TestLazyEmission:
+    """Unarmed cells inline single-use values and number equal slots;
+    CI's "One recurrence per kernel" and "Call-free cells" steps run
+    this class (``-k LazyEmission``)."""
+
+    @pytest.mark.parametrize("same_bundle", [False, True])
+    @pytest.mark.parametrize("redefined", [False, True])
+    def test_value_read_after_its_register_is_redefined_stays_materialized(
+        self, redefined, same_bundle
+    ):
+        """``r3 = r2 * r2`` is read once, later; if ``r2`` is written
+        before that read -- a bundle earlier, or by an earlier way of
+        the reader's bundle -- inlining ``r3`` would read the new
+        ``r2``, so it keeps its local and the cell equals the
+        interpreter."""
+        clobber = _way(2 if redefined else 5, Opcode.SUB, 0, 1)
+        head = ([_way(2, Opcode.ADD, 0, 1)], [_way(3, Opcode.MUL, 2, 2)])
+        if same_bundle:
+            tail = ([clobber, _way(4, Opcode.ADD, 3, 0)],)
+        else:
+            tail = ([clobber], [_way(4, Opcode.ADD, 3, clobber.dest.index)])
+        outputs = {"out": 4, "last": clobber.dest.index}
+        program = _hand_built(*head, *tail, outputs=outputs)
+        source = specialize_source(program, has_match_table=False)
+        assert ("    r3 = (r2 * r2)\n" in source) == redefined
+        cell, oracle = specialize_cell(program), _cell_executor(program, None)
+        for args in ((7, 3), (-2, 9)):
+            assert cell(*args) == oracle(*args)
+
+    @pytest.mark.parametrize("redefined", [False, True])
+    def test_an_equal_slot_reads_the_local_only_while_it_holds_the_value(
+        self, redefined
+    ):
+        """``r3 = a + b`` repeats ``r2``'s slot: it reads ``r2`` -- unless
+        ``r2`` was written since, when it computes the sum again."""
+        program = _hand_built(
+            [_way(2, Opcode.ADD, 0, 1)],
+            [_way(4, Opcode.MUL, 2, 2), _way(2 if redefined else 5, Opcode.SUB, 0, 1)],
+            [_way(3, Opcode.ADD, 0, 1)],
+            outputs={"square": 4, "diff": 2 if redefined else 5, "sum": 3},
+        )
+        source = specialize_source(program, has_match_table=False)
+        assert ("    r3 = r2\n" in source) != redefined
+        cell, oracle = specialize_cell(program), _cell_executor(program, None)
+        for args in ((7, 3), (-2, 9)):
+            assert cell(*args) == oracle(*args)
+
+    def test_a_value_read_twice_or_by_its_own_bundle_keeps_its_local(self):
+        program = _hand_built(
+            [_way(2, Opcode.ADD, 0, 1)],
+            [_way(3, Opcode.MUL, 2, 2), _way(4, Opcode.SUB, 0, 1)],
+            [_way(5, Opcode.ADD, 3, 4)],
+            outputs={"out": 5},
+        )
+        source = specialize_source(program, has_match_table=False)
+        assert "    r2 = (r0 + r1)\n" in source  # read twice
+        assert "r5 = ((r2 * r2) + (r0 - r1))" in source  # each read once
+        assert specialize_cell(program)(7, 3) == _cell_executor(program, None)(7, 3)
+
+    def test_chains_gate_is_evaluated_once_and_its_gap_cost_lazily(self):
+        """DPMap's tree evaluates Chain's last select twice (``r23``
+        and inside ``r24``): value numbering reads ``r23`` instead, and
+        the gap cost -- ``_log2`` included -- sits in the branches the
+        gate takes."""
+        source = fused_source(_compiled("chain"), False)
+        assert source.count("r11 > 500") == 1
+        assert "r24 = (r23 if f_i < r23 else f_i)" in source
+        assert "r22 =" not in source and "r15 =" not in source
+        calls = []
+        namespace = {"_log2": lambda x: calls.append(x) or math.log2(x)}
+        exec(compile(source, "<chain>", "exec"), namespace)
+        anchors = [(0, 0), (100, 90), (7000, 120), (7050, 160), (7060, 7000)]
+        job = {"anchors": [[x, y, 19] for x, y in anchors], "n": 4}
+        from repro.engine.runners import _chain_operands
+
+        final = namespace["_sweep"](*_chain_operands("chain", job))
+        kept = [
+            (xi - xj, yi - yj)
+            for j, (xj, yj) in enumerate(anchors)
+            for xi, yi in anchors[j + 1 : j + 5]
+            if 0 < xi - xj <= 5000 and 0 < yi - yj <= 5000
+            and abs((xi - xj) - (yi - yj)) <= 500
+        ]
+        assert 0 < len(calls) == sum(dx != dy for dx, dy in kept) < 10
+        assert final == fuse_sweep(_compiled("chain"))(*_chain_operands("chain", job))
+
+    def test_nesting_adds_no_call(self):
+        """A nested value is the same expression in another place: the
+        unarmed sweeps call what the eager ones did -- nothing, and
+        Chain's ``int(_log2(...))`` once."""
+        for compiled in engine_programs():
+            match = match_table_for(compiled.kernel) is not None and MATCH_LOOKUP
+            source = "\n".join(cell_lines(compiled, match)[0])
+            tree = ast.parse(source)
+            calls = [node for node in ast.walk(tree) if isinstance(node, ast.Call)]
+            assert called_names(source) <= {"_log2", "int"}
+            assert len(calls) == (2 if compiled.kernel == "chain" else 0)
+
+    @pytest.mark.parametrize("kernel", ENGINE_KERNELS)
+    def test_armed_sources_are_byte_identical_to_the_eager_emitters(self, kernel):
+        from repro.opt import contract_for, default_pipeline
+
+        programs = (
+            _compiled(kernel),
+            compile_program(
+                kernel, 2, build_dfg(kernel), default_pipeline(contract_for(kernel))
+            ),
+        )
+        with_table = match_table_for(kernel) is not None
+        digests = tuple(
+            hashlib.sha1(
+                fused_source(compiled, with_table, armed=True).encode()
+            ).hexdigest()[:16]
+            for compiled in programs
+        )
+        assert digests == ARMED_SOURCES[kernel]
+
+    @settings(max_examples=60, deadline=None)
+    @given(job=JOBS, optimized=st.booleans())
+    @example(job=EDGES[0][0], optimized=False)
+    @example(job=EDGES[1][0], optimized=True)
+    @example(job=EDGES[3][0], optimized=False)
+    @example(job=EDGES[4][0], optimized=True)
+    @example(job=EDGES[5][0], optimized=True)
+    def test_fused_equals_interpreted_equals_armed(self, job, optimized):
+        _three_ways(*job, optimized)
+
+    @pytest.mark.parametrize("job, rail", EDGES)
+    def test_edge_cases_reach_their_rails(self, job, rail):
+        counts = _three_ways(*job, optimized=False)
+        if rail is not None:
+            assert counts[rail] > 0
 
 
 #: Everything generated code may call: the match table and Chain's

@@ -52,7 +52,7 @@ from repro.engine.sweep import (
     wavefront_sweep,
 )
 from repro.guard.sentinels import make_sentinel
-from repro.isa.compute import CUInstruction, Reg, SlotOp, VLIWInstruction
+from repro.isa.compute import CUInstruction, Imm, Reg, SlotOp, VLIWInstruction
 from repro.kernels.pairhmm import log_sum_lookup
 from repro.opt import contract_for, default_pipeline
 from repro.static.contracts import kernel_contract
@@ -224,7 +224,8 @@ class TestGeneratedSweeps:
     def test_bsw_source_is_the_hand_written_loop(self):
         """Both forms of one loop: the oracle's calls the cell, the
         production one holds it, with only the consumed outputs' cone
-        (BSW's traceback ``dir`` is not computed)."""
+        (BSW's traceback ``dir`` is not computed) and the diagonal
+        score, read once, inside the max that reads it."""
         compiled = compile_program("bsw", 2, build_dfg("bsw"))
         loop = "for t, h_up, e_up in zip(static, h_prev[1:], e_prev[1:]):"
         call = sweep_source(
@@ -235,7 +236,8 @@ class TestGeneratedSweeps:
         assert "if out[0] > acc_hmax: acc_hmax = out[0]" in call
         fused = fused_source(compiled, has_match_table=True)
         assert loop in fused
-        assert "r7 = (h_diag + _MATCH[s][t])" in fused
+        assert "(_t6 := (0 if (_t4 := (h_diag + _MATCH[s][t])) < 0 else _t4))" in fused
+        assert "r7 =" not in fused
         assert "if r10 > acc_hmax: acc_hmax = r10" in fused
         assert "h_left = r10" in fused and "h_diag = h_up" in fused
         assert "cell(" not in fused and "r11 =" not in fused and "r12 =" not in fused
@@ -470,16 +472,20 @@ class TestFusedSweepMemo:
             "dtw", forged, dict(payload)
         )
 
-    def test_match_lookup_only_where_both_operands_are_sequence_codes(self):
-        """A program that overwrites ``q`` before MATCH_SCORE reads it
-        is not fused; the interpreter runs its jobs instead."""
+    @staticmethod
+    def _bsw_with_q(slot):
+        """BSW with a first bundle that overwrites ``q`` with *slot*'s
+        value of ``t`` before MATCH_SCORE reads it."""
         clean = compile_program("bsw", 2, build_dfg("bsw"))
         q, t = clean.input_regs["q"], clean.input_regs["t"]
-        copy_t_to_q = CUInstruction(
-            kind="tree", dest=Reg(q), left=SlotOp(Opcode.COPY, (Reg(t),))
-        )
-        overwrite = VLIWInstruction(cu0=copy_t_to_q)
-        odd = dataclasses.replace(clean, instructions=(overwrite,) + clean.instructions)
+        overwrite = CUInstruction(kind="tree", dest=Reg(q), left=slot(Reg(t)))
+        first = VLIWInstruction(cu0=overwrite)
+        return dataclasses.replace(clean, instructions=(first,) + clean.instructions)
+
+    def test_match_lookup_only_where_both_operands_are_sequence_codes(self):
+        """A program whose MATCH_SCORE reads a computed ``q := t + 1``
+        is not fused; the interpreter runs its jobs instead."""
+        odd = self._bsw_with_q(lambda t: SlotOp(Opcode.ADD, (t, Imm(1))))
         with pytest.raises(SpecializationError, match="MATCH_SCORE"):
             fuse_sweep(odd, match_table_for("bsw"))
         payload = {"query": "ACGTT", "target": "AGGTC"}
@@ -487,6 +493,20 @@ class TestFusedSweepMemo:
         value = run_job("bsw", odd, {**payload, "_trace": trace})
         (span,) = value.pop("_trace_spans")
         assert span["args"]["path"] == "interpreted"
+        oracle = _cell_executor(odd, match_table_for("bsw"))
+        assert value == run_job("bsw", odd, payload, oracle)
+
+    def test_copied_sequence_code_is_a_valid_lookup(self):
+        """``q := t`` inlines as ``_MATCH[t][t]``, a lookup the tuple
+        covers: the program fuses and equals the interpreter."""
+        odd = self._bsw_with_q(lambda t: SlotOp(Opcode.COPY, (t,)))
+        assert "_MATCH[t][t]" in fused_source(odd, has_match_table=True)
+        assert fuse_sweep(odd, match_table_for("bsw")) is not None
+        payload = {"query": "ACGTT", "target": "AGGTC"}
+        trace = {"trace_id": "t", "job_id": 1}
+        value = run_job("bsw", odd, {**payload, "_trace": trace})
+        (span,) = value.pop("_trace_spans")
+        assert span["args"]["path"] == "fused"
         oracle = _cell_executor(odd, match_table_for("bsw"))
         assert value == run_job("bsw", odd, payload, oracle)
 

@@ -6,6 +6,8 @@ event lost, none double-billed.
 """
 
 import asyncio
+import sys
+import threading
 
 from repro.engine import Engine, EngineConfig
 from repro.engine.metrics import COUNTERS
@@ -62,6 +64,37 @@ class TestLedgerFolds:
         assert usage["tenant_jobs_submitted"] == 1
         assert usage["tenant_rejections"] == 2
         assert usage["tenant_quota_rejections"] == 1
+
+    def test_racing_first_sights_share_one_registry_per_tenant(self):
+        """Lookups read the dict without the lock; a tenant's first
+        sight takes it.  Threads racing on fresh tenants must all get
+        the one registry that is kept, or counts would be lost."""
+        ledger = TenantLedger()
+        tenants = [f"t{i}" for i in range(300)]
+        seen = []
+        start = threading.Barrier(8)
+
+        def look_up(offset):
+            order = tenants[offset:] + tenants[:offset]
+            start.wait(timeout=30)
+            seen.append({tenant: ledger._registry(tenant) for tenant in order})
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [
+                threading.Thread(target=look_up, args=(i % 2,)) for i in range(8)
+            ]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=30)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        assert len(seen) == 8 and ledger.tenants == tuple(sorted(tenants))
+        for tenant in tenants:
+            assert all(lookups[tenant] is ledger._tenants[tenant] for lookups in seen)
 
     def test_result_fold_bills_cells_only_on_success(self):
         ledger = TenantLedger()
