@@ -10,6 +10,11 @@ registers, as one function or inlined in the engine's sweep) and
 register-file words) -- so it lives beside ``_apply``, below both, and
 imports neither.
 
+Beside the scalar templates sit the lane ones,
+:data:`ARRAY_EXPRESSIONS`: the same opcodes over numpy int64 arrays,
+for Chain's band sweep (:mod:`repro.engine.band`).  This module
+imports numpy only inside the helpers those call.
+
 Ways and slots are duck-typed (``repro.isa.compute`` imports this
 package, not the other way round); how an operand turns into source
 text -- a local name, an RF word, one SIMD lane of it -- is the
@@ -38,8 +43,9 @@ left before right, as the call evaluated its arguments.
 
 from __future__ import annotations
 
+import functools
 import math
-from typing import Any, Callable, Dict, List, Optional, Sequence, Union
+from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple, Union
 
 from repro.dfg.graph import OPCODE_ARITY, Opcode
 from repro.kernels.pairhmm import _LOG_SUM_TABLE, _LOG_SUM_TABLE_SPAN
@@ -89,13 +95,89 @@ _EXPRESSIONS: Dict[Opcode, str] = {
 #: MATCH_SCORE fallback when no match table is bound (mirrors _apply).
 _DEFAULT_MATCH = "(1 if {0} == {1} else -1)"
 
+#: Opcode -> template over numpy int64 lane arrays (``_np``): the same
+#: operation on many cells at once, exact wherever every value stays
+#: inside int64 (the caller proves it; :mod:`repro.engine.band`).
+#: Operands are array names or int literals, each read as often as the
+#: template says (no side effects to repeat); an opcode missing here
+#: has no lane form.
+ARRAY_EXPRESSIONS: Dict[Opcode, str] = {
+    Opcode.ADD: "({0} + {1})",
+    Opcode.SUB: "({0} - {1})",
+    Opcode.MUL: "({0} * {1})",
+    Opcode.MAX: "_np.maximum({0}, {1})",
+    Opcode.MIN: "_np.minimum({0}, {1})",
+    Opcode.SHL16: "({0} << 16)",
+    Opcode.SHR16: "({0} >> 16)",
+    Opcode.COPY: "{0}",
+    Opcode.LOG2_LUT: "_log2_lanes({0})",
+    Opcode.CMP_GT: "_np.where({0} > {1}, {2}, {3})",
+    Opcode.CMP_EQ: "_np.where({0} == {1}, {2}, {3})",
+}
+
+#: A compare's decision alone, as a bool lane array: where it selects
+#: its first arm, and where its second.
+ARRAY_CONDITIONS: Dict[Opcode, Tuple[str, str]] = {
+    Opcode.CMP_GT: ("({0} > {1})", "({0} <= {1})"),
+    Opcode.CMP_EQ: ("({0} == {1})", "({0} != {1})"),
+}
+
+#: Entries of the LOG2_LUT lane table; lanes at or past it take the
+#: scalar template.
+LOG2_LANES = 1 << 12
+
+
+@functools.lru_cache(maxsize=1)
+def _log2_lane_table():
+    """LOG2_LUT for 0 .. LOG2_LANES - 1 through the scalar template, as
+    an int64 array, and the scalar template as a function."""
+    import numpy
+
+    scalar = eval(
+        "lambda x: " + op_expression(Opcode.LOG2_LUT, ["x"], False, []),
+        {"_log2": math.log2},
+    )
+    return numpy.array([scalar(x) for x in range(LOG2_LANES)], numpy.int64), scalar
+
+
+def log2_lanes(values):
+    """LOG2_LUT over an int64 lane array, lane for lane what
+    ``int(math.log2(x) * 2.0)`` gives (0 for ``x <= 0``).
+
+    Never ``numpy.log2``: its SIMD paths round differently by host, and
+    one ulp flips ``int(... * 2.0)`` at exact powers of two.  Lanes
+    inside the table read it; the rest call the scalar template.
+    """
+    import numpy
+
+    table, scalar = _log2_lane_table()
+    out = table[numpy.minimum(numpy.maximum(values, 0), LOG2_LANES - 1)]
+    far = values >= LOG2_LANES
+    if far.any():
+        out[far] = [scalar(value) for value in values[far].tolist()]
+    return out
+
+
+def window_lanes(values, width: int):
+    """The ``(len(values) - width + 1, width)`` windows of a 1-D lane
+    array, row ``r`` reading ``values[r : r + width]``: a view."""
+    import numpy
+
+    values = numpy.ascontiguousarray(values)
+    step = values.itemsize
+    shape = (len(values) - width + 1, width)
+    return numpy.ndarray(shape, values.dtype, values, 0, (step, step))
+
 
 def expression_namespace(match_table: Optional[Callable] = None) -> Dict[str, Any]:
-    """The globals generated code evaluates the templates in."""
+    """The globals generated code evaluates the templates in (the
+    lane templates' too: numpy is imported only when one runs)."""
     return {
         MATCH_TABLE: match_table,
         "_log2": math.log2,
         "_LOG_SUM_TABLE": _LOG_SUM_TABLE,
+        "_log2_lanes": log2_lanes,
+        "_window": window_lanes,
     }
 
 

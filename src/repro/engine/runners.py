@@ -208,8 +208,8 @@ def run_job(
     ``_sentinels`` -- or, for a program that cannot be fused, the
     interpreter, observing when armed.  Any other *cell* -- the
     oracle, :func:`_cell_executor`'s closure -- is called per cell.
-    The ``job:run`` span's ``path`` names what ran: ``fused``, or the
-    called cell's own ``path`` (``interpreted``).
+    The ``job:run`` span's ``path`` names what ran: ``band``, ``fused``,
+    or the called cell's own ``path`` (``interpreted``).
     """
     row = _row(kernel)
     if _in_worker():
@@ -263,7 +263,7 @@ def run_job(
                 job_id=trace.get("job_id") if isinstance(trace, dict) else None,
                 tenant=trace.get("tenant") if isinstance(trace, dict) else None,
                 in_pool=_in_worker(),
-                path=path,
+                path=final.get("path", path),  # Chain's band sweep says so
             )
         ]
     return value

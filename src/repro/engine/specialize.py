@@ -28,6 +28,10 @@ The interpreter survives as the oracle the differential tests and the
 guard fuzzer pass in, and runs a job itself only for a program that
 cannot be fused.
 
+:func:`value_graph` is the first pass of :func:`cell_lines` on its
+own: every operand resolved to the value it reads.  Chain's band
+sweep (:mod:`repro.engine.band`) splits a cell along it.
+
 :class:`CellMemo` is the per-process memo of sweeps (its two instances
 are :data:`repro.engine.sweep.SWEEPS` and ``ARMED``).  It is keyed by
 content (``(kernel, program_hash)``), not hung off each
@@ -107,6 +111,98 @@ def observed_per_cell(compiled: CompiledProgram) -> int:
     )
 
 
+class ValueGraph(NamedTuple):
+    """A cell's ways as values (:class:`_Value`), in emission order."""
+
+    values: List[_Value]
+    #: register -> the value it holds after the last bundle.
+    current: Dict[int, int]
+    #: register -> the values written to it, in order.
+    writes: Dict[int, List[int]]
+    #: Per bundle: does a way read what an earlier way of it writes?
+    hazards: List[bool]
+    #: Per bundle: its values.
+    groups: List[range]
+
+
+def _is_zero(item, current: Dict[int, int], bound: Dict[int, str]) -> bool:
+    """A literal 0: an immediate, or an unwritten input bound as ``0``."""
+    if isinstance(item, Imm):
+        return type(item.value) is int and item.value == 0
+    return item.index not in current and bound.get(item.index) == "0"
+
+
+def _without_zero(slot: SlotOp, zero: Callable[[Any], bool]) -> SlotOp:
+    """``0 + x``, ``x + 0`` and ``x - 0`` as a COPY of ``x``."""
+    if slot.opcode is Opcode.ADD and zero(slot.operands[0]):
+        return SlotOp(Opcode.COPY, slot.operands[1:])
+    if slot.opcode in (Opcode.ADD, Opcode.SUB) and zero(slot.operands[1]):
+        return SlotOp(Opcode.COPY, slot.operands[:1])
+    return slot
+
+
+def value_graph(
+    compiled: CompiledProgram,
+    targets: Sequence[int],
+    bound: Dict[int, str],
+    lazy: bool = True,
+) -> ValueGraph:
+    """Every operand of the ways *targets* depend on resolved to the
+    value it reads (all ways, unless *lazy*).
+
+    Lazily, a slot repeating a value its register still holds (same
+    opcode, same operand values) becomes a COPY of it, outside hazard
+    bundles, and an ADD of a literal 0 or a SUB of one a COPY of the
+    other operand -- exact because engine sweeps carry only ints
+    (``0 + -0.0`` would be ``0.0``).
+    """
+    bundles = [bundle.ways for bundle in compiled.instructions]
+    if lazy:
+        bundles = _cone(compiled.instructions, set(targets))
+
+    values: List[_Value] = []
+    current: Dict[int, int] = {}  # register -> value, as its bundle reads it
+    writes: Dict[int, List[int]] = {}  # register -> the values written to it
+    numbered: Dict[Tuple[Any, ...], int] = {}  # (opcode, *operands) -> value
+    hazards: List[bool] = []
+    groups: List[range] = []  # each bundle's values
+
+    def zero(item) -> bool:
+        return _is_zero(item, current, bound)
+
+    for number, ways in enumerate(bundles):
+        dests = [way.dest.index for way in ways]
+        hazard = any(_reads(way) & set(dests[:k]) for k, way in enumerate(ways))
+        hazards.append(hazard)
+        for way in ways:
+            operands, copies, keys = [], {}, []
+            for name in ("mul",) if way.kind == "mul" else ("left", "right"):
+                slot = getattr(way, name)
+                if slot is None:
+                    continue
+                bare = _without_zero(slot, zero) if lazy else slot
+                if bare is not slot:
+                    slot = copies[name] = bare
+                read = [
+                    repr(item.value) if isinstance(item, Imm)
+                    else current.get(item.index, ~item.index)
+                    for item in slot.operands
+                ]
+                keys.append((slot.opcode, *read))
+                hit = numbered.get(keys[-1]) if lazy and not hazard else None
+                if hit is not None and writes[values[hit].way.dest.index][-1] == hit:
+                    copies[name] = SlotOp(Opcode.COPY, (values[hit].way.dest,))
+                    read = [hit]
+                operands += read
+            if lazy and not hazard and way.root is None and keys:
+                numbered[keys[0]] = len(values)
+            writes.setdefault(way.dest.index, []).append(len(values))
+            values.append(_Value(replace(way, **copies), operands, number))
+        groups.append(range(len(values) - len(ways), len(values)))
+        current.update(zip(dests, groups[-1]))
+    return ValueGraph(values, current, writes, hazards, groups)
+
+
 def cell_lines(
     compiled: CompiledProgram,
     has_match_table: Union[bool, str],
@@ -122,7 +218,9 @@ def cell_lines(
     branch that takes it) wherever every register its text reads,
     transitively, still holds what it read; and a slot repeating a
     value a local still holds (same opcode, same operand values) reads
-    that local.  With a *sentinel*, every way is emitted eagerly, each
+    that local; an ADD of a literal 0, or a SUB of one, is the other
+    operand (exact: engine sweeps carry only ints, and ``0 + -0.0``
+    alone would differ).  With a *sentinel*, every way is emitted eagerly, each
     value the interpreter observes bound to a local and counted at the
     end of its bundle (:meth:`~repro.guard.sentinels.Sentinel.count_line`).
     Bundles commit register writes only after every way of the bundle
@@ -144,43 +242,10 @@ def cell_lines(
     names = list(compiled.output_regs) if outputs is None else list(outputs)
     targets = [compiled.output_regs[name] for name in names]
     lazy = sentinel is None
-    bundles = [bundle.ways for bundle in compiled.instructions]
-    if lazy:
-        bundles = _cone(compiled.instructions, set(targets))
+    values, current, writes, hazards, groups = value_graph(
+        compiled, targets, bound, lazy
+    )
 
-    values: List[_Value] = []
-    current: Dict[int, int] = {}  # register -> value, as its bundle reads it
-    writes: Dict[int, List[int]] = {}  # register -> the values written to it
-    numbered: Dict[Tuple[Any, ...], int] = {}  # (opcode, *operands) -> value
-    hazards: List[bool] = []
-    groups: List[range] = []  # each bundle's values
-    for number, ways in enumerate(bundles):
-        dests = [way.dest.index for way in ways]
-        hazard = any(_reads(way) & set(dests[:k]) for k, way in enumerate(ways))
-        hazards.append(hazard)
-        for way in ways:
-            operands, copies, keys = [], {}, []
-            for name in ("mul",) if way.kind == "mul" else ("left", "right"):
-                slot = getattr(way, name)
-                if slot is None:
-                    continue
-                read = [
-                    repr(item.value) if isinstance(item, Imm)
-                    else current.get(item.index, ~item.index)
-                    for item in slot.operands
-                ]
-                keys.append((slot.opcode, *read))
-                hit = numbered.get(keys[-1]) if lazy and not hazard else None
-                if hit is not None and writes[values[hit].way.dest.index][-1] == hit:
-                    copies[name] = SlotOp(Opcode.COPY, (values[hit].way.dest,))
-                    read = [hit]
-                operands += read
-            if lazy and not hazard and way.root is None and keys:
-                numbered[keys[0]] = len(values)
-            writes.setdefault(way.dest.index, []).append(len(values))
-            values.append(_Value(replace(way, **copies), operands, number))
-        groups.append(range(len(values) - len(ways), len(values)))
-        current.update(zip(dests, groups[-1]))
     missing = sorted(set(targets) - current.keys() - bound.keys())
     if missing:
         raise SpecializationError(f"output registers never written: {missing}")

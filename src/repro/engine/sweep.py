@@ -32,6 +32,17 @@ A loop nest comes in two forms with one body slot:
 - **call** (:func:`sweep_source`, :func:`wavefront_sweep`): the slot
   calls the cell it is handed, the interpreter.
 
+Chain's unarmed fused sweep has a third form beside it, the **band**
+sweep (:func:`chain_band_source`): the cell split by
+:mod:`repro.engine.band` into the cone that reads only anchors, run
+as numpy over blocks of (anchor, window) lanes, and the carried cone,
+folded over the pairs the gates keep.  A task of
+:data:`BAND_MIN_LANES` lanes or more runs it (built at the first such
+task, so numpy, the split and :mod:`repro.static` load only then); a
+smaller one, one whose inputs fall outside what the split proved, or
+a program the split refuses runs the scalar fused sweep.  The band
+sweep's final state says ``'path': 'band'``.
+
 Every input is bound **by name**, in whatever order the program's
 ``input_regs`` lists it.  A program whose signature the roles cannot
 serve -- an input with no dataflow role, a consumed output it does not
@@ -42,7 +53,7 @@ from __future__ import annotations
 
 import functools
 import re
-from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
+from typing import TYPE_CHECKING, Any, Callable, Dict, List, Optional, Sequence, Tuple
 
 from repro.dfg.expressions import MATCH_LOOKUP, expression_namespace
 from repro.dfg.graph import Opcode
@@ -52,6 +63,9 @@ from repro.engine.jobs import JobValidationError
 from repro.engine.specialize import CellMemo, MatchTable, SpecializationError, cell_lines
 from repro.guard.sentinels import SENTINEL_FIELDS, make_sentinel
 from repro.seq.alphabet import DNA_ALPHABET
+
+if TYPE_CHECKING:
+    from repro.engine.band import BandCell
 
 #: ``sweep([cell,] stream, static, row0)`` / ``sweep([cell,] anchors,
 #: n)`` -> final state: the last row of every output the recurrence
@@ -70,6 +84,22 @@ _FOLDS = {Opcode.MAX: ">", Opcode.MIN: "<"}
 CHAIN_INPUTS = ("x_i", "x_j", "y_i", "y_j", "w", "f_j", "f_i", "j_idx", "parent")
 CHAIN_OUTPUTS = ("f", "parent")
 _CHAIN_LOCALS = {name: name for name in CHAIN_INPUTS} | {"j_idx": "j"}
+
+#: Chain's roles in its band sweep (:mod:`repro.engine.band`): each
+#: band input's anchor and point column, what the fold reads every
+#: other input from, and the input each output overwrites.
+_CHAIN_LANES = {
+    "x_i": ("i", 0), "y_i": ("i", 1), "w": ("i", 2), "x_j": ("j", 0), "y_j": ("j", 1)
+}
+_CHAIN_CARRIED = {"f_j": "scores[j]", "f_i": "scores[i]", "j_idx": "j", "parent": "parents[i]"}
+_CHAIN_STATE = {"f": "f_i", "parent": "parent"}
+
+#: Band lanes (anchors x window) from which a Chain task runs its band
+#: sweep: below, numpy's fixed cost per call outweighs what the lanes
+#: save (see DESIGN.md, "Chain's band").
+BAND_MIN_LANES = 1024
+#: Lanes per block of the band: what bounds its arrays' memory.
+BAND_BLOCK_LANES = 1 << 14
 
 
 def _wavefront_source(
@@ -187,6 +217,126 @@ def _chain_source(
     return "\n".join(lines) + "\n"
 
 
+def _chain_floor() -> int:
+    """The score floor the band's skip proof assumes: the contract's.
+    Scores only grow from ``w * SCALE``, so it is the one bound of
+    theirs that holds from pair to pair."""
+    from repro.static.contracts import kernel_contract
+
+    return kernel_contract("chain").inputs["f_i"].lo
+
+
+def chain_band_cell(compiled: CompiledProgram) -> "BandCell":
+    """*compiled*'s cell split for the band sweep (raises
+    :class:`SpecializationError` for a program the split refuses).
+    The split is imported here: a process without a band-sized task
+    never loads it."""
+    from repro.engine.band import split_cell
+    from repro.static.intervals import Interval
+
+    return split_cell(
+        compiled,
+        {name: role for name, (role, _) in _CHAIN_LANES.items()},
+        _CHAIN_CARRIED,
+        _CHAIN_STATE,
+        {name: Interval(_chain_floor(), None) for name in ("f_j", "f_i")},
+    )
+
+
+def chain_band_source(compiled: CompiledProgram) -> str:
+    """Source of *compiled*'s band sweep, ``_sweep(anchors, n)``: the
+    band cone over blocks of (anchor, window) lanes in numpy, the fold
+    over the lanes the gates keep.  A task outside what the split
+    proved (inputs past its bound, a score below the contract's floor)
+    or without a pair calls ``_scalar``, the fused sweep, instead.
+    """
+    from repro.kernels.chain_fixed import SCALE
+
+    cell, floor = chain_band_cell(compiled), _chain_floor()
+    columns = tuple(sorted({_CHAIN_LANES[name][1] for name in cell.leaves}))
+    slices = {"i": "j0 + 1 : j1 + width", "j": "j0 : j1"}
+    locals_ = ", ".join(["j", "i"] + [name for name, _ in cell.exports])
+    lists = ", ".join(
+        ["(r + j0).tolist()", "(ik + (j0 + 1)).tolist()"]
+        + [f"{array}.tolist()" for _, array in cell.exports]
+    )
+    lines = [
+        "def _sweep(anchors, n):",
+        "    count = len(anchors)",
+        "    width = n if n < count else count - 1",
+        "    if width < 1:",
+        "        return _scalar(anchors, n)",
+        "    columns = list(zip(*[(anchor.x, anchor.y, anchor.w) for anchor in anchors]))",
+        f"    scores = [w * {SCALE!r} for w in columns[2]]",
+        f"    checked = [columns[k] for k in {columns!r}]",
+        f"    if min(scores) < {floor!r} or not"
+        f" {-cell.bound} <= min(map(min, checked)) <= max(map(max, checked)) <= {cell.bound}:",
+        "        return _scalar(anchors, n)",
+        "    import numpy as _np",
+        # Each column padded with its first anchor's value: the last
+        # rows' windows read past the end, on lanes ``real`` drops.
+        *(
+            f"    c{k} = _np.array(columns[{k}] + columns[{k}][:1] * width, _np.int64)"
+            for k in columns
+        ),
+        "    parents = [-1] * count",
+        f"    rows = max(1, {BAND_BLOCK_LANES} // width)",
+        "    for j0 in range(0, count - 1, rows):",
+        "        j1 = min(j0 + rows, count - 1)",
+        *(
+            f"        {name} = c{_CHAIN_LANES[name][1]}[{slices[_CHAIN_LANES[name][0]]}]"
+            for name in sorted(cell.leaves)
+        ),
+        *("        " + line for line in cell.block),
+        f"        lanes = _np.flatnonzero({cell.keep})" if cell.keep
+        else "        lanes = _np.arange((j1 - j0) * width)",
+        "        r = lanes // width",
+        "        ik = lanes - r * (width - 1)",
+        # The last rows' windows run past the last anchor.
+        "        real = ik < count - 1 - j0",
+        "        if not real.all():",
+        "            lanes, r, ik = lanes[real], r[real], ik[real]",
+        *("        " + line for line in cell.kept),
+        f"        for {locals_} in zip({lists}):",
+        *("            " + line for line in cell.fold),
+        *(["            if " + cell.guard + ":"] if cell.guard else []),
+        f"            {'    ' * bool(cell.guard)}scores[i] = {cell.values['f']}",
+        f"            {'    ' * bool(cell.guard)}parents[i] = {cell.values['parent']}",
+        "    return {'scores': scores, 'parents': parents, 'path': 'band'}",
+    ]
+    return "\n".join(lines) + "\n"
+
+
+def band_sweep(compiled: CompiledProgram, scalar: Sweep) -> Sweep:
+    """Compile *compiled*'s :func:`chain_band_source` around *scalar*,
+    its fused sweep; *scalar* itself for a program the split refuses."""
+    try:
+        source = chain_band_source(compiled)
+    except SpecializationError:
+        return scalar
+    namespace = expression_namespace()
+    namespace["_scalar"] = scalar
+    exec(compile(source, f"<gendp-band:{compiled.kernel}>", "exec"), namespace)
+    return namespace["_sweep"]
+
+
+def _banded(compiled: CompiledProgram, scalar: Sweep) -> Sweep:
+    """*scalar*, with tasks of :data:`BAND_MIN_LANES` lanes or more
+    handed to the band sweep, built when the first one comes."""
+    band: Optional[Sweep] = None
+
+    def sweep(anchors, n):
+        nonlocal band
+        count = len(anchors)
+        if count * min(n, count - 1) < BAND_MIN_LANES:
+            return scalar(anchors, n)
+        if band is None:
+            band = band_sweep(compiled, scalar)
+        return band(anchors, n)
+
+    return sweep
+
+
 def _source(kernel: str, *args: Any) -> str:
     """*kernel*'s loop nest: the rest of the arguments are its generator's."""
     if kernel in WAVEFRONT_SPECS:
@@ -266,7 +416,9 @@ def fuse_sweep(
             tuple(match_table(a, b) for b in codes) for a in codes
         )
     exec(compile(source, f"<gendp-fused:{compiled.kernel}>", "exec"), namespace)
-    return namespace["_sweep"]
+    if armed or compiled.kernel in WAVEFRONT_SPECS:
+        return namespace["_sweep"]
+    return _banded(compiled, namespace["_sweep"])
 
 
 #: The process's fused sweeps, one per program content: a fresh engine

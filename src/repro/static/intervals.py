@@ -317,6 +317,24 @@ def _eq_decision(a: Interval, b: Interval) -> Optional[bool]:
     return None
 
 
+def selected(opcode: Opcode, args: Sequence[Interval]) -> Optional[int]:
+    """The operand a select-like opcode returns for *every* concrete
+    argument inside *args* (its index), or ``None`` when the intervals
+    do not decide it.  ``MAX(a, b)`` is ``b if a < b else a`` and
+    ``MIN(a, b)`` ``b if a > b else a``, as :func:`repro.dfg.graph._apply`."""
+    if opcode is Opcode.COPY:
+        return 0
+    if opcode in (Opcode.MAX, Opcode.MIN):
+        a, b = args[0], args[1]
+        decided = _gt_decision(b, a) if opcode is Opcode.MAX else _gt_decision(a, b)
+        return None if decided is None else int(decided)
+    if opcode in (Opcode.CMP_GT, Opcode.CMP_EQ):
+        decide = _gt_decision if opcode is Opcode.CMP_GT else _eq_decision
+        decided = decide(args[0], args[1])
+        return None if decided is None else 3 - int(decided)
+    return None
+
+
 def transfer(
     opcode: Opcode,
     args: Sequence[Interval],

@@ -10,6 +10,7 @@ from repro.static.intervals import (
     INT32,
     Interval,
     WIDENING_RAILS,
+    selected,
     transfer,
 )
 
@@ -136,3 +137,40 @@ class TestTransferSoundness:
 
     def test_int32_constant(self):
         assert INT32 == Interval(INT32_MIN, INT32_MAX)
+
+
+class TestSelected:
+    """``selected`` names the operand a select returns for every
+    concrete argument, the way ``_apply`` computes it, or ``None``."""
+
+    @pytest.mark.parametrize(
+        "opcode", [Opcode.MAX, Opcode.MIN, Opcode.CMP_GT, Opcode.CMP_EQ, Opcode.COPY],
+        ids=lambda o: o.value,
+    )
+    def test_decided_picks_match_concrete_results(self, opcode):
+        rng = random.Random(hash(opcode.value) & 0xFFFF)
+        arity = OPCODE_ARITY[opcode]
+        decided = 0
+        for _ in range(400):
+            intervals = []
+            for _ in range(arity):
+                lo = rng.randint(-20, 20)
+                intervals.append(Interval(lo, lo + rng.choice([0, 0, 1, 5])))
+            pick = selected(opcode, intervals)
+            if pick is None:
+                continue
+            decided += 1
+            for _ in range(20):
+                points = [rng.randint(i.lo, i.hi) for i in intervals]
+                chosen = _concrete_apply(opcode, points)
+                assert chosen == points[pick], (opcode, intervals, points, pick)
+        assert decided > 20
+
+    def test_ties_go_as_apply_sends_them(self):
+        # MAX(a, b) is b only if a < b: on a tie it is a.
+        assert selected(Opcode.MAX, [Interval(3, 3), Interval(3, 3)]) == 0
+        assert selected(Opcode.MAX, [Interval(0, 0), Interval(-(1 << 30), -(1 << 30))]) == 0
+        assert selected(Opcode.MAX, [Interval(None, 2), Interval(3, None)]) == 1
+        assert selected(Opcode.MIN, [Interval(5, 9), Interval(0, 5)]) is None
+        assert selected(Opcode.CMP_GT, [Interval(-(1 << 30), -(1 << 30)), Interval(0, None)] + [Interval(0, 0)] * 2) == 3
+        assert selected(Opcode.ADD, [Interval(0, 0), Interval(1, 1)]) is None
