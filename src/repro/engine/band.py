@@ -13,14 +13,15 @@ template per operation.  What reads the carried state is the
 **carried cone**: it runs in the scalar fold,
 :func:`~repro.engine.specialize.cell_lines` over the program with each
 band value it reads turned into an input, read from a per-lane list.
-Both cones come from one value graph,
-:func:`~repro.engine.specialize.value_graph`, at slot granularity.
+Both cones come from one value graph at slot granularity,
+:func:`~repro.isa.values.slot_graph`, the one the interval analysis
+reads.
 
 A compare whose compared operands are band values and whose selected
 operands are not is a **gate**: its decision is a band value.  A lane
 is skipped where a gate decides for a literal arm that interval
 reasoning proves leaves the lane's state unchanged, whatever every
-other gate decides (:func:`repro.static.intervals.selected` over the
+other gate decides (:func:`repro.static.intervals.evaluate` over the
 carried inputs' assumed intervals: Chain's ``-2^30`` loses every
 ``MAX`` against a score ``>= 0``).  On the lanes left, that gate's
 decision is known and its select is a copy; and where every state
@@ -34,7 +35,8 @@ largest power of two that proves it), and every state output stays
 inside its input's assumed interval, so the assumption holds from pair
 to pair.  Left to the sweep, per task: the inputs inside the bound and
 the initial state inside the assumed intervals.  A program the split
-cannot serve raises :class:`~repro.engine.specialize.SpecializationError`.
+cannot serve raises :class:`~repro.engine.specialize.SpecializationError`
+(a malformed one, the graph's ``ValueError``).
 """
 
 from __future__ import annotations
@@ -45,41 +47,19 @@ from typing import Dict, FrozenSet, List, Mapping, NamedTuple, Optional, Sequenc
 from typing import Tuple, Union
 
 from repro.dfg.expressions import ARRAY_CONDITIONS, ARRAY_EXPRESSIONS
-from repro.dfg.graph import OPCODE_ARITY, Opcode
+from repro.dfg.graph import Opcode
 from repro.engine.cache import CompiledProgram
-from repro.engine.specialize import SpecializationError, ValueGraph, cell_lines
-from repro.engine.specialize import value_graph
+from repro.engine.specialize import SpecializationError, cell_lines
 from repro.isa.compute import Imm, Reg, SlotOp, VLIWInstruction
+from repro.isa.values import Node, Ref, SlotGraph, slot_graph
+from repro.static.intervals import Interval, evaluate
 
-#: A node's operand: another node, an input by name, or a literal.
-Ref = Union[int, str, Imm]
 #: What the fold reads from a lane list: a band value, or a gate's
 #: decision (``("if", gate)``).
 Export = Union[Ref, Tuple[str, int]]
 
-_INT64 = (-(1 << 63), (1 << 63) - 1)
+_INT64 = Interval(-(1 << 63), (1 << 63) - 1)
 _IJ = frozenset("ij")
-
-
-
-class _Node(NamedTuple):
-    """One slot or tree root of a way: its opcode and what it reads."""
-
-    opcode: Opcode
-    operands: Tuple[Ref, ...]
-
-
-class _Cell(NamedTuple):
-    """A cell's value graph at slot granularity."""
-
-    graph: ValueGraph
-    nodes: List[_Node]
-    #: Per value: its slots' nodes by slot name.
-    slots: List[Dict[str, int]]
-    #: Per value: the node whose result it writes.
-    finals: List[int]
-    #: Per output: what it reads after the last bundle.
-    ends: Dict[str, Ref]
 
 
 class BandCell(NamedTuple):
@@ -118,56 +98,8 @@ class BandCell(NamedTuple):
     values: Dict[str, str]
 
 
-def _cell(compiled: CompiledProgram, outputs: Sequence[str]) -> _Cell:
-    """The cone of *outputs* in slot-level nodes."""
-    names = {index: name for name, index in compiled.input_regs.items()}
-    targets = [compiled.output_regs[name] for name in outputs]
-    graph = value_graph(compiled, targets, {})
-    nodes: List[_Node] = []
-    slots: List[Dict[str, int]] = []
-    finals: List[int] = []
-
-    def add(opcode: Opcode, operands: Sequence[Optional[Ref]]) -> int:
-        if None in operands:
-            raise SpecializationError("a tree root reads an empty leaf")
-        nodes.append(_Node(opcode, tuple(operands)))
-        return len(nodes) - 1
-
-    def ref(item, entry) -> Ref:
-        if isinstance(item, Imm):
-            return item
-        if entry >= 0:
-            return finals[entry]
-        # Never written: an input, or a register the interpreter reads as 0.
-        return names.get(~entry, Imm(0))
-
-    for value in graph.values:
-        way, entries = value.way, iter(value.operands)
-        parts: Dict[str, int] = {}
-        for name in ("mul",) if way.kind == "mul" else ("left", "right"):
-            slot = getattr(way, name)
-            if slot is not None:
-                parts[name] = add(
-                    slot.opcode, [ref(item, next(entries)) for item in slot.operands]
-                )
-        if way.root is None:
-            final = parts.get("mul", parts.get("left", parts.get("right")))
-        elif OPCODE_ARITY[way.root] == 1:
-            final = add(way.root, [parts.get("left")])
-        else:
-            pair = [parts.get("left"), parts.get("right")]
-            final = add(way.root, pair[::-1] if way.root_swapped else pair)
-        slots.append(parts)
-        finals.append(final)
-    ends = {
-        name: finals[graph.current[index]] if index in graph.current else names[index]
-        for name, index in zip(outputs, targets)
-    }
-    return _Cell(graph, nodes, slots, finals, ends)
-
-
 def _roles(
-    nodes: List[_Node], lanes: Mapping[str, str]
+    nodes: List[Node], lanes: Mapping[str, str]
 ) -> Tuple[Dict[int, FrozenSet[str]], Set[int]]:
     """Each band node's roles (``i``, ``j`` or both: which anchors it
     reads), and the gates.  A node reading no input at all is carried:
@@ -193,92 +125,63 @@ def _roles(
     return band, gates
 
 
-def _band_intervals(nodes: List[_Node], band, bound: int):
-    """Each band node's interval for band inputs in ``[-bound, bound]``,
-    or ``None`` where a value or literal it reads or makes leaves int64."""
-    from repro.static.intervals import Interval, transfer
-
-    domain, inside = Interval(-bound, bound), Interval(*_INT64)
-    intervals: Dict[int, object] = {}
-    for number in sorted(band):
-        node = nodes[number]
-        args = [
-            Interval.const(operand.value) if isinstance(operand, Imm)
-            else domain if isinstance(operand, str) else intervals[operand]
-            for operand in node.operands
-        ]
-        intervals[number] = transfer(node.opcode, args)
-        if not all(value.within(inside) for value in (*args, intervals[number])):
-            return None
-    return intervals
+def _int64_safe(cell: SlotGraph, band, leaf) -> bool:
+    """Whether every band node, and every literal it reads, stays
+    inside int64 with the inputs as *leaf* gives them."""
+    values = evaluate(cell.nodes, leaf)
+    return all(
+        interval.within(_INT64)
+        for number in band
+        for interval in (values[number][1], *(
+            Interval.const(operand.value)
+            for operand in cell.nodes[number].operands if isinstance(operand, Imm)
+        ))
+    )
 
 
-def _widest_bound(nodes: List[_Node], band) -> Tuple[int, Dict[int, object]]:
-    """The largest power-of-two input bound the int64 proof holds for."""
-    if _band_intervals(nodes, band, 1) is None:
+def _widest_bound(cell: SlotGraph, band, leaf_for) -> int:
+    """The largest power-of-two band-input bound the int64 proof holds
+    for (*leaf_for*: bound -> the inputs' intervals)."""
+    if not _int64_safe(cell, band, leaf_for(1)):
         raise SpecializationError("a band value leaves int64 for every input")
     low, high = 0, 62
     while low < high:
         middle = (low + high + 1) // 2
-        if _band_intervals(nodes, band, 1 << middle) is None:
-            high = middle - 1
-        else:
+        if _int64_safe(cell, band, leaf_for(1 << middle)):
             low = middle
-    return 1 << low, _band_intervals(nodes, band, 1 << low)
+        else:
+            high = middle - 1
+    return 1 << low
 
 
-def _evaluate(cell: _Cell, band, intervals, assumed, forced: Mapping[int, Imm]):
-    """``value(ref)`` -> (the carried input *ref* provably equals, or
-    ``None``; its interval), the gates in *forced* taking that literal."""
-    from repro.static.intervals import Interval, selected, transfer
-
-    values: Dict[int, Tuple[Optional[str], object]] = {}
-
-    def value(operand: Ref):
-        if isinstance(operand, Imm):
-            return None, Interval.const(operand.value)
-        if isinstance(operand, str):
-            return operand, assumed.get(operand, Interval.top())
-        if operand in band:
-            return None, intervals[operand]
-        return values[operand]
-
-    for number, node in enumerate(cell.nodes):
-        if number in band:
-            continue
-        if number in forced:
-            values[number] = value(forced[number])
-            continue
-        args = [value(operand) for operand in node.operands]
-        ranges = [interval for _, interval in args]
-        pick = selected(node.opcode, ranges)
-        values[number] = args[pick] if pick is not None else (
-            None, transfer(node.opcode, ranges)
-        )
-    return value
-
-
-def _kills(cell: _Cell, band, gates, intervals, state, assumed) -> Dict[int, bool]:
+def _kills(cell: SlotGraph, gates, leaf, state, assumed) -> Dict[int, bool]:
     """Gate -> the decision whose literal arm provably leaves every
     state output equal to the input it overwrites."""
+
+    def end(values, out: str):
+        ref = cell.ends[out]
+        if isinstance(ref, int):
+            return values[ref]
+        return (ref, leaf(ref)) if isinstance(ref, str) else (None, Interval.const(ref.value))
+
     kills: Dict[int, bool] = {}
     for gate in sorted(gates):
         for taken, arm in zip((True, False), cell.nodes[gate].operands[2:]):
             if not isinstance(arm, Imm):
                 continue
-            value = _evaluate(cell, band, intervals, assumed, {gate: arm})
-            if all(value(cell.ends[out])[0] == name for out, name in state.items()):
+            values = evaluate(cell.nodes, leaf, forced={gate: arm})
+            if all(end(values, out)[0] == name for out, name in state.items()):
                 if gate in kills:
                     raise SpecializationError("a gate keeps the state either way")
                 kills[gate] = taken
-    value = _evaluate(cell, band, intervals, assumed, {})
+    values = evaluate(cell.nodes, leaf)
     for out, name in state.items():
-        if name in assumed and not value(cell.ends[out])[1].within(assumed[name]):
+        if name in assumed and not end(values, out)[1].within(assumed[name]):
             raise SpecializationError(f"{out} can leave the interval assumed of {name}")
     return kills
 
 
-def _exports(cell: _Cell, band, gates, kills, lanes) -> Dict[Export, int]:
+def _exports(cell: SlotGraph, band, gates, kills, lanes) -> Dict[Export, int]:
     """What the fold reads, numbered: the band values and the open
     gates' decisions on the paths the kept lanes take."""
     exports: Dict[Export, int] = {}
@@ -303,7 +206,7 @@ def _exports(cell: _Cell, band, gates, kills, lanes) -> Dict[Export, int]:
     return exports
 
 
-def _guard(cell: _Cell, band, gates, kills, state: Mapping[str, str]):
+def _guard(cell: SlotGraph, band, gates, kills, state: Mapping[str, str]):
     """``(comparison, new values)`` when every state output equals the
     input it overwrites unless one comparison ``(op, left, right)``
     holds: then the fold stores only where it does.  ``None`` if not."""
@@ -356,7 +259,7 @@ def _guard(cell: _Cell, band, gates, kills, state: Mapping[str, str]):
 
 def _fold(
     compiled: CompiledProgram,
-    cell: _Cell,
+    cell: SlotGraph,
     band,
     gates,
     kills,
@@ -460,7 +363,7 @@ class _LaneSource:
     roles' shape (``i``: the ``i`` slice, ``j``: the ``j`` slice, both:
     the ``(rows, width)`` band), then over the kept lanes, flat."""
 
-    def __init__(self, nodes: List[_Node], band, lanes: Mapping[str, str]):
+    def __init__(self, nodes: List[Node], band, lanes: Mapping[str, str]):
         self.nodes, self.band, self.lanes = nodes, band, lanes
         self.leaves: Set[str] = set()
         self.lines: List[str] = []
@@ -557,10 +460,15 @@ def split_cell(
     """
     if set(compiled.input_regs) != set(lanes) | set(carried):
         raise SpecializationError("an input has neither a band nor a carried role")
-    cell = _cell(compiled, list(state))
+    cell = slot_graph(compiled, list(state), lazy=True)
     band, gates = _roles(cell.nodes, lanes)
-    bound, intervals = _widest_bound(cell.nodes, band)
-    kills = _kills(cell, band, gates, intervals, state, assumed)
+
+    def leaf_for(bound: int):
+        domain = Interval(-bound, bound)
+        return lambda name: domain if name in lanes else assumed.get(name, Interval.top())
+
+    bound = _widest_bound(cell, band, leaf_for)
+    kills = _kills(cell, gates, leaf_for(bound), state, assumed)
     exports = _exports(cell, band, gates, kills, lanes)
     fold, guard, values = _fold(
         compiled, cell, band, gates, kills, exports, carried, state, has_match_table

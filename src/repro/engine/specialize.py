@@ -28,9 +28,10 @@ The interpreter survives as the oracle the differential tests and the
 guard fuzzer pass in, and runs a job itself only for a program that
 cannot be fused.
 
-:func:`value_graph` is the first pass of :func:`cell_lines` on its
-own: every operand resolved to the value it reads.  Chain's band
-sweep (:mod:`repro.engine.band`) splits a cell along it.
+:func:`cell_lines` reads the cell as values
+(:func:`repro.isa.values.value_graph`): every operand resolved to the
+value it reads.  Chain's band sweep (:mod:`repro.engine.band`) splits
+a cell along the same graph.
 
 :class:`CellMemo` is the per-process memo of sweeps (its two instances
 are :data:`repro.engine.sweep.SWEEPS` and ``ARMED``).  It is keyed by
@@ -42,15 +43,11 @@ must not pay ``compile()`` again.
 
 from __future__ import annotations
 
-from dataclasses import replace
-from typing import Any, Callable, Dict, List, NamedTuple, Optional, Sequence, Set
-from typing import Tuple, Union
+from typing import Any, Callable, Dict, List, Optional, Sequence, Set, Tuple, Union
 
 from repro.dfg.expressions import expression_namespace, way_expression
-from repro.dfg.graph import Opcode
 from repro.engine.cache import CompiledProgram
 from repro.guard.sentinels import Sentinel
-from repro.isa.compute import Imm, Reg, SlotOp
 from repro.obs.logs import get_logger
 
 _LOG = get_logger("repro.engine.specialize")
@@ -64,143 +61,12 @@ class SpecializationError(ValueError):
     """The program uses a construct the specializer cannot express."""
 
 
-class _Value(NamedTuple):
-    """One emitted way, a slot that repeats a live value rewritten as a
-    copy of it.  Operands, in rendering order: a value's number (its
-    place in emission order), ``~index`` of an unwritten register, or text."""
-
-    way: Any
-    operands: List[Union[int, str]]
-    bundle: int
-
-
-def _reads(way) -> Set[int]:
-    """The registers one CU way reads."""
-    slots = (way.mul,) if way.kind == "mul" else (way.left, way.right)
-    return {
-        item.index
-        for slot in slots
-        if slot is not None
-        for item in slot.operands
-        if isinstance(item, Reg)
-    }
-
-
-def _cone(instructions, live: Set[int]) -> List[List[Any]]:
-    """Each bundle's ways that the registers in *live* depend on: a
-    backward pass, where the last way of a bundle writing a register
-    is the one whose value lands."""
-    live, kept = set(live), []
-    for bundle in reversed(instructions):
-        ways = []
-        for way in reversed(bundle.ways):
-            if way.dest.index in live:
-                live.discard(way.dest.index)
-                ways.append(way)
-        for way in ways:
-            live |= _reads(way)
-        kept.append(ways[::-1])
-    return kept[::-1]
-
-
 def observed_per_cell(compiled: CompiledProgram) -> int:
     """The values the interpreter observes per cell: each slot's and root's."""
     return sum(
         1 if way.kind == "mul" else 3 - (way.left, way.right, way.root).count(None)
         for bundle in compiled.instructions for way in bundle.ways
     )
-
-
-class ValueGraph(NamedTuple):
-    """A cell's ways as values (:class:`_Value`), in emission order."""
-
-    values: List[_Value]
-    #: register -> the value it holds after the last bundle.
-    current: Dict[int, int]
-    #: register -> the values written to it, in order.
-    writes: Dict[int, List[int]]
-    #: Per bundle: does a way read what an earlier way of it writes?
-    hazards: List[bool]
-    #: Per bundle: its values.
-    groups: List[range]
-
-
-def _is_zero(item, current: Dict[int, int], bound: Dict[int, str]) -> bool:
-    """A literal 0: an immediate, or an unwritten input bound as ``0``."""
-    if isinstance(item, Imm):
-        return type(item.value) is int and item.value == 0
-    return item.index not in current and bound.get(item.index) == "0"
-
-
-def _without_zero(slot: SlotOp, zero: Callable[[Any], bool]) -> SlotOp:
-    """``0 + x``, ``x + 0`` and ``x - 0`` as a COPY of ``x``."""
-    if slot.opcode is Opcode.ADD and zero(slot.operands[0]):
-        return SlotOp(Opcode.COPY, slot.operands[1:])
-    if slot.opcode in (Opcode.ADD, Opcode.SUB) and zero(slot.operands[1]):
-        return SlotOp(Opcode.COPY, slot.operands[:1])
-    return slot
-
-
-def value_graph(
-    compiled: CompiledProgram,
-    targets: Sequence[int],
-    bound: Dict[int, str],
-    lazy: bool = True,
-) -> ValueGraph:
-    """Every operand of the ways *targets* depend on resolved to the
-    value it reads (all ways, unless *lazy*).
-
-    Lazily, a slot repeating a value its register still holds (same
-    opcode, same operand values) becomes a COPY of it, outside hazard
-    bundles, and an ADD of a literal 0 or a SUB of one a COPY of the
-    other operand -- exact because engine sweeps carry only ints
-    (``0 + -0.0`` would be ``0.0``).
-    """
-    bundles = [bundle.ways for bundle in compiled.instructions]
-    if lazy:
-        bundles = _cone(compiled.instructions, set(targets))
-
-    values: List[_Value] = []
-    current: Dict[int, int] = {}  # register -> value, as its bundle reads it
-    writes: Dict[int, List[int]] = {}  # register -> the values written to it
-    numbered: Dict[Tuple[Any, ...], int] = {}  # (opcode, *operands) -> value
-    hazards: List[bool] = []
-    groups: List[range] = []  # each bundle's values
-
-    def zero(item) -> bool:
-        return _is_zero(item, current, bound)
-
-    for number, ways in enumerate(bundles):
-        dests = [way.dest.index for way in ways]
-        hazard = any(_reads(way) & set(dests[:k]) for k, way in enumerate(ways))
-        hazards.append(hazard)
-        for way in ways:
-            operands, copies, keys = [], {}, []
-            for name in ("mul",) if way.kind == "mul" else ("left", "right"):
-                slot = getattr(way, name)
-                if slot is None:
-                    continue
-                bare = _without_zero(slot, zero) if lazy else slot
-                if bare is not slot:
-                    slot = copies[name] = bare
-                read = [
-                    repr(item.value) if isinstance(item, Imm)
-                    else current.get(item.index, ~item.index)
-                    for item in slot.operands
-                ]
-                keys.append((slot.opcode, *read))
-                hit = numbered.get(keys[-1]) if lazy and not hazard else None
-                if hit is not None and writes[values[hit].way.dest.index][-1] == hit:
-                    copies[name] = SlotOp(Opcode.COPY, (values[hit].way.dest,))
-                    read = [hit]
-                operands += read
-            if lazy and not hazard and way.root is None and keys:
-                numbered[keys[0]] = len(values)
-            writes.setdefault(way.dest.index, []).append(len(values))
-            values.append(_Value(replace(way, **copies), operands, number))
-        groups.append(range(len(values) - len(ways), len(values)))
-        current.update(zip(dests, groups[-1]))
-    return ValueGraph(values, current, writes, hazards, groups)
 
 
 def cell_lines(
@@ -237,6 +103,8 @@ def cell_lines(
     verifier's read-before-write check have none and pay for no
     prologue.  Every output is the local ``r<index>``.
     """
+    from repro.isa.values import value_graph  # loaded at the first emission, not at start-up
+
     if bound is None:
         bound = {index: f"r{index}" for index in compiled.input_regs.values()}
     names = list(compiled.output_regs) if outputs is None else list(outputs)

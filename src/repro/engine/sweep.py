@@ -228,7 +228,8 @@ def _chain_floor() -> int:
 
 def chain_band_cell(compiled: CompiledProgram) -> "BandCell":
     """*compiled*'s cell split for the band sweep (raises
-    :class:`SpecializationError` for a program the split refuses).
+    :class:`SpecializationError`, a ``ValueError``, for a program the
+    split refuses).
     The split is imported here: a process without a band-sized task
     never loads it."""
     from repro.engine.band import split_cell
@@ -312,7 +313,7 @@ def band_sweep(compiled: CompiledProgram, scalar: Sweep) -> Sweep:
     its fused sweep; *scalar* itself for a program the split refuses."""
     try:
         source = chain_band_source(compiled)
-    except SpecializationError:
+    except ValueError:  # refused, or malformed
         return scalar
     namespace = expression_namespace()
     namespace["_scalar"] = scalar

@@ -24,19 +24,11 @@ linear order.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Set, Tuple
+from typing import Dict, List, Optional, Sequence, Set
 
 from repro.dpmap.codegen import CellProgram
-from repro.isa.compute import CUInstruction, Imm, Operand, Reg, SlotOp, VLIWInstruction
-
-
-class NonSSAProgramError(ValueError):
-    """A program whose register allocation is not single-assignment.
-
-    The optimizer's substitution passes assume every RF address has
-    one writer; hand-built programs that re-use destinations are
-    rejected (the pipeline then returns them unchanged).
-    """
+from repro.isa.compute import CUInstruction, Operand, SlotOp, VLIWInstruction
+from repro.isa.values import NonSSAProgramError, check_ssa, way_reads
 
 
 def way_slots(way: CUInstruction) -> List[SlotOp]:
@@ -44,16 +36,6 @@ def way_slots(way: CUInstruction) -> List[SlotOp]:
     if way.kind == "mul":
         return [way.mul] if way.mul is not None else []
     return [slot for slot in (way.left, way.right) if slot is not None]
-
-
-def way_reads(way: CUInstruction) -> List[int]:
-    """Every RF address *way* reads, in operand order (with repeats)."""
-    return [
-        operand.index
-        for slot in way_slots(way)
-        for operand in slot.operands
-        if isinstance(operand, Reg)
-    ]
 
 
 def is_pure_copy(way: CUInstruction) -> Optional[Operand]:
@@ -120,39 +102,19 @@ class LinearProgram:
 def linearize(program: CellProgram) -> LinearProgram:
     """Flatten *program*'s bundles into a :class:`LinearProgram`.
 
-    Raises :class:`NonSSAProgramError` when a register is written
-    twice or a kernel-input register is overwritten -- allocations the
-    substitution passes cannot reason about.
+    Raises :class:`NonSSAProgramError` when the program fails
+    :func:`repro.isa.values.check_ssa`: a register written twice, a
+    kernel-input register overwritten, or a register read before any
+    write -- allocations the substitution passes cannot reason about.
     """
-    ways: List[CUInstruction] = []
-    origins: List[Optional[int]] = []
-    written: Set[int] = set(program.input_regs.values())
-    inputs: Set[int] = set(program.input_regs.values())
-    for bundle_index, bundle in enumerate(program.instructions):
-        for way in bundle.ways:
-            dest = way.dest.index
-            if dest in inputs:
-                raise NonSSAProgramError(
-                    f"way overwrites input register r{dest}"
-                )
-            if any(w.dest.index == dest for w in ways):
-                raise NonSSAProgramError(
-                    f"register r{dest} written by more than one way"
-                )
-            for read in way_reads(way):
-                if read not in written:
-                    raise NonSSAProgramError(
-                        f"way reads r{read} before any write"
-                    )
-            ways.append(way)
-            origins.append(bundle_index)
-        written.update(way.dest.index for way in bundle.ways)
+    check_ssa(program)
+    bundles = list(enumerate(program.instructions))
     return LinearProgram(
-        ways=ways,
+        ways=[way for _, bundle in bundles for way in bundle.ways],
         input_regs=dict(program.input_regs),
         output_regs=dict(program.output_regs),
         node_regs=dict(program.node_regs),
-        origin_bundles=origins,
+        origin_bundles=[index for index, bundle in bundles for _ in bundle.ways],
     )
 
 

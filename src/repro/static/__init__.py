@@ -4,13 +4,16 @@
 runtime sentinels.  Where the sentinels *watch* every executed way for
 int32 overflow, SIMD-lane saturation, and log-floor underflow, this
 package *proves* their absence by abstract interpretation over the same
-:class:`repro.opt.model.LinearProgram` def/use model the optimizer and
-lint layers already share:
+slot-level value graph (:mod:`repro.isa.values`) the engine's cell
+emitters and Chain's band split read; the optimizer's
+:func:`~repro.opt.model.linearize` refuses a program by the same
+single-assignment check:
 
 - :mod:`repro.static.intervals` -- the interval (value-range) abstract
-  domain with widening to the machine's power-of-two rails.
-- :mod:`repro.static.absint` -- a forward interval dataflow pass whose
-  abstract transfer mirrors ``execute_way``'s observe order exactly.
+  domain with widening to the machine's power-of-two rails, and the one
+  evaluator over a value graph's nodes.
+- :mod:`repro.static.absint` -- a forward interval dataflow pass over
+  the eager graph, one node per ``execute_way`` observe, in order.
 - :mod:`repro.static.contracts` -- per-kernel declared input contracts
   that condition every proof; their feedback outputs are the one
   declaration of what each program's consumer reads.
@@ -38,7 +41,6 @@ from repro.static.certify import (
 )
 from repro.static.contracts import (
     KernelContract,
-    contract_names,
     kernel_contract,
 )
 from repro.static.hazards import (
@@ -71,7 +73,6 @@ __all__ = [
     "areg_value_intervals",
     "certify_program",
     "compiled_certificate",
-    "contract_names",
     "control_spm_diagnostics",
     "count_port_ops",
     "kernel_contract",

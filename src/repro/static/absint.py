@@ -1,55 +1,47 @@
-"""Forward interval dataflow over the shared ``LinearProgram`` model.
+"""Forward interval dataflow over a cell program's value graph.
 
-The analysis walks the same def/use-ordered way list the optimizer
-passes transform (:func:`repro.opt.model.linearize`), so guard, opt,
-and static literally share one program representation.  Because cell
-programs are SSA and straight-line, one in-order pass per seeding is a
-fixpoint; recurrence across *cell invocations* (this cell's outputs
-feeding the next cell's recurrent inputs) is closed separately by
-Kleene iteration with widening/narrowing in :func:`analyze_fixpoint`.
+The analysis reads the program as the engine's cell emitters and
+Chain's band split read it, one slot-level value graph
+(:func:`repro.isa.values.slot_graph`), here built eagerly, and runs
+the one interval evaluator the band split runs too
+(:func:`repro.static.intervals.evaluate`): the engine and static
+literally share one program representation, and the optimizer shares
+its single-assignment check (:func:`repro.isa.values.check_ssa`).
+Because cell programs are SSA and straight-line, one in-order pass per
+seeding is a fixpoint; recurrence across *cell invocations* (this
+cell's outputs feeding the next cell's recurrent inputs) is closed
+separately by Kleene iteration with widening/narrowing in
+:func:`analyze_fixpoint`.
 
-The abstract transfer for one way, :func:`abstract_way`, mirrors
-:func:`repro.dpmap.codegen.execute_way` **step for step**, including
-the order and count of ``observe`` callbacks -- that alignment is what
-lets a certificate speak for every value the runtime sentinel would
-have seen, and what the property tests in ``tests/properties`` check
-by replaying concrete executions against the abstract observation
-sequence.
+The eager graph has one node per ``observe`` callback of
+:func:`repro.dpmap.codegen.execute_way`, in callback order (each way's
+slots, then its root) -- that alignment is what lets a certificate
+speak for every value the runtime sentinel would have seen, and what
+the property tests in ``tests/properties`` check by replaying concrete
+executions against the abstract observation sequence.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from types import SimpleNamespace
 from typing import Dict, List, Optional, Tuple
 
-from repro.dfg.graph import OPCODE_ARITY
-from repro.isa.compute import CUInstruction, Imm, SlotOp
-from repro.opt.model import LinearProgram, linearize
-from repro.static.intervals import Interval, transfer
+from repro.isa.values import SlotGraph, check_ssa, slot_graph
+from repro.static.intervals import Interval, evaluate
 
 #: Iteration cap for the feedback fixpoint; widening to the rails makes
 #: real kernels converge in < 5 passes, so hitting this is a bug.
 MAX_FIXPOINT_ITERATIONS = 32
 
 
-def as_linear(program) -> LinearProgram:
-    """Linearize a cell program or an engine ``CompiledProgram``.
-
-    ``CompiledProgram`` carries no ``node_regs``; :func:`linearize`
-    only reads it as a passthrough, so an empty mapping is fine.
-    """
-    if isinstance(program, LinearProgram):
+def program_graph(program) -> SlotGraph:
+    """The eager slot graph of a cell program or an engine
+    ``CompiledProgram`` (a graph is its own); raises
+    :class:`~repro.isa.values.NonSSAProgramError` unless it is SSA."""
+    if isinstance(program, SlotGraph):
         return program
-    if hasattr(program, "node_regs"):
-        return linearize(program)
-    shim = SimpleNamespace(
-        instructions=list(program.instructions),
-        input_regs=dict(program.input_regs),
-        output_regs=dict(program.output_regs),
-        node_regs={},
-    )
-    return linearize(shim)
+    check_ssa(program)
+    return slot_graph(program, list(program.output_regs), lazy=False)
 
 
 @dataclass(frozen=True)
@@ -85,44 +77,6 @@ class ProgramAnalysis:
         ]
 
 
-def abstract_way(
-    way: CUInstruction,
-    state: Dict[int, Interval],
-    match_range: Optional[Interval] = None,
-) -> Tuple[Interval, List[Interval]]:
-    """Abstract mirror of ``execute_way``; returns (result, observed)."""
-    observed: List[Interval] = []
-
-    def operand(op) -> Interval:
-        if isinstance(op, Imm):
-            return Interval.const(op.value)
-        # execute_way reads missing registers as 0 (rf.get(index, 0)).
-        return state.get(op.index, Interval.const(0))
-
-    def run_slot(slot: SlotOp) -> Interval:
-        args = [operand(op) for op in slot.operands]
-        value = transfer(slot.opcode, args, match_range)
-        observed.append(value)
-        return value
-
-    if way.kind == "mul":
-        return run_slot(way.mul), observed
-    left_out = run_slot(way.left) if way.left is not None else None
-    right_out = run_slot(way.right) if way.right is not None else None
-    if way.root is None:
-        result = left_out if left_out is not None else right_out
-        return result, observed
-    if OPCODE_ARITY[way.root] == 1:
-        value = transfer(way.root, [left_out], match_range)
-    else:
-        inputs = [left_out, right_out]
-        if way.root_swapped:
-            inputs.reverse()
-        value = transfer(way.root, inputs, match_range)
-    observed.append(value)
-    return value, observed
-
-
 def analyze_program(
     program,
     contract_inputs: Dict[str, Interval],
@@ -133,33 +87,25 @@ def analyze_program(
     Inputs missing from the contract start at lattice top (sound: the
     analysis then claims nothing about values derived from them).
     """
-    lp = as_linear(program)
-    state: Dict[int, Interval] = {}
-    seeded: Dict[str, Interval] = {}
-    for name, reg in lp.input_regs.items():
-        interval = contract_inputs.get(name, Interval.top())
-        seeded[name] = interval
-        state[reg] = interval
+    graph = program_graph(program)
+    seeded = {name: contract_inputs.get(name, Interval.top()) for name in graph.inputs}
+    results = [item for _, item in evaluate(graph.nodes, seeded.__getitem__, match_range)]
+    state = {graph.inputs[name]: interval for name, interval in seeded.items()}
     ways: List[WayAnalysis] = []
-    for index, way in enumerate(lp.ways):
-        result, observed = abstract_way(way, state, match_range)
-        state[way.dest.index] = result
-        ways.append(
-            WayAnalysis(
-                index=index,
-                bundle=lp.origin_bundles[index],
-                dest=way.dest.index,
-                observed=tuple(observed),
-                result=result,
-            )
-        )
+    for index, (value, final) in enumerate(zip(graph.graph.values, graph.finals)):
+        # A value's nodes are its slots then its root, right after the
+        # previous value's.
+        start = graph.finals[index - 1] + 1 if index else 0
+        dest = value.way.dest.index
+        state[dest] = results[final]
+        observed = tuple(results[start : final + 1])
+        ways.append(WayAnalysis(index, value.bundle, dest, observed, results[final]))
     outputs = {
-        name: state.get(reg, Interval.const(0))
-        for name, reg in lp.output_regs.items()
+        name: results[end] if isinstance(end, int)
+        else seeded[end] if isinstance(end, str) else Interval.const(end.value)
+        for name, end in graph.ends.items()
     }
-    return ProgramAnalysis(
-        ways=ways, state=state, inputs=seeded, outputs=outputs
-    )
+    return ProgramAnalysis(ways=ways, state=state, inputs=seeded, outputs=outputs)
 
 
 @dataclass
@@ -197,12 +143,12 @@ def analyze_fixpoint(
     coarse) summary; one narrowing descent then tightens endpoints the
     widening overshot.  *first*, when given, is the caller's
     :func:`analyze_program` pass on *contract_inputs*, reused as the
-    first iteration; the program is linearized once for every pass.
+    first iteration; the graph is built once for every pass.
     """
-    program = as_linear(program)
+    graph = program_graph(program)
     inputs = dict(contract_inputs)
     if first is None:
-        first = analyze_program(program, inputs, match_range)
+        first = analyze_program(graph, inputs, match_range)
     closed = all(
         first.outputs[out].within(
             contract_inputs.get(name, Interval.top())
@@ -228,7 +174,7 @@ def analyze_fixpoint(
                     changed = True
         if not changed:
             break
-        analysis = analyze_program(program, inputs, match_range)
+        analysis = analyze_program(graph, inputs, match_range)
         iterations += 1
 
     # One narrowing descent: recompute from the widened inputs and pull
@@ -244,7 +190,7 @@ def analyze_fixpoint(
                 declared.join(produced)
             )
             narrowed[name] = refined
-    analysis = analyze_program(program, narrowed, match_range)
+    analysis = analyze_program(graph, narrowed, match_range)
     iterations += 1
     return FixpointResult(
         analysis=analysis,

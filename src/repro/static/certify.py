@@ -36,7 +36,7 @@ from typing import Dict, List, Optional, Tuple
 
 from repro.dpax.pe import INT32_MAX, INT32_MIN, LANE8_MAX, LANE8_MIN
 from repro.guard.sentinels import PAIRHMM_UNDERFLOW_FLOOR, make_sentinel
-from repro.static.absint import analyze_fixpoint, analyze_program, as_linear
+from repro.static.absint import analyze_fixpoint, analyze_program, program_graph
 from repro.static.contracts import KernelContract, kernel_contract
 from repro.static.intervals import Interval
 
@@ -197,9 +197,9 @@ def certify_program(
     if contract is None:
         return _uncertified(label, kernel, program_hash)
 
-    linear = as_linear(program)
+    graph = program_graph(program)
     analysis = analyze_program(
-        linear, dict(contract.inputs), contract.match_range
+        graph, dict(contract.inputs), contract.match_range
     )
     observed: List[Tuple[Interval, Optional[int]]] = []
     for way in analysis.ways:
@@ -230,7 +230,7 @@ def certify_program(
         )
 
     fixpoint = analyze_fixpoint(
-        linear,
+        graph,
         dict(contract.inputs),
         dict(contract.feedback),
         contract.match_range,
@@ -259,7 +259,7 @@ def compiled_certificate(
 ) -> Optional[Dict[str, object]]:
     """Certificate dict for the engine's compile seam, or None.
 
-    Analysis failures (exotic programs the linearizer rejects) must
+    Analysis failures (exotic programs the SSA check rejects) must
     never fail a compile, so they degrade to "no certificate" -- the
     engine then simply keeps the sentinels on.
     """

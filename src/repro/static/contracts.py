@@ -221,7 +221,3 @@ def contract_for(name: str) -> Optional[frozenset]:
     """
     contract = _CONTRACTS.get(name)
     return frozenset(contract.feedback) if contract is not None else None
-
-
-def contract_names() -> Tuple[str, ...]:
-    return tuple(sorted(_CONTRACTS))

@@ -20,10 +20,11 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Optional, Sequence
+from typing import Callable, List, Mapping, Optional, Sequence, Tuple
 
 from repro.dfg.graph import OPCODE_ARITY, Opcode
 from repro.dpax.pe import INT32_MAX, INT32_MIN, LANE8_MAX, LANE8_MIN
+from repro.isa.values import Node, Ref
 from repro.kernels.pairhmm import LOG_FRACTION_BITS
 
 #: Widening rails, outermost last: the 8-bit lane boundary, the log
@@ -386,3 +387,38 @@ def transfer(
         return Interval.const(0)
     raise ValueError(f"no interval transfer for opcode {opcode!r}")
 
+
+def evaluate(
+    nodes: Sequence[Node],
+    leaf: Callable[[str], Interval],
+    match_range: Optional[Interval] = None,
+    forced: Optional[Mapping[int, Ref]] = None,
+) -> List[Tuple[Optional[str], Interval]]:
+    """Per node of a :func:`repro.isa.values.slot_graph`, in order: the
+    input it provably equals (its name, or ``None``) and its interval.
+
+    An input operand is *leaf* of its name, a literal its constant, a
+    node what this pass gave it.  The interval is :func:`transfer`'s;
+    a node equals an input when :func:`selected` decides it returns an
+    operand that equals it.  A node in *forced* is a COPY of the operand
+    given there instead (a select assumed decided).
+    """
+    equals: List[Optional[str]] = []
+    intervals: List[Interval] = []
+    for number, (opcode, operands) in enumerate(nodes):
+        if forced and number in forced:
+            opcode, operands = Opcode.COPY, (forced[number],)
+        args = [
+            intervals[operand] if isinstance(operand, int)
+            else leaf(operand) if isinstance(operand, str)
+            else Interval.const(operand.value)
+            for operand in operands
+        ]
+        intervals.append(transfer(opcode, args, match_range))
+        pick = selected(opcode, args)
+        operand = None if pick is None else operands[pick]
+        equals.append(
+            equals[operand] if isinstance(operand, int)
+            else operand if isinstance(operand, str) else None
+        )
+    return list(zip(equals, intervals))
