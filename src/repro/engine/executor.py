@@ -7,7 +7,10 @@ Two executors run a drain's batches, and both run every job through
   always-available floor, and what ``workers=0`` selects;
 - :class:`repro.serve.transport.ShmExecutor` -- persistent forked
   workers fed over shared-memory rings, programs broadcast once: what
-  ``workers=N`` or a ``TransportConfig(backend="shm")`` selects.
+  ``workers=N`` or a ``TransportConfig(backend="shm")`` selects.  It
+  runs at most N workers, forked at the first batch that needs one;
+  a batch of small jobs (``INLINE_MAX_BIN``) runs inline, in the
+  drain thread.
 
 They share one failure contract:
 
@@ -20,7 +23,9 @@ They share one failure contract:
   queued behind a dead or hung worker ride along for free;
 - a transport that cannot be set up at all (restricted sandboxes
   without semaphores or shared memory) degrades the whole executor to
-  inline.
+  inline;
+- a batch the shm executor runs inline by size gets no timeout kill
+  and no retry: its cell count is its only bound.
 
 ``BatchOutcome.attempts`` counts actual executions of the batch's most
 retried job (worker attempts plus the final inline run when it
@@ -116,9 +121,10 @@ def make_executor(
     """Build the engine's execution backend.
 
     *transport* (a :class:`repro.serve.transport.TransportConfig`)
-    rules when set; without it ``workers > 0`` means that many warm
-    shm workers on the default ring geometry, and ``workers <= 0``
-    means inline.  *programs* are broadcast before any worker starts.
+    rules when set; without it ``workers > 0`` means at most that
+    many warm shm workers on the default ring geometry, and
+    ``workers <= 0`` means inline.  *programs* are broadcast before
+    any worker starts.
     """
     if transport is None and workers <= 0:
         return InlineExecutor()

@@ -10,6 +10,9 @@ picks how batches cross the process boundary:
   table.  (A payload or result the SoA slot layout cannot carry --
   POA graphs, trace spans, sentinel counts -- rides its slot pickled,
   ``FMT_PICKLE``, so every job the inline executor runs crosses.)
+  A batch of size bin :data:`INLINE_MAX_BIN` or below skips the hop
+  and runs in the calling (drain) thread, and the rings and workers
+  are set up only when the first batch that needs them arrives.
 
 Both produce byte-identical results (pinned by
 ``tests/serve/test_backends.py``); they differ only in throughput and
@@ -28,7 +31,9 @@ repro.faults chaos drills assert), then is respawned; a job out of
 budget runs inline, the always-correct floor.  Jobs still READY in
 the ring were nobody's failure and are never charged.  A transport
 that cannot even set up its segments or workers degrades whole-hog to
-inline rather than failing the drain.
+inline rather than failing the drain.  A batch run inline by size
+gets none of this: no ``job_timeout_s`` kill and no rerun, only its
+cell count to bound what it costs.
 """
 
 from __future__ import annotations
@@ -73,8 +78,20 @@ _LOG = get_logger("repro.serve.transport")
 BACKENDS = ("inline", "shm")
 
 #: Shape of every transport's shared segments, read when an executor
-#: starts (tests shrink the ring by replacing it).
+#: starts its ring (tests shrink the ring by replacing it).
 RING_GEOMETRY = RingGeometry()
+
+#: Largest :func:`repro.engine.batcher.size_bin` (bin 9: 512 DP cells)
+#: whose batches the shm executor runs in the drain thread: up to it the
+#: workers cost a job about 40 % more CPU and buy no reliable throughput
+#: on a 2-vCPU host (DESIGN.md, "Small jobs skip the ring").  Tests
+#: replace it to send every batch to the ring.
+INLINE_MAX_BIN = 9
+
+#: Payload keys that act only inside a worker process
+#: (:func:`repro.engine.runners.run_job`): a batch carrying one goes
+#: to the ring whatever its size, so the fault drills reach a worker.
+WORKER_MARKERS = ("_inject_exit", "_inject_delay_s")
 
 
 @dataclass(frozen=True)
@@ -82,7 +99,8 @@ class TransportConfig:
     """How engine batches reach their execution processes."""
 
     backend: str = "shm"
-    #: Worker processes for the shm backend (>= 1).
+    #: Most worker processes the shm backend runs (>= 1), forked at the
+    #: first batch that needs the ring.
     workers: int = 2
     #: Kernels whose programs the engine compiles and broadcasts at
     #: startup so the first request hits warm workers.
@@ -111,6 +129,15 @@ class TransportConfig:
     def result_slot_bytes(self) -> int:
         """Byte capacity of one result slot."""
         return RING_GEOMETRY.result_slot_bytes
+
+
+def _needs_ring(batch: Batch) -> bool:
+    """Whether *batch* crosses to the workers: it is above
+    :data:`INLINE_MAX_BIN`, or one of its jobs carries a worker-only
+    fault marker."""
+    return batch.size_bin > INLINE_MAX_BIN or any(
+        job.payload.get(marker) for job in batch.jobs for marker in WORKER_MARKERS
+    )
 
 
 @dataclass
@@ -150,13 +177,16 @@ class _BatchState:
 class ShmExecutor:
     """Warm-worker execution over shared-memory job/result rings.
 
-    Start-up runs in the order that lets every worker fork warm: the
-    segments are created, *programs* (the engine's warm kernels,
-    compiled already) are broadcast into the program table and their
-    fused sweeps built in this process, and only then are the workers
+    Construction forks nothing: it fuses the sweeps of *programs* (the
+    engine's warm kernels, compiled already) in this process.  The
+    first batch that needs the ring starts it, in the order that lets
+    every worker fork warm: the segments are created, *programs* are
+    broadcast into the program table, and only then are the workers
     forked -- each inherits the sweeps and builds none.  A program
     broadcast later is fused here at broadcast too, so a worker
-    respawned after a crash or a kill also starts warm.
+    respawned after a crash or a kill also starts warm.  An executor
+    that sees only small batches (:data:`INLINE_MAX_BIN`) never starts
+    a process.
     """
 
     backend = "shm"
@@ -182,6 +212,14 @@ class ShmExecutor:
         self._job_counter = 0
         self._program_ids: Dict[str, int] = {}
         self._unaccounted_program_bytes = 0
+        self._warm = tuple(programs)
+        for compiled in self._warm:
+            fused_sweep(compiled)
+
+    def _start(self) -> bool:
+        """Create the segments, broadcast the warm programs and fork
+        the workers; False (and the executor degraded to inline for
+        good) when the host cannot."""
         try:
             self._ctx = mp.get_context("fork")
             self._segments = ServeSegments.create(RING_GEOMETRY)
@@ -192,10 +230,10 @@ class ShmExecutor:
             self._job_lock = self._ctx.Lock()
             self._result_sem = self._ctx.Semaphore(0)
             self._shutdown = self._ctx.Event()
-            for compiled in programs:
+            for compiled in self._warm:
                 self._program_id(compiled)
-            self._workers = [None] * config.workers
-            for worker_id in range(config.workers):
+            self._workers = [None] * self.config.workers
+            for worker_id in range(self.config.workers):
                 self._spawn(worker_id)
         except Exception:
             self._broken = True
@@ -205,6 +243,8 @@ class ShmExecutor:
             _LOG.warning(
                 "shared-memory transport unavailable; degrading to inline"
             )
+            return False
+        return True
 
     # ------------------------------------------------------------------
     # workers and programs
@@ -256,12 +296,32 @@ class ShmExecutor:
     def run_batches(
         self, items: Sequence[Tuple[Batch, CompiledProgram]]
     ) -> List[BatchOutcome]:
-        if self._broken or self._segments is None:
+        ring = [_needs_ring(batch) for batch, _ in items]
+        if not any(ring):
+            return self._inline.run_batches(items)
+        if self._broken or (self._segments is None and not self._start()):
             outcomes = self._inline.run_batches(items)
-            for outcome in outcomes:
-                outcome.degraded = True
+            for outcome, on_ring in zip(outcomes, ring):
+                outcome.degraded = on_ring
             return outcomes
+        ring_outcomes, inline_outcomes = (
+            iter(outcomes)
+            for outcomes in self._run_on_ring(
+                [item for item, on_ring in zip(items, ring) if on_ring],
+                [item for item, on_ring in zip(items, ring) if not on_ring],
+            )
+        )
+        return [
+            next(ring_outcomes if on_ring else inline_outcomes) for on_ring in ring
+        ]
 
+    def _run_on_ring(
+        self,
+        items: Sequence[Tuple[Batch, CompiledProgram]],
+        small: Sequence[Tuple[Batch, CompiledProgram]],
+    ) -> Tuple[List[BatchOutcome], List[BatchOutcome]]:
+        """Run *items* on the workers and *small* in this thread while
+        they work; the outcomes of each, in order."""
         now = time.perf_counter()
         states: List[_BatchState] = []
         queue: List[_PendingJob] = []
@@ -286,14 +346,15 @@ class ShmExecutor:
                         program_id=program_id,
                     )
                 )
-        if states:
-            # Program broadcasts are transport traffic too; charge them
-            # to the drain that triggered them (first batch).
-            states[0].transport_bytes += self._unaccounted_program_bytes
-            self._unaccounted_program_bytes = 0
+        # Program broadcasts are transport traffic too; charge them to
+        # the drain that triggered them (first batch).
+        states[0].transport_bytes += self._unaccounted_program_bytes
+        self._unaccounted_program_bytes = 0
 
         outstanding: Dict[int, _PendingJob] = {}
         queue.reverse()  # pop() from the tail publishes in order
+        self._publish(queue, outstanding, states)
+        small_outcomes = self._inline.run_batches(small)
         poll = self.config.poll_interval_s
         next_check = 0.0
         while queue or outstanding:
@@ -310,7 +371,7 @@ class ShmExecutor:
                 self._kill_overdue_workers(outstanding, now)
                 self._reap_dead_workers(queue, outstanding, states)
 
-        return [self._outcome(state) for state in states]
+        return [self._outcome(state) for state in states], small_outcomes
 
     def _publish(
         self,

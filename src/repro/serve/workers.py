@@ -36,6 +36,7 @@ worker.
 from __future__ import annotations
 
 import os
+import stat
 from typing import Any, Dict, Optional
 
 from repro.engine.executor import isolated_job
@@ -138,6 +139,32 @@ def _post_result(
     header[R_STATE] = READY
 
 
+def _release_inherited_sockets() -> None:
+    """Point every socket this worker inherited at ``/dev/null``.
+
+    A worker forked after its parent started serving (the first large
+    batch, or a respawn) inherits the listening socket and every client
+    connection; holding them would keep a connection the parent closes
+    open for its peer.  ``dup2`` over them rather than ``close``, so an
+    inherited socket object finalized here later closes ``/dev/null``,
+    never a descriptor this worker opened since.
+    """
+    try:
+        descriptors = [int(fd) for fd in os.listdir("/proc/self/fd")]
+    except OSError:
+        return  # no /proc to list them by
+    devnull = os.open(os.devnull, os.O_RDWR)
+    try:
+        for fd in descriptors:
+            try:
+                if stat.S_ISSOCK(os.fstat(fd).st_mode):
+                    os.dup2(devnull, fd)
+            except OSError:
+                pass  # the listing's own descriptor, gone already
+    finally:
+        os.close(devnull)
+
+
 def worker_main(
     worker_id: int,
     geometry: RingGeometry,
@@ -149,6 +176,7 @@ def worker_main(
     poll_interval_s: float = 0.05,
 ) -> None:
     """Entry point of one warm worker process."""
+    _release_inherited_sockets()
     segments = ServeSegments.attach(geometry, names)
     jobs, results = segments.jobs, segments.results
     cache = _ProgramCache(segments)

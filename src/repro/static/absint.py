@@ -88,8 +88,7 @@ def analyze_program(
     analysis then claims nothing about values derived from them).
     """
     graph = program_graph(program)
-    seeded = {name: contract_inputs.get(name, Interval.top()) for name in graph.inputs}
-    results = [item for _, item in evaluate(graph.nodes, seeded.__getitem__, match_range)]
+    seeded, results = _evaluate(graph, contract_inputs, match_range)
     state = {graph.inputs[name]: interval for name, interval in seeded.items()}
     ways: List[WayAnalysis] = []
     for index, (value, final) in enumerate(zip(graph.graph.values, graph.finals)):
@@ -100,19 +99,40 @@ def analyze_program(
         state[dest] = results[final]
         observed = tuple(results[start : final + 1])
         ways.append(WayAnalysis(index, value.bundle, dest, observed, results[final]))
-    outputs = {
+    return ProgramAnalysis(
+        ways=ways, state=state, inputs=seeded, outputs=_outputs(graph, seeded, results)
+    )
+
+
+def _evaluate(
+    graph: SlotGraph,
+    contract_inputs: Dict[str, Interval],
+    match_range: Optional[Interval],
+) -> Tuple[Dict[str, Interval], List[Interval]]:
+    """The seeded inputs (missing ones at top) and every node's interval."""
+    seeded = {name: contract_inputs.get(name, Interval.top()) for name in graph.inputs}
+    results = [item for _, item in evaluate(graph.nodes, seeded.__getitem__, match_range)]
+    return seeded, results
+
+
+def _outputs(
+    graph: SlotGraph, seeded: Dict[str, Interval], results: List[Interval]
+) -> Dict[str, Interval]:
+    """Each program output's interval: its node's, its input's, or its
+    literal's."""
+    return {
         name: results[end] if isinstance(end, int)
         else seeded[end] if isinstance(end, str) else Interval.const(end.value)
         for name, end in graph.ends.items()
     }
-    return ProgramAnalysis(ways=ways, state=state, inputs=seeded, outputs=outputs)
 
 
 @dataclass
 class FixpointResult:
     """Steady-state summary of the cross-invocation recurrence."""
 
-    analysis: ProgramAnalysis
+    #: Forward passes of the ascent, plus one for the narrowing step
+    #: (counted, not run: nothing reads a pass over the narrowed inputs).
     iterations: int
     #: True when one contract-seeded pass already maps every recurrent
     #: output back inside its declared input interval -- i.e. the
@@ -143,29 +163,32 @@ def analyze_fixpoint(
     coarse) summary; one narrowing descent then tightens endpoints the
     widening overshot.  *first*, when given, is the caller's
     :func:`analyze_program` pass on *contract_inputs*, reused as the
-    first iteration; the graph is built once for every pass.
+    first iteration; the graph is built once for every pass, and each
+    pass keeps only its outputs.
     """
     graph = program_graph(program)
     inputs = dict(contract_inputs)
-    if first is None:
-        first = analyze_program(graph, inputs, match_range)
+    outputs = (
+        _outputs(graph, *_evaluate(graph, inputs, match_range))
+        if first is None
+        else first.outputs
+    )
     closed = all(
-        first.outputs[out].within(
+        outputs[out].within(
             contract_inputs.get(name, Interval.top())
         )
         for out, names in feedback.items()
-        if out in first.outputs
+        if out in outputs
         for name in names
     )
 
-    analysis = first
     iterations = 1
     while iterations < MAX_FIXPOINT_ITERATIONS:
         changed = False
         for out, names in feedback.items():
-            if out not in analysis.outputs:
+            if out not in outputs:
                 continue
-            produced = analysis.outputs[out]
+            produced = outputs[out]
             for name in names:
                 old = inputs.get(name, Interval.top())
                 grown = old.join(produced)
@@ -174,26 +197,24 @@ def analyze_fixpoint(
                     changed = True
         if not changed:
             break
-        analysis = analyze_program(graph, inputs, match_range)
+        outputs = _outputs(graph, *_evaluate(graph, inputs, match_range))
         iterations += 1
 
-    # One narrowing descent: recompute from the widened inputs and pull
-    # infinite endpoints back toward what the program actually produces.
+    # One narrowing descent: pull the widened inputs' infinite
+    # endpoints back toward what the program actually produces.
     narrowed = dict(inputs)
     for out, names in feedback.items():
-        if out not in analysis.outputs:
+        if out not in outputs:
             continue
-        produced = analysis.outputs[out]
+        produced = outputs[out]
         for name in names:
             declared = contract_inputs.get(name, Interval.top())
             refined = narrowed.get(name, Interval.top()).narrow(
                 declared.join(produced)
             )
             narrowed[name] = refined
-    analysis = analyze_program(graph, narrowed, match_range)
     iterations += 1
     return FixpointResult(
-        analysis=analysis,
         iterations=iterations,
         inductively_closed=closed,
         steady_inputs=narrowed,

@@ -21,3 +21,13 @@ def dna_pair(rng):
     template = random_sequence(40, rng)
     mutator = Mutator(MutationProfile.illumina(), rng)
     return mutator.mutate(template), template
+
+
+@pytest.fixture
+def every_batch_on_the_ring(monkeypatch):
+    """Send every shm batch to the workers, small ones too: for tests
+    of the ring itself, whose jobs sit under ``INLINE_MAX_BIN``
+    (``tests/serve/test_inline_small.py`` tests the routing)."""
+    from repro.serve import transport
+
+    monkeypatch.setattr(transport, "INLINE_MAX_BIN", -1)

@@ -60,6 +60,7 @@ def run_on_workers(lcs_compiled):
     return run
 
 
+@pytest.mark.usefixtures("every_batch_on_the_ring")
 class TestPool:
     """The pool of warm shm workers that ``make_executor(n)`` builds."""
 

@@ -6,6 +6,8 @@ DPMap compiling once per distinct kernel, a warm cache for everything
 else, and every result checked against the golden software kernels.
 """
 
+import pytest
+
 from repro.engine import Engine, EngineConfig, make_job
 from repro.engine.runners import matches_reference, reference_result
 from repro.workloads.anchors import generate_chain_workload
@@ -53,6 +55,7 @@ def _mixed_jobs(seed=7, count=JOB_COUNT):
     return jobs
 
 
+@pytest.mark.usefixtures("every_batch_on_the_ring")
 def test_mixed_stream_parallel_end_to_end():
     jobs = _mixed_jobs()
     config = EngineConfig(workers=2, max_queue=JOB_COUNT)

@@ -2,6 +2,8 @@
 
 from collections import Counter
 
+import pytest
+
 from repro.engine import Engine, EngineConfig, make_job
 from repro.obs.trace import TraceRecorder, validate_chrome_trace
 
@@ -132,6 +134,7 @@ class TestEventMarkers:
         assert _span_names(tracer)["job:reference"] == 1
 
 
+@pytest.mark.usefixtures("every_batch_on_the_ring")
 class TestWorkerPropagation:
     def test_pool_workers_ship_spans_back(self):
         tracer = TraceRecorder()

@@ -9,8 +9,10 @@ across drains, transport accounting, and reclaim after a worker crash
 chaos campaigns).
 
 One CPU core is assumed: workloads here are tiny, the point is
-protocol correctness, not throughput (that is ``serve_small_mixed``
-in ``bench/``, which drives the shm rings end to end).
+protocol correctness, not throughput.  Every job here is small enough
+to run inline by size, so every test sends every batch to the ring
+(``every_batch_on_the_ring``); ``tests/serve/test_inline_small.py``
+tests the routing itself.
 """
 
 import multiprocessing.process
@@ -30,6 +32,8 @@ from repro.serve.layout import J_GEN, R_GEN, R_JOB_ID, R_STATE, READY, encode_re
 from repro.serve.ring import RingGeometry
 from repro.serve.transport import ShmExecutor
 from repro.workloads.anchors import generate_chain_workload
+
+pytestmark = pytest.mark.usefixtures("every_batch_on_the_ring")
 
 
 def _payloads(kernel, count, seed=31):
@@ -245,8 +249,9 @@ def test_workers_fork_with_warm_sweeps(monkeypatch):
             assert len(runs) == len(ENGINE_KERNELS)
             return {(span.pid, span.args["path"]) for span in runs}
 
+        ran = run_every_kernel()  # the first batch forks the worker
         first = engine.executor._workers[0]
-        assert run_every_kernel() == {(first.pid, "fused")}
+        assert ran == {(first.pid, "fused")}
         first.kill()
         first.join()
         respawned = run_every_kernel()
@@ -271,9 +276,12 @@ def test_injected_failures_stay_job_level():
 
 def test_shm_executor_close_releases_segments():
     transport = TransportConfig(backend="shm", workers=1)
-    executor = ShmExecutor(transport)
-    names = executor._segments.names
-    executor.close()
+    with Engine(EngineConfig(transport=transport)) as engine:
+        engine.submit(make_job("lcs", _payloads("lcs", 1)[0]))
+        assert all(r.ok and r.backend == "shm" for r in engine.drain())
+        executor = engine.executor
+        names = executor._segments.names
+        executor.close()
     from multiprocessing import shared_memory
 
     with pytest.raises(FileNotFoundError):

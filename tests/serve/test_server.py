@@ -206,6 +206,7 @@ def test_graceful_drain_completes_inflight_rejects_new(tmp_path):
     run(scenario())
 
 
+@pytest.mark.usefixtures("every_batch_on_the_ring")
 def test_correlation_ids_and_serve_spans(tmp_path):
     tracer = TraceRecorder()
 
