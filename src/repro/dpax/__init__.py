@@ -19,6 +19,11 @@ Models the architecture of Section 4 at instruction granularity:
 - :mod:`repro.dpax.machine` -- the DPAx tile (16 integer + 1 FP PE
   arrays) with configurable array concatenation.
 
+The datapath constants (``INT32_*``, ``LANE8_*``, ``DEFAULT_RF_SIZE``,
+``INTEGER_ARRAYS``) live in the import-free :mod:`repro.datapath`,
+re-exported here, so code that only checks values against the rails
+does not load the simulator.
+
 Programs come from :mod:`repro.mapping` (control codegen) and
 :mod:`repro.dpmap.codegen` (compute codegen); the simulator's results
 are validated cell-for-cell against the reference kernels ("The BSW,
@@ -26,12 +31,26 @@ PairHMM and POA simulations show same results as CPU baselines",
 Section 6).
 """
 
+from repro.datapath import (
+    DEFAULT_RF_SIZE,
+    INT32_MAX,
+    INT32_MIN,
+    INTEGER_ARRAYS,
+    LANE8_MAX,
+    LANE8_MIN,
+)
 from repro.dpax.storage import DataBuffer, Fifo, PortQueue, RegisterFile, Scratchpad
 from repro.dpax.pe import PE, PEConfig, PEStats
 from repro.dpax.pe_array import PEArray
 from repro.dpax.machine import DPAxMachine, SimulationResult
 
 __all__ = [
+    "DEFAULT_RF_SIZE",
+    "INT32_MAX",
+    "INT32_MIN",
+    "INTEGER_ARRAYS",
+    "LANE8_MAX",
+    "LANE8_MIN",
     "DataBuffer",
     "Fifo",
     "PortQueue",

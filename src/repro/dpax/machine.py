@@ -14,12 +14,12 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence
 
+from repro.datapath import INTEGER_ARRAYS
 from repro.dpax import loop
 from repro.dpax.pe import PEConfig, PEStats
 from repro.dpax.pe_array import PES_PER_ARRAY, PEArray
 
-#: Figure 4's tile composition.
-INTEGER_ARRAYS = 16
+#: Figure 4's tile composition (integer arrays: :mod:`repro.datapath`).
 FP_ARRAYS = 1
 
 #: Expected DPAx clock (Section 7.2: "GenDP is expected to run at 2GHz").

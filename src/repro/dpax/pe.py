@@ -36,6 +36,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Callable, List, Optional
 
+from repro.datapath import DEFAULT_RF_SIZE
 from repro.dpax import loop
 from repro.dpax.decode import (
     ControlHandler,
@@ -47,20 +48,6 @@ from repro.dpax.decode import (
 from repro.dpax.storage import Fifo, PortQueue, RegisterFile, Scratchpad
 from repro.isa.compute import VLIWInstruction
 from repro.isa.control import ControlInstruction
-
-
-#: Integer datapath rails (32-bit two's complement) and the 4-lane
-#: SIMD sub-word rails -- shared with the guard's numerical sentinels
-#: (:mod:`repro.guard.sentinels`) so overflow detection matches the
-#: arithmetic that would actually wrap/saturate in hardware.
-INT32_MIN = -(1 << 31)
-INT32_MAX = (1 << 31) - 1
-LANE8_MIN = -(1 << 7)
-LANE8_MAX = (1 << 7) - 1
-
-#: Register-file entries per PE (Table 4); the default bound programs
-#: are checked against when no explicit :class:`PEConfig` is in play.
-DEFAULT_RF_SIZE = 64
 
 
 def sat_lane(value: int, bits: int) -> int:

@@ -268,7 +268,7 @@ def offset_cell_program(
     if base < 0:
         raise ValueError("register base must be non-negative")
     if rf_size is None:
-        from repro.dpax.pe import DEFAULT_RF_SIZE
+        from repro.datapath import DEFAULT_RF_SIZE
 
         rf_size = DEFAULT_RF_SIZE
     highest = base + program.register_count - 1

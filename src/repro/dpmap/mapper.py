@@ -19,13 +19,13 @@ from repro.dfg.graph import DataFlowGraph
 from repro.dpmap.mgraph import Component, MappingGraph
 from repro.dpmap.passes import (
     alus_for_levels,
-    legalize_pass,
+    legalized_assignments,
     partitioning_pass,
     refinement_pass,
     seeding_pass,
     tree_merge_pass,
 )
-from repro.dpmap.slots import SlotAssignment, try_assign
+from repro.dpmap.slots import SlotAssignment
 
 #: Compute units per PE (2-way VLIW, Section 4.2).
 CUS_PER_PE = 2
@@ -91,18 +91,7 @@ def run_dpmap(dfg: DataFlowGraph, levels: int = 2) -> DPMapResult:
         if levels > 2:
             tree_merge_pass(graph, levels)
     _spill_outputs(graph)
-    legalize_pass(graph, levels)
-
-    components = graph.components()
-    assignments: List[SlotAssignment] = []
-    for component in components:
-        assignment = try_assign(graph, component, levels)
-        if assignment is None:
-            raise AssertionError(
-                f"legalized component {component.node_ids} does not fit a "
-                f"{levels}-level CU"
-            )
-        assignments.append(assignment)
+    components, assignments = legalized_assignments(graph, levels)
 
     schedule = _list_schedule(graph, components)
     stats = _collect_stats(graph, components, assignments, schedule, levels)
@@ -133,16 +122,22 @@ def _spill_outputs(graph: MappingGraph) -> None:
     for node_id in set(graph.outputs.values()):
         if node_id in graph.nodes and graph.via_children(node_id):
             graph.remove_output_edges(node_id)
+    # Spilling a node only cuts edges *from* it, so no later node's
+    # membership in this set changes inside the loop.
+    rf_consumed = _rf_producers(graph)
     for node_id in graph.topo_ids():
-        if not graph.via_children(node_id):
-            continue
-        rf_consumed = any(
-            source.producer == node_id and not source.via_edge
-            for other in graph.nodes.values()
-            for source in other.sources
-        )
-        if rf_consumed:
+        if node_id in rf_consumed and graph.via_children(node_id):
             graph.remove_output_edges(node_id)
+
+
+def _rf_producers(graph: MappingGraph) -> Set[int]:
+    """Nodes at least one consumer reads through the register file."""
+    return {
+        source.producer
+        for node in graph.nodes.values()
+        for source in node.sources
+        if source.producer is not None and not source.via_edge
+    }
 
 
 def _component_dependencies(
@@ -207,16 +202,8 @@ def _collect_stats(
         for source in node.sources
         if source.is_rf_read
     )
-    output_ids = set(graph.outputs.values())
-    rf_writes = 0
-    for node_id, node in graph.nodes.items():
-        spilled = any(
-            source.producer == node_id and not source.via_edge
-            for other in graph.nodes.values()
-            for source in other.sources
-        )
-        if spilled or node_id in output_ids:
-            rf_writes += 1
+    written = _rf_producers(graph) | set(graph.outputs.values())
+    rf_writes = len(written & graph.nodes.keys())
     alu_ops = sum(assignment.alu_ops_used for assignment in assignments)
     return MappingStats(
         rf_reads=rf_reads,

@@ -20,7 +20,7 @@ for the deeper reduction trees of the Table 2 design-space study.
 
 from __future__ import annotations
 
-from typing import List
+from typing import List, Tuple
 
 from repro.dfg.graph import (
     COMMUTATIVE_OPCODES,
@@ -28,6 +28,7 @@ from repro.dfg.graph import (
     Opcode,
 )
 from repro.dpmap.mgraph import Component, MappingGraph
+from repro.dpmap.slots import SlotAssignment, try_assign
 
 #: Operand slots available to level-1 of a compute unit: 4 on the left
 #: ALU + 2 on the right (Section 4.4's "6 operands").
@@ -95,17 +96,25 @@ def legalize_pass(graph: MappingGraph, levels: int = 2) -> None:
     spills edges until every component does.  It terminates because the
     all-singleton partition is always feasible.
     """
-    from repro.dpmap.slots import try_assign
+    legalized_assignments(graph, levels)
 
-    changed = True
-    while changed:
-        changed = False
-        for component in graph.components():
-            if try_assign(graph, component, levels) is not None:
-                continue
-            _spill_one(graph, component)
-            changed = True
-            break  # components changed; recompute
+
+def legalized_assignments(
+    graph: MappingGraph, levels: int = 2
+) -> Tuple[List[Component], List[SlotAssignment]]:
+    """:func:`legalize_pass`, returning its last sweep: the components
+    and the slot assignment that made each feasible."""
+    while True:
+        components = graph.components()
+        assignments = []
+        for component in components:
+            assignment = try_assign(graph, component, levels)
+            if assignment is None:
+                _spill_one(graph, component)
+                break  # components changed; recompute
+            assignments.append(assignment)
+        else:
+            return components, assignments
 
 
 def _spill_one(graph: MappingGraph, component: Component) -> None:
@@ -123,8 +132,6 @@ def tree_merge_pass(graph: MappingGraph, levels: int) -> None:
     """
     if levels <= 2:
         return
-    from repro.dpmap.slots import try_assign
-
     merged = True
     while merged:
         merged = False

@@ -6,7 +6,7 @@ modes of :mod:`repro.dpax.machine` (Section 3.1):
 
 - **2-D kernels** (BSW, PairHMM, LCS, DTW) run with independent 4-PE
   arrays, one task per array, so a batch carries up to
-  :data:`~repro.dpax.machine.INTEGER_ARRAYS` jobs side by side.
+  :data:`~repro.datapath.INTEGER_ARRAYS` jobs side by side.
 - **1-D kernels** (Chain) concatenate the 16 arrays into one 64-PE
   systolic chain; tasks stream through it back to back, so a batch is
   a stream of up to the same 16 tasks sharing one program load.
@@ -22,7 +22,7 @@ import itertools
 from dataclasses import dataclass, field
 from typing import Dict, List, Sequence, Tuple
 
-from repro.dpax.machine import INTEGER_ARRAYS
+from repro.datapath import INTEGER_ARRAYS
 from repro.engine.jobs import KERNEL_DIMENSIONS, Job
 from repro.engine.runners import payload_cells
 

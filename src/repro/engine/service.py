@@ -33,7 +33,7 @@ import time
 from dataclasses import dataclass, field, replace
 from typing import Any, Callable, Dict, List, Optional, Tuple
 
-from repro.dpax.machine import INTEGER_ARRAYS
+from repro.datapath import INTEGER_ARRAYS
 from repro.engine.batcher import Batch, Batcher
 from repro.engine.breaker import BREAKER_CODES, CircuitBreaker
 from repro.engine.cache import (

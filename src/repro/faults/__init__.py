@@ -27,17 +27,27 @@ The CLI front end is ``gendp-chaos``; ``docs/reliability.md`` has the
 fault taxonomy and the hardening each fault class forced.
 """
 
-from repro.faults.campaign import Ledger, drive
-from repro.faults.chaos import CampaignReport, ChaosConfig, run_campaign
-from repro.faults.disk import DISK_FAULT_KINDS, DiskFaultPlan
-from repro.faults.plan import (
-    FAULT_KINDS,
-    FaultPlan,
-    InjectedCompileError,
-    seeded_rng,
-    unit_draw,
+from repro.lazy import lazy_exports
+
+__getattr__ = lazy_exports(
+    __name__,
+    {
+        "Ledger": "campaign",
+        "drive": "campaign",
+        "CampaignReport": "chaos",
+        "ChaosConfig": "chaos",
+        "run_campaign": "chaos",
+        "DISK_FAULT_KINDS": "disk",
+        "DiskFaultPlan": "disk",
+        "FAULT_KINDS": "plan",
+        "FaultPlan": "plan",
+        "InjectedCompileError": "plan",
+        "seeded_rng": "plan",
+        "unit_draw": "plan",
+        "SHARD_FAULT_KINDS": "shards",
+        "ShardFaultPlan": "shards",
+    },
 )
-from repro.faults.shards import SHARD_FAULT_KINDS, ShardFaultPlan
 
 __all__ = [
     "CampaignReport",

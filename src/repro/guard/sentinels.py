@@ -28,7 +28,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Dict, Optional
 
-from repro.dpax.pe import INT32_MAX, INT32_MIN, LANE8_MAX, LANE8_MIN
+from repro.datapath import INT32_MAX, INT32_MIN, LANE8_MAX, LANE8_MIN
 
 #: The PairHMM log-domain floor (kernels2d's minus-infinity stand-in):
 #: anything at or below it means the probability mass underflowed.

@@ -39,9 +39,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Tuple
 
+from repro.datapath import DEFAULT_RF_SIZE, INT32_MAX, INT32_MIN
 from repro.dfg.graph import FOUR_INPUT_OPCODES, OPCODE_ARITY, Opcode
 from repro.diagnostics import Diagnostic, Severity
-from repro.dpax.pe import DEFAULT_RF_SIZE, INT32_MAX, INT32_MIN
 from repro.isa.compute import (
     CUInstruction,
     Imm,

@@ -24,19 +24,34 @@ algorithmic content of the CPU baselines in the benchmark harness.
   (generality study).
 """
 
-from repro.kernels.base import AlignmentMode, AlignmentResult, CellCounter
-from repro.kernels.bsw import BandedSWResult, banded_sw
-from repro.kernels.chain import Anchor, ChainResult, chain_original, chain_reordered
-from repro.kernels.dtw import dtw_distance
-from repro.kernels.lcs import lcs_length, lcs_string, lcs_table
-from repro.kernels.pairhmm import (
-    HMMParameters,
-    pairhmm_forward,
-    pairhmm_forward_pruned,
+from repro.lazy import lazy_exports
+
+__getattr__ = lazy_exports(
+    __name__,
+    {
+        "AlignmentMode": "base",
+        "AlignmentResult": "base",
+        "CellCounter": "base",
+        "BandedSWResult": "bsw",
+        "banded_sw": "bsw",
+        "Anchor": "chain",
+        "ChainResult": "chain",
+        "chain_original": "chain",
+        "chain_reordered": "chain",
+        "dtw_distance": "dtw",
+        "lcs_length": "lcs",
+        "lcs_string": "lcs",
+        "lcs_table": "lcs",
+        "HMMParameters": "pairhmm",
+        "pairhmm_forward": "pairhmm",
+        "pairhmm_forward_pruned": "pairhmm",
+        "PartialOrderGraph": "poa",
+        "align_to_graph": "poa",
+        "poa_consensus": "poa",
+        "sw_align": "sw:align",
+        "bellman_ford": "bellman_ford",
+    },
 )
-from repro.kernels.poa import PartialOrderGraph, align_to_graph, poa_consensus
-from repro.kernels.sw import align as sw_align
-from repro.kernels.bellman_ford import bellman_ford
 
 __all__ = [
     "AlignmentMode",

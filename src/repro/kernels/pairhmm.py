@@ -259,17 +259,37 @@ def log_sum_lookup(a: int, b: int) -> int:
     return a + _LOG_SUM_TABLE[diff]
 
 
+def _log_sum_entry(diff: int) -> int:
+    """The table's defining formula: log2(1 + 2^-d) at fixed-point d."""
+    return int(round(math.log2(1.0 + 2.0 ** (-diff / _LOG_SCALE)) * _LOG_SCALE))
+
+
 def _build_log_sum_table() -> Tuple[List[int], int]:
     """Precompute log2(1 + 2^-d) for fixed-point differences d.
 
     The table spans differences up to 16.0 in log2 (beyond which the
-    correction rounds to zero at 12 fraction bits).
+    correction rounds to zero at 12 fraction bits).  It falls from
+    ``_LOG_SCALE`` to 0 one unit at a time, so it is built from its
+    4,096 step positions instead of 65,536 evaluations: the entry
+    drops below *v* near ``-S*log2(2^((v - 1/2)/S) - 1)``, and each
+    step is confirmed (and moved, if needed) with :func:`_log_sum_entry`
+    on both of its sides.  ``tests/kernels/test_log_sum_table.py``
+    checks every entry against the formula.
     """
     span = 16 * _LOG_SCALE
-    table = [
-        int(round(math.log2(1.0 + 2.0 ** (-diff / _LOG_SCALE)) * _LOG_SCALE))
-        for diff in range(span)
-    ]
+    log2, ceil, entry = math.log2, math.ceil, _log_sum_entry
+    table: List[int] = []
+    start = 0  # first difference not yet in the table
+    for value in range(entry(0), 0, -1):
+        step = ceil(-_LOG_SCALE * log2(2.0 ** ((value - 0.5) / _LOG_SCALE) - 1.0))
+        step = max(start, step)
+        while entry(step) >= value:
+            step += 1
+        while step > start and entry(step - 1) < value:
+            step -= 1
+        table += [value] * (step - start)
+        start = step
+    table += [0] * (span - start)
     return table, span
 
 

@@ -18,32 +18,31 @@ Three coordinated layers (``docs/observability.md``):
   scrape endpoint, and structured JSON logging with correlation ids.
 """
 
-from repro.obs.export import (
-    histogram_quantiles,
-    prometheus_text,
-    quantile_from_buckets,
-    snapshot_json,
-)
-from repro.obs.logs import (
-    configure_json_logging,
-    current_context,
-    get_logger,
-    log_context,
-)
-from repro.obs.profile import (
-    ArrayProfile,
-    PEProfile,
-    ProfileReport,
-    TileProfile,
-)
-from repro.obs.server import MetricsServer
-from repro.obs.trace import (
-    Span,
-    TraceRecorder,
-    monotonic_epoch_clock,
-    new_trace_id,
-    validate_chrome_trace,
-    worker_span,
+from repro.lazy import lazy_exports
+
+__getattr__ = lazy_exports(
+    __name__,
+    {
+        "histogram_quantiles": "export",
+        "prometheus_text": "export",
+        "quantile_from_buckets": "export",
+        "snapshot_json": "export",
+        "configure_json_logging": "logs",
+        "current_context": "logs",
+        "get_logger": "logs",
+        "log_context": "logs",
+        "ArrayProfile": "profile",
+        "PEProfile": "profile",
+        "ProfileReport": "profile",
+        "TileProfile": "profile",
+        "MetricsServer": "server",
+        "Span": "trace",
+        "TraceRecorder": "trace",
+        "monotonic_epoch_clock": "trace",
+        "new_trace_id": "trace",
+        "validate_chrome_trace": "trace",
+        "worker_span": "trace",
+    },
 )
 
 __all__ = [

@@ -28,11 +28,13 @@ from __future__ import annotations
 import dataclasses
 from collections import Counter
 from dataclasses import dataclass, field
-from typing import Any, Dict, List, Optional
+from typing import TYPE_CHECKING, Any, Dict, List, Optional
 
-from repro.dpax.pe import PEStats
 from repro.dpmap.mapper import CUS_PER_PE
 from repro.dpmap.passes import alus_for_levels
+
+if TYPE_CHECKING:  # the simulator loads only when a profile is built
+    from repro.dpax.pe import PEStats
 
 #: Stall reasons the control threads distinguish (decode.py waits).
 STALL_REASONS = (
@@ -65,7 +67,11 @@ class PEProfile:
     def __init__(self, array_index: int, pe_index: int, stats: Optional[PEStats] = None):
         self.array_index = array_index
         self.pe_index = pe_index
-        self.stats = PEStats() if stats is None else stats
+        if stats is None:
+            from repro.dpax.pe import PEStats
+
+            stats = PEStats()
+        self.stats = stats
         self._base = dataclasses.replace(self.stats)
         #: Bundles run, by issued-way count (the index).
         self.ways = [0] * (CUS_PER_PE + 1)

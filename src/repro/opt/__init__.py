@@ -23,33 +23,41 @@ differential-fuzz kernels compile, optimized or not, through
 See ``docs/optimizer.md`` for the pass catalog and safety argument.
 """
 
-from repro.opt.cost import ProgramCost, cost_of, program_stats
-from repro.opt.lint import LintReport, ProgramLint, lint_program, run_lint
-from repro.opt.model import (
-    LinearProgram,
-    NonSSAProgramError,
-    critical_path,
-    heights,
-    linearize,
-    live_sets,
-    live_ways,
-    peak_live,
-    schedule_lower_bound,
-)
-from repro.opt.passes import (
-    CommonSubexpressionPass,
-    ConstantFoldPass,
-    CopyPropagationPass,
-    DeadCodePass,
-    OptResult,
-    Pass,
-    PassPipeline,
-    PruneOutputsPass,
-    SimplifySlotsPass,
-    default_pipeline,
-    pack_ways,
-)
+from repro.lazy import lazy_exports
 from repro.static.contracts import contract_for
+
+__getattr__ = lazy_exports(
+    __name__,
+    {
+        "ProgramCost": "cost",
+        "cost_of": "cost",
+        "program_stats": "cost",
+        "LintReport": "lint",
+        "ProgramLint": "lint",
+        "lint_program": "lint",
+        "run_lint": "lint",
+        "LinearProgram": "model",
+        "NonSSAProgramError": "model",
+        "critical_path": "model",
+        "heights": "model",
+        "linearize": "model",
+        "live_sets": "model",
+        "live_ways": "model",
+        "peak_live": "model",
+        "schedule_lower_bound": "model",
+        "CommonSubexpressionPass": "passes",
+        "ConstantFoldPass": "passes",
+        "CopyPropagationPass": "passes",
+        "DeadCodePass": "passes",
+        "OptResult": "passes",
+        "Pass": "passes",
+        "PassPipeline": "passes",
+        "PruneOutputsPass": "passes",
+        "SimplifySlotsPass": "passes",
+        "default_pipeline": "passes",
+        "pack_ways": "passes",
+    },
+)
 
 __all__ = [
     "CommonSubexpressionPass",

@@ -12,24 +12,30 @@ reproduction.  It provides:
 - :mod:`repro.seq.records` -- lightweight read/reference record types.
 """
 
-from repro.seq.alphabet import (
-    DNA_ALPHABET,
-    complement,
-    decode,
-    encode,
-    is_dna,
-    random_sequence,
-    reverse_complement,
-)
-from repro.seq.mutate import MutationProfile, Mutator
-from repro.seq.records import Read, ReadPair, Reference
-from repro.seq.scoring import (
-    AffineGap,
-    ConvexGap,
-    GapModel,
-    LinearGap,
-    ScoringScheme,
-    SubstitutionMatrix,
+from repro.lazy import lazy_exports
+
+__getattr__ = lazy_exports(
+    __name__,
+    {
+        "DNA_ALPHABET": "alphabet",
+        "complement": "alphabet",
+        "decode": "alphabet",
+        "encode": "alphabet",
+        "is_dna": "alphabet",
+        "random_sequence": "alphabet",
+        "reverse_complement": "alphabet",
+        "MutationProfile": "mutate",
+        "Mutator": "mutate",
+        "Read": "records",
+        "ReadPair": "records",
+        "Reference": "records",
+        "AffineGap": "scoring",
+        "ConvexGap": "scoring",
+        "GapModel": "scoring",
+        "LinearGap": "scoring",
+        "ScoringScheme": "scoring",
+        "SubstitutionMatrix": "scoring",
+    },
 )
 
 __all__ = [

@@ -16,15 +16,25 @@ Two layers (``docs/serving.md``):
   quotas.
 """
 
-from repro.serve.admission import (
-    PRIORITY_CLASSES,
-    AdmissionController,
-    AdmissionDecision,
+from repro.lazy import lazy_exports
+
+__getattr__ = lazy_exports(
+    __name__,
+    {
+        "PRIORITY_CLASSES": "admission",
+        "AdmissionController": "admission",
+        "AdmissionDecision": "admission",
+        "ReconnectPolicy": "client",
+        "ServeClient": "client",
+        "TenantQuotas": "quota",
+        "TokenBucket": "quota",
+        "GendpServer": "server",
+        "ServeConfig": "server",
+        "BACKENDS": "transport",
+        "ShmExecutor": "transport",
+        "TransportConfig": "transport",
+    },
 )
-from repro.serve.client import ReconnectPolicy, ServeClient
-from repro.serve.quota import TenantQuotas, TokenBucket
-from repro.serve.server import GendpServer, ServeConfig
-from repro.serve.transport import BACKENDS, ShmExecutor, TransportConfig
 
 __all__ = [
     "AdmissionController",

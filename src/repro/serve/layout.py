@@ -37,6 +37,11 @@ else takes a checked numpy conversion, which decides the same bytes
 or the fallback.  Everything here is pure functions over
 ``memoryview``/numpy slices; the ring state machine lives in
 :mod:`repro.serve.ring`.
+
+numpy loads with the ring: :meth:`repro.serve.ring.ServeSegments.create`
+calls :func:`load_numpy` before the transport forks its workers, so
+they inherit the import, and a server whose jobs all run inline never
+loads it.  A codec call made without a ring loads it at first use.
 """
 
 from __future__ import annotations
@@ -45,11 +50,12 @@ import json
 import pickle
 import struct
 from itertools import chain
-from typing import Any, Dict, List, Mapping, NamedTuple, Optional, Tuple
-
-import numpy as np
+from typing import TYPE_CHECKING, Any, Dict, List, Mapping, NamedTuple, Optional, Tuple
 
 from repro.engine.kernels import KERNELS, EngineKernel
+
+if TYPE_CHECKING:
+    import numpy as np
 
 #: Engine kernels the SoA fast path encodes: row order, from 1 (id 0
 #: is reserved).
@@ -114,7 +120,15 @@ JOB_FIELDS = 13
 ) = range(9)
 RESULT_FIELDS = 9
 
-_INT64 = np.dtype("<i8")
+_INT64 = "<i8"
+
+
+def load_numpy() -> Any:
+    """numpy, for the codec: imported by the first call."""
+    import numpy
+
+    return numpy
+
 
 #: Payload keys outside the operands that never force the pickle
 #: fallback: flag bits, the delay word, and ``_trace`` behind the body.
@@ -210,6 +224,7 @@ def _int_array(values: Any, columns: int) -> Optional[np.ndarray]:
     try:
         # Two-step with an equality check: a direct int64 cast would
         # silently truncate floats, making the transport lossy.
+        np = load_numpy()
         exact = np.asarray(values)
         array = exact.astype(_INT64)
         if not np.array_equal(array, exact):
@@ -339,7 +354,7 @@ def decode_payload(header: np.ndarray, region: np.ndarray) -> Dict[str, Any]:
         if columns == 1:
             payload[key] = list(struct.unpack_from(f"<{count}q", raw, start))
         elif columns:  # rows: numpy's reshape beats slicing a tuple
-            values = np.frombuffer(raw, _INT64, count * columns, start)
+            values = load_numpy().frombuffer(raw, _INT64, count * columns, start)
             payload[key] = values.reshape(count, columns).tolist()
         else:
             payload[key] = raw[start : start + count].decode("ascii")

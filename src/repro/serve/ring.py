@@ -42,7 +42,7 @@ from dataclasses import dataclass, fields
 from multiprocessing import shared_memory
 from typing import Dict, List, Optional, Tuple
 
-from repro.serve.layout import JOB_FIELDS, READY, RESULT_FIELDS
+from repro.serve.layout import JOB_FIELDS, READY, RESULT_FIELDS, load_numpy
 
 #: Program-table row words.
 P_ID, P_OFFSET, P_LENGTH = range(3)
@@ -269,8 +269,10 @@ class ServeSegments:
         Nothing is written: a new POSIX segment is sized by
         ``ftruncate`` and reads as zeros, which is every slot FREE at
         generation 0 and an empty program table.  Only the pages the
-        parent later fills become resident.
+        parent later fills become resident.  It also loads the codec's
+        numpy, so workers forked after it inherit the import.
         """
+        load_numpy()
         sizes = {
             "job_header": geometry.slots * JOB_FIELDS * 8,
             "job_data": geometry.slots * geometry.slot_bytes,

@@ -12,24 +12,26 @@ second-generation observability layer over :mod:`repro.obs`.
 CLI front end: ``gendp-slo``.
 """
 
-from repro.slo.accounting import TenantLedger, estimate_cells
-from repro.slo.burnrate import (
-    DEFAULT_WINDOWS,
-    Alert,
-    BurnWindow,
-    SLOEngine,
-    synthesize_burn_replay,
-)
-from repro.slo.flight import (
-    FlightRecorder,
-    blackbox_to_chrome_trace,
-    canonical_blackbox,
-    load_blackbox,
-)
-from repro.slo.objectives import (
-    DEFAULT_OBJECTIVES,
-    SLObjective,
-    objective_from_dict,
+from repro.lazy import lazy_exports
+
+__getattr__ = lazy_exports(
+    __name__,
+    {
+        "TenantLedger": "accounting",
+        "estimate_cells": "accounting",
+        "DEFAULT_WINDOWS": "burnrate",
+        "Alert": "burnrate",
+        "BurnWindow": "burnrate",
+        "SLOEngine": "burnrate",
+        "synthesize_burn_replay": "burnrate",
+        "FlightRecorder": "flight",
+        "blackbox_to_chrome_trace": "flight",
+        "canonical_blackbox": "flight",
+        "load_blackbox": "flight",
+        "DEFAULT_OBJECTIVES": "objectives",
+        "SLObjective": "objectives",
+        "objective_from_dict": "objectives",
+    },
 )
 
 __all__ = [

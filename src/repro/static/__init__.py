@@ -27,34 +27,33 @@ single-assignment check:
   sharing the guard/lint :class:`repro.diagnostics.Diagnostic` schema.
 """
 
-from repro.static.absint import (
-    ProgramAnalysis,
-    WayAnalysis,
-    analyze_fixpoint,
-    analyze_program,
-)
-from repro.static.certify import (
-    HazardVerdict,
-    ProgramSafetyCertificate,
-    certify_program,
-    compiled_certificate,
-)
-from repro.static.contracts import (
-    KernelContract,
-    kernel_contract,
-)
-from repro.static.hazards import (
-    areg_value_intervals,
-    control_spm_diagnostics,
-    count_port_ops,
-    rf_pressure_diagnostics,
-    wavefront_protocol_diagnostics,
-)
-from repro.static.intervals import INT32, LANE8, Interval
-from repro.static.report import (
-    AnalysisReport,
-    ProgramAnalysisEntry,
-    run_analysis,
+from repro.lazy import lazy_exports
+
+__getattr__ = lazy_exports(
+    __name__,
+    {
+        "ProgramAnalysis": "absint",
+        "WayAnalysis": "absint",
+        "analyze_fixpoint": "absint",
+        "analyze_program": "absint",
+        "HazardVerdict": "certify",
+        "ProgramSafetyCertificate": "certify",
+        "certify_program": "certify",
+        "compiled_certificate": "certify",
+        "KernelContract": "contracts",
+        "kernel_contract": "contracts",
+        "areg_value_intervals": "hazards",
+        "control_spm_diagnostics": "hazards",
+        "count_port_ops": "hazards",
+        "rf_pressure_diagnostics": "hazards",
+        "wavefront_protocol_diagnostics": "hazards",
+        "INT32": "intervals",
+        "LANE8": "intervals",
+        "Interval": "intervals",
+        "AnalysisReport": "report",
+        "ProgramAnalysisEntry": "report",
+        "run_analysis": "report",
+    },
 )
 
 __all__ = [

@@ -34,7 +34,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Tuple
 
-from repro.dpax.pe import INT32_MAX, INT32_MIN, LANE8_MAX, LANE8_MIN
+from repro.datapath import INT32_MAX, INT32_MIN, LANE8_MAX, LANE8_MIN
 from repro.guard.sentinels import PAIRHMM_UNDERFLOW_FLOOR, make_sentinel
 from repro.static.absint import analyze_fixpoint, analyze_program, program_graph
 from repro.static.contracts import KernelContract, kernel_contract

@@ -22,8 +22,8 @@ import math
 from dataclasses import dataclass
 from typing import Callable, List, Mapping, Optional, Sequence, Tuple
 
+from repro.datapath import INT32_MAX, INT32_MIN, LANE8_MAX, LANE8_MIN
 from repro.dfg.graph import OPCODE_ARITY, Opcode
-from repro.dpax.pe import INT32_MAX, INT32_MIN, LANE8_MAX, LANE8_MIN
 from repro.isa.values import Node, Ref
 from repro.kernels.pairhmm import LOG_FRACTION_BITS
 

@@ -1,6 +1,6 @@
 """Batch packing: interconnect modes, size bins, capacity, priority."""
 
-from repro.dpax.machine import INTEGER_ARRAYS
+from repro.datapath import INTEGER_ARRAYS
 from repro.engine.batcher import (
     MODE_ARRAYS,
     MODE_CHAIN,

@@ -20,10 +20,10 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from repro.datapath import INT32_MAX, INT32_MIN
 from repro.dfg.expressions import _EXPRESSIONS, MATCH_LOOKUP, op_expression
 from repro.dfg.graph import OPCODE_ARITY, Opcode, _apply
 from repro.dfg.stencils import boundary_row
-from repro.dpax.pe import INT32_MAX, INT32_MIN
 from repro.engine import Engine, EngineConfig, make_job
 from repro.engine.cache import compile_program
 from repro.engine.jobs import ENGINE_KERNELS

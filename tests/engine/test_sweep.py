@@ -20,6 +20,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from repro.datapath import INT32_MAX, INT32_MIN
 from repro.dfg.expressions import expression_namespace, op_expression
 from repro.dfg.graph import Opcode
 from repro.dfg.stencils import (
@@ -30,7 +31,6 @@ from repro.dfg.stencils import (
     pairhmm_boundary_for_length,
     wavefront_spec,
 )
-from repro.dpax.pe import INT32_MAX, INT32_MIN
 from repro.engine import Engine, EngineConfig, make_job
 from repro.engine.cache import compile_program
 from repro.engine.jobs import ENGINE_KERNELS, KERNEL_DIMENSIONS, JobValidationError

@@ -8,7 +8,11 @@ tracker -- until a batch crosses.
 """
 
 import asyncio
+import json
 import os
+import pathlib
+import subprocess
+import sys
 import threading
 
 import pytest
@@ -260,3 +264,63 @@ def test_a_server_forks_workers_from_the_drain_thread(tmp_path, monkeypatch):
     asyncio.run(asyncio.wait_for(scenario(), timeout=60))
     assert len(spawning_threads) == 2
     assert threading.main_thread() not in spawning_threads
+
+
+#: A fresh interpreter (numpy not loaded by other tests) drains one
+#: small job, then one that crosses the ring: a bin-10 LCS job, or,
+#: with every batch sent to the ring as ``every_batch_on_the_ring``
+#: does, a small Chain job, whose anchor rows the worker decodes with
+#: numpy.  It reports where numpy stood at each step.
+RING_PROBE = """
+import json, sys
+from repro.engine import Engine, EngineConfig, make_job
+from repro.serve import TransportConfig, transport
+
+route, small, large = sys.argv[1], json.loads(sys.argv[2]), json.loads(sys.argv[3])
+if route == "every_batch_on_the_ring":
+    transport.INLINE_MAX_BIN = -1
+seen = {}
+spawn = transport.ShmExecutor._spawn
+
+def recording_spawn(self, worker_id):
+    seen.setdefault("numpy_at_fork", "numpy" in sys.modules)
+    spawn(self, worker_id)
+
+transport.ShmExecutor._spawn = recording_spawn
+config = TransportConfig(backend="shm", workers=1, poll_interval_s=0.01)
+seen["numpy_at_import"] = "numpy" in sys.modules
+with Engine(EngineConfig(max_queue=16, transport=config)) as engine:
+    for name, (kernel, payload) in (("first", small), ("second", large)):
+        engine.submit(make_job(kernel, payload))
+        (result,) = engine.drain()
+        assert result.ok, result.error
+        seen[name] = [result.backend, "numpy" in sys.modules]
+print(json.dumps(seen))
+"""
+
+
+@pytest.mark.parametrize("route", ["bin_10", "every_batch_on_the_ring"])
+def test_numpy_loads_with_the_first_ring_batch(route):
+    src = pathlib.Path(__file__).resolve().parents[2] / "src"
+    if route == "bin_10":
+        small, large = ("lcs", SMALL), ("lcs", BIN_10)
+        first = ["inline", False]
+    else:
+        chain = _small_payloads()["chain"][0]
+        small, large = ("chain", chain), ("chain", chain)
+        first = ["shm", True]
+    proc = subprocess.run(
+        [sys.executable, "-c", RING_PROBE, route, json.dumps(small), json.dumps(large)],
+        capture_output=True,
+        text=True,
+        env=dict(os.environ, PYTHONPATH=str(src)),
+        timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    seen = json.loads(proc.stdout.strip().splitlines()[-1])
+    assert seen == {
+        "numpy_at_import": False,
+        "first": first,
+        "second": ["shm", True],
+        "numpy_at_fork": True,  # the worker inherits the parent's import
+    }

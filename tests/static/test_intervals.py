@@ -4,8 +4,8 @@ import random
 
 import pytest
 
+from repro.datapath import INT32_MAX, INT32_MIN
 from repro.dfg.graph import OPCODE_ARITY, Opcode
-from repro.dpax.pe import INT32_MAX, INT32_MIN
 from repro.static.intervals import (
     INT32,
     Interval,
